@@ -23,7 +23,7 @@ from .root import (
     GradedRoot,
     TauFunction,
     UModuleDecomposition,
-    module_from_root,
+    module_from_tau,
     reduced_rank,
     render,
     root_from_tau,
@@ -48,7 +48,7 @@ __all__ = [
     "from_newton_pairs",
     "grading_shift",
     "mod_inverse",
-    "module_from_root",
+    "module_from_tau",
     "neg_cfrac",
     "q_coefficients",
     "reduced_rank",

@@ -94,15 +94,7 @@ def _knot_block(knot: AlgebraicKnot) -> dict:
 
 
 def _module_block(module) -> dict:
-    towers = []
-    i = 0
-    ft = module.finite_towers
-    while i < len(ft):
-        j = i
-        while j < len(ft) and ft[j] == ft[i]:
-            j += 1
-        towers.append({"grade": _rat(ft[i][0]), "length": ft[i][1], "multiplicity": j - i})
-        i = j
+    towers = [{"grade": _rat(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
     return {"tower_grade": _rat(module.tower_grade), "finite_towers": towers}
 
 
@@ -185,7 +177,7 @@ def cmd_compute(args) -> int:
         if len(results) > 1 and not args.out:
             raise ValueError("--format svg with --spinc all requires --out")
         for res in results:
-            svg = render(res.root, "svg")
+            svg = render(root_from_tau(res.tau), "svg")
             if args.out and len(results) > 1:
                 stem, ext = os.path.splitext(args.out)
                 _emit(svg, f"{stem}_a{res.a}{ext or '.svg'}")

@@ -9,7 +9,7 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
   * the tau function on {0..2 t_a + 2}:
         tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
         tau(2t+1) = tau(2t+2) + alpha_{floor((t p + a)/q)},
-  * the graded root of tau and its Z[U]-module, shifted by r_a; the homology
+  * the Z[U]-module of the graded root of tau, shifted by r_a; the homology
     of -M in the structure sigma_a is that module, concentrated in even
     degrees, with correction term d(-M, sigma_a) = 2 min tau + r_a,
   * the Seiberg-Witten invariant sw(M, sigma_a) = r_a/2 - sum of the alpha
@@ -18,6 +18,10 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
 
 For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
+
+The module is read off tau directly (`root.module_from_tau`); the graded root
+itself is not part of a `SpincResult`.  Build it with `root.root_from_tau`
+where it is drawn or compared.
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -33,7 +37,7 @@ from math import gcd
 from .errors import InternalInvariantError
 from .knot import AlgebraicKnot
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
-from .root import GradedRoot, TauFunction, UModuleDecomposition, module_from_root, root_from_tau
+from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
 
 
 class SurgerySpec:
@@ -72,7 +76,6 @@ class SpincResult:
     depth: int                      # t_a
     shift: Fraction                 # r_a
     tau: TauFunction
-    root: GradedRoot
     module: UModuleDecomposition    # gradings include the shift
     d_invariant: Fraction
     sw_invariant: Fraction
@@ -147,12 +150,14 @@ def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
 
 
 def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
-    """Assemble tau -> root -> module for one spin^c structure."""
+    """Assemble tau -> module for one spin^c structure."""
     t_a = tau_depth(spec, a)
     r_a = grading_shift(spec, a)
     tau = tau_function(spec, a)
-    root = root_from_tau(tau)
-    module = module_from_root(root).shifted(r_a)
+    module = module_from_tau(tau)
+    if len(tau) > 1 and module.reduced_rank != reduced_rank(tau):
+        raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
+    module = module.shifted(r_a)
     d = 2 * tau.min() + r_a
     if module.tower_grade != d:
         raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
@@ -164,7 +169,6 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
         depth=t_a,
         shift=r_a,
         tau=tau,
-        root=root,
         module=module,
         d_invariant=d,
         sw_invariant=sw_invariant(spec, a),

@@ -10,18 +10,25 @@ upward stem; `top` marks the base of that implicit stem.
 A finite integer sequence tau produces a graded root: vertex classes at
 level k are the maximal index intervals on which tau <= k (the merge tree of
 tau), so local minima of tau become the leaves.  The associated graded
-Z[U]-module decomposes as one infinite tower T+ based at twice the minimal
-level plus one finite tower per remaining leaf, whose length is the distance
-to the lowest branching vertex joining it to an earlier leaf.
+Z[U]-module is the 0-dimensional sublevel persistence of tau under the elder
+rule (Edelsbrunner-Harer, Computational Topology, ch. VII): switch the
+indices on in (value, index) order; when two runs of switched-on indices
+meet at level k, the one whose oldest minimum is younger dies there and
+contributes the finite tower T_{2 b}(k - b), b its birth level, and the run
+that survives to the end carries the infinite tower T+ at twice its birth.
+
+Both constructions are one sweep over that order, keeping only the two ends
+of every run.  `module_from_tau` costs O(n log n) for n = len(tau);
+`root_from_tau` costs O(n log n + |V|) for a root with |V| vertices, and is
+needed only to draw a root or to compare it with another one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
-
-from .errors import InternalInvariantError
+from itertools import groupby
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -88,18 +95,6 @@ class GradedRoot:
     def min_level(self) -> int:
         return min(self.chi)
 
-    def merge_level(self, u: int, v: int) -> int:
-        """Level of the lowest vertex dominating both u and v."""
-        if u == v:
-            return self.chi[u]
-        seen = {u}
-        while self.parent[u] is not None:
-            u = self.parent[u]
-            seen.add(u)
-        while v not in seen:
-            v = self.parent[v]
-        return self.chi[v]
-
     def canonical_key(self):
         """Canonical encoding; equal keys <=> grading-preserving isomorphism.
 
@@ -114,39 +109,49 @@ class GradedRoot:
         return (self.chi[self.top], key[self.top])
 
 
+def _switch_on(end: list[int], i: int) -> tuple[int, int]:
+    """Switch index i on and return the run [l, r] of on-indices it joins.
+
+    `end` holds, at each end of a run, the index of its other end, and -1 at
+    indices still off; values left inside a run are never read again.
+    """
+    l = end[i - 1] if i > 0 and end[i - 1] >= 0 else i
+    r = end[i + 1] if i + 1 < len(end) and end[i + 1] >= 0 else i
+    end[l], end[r] = r, l
+    return l, r
+
+
 def root_from_tau(tau: TauFunction) -> GradedRoot:
-    """Merge tree of tau: level-k vertices are runs of {i : tau(i) <= k}."""
+    """Merge tree of tau: level-k vertices are runs of {i : tau(i) <= k}.
+
+    Vertices are numbered by ascending level, left to right within a level.
+    """
     vals = tau.values
-    lo, hi = min(vals), max(vals)
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    end = [-1] * len(vals)
     chi: list[int] = []
     parent: list[Optional[int]] = []
-    prev_runs: list[tuple[int, int, int]] = []  # (start, end, vertex) at level k-1
-    for k in range(lo, hi + 1):
-        runs: list[list[int]] = []
-        i = 0
-        n = len(vals)
-        while i < n:
-            if vals[i] <= k:
-                j = i
-                while j + 1 < n and vals[j + 1] <= k:
-                    j += 1
-                runs.append([i, j])
-                i = j + 1
-            else:
-                i += 1
-        vertex_ids = []
-        for start, end in runs:
-            chi.append(k)
-            parent.append(None)
-            vertex_ids.append(len(chi) - 1)
-        for start, end, v in prev_runs:
-            for (rs, re), w in zip(runs, vertex_ids):
-                if rs <= start and end <= re:
-                    parent[v] = w
-                    break
-            else:
-                raise InternalInvariantError("sublevel run not contained above")
-        prev_runs = [(rs, re, w) for (rs, re), w in zip(runs, vertex_ids)]
+    below: list[tuple[int, int]] = []  # (left end, vertex) of the runs at level k - 1
+    pos = 0
+    for k in range(vals[order[0]], vals[order[-1]] + 1):
+        start = pos
+        while pos < len(order) and vals[order[pos]] == k:
+            _switch_on(end, order[pos])
+            pos += 1
+        # Every level-k run starts at an old left end or at an index switched
+        # on at k, so walking both in index order meets each run at its start.
+        level = []
+        right = -1
+        born = [(i, None) for i in order[start:pos]]
+        for i, v in sorted(below + born):  # two sorted runs: merged in linear time
+            if i > right:
+                right = end[i]
+                chi.append(k)
+                parent.append(None)
+                level.append((i, len(chi) - 1))
+            if v is not None:
+                parent[v] = len(chi) - 1
+        below = level
     return GradedRoot(chi, parent)
 
 
@@ -179,40 +184,48 @@ class UModuleDecomposition:
     def reduced_rank(self) -> int:
         return sum(n for _, n in self.finite_towers)
 
+    def grouped(self) -> Iterator[tuple[Fraction, int, int]]:
+        """(grade, length, multiplicity) of each distinct finite tower, in order."""
+        for (g, n), same in groupby(self.finite_towers):
+            yield g, n, sum(1 for _ in same)
+
     def __str__(self):
         parts = [f"T+[{self.tower_grade}]"]
-        i = 0
-        towers = self.finite_towers
-        while i < len(towers):
-            j = i
-            while j < len(towers) and towers[j] == towers[i]:
-                j += 1
-            g, n = towers[i]
-            mult = f"{j - i}*" if j - i > 1 else ""
-            parts.append(f"{mult}T[{g}]({n})")
-            i = j
+        for g, n, mult in self.grouped():
+            parts.append(f"{mult}*T[{g}]({n})" if mult > 1 else f"T[{g}]({n})")
         return " + ".join(parts)
 
 
-def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]] = None) -> UModuleDecomposition:
-    """Z[U]-module of a graded root.
+def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
+    """Z[U]-module of the graded root of tau, by the elder rule.
 
-    Leaves are taken in ascending order of level; the first one starts the
-    infinite tower at twice its level, every later leaf v contributes a
-    finite tower based at twice its level with length chi(w) - chi(v), where
-    w is the lowest vertex dominating v together with some earlier leaf.
-    The result does not depend on how ties between equal-level leaves are
-    broken; tie_key exists so tests can permute them.
+    Indices are switched on in (value, index) order.  Each run of on-indices
+    remembers its elder, the (value, index) of its oldest minimum; when two
+    runs meet at level k the younger elder dies, adding the finite tower
+    T_{2b}(k - b) for its birth level b < k.  The last elder standing gives
+    the infinite tower at twice its birth level.
     """
-    if tie_key is None:
-        tie_key = lambda v: v
-    leaves = sorted(root.leaves, key=lambda v: (root.chi[v], tie_key(v)))
-    first = leaves[0]
+    vals = tau.values
+    end = [-1] * len(vals)
+    elder: list[tuple[int, int]] = [(0, 0)] * len(vals)  # valid at the left end of a run
     towers = []
-    for k, v in enumerate(leaves[1:], start=1):
-        w_level = min(root.merge_level(v, u) for u in leaves[:k])
-        towers.append((Fraction(2 * root.chi[v]), w_level - root.chi[v]))
-    return UModuleDecomposition.from_parts(Fraction(2 * root.chi[first]), towers)
+
+    def meet(a, b, k):
+        young = max(a, b)
+        if young[0] < k:
+            towers.append((2 * young[0], k - young[0]))
+        return min(a, b)
+
+    for i in sorted(range(len(vals)), key=vals.__getitem__):  # stable: (value, index) order
+        k = vals[i]
+        l, r = _switch_on(end, i)
+        e = (k, i)
+        if l < i:
+            e = meet(elder[l], e, k)
+        if r > i:
+            e = meet(e, elder[i + 1], k)
+        elder[l] = e
+    return UModuleDecomposition.from_parts(2 * elder[0][0], towers)
 
 
 def reduced_rank(tau: TauFunction) -> int:

@@ -16,7 +16,7 @@ from hfroots import (
     tau_depth,
     tau_function,
 )
-from hfroots.root import UModuleDecomposition
+from hfroots.root import UModuleDecomposition, reduced_rank
 
 
 K23 = from_newton_pairs([(2, 3)])
@@ -140,6 +140,27 @@ class TestComputeSpinc:
     def test_d_zero_for_p1(self):
         for q in (1, 2):
             assert compute_spinc(SurgerySpec(K45, 1, q), 0).d_invariant == 0
+
+    def test_deep_tau_7_11_sixteenth(self):
+        # tau of length 1889, far beyond the reach of the pairwise-leaf module walk
+        spec = SurgerySpec(from_newton_pairs([(7, 11)]), 1, 16)
+        res = compute_spinc(spec, 0)
+        d = spec.knot.delta
+        assert len(res.tau) == 1889
+        assert res.module.reduced_rank == reduced_rank(res.tau)
+        assert res.d_invariant == 0
+        assert res.shift == 16 * d * (d - 1)
+
+    def test_reduced_rank_guard(self, monkeypatch):
+        real = hfcore.module_from_tau
+
+        def lossy(tau):
+            mod = real(tau)
+            return UModuleDecomposition.from_parts(mod.tower_grade, mod.finite_towers[1:])
+
+        monkeypatch.setattr(hfcore, "module_from_tau", lossy)
+        with pytest.raises(InternalInvariantError, match="reduced_rank"):
+            compute_spinc(SurgerySpec(K45, 2, 1), 0)
 
     def test_ker_u(self):
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)

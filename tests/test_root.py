@@ -3,12 +3,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import merge_level, module_from_root, root_from_tau_rescan
 
+from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
     TauFunction,
     UModuleDecomposition,
-    module_from_root,
+    module_from_tau,
     reduced_rank,
     render,
     root_from_tau,
@@ -24,6 +28,22 @@ def towers(*pairs):
     return tuple(sorted((Fraction(g), n) for g, n in pairs))
 
 
+# the fast path and the reference (rescanned root, pairwise leaf walk)
+MODULE_ROUTES = (module_from_tau, lambda tau: module_from_root(root_from_tau_rescan(tau)))
+
+PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+# Small value ranges and flat steps make plateaus, repeated minima and ties common.
+TAUS = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=30),
+    st.builds(
+        lambda start, steps: [start + sum(steps[:i]) for i in range(len(steps) + 1)],
+        st.integers(-10, 10),
+        st.lists(st.integers(-3, 3), max_size=40),
+    ),
+).map(lambda vals: TauFunction(tuple(vals)))
+
+
 class TestRootFromTau:
     def test_single_stem(self):
         root = root_from_tau(TauFunction((0,)))
@@ -36,7 +56,7 @@ class TestRootFromTau:
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 1]
         v0, v1 = sorted(root.leaves, key=lambda v: root.chi[v])
-        assert root.merge_level(v0, v1) == 3
+        assert merge_level(root, v0, v1) == 3
         assert root.chi[root.top] == 5
 
     def test_torus_45_leaf_levels(self):
@@ -78,6 +98,12 @@ class TestRootFromTau:
             b = root_from_tau(TauFunction(vals[::-1]))
             assert a.canonical_key() == b.canonical_key()
 
+    @PROPERTY
+    @given(TAUS)
+    def test_matches_rescan_numbering(self, tau):
+        fast, ref = root_from_tau(tau), root_from_tau_rescan(tau)
+        assert (fast.chi, fast.parent) == (ref.chi, ref.parent)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GradedRoot([0, 2], [1, None])  # edge jumps two levels
@@ -87,22 +113,41 @@ class TestRootFromTau:
 
 class TestModule:
     def test_bare_stem(self):
-        mod = module_from_root(root_from_tau(TauFunction((0,))))
-        assert mod.tower_grade == 0
-        assert mod.finite_towers == ()
+        for route in MODULE_ROUTES:
+            mod = route(TauFunction((0,)))
+            assert mod.tower_grade == 0
+            assert mod.finite_towers == ()
 
     def test_two_leaves(self):
-        mod = module_from_root(root_from_tau(TauFunction((0, 3, 1, 5))))
-        assert mod.tower_grade == 0
-        assert mod.finite_towers == towers((2, 2))
+        for route in MODULE_ROUTES:
+            mod = route(TauFunction((0, 3, 1, 5)))
+            assert mod.tower_grade == 0
+            assert mod.finite_towers == towers((2, 2))
 
     def test_torus_45_modules(self):
-        mod = module_from_root(root_from_tau(TauFunction(TAU_45_2_1_A0)))
-        assert mod.tower_grade == -18
-        assert mod.finite_towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
-        mod = module_from_root(root_from_tau(TauFunction(TAU_45_2_1_A1)))
-        assert mod.tower_grade == -12
-        assert mod.finite_towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
+        for route in MODULE_ROUTES:
+            mod = route(TauFunction(TAU_45_2_1_A0))
+            assert mod.tower_grade == -18
+            assert mod.finite_towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
+            mod = route(TauFunction(TAU_45_2_1_A1))
+            assert mod.tower_grade == -12
+            assert mod.finite_towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
+
+    @PROPERTY
+    @given(TAUS)
+    def test_matches_reference(self, tau):
+        assert module_from_tau(tau) == module_from_root(root_from_tau_rescan(tau))
+
+    @pytest.mark.parametrize(
+        "pairs, p, q",
+        [(((4, 5),), 1, 16), (((2, 13),), 1, 1), (((11, 13),), 1, 1), (((7, 11),), 1, 4),
+         (((2, 3), (2, 1)), 5, 3), (((3, 4),), 7, 5)],
+    )
+    def test_matches_reference_on_corpus_taus(self, pairs, p, q):
+        spec = SurgerySpec(from_newton_pairs(list(pairs)), p, q)
+        for a in spec.spinc_range():
+            tau = compute_spinc(spec, a).tau
+            assert module_from_tau(tau) == module_from_root(root_from_tau_rescan(tau))
 
     def test_tie_break_invariance(self):
         rng = random.Random(23)
@@ -122,6 +167,11 @@ class TestModule:
         assert shifted.tower_grade == Fraction(-1, 4)
         assert shifted.finite_towers == towers((Fraction(7, 4), 2), (Fraction(71, 4), 1))
         assert shifted.reduced_rank == 3
+
+    def test_grouped_towers(self):
+        mod = UModuleDecomposition.from_parts(-18, [(0, 1), (-16, 2), (-10, 1), (-16, 2)])
+        assert list(mod.grouped()) == [(-16, 2, 2), (-10, 1, 1), (0, 1, 1)]
+        assert str(mod) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
 
 
 class TestReducedRank:
@@ -144,8 +194,7 @@ class TestReducedRank:
             vals = [0, rng.randint(1, 10)]
             vals += [rng.randint(-10, 10) for _ in range(rng.randint(0, 18))]
             tau = TauFunction(tuple(vals))
-            mod = module_from_root(root_from_tau(tau))
-            assert reduced_rank(tau) == mod.reduced_rank
+            assert reduced_rank(tau) == module_from_tau(tau).reduced_rank
 
 
 class TestRender:
