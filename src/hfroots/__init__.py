@@ -9,16 +9,14 @@ from .errors import InternalInvariantError
 from .hfcore import (
     SpincResult,
     SurgerySpec,
-    closed_form_p1q1,
     compute_all,
     compute_spinc,
     grading_shift,
-    sw_invariant,
     tau_depth,
     tau_function,
 )
-from .knot import AlgebraicKnot, NumericalSemigroup, alexander_polynomial, from_newton_pairs, q_coefficients
-from .numtheory import NegContinuedFraction, Rational, dedekind_sum, mod_inverse, neg_cfrac
+from .knot import AlgebraicKnot, NumericalSemigroup, from_newton_pairs
+from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
 from .root import (
     GradedRoot,
     TauFunction,
@@ -35,13 +33,10 @@ __all__ = [
     "InternalInvariantError",
     "NegContinuedFraction",
     "NumericalSemigroup",
-    "Rational",
     "SpincResult",
     "SurgerySpec",
     "TauFunction",
     "UModuleDecomposition",
-    "alexander_polynomial",
-    "closed_form_p1q1",
     "compute_all",
     "compute_spinc",
     "dedekind_sum",
@@ -50,11 +45,9 @@ __all__ = [
     "mod_inverse",
     "module_from_tau",
     "neg_cfrac",
-    "q_coefficients",
     "reduced_rank",
     "render",
     "root_from_tau",
-    "sw_invariant",
     "tau_depth",
     "tau_function",
 ]

@@ -255,8 +255,8 @@ def cmd_verify(args) -> int:
     per = []
     overall = True
     for a in indices:
+        res = hfcore.compute_spinc(spec, a)  # rejects a outside [0, p) before classes[a]
         cls = classes[a]
-        res = hfcore.compute_spinc(spec, a)
         shift_lattice = plumbing.lattice_grading_shift(gm, cls)
         shift_formula = plumbing.grading_shift_formula(p, q, knot.delta, a)
         entry = {
@@ -264,17 +264,13 @@ def cmd_verify(args) -> int:
             "shift_lattice_ok": shift_lattice == res.shift,
             "shift_formula_ok": shift_formula == res.shift,
         }
-        i_max = (res.depth + 1) * knot.mf
-        values, cycles = plumbing.laufer_sequence(gm, cls, i_max)
         if use_laufer:
+            values, _ = plumbing.laufer_sequence(gm, cls, (res.depth + 1) * knot.mf)
             condensed = plumbing.condense_tau(TauFunction(tuple(values)), knot.mf)
             entry["laufer_tau_ok"] = condensed.values == res.tau.values
         if use_sublevel:
             n_top = res.tau.max()
-            box = plumbing.union_box(
-                plumbing.trajectory_box(cycles),
-                plumbing.exact_sublevel_box(gm, cls.k_r, n_top),
-            )
+            box = plumbing.exact_sublevel_box(gm, cls.k_r, n_top)
             sub = plumbing.sublevel_root(gm, cls.k_r, n_top, box)
             if sub.boundary_contact:
                 entry["sublevel"] = "unreliable-box"

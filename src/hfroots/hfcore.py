@@ -13,7 +13,8 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     of -M in the structure sigma_a is that module, concentrated in even
     degrees, with correction term d(-M, sigma_a) = 2 min tau + r_a,
   * the Seiberg-Witten invariant sw(M, sigma_a) = r_a/2 - sum of the alpha
-    values entering tau (a finite sum since alpha vanishes from mu - 1 on),
+    values entering tau, each read off tau as tau(2t+1) - tau(2t+2) (the
+    alpha indices past the depth reach mu - 1, where alpha vanishes),
   * the kernel and cokernel gradings of the U-action.
 
 For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
@@ -59,9 +60,6 @@ class SurgerySpec:
 
     def __repr__(self):
         return f"SurgerySpec({self.knot!r}, -{self.p}/{self.q})"
-
-    def spinc_range(self):
-        return range(self.p)
 
     def _check_a(self, a: int):
         if not 0 <= a < self.p:
@@ -131,24 +129,6 @@ def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
     return TauFunction(tuple(vals))
 
 
-def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
-    """sw(M, sigma_a) = r_a / 2 - sum_{t >= 0} alpha_{floor((t p + a)/q)}.
-
-    The sum is finite because alpha vanishes from index mu - 1 on.
-    """
-    spec._check_a(a)
-    p, q, knot = spec.p, spec.q, spec.knot
-    total = 0
-    t = 0
-    while True:
-        idx = (t * p + a) // q
-        if idx >= knot.mu - 1:
-            break
-        total += knot.alpha[idx]
-        t += 1
-    return grading_shift(spec, a) / 2 - total
-
-
 def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
     """Assemble tau -> module for one spin^c structure."""
     t_a = tau_depth(spec, a)
@@ -164,6 +144,7 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
     vals = tau.values
     ker = tuple(sorted(2 * vals[2 * t] + r_a for t in range(t_a + 2)))
     coker = tuple(sorted(2 * vals[2 * t + 1] + r_a - 2 for t in range(t_a + 1)))
+    alpha_sum = sum(vals[2 * t + 1] - vals[2 * t + 2] for t in range(t_a + 1))
     return SpincResult(
         a=a,
         depth=t_a,
@@ -171,7 +152,7 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
         tau=tau,
         module=module,
         d_invariant=d,
-        sw_invariant=sw_invariant(spec, a),
+        sw_invariant=r_a / 2 - alpha_sum,
         ker_u=ker,
         coker_u=coker,
     )
@@ -185,7 +166,7 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
     Per-class computations are pure and independent of each other, so
     callers may evaluate them concurrently if they wish.
     """
-    results = [compute_spinc(spec, a) for a in spec.spinc_range()]
+    results = [compute_spinc(spec, a) for a in range(spec.p)]
     total = sum(r.depth + 2 for r in results)
     expected = spec.p + (2 * spec.knot.delta - 1) * spec.q
     if total != expected:
@@ -193,17 +174,3 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
             f"ker U rank {total} != p + (2 delta - 1) q = {expected}"
         )
     return results
-
-
-def closed_form_p1q1(knot: AlgebraicKnot) -> UModuleDecomposition:
-    """The -1-surgery module in closed form (test oracle for p = q = 1):
-
-    T+_0 + T_0(alpha_{delta-1}) + sum_{i=1}^{delta-1} T_{i(i+1)}(alpha_{delta-1+i})^2,
-    gradings absolute (the shift r_0 = delta (delta - 1) is already folded in).
-    """
-    d = knot.delta
-    towers = [(Fraction(0), knot.alpha_at(d - 1))]
-    for i in range(1, d):
-        towers.append((Fraction(i * (i + 1)), knot.alpha_at(d - 1 + i)))
-        towers.append((Fraction(i * (i + 1)), knot.alpha_at(d - 1 + i)))
-    return UModuleDecomposition.from_parts(Fraction(0), towers)

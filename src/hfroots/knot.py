@@ -98,14 +98,6 @@ class NumericalSemigroup:
             raise IndexError(f"{k} beyond the membership table (bound {self.bound})")
         return self.membership[k]
 
-    def count_up_to(self, x: int) -> int:
-        """Number of semigroup elements <= x (x may be negative)."""
-        if x < 0:
-            return 0
-        if x > self.bound:
-            raise IndexError(f"{x} beyond the membership table (bound {self.bound})")
-        return sum(1 for k in range(x + 1) if self.membership[k])
-
 
 def _semigroup_from_generators(gens: tuple[int, ...], bound: int) -> NumericalSemigroup:
     table = [False] * (bound + 1)
@@ -133,21 +125,6 @@ class AlgebraicKnot:
     alexander: tuple[int, ...]
     alpha: tuple[int, ...]
     mf: int
-
-    @property
-    def genus(self) -> int:
-        """Number of Newton pairs."""
-        return len(self.newton_pairs)
-
-    def alpha_at(self, i: int) -> int:
-        """alpha_i, extended by alpha_i = 0 for i >= mu - 1.
-
-        alpha_i counts gaps exceeding i, which is zero beyond the largest
-        gap mu - 1; the extension makes tails of alpha-sums finite.
-        """
-        if i < 0:
-            raise IndexError(f"negative alpha index {i}")
-        return self.alpha[i] if i < len(self.alpha) else 0
 
     def __repr__(self):
         pairs = ",".join(f"({p},{q})" for p, q in self.newton_pairs)
@@ -246,17 +223,3 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
         alpha=alpha,
         mf=mf,
     )
-
-
-def alexander_polynomial(knot: AlgebraicKnot) -> tuple[int, ...]:
-    """Alexander polynomial as a coefficient tuple (index = exponent)."""
-    return knot.alexander
-
-
-def q_coefficients(knot: AlgebraicKnot) -> tuple[int, ...]:
-    """Coefficients alpha_0..alpha_{mu-2} of the quadratic remainder Q.
-
-    delta = alpha_0 >= alpha_1 >= ... >= alpha_{mu-2} = 1; use
-    knot.alpha_at for the zero-extension beyond index mu - 2.
-    """
-    return knot.alpha

@@ -11,10 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-# All rational quantities in this package are plain Fractions: they are
-# arbitrary precision, always in lowest terms, and hash/compare exactly.
-Rational = Fraction
-
 
 def mod_inverse(q: int, p: int) -> int:
     """Inverse of q modulo p, represented in the window [1, p].
@@ -103,13 +99,6 @@ class NegContinuedFraction:
     def q_prime(self) -> int:
         """q' = n(1, s-1); satisfies 1 <= q' <= p and q q' = 1 (mod p)."""
         return self.n(1, self.s - 1)
-
-    def value(self) -> Fraction:
-        """Evaluate [k_1, ..., k_s] exactly; always equals p/q."""
-        acc = Fraction(self.terms[-1])
-        for k in reversed(self.terms[:-1]):
-            acc = k - 1 / acc
-        return acc
 
     def _validate(self):
         if self.s == 0:

@@ -47,7 +47,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError
 from .hfcore import SurgerySpec
-from .knot import AlgebraicKnot, poly_mul, poly_divexact, t_power_minus_one
+from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
 from .root import GradedRoot, TauFunction
 
@@ -83,28 +83,6 @@ def leading_principal_minors(mat: list[list[int]]) -> list[int]:
     return minors
 
 
-def determinant(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss with row pivoting)."""
-    n = len(mat)
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
     """Solve mat x = rhs over the rationals (Gaussian elimination)."""
     n = len(mat)
@@ -138,7 +116,8 @@ class PlumbingGraph:
     graph (None for closed-manifold graphs).
 
     Both the tree property and negative definiteness (signs of all leading
-    principal minors, exact integer arithmetic) are enforced on creation.
+    principal minors, exact integer arithmetic) are enforced on creation;
+    the last of those minors is kept as `det`, the determinant of B.
     Instances are immutable after construction and safe to share; oracle
     runs for distinct spin^c classes are independent of each other.
     """
@@ -177,6 +156,7 @@ class PlumbingGraph:
         for k, m in enumerate(minors, start=1):
             if m == 0 or (m > 0) != (k % 2 == 0):
                 raise ValueError("intersection form is not negative definite")
+        self.det = minors[-1]
 
     @property
     def n(self) -> int:
@@ -208,19 +188,6 @@ class PlumbingGraph:
 
     def __repr__(self):
         return f"PlumbingGraph(n={self.n}, euler={list(self.euler)})"
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """An integral cycle, stored by coefficients in the vertex basis."""
-
-    coeffs: tuple[int, ...]
-
-    def __add__(self, other):
-        return Cycle(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c: int) -> "Cycle":
-        return Cycle(tuple(c * x for x in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -327,12 +294,12 @@ def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
         attach = _mediant_walk(euler, edge_set, attach, p_i, q_i)
     g = PlumbingGraph(euler, sorted(edge_set), distinguished=attach, arrow=attach)
 
-    if abs(determinant(g.bmatrix())) != 1:
+    if abs(g.det) != 1:
         raise InternalInvariantError("resolution graph is not unimodular")
     ones = [j for j in range(g.n) if g.euler[j] == -1]
     if ones != [attach]:
         raise InternalInvariantError("the (-1)-vertex is not unique at the arrow")
-    mults = divisorial_cycle(g).coeffs
+    mults = divisorial_cycle(g)
     if mults[attach] != knot.mf:
         raise InternalInvariantError(f"multiplicity {mults[attach]} at v0, expected {knot.mf}")
     _acampo_check(g, mults, knot.alexander)
@@ -342,7 +309,7 @@ def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
     return g
 
 
-def divisorial_cycle(gf: PlumbingGraph) -> Cycle:
+def divisorial_cycle(gf: PlumbingGraph) -> tuple[int, ...]:
     """The divisorial cycle of the germ on its resolution graph.
 
     Unique solution of (Z, b_j) = 0 for j != v0 and (Z, b_{v0}) = -1; the
@@ -359,7 +326,7 @@ def divisorial_cycle(gf: PlumbingGraph) -> Cycle:
     coeffs = tuple(int(x) for x in sol)
     if any(c <= 0 for c in coeffs):
         raise InternalInvariantError("divisorial cycle must be strictly positive")
-    return Cycle(coeffs)
+    return coeffs
 
 
 def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingGraph:
@@ -380,7 +347,7 @@ def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingG
         edges.append((prev, v))
         prev = v
     gm = PlumbingGraph(euler, edges, distinguished=gf.distinguished, arrow=None)
-    if abs(determinant(gm.bmatrix())) != cfrac.p:
+    if abs(gm.det) != cfrac.p:
         raise InternalInvariantError("surgery graph determinant is not +-p")
     return gm
 
@@ -471,7 +438,7 @@ def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
     ):
         raise ValueError("chain decorations do not match the continued fraction")
 
-    zf = divisorial_cycle(gf).coeffs
+    zf = divisorial_cycle(gf)
     k_gm = canonical_class(gm).coeffs
     chain_b = _chain_graph(cfrac).bmatrix()
 
@@ -534,9 +501,10 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
 
 
 def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
-    """Shared engine: starting from x = 0, step pr_{v0} up by 1 and then add
+    """Laufer engine: starting from x = 0, step pr_{v0} up by 1 and then add
     base vectors b_j (j != v0, lowest index first) while (x + l', b_j) > 0,
-    where offsets[j] = (l', b_j).  Returns (chi values, cycles).
+    where offsets[j] = (l', b_j); zero offsets give the minimal cycles of a
+    resolution graph.  Returns (chi values, cycles).
 
     chi is tracked incrementally: adding b_j changes chi by 1 - (x + l', b_j).
     """
@@ -577,23 +545,6 @@ def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
     return values, cycles
 
 
-def minimal_cycle_sequence(gf: PlumbingGraph, i_max: int) -> list[tuple[Cycle, int]]:
-    """Cycles y(i) on the resolution graph: y(i) is the least positive cycle
-    with multiplicity i at v0 and (y(i), b_j) <= 0 away from v0.
-
-    Returns [(y(i), (y(i), b_{v0}))] for i = 0..i_max.  The pairing with the
-    distinguished vertex detects semigroup membership: 0 on the semigroup,
-    1 on the gaps (for i below the period mf), and the sequence repeats as
-    y(i + mf) = y(i) + Z_f.
-    """
-    values, cycles = _laufer_run(gf, [0] * gf.n, i_max)
-    out = []
-    for cyc in cycles:
-        bx = gf.apply_form(list(cyc))
-        out.append((Cycle(cyc), bx[gf.distinguished]))
-    return out
-
-
 def laufer_sequence(gm: PlumbingGraph, cls: SpincClass, i_max: int):
     """chi values and cycles of the generalized Laufer sequence x(i).
 
@@ -607,12 +558,6 @@ def laufer_sequence(gm: PlumbingGraph, cls: SpincClass, i_max: int):
             raise InternalInvariantError("(l', b_j) must be integral")
         offsets.append(int(v))
     return _laufer_run(gm, offsets, i_max)
-
-
-def laufer_tau(gm: PlumbingGraph, cls: SpincClass, i_max: int) -> TauFunction:
-    """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max."""
-    values, _ = laufer_sequence(gm, cls, i_max)
-    return TauFunction(tuple(values))
 
 
 def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
@@ -634,33 +579,6 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
     return TauFunction(tuple(out))
 
 
-def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
-    """Chain part of x(i), by the ceiling recursion:
-
-    u_1 = ceil((i q - a) / (p + q mf)),
-    u_j = ceil((u_{j-1} n(j+1, s) - a'_j) / n(j, s)),  a'_j = sum_{t>=j} n(t+1,s) a_t.
-
-    Matches the chain coefficients of the generalized Laufer cycles.
-    """
-    if i < 0:
-        raise ValueError("cycle index must be nonnegative")
-    spec._check_a(a)
-    cfrac = spec.cfrac
-    s = cfrac.s
-    acoef = _si_coefficients(cfrac, a)
-    aprime = [0] * (s + 2)
-    for j in range(s, 0, -1):
-        aprime[j] = aprime[j + 1] + cfrac.n(j + 1, s) * acoef[j - 1]
-    u = []
-    num = i * spec.q - a
-    den = spec.p + spec.q * spec.knot.mf
-    u.append(-(-num // den))
-    for j in range(2, s + 1):
-        num = u[-1] * cfrac.n(j + 1, s) - aprime[j]
-        u.append(-(-num // cfrac.n(j, s)))
-    return tuple(u)
-
-
 # ---------------------------------------------------------------------------
 # brute-force sublevel roots
 # ---------------------------------------------------------------------------
@@ -677,14 +595,6 @@ class SublevelRoot:
 
     root: GradedRoot
     boundary_contact: bool
-
-
-def trajectory_box(cycles, margin: int = 2) -> tuple[tuple[int, int], ...]:
-    """Coordinate-wise bounding box of a cycle trajectory, plus a margin."""
-    n = len(cycles[0])
-    lo = [min(c[j] for c in cycles) - margin for j in range(n)]
-    hi = [max(c[j] for c in cycles) + margin for j in range(n)]
-    return tuple(zip(lo, hi))
 
 
 def exact_sublevel_box(g: PlumbingGraph, kr: CharacteristicVector, n_max: int) -> tuple[tuple[int, int], ...]:
@@ -715,14 +625,6 @@ def exact_sublevel_box(g: PlumbingGraph, kr: CharacteristicVector, n_max: int) -
         hi = (t - kn) // (2 * kd)
         box.append((lo, hi))
     return tuple(box)
-
-
-def union_box(*boxes) -> tuple[tuple[int, int], ...]:
-    """Componentwise union of coordinate boxes."""
-    n = len(boxes[0])
-    return tuple(
-        (min(b[j][0] for b in boxes), max(b[j][1] for b in boxes)) for j in range(n)
-    )
 
 
 def sublevel_root(g: PlumbingGraph, kr: CharacteristicVector, n_max: int, box) -> SublevelRoot:
@@ -895,4 +797,6 @@ def lens_d_classical(p: int, q: int) -> list[Fraction]:
         return [Fraction(0)]
     if not (0 < q < p):
         raise ValueError("lens parameters need 0 < q < p")
+    if gcd(p, q) != 1:
+        raise ValueError("lens parameters must be coprime")
     return [_lens_d_rec(p, q, i) for i in range(p)]

@@ -165,7 +165,6 @@ class UModuleDecomposition:
 
     tower_grade: Fraction
     finite_towers: tuple[tuple[Fraction, int], ...]
-    parity: str = "even"
 
     @staticmethod
     def from_parts(tower_grade, towers) -> "UModuleDecomposition":
@@ -177,7 +176,6 @@ class UModuleDecomposition:
         return UModuleDecomposition(
             self.tower_grade + r,
             tuple((g + r, n) for g, n in self.finite_towers),
-            self.parity,
         )
 
     @property

@@ -10,21 +10,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from corpus_cases import KNOT_CORPUS, ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SURGERY_CORPUS
+from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence
 
 import hfroots.plumbing as pl
 from hfroots import (
     SurgerySpec,
-    closed_form_p1q1,
-    compute_all,
     compute_spinc,
     from_newton_pairs,
     grading_shift,
     root_from_tau,
     tau_depth,
 )
-from hfroots.root import TauFunction, UModuleDecomposition
-
-from corpus_cases import KNOT_CORPUS, ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SURGERY_CORPUS
+from hfroots.root import UModuleDecomposition
 
 
 def module(tower, pairs, shift):
@@ -111,7 +109,7 @@ def test_criterion_7():
             res = compute_spinc(spec, a)
             assert pl.lattice_grading_shift(gm, classes[a]) == res.shift
             assert pl.grading_shift_formula(p, q, knot.delta, a) == res.shift
-            tau = pl.laufer_tau(gm, classes[a], (res.depth + 1) * knot.mf)
+            tau = laufer_tau(gm, classes[a], (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf).values == res.tau.values
     for pairs, p, q in SUBLEVEL_CASES:
         knot = from_newton_pairs(list(pairs))
@@ -121,11 +119,7 @@ def test_criterion_7():
         classes = pl.spinc_classes(gm, spec)
         for a in range(p):
             res = compute_spinc(spec, a)
-            _, cycles = pl.laufer_sequence(gm, classes[a], (res.depth + 1) * knot.mf)
-            box = pl.union_box(
-                pl.trajectory_box(cycles),
-                pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max()),
-            )
+            box = pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max())
             sub = pl.sublevel_root(gm, classes[a].k_r, res.tau.max(), box)
             assert not sub.boundary_contact
             assert sub.root.canonical_key() == root_from_tau(res.tau).canonical_key()
@@ -163,11 +157,11 @@ def test_criterion_10():
         knot = from_newton_pairs(list(pairs))
         gf = pl.embedded_resolution(knot)
         mf = knot.mf
-        zf = pl.divisorial_cycle(gf).coeffs
-        seq = pl.minimal_cycle_sequence(gf, 3 * mf)
+        zf = pl.divisorial_cycle(gf)
+        seq = minimal_cycle_sequence(gf, 3 * mf)
         for i, (cyc, hit) in enumerate(seq):
             assert hit <= 1
             if i < mf:
                 assert hit == (0 if i in knot.semigroup else 1)
             t, i0 = divmod(i, mf)
-            assert cyc.coeffs == tuple(t * z + y for z, y in zip(zf, seq[i0][0].coeffs))
+            assert cyc == tuple(t * z + y for z, y in zip(zf, seq[i0][0]))

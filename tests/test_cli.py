@@ -150,6 +150,15 @@ class TestVerifyCommand:
         assert code == 1
         assert "--surgery" in err
 
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_spinc_out_of_range(self, capsys, index):
+        code, out, err = run(
+            capsys, "verify", "--newton", "2,3", "--surgery", "3/1", "--spinc", index
+        )
+        assert code == 1
+        assert out == ""
+        assert f"spin^c index a={index} outside [0, 3)" in err
+
     def test_laufer_two_classes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--newton", "4,5", "--surgery", "2/1", "--oracle", "laufer"

@@ -1,13 +1,6 @@
 import pytest
 
-from hfroots.knot import (
-    alexander_polynomial,
-    from_newton_pairs,
-    poly_divexact,
-    poly_mul,
-    q_coefficients,
-    t_power_minus_one,
-)
+from hfroots.knot import from_newton_pairs, poly_divexact, poly_mul, t_power_minus_one
 
 from corpus_cases import KNOT_CORPUS
 
@@ -57,16 +50,19 @@ class TestConstruction:
             from_newton_pairs(pairs)
 
     def test_alpha_extension(self):
-        k = from_newton_pairs([(2, 3)])
-        assert k.alpha_at(0) == 1
-        assert k.alpha_at(1) == 0
-        assert k.alpha_at(100) == 0
+        # alpha_i counts the gaps above i; the tuple stops where that count
+        # reaches 0, at the largest gap mu - 1, so its zero tail is implicit
+        for pairs in [[(2, 3)], [(4, 5)], [(2, 3), (2, 1)]]:
+            k = from_newton_pairs(pairs)
+            assert len(k.alpha) == k.mu - 1
+            assert k.alpha == tuple(sum(1 for g in k.gaps if g > i) for i in range(k.mu - 1))
+            assert not any(g > k.mu - 1 for g in k.gaps)
 
 
 class TestAlexander:
     def test_normalisation_and_derivative(self):
         k = from_newton_pairs([(4, 5)])
-        alex = alexander_polynomial(k)
+        alex = k.alexander
         assert sum(alex) == 1
         assert sum(e * c for e, c in enumerate(alex)) == k.delta
 
@@ -81,7 +77,7 @@ class TestAlexander:
         # Delta(t) = 1 + delta (t - 1) + (t - 1)^2 Q(t), exactly
         for pairs in [[(2, 3)], [(2, 5)], [(4, 5)], [(2, 3), (2, 3)]]:
             k = from_newton_pairs(pairs)
-            alpha = q_coefficients(k)
+            alpha = k.alpha
             sq = poly_mul([-1, 1], [-1, 1])
             rebuilt = poly_mul(sq, list(alpha))
             rebuilt[0] += 1 - k.delta

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
+from hfroots.numtheory import dedekind_sum, mod_inverse, neg_cfrac
 
 
 class TestModInverse:
@@ -52,7 +52,10 @@ class TestNegCfrac:
                 if gcd(p, q) != 1:
                     continue
                 cf = neg_cfrac(p, q)
-                assert cf.value() == Fraction(p, q)
+                value = Fraction(cf.terms[-1])
+                for k in reversed(cf.terms[:-1]):
+                    value = k - 1 / value
+                assert value == Fraction(p, q)
                 assert cf.terms[0] >= 1
                 assert all(k >= 2 for k in cf.terms[1:])
                 assert (cf.terms[0] == 1) == (q >= p)

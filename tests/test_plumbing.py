@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from corpus_cases import ORACLE_CASES, SUBLEVEL_CASES
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import chain_coefficients, determinant, laufer_tau, minimal_cycle_sequence
 
 import hfroots.plumbing as pl
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
-from hfroots.root import TauFunction
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
@@ -60,14 +64,14 @@ class TestEmbeddedResolution:
         assert g.n == 5
         nodes = [j for j in range(g.n) if g.degree(j) + (1 if j == g.arrow else 0) >= 3]
         assert nodes == [g.arrow]
-        assert pl.divisorial_cycle(g).coeffs[g.arrow] == 20
+        assert pl.divisorial_cycle(g)[g.arrow] == 20
 
     def test_two_newton_pairs(self):
         k = from_newton_pairs([(2, 3), (2, 1)])
         g = pl.embedded_resolution(k)
         nodes = [j for j in range(g.n) if g.degree(j) + (1 if j == g.arrow else 0) >= 3]
         assert len(nodes) == 2
-        assert pl.divisorial_cycle(g).coeffs[g.arrow] == 26
+        assert pl.divisorial_cycle(g)[g.arrow] == 26
 
     @pytest.mark.parametrize(
         "pairs", [[(2, 3)], [(2, 5)], [(3, 4)], [(4, 7)], [(2, 3), (2, 3)], [(3, 4), (5, 3)]]
@@ -76,8 +80,9 @@ class TestEmbeddedResolution:
         # construction already runs the four validations; re-check two here
         k = from_newton_pairs(pairs)
         g = pl.embedded_resolution(k)
-        assert abs(pl.determinant(g.bmatrix())) == 1
-        m = pl.divisorial_cycle(g).coeffs
+        assert g.det == determinant(g.bmatrix())
+        assert abs(g.det) == 1
+        m = pl.divisorial_cycle(g)
         assert all(c > 0 for c in m)
         assert g.pairing(m, [1 if j == g.distinguished else 0 for j in range(g.n)]) == -1
 
@@ -97,7 +102,16 @@ class TestSurgeryGraph:
     def test_determinant_is_p(self):
         for p, q in [(1, 1), (2, 1), (7, 5), (5, 12)]:
             gm = pl.surgery_graph(K23, SurgerySpec(K23, p, q).cfrac)
-            assert abs(pl.determinant(gm.bmatrix())) == p
+            assert gm.det == determinant(gm.bmatrix())
+            assert abs(gm.det) == p
+
+    def test_det_matches_reference_on_oracle_corpus(self):
+        # the last leading minor of the definiteness check is det B, sign (-1)^n
+        for pairs, p, q in ORACLE_CASES:
+            knot = from_newton_pairs(list(pairs))
+            gm = pl.surgery_graph(knot, SurgerySpec(knot, p, q).cfrac)
+            for g in (pl.embedded_resolution(knot), gm):
+                assert g.det == determinant(g.bmatrix()) == (-1) ** g.n * abs(g.det)
 
 
 class TestCanonicalClass:
@@ -147,7 +161,7 @@ class TestSpincClasses:
             s = spec.cfrac.s
             nf = gm.n - s
             chain_graph = pl._chain_graph(spec.cfrac)
-            zf = pl.divisorial_cycle(pl.embedded_resolution(knot)).coeffs
+            zf = pl.divisorial_cycle(pl.embedded_resolution(knot))
             for _ in range(30):
                 xt = [rng.randint(-4, 4) for _ in range(s)]
                 y = [rng.randint(-4, 4) for _ in range(gm.n)]
@@ -176,20 +190,20 @@ class TestCycles:
             knot = from_newton_pairs(pairs)
             gf = pl.embedded_resolution(knot)
             mf = knot.mf
-            seq = pl.minimal_cycle_sequence(gf, 3 * mf)
+            seq = minimal_cycle_sequence(gf, 3 * mf)
             zf = pl.divisorial_cycle(gf)
-            assert seq[0][0].coeffs == (0,) * gf.n
+            assert seq[0][0] == (0,) * gf.n
             for i, (cyc, hit) in enumerate(seq):
                 assert hit <= 1
                 if i < mf:
                     assert hit == (0 if i in knot.semigroup else 1)
                 t, i0 = divmod(i, mf)
-                expected = tuple(t * z + y for z, y in zip(zf.coeffs, seq[i0][0].coeffs))
-                assert cyc.coeffs == expected
+                expected = tuple(t * z + y for z, y in zip(zf, seq[i0][0]))
+                assert cyc == expected
 
     def test_chain_coefficients_examples(self):
         spec = SurgerySpec(K45, 7, 5)
-        assert pl.chain_coefficients(spec, 0, 0) == (0,) * spec.cfrac.s
+        assert chain_coefficients(spec, 0, 0) == (0,) * spec.cfrac.s
 
     def test_chain_coefficients_match_laufer(self):
         rng = random.Random(9)
@@ -200,13 +214,13 @@ class TestCycles:
                 i_max = 2 * knot.mf + 3
                 _, cycles = pl.laufer_sequence(gm, classes[a], i_max)
                 for i in range(i_max + 1):
-                    assert cycles[i][gm.n - s:] == pl.chain_coefficients(spec, a, i)
+                    assert cycles[i][gm.n - s:] == chain_coefficients(spec, a, i)
 
 
 class TestLauferTau:
     def test_torus_45_condensation(self):
         knot, spec, gm, classes = surgery_setup([(4, 5)], 2, 1)
-        tau = pl.laufer_tau(gm, classes[0], 6 * knot.mf)
+        tau = laufer_tau(gm, classes[0], 6 * knot.mf)
         condensed = pl.condense_tau(tau, knot.mf)
         assert condensed.values == (0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0)
 
@@ -229,7 +243,7 @@ class TestLauferTau:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
-                tau = pl.laufer_tau(gm, classes[a], i_max)
+                tau = laufer_tau(gm, classes[a], i_max)
                 condensed = pl.condense_tau(tau, knot.mf)
                 assert condensed.values == res.tau.values
                 assert (
@@ -261,10 +275,7 @@ class TestSublevel:
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
         res = compute_spinc(spec, 0)
-        _, cycles = pl.laufer_sequence(gm, classes[0], knot.mf)
-        box = pl.union_box(
-            pl.trajectory_box(cycles), pl.exact_sublevel_box(gm, classes[0].k_r, res.tau.max())
-        )
+        box = pl.exact_sublevel_box(gm, classes[0].k_r, res.tau.max())
         sub = pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), box)
         assert not sub.boundary_contact
         leaf_levels = sorted(sub.root.chi[v] for v in sub.root.leaves)
@@ -283,6 +294,46 @@ class TestSublevel:
         kr = pl.canonical_class(g)
         with pytest.raises(ValueError, match="volume"):
             pl.sublevel_root(g, kr, 0, ((-300, 300),) * 3)
+
+    def test_laufer_cycles_inside_exact_box(self):
+        # the search box the sublevel oracle uses already holds every Laufer cycle
+        for pairs, p, q in SUBLEVEL_CASES:
+            knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            for a in range(p):
+                res = compute_spinc(spec, a)
+                box = pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max())
+                _, cycles = pl.laufer_sequence(gm, classes[a], (res.depth + 1) * knot.mf)
+                for cyc in cycles:
+                    assert all(lo <= x <= hi for x, (lo, hi) in zip(cyc, box))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-4, -1), min_size=n, max_size=n),
+                st.tuples(*(st.integers(0, j - 1) for j in range(1, n))),
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(-2, 3),
+    )
+    def test_exact_box_holds_the_sublevel_set(self, graph, n_max):
+        # brute force over the exact box widened by 2 on every side
+        euler, parents, shifts = graph
+        try:
+            g = pl.PlumbingGraph(euler, [(j + 1, par) for j, par in enumerate(parents)])
+        except ValueError:
+            assume(False)
+        # characteristic: (k, b_j) = e_j + 2 m_j, any integer m_j
+        kb = [e + 2 * m for e, m in zip(euler, shifts)]
+        kr = pl.CharacteristicVector(tuple(pl.solve_exact(g.bmatrix(), kb)))
+        box = pl.exact_sublevel_box(g, kr, n_max)
+        wide = [range(lo - 2, hi + 3) for lo, hi in box]
+        assume(prod(len(r) for r in wide) <= 20_000)
+        for x in itertools.product(*wide):
+            if any(not lo <= xj <= hi for xj, (lo, hi) in zip(x, box)):
+                two_chi = -(sum(k * xj for k, xj in zip(kb, x)) + g.pairing(x, x))
+                assert two_chi > 2 * n_max
 
     def test_truncated_box_is_flagged(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
@@ -312,3 +363,7 @@ class TestLens:
             pl.lens_d_invariants(4, 2)
         with pytest.raises(ValueError):
             pl.lens_d_invariants(3, 4)
+        with pytest.raises(ValueError, match="coprime"):
+            pl.lens_d_classical(4, 2)
+        with pytest.raises(ValueError):
+            pl.lens_d_classical(3, 4)
