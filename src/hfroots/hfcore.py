@@ -5,7 +5,9 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
 
   * the depth t_a = floor(((2 delta - 1) q - a - 1) / p)  (may be -1),
   * the rational grading shift r_a, assembled from the Dedekind sum s(q, p),
-    fractional parts of j q'/p, and delta,
+    fractional parts of j q'/p, and delta; s(q, p) is computed once per
+    SurgerySpec, and the fractional sum is a floor sum, so r_a costs
+    O(log p) integer steps and one Fraction,
   * the tau function on {0..2 t_a + 2}:
         tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
         tau(2t+1) = tau(2t+2) + alpha_{floor((t p + a)/q)},
@@ -37,7 +39,7 @@ from math import gcd
 
 from .errors import InternalInvariantError
 from .knot import AlgebraicKnot
-from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
+from .numtheory import NegContinuedFraction, dedekind_sum, floor_sum, neg_cfrac
 from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
 
 
@@ -45,7 +47,9 @@ class SurgerySpec:
     """An algebraic knot together with a negative surgery coefficient -p/q.
 
     p and q are positive and coprime; q > p (coefficient in (-1, 0)) is
-    allowed.  The normalised continued fraction of p/q is attached.
+    allowed.  The normalised continued fraction of p/q is attached, with
+    the constants every grading shift needs: q' (1 <= q' <= p, q q' = 1
+    mod p) and the integer 6 p s(q, p).
     """
 
     def __init__(self, knot: AlgebraicKnot, p: int, q: int):
@@ -57,6 +61,11 @@ class SurgerySpec:
         self.p = p
         self.q = q
         self.cfrac: NegContinuedFraction = neg_cfrac(p, q)
+        self.q_prime = self.cfrac.q_prime
+        six_p_s = 6 * p * dedekind_sum(q, p)
+        if six_p_s.denominator != 1:
+            raise InternalInvariantError(f"6 p s(q, p) = {six_p_s} is not an integer")
+        self.dedekind_6p = six_p_s.numerator
 
     def __repr__(self):
         return f"SurgerySpec({self.knot!r}, -{self.p}/{self.q})"
@@ -91,18 +100,25 @@ def tau_depth(spec: SurgerySpec, a: int) -> int:
 
 
 def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
-    """r_a, the rational grading shift of sigma_a, as an exact Fraction."""
+    """r_a, the rational grading shift of sigma_a, as an exact Fraction:
+
+    r_a = 3 s(q, p) + 2 sum_{j<=a} {j q'/p} - (1 + 2a)(p - 1)/(2p)
+          + delta (1 - (q + 1)/p) + delta^2 q/p - 2 delta a/p.
+
+    Over the denominator 2p every term is an integer; the fractional sum is
+    F/p with F = sum_{j<=a} (j q' mod p) = q' a(a+1)/2 - p sum_{j<=a} floor(j q'/p).
+    """
     spec._check_a(a)
-    p, q, d = spec.p, spec.q, spec.knot.delta
-    qp = mod_inverse(q, p)
-    frac_sum = sum(Fraction((j * qp) % p, p) for j in range(1, a + 1))
-    return (
-        3 * dedekind_sum(q, p)
-        + 2 * frac_sum
-        - Fraction((1 + 2 * a) * (p - 1), 2 * p)
-        + d * (1 - Fraction(q + 1, p))
-        + Fraction(d * d * q, p)
-        - Fraction(2 * d * a, p)
+    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.q_prime
+    f = qp * a * (a + 1) // 2 - p * floor_sum(a + 1, p, qp, 0)
+    return Fraction(
+        spec.dedekind_6p
+        + 4 * f
+        - (1 + 2 * a) * (p - 1)
+        + 2 * d * (p - q - 1)
+        + 2 * d * d * q
+        - 4 * d * a,
+        2 * p,
     )
 
 
@@ -142,8 +158,9 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
     if module.tower_grade != d:
         raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
     vals = tau.values
-    ker = tuple(sorted(2 * vals[2 * t] + r_a for t in range(t_a + 2)))
-    coker = tuple(sorted(2 * vals[2 * t + 1] + r_a - 2 for t in range(t_a + 1)))
+    # sort the integer tau values; adding r_a keeps their order
+    ker = tuple(2 * v + r_a for v in sorted(vals[0::2]))
+    coker = tuple(2 * v - 2 + r_a for v in sorted(vals[1::2]))
     alpha_sum = sum(vals[2 * t + 1] - vals[2 * t + 2] for t in range(t_a + 1))
     return SpincResult(
         a=a,

@@ -1,9 +1,12 @@
 """Exact integer and rational arithmetic utilities.
 
 Negative (Hirzebruch-Jung) continued fractions together with their numerator
-table n_ij, modular inverses normalised to the window [1, p], and Dedekind
-sums.  Every quantity is an int or a Fraction; floats never appear, so all
-downstream gradings and correction terms stay exact.
+table n_ij, modular inverses normalised to the window [1, p], Dedekind sums
+and floor sums.  Every quantity is an int or a Fraction; floats never appear,
+so all downstream gradings and correction terms stay exact.
+
+`dedekind_sum(q, p)` and `floor_sum(n, m, a, b)` run Euclid-like loops of
+O(log p) and O(log m) big-integer steps.
 """
 
 from __future__ import annotations
@@ -32,18 +35,50 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     """Dedekind sum s(q, p) = sum_{l=0}^{p-1} ((l/p)) ((ql/p)).
 
     ((x)) is the sawtooth {x} - 1/2 away from integers and 0 at integers.
-    Computed by direct summation: with l running over 1..p-1 the term is
-    (2l - p)(2(ql mod p) - p) / (4 p^2) unless ql = 0 mod p, where it is 0.
+    Any integer q is allowed.  Since s(q, p) depends only on q mod p and
+    s(q, p) = s(q/g, p/g) for g = gcd(q, p), the pair is first reduced to a
+    coprime 0 <= h < k; then reciprocity (Rademacher-Grosswald, Dedekind
+    Sums, 1972)
+
+        s(h, k) + s(k, h) = (h/k + k/h + 1/(hk)) / 12 - 1/4
+
+    with s(k, h) = s(k mod h, h) runs down the Euclidean algorithm, ending at
+    s(0, 1) = 0.  O(log p) steps.
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
+    h = q % p
+    g = gcd(h, p)
+    h, k = h // g, p // g
+    total = Fraction(0)
+    sign = 1
+    while h:
+        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any a, b.
+
+    The Euclid-like reduction (Knuth, TAOCP vol. 2, sec. 3.3.3; the AtCoder
+    Library's floor_sum): take the integer parts a // m and b // m out in
+    closed form; with 0 <= a, b < m left, the sum counts the lattice points
+    under the line y = (a x + b)/m, which are counted again along the other
+    axis as a floor sum with m and a swapped.  O(log m) steps.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
     total = 0
-    for l in range(1, p):
-        m = (q * l) % p
-        if m == 0:
-            continue
-        total += (2 * l - p) * (2 * m - p)
-    return Fraction(total, 4 * p * p)
+    while True:
+        total += (n * (n - 1) // 2) * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 class NegContinuedFraction:

@@ -53,6 +53,10 @@ from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
 _SUBLEVEL_VOLUME_CAP = 10_000_000
+# Cache bounds: a resolution graph per knot (a run meets a handful of knots),
+# and the lens recursion's (p, q, i) values (under 2p of them for one lens).
+_RESOLUTION_CACHE_SIZE = 64
+_LENS_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def _acampo_check(g: PlumbingGraph, mults: tuple[int, ...], alexander: tuple[int
         raise InternalInvariantError("A'Campo product does not match the Alexander polynomial")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RESOLUTION_CACHE_SIZE)
 def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
     """Embedded minimal good resolution graph of the knot's germ.
 
@@ -774,7 +778,7 @@ def lens_d_invariants(p: int, q: int) -> list[Fraction]:
     return [grading_shift_formula(p, q, 0, a) for a in range(p)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LENS_CACHE_SIZE)
 def _lens_d_rec(p: int, q: int, i: int) -> Fraction:
     if p == 1:
         return Fraction(0)

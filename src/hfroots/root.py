@@ -168,7 +168,8 @@ class UModuleDecomposition:
 
     @staticmethod
     def from_parts(tower_grade, towers) -> "UModuleDecomposition":
-        canon = tuple(sorted((Fraction(g), int(n)) for g, n in towers))
+        # Fraction(g) keeps the order, and module_from_tau passes ints, which sort faster
+        canon = tuple((Fraction(g), int(n)) for g, n in sorted(towers))
         return UModuleDecomposition(Fraction(tower_grade), canon)
 
     def shifted(self, r) -> "UModuleDecomposition":

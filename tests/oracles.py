@@ -7,6 +7,8 @@ here, and the tests require identical results:
     tau at every level, and the Z[U]-module by a parent-pointer walk for
     every pair of leaves (`hfroots.root` does both in one sweep over tau in
     (value, index) order);
+  * the Dedekind sum and the grading shift r_a by direct O(p) summation (the
+    package uses reciprocity, a floor sum and per-spec constants);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
   * det B by Bareiss elimination with row pivoting (a `PlumbingGraph` keeps
@@ -23,8 +25,9 @@ from typing import Callable, Optional
 
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError
-from hfroots.hfcore import SurgerySpec, grading_shift
+from hfroots.hfcore import SurgerySpec
 from hfroots.knot import AlgebraicKnot
+from hfroots.numtheory import mod_inverse
 from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition
 
 
@@ -102,6 +105,40 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
     return UModuleDecomposition.from_parts(Fraction(2 * root.chi[first]), towers)
 
 
+def dedekind_sum_direct(q: int, p: int) -> Fraction:
+    """s(q, p) = sum_{l=0}^{p-1} ((l/p)) ((ql/p)) by direct summation, O(p).
+
+    With l running over 1..p-1 the term is (2l - p)(2(ql mod p) - p) / (4 p^2)
+    unless ql = 0 mod p, where it is 0.
+    """
+    if p < 1:
+        raise ValueError(f"p must be positive, got {p}")
+    total = 0
+    for l in range(1, p):
+        m = (q * l) % p
+        if m == 0:
+            continue
+        total += (2 * l - p) * (2 * m - p)
+    return Fraction(total, 4 * p * p)
+
+
+def grading_shift_direct(spec: SurgerySpec, a: int) -> Fraction:
+    """r_a term by term, with s(q, p), q' and sum_{j<=a} {j q'/p} recomputed
+    directly for every class, O(p)."""
+    spec._check_a(a)
+    p, q, d = spec.p, spec.q, spec.knot.delta
+    qp = mod_inverse(q, p)
+    frac_sum = Fraction(sum((j * qp) % p for j in range(1, a + 1)), p)
+    return (
+        3 * dedekind_sum_direct(q, p)
+        + 2 * frac_sum
+        - Fraction((1 + 2 * a) * (p - 1), 2 * p)
+        + d * (1 - Fraction(q + 1, p))
+        + Fraction(d * d * q, p)
+        - Fraction(2 * d * a, p)
+    )
+
+
 def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
     """sw(M, sigma_a) = r_a / 2 - sum_{t >= 0} alpha_{floor((t p + a)/q)}.
 
@@ -116,7 +153,7 @@ def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
             break
         total += knot.alpha[idx]
         t += 1
-    return grading_shift(spec, a) / 2 - total
+    return grading_shift_direct(spec, a) / 2 - total
 
 
 def closed_form_p1q1(knot: AlgebraicKnot) -> UModuleDecomposition:

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import pytest
 from corpus_cases import KNOT_CORPUS
-from oracles import closed_form_p1q1, sw_invariant
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import closed_form_p1q1, grading_shift_direct, sw_invariant
 
 import hfroots.hfcore as hfcore
 from hfroots import (
@@ -10,6 +14,7 @@ from hfroots import (
     SurgerySpec,
     compute_all,
     compute_spinc,
+    dedekind_sum,
     from_newton_pairs,
     grading_shift,
     tau_depth,
@@ -20,6 +25,11 @@ from hfroots.root import UModuleDecomposition, reduced_rank
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
+
+
+@cache
+def corpus_knots():
+    return [from_newton_pairs(list(pairs)) for pairs in KNOT_CORPUS]
 
 
 def expected_module(tower, pairs, shift):
@@ -69,6 +79,61 @@ class TestShift:
             for knot in (K23, K45):
                 d = knot.delta
                 assert grading_shift(SurgerySpec(knot, 1, q), 0) == q * d * (d - 1)
+
+    def test_matches_direct_up_to_40(self):
+        # both routes are quadratic in delta, the only knot datum they read, so
+        # three distinct deltas of the corpus pin them for every knot in it
+        by_delta = sorted(corpus_knots(), key=lambda k: k.delta)
+        knots = (by_delta[0], by_delta[len(by_delta) // 2], by_delta[-1])
+        assert len({k.delta for k in knots}) == 3
+        for p in range(1, 41):
+            for q in range(1, 41):
+                if gcd(p, q) != 1:
+                    continue
+                for knot in knots:
+                    spec = SurgerySpec(knot, p, q)
+                    for a in range(p):
+                        assert grading_shift(spec, a) == grading_shift_direct(spec, a), (knot, p, q, a)
+
+    def test_matches_direct_on_knot_corpus(self):
+        for knot in corpus_knots():
+            for p in range(1, 6):
+                for q in range(1, 6):
+                    if gcd(p, q) != 1:
+                        continue
+                    spec = SurgerySpec(knot, p, q)
+                    for a in range(p):
+                        assert grading_shift(spec, a) == grading_shift_direct(spec, a), (knot, p, q, a)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, len(KNOT_CORPUS) - 1), st.integers(1, 3000), st.integers(1, 3000), st.data())
+    def test_matches_direct_random(self, k, p, q, data):
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        spec = SurgerySpec(corpus_knots()[k], p, q)
+        a = data.draw(st.integers(0, p - 1))
+        assert grading_shift(spec, a) == grading_shift_direct(spec, a)
+
+    def test_huge_p_closed_form(self):
+        # O(log p) per class: a direct sum over p = 10**30 + 7 terms would never finish
+        p = 10**30 + 7
+        for knot in (K23, K45):
+            spec = SurgerySpec(knot, p, 1)
+            d = knot.delta
+            for a in (0, 1, p // 2, p - 1):
+                assert grading_shift(spec, a) == Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p)
+
+    def test_spec_constants(self):
+        for p, q in [(1, 1), (7, 5), (12, 7), (5, 12), (101, 4)]:
+            spec = SurgerySpec(K45, p, q)
+            assert spec.q_prime == spec.cfrac.q_prime
+            assert (q * spec.q_prime) % p == 1 % p
+            assert spec.dedekind_6p == 6 * p * dedekind_sum(q, p)
+
+    def test_integrality_guard(self, monkeypatch):
+        monkeypatch.setattr(hfcore, "dedekind_sum", lambda q, p: Fraction(1, 7 * p))
+        with pytest.raises(InternalInvariantError, match="6 p s"):
+            SurgerySpec(K45, 2, 1)
 
 
 class TestTau:

@@ -2,8 +2,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dedekind_sum_direct
 
-from hfroots.numtheory import dedekind_sum, mod_inverse, neg_cfrac
+from hfroots.numtheory import dedekind_sum, floor_sum, mod_inverse, neg_cfrac
+
+
+def reciprocity_rhs(p, q):
+    # s(q,p) + s(p,q) = -1/4 + (p/q + q/p + 1/(pq))/12 for coprime p, q >= 1
+    return Fraction(-1, 4) + (Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)) / 12
 
 
 class TestModInverse:
@@ -93,14 +101,32 @@ class TestDedekindSum:
         assert dedekind_sum(1, 3) == Fraction(1, 18)
 
     def test_reciprocity(self):
-        # s(q,p) + s(p,q) = -1/4 + (p/q + q/p + 1/(pq))/12, classical identity
+        # the classical identity, on the direct sum: dedekind_sum is built on it
         for p in range(1, 101):
             for q in range(1, p + 1):
                 if gcd(p, q) != 1:
                     continue
-                lhs = dedekind_sum(q, p) + dedekind_sum(p, q)
-                rhs = Fraction(-1, 4) + (Fraction(p, q) + Fraction(q, p) + Fraction(1, p * q)) / 12
-                assert lhs == rhs
+                assert dedekind_sum_direct(q, p) + dedekind_sum_direct(p, q) == reciprocity_rhs(p, q)
+
+    def test_matches_direct_sum(self):
+        # every residue, negative and non-coprime q included
+        for p in range(1, 60):
+            for q in range(-2 * p, 2 * p + 1):
+                assert dedekind_sum(q, p) == dedekind_sum_direct(q, p), (q, p)
+
+    def test_huge_fibonacci_reciprocity(self):
+        # consecutive Fibonacci numbers make the longest Euclid run for their size;
+        # a direct sum over 10**30 terms would never finish
+        a, b = 1, 1
+        while b < 10**30:
+            a, b = b, a + b
+        assert gcd(a, b) == 1
+        assert dedekind_sum(a, b) + dedekind_sum(b, a) == reciprocity_rhs(b, a)
+        assert dedekind_sum(-a, b) == -dedekind_sum(a, b)
+
+    def test_rejects_bad_modulus(self):
+        with pytest.raises(ValueError):
+            dedekind_sum(1, 0)
 
     def test_periodicity_and_sign(self):
         for p in (5, 8, 13):
@@ -109,3 +135,40 @@ class TestDedekindSum:
                     continue
                 assert dedekind_sum(q, p) == dedekind_sum(q % p, p)
                 assert dedekind_sum(-q % p, p) == -dedekind_sum(q, p)
+
+
+def floor_sum_brute(n, m, a, b):
+    return sum((a * i + b) // m for i in range(n))
+
+
+class TestFloorSum:
+    def test_exhaustive_small(self):
+        for n in range(0, 9):
+            for m in range(1, 9):
+                for a in range(-10, 20):
+                    for b in range(-10, 20):
+                        assert floor_sum(n, m, a, b) == floor_sum_brute(n, m, a, b), (n, m, a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 400),
+        st.integers(1, 10**6),
+        st.integers(-(10**7), 10**7),
+        st.integers(-(10**7), 10**7),
+    )
+    def test_matches_brute_force(self, n, m, a, b):
+        assert floor_sum(n, m, a, b) == floor_sum_brute(n, m, a, b)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 200), st.data())
+    def test_coefficients_beyond_modulus(self, m, data):
+        n = data.draw(st.integers(0, 300))
+        a = data.draw(st.integers(m, 20 * m))
+        b = data.draw(st.integers(m, 20 * m))
+        assert floor_sum(n, m, a, b) == floor_sum_brute(n, m, a, b)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            floor_sum(-1, 3, 1, 0)
+        with pytest.raises(ValueError):
+            floor_sum(3, 0, 1, 0)

@@ -367,3 +367,11 @@ class TestLens:
             pl.lens_d_classical(4, 2)
         with pytest.raises(ValueError):
             pl.lens_d_classical(3, 4)
+
+
+class TestCaches:
+    def test_bounded(self):
+        for cached in (pl.embedded_resolution, pl._lens_d_rec):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 10**6
+
