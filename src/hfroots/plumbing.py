@@ -23,6 +23,14 @@ from the negative continued fraction p/q = [k_1, ..., k_s].  The vertex v0
 is the distinguished vertex: lowering its weight makes the graph rational
 (an almost-rational graph), which is what licenses the tau-function method.
 
+All the linear algebra of a graph is one fraction-free (Bareiss) Gauss-Jordan
+sweep over [B | I], run once when the graph is built: its pivots are the
+leading principal minors that certify negative definiteness, the last one is
+det B, and the right half it leaves is the integer adjugate det * B^{-1}.
+Every B x = y below (the divisorial cycle, the canonical class, the chain
+representatives of the spin^c classes) and the diagonal of B^{-1} that bounds
+the sublevel search box are read from that adjugate.
+
 Oracle paths implemented here:
   * spin^c classes and their distinguished characteristic vectors k_r via
     the chain lattice and the pull-back through the divisorial cycle;
@@ -64,45 +72,31 @@ _LENS_CACHE_SIZE = 4096
 # ---------------------------------------------------------------------------
 
 
-def leading_principal_minors(mat: list[list[int]]) -> list[int]:
-    """All leading principal minors, by fraction-free (Bareiss) elimination.
+def _fraction_free_sweep(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Bareiss's fraction-free Gauss-Jordan elimination on [mat | I].
 
-    A zero minor aborts the sweep; the remaining entries are reported as 0,
-    which is enough to refute definiteness.
+    No pivoting: the pivot of step k is the k-th leading principal minor, so
+    every division by the previous pivot is exact.  A zero pivot stops the
+    sweep, and the minors found so far are returned (the last one is 0).
+    After a full sweep the left half is det * I and the right half is the
+    adjugate det * mat^{-1}.  Returns (minors, right half).
     """
     n = len(mat)
-    a = [list(map(int, row)) for row in mat]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     minors = []
     prev = 1
     for k in range(n):
-        piv = a[k][k]
+        piv = rows[k][k]
         minors.append(piv)
         if piv == 0:
-            minors.extend([0] * (n - k - 1))
             break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        pivot_row = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(x * piv - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = piv
-    return minors
-
-
-def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
-    """Solve mat x = rhs over the rationals (Gaussian elimination)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return minors, [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +114,10 @@ class PlumbingGraph:
     graph (None for closed-manifold graphs).
 
     Both the tree property and negative definiteness (signs of all leading
-    principal minors, exact integer arithmetic) are enforced on creation;
-    the last of those minors is kept as `det`, the determinant of B.
+    principal minors, exact integer arithmetic) are enforced on creation.
+    The same fraction-free sweep leaves det B (the last of those minors) in
+    `det` and the integer matrix det * B^{-1} in `adjugate`, through which
+    `solve` answers every B x = y of the oracle.
     Instances are immutable after construction and safe to share; oracle
     runs for distinct spin^c classes are independent of each other.
     """
@@ -156,11 +152,12 @@ class PlumbingGraph:
         for v in (self.distinguished, self.arrow):
             if v is not None and not 0 <= v < n:
                 raise ValueError(f"vertex index {v} out of range")
-        minors = leading_principal_minors(self.bmatrix())
+        minors, adjugate = _fraction_free_sweep(self.bmatrix())
         for k, m in enumerate(minors, start=1):
             if m == 0 or (m > 0) != (k % 2 == 0):
                 raise ValueError("intersection form is not negative definite")
         self.det = minors[-1]
+        self.adjugate = tuple(tuple(row) for row in adjugate)
 
     @property
     def n(self) -> int:
@@ -179,9 +176,9 @@ class PlumbingGraph:
 
     def apply_form(self, x):
         """B x, computed edge-wise; exact for int or Fraction entries."""
-        out = [self.euler[j] * x[j] for j in range(self.n)]
-        for j in range(self.n):
-            for w in self.adj[j]:
+        out = [e * xj for e, xj in zip(self.euler, x)]
+        for j, nbrs in enumerate(self.adj):
+            for w in nbrs:
                 out[j] += x[w]
         return out
 
@@ -190,15 +187,12 @@ class PlumbingGraph:
         by = self.apply_form(y)
         return sum(xi * bi for xi, bi in zip(x, by))
 
+    def solve(self, rhs) -> list[Fraction]:
+        """The solution x of B x = rhs, as adjugate * rhs / det."""
+        return [Fraction(sum(a * r for a, r in zip(row, rhs)), self.det) for row in self.adjugate]
+
     def __repr__(self):
         return f"PlumbingGraph(n={self.n}, euler={list(self.euler)})"
-
-
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """A characteristic element of the dual lattice, in rational coordinates."""
-
-    coeffs: tuple[Fraction, ...]
 
 
 # JSON schema (stable field names):
@@ -324,7 +318,7 @@ def divisorial_cycle(gf: PlumbingGraph) -> tuple[int, ...]:
         raise ValueError("graph has no distinguished vertex")
     rhs = [0] * gf.n
     rhs[gf.distinguished] = -1
-    sol = solve_exact(gf.bmatrix(), rhs)
+    sol = gf.solve(rhs)
     if any(x.denominator != 1 for x in sol):
         raise InternalInvariantError("divisorial cycle is not integral")
     coeffs = tuple(int(x) for x in sol)
@@ -363,12 +357,11 @@ def _check_characteristic(g: PlumbingGraph, coeffs) -> None:
             raise InternalInvariantError("vector is not characteristic")
 
 
-def canonical_class(g: PlumbingGraph) -> CharacteristicVector:
+def canonical_class(g: PlumbingGraph) -> tuple[Fraction, ...]:
     """The canonical characteristic element, from the adjunction equations
     (K, b_j) = -e_j - 2, solved exactly over the rationals."""
-    rhs = [-e - 2 for e in g.euler]
-    k = CharacteristicVector(tuple(solve_exact(g.bmatrix(), rhs)))
-    _check_characteristic(g, k.coeffs)
+    k = tuple(g.solve([-e - 2 for e in g.euler]))
+    _check_characteristic(g, k)
     return k
 
 
@@ -390,7 +383,7 @@ class SpincClass:
     a: int
     a_coeffs: tuple[int, ...]
     l_prime: tuple[Fraction, ...]
-    k_r: CharacteristicVector
+    k_r: tuple[Fraction, ...]
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
@@ -443,42 +436,29 @@ def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
         raise ValueError("chain decorations do not match the continued fraction")
 
     zf = divisorial_cycle(gf)
-    k_gm = canonical_class(gm).coeffs
-    chain_b = _chain_graph(cfrac).bmatrix()
-
-    # pull-back images of the chain basis: b~_1 -> Z_f + b_1, b~_j -> b_j
-    pullback = []
-    img1 = [Fraction(zf[j]) for j in range(nf)] + [Fraction(0)] * s
-    img1[chain[0]] += 1
-    pullback.append(img1)
-    for j in range(1, s):
-        img = [Fraction(0)] * gm.n
-        img[chain[j]] = Fraction(1)
-        pullback.append(img)
+    k_gm = canonical_class(gm)
+    chain_graph = _chain_graph(cfrac)
 
     out = []
     for a in range(spec.p):
         acoef = _si_coefficients(cfrac, a)
-        tilde = solve_exact(chain_b, [-c for c in acoef])  # l~' in the chain basis
-        lprime = [Fraction(0)] * gm.n
-        for coef, img in zip(tilde, pullback):
-            if coef:
-                for j in range(gm.n):
-                    lprime[j] += coef * img[j]
+        tilde = chain_graph.solve([-c for c in acoef])  # l~' in the chain basis
+        # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
+        lprime = [tilde[0] * z for z in zf] + tilde
         pair = gm.apply_form(lprime)
         if any(x.denominator != 1 for x in pair):
             raise InternalInvariantError("l' is not in the dual lattice")
         if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
             raise InternalInvariantError("l' is not the minimal representative")
-        kr = CharacteristicVector(tuple(k + 2 * l for k, l in zip(k_gm, lprime)))
-        _check_characteristic(gm, kr.coeffs)
+        kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
+        _check_characteristic(gm, kr)
         out.append(SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr))
     return out
 
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
     """-(k_r^2 + #vertices) / 4, evaluated in the lattice."""
-    return -(gm.pairing(cls.k_r.coeffs, cls.k_r.coeffs) + gm.n) / 4
+    return -(gm.pairing(cls.k_r, cls.k_r) + gm.n) / 4
 
 
 def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
@@ -601,7 +581,7 @@ class SublevelRoot:
     boundary_contact: bool
 
 
-def exact_sublevel_box(g: PlumbingGraph, kr: CharacteristicVector, n_max: int) -> tuple[tuple[int, int], ...]:
+def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -> tuple[tuple[int, int], ...]:
     """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max}.
 
     Completing the square, chi(x) <= n says -(y, y) <= 2 n - (k, k)/4 for
@@ -609,18 +589,13 @@ def exact_sublevel_box(g: PlumbingGraph, kr: CharacteristicVector, n_max: int) -
     bounded by y_j^2 <= R * (-B^{-1})_{jj}.  All bounds are taken with exact
     integer square roots.  A run over this box can never leak.
     """
-    bm = g.bmatrix()
-    ksq = g.pairing(kr.coeffs, kr.coeffs)
-    radius = 2 * n_max - Fraction(ksq) / 4
+    radius = 2 * n_max - Fraction(g.pairing(kr, kr)) / 4
+    if radius < 0:
+        return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
     box = []
     for j in range(g.n):
-        kj = Fraction(kr.coeffs[j])
-        if radius < 0:
-            box.append((0, -1))  # empty range: the sublevel set is empty
-            continue
-        rhs = [0] * g.n
-        rhs[j] = 1
-        diag = -solve_exact(bm, rhs)[j]  # -(B^{-1})_{jj} > 0
+        kj = Fraction(kr[j])
+        diag = Fraction(-g.adjugate[j][j], g.det)  # -(B^{-1})_{jj} > 0
         bound = radius * diag
         kd, kn = kj.denominator, kj.numerator
         cap = 4 * kd * kd * bound
@@ -631,7 +606,7 @@ def exact_sublevel_box(g: PlumbingGraph, kr: CharacteristicVector, n_max: int) -
     return tuple(box)
 
 
-def sublevel_root(g: PlumbingGraph, kr: CharacteristicVector, n_max: int, box) -> SublevelRoot:
+def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> SublevelRoot:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
     enumerated over an explicit coordinate box.
 
@@ -652,7 +627,7 @@ def sublevel_root(g: PlumbingGraph, kr: CharacteristicVector, n_max: int, box) -
     if volume > _SUBLEVEL_VOLUME_CAP:
         raise ValueError(f"box volume {volume} exceeds the enumeration cap")
 
-    kb = g.apply_form(list(kr.coeffs))  # (k_r, b_j), must be integers
+    kb = g.apply_form(list(kr))  # (k_r, b_j), must be integers
     if any(v.denominator != 1 for v in kb):
         raise ValueError("k_r is not in the dual lattice")
     kb = [int(v) for v in kb]
@@ -660,13 +635,8 @@ def sublevel_root(g: PlumbingGraph, kr: CharacteristicVector, n_max: int, box) -
         raise ValueError("k_r is not characteristic")
 
     def chi(x) -> int:
-        bx = [g.euler[j] * x[j] for j in range(n)]
-        for j in range(n):
-            for w in g.adj[j]:
-                bx[j] += x[w]
-        xsq = sum(a * b for a, b in zip(x, bx))
         kx = sum(a * b for a, b in zip(kb, x))
-        q, r = divmod(-(kx + xsq), 2)
+        q, r = divmod(-(kx + g.pairing(x, x)), 2)
         if r:
             raise InternalInvariantError("chi is not an integer on the lattice")
         return q
@@ -705,22 +675,13 @@ def sublevel_root(g: PlumbingGraph, kr: CharacteristicVector, n_max: int, box) -
 
     # a component leaks iff an in-set boundary point has an in-set neighbour
     # just outside the box; only that makes the truncation real
-    contact = False
-    for x in pts:
-        for j in range(n):
-            for d in (1, -1):
-                xj = x[j] + d
-                if box[j][0] <= xj <= box[j][1]:
-                    continue
-                y = list(x)
-                y[j] = xj
-                if chi(tuple(y)) <= n_max:
-                    contact = True
-                    break
-            if contact:
-                break
-        if contact:
-            break
+    contact = any(
+        chi(x[:j] + (x[j] + d,) + x[j + 1:]) <= n_max
+        for x in pts
+        for j in range(n)
+        for d in (1, -1)
+        if not box[j][0] <= x[j] + d <= box[j][1]
+    )
 
     chi_out: list[int] = []
     parent_out: list[Optional[int]] = []

@@ -11,8 +11,9 @@ here, and the tests require identical results:
     package uses reciprocity, a floor sum and per-spec constants);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
-  * det B by Bareiss elimination with row pivoting (a `PlumbingGraph` keeps
-    the last leading minor of its constructor's definiteness check);
+  * det B by Bareiss elimination with row pivoting, and B x = y by Gauss-Jordan
+    elimination over the rationals (a `PlumbingGraph` reads its minors, det B
+    and every solution off one fraction-free sweep over [B | I]);
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
     part of the generalized Laufer cycles.
@@ -194,6 +195,24 @@ def determinant(mat: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
+    """Solve mat x = rhs over the rationals (Gaussian elimination)."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
 
 
 def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple[int, ...], int]]:

@@ -7,7 +7,7 @@ import pytest
 from corpus_cases import ORACLE_CASES, SUBLEVEL_CASES
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import chain_coefficients, determinant, laufer_tau, minimal_cycle_sequence
+from oracles import chain_coefficients, determinant, laufer_tau, minimal_cycle_sequence, solve_exact
 
 import hfroots.plumbing as pl
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
@@ -24,6 +24,32 @@ def surgery_setup(pairs, p, q):
     return knot, spec, gm, classes
 
 
+def random_trees(vertex_data):
+    """Trees on 1-4 vertices with Euler numbers in [-4, -1], vertex j + 1
+    hanging from an earlier vertex, and one vertex_data draw per vertex."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-4, -1), min_size=n, max_size=n),
+            st.tuples(*(st.integers(0, j - 1) for j in range(1, n))),
+            st.lists(vertex_data, min_size=n, max_size=n),
+        )
+    )
+
+
+def check_sweep(g):
+    """B adjugate = det I, the sweep's minors are the leading minors, and
+    solve gives the reference solution for every basis vector."""
+    b = g.bmatrix()
+    n = g.n
+    product = [[sum(b[i][t] * g.adjugate[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[g.det if i == j else 0 for j in range(n)] for i in range(n)]
+    minors, _ = pl._fraction_free_sweep(b)
+    assert minors == [determinant([row[:k] for row in b[:k]]) for k in range(1, n + 1)]
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        assert g.solve(e) == solve_exact(b, e)
+
+
 class TestGraphType:
     def test_tree_and_definite_enforced(self):
         with pytest.raises(ValueError):
@@ -32,6 +58,10 @@ class TestGraphType:
             pl.PlumbingGraph([0], [])  # not negative definite
         with pytest.raises(ValueError):
             pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])  # cycle
+        with pytest.raises(ValueError, match="negative definite"):
+            pl.PlumbingGraph([-1, -1], [(0, 1)])  # second minor 0 stops the sweep
+        with pytest.raises(ValueError, match="negative definite"):
+            pl.PlumbingGraph([-2, 0], [(0, 1)])  # second minor -1 has the wrong sign
 
     def test_pairing(self):
         g = pl.PlumbingGraph([-2, -3], [(0, 1)])
@@ -50,6 +80,38 @@ class TestGraphType:
     def test_json_validation(self):
         with pytest.raises(ValueError):
             pl.graph_from_json('{"vertices": [{"index": 1, "euler": -2}], "edges": []}')
+
+
+class TestElimination:
+    def test_sweep_matches_reference_on_oracle_corpus(self):
+        graphs = {}
+        for pairs, p, q in ORACLE_CASES:
+            knot = from_newton_pairs(list(pairs))
+            cfrac = SurgerySpec(knot, p, q).cfrac
+            for g in (pl.embedded_resolution(knot), pl.surgery_graph(knot, cfrac), pl._chain_graph(cfrac)):
+                graphs[g.euler, g.edges] = g
+        for g in graphs.values():
+            check_sweep(g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-3, 3)))
+    def test_sweep_matches_reference_on_random_trees(self, graph):
+        # definiteness is decided by the reference minors, so a sweep that
+        # rejects a definite tree fails here instead of being filtered out
+        euler, parents, rhs = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        n = len(euler)
+        b = [[euler[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for u, v in edges:
+            b[u][v] = b[v][u] = 1
+        minors = [determinant([row[:k] for row in b[:k]]) for k in range(1, n + 1)]
+        if any(m == 0 or (m > 0) != (k % 2 == 0) for k, m in enumerate(minors, start=1)):
+            with pytest.raises(ValueError, match="negative definite"):
+                pl.PlumbingGraph(euler, edges)
+            return
+        g = pl.PlumbingGraph(euler, edges)
+        check_sweep(g)
+        assert g.solve(rhs) == solve_exact(b, rhs)
 
 
 class TestEmbeddedResolution:
@@ -118,11 +180,11 @@ class TestCanonicalClass:
     def test_minus_two_chains_have_zero_class(self):
         for n in (1, 2, 5):
             g = pl.PlumbingGraph([-2] * n, [(i, i + 1) for i in range(n - 1)])
-            assert all(c == 0 for c in pl.canonical_class(g).coeffs)
+            assert all(c == 0 for c in pl.canonical_class(g))
 
     def test_adjunction(self):
         gm = pl.surgery_graph(K45, SurgerySpec(K45, 7, 5).cfrac)
-        k = pl.canonical_class(gm).coeffs
+        k = pl.canonical_class(gm)
         for j in range(gm.n):
             basis = [1 if i == j else 0 for i in range(gm.n)]
             assert gm.pairing(k, basis) == -gm.euler[j] - 2
@@ -134,7 +196,7 @@ class TestSpincClasses:
         cls = classes[0]
         assert cls.a_coeffs == (0,) * spec.cfrac.s
         assert all(c == 0 for c in cls.l_prime)
-        assert cls.k_r.coeffs == pl.canonical_class(gm).coeffs
+        assert cls.k_r == pl.canonical_class(gm)
 
     def test_si_coefficients_7_5(self):
         cf = SurgerySpec(K23, 7, 5).cfrac
@@ -172,14 +234,23 @@ class TestSpincClasses:
                 proj_y = y[nf:]
                 assert gm.pairing(px, y) == chain_graph.pairing(xt, proj_y)
 
+    def test_pullback_pairs_as_the_chain_representative(self):
+        # by the projection formula, l' = pullback(l~') pairs to 0 with the
+        # resolution vertices and to (l~', b~_j) = -a_j with the chain
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+            nf = gm.n - spec.cfrac.s
+            for cls in classes:
+                assert gm.apply_form(list(cls.l_prime)) == [0] * nf + [-c for c in cls.a_coeffs]
+
     def test_projected_canonical_class(self):
         # chain coordinates of K match the chain class corrected by 2 delta g~_1
         knot, spec, gm, _ = surgery_setup([(2, 3), (3, 2)], 7, 5)
         s = spec.cfrac.s
         chain_graph = pl._chain_graph(spec.cfrac)
-        k_chain = pl.canonical_class(gm).coeffs[gm.n - s:]
-        k_tilde = pl.canonical_class(chain_graph).coeffs
-        g1 = pl.solve_exact(chain_graph.bmatrix(), [1] + [0] * (s - 1))
+        k_chain = pl.canonical_class(gm)[gm.n - s:]
+        k_tilde = pl.canonical_class(chain_graph)
+        g1 = chain_graph.solve([1] + [0] * (s - 1))
         expected = [kt + 2 * knot.delta * g for kt, g in zip(k_tilde, g1)]
         assert list(k_chain) == expected
 
@@ -307,16 +378,7 @@ class TestSublevel:
                     assert all(lo <= x <= hi for x, (lo, hi) in zip(cyc, box))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.tuples(
-                st.lists(st.integers(-4, -1), min_size=n, max_size=n),
-                st.tuples(*(st.integers(0, j - 1) for j in range(1, n))),
-                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-            )
-        ),
-        st.integers(-2, 3),
-    )
+    @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
     def test_exact_box_holds_the_sublevel_set(self, graph, n_max):
         # brute force over the exact box widened by 2 on every side
         euler, parents, shifts = graph
@@ -326,7 +388,7 @@ class TestSublevel:
             assume(False)
         # characteristic: (k, b_j) = e_j + 2 m_j, any integer m_j
         kb = [e + 2 * m for e, m in zip(euler, shifts)]
-        kr = pl.CharacteristicVector(tuple(pl.solve_exact(g.bmatrix(), kb)))
+        kr = tuple(g.solve(kb))
         box = pl.exact_sublevel_box(g, kr, n_max)
         wide = [range(lo - 2, hi + 3) for lo, hi in box]
         assume(prod(len(r) for r in wide) <= 20_000)
