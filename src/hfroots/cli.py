@@ -248,15 +248,17 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     gf = plumbing.embedded_resolution(knot)
     gm = plumbing.surgery_graph(knot, spec.cfrac)
-    classes = plumbing.spinc_classes(gm, spec)
+    if args.spinc == "all":
+        classes = plumbing.spinc_classes(gm, spec)
+    else:
+        classes = [plumbing.spinc_class(gm, spec, int(args.spinc))]  # rejects a outside [0, p)
     log.info("graphs and spin^c classes built in %.3fs", time.perf_counter() - t0)
 
-    indices = range(p) if args.spinc == "all" else [int(args.spinc)]
     per = []
     overall = True
-    for a in indices:
-        res = hfcore.compute_spinc(spec, a)  # rejects a outside [0, p) before classes[a]
-        cls = classes[a]
+    for cls in classes:
+        a = cls.a
+        res = hfcore.compute_spinc(spec, a)
         shift_lattice = plumbing.lattice_grading_shift(gm, cls)
         shift_formula = plumbing.grading_shift_formula(p, q, knot.delta, a)
         entry = {

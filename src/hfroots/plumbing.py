@@ -29,7 +29,11 @@ leading principal minors that certify negative definiteness, the last one is
 det B, and the right half it leaves is the integer adjugate det * B^{-1}.
 Every B x = y below (the divisorial cycle, the canonical class, the chain
 representatives of the spin^c classes) and the diagonal of B^{-1} that bounds
-the sublevel search box are read from that adjugate.
+the sublevel search box are read from that adjugate.  The one other
+elimination is the sublevel enumeration's: -B bordered by the integers
+(k_r, b_j), eliminated fraction-free from the last vertex back, whose pivot
+rows are the Schur complements that bound each coordinate given the ones
+before it.
 
 Oracle paths implemented here:
   * spin^c classes and their distinguished characteristic vectors k_r via
@@ -38,7 +42,8 @@ Oracle paths implemented here:
     sum closed form, and (in hfcore) the grading shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
     whose condensation reproduces the tau function;
-  * brute-force sublevel-set roots on tiny graphs;
+  * sublevel-set roots on small graphs, by exact enumeration of the lattice
+    points of the ellipsoid chi <= n (Fincke-Pohst);
   * lens space correction terms, degenerate delta = 0 case plus the
     classical recursion as an oracle-of-the-oracle.
 """
@@ -49,7 +54,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from math import gcd, isqrt
 from typing import Optional
 
@@ -417,12 +421,11 @@ def _chain_graph(cfrac: NegContinuedFraction) -> PlumbingGraph:
     )
 
 
-def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
-    """All spin^c classes of the surgery graph, with their k_r vectors.
-
-    gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac);
-    the chain convention (last s indices) is validated before use.
-    """
+def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec):
+    """What every class of the surgery graph shares: Z_f, the canonical class
+    and the chain graph.  gm must be the graph produced by
+    surgery_graph(spec.knot, spec.cfrac); the chain convention (last s
+    indices) is validated before use."""
     cfrac = spec.cfrac
     s = cfrac.s
     nf = gm.n - s
@@ -434,26 +437,38 @@ def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
         gm.euler[chain[j]] != -cfrac.terms[j] for j in range(1, s)
     ):
         raise ValueError("chain decorations do not match the continued fraction")
+    return divisorial_cycle(gf), canonical_class(gm), _chain_graph(cfrac)
 
-    zf = divisorial_cycle(gf)
-    k_gm = canonical_class(gm)
-    chain_graph = _chain_graph(cfrac)
 
-    out = []
-    for a in range(spec.p):
-        acoef = _si_coefficients(cfrac, a)
-        tilde = chain_graph.solve([-c for c in acoef])  # l~' in the chain basis
-        # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
-        lprime = [tilde[0] * z for z in zf] + tilde
-        pair = gm.apply_form(lprime)
-        if any(x.denominator != 1 for x in pair):
-            raise InternalInvariantError("l' is not in the dual lattice")
-        if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
-            raise InternalInvariantError("l' is not the minimal representative")
-        kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-        _check_characteristic(gm, kr)
-        out.append(SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr))
-    return out
+def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, frame, a: int) -> SpincClass:
+    zf, k_gm, chain_graph = frame
+    acoef = _si_coefficients(cfrac, a)
+    tilde = chain_graph.solve([-c for c in acoef])  # l~' in the chain basis
+    # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
+    lprime = [tilde[0] * z for z in zf] + tilde
+    pair = gm.apply_form(lprime)
+    if any(x.denominator != 1 for x in pair):
+        raise InternalInvariantError("l' is not in the dual lattice")
+    if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
+        raise InternalInvariantError("l' is not the minimal representative")
+    kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
+    _check_characteristic(gm, kr)
+    return SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr)
+
+
+def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
+    """All spin^c classes of the surgery graph, with their k_r vectors.
+
+    gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac).
+    """
+    frame = _spinc_frame(gm, spec)
+    return [_spinc_class(gm, spec.cfrac, frame, a) for a in range(spec.p)]
+
+
+def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:
+    """The spin^c class a alone, equal to spinc_classes(gm, spec)[a]."""
+    spec._check_a(a)
+    return _spinc_class(gm, spec.cfrac, _spinc_frame(gm, spec), a)
 
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
@@ -564,13 +579,13 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
 
 
 # ---------------------------------------------------------------------------
-# brute-force sublevel roots
+# sublevel roots
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SublevelRoot:
-    """Result of a brute-force sublevel computation.
+    """Result of a sublevel computation.
 
     boundary_contact means some connected component continues past the
     search box (an in-set point on the boundary has an in-set neighbour
@@ -606,16 +621,69 @@ def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -
     return tuple(box)
 
 
+def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[tuple[int, ...]]:
+    """The lattice points x of `box` with f(x) = x^T Q x - (kb . x) <= 2 n_max,
+    Q = -B, in lexicographic order (Fincke-Pohst enumeration).
+
+    One fraction-free elimination of the bordered matrix [[Q, kb], [kb^T, 0]],
+    pivoting on the vertices from the last to the first, splits the form as
+    f(x) = f_min + sum_t w_t^2 / (4 M_t M_{t+1}) with M_t = det Q[t:, t:]
+    (M_n = 1).  The pivot row of t holds M_t, the integers P_ts (s < t) and
+    K_t that give w_t = 2 M_t x_t - K_t + 2 sum_{s<t} P_ts x_s, and the last
+    corner is det of the bordered matrix, 4 M_0 f_min.  Coordinate t, given
+    x_0..x_{t-1}, so ranges over an exact interval around the centre of its
+    Schur complement, found with isqrt; the slack is carried as the integer
+    r_t = 4 M_0 M_t (2 n_max - f_min - sum_{s<t} w_s^2 / (4 M_s M_{s+1})).
+    The work grows with the points of the ellipsoid, not the box volume.
+    """
+    n = g.n
+    rows = [[-b for b in row] + [k] for row, k in zip(g.bmatrix(), kb)]
+    rows.append(list(kb) + [0])
+    pivot_rows: list[list[int]] = [[]] * n
+    prev = 1
+    for t in range(n - 1, -1, -1):
+        pivot_rows[t] = pr = rows[t]
+        piv = pr[t]
+        for i in (*range(t), n):
+            f = rows[i][t]
+            rows[i] = [(x * piv - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = piv
+    m0 = prev
+    minors = [pr[t] for t, pr in enumerate(pivot_rows)] + [1]
+    pts: list[tuple[int, ...]] = []
+    x = [0] * n
+
+    def descend(t: int, r: int) -> None:
+        if t == n:
+            pts.append(tuple(x))
+            return
+        pr, mt, m_next = pivot_rows[t], minors[t], minors[t + 1]
+        centre = pr[n] - 2 * sum(pr[s] * x[s] for s in range(t))  # 2 M_t times the centre
+        w_max = isqrt(m_next * r // m0)
+        lo = max(box[t][0], -((w_max - centre) // (2 * mt)))
+        hi = min(box[t][1], (centre + w_max) // (2 * mt))
+        for xt in range(lo, hi + 1):
+            x[t] = xt
+            w = 2 * mt * xt - centre
+            descend(t + 1, (m_next * r - m0 * w * w) // mt)
+
+    r0 = m0 * (8 * n_max * m0 - rows[n][n])
+    if r0 >= 0:
+        descend(0, r0)
+    return pts
+
+
 def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> SublevelRoot:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
-    enumerated over an explicit coordinate box.
+    restricted to an explicit coordinate box.
 
     Vertices at level n are the connected components of the sublevel set,
     where x and x + b_j are adjacent whenever both lie in the set; edges
     follow component inclusion from level n to n + 1.  Correct only when the
     box contains every relevant component; contact with the box boundary is
-    reported via boundary_contact.  Intended for tiny graphs (enumeration is
-    exhaustive; the box volume is capped at 10^7 points).
+    reported via boundary_contact.  The points are found by exact
+    enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`), which
+    the box only clips; its volume is still capped at 10^7 points.
     """
     n = g.n
     box = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -641,27 +709,12 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
             raise InternalInvariantError("chi is not an integer on the lattice")
         return q
 
-    pts: list[tuple[int, ...]] = []
-    levels: list[int] = []
-    # sweep the last coordinate incrementally: along that axis chi changes by
-    # -((k, b) + e)/2 - (x, b), and (x, b) itself steps by e
-    jin = n - 1
-    lo_in, hi_in = box[jin]
-    e_in = g.euler[jin]
-    half = (kb[jin] + e_in) // 2
-    if hi_in >= lo_in:
-        for prefix in iter_product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
-            x = prefix + (lo_in,)
-            level = chi(x)
-            s = e_in * lo_in + sum(x[w] for w in g.adj[jin])
-            for xj in range(lo_in, hi_in + 1):
-                if level <= n_max:
-                    pts.append(prefix + (xj,))
-                    levels.append(level)
-                level -= half + s
-                s += e_in
+    pts = _ellipsoid_points(g, kb, n_max, box)
     if not pts:
         raise ValueError(f"empty sublevel set: no lattice point in the box has chi <= {n_max}")
+    levels = [chi(x) for x in pts]
+    if max(levels) > n_max:
+        raise InternalInvariantError("an enumerated point lies outside the sublevel set")
 
     index = {x: i for i, x in enumerate(pts)}
     order = sorted(range(len(pts)), key=lambda i: levels[i])

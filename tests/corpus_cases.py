@@ -7,8 +7,11 @@ ORACLE_CASES: curated (pairs, p, q) list for the lattice-oracle comparisons;
 all graphs stay well under 40 vertices and the Laufer runs stay short enough
 that the whole sweep finishes in seconds.
 
-SUBLEVEL_CASES: the subset small enough for exhaustive sublevel enumeration
-(graphs under 10 vertices, search boxes around 10^5 points).
+SUBLEVEL_CASES: the subset whose sublevel sets are enumerated (graphs of at
+most 6 vertices, exact search boxes under the 10^7-point volume cap, sublevel
+sets of at most a few hundred points).  SUBLEVEL_REFERENCE_CASES, its first
+seven entries, keep boxes under 3 * 10^5 points, small enough for the
+box-sweep reference to sweep every point.
 """
 
 from math import gcd
@@ -52,4 +55,16 @@ SUBLEVEL_CASES = [
     (((2, 3),), 2, 3),
     (((2, 5),), 2, 1),
     (((2, 5),), 3, 1),
+    (((2, 3),), 5, 1),
+    (((2, 3),), 3, 2),
+    (((2, 3),), 5, 3),
+    (((2, 3),), 7, 5),
+    (((2, 5),), 1, 1),
+    (((2, 5),), 5, 1),
+    (((2, 5),), 3, 2),
+    (((3, 4),), 2, 1),
+    (((3, 4),), 3, 1),
+    (((3, 5),), 2, 1),
 ]
+
+SUBLEVEL_REFERENCE_CASES = SUBLEVEL_CASES[:7]

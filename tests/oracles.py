@@ -16,12 +16,15 @@ here, and the tests require identical results:
     and every solution off one fraction-free sweep over [B | I]);
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
-    part of the generalized Laufer cycles.
+    part of the generalized Laufer cycles;
+  * the sublevel root by a sweep over every point of its coordinate box (the
+    package enumerates only the lattice points of the ellipsoid chi <= n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Callable, Optional
 
 import hfroots.plumbing as pl
@@ -256,3 +259,116 @@ def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
         num = u[-1] * cfrac.n(j + 1, s) - aprime[j]
         u.append(-(-num // cfrac.n(j, s)))
     return tuple(u)
+
+
+def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> pl.SublevelRoot:
+    """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
+    enumerated over an explicit coordinate box.
+
+    Vertices at level n are the connected components of the sublevel set,
+    where x and x + b_j are adjacent whenever both lie in the set; edges
+    follow component inclusion from level n to n + 1.  Correct only when the
+    box contains every relevant component; contact with the box boundary is
+    reported via boundary_contact.  Intended for tiny graphs (enumeration is
+    exhaustive; the box volume is capped at 10^7 points).
+    """
+    n = g.n
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    if len(box) != n:
+        raise ValueError("box must give one (lo, hi) range per vertex")
+    volume = 1
+    for lo, hi in box:
+        volume *= max(hi - lo + 1, 0)
+    if volume > pl._SUBLEVEL_VOLUME_CAP:
+        raise ValueError(f"box volume {volume} exceeds the enumeration cap")
+
+    kb = g.apply_form(list(kr))  # (k_r, b_j), must be integers
+    if any(v.denominator != 1 for v in kb):
+        raise ValueError("k_r is not in the dual lattice")
+    kb = [int(v) for v in kb]
+    if any((kb[j] + g.euler[j]) % 2 for j in range(n)):
+        raise ValueError("k_r is not characteristic")
+
+    def chi(x) -> int:
+        kx = sum(a * b for a, b in zip(kb, x))
+        q, r = divmod(-(kx + g.pairing(x, x)), 2)
+        if r:
+            raise InternalInvariantError("chi is not an integer on the lattice")
+        return q
+
+    pts: list[tuple[int, ...]] = []
+    levels: list[int] = []
+    # sweep the last coordinate incrementally: along that axis chi changes by
+    # -((k, b) + e)/2 - (x, b), and (x, b) itself steps by e
+    jin = n - 1
+    lo_in, hi_in = box[jin]
+    e_in = g.euler[jin]
+    half = (kb[jin] + e_in) // 2
+    if hi_in >= lo_in:
+        for prefix in iter_product(*(range(lo, hi + 1) for lo, hi in box[:-1])):
+            x = prefix + (lo_in,)
+            level = chi(x)
+            s = e_in * lo_in + sum(x[w] for w in g.adj[jin])
+            for xj in range(lo_in, hi_in + 1):
+                if level <= n_max:
+                    pts.append(prefix + (xj,))
+                    levels.append(level)
+                level -= half + s
+                s += e_in
+    if not pts:
+        raise ValueError(f"empty sublevel set: no lattice point in the box has chi <= {n_max}")
+
+    index = {x: i for i, x in enumerate(pts)}
+    order = sorted(range(len(pts)), key=lambda i: levels[i])
+    parent_dsu = list(range(len(pts)))
+
+    def find(i):
+        while parent_dsu[i] != i:
+            parent_dsu[i] = parent_dsu[parent_dsu[i]]
+            i = parent_dsu[i]
+        return i
+
+    # a component leaks iff an in-set boundary point has an in-set neighbour
+    # just outside the box; only that makes the truncation real
+    contact = any(
+        chi(x[:j] + (x[j] + d,) + x[j + 1:]) <= n_max
+        for x in pts
+        for j in range(n)
+        for d in (1, -1)
+        if not box[j][0] <= x[j] + d <= box[j][1]
+    )
+
+    chi_out: list[int] = []
+    parent_out: list[Optional[int]] = []
+    prev: dict[int, int] = {}  # dsu root -> vertex id at the previous level
+    active: list[int] = []
+    pos = 0
+    lo_level = levels[order[0]]
+    for level in range(lo_level, n_max + 1):
+        while pos < len(order) and levels[order[pos]] == level:
+            i = order[pos]
+            pos += 1
+            active.append(i)
+            x = pts[i]
+            for j in range(n):
+                for d in (1, -1):
+                    y = list(x)
+                    y[j] += d
+                    k = index.get(tuple(y))
+                    if k is not None and levels[k] <= level:
+                        ri, rk = find(i), find(k)
+                        if ri != rk:
+                            parent_dsu[ri] = rk
+        groups: dict[int, int] = {}
+        for i in active:
+            r = find(i)
+            if r not in groups:
+                chi_out.append(level)
+                parent_out.append(None)
+                groups[r] = len(chi_out) - 1
+        for r_prev, vid in prev.items():
+            parent_out[vid] = groups[find(r_prev)]
+        prev = groups
+    if len(prev) != 1:
+        raise ValueError("n_max is below the merge level; raise it to close the root")
+    return pl.SublevelRoot(GradedRoot(chi_out, parent_out), contact)

@@ -159,6 +159,18 @@ class TestVerifyCommand:
         assert out == ""
         assert f"spin^c index a={index} outside [0, 3)" in err
 
+    def test_single_class_matches_all(self, capsys):
+        argv = ("verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        full = json.loads(out)
+        for a in range(3):
+            code, out, _ = run(capsys, *argv, "--spinc", str(a))
+            assert code == 0
+            single = json.loads(out)
+            assert single["verification"].pop("per_spinc") == [full["verification"]["per_spinc"][a]]
+            assert single == {**full, "verification": {"oracle": "both", "ok": True}}
+
     def test_laufer_two_classes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--newton", "4,5", "--surgery", "2/1", "--oracle", "laufer"

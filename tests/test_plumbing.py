@@ -4,10 +4,17 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from corpus_cases import ORACLE_CASES, SUBLEVEL_CASES
+from corpus_cases import ORACLE_CASES, SUBLEVEL_CASES, SUBLEVEL_REFERENCE_CASES
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import chain_coefficients, determinant, laufer_tau, minimal_cycle_sequence, solve_exact
+from oracles import (
+    chain_coefficients,
+    determinant,
+    laufer_tau,
+    minimal_cycle_sequence,
+    solve_exact,
+    sublevel_root_box,
+)
 
 import hfroots.plumbing as pl
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
@@ -34,6 +41,52 @@ def random_trees(vertex_data):
             st.lists(vertex_data, min_size=n, max_size=n),
         )
     )
+
+
+def tree_form(euler, edges):
+    """The intersection matrix of a tree, built by hand."""
+    n = len(euler)
+    b = [[euler[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for u, v in edges:
+        b[u][v] = b[v][u] = 1
+    return b
+
+
+def definite_by_reference(b):
+    """Negative definiteness from the signs of the reference leading minors."""
+    minors = [determinant([row[:k] for row in b[:k]]) for k in range(1, len(b) + 1)]
+    return all(m != 0 and (m > 0) == (k % 2 == 0) for k, m in enumerate(minors, start=1))
+
+
+def sublevel_outcome(sublevel, g, kr, n_max, box):
+    """(chi, parent, boundary_contact) of a sublevel root, or the ValueError text."""
+    try:
+        sub = sublevel(g, kr, n_max, box)
+    except ValueError as exc:
+        return str(exc)
+    return sub.root.chi, sub.root.parent, sub.boundary_contact
+
+
+def cube_euler_characteristics(weight, n_levels):
+    """Euler characteristic of the cubical complex {cubes of weight <= n} for
+    each n in n_levels; a cube's weight is the largest weight of its vertices."""
+    cubes = {(x, ()): w for x, w in weight.items()}
+    totals = dict.fromkeys(n_levels, 0)
+    sign = 1
+    while cubes:
+        for w in cubes.values():
+            for n in n_levels:
+                if w <= n:
+                    totals[n] += sign
+        grown = {}
+        for (x, dirs), w in cubes.items():
+            for j in range(dirs[-1] + 1 if dirs else 0, len(x)):
+                w2 = cubes.get((x[:j] + (x[j] + 1,) + x[j + 1:], dirs))
+                if w2 is not None:
+                    grown[x, dirs + (j,)] = max(w, w2)
+        cubes = grown
+        sign = -sign
+    return totals
 
 
 def check_sweep(g):
@@ -100,12 +153,8 @@ class TestElimination:
         # rejects a definite tree fails here instead of being filtered out
         euler, parents, rhs = graph
         edges = [(j + 1, par) for j, par in enumerate(parents)]
-        n = len(euler)
-        b = [[euler[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        for u, v in edges:
-            b[u][v] = b[v][u] = 1
-        minors = [determinant([row[:k] for row in b[:k]]) for k in range(1, n + 1)]
-        if any(m == 0 or (m > 0) != (k % 2 == 0) for k, m in enumerate(minors, start=1)):
+        b = tree_form(euler, edges)
+        if not definite_by_reference(b):
             with pytest.raises(ValueError, match="negative definite"):
                 pl.PlumbingGraph(euler, edges)
             return
@@ -242,6 +291,14 @@ class TestSpincClasses:
             nf = gm.n - spec.cfrac.s
             for cls in classes:
                 assert gm.apply_form(list(cls.l_prime)) == [0] * nf + [-c for c in cls.a_coeffs]
+
+    def test_single_class_matches_the_full_list(self):
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+            assert [pl.spinc_class(gm, spec, a) for a in range(p)] == classes
+        for a in (-1, p):
+            with pytest.raises(ValueError, match=f"spin\\^c index a={a} outside"):
+                pl.spinc_class(gm, spec, a)
 
     def test_projected_canonical_class(self):
         # chain coordinates of K match the chain class corrected by 2 delta g~_1
@@ -381,11 +438,16 @@ class TestSublevel:
     @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
     def test_exact_box_holds_the_sublevel_set(self, graph, n_max):
         # brute force over the exact box widened by 2 on every side
+        # definiteness is decided by the reference minors, and PlumbingGraph
+        # must accept exactly the definite trees
         euler, parents, shifts = graph
-        try:
-            g = pl.PlumbingGraph(euler, [(j + 1, par) for j, par in enumerate(parents)])
-        except ValueError:
-            assume(False)
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        definite = definite_by_reference(tree_form(euler, edges))
+        if not definite:
+            with pytest.raises(ValueError, match="negative definite"):
+                pl.PlumbingGraph(euler, edges)
+        assume(definite)
+        g = pl.PlumbingGraph(euler, edges)
         # characteristic: (k, b_j) = e_j + 2 m_j, any integer m_j
         kb = [e + 2 * m for e, m in zip(euler, shifts)]
         kr = tuple(g.solve(kb))
@@ -396,6 +458,52 @@ class TestSublevel:
             if any(not lo <= xj <= hi for xj, (lo, hi) in zip(x, box)):
                 two_chi = -(sum(k * xj for k, xj in zip(kb, x)) + g.pairing(x, x))
                 assert two_chi > 2 * n_max
+
+    def test_matches_box_sweep_on_corpus(self):
+        for pairs, p, q in SUBLEVEL_REFERENCE_CASES:
+            knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            for a in range(p):
+                kr = classes[a].k_r
+                n_top = compute_spinc(spec, a).tau.max()
+                box = pl.exact_sublevel_box(gm, kr, n_top)
+                args = (gm, kr, n_top, box)
+                assert sublevel_outcome(pl.sublevel_root, *args) == sublevel_outcome(sublevel_root_box, *args)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
+    def test_matches_box_sweep_on_random_trees(self, graph, n_max):
+        # the exact box, and a box one step tighter on every side that cuts
+        # into most sublevel sets and so exercises boundary_contact
+        euler, parents, shifts = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        assume(definite_by_reference(tree_form(euler, edges)))
+        g = pl.PlumbingGraph(euler, edges)
+        kr = tuple(g.solve([e + 2 * m for e, m in zip(euler, shifts)]))
+        box = pl.exact_sublevel_box(g, kr, n_max)
+        assume(prod(hi - lo + 1 for lo, hi in box) <= 20_000)
+        tight = tuple((lo + 1, hi - 1) for lo, hi in box)
+        for b in (box, tight):
+            args = (g, kr, n_max, b)
+            assert sublevel_outcome(pl.sublevel_root, *args) == sublevel_outcome(sublevel_root_box, *args)
+
+    def test_lattice_cohomology_vanishes_above_degree_zero(self):
+        # for almost-rational graphs H^q = 0 for q >= 1, so at every level the
+        # Euler characteristic of the cubical complex S_n counts its components
+        for pairs, p, q in SUBLEVEL_CASES:
+            knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            for a in range(p):
+                kr = classes[a].k_r
+                n_top = compute_spinc(spec, a).tau.max()
+                box = pl.exact_sublevel_box(gm, kr, n_top)
+                root = pl.sublevel_root(gm, kr, n_top, box).root
+                kb = [int(v) for v in gm.apply_form(list(kr))]
+                weight = {
+                    x: -(sum(k * xj for k, xj in zip(kb, x)) + gm.pairing(x, x)) // 2
+                    for x in pl._ellipsoid_points(gm, kb, n_top, box)
+                }
+                levels = range(min(weight.values()), n_top + 1)
+                totals = cube_euler_characteristics(weight, levels)
+                assert totals == {n: root.chi.count(n) for n in levels}
 
     def test_truncated_box_is_flagged(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
