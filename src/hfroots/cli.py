@@ -2,9 +2,12 @@
 
 The surgery coefficient is entered as a positive fraction P/Q and always
 means the negative coefficient -P/Q.  Rationals are printed exactly; in
-JSON they are "numerator/denominator" strings, never floats.  Output is
-deterministic byte for byte; timings go to the log (HFROOTS_LOG=debug|info),
-never into the document.
+JSON they are "numerator/denominator" strings, never floats.  A grade
+r_a + g is written from the integer g (`grading.Grading`), and documents go
+through one writer, `_json`, which produces the bytes of
+json.dumps(doc, indent=2) and rejects any value but dict, list, str, int,
+bool and None.  Output is deterministic byte for byte; timings go to the log
+(HFROOTS_LOG=debug|info), never into the document.
 
 Exit codes: 0 ok, 1 input error, 2 verification mismatch (or an oracle whose
 search box was invalidated), 3 internal invariant failure.
@@ -13,15 +16,17 @@ search box was invalidated), 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import hfcore, plumbing
 from .errors import InternalInvariantError
+from .grading import Grading
 from .knot import AlgebraicKnot, from_newton_pairs
 from .root import TauFunction, render, root_from_tau
 
@@ -29,8 +34,45 @@ log = logging.getLogger("hfroots")
 
 
 def _rat(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _json(obj, indent: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, for documents made only of
+    dicts with str keys, lists, str, int, bool and None.
+
+    Anything else raises TypeError, so no float or Fraction can reach a
+    document.  Strings go through the C string encoder of `json`.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = indent + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [_json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_key(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if type(k) is not str:
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return _quote(k)
 
 
 def _pretty_poly(coeffs) -> str:
@@ -94,11 +136,13 @@ def _knot_block(knot: AlgebraicKnot) -> dict:
 
 
 def _module_block(module) -> dict:
-    towers = [{"grade": _rat(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
-    return {"tower_grade": _rat(module.tower_grade), "finite_towers": towers}
+    grade = Grading(module.shift).rat
+    towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
+    return {"tower_grade": grade(module.tower), "finite_towers": towers}
 
 
 def _spinc_block(res: hfcore.SpincResult) -> dict:
+    grade = Grading(res.shift).rat
     return {
         "a": res.a,
         "t_a": res.depth,
@@ -107,20 +151,21 @@ def _spinc_block(res: hfcore.SpincResult) -> dict:
         "module": _module_block(res.module),
         "d_invariant": _rat(res.d_invariant),
         "sw_invariant": _rat(res.sw_invariant),
-        "ker_u": [_rat(x) for x in res.ker_u],
-        "coker_u": [_rat(x) for x in res.coker_u],
+        "ker_u": [grade(g) for g in res.ker],
+        "coker_u": [grade(g) for g in res.coker],
     }
 
 
 def _spinc_text(res: hfcore.SpincResult) -> list[str]:
+    grade = Grading(res.shift).text
     return [
         f"spin^c a = {res.a}:",
         f"  t_a = {res.depth}   r_a = {res.shift}",
         "  tau: " + ", ".join(str(v) for v in res.tau.values),
         f"  HF+ = {res.module}",
         f"  d = {res.d_invariant}   sw = {res.sw_invariant}",
-        "  ker U gradings: " + ", ".join(str(x) for x in res.ker_u),
-        "  coker U gradings: " + (", ".join(str(x) for x in res.coker_u) or "(none)"),
+        "  ker U gradings: " + ", ".join(map(grade, res.ker)),
+        "  coker U gradings: " + (", ".join(map(grade, res.coker)) or "(none)"),
     ]
 
 
@@ -152,7 +197,7 @@ def _emit(text: str, out_path):
 def cmd_knot(args) -> int:
     knot = _parse_newton(args.newton)
     if args.format == "json":
-        _emit(json.dumps({"knot": _knot_block(knot)}, indent=2) + "\n", args.out)
+        _emit(_json({"knot": _knot_block(knot)}) + "\n", args.out)
     else:
         _emit("\n".join(_knot_text(knot)) + "\n", args.out)
     return 0
@@ -196,7 +241,7 @@ def cmd_compute(args) -> int:
             },
             "spinc": [_spinc_block(r) for r in results],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc) + "\n", args.out)
         return 0
 
     lines = _knot_text(knot)
@@ -223,7 +268,7 @@ def _verify_lens(args) -> int:
         }
     }
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc) + "\n", args.out)
     else:
         _emit(
             f"lens {p}/{q}: formula path {[str(x) for x in formula]}\n"
@@ -293,13 +338,13 @@ def cmd_verify(args) -> int:
         "surgery": {"p": p, "q": q, "coefficient": f"-{p}/{q}",
                     "continued_fraction": list(spec.cfrac.terms)},
         "graphs": {
-            "resolution": json.loads(plumbing.graph_to_json(gf)),
-            "surgery": json.loads(plumbing.graph_to_json(gm)),
+            "resolution": plumbing.graph_doc(gf),
+            "surgery": plumbing.graph_doc(gm),
         },
         "verification": {"oracle": args.oracle, "per_spinc": per, "ok": overall},
     }
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc) + "\n", args.out)
     else:
         lines = [f"verification of -{p}/{q} surgery (oracle: {args.oracle})"]
         for entry in per:
@@ -320,7 +365,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and then reused."""
     ap = argparse.ArgumentParser(
         prog="hfroots",
         description="Heegaard Floer homology of negative rational surgeries on "
@@ -358,7 +405,7 @@ def main(argv=None) -> int:
     level = os.environ.get("HFROOTS_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
                         format="%(name)s %(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

@@ -19,6 +19,10 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     alpha indices past the depth reach mu - 1, where alpha vanishes),
   * the kernel and cokernel gradings of the U-action.
 
+Every grade above is r_a plus an even integer, so a `SpincResult` stores the
+integers (2 tau(2t), 2 tau(2t+1) - 2, 2 b, 2 min tau) with the one r_a, and
+`grading.Grading` reads them; per class only r_a, d and sw are Fractions.
+
 For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
 
@@ -38,6 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
+from .grading import Grading
 from .knot import AlgebraicKnot
 from .numtheory import NegContinuedFraction, dedekind_sum, floor_sum, neg_cfrac
 from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
@@ -77,17 +82,32 @@ class SurgerySpec:
 
 @dataclass(frozen=True)
 class SpincResult:
-    """Everything the pipeline knows about one spin^c structure."""
+    """Everything the pipeline knows about one spin^c structure.
+
+    Grades are stored as even integers g and read as r_a + g
+    (`grading.Grading`): `ker` and `coker` hold those integers, `ker_u` and
+    `coker_u` give the absolute grades.  Only r_a, d and sw are Fractions.
+    """
 
     a: int
     depth: int                      # t_a
     shift: Fraction                 # r_a
     tau: TauFunction
-    module: UModuleDecomposition    # gradings include the shift
+    module: UModuleDecomposition    # shift r_a
     d_invariant: Fraction
     sw_invariant: Fraction
-    ker_u: tuple[Fraction, ...]     # gradings of ker U, sorted
-    coker_u: tuple[Fraction, ...]   # gradings of coker U, sorted
+    ker: tuple[int, ...]            # ker U grades minus r_a, sorted
+    coker: tuple[int, ...]          # coker U grades minus r_a, sorted
+
+    @property
+    def ker_u(self) -> tuple[Fraction, ...]:
+        """Gradings of ker U, sorted."""
+        return tuple(map(Grading(self.shift).value, self.ker))
+
+    @property
+    def coker_u(self) -> tuple[Fraction, ...]:
+        """Gradings of coker U, sorted."""
+        return tuple(map(Grading(self.shift).value, self.coker))
 
 
 def tau_depth(spec: SurgerySpec, a: int) -> int:
@@ -154,13 +174,10 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
     if len(tau) > 1 and module.reduced_rank != reduced_rank(tau):
         raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
     module = module.shifted(r_a)
-    d = 2 * tau.min() + r_a
-    if module.tower_grade != d:
+    low = 2 * tau.min()
+    if module.shift != r_a or module.tower != low:
         raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
     vals = tau.values
-    # sort the integer tau values; adding r_a keeps their order
-    ker = tuple(2 * v + r_a for v in sorted(vals[0::2]))
-    coker = tuple(2 * v - 2 + r_a for v in sorted(vals[1::2]))
     alpha_sum = sum(vals[2 * t + 1] - vals[2 * t + 2] for t in range(t_a + 1))
     return SpincResult(
         a=a,
@@ -168,10 +185,10 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
         shift=r_a,
         tau=tau,
         module=module,
-        d_invariant=d,
+        d_invariant=r_a + low,
         sw_invariant=r_a / 2 - alpha_sum,
-        ker_u=ker,
-        coker_u=coker,
+        ker=tuple(2 * v for v in sorted(vals[0::2])),
+        coker=tuple(2 * v - 2 for v in sorted(vals[1::2])),
     )
 
 

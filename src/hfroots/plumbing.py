@@ -206,14 +206,18 @@ class PlumbingGraph:
 #    "arrow": 0 | null}
 
 
-def graph_to_json(g: PlumbingGraph) -> str:
-    doc = {
+def graph_doc(g: PlumbingGraph) -> dict:
+    """The graph as a JSON-ready dict in the schema above."""
+    return {
         "vertices": [{"index": j, "euler": g.euler[j]} for j in range(g.n)],
         "edges": [list(e) for e in g.edges],
         "distinguished": g.distinguished,
         "arrow": g.arrow,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def graph_to_json(g: PlumbingGraph) -> str:
+    return json.dumps(graph_doc(g), indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> PlumbingGraph:
@@ -482,14 +486,15 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
     Assembled from the chain identities: the canonical square
     K~^2 + s = 2(p-1)/p - 12 s(q,p), its delta-correction through the first
     dual basis vector, and the pairing of the minimal representative
-    (K~ + l~', l~') = a(p-1)/p - 2 sum_{j<=a} {j q'/p}.
+    (K~ + l~', l~') = a(p-1)/p - 2 sum_{j<=a} {j q'/p}, summed directly
+    over the integers j q' mod p and divided by p once.
     """
     if not 0 <= a < p:
         raise ValueError(f"spin^c index a={a} outside [0, {p})")
     qp = mod_inverse(q, p)
     ksq_s = Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
     dksq_s = ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)
-    pair = Fraction(a * (p - 1), p) - 2 * sum(Fraction((j * qp) % p, p) for j in range(1, a + 1))
+    pair = Fraction(a * (p - 1) - 2 * sum((j * qp) % p for j in range(1, a + 1)), p)
     krsq_s = dksq_s + 4 * pair + 8 * delta * Fraction(a, p)
     return -krsq_s / 4
 
@@ -501,44 +506,48 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
 
 def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
     """Laufer engine: starting from x = 0, step pr_{v0} up by 1 and then add
-    base vectors b_j (j != v0, lowest index first) while (x + l', b_j) > 0,
+    base vectors b_j (j != v0) while some w_j = (x + l', b_j) is positive,
     where offsets[j] = (l', b_j); zero offsets give the minimal cycles of a
     resolution graph.  Returns (chi values, cycles).
 
-    chi is tracked incrementally: adding b_j changes chi by 1 - (x + l', b_j).
+    Every such addition is forced, so the cycle where they stop does not
+    depend on their order (Laufer's lemma).  The vertices with w_j > 0 wait
+    on a stack, and the one popped gets all k = ceil(w_j / |e_j|) of its
+    forced additions at once.  chi is tracked incrementally: adding b_j
+    changes chi by 1 - w_j, so k additions change it by
+    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions.
     """
     v0 = g.distinguished
     if v0 is None:
         raise ValueError("graph has no distinguished vertex")
-    n = g.n
-    x = [0] * n
-    w = list(offsets)  # w_j = (x + l', b_j)
+    euler, adj = g.euler, g.adj
+    x = [0] * g.n
+    w = list(offsets)
     chi = 0
     values = [0]
     cycles = [tuple(x)]
     budget = _LAUFER_STEP_CAP
+    ready = [j for j in range(g.n) if j != v0 and w[j] > 0]  # every j != v0 with w_j > 0
 
-    def add(j):
+    def add(j, k):
         nonlocal chi, budget
-        chi += 1 - w[j]
-        x[j] += 1
-        w[j] += g.euler[j]
-        for nb in g.adj[j]:
-            w[nb] += 1
-        budget -= 1
+        wj, e = w[j], euler[j]
+        chi += k - k * wj - e * k * (k - 1) // 2
+        x[j] += k
+        w[j] = wj + k * e
+        for nb in adj[j]:
+            w[nb] += k
+            if 0 < w[nb] <= k and nb != v0:  # just turned positive
+                ready.append(nb)
+        budget -= k
         if budget < 0:
             raise InternalInvariantError("Laufer iteration exceeded its safety bound")
 
     for _ in range(i_max):
-        add(v0)
-        active = True
-        while active:
-            active = False
-            for j in range(n):
-                if j != v0 and w[j] > 0:
-                    add(j)
-                    active = True
-                    break
+        add(v0, 1)
+        while ready:
+            j = ready.pop()
+            add(j, -(-w[j] // -euler[j]))
         values.append(chi)
         cycles.append(tuple(x))
     return values, cycles

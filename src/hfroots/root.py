@@ -17,6 +17,10 @@ meet at level k, the one whose oldest minimum is younger dies there and
 contributes the finite tower T_{2 b}(k - b), b its birth level, and the run
 that survives to the end carries the infinite tower T+ at twice its birth.
 
+The module's grades are the even integers 2 b and 2 min tau; a
+`UModuleDecomposition` keeps them as ints next to one shift (0 here, r_a for
+the homology of -M), and shifting it touches no tower.
+
 Both constructions are one sweep over that order, keeping only the two ends
 of every run.  `module_from_tau` costs O(n log n) for n = len(tau);
 `root_from_tau` costs O(n log n + |V|) for a root with |V| vertices, and is
@@ -29,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Optional
+
+from .grading import Grading
 
 
 @dataclass(frozen=True)
@@ -155,43 +161,75 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
     return GradedRoot(chi, parent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UModuleDecomposition:
     """T+_{d}  plus a multiset of finite towers T_{r}(n), all in even degrees.
 
-    finite_towers is kept sorted, so equality is multiset equality.
-    Gradings are exact rationals.
+    Every grade is `shift` plus an even integer (`grading.Grading`), and the
+    integers are what is stored: `tower` for the infinite tower, `towers`
+    for the (grade, length) pairs of the finite ones, kept sorted.  A graded
+    root's module has shift 0 and its grades at 2 chi; the homology of -M in
+    sigma_a is that module shifted by r_a.  `tower_grade` and
+    `finite_towers` give the absolute grades, and equality compares those,
+    so it is multiset equality whatever the shift.
     """
 
-    tower_grade: Fraction
-    finite_towers: tuple[tuple[Fraction, int], ...]
+    shift: Fraction | int
+    tower: int
+    towers: tuple[tuple[int, int], ...]
 
     @staticmethod
     def from_parts(tower_grade, towers) -> "UModuleDecomposition":
-        # Fraction(g) keeps the order, and module_from_tau passes ints, which sort faster
-        canon = tuple((Fraction(g), int(n)) for g, n in sorted(towers))
-        return UModuleDecomposition(Fraction(tower_grade), canon)
+        """From absolute grades (ints or Fractions), which must all differ
+        from tower_grade by even integers."""
+        shift = Fraction(tower_grade) % 2
+
+        def even(g) -> int:
+            k = Fraction(g) - shift
+            if k.denominator != 1 or k.numerator % 2:
+                raise ValueError(f"grade {g} is not {tower_grade} plus an even integer")
+            return k.numerator
+
+        canon = tuple(sorted((even(g), int(n)) for g, n in towers))
+        return UModuleDecomposition(shift, even(tower_grade), canon)
 
     def shifted(self, r) -> "UModuleDecomposition":
-        r = Fraction(r)
-        return UModuleDecomposition(
-            self.tower_grade + r,
-            tuple((g + r, n) for g, n in self.finite_towers),
-        )
+        """The same module with every grade raised by r."""
+        shift = self.shift + r if self.shift else r  # 0 + r would only copy r
+        return UModuleDecomposition(shift, self.tower, self.towers)
+
+    @property
+    def tower_grade(self) -> Fraction:
+        return Grading(self.shift).value(self.tower)
+
+    @property
+    def finite_towers(self) -> tuple[tuple[Fraction, int], ...]:
+        value = Grading(self.shift).value
+        return tuple((value(g), n) for g, n in self.towers)
+
+    def __eq__(self, other):
+        if not isinstance(other, UModuleDecomposition):
+            return NotImplemented
+        return (self.tower_grade, self.finite_towers) == (other.tower_grade, other.finite_towers)
+
+    def __hash__(self):
+        return hash((self.tower_grade, self.finite_towers))
 
     @property
     def reduced_rank(self) -> int:
-        return sum(n for _, n in self.finite_towers)
+        return sum(n for _, n in self.towers)
 
-    def grouped(self) -> Iterator[tuple[Fraction, int, int]]:
-        """(grade, length, multiplicity) of each distinct finite tower, in order."""
-        for (g, n), same in groupby(self.finite_towers):
+    def grouped(self) -> Iterator[tuple[int, int, int]]:
+        """(g, length, multiplicity) of each distinct finite tower, in order;
+        its grade is shift + g."""
+        for (g, n), same in groupby(self.towers):
             yield g, n, sum(1 for _ in same)
 
     def __str__(self):
-        parts = [f"T+[{self.tower_grade}]"]
+        text = Grading(self.shift).text
+        parts = [f"T+[{text(self.tower)}]"]
         for g, n, mult in self.grouped():
-            parts.append(f"{mult}*T[{g}]({n})" if mult > 1 else f"T[{g}]({n})")
+            parts.append(f"{mult}*T[{text(g)}]({n})" if mult > 1 else f"T[{text(g)}]({n})")
         return " + ".join(parts)
 
 
@@ -224,7 +262,7 @@ def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
         if r > i:
             e = meet(e, elder[i + 1], k)
         elder[l] = e
-    return UModuleDecomposition.from_parts(2 * elder[0][0], towers)
+    return UModuleDecomposition(0, 2 * elder[0][0], tuple(sorted(towers)))
 
 
 def reduced_rank(tau: TauFunction) -> int:

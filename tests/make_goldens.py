@@ -2,7 +2,7 @@
 
 The tau values behind the renders are pinned independently in
 test_root/test_hfcore; these files only freeze the rendering conventions
-and the JSON report layout.
+and the JSON and text report layouts.
 """
 
 from pathlib import Path
@@ -33,6 +33,20 @@ def run():
     rc = main(
         ["verify", "--newton", "2,3", "--surgery", "2/1", "--oracle", "both",
          "--format", "json", "--out", str(GOLDEN / "verify_23_2_1.json")]
+    )
+    assert rc == 0
+    # text reports: fractional r_a, an integer r_a, and both kinds side by side
+    for name, newton, surgery in [
+        ("compute_45_2_1", "4,5", "2/1"),
+        ("compute_45_1_1", "4,5", "1/1"),
+        ("compute_23_4_1", "2,3", "4/1"),
+    ]:
+        rc = main(["compute", "--newton", newton, "--surgery", surgery, "--format", "text",
+                   "--out", str(GOLDEN / f"{name}.txt")])
+        assert rc == 0
+    rc = main(
+        ["verify", "--newton", "2,3", "--surgery", "2/1", "--oracle", "both",
+         "--format", "text", "--out", str(GOLDEN / "verify_23_2_1.txt")]
     )
     assert rc == 0
 

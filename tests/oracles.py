@@ -11,28 +11,35 @@ here, and the tests require identical results:
     package uses reciprocity, a floor sum and per-spec constants);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
+  * every grade of a spin^c structure as its own Fraction, written through
+    Fraction's own reduction (the package keeps integer grades and one r_a,
+    and writes r_a + g as (N + g D)/D);
   * det B by Bareiss elimination with row pivoting, and B x = y by Gauss-Jordan
     elimination over the rationals (a `PlumbingGraph` reads its minors, det B
     and every solution off one fraction-free sweep over [B | I]);
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
-    part of the generalized Laufer cycles;
+    part of the generalized Laufer cycles; the Laufer engine that rescans
+    the vertices after every single addition (the package keeps a stack of
+    the vertices that still need additions);
   * the sublevel root by a sweep over every point of its coordinate box (the
     package enumerates only the lattice points of the ellipsoid chi <= n).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from itertools import product as iter_product
 from typing import Callable, Optional
 
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError
-from hfroots.hfcore import SurgerySpec
+from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot
 from hfroots.numtheory import mod_inverse
-from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition
+from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
 
 
 def merge_level(root: GradedRoot, u: int, v: int) -> int:
@@ -160,6 +167,89 @@ def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
     return grading_shift_direct(spec, a) / 2 - total
 
 
+@dataclass(frozen=True)
+class SpincFractions:
+    """One spin^c structure with every grade held as its own Fraction."""
+
+    a: int
+    depth: int
+    shift: Fraction
+    tau: TauFunction
+    tower_grade: Fraction
+    finite_towers: tuple[tuple[Fraction, int], ...]
+    d_invariant: Fraction
+    sw_invariant: Fraction
+    ker_u: tuple[Fraction, ...]
+    coker_u: tuple[Fraction, ...]
+
+
+def spinc_fractions(spec: SurgerySpec, a: int) -> SpincFractions:
+    """One spin^c structure assembled grade by grade in Fractions, as the
+    pipeline did before it kept integer grades: every tower and every ker and
+    coker grade is r_a plus its integer, reduced on its own; r_a comes from
+    the direct sum and sw from the direct alpha sum.  The integer module of
+    tau is the package's."""
+    r_a = grading_shift_direct(spec, a)
+    tau = tau_function(spec, a)
+    base = module_from_tau(tau)
+    vals = tau.values
+    return SpincFractions(
+        a=a,
+        depth=tau_depth(spec, a),
+        shift=r_a,
+        tau=tau,
+        tower_grade=Fraction(base.tower_grade) + r_a,
+        finite_towers=tuple((Fraction(g) + r_a, n) for g, n in base.finite_towers),
+        d_invariant=2 * tau.min() + r_a,
+        sw_invariant=sw_invariant(spec, a),
+        ker_u=tuple(2 * v + r_a for v in sorted(vals[0::2])),
+        coker_u=tuple(2 * v - 2 + r_a for v in sorted(vals[1::2])),
+    )
+
+
+def rat(x) -> str:
+    """A rational as the "numerator/denominator" string, reduced by Fraction."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _grouped(towers):
+    return [(g, n, sum(1 for _ in same)) for (g, n), same in groupby(towers)]
+
+
+def spinc_block(ref: SpincFractions) -> dict:
+    """The JSON block of one spin^c structure, each grade written from its
+    Fraction."""
+    towers = [{"grade": rat(g), "length": n, "multiplicity": m} for g, n, m in _grouped(ref.finite_towers)]
+    return {
+        "a": ref.a,
+        "t_a": ref.depth,
+        "r_a": rat(ref.shift),
+        "tau": list(ref.tau.values),
+        "module": {"tower_grade": rat(ref.tower_grade), "finite_towers": towers},
+        "d_invariant": rat(ref.d_invariant),
+        "sw_invariant": rat(ref.sw_invariant),
+        "ker_u": [rat(x) for x in ref.ker_u],
+        "coker_u": [rat(x) for x in ref.coker_u],
+    }
+
+
+def spinc_text(ref: SpincFractions) -> list[str]:
+    """The text lines of one spin^c structure, each grade printed by str(Fraction)."""
+    parts = [f"T+[{ref.tower_grade}]"]
+    for g, n, mult in _grouped(ref.finite_towers):
+        parts.append(f"{mult}*T[{g}]({n})" if mult > 1 else f"T[{g}]({n})")
+    return [
+        f"spin^c a = {ref.a}:",
+        f"  t_a = {ref.depth}   r_a = {ref.shift}",
+        "  tau: " + ", ".join(str(v) for v in ref.tau.values),
+        "  HF+ = " + " + ".join(parts),
+        f"  d = {ref.d_invariant}   sw = {ref.sw_invariant}",
+        "  ker U gradings: " + ", ".join(str(x) for x in ref.ker_u),
+        "  coker U gradings: " + (", ".join(str(x) for x in ref.coker_u) or "(none)"),
+    ]
+
+
 def closed_form_p1q1(knot: AlgebraicKnot) -> UModuleDecomposition:
     """The -1-surgery module in closed form (p = q = 1):
 
@@ -229,6 +319,52 @@ def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple
     """
     _, cycles = pl._laufer_run(gf, [0] * gf.n, i_max)
     return [(cyc, gf.apply_form(list(cyc))[gf.distinguished]) for cyc in cycles]
+
+
+def laufer_run_rescan(g: pl.PlumbingGraph, offsets: list[int], i_max: int):
+    """The Laufer engine that rescans: starting from x = 0, step pr_{v0} up
+    by 1 and then add base vectors b_j (j != v0, lowest index first, one at a
+    time, rescanning from index 0 after each) while (x + l', b_j) > 0,
+    where offsets[j] = (l', b_j); zero offsets give the minimal cycles of a
+    resolution graph.  Returns (chi values, cycles).
+
+    chi is tracked incrementally: adding b_j changes chi by 1 - (x + l', b_j).
+    """
+    v0 = g.distinguished
+    if v0 is None:
+        raise ValueError("graph has no distinguished vertex")
+    n = g.n
+    x = [0] * n
+    w = list(offsets)  # w_j = (x + l', b_j)
+    chi = 0
+    values = [0]
+    cycles = [tuple(x)]
+    budget = pl._LAUFER_STEP_CAP
+
+    def add(j):
+        nonlocal chi, budget
+        chi += 1 - w[j]
+        x[j] += 1
+        w[j] += g.euler[j]
+        for nb in g.adj[j]:
+            w[nb] += 1
+        budget -= 1
+        if budget < 0:
+            raise InternalInvariantError("Laufer iteration exceeded its safety bound")
+
+    for _ in range(i_max):
+        add(v0)
+        active = True
+        while active:
+            active = False
+            for j in range(n):
+                if j != v0 and w[j] > 0:
+                    add(j)
+                    active = True
+                    break
+        values.append(chi)
+        cycles.append(tuple(x))
+    return values, cycles
 
 
 def laufer_tau(gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:

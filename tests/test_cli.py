@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hfroots.cli as cli
 import hfroots.plumbing as pl
 from hfroots.cli import main
 
@@ -14,6 +20,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
 
 
 class TestKnotCommand:
@@ -44,6 +57,16 @@ class TestComputeCommand:
         )
         assert code == 0
         assert out == (GOLDEN / "compute_45_2_1.json").read_text()
+
+    @pytest.mark.parametrize(
+        "newton, surgery, name",
+        [("4,5", "2/1", "compute_45_2_1"), ("4,5", "1/1", "compute_45_1_1"), ("2,3", "4/1", "compute_23_4_1")],
+    )
+    def test_golden_text(self, capsys, newton, surgery, name):
+        # r_a = 71/4 and 49/4; r_a = 30, an integer; integer and negative r_a side by side
+        code, out, _ = run(capsys, "compute", "--newton", newton, "--surgery", surgery)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.txt").read_text()
 
     def test_single_spinc_text(self, capsys):
         code, out, _ = run(
@@ -135,6 +158,13 @@ class TestVerifyCommand:
         assert doc["verification"]["ok"] is True
         assert doc["graphs"]["surgery"]["distinguished"] == doc["graphs"]["resolution"]["arrow"]
 
+    def test_golden_verify_text(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--newton", "2,3", "--surgery", "2/1", "--oracle", "both"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_23_2_1.txt").read_text()
+
     def test_lens(self, capsys):
         code, out, _ = run(capsys, "verify", "--lens", "7/3")
         assert code == 0
@@ -212,3 +242,53 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
         assert code == 3
         assert "internal invariant failure" in err
+
+
+class TestJsonWriter:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_edge_values(self):
+        for value in ({}, [], "", "\u00e9\U0001f600\"\\\n", 10**200, -(10**200), True, False, None,
+                      {"a": {}, "b": [[], {}], "c": [True, None, 0, -1]}):
+            assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 2), 0.5, [1, Fraction(3)], {"x": [0.0]}, (1, 2), {1: "key"}],
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["compute", "--newton", "4,5", "--surgery", "2/1", "--spinc", "0"],
+        ["knot", "--newton", "2,3", "--format", "json"],
+        ["compute", "--newton", "4,5", "--surgery", "2/1"],
+        ["verify", "--newton", "2,3", "--surgery", "3/1", "--spinc", "1", "--oracle", "both"],
+        ["verify", "--lens", "7/3", "--format", "json"],
+        ["compute", "--newton", "2,3", "--surgery", "6", "--format", "json"],
+        ["verify", "--newton", "2,3", "--surgery", "3/1"],
+        ["knot", "--newton", "2,2"],
+        ["compute", "--newton", "2,3", "--surgery", "3/1", "--spinc", "1", "--format", "json"],
+    ]
+
+    def test_interleaved_calls_match_fresh_ones(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in self.ARGVS]
+        assert reused == fresh
+        assert cli._parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        src = Path(cli.__file__).resolve().parent.parent
+        probe = "import hfroots.cli as c; print(c._parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"

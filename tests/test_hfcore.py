@@ -6,8 +6,16 @@ import pytest
 from corpus_cases import KNOT_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import closed_form_p1q1, grading_shift_direct, sw_invariant
+from oracles import (
+    closed_form_p1q1,
+    grading_shift_direct,
+    spinc_block,
+    spinc_fractions,
+    spinc_text,
+    sw_invariant,
+)
 
+import hfroots.cli as cli
 import hfroots.hfcore as hfcore
 from hfroots import (
     InternalInvariantError,
@@ -30,6 +38,12 @@ K45 = from_newton_pairs([(4, 5)])
 @cache
 def corpus_knots():
     return [from_newton_pairs(list(pairs)) for pairs in KNOT_CORPUS]
+
+
+def knots_within(p, q, depth=3000):
+    """Corpus knots whose classes have t_a <= depth at -p/q, that is
+    (2 delta - 1) q <= depth p; the trefoil qualifies for every q <= 3000."""
+    return [k for k in corpus_knots() if (2 * k.delta - 1) * q <= depth * p]
 
 
 def expected_module(tower, pairs, shift):
@@ -334,3 +348,43 @@ class TestClosedForm:
         knot = from_newton_pairs(pairs)
         res = compute_spinc(SurgerySpec(knot, 1, 1), 0)
         assert res.module == closed_form_p1q1(knot)
+
+
+class TestIntegerGrades:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.data())
+    def test_match_fraction_assembly(self, p, q, data):
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q))), p, q)
+        a = data.draw(st.integers(0, p - 1))
+        res, ref = compute_spinc(spec, a), spinc_fractions(spec, a)
+        assert res.shift == ref.shift
+        assert res.module.tower_grade == ref.tower_grade
+        assert res.module.finite_towers == ref.finite_towers
+        assert res.d_invariant == ref.d_invariant
+        assert res.sw_invariant == ref.sw_invariant
+        assert res.ker_u == ref.ker_u
+        assert res.coker_u == ref.coker_u
+        # written as (N + g D)/D and printed without Fractions, against Fraction's own
+        assert cli._spinc_block(res) == spinc_block(ref)
+        assert cli._spinc_text(res) == spinc_text(ref)
+
+    def test_stored_grades_are_ints(self):
+        for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
+            for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
+                module = res.module
+                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker)
+                assert all(type(g) is int for g in stored)
+                assert all(g % 2 == 0 for g in stored)
+                assert module.shift == res.shift
+
+    def test_module_equality_is_on_absolute_grades(self):
+        mod = UModuleDecomposition.from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
+        assert mod == UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4))
+        assert hash(mod) == hash(UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4)))
+        assert mod != UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(3, 4))
+        with pytest.raises(ValueError, match="even integer"):
+            UModuleDecomposition.from_parts(0, [(1, 1)])
+        with pytest.raises(ValueError, match="even integer"):
+            UModuleDecomposition.from_parts(0, [(Fraction(1, 2), 1)])

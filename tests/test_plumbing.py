@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     chain_coefficients,
     determinant,
+    laufer_run_rescan,
     laufer_tau,
     minimal_cycle_sequence,
     solve_exact,
@@ -17,7 +18,7 @@ from oracles import (
 )
 
 import hfroots.plumbing as pl
-from hfroots import SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
+from hfroots import InternalInvariantError, SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
@@ -343,6 +344,42 @@ class TestCycles:
                 _, cycles = pl.laufer_sequence(gm, classes[a], i_max)
                 for i in range(i_max + 1):
                     assert cycles[i][gm.n - s:] == chain_coefficients(spec, a, i)
+
+
+class TestLauferEngine:
+    def test_matches_rescan_on_oracle_corpus(self):
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            gf = pl.embedded_resolution(knot)
+            assert pl._laufer_run(gf, [0] * gf.n, 2 * knot.mf) == laufer_run_rescan(gf, [0] * gf.n, 2 * knot.mf)
+            for cls in classes:
+                i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
+                offsets = [int(v) for v in gm.apply_form(list(cls.l_prime))]
+                expected = laufer_run_rescan(gm, offsets, i_max)
+                assert pl.laufer_sequence(gm, cls, i_max) == expected, (pairs, p, q, cls.a)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-3, 3)), st.integers(0, 6))
+    def test_matches_rescan_on_random_trees(self, graph, i_max):
+        euler, parents, offsets = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        if not definite_by_reference(tree_form(euler, edges)):
+            return
+        g = pl.PlumbingGraph(euler, edges, distinguished=0)
+        assert pl._laufer_run(g, offsets, i_max) == laufer_run_rescan(g, offsets, i_max)
+
+    def test_step_cap_counts_single_additions(self, monkeypatch):
+        # x(1) = (1, 3, 2) on the chain -2 - -2 - -2 from offsets (0, 3, 0):
+        # six additions, the first two to b_1 in one batch
+        g = pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2)], distinguished=0)
+        values, cycles = pl._laufer_run(g, [0, 3, 0], 1)
+        assert (values, cycles) == laufer_run_rescan(g, [0, 3, 0], 1)
+        steps = sum(cycles[-1])
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps)
+        pl._laufer_run(g, [0, 3, 0], 1)
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps - 1)
+        with pytest.raises(InternalInvariantError, match="safety bound"):
+            pl._laufer_run(g, [0, 3, 0], 1)
 
 
 class TestLauferTau:
