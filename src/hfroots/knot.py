@@ -6,18 +6,24 @@ p_i >= 2, q_i >= 1, q_1 > p_1 and gcd(p_i, q_i) = 1.  From the pairs we
 derive everything else:
 
   * linking pairs (p_i, a_i): a_1 = q_1, a_{i+1} = q_{i+1} + p_{i+1} p_i a_i;
-  * the semigroup of intersection multiplicities, generated by
+  * the semigroup S of intersection multiplicities, generated by
     b0 = p_1...p_g, bk = a_k p_{k+1}...p_g (1 <= k < g) and bg = a_g,
-    whose finite complement (the gap set) has cardinality delta;
-  * the Milnor number mu = 2 delta, with largest gap mu - 1;
-  * the Alexander polynomial Delta, normalised by Delta(1) = 1, as the exact
-    quotient of cyclotomic-style products in the linking pairs;
-  * the coefficients alpha_i of the quadratic remainder Q in
-    Delta(t) = 1 + delta (t - 1) + (t - 1)^2 Q(t), which count gaps above i;
+    whose finite complement (the gap set G) has cardinality delta;
   * mf = a_g p_g, the multiplicity of the pulled-back germ along the
     distinguished (-1)-curve of the embedded resolution.
 
-All values are computed with integer arithmetic only.
+Everything else is read off the gap set (Campillo-Delgado-Gusein-Zade):
+
+  * the Milnor number mu = max G + 1, the conductor of S; S is symmetric,
+    so mu = 2 delta;
+  * the Alexander polynomial, from Delta(t)/(1 - t) = sum_{s in S} t^s,
+    i.e. Delta(t) = 1 + (t - 1) sum_{g in G} t^g, normalised by Delta(1) = 1;
+  * the coefficients alpha_i = #{g in G : g > i} of the quadratic remainder
+    Q in Delta(t) = 1 + delta (t - 1) + (t - 1)^2 Q(t), by one backward
+    pass over 0 <= i <= mu - 2.
+
+The semigroup table costs O(mf g) and every invariant after it O(mu).  All
+values are computed with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -39,27 +45,6 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
-    return out
-
-
-def poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; raises if a remainder is left."""
-    num = list(num)
-    dd = len(den) - 1
-    if den[dd] == 0:
-        raise ValueError("denominator has zero leading coefficient")
-    nz = [(j, dj) for j, dj in enumerate(den) if dj]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c, r = divmod(num[i], den[dd])
-        if r:
-            raise InternalInvariantError("polynomial division left a remainder")
-        if c:
-            out[i - dd] = c
-            for j, dj in nz:
-                num[i - dd + j] -= c * dj
-    if any(num):
-        raise InternalInvariantError("polynomial division left a remainder")
     return out
 
 
@@ -99,14 +84,15 @@ class NumericalSemigroup:
         return self.membership[k]
 
 
-def _semigroup_from_generators(gens: tuple[int, ...], bound: int) -> NumericalSemigroup:
+def _membership(gens: list[int], bound: int) -> list[bool]:
+    """Whether k lies in the semigroup generated by gens, for 0 <= k <= bound."""
     table = [False] * (bound + 1)
     table[0] = True
     for g in gens:
         for k in range(g, bound + 1):
             if table[k - g]:
                 table[k] = True
-    return NumericalSemigroup(generators=(0,) + tuple(sorted(gens)), membership=tuple(table))
+    return table
 
 
 @dataclass(frozen=True)
@@ -164,27 +150,12 @@ def _linking_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int],
     return tuple(linking)
 
 
-def _alexander(pairs, linking) -> list[int]:
-    g = len(pairs)
-    ps = [p for p, _ in pairs]
-    num: list[int] = [-1, 1]  # the (t - 1) factor
-    for i in range(g):
-        a_i = linking[i][1]
-        num = poly_mul(num, t_power_minus_one(a_i * prod(ps[i:])))
-    den_exponents = [linking[i][1] * prod(ps[i + 1:]) for i in range(g)]
-    den_exponents.append(prod(ps))
-    poly = num
-    for e in den_exponents:
-        poly = poly_divexact(poly, t_power_minus_one(e))
-    return poly
-
-
 def from_newton_pairs(pairs) -> AlgebraicKnot:
     """Build an AlgebraicKnot with all derived invariants.
 
     Rejects invalid pair sequences with a diagnostic.  Internal consistency
-    (degree of the Alexander polynomial, gap symmetry, gaps below mf) is
-    asserted; a failure there is a bug, not bad input.
+    (gaps below mf, a semigroup symmetric about its conductor) is asserted;
+    a failure there is a bug, not bad input.
     """
     pairs = _validate_pairs(pairs)
     linking = _linking_pairs(pairs)
@@ -197,21 +168,31 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
     gens.append(linking[-1][1])
     mf = linking[-1][1] * ps[-1]
 
-    alexander = _alexander(pairs, linking)
-    mu = len(alexander) - 1
-    bound = max(mu + 10, mf)
-    semigroup = _semigroup_from_generators(tuple(gens), bound)
-    gaps = tuple(k for k in range(bound + 1) if not semigroup.membership[k])
+    # every gap lies below mf, so mu <= mf and a table to mf + 10 holds the
+    # gap set and the final bound max(mu + 10, mf)
+    table = _membership(gens, mf + 10)
+    gaps = tuple(k for k, member in enumerate(table) if not member)
+    if gaps[-1] >= mf:
+        raise InternalInvariantError(f"gap {gaps[-1]} is not below mf = {mf}")
     delta = len(gaps)
+    mu = gaps[-1] + 1
+    # symmetry: exactly one of k and mu - 1 - k is in S, hence mu = 2 delta
+    if any(table[k] == table[mu - 1 - k] for k in range(mu)):
+        raise InternalInvariantError(f"semigroup is not symmetric about its conductor {mu}")
 
-    if mu != 2 * delta:
-        raise InternalInvariantError(f"deg Delta = {mu} != 2 delta = {2 * delta}")
-    if gaps and (gaps[-1] != mu - 1 or gaps[-1] >= mf):
-        raise InternalInvariantError("gap set does not end at mu - 1 below mf")
-    if sum(alexander) != 1:
-        raise InternalInvariantError("Alexander polynomial not normalised at t = 1")
-
-    alpha = tuple(sum(1 for k in gaps if k > i) for i in range(mu - 1))
+    alexander = [0] * (mu + 1)  # 1 + (t - 1) sum_{g in G} t^g
+    alexander[0] = 1
+    for k in gaps:
+        alexander[k + 1] += 1
+        alexander[k] -= 1
+    alpha = [0] * (mu - 1)  # alpha_i = #{g in G : g > i}
+    above = 0
+    for i in range(mu - 2, -1, -1):
+        above += not table[i + 1]
+        alpha[i] = above
+    semigroup = NumericalSemigroup(
+        generators=(0,) + tuple(sorted(gens)), membership=tuple(table[: max(mu + 10, mf) + 1])
+    )
     return AlgebraicKnot(
         newton_pairs=pairs,
         linking_pairs=linking,
@@ -220,6 +201,6 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
         delta=delta,
         mu=mu,
         alexander=tuple(alexander),
-        alpha=alpha,
+        alpha=tuple(alpha),
         mf=mf,
     )

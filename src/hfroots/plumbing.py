@@ -64,7 +64,7 @@ from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
 from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
-_SUBLEVEL_VOLUME_CAP = 10_000_000
+_SUBLEVEL_POINT_CAP = 10_000_000
 # Cache bounds: a resolution graph per knot (a run meets a handful of knots),
 # and the lens recursion's (p, q, i) values (under 2p of them for one lens).
 _RESOLUTION_CACHE_SIZE = 64
@@ -643,7 +643,8 @@ def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[
     x_0..x_{t-1}, so ranges over an exact interval around the centre of its
     Schur complement, found with isqrt; the slack is carried as the integer
     r_t = 4 M_0 M_t (2 n_max - f_min - sum_{s<t} w_s^2 / (4 M_s M_{s+1})).
-    The work grows with the points of the ellipsoid, not the box volume.
+    The work grows with the points of the ellipsoid, not the box volume;
+    more than _SUBLEVEL_POINT_CAP points raise ValueError.
     """
     n = g.n
     rows = [[-b for b in row] + [k] for row, k in zip(g.bmatrix(), kb)]
@@ -664,6 +665,8 @@ def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[
 
     def descend(t: int, r: int) -> None:
         if t == n:
+            if len(pts) == _SUBLEVEL_POINT_CAP:
+                raise ValueError(f"sublevel set exceeds the enumeration cap of {_SUBLEVEL_POINT_CAP} points")
             pts.append(tuple(x))
             return
         pr, mt, m_next = pivot_rows[t], minors[t], minors[t + 1]
@@ -692,17 +695,12 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
     box contains every relevant component; contact with the box boundary is
     reported via boundary_contact.  The points are found by exact
     enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`), which
-    the box only clips; its volume is still capped at 10^7 points.
+    the box only clips; the enumeration caps the points it produces at 10^7.
     """
     n = g.n
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box must give one (lo, hi) range per vertex")
-    volume = 1
-    for lo, hi in box:
-        volume *= max(hi - lo + 1, 0)
-    if volume > _SUBLEVEL_VOLUME_CAP:
-        raise ValueError(f"box volume {volume} exceeds the enumeration cap")
 
     kb = g.apply_form(list(kr))  # (k_r, b_j), must be integers
     if any(v.denominator != 1 for v in kb):
@@ -786,18 +784,22 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
 # ---------------------------------------------------------------------------
 
 
+def _check_lens(p: int, q: int) -> None:
+    """Accept coprime 0 < q < p, and p = q = 1 (S^3, whose one class has d = 0
+    on both routes); reject everything else."""
+    if p < 1:
+        raise ValueError("p must be positive")
+    if not (0 < q < p or p == q == 1):
+        raise ValueError("lens parameters need 0 < q < p, or p = q = 1")
+    if gcd(p, q) != 1:
+        raise ValueError("lens parameters must be coprime")
+
+
 def lens_d_invariants(p: int, q: int) -> list[Fraction]:
     """Correction terms of the surgered lens space, one per spin^c class,
     through the delta = 0 degeneration of the grading-shift formula
     (every class has depth -1, a bare-stem root, and d = shift)."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    if p == 1:
-        return [Fraction(0)]
-    if not (0 < q < p):
-        raise ValueError("lens parameters need 0 < q < p")
-    if gcd(p, q) != 1:
-        raise ValueError("lens parameters must be coprime")
+    _check_lens(p, q)
     return [grading_shift_formula(p, q, 0, a) for a in range(p)]
 
 
@@ -818,12 +820,5 @@ def lens_d_classical(p: int, q: int) -> list[Fraction]:
     two routes are compared as multisets because they index spin^c
     structures differently.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    if p == 1:
-        return [Fraction(0)]
-    if not (0 < q < p):
-        raise ValueError("lens parameters need 0 < q < p")
-    if gcd(p, q) != 1:
-        raise ValueError("lens parameters must be coprime")
+    _check_lens(p, q)
     return [_lens_d_rec(p, q, i) for i in range(p)]

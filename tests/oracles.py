@@ -3,6 +3,11 @@
 Each quantity is computed in one place in `hfroots`; the second routes live
 here, and the tests require identical results:
 
+  * the Alexander polynomial of an algebraic knot as the exact quotient of
+    cyclotomic-style products in its linking pairs, with mu = deg Delta,
+    delta = Delta'(1) and alpha from Q = (Delta - 1 - delta (t - 1))/(t - 1)^2
+    by exact polynomial division (the package reads all four off the gap
+    set of the semigroup);
   * the original graded-root algorithms: the merge tree of tau by rescanning
     tau at every level, and the Z[U]-module by a parent-pointer walk for
     every pair of leaves (`hfroots.root` does both in one sweep over tau in
@@ -32,14 +37,68 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from itertools import product as iter_product
+from math import prod
 from typing import Callable, Optional
 
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError
 from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
-from hfroots.knot import AlgebraicKnot
+from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import mod_inverse
 from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
+
+BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
+
+
+def poly_divexact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division of integer polynomials; raises if a remainder is left."""
+    num = list(num)
+    dd = len(den) - 1
+    if den[dd] == 0:
+        raise ValueError("denominator has zero leading coefficient")
+    nz = [(j, dj) for j, dj in enumerate(den) if dj]
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c, r = divmod(num[i], den[dd])
+        if r:
+            raise InternalInvariantError("polynomial division left a remainder")
+        if c:
+            out[i - dd] = c
+            for j, dj in nz:
+                num[i - dd + j] -= c * dj
+    if any(num):
+        raise InternalInvariantError("polynomial division left a remainder")
+    return out
+
+
+def alexander_product(pairs, linking) -> list[int]:
+    """Delta(t) = (t - 1) prod_i (t^{a_i p_i...p_g} - 1) divided exactly by
+    prod_i (t^{a_i p_{i+1}...p_g} - 1) and (t^{p_1...p_g} - 1)."""
+    g = len(pairs)
+    ps = [p for p, _ in pairs]
+    num: list[int] = [-1, 1]  # the (t - 1) factor
+    for i in range(g):
+        a_i = linking[i][1]
+        num = poly_mul(num, t_power_minus_one(a_i * prod(ps[i:])))
+    den_exponents = [linking[i][1] * prod(ps[i + 1:]) for i in range(g)]
+    den_exponents.append(prod(ps))
+    poly = num
+    for e in den_exponents:
+        poly = poly_divexact(poly, t_power_minus_one(e))
+    return poly
+
+
+def product_invariants(knot: AlgebraicKnot) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+    """(Delta, mu, delta, alpha) from the product formula alone: mu = deg Delta,
+    delta = Delta'(1) and alpha the coefficients of
+    Q = (Delta - 1 - delta (t - 1)) / (t - 1)^2."""
+    alexander = alexander_product(knot.newton_pairs, knot.linking_pairs)
+    delta = sum(e * c for e, c in enumerate(alexander))
+    num = list(alexander)
+    num[0] += delta - 1
+    num[1] -= delta
+    alpha = poly_divexact(num, [1, -2, 1])
+    return tuple(alexander), len(alexander) - 1, delta, tuple(alpha)
 
 
 def merge_level(root: GradedRoot, u: int, v: int) -> int:
@@ -415,7 +474,7 @@ def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int,
     volume = 1
     for lo, hi in box:
         volume *= max(hi - lo + 1, 0)
-    if volume > pl._SUBLEVEL_VOLUME_CAP:
+    if volume > BOX_VOLUME_CAP:
         raise ValueError(f"box volume {volume} exceeds the enumeration cap")
 
     kb = g.apply_form(list(kr))  # (k_r, b_j), must be integers

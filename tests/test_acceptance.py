@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 from corpus_cases import KNOT_CORPUS, ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SURGERY_CORPUS
-from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence
+from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence, product_invariants
 
 import hfroots.plumbing as pl
 from hfroots import (
@@ -126,11 +126,12 @@ def test_criterion_7():
     assert time.perf_counter() - start < 300.0
 
 
-@pytest.mark.criterion(8, "Alexander/semigroup identities on the full knot corpus")
+@pytest.mark.criterion(8, "Alexander/semigroup identities and the product formula on the full knot corpus")
 def test_criterion_8():
     for pairs in KNOT_CORPUS:
         knot = from_newton_pairs(list(pairs))
         alex = knot.alexander
+        assert (alex, knot.mu, knot.delta, knot.alpha) == product_invariants(knot)
         assert sum(alex) == 1
         assert sum(e * c for e, c in enumerate(alex)) == knot.delta
         acc = 0

@@ -3,10 +3,13 @@
 Each document that `bench/workloads.candidates()` can produce is run through
 `hfroots.cli.main`, as the benchmark runs it, and must match its sha256 in
 `bench/digests.json` and pass `bench/gate.problems`.  Nothing under `bench/`
-is written.
+is written, except by `bench/run.py --quick`, which keeps its output under the
+git-ignored `bench/_work/` and removes it.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from hfroots.cli import main
@@ -35,3 +38,14 @@ def test_every_candidate_matches_its_pin(tmp_path):
         if issues:
             failures.append(f"{key}: {'; '.join(issues)}")
     assert failures == []
+
+
+def test_quick_run_passes():
+    # the traced quick run is what calls the package the way bench/tracer.py
+    # reads it: sublevel_root's fourth positional argument, the
+    # (values, cycles) pair of laufer_sequence, embedded_resolution.cache_info()
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--quick"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -175,6 +175,14 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["verification"]["multiset_ok"] is True
 
+    @pytest.mark.parametrize("lens", ["1/0", "1/-5", "1/2", "3/4"])
+    def test_lens_rejects_invalid(self, capsys, lens):
+        # p = 1 is S^3 only with q = 1; other q are refused like 3/4
+        code, out, err = run(capsys, "verify", "--lens", lens)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: lens parameters need 0 < q < p")
+
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "verify", "--newton", "2,3")
         assert code == 1

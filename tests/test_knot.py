@@ -1,8 +1,37 @@
-import pytest
+from math import gcd
 
-from hfroots.knot import from_newton_pairs, poly_divexact, poly_mul, t_power_minus_one
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hfroots.knot import from_newton_pairs, poly_mul, t_power_minus_one
 
 from corpus_cases import KNOT_CORPUS
+from oracles import poly_divexact, product_invariants
+
+MF_MAX = 5000
+
+
+@st.composite
+def newton_pair_sequences(draw):
+    """1-3 valid Newton pairs with mf = a_g p_g <= MF_MAX; a pair that cannot
+    keep mf under the bound ends the sequence early.  Half the q draws are
+    small, so that later pairs still fit."""
+    pairs = []
+    a = p_prev = 0
+    for i in range(draw(st.integers(1, 3))):
+        # mf = p (q + p p_prev a) for this pair as the last one
+        q_range = {p: (1 if i else p + 1, MF_MAX // p - p * p_prev * a) for p in range(2, 13)}
+        fits = [p for p, (lo, hi) in q_range.items() if lo <= hi]
+        if not fits:
+            break
+        p = draw(st.sampled_from(fits))
+        lo, hi = q_range[p]
+        q = draw(st.integers(lo, min(hi, lo + 8)) | st.integers(lo, hi))  # small q leaves room
+        assume(gcd(p, q) == 1)
+        pairs.append((p, q))
+        a, p_prev = q + p * p_prev * a, p
+    return pairs
 
 
 def series_from_alexander(alex, order):
@@ -121,6 +150,17 @@ class TestInvariants:
             assert all(g < k.mf for g in k.gaps)
             assert k.mu == 2 * k.delta
             assert k.gaps[-1] == k.mu - 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(newton_pair_sequences())
+    def test_gap_route_matches_product_formula(self, pairs):
+        # Delta, mu, delta and alpha from the gap set against the cyclotomic
+        # product and exact division, on knots beyond the corpus
+        k = from_newton_pairs(pairs)
+        assert k.mf <= MF_MAX
+        assert (k.alexander, k.mu, k.delta, k.alpha) == product_invariants(k)
+        for j in range(k.mu):
+            assert (j in k.semigroup) != ((k.mu - 1 - j) in k.semigroup)
 
     def test_semigroup_closed_under_addition(self):
         import random

@@ -454,11 +454,23 @@ class TestSublevel:
         with pytest.raises(ValueError, match="empty sublevel"):
             pl.sublevel_root(g, kr, -1, ((-3, 3),))
 
-    def test_volume_cap(self):
+    def test_volume_cap(self, monkeypatch):
+        # the cap counts enumerated points, not the box volume: a 601^3 box
+        # gives the exact box's root, and only a sublevel set over the cap
+        # (19 points at n_max = 2) is refused
         g = pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2)])
         kr = pl.canonical_class(g)
-        with pytest.raises(ValueError, match="volume"):
-            pl.sublevel_root(g, kr, 0, ((-300, 300),) * 3)
+        wide = ((-300, 300),) * 3
+        for n_max in (0, 2):
+            exact = pl.exact_sublevel_box(g, kr, n_max)
+            assert sublevel_outcome(pl.sublevel_root, g, kr, n_max, wide) == sublevel_outcome(
+                pl.sublevel_root, g, kr, n_max, exact
+            )
+        monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 19)
+        pl.sublevel_root(g, kr, 2, wide)  # exactly at the cap
+        monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 18)
+        with pytest.raises(ValueError, match="enumeration cap of 18 points"):
+            pl.sublevel_root(g, kr, 2, wide)
 
     def test_laufer_cycles_inside_exact_box(self):
         # the search box the sublevel oracle uses already holds every Laufer cycle
