@@ -5,7 +5,7 @@ terms and Seiberg-Witten invariants, through graded roots, together with an
 independent plumbing-lattice oracle for cross-validation.
 """
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 from .hfcore import (
     SpincResult,
     SurgerySpec,
@@ -33,6 +33,7 @@ __all__ = [
     "InternalInvariantError",
     "NegContinuedFraction",
     "NumericalSemigroup",
+    "ResourceLimitError",
     "SpincResult",
     "SurgerySpec",
     "TauFunction",

@@ -9,8 +9,10 @@ json.dumps(doc, indent=2) and rejects any value but dict, list, str, int,
 bool and None.  Output is deterministic byte for byte; timings go to the log
 (HFROOTS_LOG=debug|info), never into the document.
 
-Exit codes: 0 ok, 1 input error, 2 verification mismatch (or an oracle whose
-search box was invalidated), 3 internal invariant failure.
+Exit codes: 0 ok, 1 input error (usage errors from the argument parser
+included), 2 verification mismatch (or an oracle whose search box was
+invalidated), 3 internal invariant failure, 4 resource limit reached (the
+Laufer step cap or the sublevel point cap).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import hfcore, plumbing
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 from .grading import Grading
 from .knot import AlgebraicKnot, from_newton_pairs
 from .root import TauFunction, render, root_from_tau
@@ -405,12 +407,20 @@ def main(argv=None) -> int:
     level = os.environ.get("HFROOTS_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
                         format="%(name)s %(levelname)s %(message)s")
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a mismatch here
+        if exc.code == 0:  # --help
+            raise
+        return 1
     try:
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

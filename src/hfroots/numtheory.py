@@ -1,9 +1,10 @@
 """Exact integer and rational arithmetic utilities.
 
-Negative (Hirzebruch-Jung) continued fractions together with their numerator
-table n_ij, modular inverses normalised to the window [1, p], Dedekind sums
-and floor sums.  Every quantity is an int or a Fraction; floats never appear,
-so all downstream gradings and correction terms stay exact.
+Negative (Hirzebruch-Jung) continued fractions with the one column n(., s) of
+their numerator table and the entry q' = n(1, s-1), modular inverses
+normalised to the window [1, p], Dedekind sums and floor sums.  Every
+quantity is an int or a Fraction; floats never appear, so all downstream
+gradings and correction terms stay exact.
 
 `dedekind_sum(q, p)` and `floor_sum(n, m, a, b)` run Euclid-like loops of
 O(log p) and O(log m) big-integer steps.
@@ -85,21 +86,43 @@ class NegContinuedFraction:
     """Expansion p/q = [k_1, ..., k_s] = k_1 - 1/(k_2 - 1/(... - 1/k_s)).
 
     The expansion with k_1 >= 1 and k_j >= 2 for j >= 2 is unique; q > p is
-    allowed and forces k_1 = 1.  The attached table n(i, j) holds the
-    numerator of [k_i, ..., k_j], with the boundary conventions
-    n(i, i-1) = 1 and n(i, j) = 0 for j < i - 1; the denominator of
-    [k_i, ..., k_j] is n(i+1, j).  In particular n(1, s) = p, n(2, s) = q,
-    and q' := n(1, s-1) is the inverse of q modulo p inside [1, p].
+    allowed and forces k_1 = 1.  Write n(i, j) for the numerator of
+    [k_i, ..., k_j], with n(i, i-1) = 1 and n(i, j) = 0 for j < i - 1.  The
+    package reads one column of that table and one other entry, both made on
+    construction:
 
-    Instances are immutable by convention; n-columns are cached on demand.
+      * `tail`, with tail[i-1] = n(i, s) for 1 <= i <= s+1, by the backward
+        recursion n(i, s) = k_i n(i+1, s) - n(i+2, s); so tail[0] = p,
+        tail[1] = q and tail[s] = 1;
+      * `q_prime` = n(1, s-1), by the forward recursion
+        P_j = k_j P_{j-1} - P_{j-2} from P_0 = 1, P_{-1} = 0, where
+        P_j = n(1, j); it is the inverse of q modulo p inside [1, p].
+
+    Instances are immutable by convention.
     """
 
     def __init__(self, p: int, q: int, terms: tuple[int, ...]):
         self.p = p
         self.q = q
         self.terms = terms
-        self._columns: dict[int, list[int]] = {}
-        self._validate()
+        if not terms:
+            raise ValueError("empty continued fraction")
+        if terms[0] < 1 or any(k < 2 for k in terms[1:]):
+            raise ValueError(f"not a normalised expansion: {terms}")
+        col = [0, 1]  # n(s+2, s), n(s+1, s), then n(s, s), ..., n(1, s)
+        for k in reversed(terms):
+            col.append(k * col[-1] - col[-2])
+        self.tail = tuple(reversed(col[1:]))
+        if self.tail[0] != p:
+            raise ValueError("numerator column does not reproduce p")
+        if self.tail[1] != q:
+            raise ValueError("numerator column does not reproduce q")
+        before, qp = 0, 1  # P_{-1}, P_0
+        for k in terms[:-1]:
+            before, qp = qp, k * qp - before
+        if not (1 <= qp <= p) or (q * qp) % p != 1 % p:
+            raise ValueError("q' = n(1, s-1) is not the normalised inverse of q")
+        self.q_prime = qp
 
     def __repr__(self):
         return f"NegContinuedFraction({self.p}/{self.q} = {list(self.terms)})"
@@ -107,46 +130,6 @@ class NegContinuedFraction:
     @property
     def s(self) -> int:
         return len(self.terms)
-
-    def n(self, i: int, j: int) -> int:
-        """Numerator n_ij of [k_i, ..., k_j] (1-indexed)."""
-        if j < i - 1:
-            return 0
-        if j == i - 1:
-            return 1
-        if not (1 <= i and j <= self.s):
-            raise IndexError(f"n({i},{j}) out of range for s={self.s}")
-        return self._column(j)[i]
-
-    def _column(self, j: int) -> list[int]:
-        # column[i] = n_ij for 1 <= i <= j+1, via n_ij = k_i n_{i+1,j} - n_{i+2,j}
-        col = self._columns.get(j)
-        if col is None:
-            col = [0] * (j + 2)
-            col[j + 1] = 1
-            for i in range(j, 0, -1):
-                below = col[i + 2] if i + 2 <= j + 1 else 0
-                col[i] = self.terms[i - 1] * col[i + 1] - below
-            self._columns[j] = col
-        return col
-
-    @property
-    def q_prime(self) -> int:
-        """q' = n(1, s-1); satisfies 1 <= q' <= p and q q' = 1 (mod p)."""
-        return self.n(1, self.s - 1)
-
-    def _validate(self):
-        if self.s == 0:
-            raise ValueError("empty continued fraction")
-        if self.terms[0] < 1 or any(k < 2 for k in self.terms[1:]):
-            raise ValueError(f"not a normalised expansion: {self.terms}")
-        if self.n(1, self.s) != self.p:
-            raise ValueError("numerator table does not reproduce p")
-        if self.n(2, self.s) != self.q:
-            raise ValueError("numerator table does not reproduce q")
-        qp = self.q_prime
-        if not (1 <= qp <= self.p) or (self.q * qp) % self.p != 1 % self.p:
-            raise ValueError("q' = n(1, s-1) is not the normalised inverse of q")
 
 
 def neg_cfrac(p: int, q: int) -> NegContinuedFraction:

@@ -57,14 +57,14 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 from .hfcore import SurgerySpec
 from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
 from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
-_SUBLEVEL_POINT_CAP = 10_000_000
+_SUBLEVEL_POINT_CAP = 1_000_000
 # Cache bounds: a resolution graph per knot (a run meets a handful of knots),
 # and the lens recursion's (p, q, i) values (under 2p of them for one lens).
 _RESOLUTION_CACHE_SIZE = 64
@@ -358,11 +358,13 @@ def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingG
     return gm
 
 
-def _check_characteristic(g: PlumbingGraph, coeffs) -> None:
-    """(k, b_j) + (b_j, b_j) must be even on every basis vector."""
-    for j, v in enumerate(g.apply_form(list(coeffs))):
-        if v.denominator != 1 or (int(v) + g.euler[j]) % 2:
-            raise InternalInvariantError("vector is not characteristic")
+def _check_characteristic(g: PlumbingGraph, coeffs) -> tuple[int, ...]:
+    """(k, b_j) + (b_j, b_j) must be even on every basis vector; returns the
+    integers (k, b_j)."""
+    pairs = g.apply_form(list(coeffs))
+    if any(v.denominator != 1 or (v + e) % 2 for v, e in zip(pairs, g.euler)):
+        raise InternalInvariantError("vector is not characteristic")
+    return tuple(int(v) for v in pairs)
 
 
 def canonical_class(g: PlumbingGraph) -> tuple[Fraction, ...]:
@@ -385,32 +387,37 @@ class SpincClass:
     a_coeffs are the chain coefficients of the minimal dual-lattice
     representative (they obey the strict inequalities (SI)); l_prime is that
     representative pulled back to the surgery lattice; k_r = K + 2 l_prime
-    is the distinguished characteristic vector of the class.
+    is the distinguished characteristic vector of the class.  l_pairs and
+    k_pairs are the integers (l_prime, b_j) and (k_r, b_j), computed in the
+    lattice and checked once when the class is built.
     """
 
     a: int
     a_coeffs: tuple[int, ...]
     l_prime: tuple[Fraction, ...]
     k_r: tuple[Fraction, ...]
+    l_pairs: tuple[int, ...]
+    k_pairs: tuple[int, ...]
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     """Greedy floor recursion for the chain coefficients of class a."""
-    s = cfrac.s
+    tail = cfrac.tail  # tail[i-1] = n(i, s)
     out = []
     rem = a
-    for i in range(1, s + 1):
-        ai, rem = divmod(rem, cfrac.n(i + 1, s))
+    for d in tail[1:]:
+        ai, rem = divmod(rem, d)
         out.append(ai)
     coeffs = tuple(out)
     # (SI): a_i >= 0 and sum_{t>=i} n(t+1,s) a_t < n(i,s), plus reconstruction
     if any(x < 0 for x in coeffs):
         raise InternalInvariantError("(SI) violated: negative coefficient")
-    for i in range(1, s + 1):
-        tail = sum(cfrac.n(t + 1, s) * coeffs[t - 1] for t in range(i, s + 1))
-        if tail >= cfrac.n(i, s):
+    acc = 0  # sum_{t>=i} n(t+1,s) a_t, for i from s down to 1
+    for i in range(cfrac.s, 0, -1):
+        acc += tail[i] * coeffs[i - 1]
+        if acc >= tail[i - 1]:
             raise InternalInvariantError("(SI) violated: tail bound")
-    if sum(cfrac.n(t + 1, s) * coeffs[t - 1] for t in range(1, s + 1)) != a:
+    if acc != a:
         raise InternalInvariantError("(SI) coefficients do not reconstruct a")
     return coeffs
 
@@ -456,8 +463,8 @@ def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, frame, a: int) 
     if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
         raise InternalInvariantError("l' is not the minimal representative")
     kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-    _check_characteristic(gm, kr)
-    return SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr)
+    return SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr,
+                      l_pairs=tuple(int(x) for x in pair), k_pairs=_check_characteristic(gm, kr))
 
 
 def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
@@ -476,8 +483,9 @@ def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:
 
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
-    """-(k_r^2 + #vertices) / 4, evaluated in the lattice."""
-    return -(gm.pairing(cls.k_r, cls.k_r) + gm.n) / 4
+    """-(k_r^2 + #vertices) / 4, evaluated in the lattice: k_r^2 is the sum
+    of k_r[j] (k_r, b_j) over the vertices."""
+    return -(sum(k * b for k, b in zip(cls.k_r, cls.k_pairs)) + gm.n) / 4
 
 
 def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
@@ -515,7 +523,8 @@ def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
     on a stack, and the one popped gets all k = ceil(w_j / |e_j|) of its
     forced additions at once.  chi is tracked incrementally: adding b_j
     changes chi by 1 - w_j, so k additions change it by
-    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions.
+    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions;
+    passing it raises ResourceLimitError.
     """
     v0 = g.distinguished
     if v0 is None:
@@ -541,7 +550,7 @@ def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
                 ready.append(nb)
         budget -= k
         if budget < 0:
-            raise InternalInvariantError("Laufer iteration exceeded its safety bound")
+            raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
 
     for _ in range(i_max):
         add(v0, 1)
@@ -557,15 +566,9 @@ def laufer_sequence(gm: PlumbingGraph, cls: SpincClass, i_max: int):
     """chi values and cycles of the generalized Laufer sequence x(i).
 
     x(i) is minimal with pr_{v0} = i and (x(i) + l', b_j) <= 0 for j != v0;
-    chi is taken with respect to k_r.
+    chi is taken with respect to k_r.  The offsets are the class's l_pairs.
     """
-    pair = gm.apply_form(list(cls.l_prime))
-    offsets = []
-    for v in pair:
-        if v.denominator != 1:
-            raise InternalInvariantError("(l', b_j) must be integral")
-        offsets.append(int(v))
-    return _laufer_run(gm, offsets, i_max)
+    return _laufer_run(gm, list(cls.l_pairs), i_max)
 
 
 def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
@@ -644,7 +647,7 @@ def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[
     Schur complement, found with isqrt; the slack is carried as the integer
     r_t = 4 M_0 M_t (2 n_max - f_min - sum_{s<t} w_s^2 / (4 M_s M_{s+1})).
     The work grows with the points of the ellipsoid, not the box volume;
-    more than _SUBLEVEL_POINT_CAP points raise ValueError.
+    more than _SUBLEVEL_POINT_CAP = 10^6 points raise ResourceLimitError.
     """
     n = g.n
     rows = [[-b for b in row] + [k] for row, k in zip(g.bmatrix(), kb)]
@@ -666,7 +669,7 @@ def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[
     def descend(t: int, r: int) -> None:
         if t == n:
             if len(pts) == _SUBLEVEL_POINT_CAP:
-                raise ValueError(f"sublevel set exceeds the enumeration cap of {_SUBLEVEL_POINT_CAP} points")
+                raise ResourceLimitError(f"sublevel set exceeds the enumeration cap of {_SUBLEVEL_POINT_CAP} points")
             pts.append(tuple(x))
             return
         pr, mt, m_next = pivot_rows[t], minors[t], minors[t + 1]
@@ -695,7 +698,8 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
     box contains every relevant component; contact with the box boundary is
     reported via boundary_contact.  The points are found by exact
     enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`), which
-    the box only clips; the enumeration caps the points it produces at 10^7.
+    the box only clips; the enumeration caps the points it produces at 10^6
+    and raises ResourceLimitError beyond that.
     """
     n = g.n
     box = tuple((int(lo), int(hi)) for lo, hi in box)

@@ -178,21 +178,6 @@ class UModuleDecomposition:
     tower: int
     towers: tuple[tuple[int, int], ...]
 
-    @staticmethod
-    def from_parts(tower_grade, towers) -> "UModuleDecomposition":
-        """From absolute grades (ints or Fractions), which must all differ
-        from tower_grade by even integers."""
-        shift = Fraction(tower_grade) % 2
-
-        def even(g) -> int:
-            k = Fraction(g) - shift
-            if k.denominator != 1 or k.numerator % 2:
-                raise ValueError(f"grade {g} is not {tower_grade} plus an even integer")
-            return k.numerator
-
-        canon = tuple(sorted((even(g), int(n)) for g, n in towers))
-        return UModuleDecomposition(shift, even(tower_grade), canon)
-
     def shifted(self, r) -> "UModuleDecomposition":
         """The same module with every grade raised by r."""
         shift = self.shift + r if self.shift else r  # 0 + r would only copy r

@@ -8,8 +8,8 @@ all graphs stay well under 40 vertices and the Laufer runs stay short enough
 that the whole sweep finishes in seconds.
 
 SUBLEVEL_CASES: the subset whose sublevel sets are enumerated (graphs of at
-most 6 vertices, sublevel sets of at most a few hundred points, far under
-the cap of 10^7 enumerated points).  SUBLEVEL_REFERENCE_CASES, its first
+most 6 vertices, sublevel sets of at most 1,888 points, far under the cap
+of 10^6 enumerated points).  SUBLEVEL_REFERENCE_CASES, its first
 seven entries, keep boxes under 3 * 10^5 points, small enough for the
 box-sweep reference to sweep every point.
 """

@@ -12,6 +12,11 @@ here, and the tests require identical results:
     tau at every level, and the Z[U]-module by a parent-pointer walk for
     every pair of leaves (`hfroots.root` does both in one sweep over tau in
     (value, index) order);
+  * the whole numerator table n(i, j) of a negative continued fraction,
+    column by column (the package keeps the one column n(., s) and
+    q' = n(1, s-1), from two three-term recursions);
+  * a Z[U]-module from its absolute grades (the package builds modules only
+    from integer grades and one shift);
   * the Dedekind sum and the grading shift r_a by direct O(p) summation (the
     package uses reciprocity, a floor sum and per-spec constants);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
@@ -41,7 +46,7 @@ from math import prod
 from typing import Callable, Optional
 
 import hfroots.plumbing as pl
-from hfroots.errors import InternalInvariantError
+from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import mod_inverse
@@ -99,6 +104,56 @@ def product_invariants(knot: AlgebraicKnot) -> tuple[tuple[int, ...], int, int, 
     num[1] -= delta
     alpha = poly_divexact(num, [1, -2, 1])
     return tuple(alexander), len(alexander) - 1, delta, tuple(alpha)
+
+
+class NumeratorTable:
+    """The table n(i, j) of the numerators of [k_i, ..., k_j], with the
+    boundary conventions n(i, i-1) = 1 and n(i, j) = 0 for j < i - 1; the
+    denominator of [k_i, ..., k_j] is n(i+1, j).  Columns are cached on
+    demand."""
+
+    def __init__(self, terms: tuple[int, ...]):
+        self.terms = terms
+        self.s = len(terms)
+        self._columns: dict[int, list[int]] = {}
+
+    def n(self, i: int, j: int) -> int:
+        """Numerator n_ij of [k_i, ..., k_j] (1-indexed)."""
+        if j < i - 1:
+            return 0
+        if j == i - 1:
+            return 1
+        if not (1 <= i and j <= self.s):
+            raise IndexError(f"n({i},{j}) out of range for s={self.s}")
+        return self._column(j)[i]
+
+    def _column(self, j: int) -> list[int]:
+        # column[i] = n_ij for 1 <= i <= j+1, via n_ij = k_i n_{i+1,j} - n_{i+2,j}
+        col = self._columns.get(j)
+        if col is None:
+            col = [0] * (j + 2)
+            col[j + 1] = 1
+            for i in range(j, 0, -1):
+                below = col[i + 2] if i + 2 <= j + 1 else 0
+                col[i] = self.terms[i - 1] * col[i + 1] - below
+            self._columns[j] = col
+        return col
+
+
+def module_from_parts(tower_grade, towers) -> UModuleDecomposition:
+    """The module T+_{tower_grade} plus finite towers (grade, length), from
+    absolute grades (ints or Fractions), which must all differ from
+    tower_grade by even integers."""
+    shift = Fraction(tower_grade) % 2
+
+    def even(g) -> int:
+        k = Fraction(g) - shift
+        if k.denominator != 1 or k.numerator % 2:
+            raise ValueError(f"grade {g} is not {tower_grade} plus an even integer")
+        return k.numerator
+
+    canon = tuple(sorted((even(g), int(n)) for g, n in towers))
+    return UModuleDecomposition(shift, even(tower_grade), canon)
 
 
 def merge_level(root: GradedRoot, u: int, v: int) -> int:
@@ -172,7 +227,7 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
     for k, v in enumerate(leaves[1:], start=1):
         w_level = min(merge_level(root, v, u) for u in leaves[:k])
         towers.append((Fraction(2 * root.chi[v]), w_level - root.chi[v]))
-    return UModuleDecomposition.from_parts(Fraction(2 * root.chi[first]), towers)
+    return module_from_parts(Fraction(2 * root.chi[first]), towers)
 
 
 def dedekind_sum_direct(q: int, p: int) -> Fraction:
@@ -324,7 +379,7 @@ def closed_form_p1q1(knot: AlgebraicKnot) -> UModuleDecomposition:
     for i in range(1, d):
         towers.append((Fraction(i * (i + 1)), alpha(d - 1 + i)))
         towers.append((Fraction(i * (i + 1)), alpha(d - 1 + i)))
-    return UModuleDecomposition.from_parts(Fraction(0), towers)
+    return module_from_parts(Fraction(0), towers)
 
 
 def determinant(mat: list[list[int]]) -> int:
@@ -409,7 +464,7 @@ def laufer_run_rescan(g: pl.PlumbingGraph, offsets: list[int], i_max: int):
             w[nb] += 1
         budget -= 1
         if budget < 0:
-            raise InternalInvariantError("Laufer iteration exceeded its safety bound")
+            raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {pl._LAUFER_STEP_CAP} additions")
 
     for _ in range(i_max):
         add(v0)
@@ -442,17 +497,18 @@ def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
     """
     cfrac = spec.cfrac
     s = cfrac.s
+    table = NumeratorTable(cfrac.terms)
     acoef = pl._si_coefficients(cfrac, a)
     aprime = [0] * (s + 2)
     for j in range(s, 0, -1):
-        aprime[j] = aprime[j + 1] + cfrac.n(j + 1, s) * acoef[j - 1]
+        aprime[j] = aprime[j + 1] + table.n(j + 1, s) * acoef[j - 1]
     u = []
     num = i * spec.q - a
     den = spec.p + spec.q * spec.knot.mf
     u.append(-(-num // den))
     for j in range(2, s + 1):
-        num = u[-1] * cfrac.n(j + 1, s) - aprime[j]
-        u.append(-(-num // cfrac.n(j, s)))
+        num = u[-1] * table.n(j + 1, s) - aprime[j]
+        u.append(-(-num // table.n(j, s)))
     return tuple(u)
 
 

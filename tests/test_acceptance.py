@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 from corpus_cases import KNOT_CORPUS, ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SURGERY_CORPUS
-from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence, product_invariants
+from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence, module_from_parts, product_invariants
 
 import hfroots.plumbing as pl
 from hfroots import (
@@ -22,11 +22,10 @@ from hfroots import (
     root_from_tau,
     tau_depth,
 )
-from hfroots.root import UModuleDecomposition
 
 
 def module(tower, pairs, shift):
-    return UModuleDecomposition.from_parts(tower, pairs).shifted(shift)
+    return module_from_parts(tower, pairs).shifted(shift)
 
 
 @pytest.mark.criterion(1, "(4,5), -2/1, a=0: module T+[-18] + 2 T[-16](2) + 2 T[-10](1) + 2 T[0](1), shift 71/4, < 1 s")

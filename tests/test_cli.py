@@ -1,8 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -250,6 +253,112 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
         assert code == 3
         assert "internal invariant failure" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["knot"],  # no --newton
+            ["verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "nope"],
+            ["compute", "--newton", "2,3", "--surgery", "1/1", "--format", "pdf"],
+            ["compute", "--newton", "2,3", "--surgery", "-3/-1"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own exit code 2 would read as a verification mismatch
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: hfroots" in capsys.readouterr().out
+
+    def test_laufer_step_cap_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", 3)
+        code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "laufer")
+        assert code == 4
+        assert out == ""
+        assert err == "error: Laufer iteration exceeded its step cap of 3 additions\n"
+
+    def test_sublevel_point_cap_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 2)
+        code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "sublevel")
+        assert code == 4
+        assert out == ""
+        assert err == "error: sublevel set exceeds the enumeration cap of 2 points\n"
+
+
+SMALL = st.integers(-3, 12)
+NONPOSITIVE = st.integers(-3, 0)
+VALID_NEWTON = ["2,3", "2,5", "3,4", "2,3,2,1"]
+BAD_NEWTON = st.one_of(
+    st.integers(0, 2).flatmap(lambda k: st.lists(SMALL, min_size=2 * k + 1, max_size=2 * k + 1)).map(
+        lambda xs: ",".join(map(str, xs))
+    ),  # odd length
+    st.tuples(NONPOSITIVE, SMALL, st.booleans(), st.booleans()).map(
+        lambda t: ("2,3," if t[3] else "") + (f"{t[0]},{t[1]}" if t[2] else f"{t[1]},{t[0]}")
+    ),  # a zero or negative entry
+    st.tuples(SMALL, st.sampled_from(["x", "2.5", "", "3/2", " "])).map(lambda t: f"{t[0]},{t[1]}"),
+)
+VALID_FRACTION = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda pq: gcd(*pq) == 1)
+BAD_FRACTION = st.one_of(
+    st.tuples(SMALL, SMALL, SMALL).map(lambda t: "/".join(map(str, t))),  # extra slash
+    st.sampled_from(["1.5", "a/2", "2/x", "", "1//2", "/"]),
+    st.tuples(NONPOSITIVE, SMALL).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(SMALL, NONPOSITIVE).map(lambda t: f"{t[0]}/{t[1]}"),
+    NONPOSITIVE.map(str),
+)
+
+
+@st.composite
+def malformed_argv(draw):
+    """A knot, compute or verify argv with at least one malformed field: a
+    bad value, an unknown choice or a missing required flag."""
+    command = draw(st.sampled_from(["knot", "compute", "verify"]))
+    flags = ["--newton", "--format"]
+    if command != "knot":
+        flags += ["--surgery", "--spinc"]
+    if command == "verify":
+        flags.append("--oracle")
+    bad = draw(st.lists(st.sampled_from(flags + ["missing"]), min_size=1, max_size=2, unique=True))
+    p, q = draw(VALID_FRACTION)
+    choices = {
+        "--newton": (BAD_NEWTON, st.sampled_from(VALID_NEWTON)),
+        "--surgery": (BAD_FRACTION, st.just(f"{p}/{q}")),
+        "--spinc": (
+            st.one_of(st.integers(p, 12).map(str), st.integers(-3, -1).map(str), st.sampled_from(["x", "1.5", ""])),
+            st.one_of(st.just("all"), st.integers(0, p - 1).map(str)),
+        ),
+        "--format": (st.sampled_from(["pdf", "JSON", ""]), st.sampled_from(["text", "json"])),
+        "--oracle": (st.sampled_from(["nope", "all", ""]), st.sampled_from(["laufer", "sublevel", "both"])),
+    }
+    required = ["--newton"] + (["--surgery"] if command != "knot" else [])
+    omit = draw(st.sampled_from(required)) if "missing" in bad else None
+    argv = [command]
+    for flag in flags:
+        if flag != omit:
+            argv += [flag, draw(choices[flag][0] if flag in bad else choices[flag][1])]
+    return argv
+
+
+class TestMalformedInput:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(malformed_argv())
+    def test_exits_1_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code == 1, argv
+        assert out == ""
+        assert any("error: " in line for line in err.splitlines()), err
+        assert "Traceback" not in err
 
 
 class TestJsonWriter:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     closed_form_p1q1,
     grading_shift_direct,
+    module_from_parts,
     spinc_block,
     spinc_fractions,
     spinc_text,
@@ -28,7 +29,7 @@ from hfroots import (
     tau_depth,
     tau_function,
 )
-from hfroots.root import UModuleDecomposition, reduced_rank
+from hfroots.root import reduced_rank
 
 
 K23 = from_newton_pairs([(2, 3)])
@@ -47,7 +48,7 @@ def knots_within(p, q, depth=3000):
 
 
 def expected_module(tower, pairs, shift):
-    return UModuleDecomposition.from_parts(tower, pairs).shifted(Fraction(*shift))
+    return module_from_parts(tower, pairs).shifted(Fraction(*shift))
 
 
 class TestDepth:
@@ -234,7 +235,7 @@ class TestComputeSpinc:
 
         def lossy(tau):
             mod = real(tau)
-            return UModuleDecomposition.from_parts(mod.tower_grade, mod.finite_towers[1:])
+            return module_from_parts(mod.tower_grade, mod.finite_towers[1:])
 
         monkeypatch.setattr(hfcore, "module_from_tau", lossy)
         with pytest.raises(InternalInvariantError, match="reduced_rank"):
@@ -323,11 +324,11 @@ class TestComputeAll:
 
 class TestClosedForm:
     def test_trefoil(self):
-        assert closed_form_p1q1(K23) == UModuleDecomposition.from_parts(0, [(0, 1)])
+        assert closed_form_p1q1(K23) == module_from_parts(0, [(0, 1)])
 
     def test_2_5(self):
         k = from_newton_pairs([(2, 5)])
-        assert closed_form_p1q1(k) == UModuleDecomposition.from_parts(
+        assert closed_form_p1q1(k) == module_from_parts(
             0, [(0, k.alpha[1]), (2, k.alpha[2]), (2, k.alpha[2])]
         )
 
@@ -380,11 +381,11 @@ class TestIntegerGrades:
                 assert module.shift == res.shift
 
     def test_module_equality_is_on_absolute_grades(self):
-        mod = UModuleDecomposition.from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
-        assert mod == UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4))
-        assert hash(mod) == hash(UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4)))
-        assert mod != UModuleDecomposition.from_parts(-2, [(0, 2)]).shifted(Fraction(3, 4))
+        mod = module_from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
+        assert mod == module_from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4))
+        assert hash(mod) == hash(module_from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4)))
+        assert mod != module_from_parts(-2, [(0, 2)]).shifted(Fraction(3, 4))
         with pytest.raises(ValueError, match="even integer"):
-            UModuleDecomposition.from_parts(0, [(1, 1)])
+            module_from_parts(0, [(1, 1)])
         with pytest.raises(ValueError, match="even integer"):
-            UModuleDecomposition.from_parts(0, [(Fraction(1, 2), 1)])
+            module_from_parts(0, [(Fraction(1, 2), 1)])

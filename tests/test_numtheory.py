@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dedekind_sum_direct
+from oracles import NumeratorTable, dedekind_sum_direct
 
-from hfroots.numtheory import dedekind_sum, floor_sum, mod_inverse, neg_cfrac
+from hfroots.numtheory import NegContinuedFraction, dedekind_sum, floor_sum, mod_inverse, neg_cfrac
 
 
 def reciprocity_rhs(p, q):
@@ -70,21 +70,44 @@ class TestNegCfrac:
 
     def test_table_boundaries(self):
         cf = neg_cfrac(7, 5)
-        s = cf.s
-        assert cf.n(1, s) == 7
-        assert cf.n(2, s) == 5
-        assert cf.n(1, 0) == 1
-        assert cf.n(3, 1) == 0
-        assert cf.n(1, 2) == 3
+        assert cf.tail == (7, 5, 3, 1)  # n(1, 3), n(2, 3), n(3, 3), n(4, 3)
+        assert cf.q_prime == 3  # n(1, 2)
+        assert neg_cfrac(1, 1).tail == (1, 1)
+        assert neg_cfrac(1, 2).tail == (1, 2, 1)
+        table = NumeratorTable(cf.terms)
+        assert table.n(1, 3) == 7
+        assert table.n(2, 3) == 5
+        assert table.n(1, 0) == 1
+        assert table.n(3, 1) == 0
+        assert table.n(1, 2) == 3
 
     def test_three_term_recursion(self):
         for p, q in [(7, 5), (12, 7), (11, 4), (5, 12), (9, 2)]:
             cf = neg_cfrac(p, q)
-            s = cf.s
+            tail, s = cf.tail, cf.s
+            assert len(tail) == s + 1 and tail[s] == 1
             for j in range(1, s + 1):
-                assert cf.n(j, s) == cf.terms[j - 1] * cf.n(j + 1, s) - (
-                    cf.n(j + 2, s) if j + 2 <= s + 1 else 0
-                )
+                assert tail[j - 1] == cf.terms[j - 1] * tail[j] - (tail[j + 1] if j + 1 <= s else 0)
+
+    def test_column_matches_reference_table(self):
+        for p in range(1, 201):
+            for q in range(1, 201):
+                if gcd(p, q) != 1:
+                    continue
+                cf = neg_cfrac(p, q)
+                table, s = NumeratorTable(cf.terms), cf.s
+                assert cf.tail == tuple(table.n(i, s) for i in range(1, s + 2))
+                assert cf.q_prime == table.n(1, s - 1)
+
+    def test_rejects_inconsistent_expansion(self):
+        with pytest.raises(ValueError, match="normalised"):
+            NegContinuedFraction(7, 5, (2, 1, 3))
+        with pytest.raises(ValueError, match="reproduce p"):
+            NegContinuedFraction(8, 5, (2, 2, 3))
+        with pytest.raises(ValueError, match="reproduce q"):
+            NegContinuedFraction(7, 4, (2, 2, 3))
+        with pytest.raises(ValueError, match="empty"):
+            NegContinuedFraction(1, 1, ())
 
     def test_q_prime_is_mod_inverse_exhaustive(self):
         for p in range(1, 201):

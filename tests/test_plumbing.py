@@ -18,7 +18,7 @@ from oracles import (
 )
 
 import hfroots.plumbing as pl
-from hfroots import InternalInvariantError, SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
+from hfroots import InternalInvariantError, ResourceLimitError, SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
@@ -253,7 +253,12 @@ class TestSpincClasses:
         assert pl._si_coefficients(cf, 3) == (0, 1, 0)
         for a in range(7):
             coeffs = pl._si_coefficients(cf, a)
-            assert sum(cf.n(t + 2, cf.s) * coeffs[t] for t in range(cf.s)) == a
+            assert sum(cf.tail[t + 1] * coeffs[t] for t in range(cf.s)) == a
+        # the (SI) checks are live: a = p meets the tail bound with equality
+        with pytest.raises(InternalInvariantError, match="tail bound"):
+            pl._si_coefficients(cf, 7)
+        with pytest.raises(InternalInvariantError, match="negative coefficient"):
+            pl._si_coefficients(cf, -1)
 
     def test_shift_triple_equality(self):
         for pairs, p, q in [([(2, 3)], 5, 3), ([(4, 5)], 2, 1), ([(2, 3), (2, 1)], 7, 4)]:
@@ -292,6 +297,28 @@ class TestSpincClasses:
             nf = gm.n - spec.cfrac.s
             for cls in classes:
                 assert gm.apply_form(list(cls.l_prime)) == [0] * nf + [-c for c in cls.a_coeffs]
+
+    def test_stored_pairings_match_the_lattice(self):
+        # laufer_sequence and lattice_grading_shift read these instead of pairing again
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+            for cls in classes:
+                assert cls.l_pairs == tuple(gm.apply_form(list(cls.l_prime)))
+                assert cls.k_pairs == tuple(gm.apply_form(list(cls.k_r)))
+                assert all(type(v) is int for v in cls.l_pairs + cls.k_pairs)
+                assert pl.lattice_grading_shift(gm, cls) == -(gm.pairing(cls.k_r, cls.k_r) + gm.n) / 4
+
+    def test_consumers_do_not_pair_again(self, monkeypatch):
+        knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 7, 4)
+
+        def refuse(*args):
+            raise AssertionError("paired with the intersection form again")
+
+        monkeypatch.setattr(pl.PlumbingGraph, "apply_form", refuse)
+        monkeypatch.setattr(pl.PlumbingGraph, "pairing", refuse)
+        for cls in classes:
+            pl.lattice_grading_shift(gm, cls)
+            pl.laufer_sequence(gm, cls, 2 * knot.mf)
 
     def test_single_class_matches_the_full_list(self):
         for pairs, p, q in ORACLE_CASES:
@@ -378,7 +405,7 @@ class TestLauferEngine:
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps)
         pl._laufer_run(g, [0, 3, 0], 1)
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps - 1)
-        with pytest.raises(InternalInvariantError, match="safety bound"):
+        with pytest.raises(ResourceLimitError, match=f"step cap of {steps - 1} additions"):
             pl._laufer_run(g, [0, 3, 0], 1)
 
 
@@ -469,7 +496,7 @@ class TestSublevel:
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 19)
         pl.sublevel_root(g, kr, 2, wide)  # exactly at the cap
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 18)
-        with pytest.raises(ValueError, match="enumeration cap of 18 points"):
+        with pytest.raises(ResourceLimitError, match="enumeration cap of 18 points"):
             pl.sublevel_root(g, kr, 2, wide)
 
     def test_laufer_cycles_inside_exact_box(self):

@@ -5,13 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merge_level, module_from_root, root_from_tau_rescan
+from oracles import merge_level, module_from_parts, module_from_root, root_from_tau_rescan
 
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
     TauFunction,
-    UModuleDecomposition,
     module_from_tau,
     reduced_rank,
     render,
@@ -162,14 +161,14 @@ class TestModule:
             assert shuffled == base
 
     def test_shift(self):
-        mod = UModuleDecomposition.from_parts(-18, [(-16, 2), (0, 1)])
+        mod = module_from_parts(-18, [(-16, 2), (0, 1)])
         shifted = mod.shifted(Fraction(71, 4))
         assert shifted.tower_grade == Fraction(-1, 4)
         assert shifted.finite_towers == towers((Fraction(7, 4), 2), (Fraction(71, 4), 1))
         assert shifted.reduced_rank == 3
 
     def test_grouped_towers(self):
-        mod = UModuleDecomposition.from_parts(-18, [(0, 1), (-16, 2), (-10, 1), (-16, 2)])
+        mod = module_from_parts(-18, [(0, 1), (-16, 2), (-10, 1), (-16, 2)])
         assert list(mod.grouped()) == [(-16, 2, 2), (-10, 1, 1), (0, 1, 1)]
         assert str(mod) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
 
