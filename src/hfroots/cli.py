@@ -205,24 +205,28 @@ def cmd_knot(args) -> int:
     return 0
 
 
-def _selected_results(spec: hfcore.SurgerySpec, spinc: str) -> list[hfcore.SpincResult]:
-    if spinc == "all":
-        return hfcore.compute_all(spec)
-    a = int(spinc)
-    return [hfcore.compute_spinc(spec, a)]
+def _parse_spinc(text: str) -> int | None:
+    """None for 'all', else the spin^c index (checked against p later)."""
+    if text == "all":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--spinc expects a spin^c index or 'all', got {text!r}")
 
 
 def cmd_compute(args) -> int:
     knot = _parse_newton(args.newton)
     p, q = _parse_fraction(args.surgery, "--surgery")
     spec = hfcore.SurgerySpec(knot, p, q)
+    index = _parse_spinc(args.spinc)
+    if args.format == "svg" and index is None and spec.p > 1 and not args.out:
+        raise ValueError("--format svg with --spinc all requires --out")
     t0 = time.perf_counter()
-    results = _selected_results(spec, args.spinc)
+    results = hfcore.compute_all(spec) if index is None else [hfcore.compute_spinc(spec, index)]
     log.info("computed %d spin^c structures in %.3fs", len(results), time.perf_counter() - t0)
 
     if args.format == "svg":
-        if len(results) > 1 and not args.out:
-            raise ValueError("--format svg with --spinc all requires --out")
         for res in results:
             svg = render(root_from_tau(res.tau), "svg")
             if args.out and len(results) > 1:
@@ -283,22 +287,25 @@ def _verify_lens(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.lens:
+        if args.newton is not None or args.surgery is not None:
+            raise ValueError("--lens checks a lens space alone; drop --newton and --surgery")
         return _verify_lens(args)
     if not args.newton or not args.surgery:
         raise ValueError("verify needs --newton and --surgery (or --lens P/Q)")
     knot = _parse_newton(args.newton)
     p, q = _parse_fraction(args.surgery, "--surgery")
     spec = hfcore.SurgerySpec(knot, p, q)
+    index = _parse_spinc(args.spinc)
     use_laufer = args.oracle in ("laufer", "both")
     use_sublevel = args.oracle in ("sublevel", "both")
 
     t0 = time.perf_counter()
     gf = plumbing.embedded_resolution(knot)
     gm = plumbing.surgery_graph(knot, spec.cfrac)
-    if args.spinc == "all":
+    if index is None:
         classes = plumbing.spinc_classes(gm, spec)
     else:
-        classes = [plumbing.spinc_class(gm, spec, int(args.spinc))]  # rejects a outside [0, p)
+        classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
     log.info("graphs and spin^c classes built in %.3fs", time.perf_counter() - t0)
 
     per = []

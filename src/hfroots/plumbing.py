@@ -27,7 +27,7 @@ All the linear algebra of a graph is one fraction-free (Bareiss) Gauss-Jordan
 sweep over [B | I], run once when the graph is built: its pivots are the
 leading principal minors that certify negative definiteness, the last one is
 det B, and the right half it leaves is the integer adjugate det * B^{-1}.
-Every B x = y below (the divisorial cycle, the canonical class, the chain
+Every B x = y below (the divisorial cycle, the canonical class, the
 representatives of the spin^c classes) and the diagonal of B^{-1} that bounds
 the sublevel search box are read from that adjugate.  The one other
 elimination is the sublevel enumeration's: -B bordered by the integers
@@ -36,8 +36,8 @@ rows are the Schur complements that bound each coordinate given the ones
 before it.
 
 Oracle paths implemented here:
-  * spin^c classes and their distinguished characteristic vectors k_r via
-    the chain lattice and the pull-back through the divisorial cycle;
+  * spin^c classes and their distinguished characteristic vectors k_r, each
+    from one solve B l' = (0, ..., 0, -a_1, ..., -a_s) in the surgery lattice;
   * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
     sum closed form, and (in hfcore) the grading shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
@@ -384,12 +384,12 @@ def canonical_class(g: PlumbingGraph) -> tuple[Fraction, ...]:
 class SpincClass:
     """One spin^c structure of the surgery manifold, lattice-side data.
 
-    a_coeffs are the chain coefficients of the minimal dual-lattice
-    representative (they obey the strict inequalities (SI)); l_prime is that
-    representative pulled back to the surgery lattice; k_r = K + 2 l_prime
-    is the distinguished characteristic vector of the class.  l_pairs and
-    k_pairs are the integers (l_prime, b_j) and (k_r, b_j), computed in the
-    lattice and checked once when the class is built.
+    a_coeffs are the chain coefficients a_1..a_s of the class (they obey the
+    strict inequalities (SI)); l_prime is its minimal dual-lattice
+    representative, the solution of (l', b_j) = 0 on the resolution vertices
+    and -a_j on the chain; k_r = K + 2 l_prime is the distinguished
+    characteristic vector of the class.  l_pairs and k_pairs are the integers
+    (l_prime, b_j) and (k_r, b_j), checked once when the class is built.
     """
 
     a: int
@@ -422,49 +422,30 @@ def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _chain_graph(cfrac: NegContinuedFraction) -> PlumbingGraph:
-    """The lens-space chain -k_1, ..., -k_s (the blow-down of the surgery
-    graph along the resolution part)."""
-    s = cfrac.s
-    return PlumbingGraph(
-        euler=[-k for k in cfrac.terms],
-        edges=[(i, i + 1) for i in range(s - 1)],
-    )
-
-
-def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec):
-    """What every class of the surgery graph shares: Z_f, the canonical class
-    and the chain graph.  gm must be the graph produced by
-    surgery_graph(spec.knot, spec.cfrac); the chain convention (last s
-    indices) is validated before use."""
+def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[Fraction, ...]:
+    """The canonical class, which every class of the surgery graph shares.
+    gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac);
+    that it extends the knot's resolution graph and carries the chain on its
+    last s indices is validated before use."""
     cfrac = spec.cfrac
-    s = cfrac.s
-    nf = gm.n - s
+    nf = gm.n - cfrac.s
     gf = embedded_resolution(spec.knot)
     if nf != gf.n or gm.euler[:nf] != gf.euler:
         raise ValueError("graph does not extend the knot's resolution graph")
-    chain = list(range(nf, gm.n))
-    if gm.euler[chain[0]] != -cfrac.terms[0] - spec.knot.mf or any(
-        gm.euler[chain[j]] != -cfrac.terms[j] for j in range(1, s)
-    ):
+    if gm.euler[nf:] != (-cfrac.terms[0] - spec.knot.mf, *(-k for k in cfrac.terms[1:])):
         raise ValueError("chain decorations do not match the continued fraction")
-    return divisorial_cycle(gf), canonical_class(gm), _chain_graph(cfrac)
+    return canonical_class(gm)
 
 
-def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, frame, a: int) -> SpincClass:
-    zf, k_gm, chain_graph = frame
+def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, k_gm, a: int) -> SpincClass:
     acoef = _si_coefficients(cfrac, a)
-    tilde = chain_graph.solve([-c for c in acoef])  # l~' in the chain basis
-    # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
-    lprime = [tilde[0] * z for z in zf] + tilde
-    pair = gm.apply_form(lprime)
-    if any(x.denominator != 1 for x in pair):
-        raise InternalInvariantError("l' is not in the dual lattice")
-    if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
-        raise InternalInvariantError("l' is not the minimal representative")
+    pairs = [0] * (gm.n - cfrac.s) + [-c for c in acoef]
+    lprime = gm.solve(pairs)
+    if gm.apply_form(lprime) != pairs:
+        raise InternalInvariantError("l' does not pair to 0 on the resolution and -a_j on the chain")
     kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
     return SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr,
-                      l_pairs=tuple(int(x) for x in pair), k_pairs=_check_characteristic(gm, kr))
+                      l_pairs=tuple(pairs), k_pairs=_check_characteristic(gm, kr))
 
 
 def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
@@ -472,8 +453,8 @@ def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
 
     gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac).
     """
-    frame = _spinc_frame(gm, spec)
-    return [_spinc_class(gm, spec.cfrac, frame, a) for a in range(spec.p)]
+    k_gm = _spinc_frame(gm, spec)
+    return [_spinc_class(gm, spec.cfrac, k_gm, a) for a in range(spec.p)]
 
 
 def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:

@@ -27,6 +27,9 @@ here, and the tests require identical results:
   * det B by Bareiss elimination with row pivoting, and B x = y by Gauss-Jordan
     elimination over the rationals (a `PlumbingGraph` reads its minors, det B
     and every solution off one fraction-free sweep over [B | I]);
+  * each spin^c class from the lens-space chain lattice: its representative
+    solved on the chain graph and pulled back through the divisorial cycle
+    (the package solves once in the surgery lattice);
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
     part of the generalized Laufer cycles; the Laufer engine that rescans
@@ -49,7 +52,7 @@ import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
-from hfroots.numtheory import mod_inverse
+from hfroots.numtheory import NegContinuedFraction, mod_inverse
 from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
@@ -420,6 +423,39 @@ def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
+    """The lens-space chain -k_1, ..., -k_s (the blow-down of the surgery
+    graph along the resolution part)."""
+    s = cfrac.s
+    return pl.PlumbingGraph(
+        euler=[-k for k in cfrac.terms],
+        edges=[(i, i + 1) for i in range(s - 1)],
+    )
+
+
+def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.SpincClass:
+    """Spin^c class a through the chain lattice: l~' solves (l~', b~_j) = -a_j
+    on the chain graph and is pulled back through the divisorial cycle Z_f,
+    b~_1 -> Z_f + b_1 and b~_j -> b_j (the chain vertices of gm are last).
+    The package solves B l' = (0, ..., 0, -a_1, ..., -a_s) once on gm."""
+    spec._check_a(a)
+    cfrac = spec.cfrac
+    zf = pl.divisorial_cycle(pl.embedded_resolution(spec.knot))
+    k_gm = pl.canonical_class(gm)
+    acoef = pl._si_coefficients(cfrac, a)
+    tilde = chain_graph(cfrac).solve([-c for c in acoef])  # l~' in the chain basis
+    # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
+    lprime = [tilde[0] * z for z in zf] + tilde
+    pair = gm.apply_form(lprime)
+    if any(x.denominator != 1 for x in pair):
+        raise InternalInvariantError("l' is not in the dual lattice")
+    if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
+        raise InternalInvariantError("l' is not the minimal representative")
+    kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
+    return pl.SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr,
+                         l_pairs=tuple(int(x) for x in pair), k_pairs=pl._check_characteristic(gm, kr))
 
 
 def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple[int, ...], int]]:

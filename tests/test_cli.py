@@ -109,6 +109,21 @@ class TestComputeCommand:
         assert code == 1
         assert "--out" in err
 
+    def test_svg_all_refused_before_any_work(self, capsys, monkeypatch):
+        def boom(spec):
+            raise AssertionError("computed before refusing")
+
+        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
+        code, out, err = run(capsys, "compute", "--newton", "4,5", "--surgery", "2/1", "--format", "svg")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --format svg with --spinc all requires --out\n"
+
+    def test_svg_all_with_one_class_goes_to_stdout(self, capsys):
+        code, out, _ = run(capsys, "compute", "--newton", "2,3", "--surgery", "1/3", "--format", "svg")
+        assert code == 0
+        assert out.startswith("<svg ")
+
     def test_svg_files(self, capsys, tmp_path):
         target = tmp_path / "root.svg"
         code, _, _ = run(
@@ -172,6 +187,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--lens", "7/3")
         assert code == 0
         assert "AGREE" in out
+
+    @pytest.mark.parametrize("extra", [["--newton", "2,3"], ["--surgery", "1/1"], ["--newton", "2,3", "--surgery", "1/1"]])
+    def test_lens_refuses_surgery_flags(self, capsys, extra):
+        # the surgery would otherwise go unverified while the lens check passes
+        code, out, err = run(capsys, "verify", "--lens", "7/3", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --lens ")
 
     def test_lens_single_class(self, capsys):
         code, out, _ = run(capsys, "verify", "--lens", "1/1", "--format", "json")
@@ -271,6 +294,14 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error: " in err
+
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    @pytest.mark.parametrize("index", ["x", "1.5", ""])
+    def test_malformed_spinc_names_the_flag(self, capsys, command, index):
+        code, out, err = run(capsys, command, "--newton", "2,3", "--surgery", "3/1", "--spinc", index)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --spinc expects a spin^c index or 'all', got {index!r}\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -409,3 +440,16 @@ class TestParserReuse:
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "0\n"
+
+
+class TestGoldens:
+    def test_make_goldens_writes_the_committed_files(self, monkeypatch, tmp_path):
+        import make_goldens
+
+        monkeypatch.setattr(make_goldens, "GOLDEN", tmp_path)
+        make_goldens.run()
+        written = sorted(f.name for f in tmp_path.iterdir())
+        assert written == sorted(f.name for f in GOLDEN.iterdir())
+        assert len(written) == 12
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -1,24 +1,29 @@
+import io
 import itertools
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from corpus_cases import ORACLE_CASES, SUBLEVEL_CASES, SUBLEVEL_REFERENCE_CASES
-from hypothesis import assume, given, settings
+from corpus_cases import ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SUBLEVEL_REFERENCE_CASES
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     chain_coefficients,
+    chain_graph,
     determinant,
     laufer_run_rescan,
     laufer_tau,
     minimal_cycle_sequence,
+    pullback_spinc_class,
     solve_exact,
     sublevel_root_box,
 )
 
 import hfroots.plumbing as pl
 from hfroots import InternalInvariantError, ResourceLimitError, SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
+from hfroots.cli import main
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
@@ -142,7 +147,7 @@ class TestElimination:
         for pairs, p, q in ORACLE_CASES:
             knot = from_newton_pairs(list(pairs))
             cfrac = SurgerySpec(knot, p, q).cfrac
-            for g in (pl.embedded_resolution(knot), pl.surgery_graph(knot, cfrac), pl._chain_graph(cfrac)):
+            for g in (pl.embedded_resolution(knot), pl.surgery_graph(knot, cfrac), chain_graph(cfrac)):
                 graphs[g.euler, g.edges] = g
         for g in graphs.values():
             check_sweep(g)
@@ -277,7 +282,7 @@ class TestSpincClasses:
             knot, spec, gm, _ = surgery_setup(pairs, p, q)
             s = spec.cfrac.s
             nf = gm.n - s
-            chain_graph = pl._chain_graph(spec.cfrac)
+            chain = chain_graph(spec.cfrac)
             zf = pl.divisorial_cycle(pl.embedded_resolution(knot))
             for _ in range(30):
                 xt = [rng.randint(-4, 4) for _ in range(s)]
@@ -287,16 +292,79 @@ class TestSpincClasses:
                 for j in range(s):
                     px[nf + j] += xt[j]
                 proj_y = y[nf:]
-                assert gm.pairing(px, y) == chain_graph.pairing(xt, proj_y)
+                assert gm.pairing(px, y) == chain.pairing(xt, proj_y)
 
     def test_pullback_pairs_as_the_chain_representative(self):
-        # by the projection formula, l' = pullback(l~') pairs to 0 with the
-        # resolution vertices and to (l~', b~_j) = -a_j with the chain
+        # l' pairs to 0 with the resolution vertices and to -a_j with the
+        # chain, as pullback(l~') does by the projection formula
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             nf = gm.n - spec.cfrac.s
             for cls in classes:
                 assert gm.apply_form(list(cls.l_prime)) == [0] * nf + [-c for c in cls.a_coeffs]
+
+    def test_matches_pullback_reference_on_oracle_corpus(self):
+        # one solve in the surgery lattice gives every field the chain-lattice
+        # pull-back gives
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+            assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)], (pairs, p, q)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(ORACLE_KNOTS),
+        st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(lambda pq: gcd(*pq) == 1),
+    )
+    @example(((2, 3), (2, 1)), (13, 12))  # the chain [2] * 12
+    @example(((4, 5),), (1, 30))  # [1, 2, ..., 2], s = 30
+    def test_matches_pullback_reference_on_long_chains(self, pairs, pq):
+        p, q = pq
+        knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+        assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)]
+
+    def test_frame_validates_the_graph(self):
+        spec = SurgerySpec(K23, 5, 3)  # [2, 3]
+        other_knot = pl.surgery_graph(from_newton_pairs([(2, 5)]), spec.cfrac)
+        other_chain = pl.surgery_graph(K23, SurgerySpec(K23, 7, 4).cfrac)  # [2, 4]
+        with pytest.raises(ValueError, match="does not extend the knot's resolution graph"):
+            pl.spinc_classes(other_knot, spec)
+        with pytest.raises(ValueError, match="chain decorations do not match"):
+            pl.spinc_class(other_chain, spec, 1)
+
+    def test_representative_check_is_live(self, monkeypatch):
+        # l' moved by a lattice vector keeps K + 2 l' characteristic, so only
+        # the check (l', b_j) = (0, ..., 0, -a_1, ..., -a_s) can catch it
+        knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
+        nf = gm.n - spec.cfrac.s
+        real = pl.PlumbingGraph.solve
+
+        def moved(self, rhs):
+            x = real(self, rhs)
+            if not any(rhs[:nf]):  # the class systems, not the adjunction one
+                x[0] += 1
+            return x
+
+        monkeypatch.setattr(pl.PlumbingGraph, "solve", moved)
+        with pytest.raises(InternalInvariantError, match="l' does not pair"):
+            pl.spinc_classes(gm, spec)
+
+    def test_verify_builds_two_graphs(self, monkeypatch):
+        # the resolution graph and the surgery graph; no chain graph besides
+        builds = []
+        real = pl.PlumbingGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(pl.PlumbingGraph, "__init__", counted)
+        base = ["verify", "--newton", "2,3,2,1", "--surgery", "12/7", "--oracle", "laufer"]
+        for argv in (base, base + ["--spinc", "3"]):
+            pl.embedded_resolution.cache_clear()
+            builds.clear()
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert len(builds) == 2, argv
 
     def test_stored_pairings_match_the_lattice(self):
         # laufer_sequence and lattice_grading_shift read these instead of pairing again
@@ -332,10 +400,10 @@ class TestSpincClasses:
         # chain coordinates of K match the chain class corrected by 2 delta g~_1
         knot, spec, gm, _ = surgery_setup([(2, 3), (3, 2)], 7, 5)
         s = spec.cfrac.s
-        chain_graph = pl._chain_graph(spec.cfrac)
+        chain = chain_graph(spec.cfrac)
         k_chain = pl.canonical_class(gm)[gm.n - s:]
-        k_tilde = pl.canonical_class(chain_graph)
-        g1 = chain_graph.solve([1] + [0] * (s - 1))
+        k_tilde = pl.canonical_class(chain)
+        g1 = chain.solve([1] + [0] * (s - 1))
         expected = [kt + 2 * knot.delta * g for kt, g in zip(k_tilde, g1)]
         assert list(k_chain) == expected
 
