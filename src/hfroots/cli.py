@@ -6,8 +6,9 @@ JSON they are "numerator/denominator" strings, never floats.  A grade
 r_a + g is written from the integer g (`grading.Grading`), and documents go
 through one writer, `_json`, which produces the bytes of
 json.dumps(doc, indent=2) and rejects any value but dict, list, str, int,
-bool and None.  Output is deterministic byte for byte; timings go to the log
-(HFROOTS_LOG=debug|info), never into the document.
+bool and None.  Output is deterministic byte for byte; timings go to stderr
+(HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
+lattice oracle (`plumbing`).
 
 Exit codes: 0 ok, 1 input error (usage errors from the argument parser
 included), 2 verification mismatch (or an oracle whose search box was
@@ -18,7 +19,6 @@ Laufer step cap or the sublevel point cap).
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import time
@@ -26,13 +26,17 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import hfcore, plumbing
+from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
 from .grading import Grading
 from .knot import AlgebraicKnot, from_newton_pairs
 from .root import TauFunction, render, root_from_tau
 
-log = logging.getLogger("hfroots")
+
+def _info(message: str) -> None:
+    """An `hfroots INFO` line on stderr if HFROOTS_LOG (read per call) is info or debug."""
+    if os.environ.get("HFROOTS_LOG", "").lower() in ("info", "debug"):
+        print(f"hfroots INFO {message}", file=sys.stderr)
 
 
 def _rat(x: Fraction) -> str:
@@ -224,7 +228,7 @@ def cmd_compute(args) -> int:
         raise ValueError("--format svg with --spinc all requires --out")
     t0 = time.perf_counter()
     results = hfcore.compute_all(spec) if index is None else [hfcore.compute_spinc(spec, index)]
-    log.info("computed %d spin^c structures in %.3fs", len(results), time.perf_counter() - t0)
+    _info(f"computed {len(results)} spin^c structures in {time.perf_counter() - t0:.3f}s")
 
     if args.format == "svg":
         for res in results:
@@ -261,6 +265,7 @@ def cmd_compute(args) -> int:
 
 
 def _verify_lens(args) -> int:
+    from . import plumbing
     p, q = _parse_fraction(args.lens, "--lens")
     formula = plumbing.lens_d_invariants(p, q)
     recursion = plumbing.lens_d_classical(p, q)
@@ -287,17 +292,20 @@ def _verify_lens(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.lens:
-        if args.newton is not None or args.surgery is not None:
-            raise ValueError("--lens checks a lens space alone; drop --newton and --surgery")
+        given = [flag for flag in ("newton", "surgery", "spinc", "oracle") if getattr(args, flag) is not None]
+        if given:
+            raise ValueError("--lens checks a lens space alone; drop " + " and ".join("--" + f for f in given))
         return _verify_lens(args)
     if not args.newton or not args.surgery:
         raise ValueError("verify needs --newton and --surgery (or --lens P/Q)")
+    from . import plumbing
     knot = _parse_newton(args.newton)
     p, q = _parse_fraction(args.surgery, "--surgery")
     spec = hfcore.SurgerySpec(knot, p, q)
-    index = _parse_spinc(args.spinc)
-    use_laufer = args.oracle in ("laufer", "both")
-    use_sublevel = args.oracle in ("sublevel", "both")
+    index = _parse_spinc("all" if args.spinc is None else args.spinc)
+    oracle = args.oracle or "laufer"
+    use_laufer = oracle in ("laufer", "both")
+    use_sublevel = oracle in ("sublevel", "both")
 
     t0 = time.perf_counter()
     gf = plumbing.embedded_resolution(knot)
@@ -306,7 +314,7 @@ def cmd_verify(args) -> int:
         classes = plumbing.spinc_classes(gm, spec)
     else:
         classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
-    log.info("graphs and spin^c classes built in %.3fs", time.perf_counter() - t0)
+    _info(f"graphs and spin^c classes built in {time.perf_counter() - t0:.3f}s")
 
     per = []
     overall = True
@@ -350,12 +358,12 @@ def cmd_verify(args) -> int:
             "resolution": plumbing.graph_doc(gf),
             "surgery": plumbing.graph_doc(gm),
         },
-        "verification": {"oracle": args.oracle, "per_spinc": per, "ok": overall},
+        "verification": {"oracle": oracle, "per_spinc": per, "ok": overall},
     }
     if args.format == "json":
         _emit(_json(doc) + "\n", args.out)
     else:
-        lines = [f"verification of -{p}/{q} surgery (oracle: {args.oracle})"]
+        lines = [f"verification of -{p}/{q} surgery (oracle: {oracle})"]
         for entry in per:
             status = []
             status.append("shift " + ("ok" if entry["shift_lattice_ok"] and entry["shift_formula_ok"] else "MISMATCH"))
@@ -401,8 +409,9 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="cross-check against the lattice oracle")
     v.add_argument("--newton", default=None, help="Newton pairs p1,q1[,p2,q2,...]")
     v.add_argument("--surgery", default=None, help="P/Q for surgery coefficient -P/Q")
-    v.add_argument("--spinc", default="all", help="a spin^c index or 'all'")
-    v.add_argument("--oracle", choices=["laufer", "sublevel", "both"], default="laufer")
+    v.add_argument("--spinc", default=None, help="a spin^c index or 'all' (the default)")
+    v.add_argument("--oracle", choices=["laufer", "sublevel", "both"], default=None,
+                   help="laufer (the default), sublevel or both")
     v.add_argument("--lens", default=None, help="P/Q: check lens-space correction terms instead")
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.add_argument("--out", default=None, help="write output to a file")
@@ -411,9 +420,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HFROOTS_LOG", "warning").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a mismatch here

@@ -37,40 +37,43 @@ intersection lattice and serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
+from .frozen import Frozen
 from .grading import Grading
 from .knot import AlgebraicKnot
-from .numtheory import NegContinuedFraction, dedekind_sum, floor_sum, neg_cfrac
+from .numtheory import dedekind_sum, floor_sum, neg_cfrac
 from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
 
 
-class SurgerySpec:
+class SurgerySpec(Frozen):
     """An algebraic knot together with a negative surgery coefficient -p/q.
 
     p and q are positive and coprime; q > p (coefficient in (-1, 0)) is
     allowed.  The normalised continued fraction of p/q is attached, with
     the constants every grading shift needs: q' (1 <= q' <= p, q q' = 1
-    mod p) and the integer 6 p s(q, p).
+    mod p) and the integer 6 p s(q, p), all fixed by (knot, p, q).
     """
+
+    __slots__ = ("knot", "p", "q", "cfrac", "q_prime", "dedekind_6p")
 
     def __init__(self, knot: AlgebraicKnot, p: int, q: int):
         if p < 1 or q < 1:
             raise ValueError(f"surgery coefficient needs p, q >= 1, got {p}/{q}")
         if gcd(p, q) != 1:
             raise ValueError(f"surgery coefficient {p}/{q} must be reduced")
-        self.knot = knot
-        self.p = p
-        self.q = q
-        self.cfrac: NegContinuedFraction = neg_cfrac(p, q)
-        self.q_prime = self.cfrac.q_prime
+        cfrac = neg_cfrac(p, q)
         six_p_s = 6 * p * dedekind_sum(q, p)
         if six_p_s.denominator != 1:
             raise InternalInvariantError(f"6 p s(q, p) = {six_p_s} is not an integer")
-        self.dedekind_6p = six_p_s.numerator
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "cfrac", cfrac)
+        object.__setattr__(self, "q_prime", cfrac.q_prime)
+        object.__setattr__(self, "dedekind_6p", six_p_s.numerator)
 
     def __repr__(self):
         return f"SurgerySpec({self.knot!r}, -{self.p}/{self.q})"
@@ -80,8 +83,7 @@ class SurgerySpec:
             raise ValueError(f"spin^c index a={a} outside [0, {self.p})")
 
 
-@dataclass(frozen=True)
-class SpincResult:
+class SpincResult(Frozen):
     """Everything the pipeline knows about one spin^c structure.
 
     Grades are stored as even integers g and read as r_a + g
@@ -89,15 +91,19 @@ class SpincResult:
     `coker_u` give the absolute grades.  Only r_a, d and sw are Fractions.
     """
 
-    a: int
-    depth: int                      # t_a
-    shift: Fraction                 # r_a
-    tau: TauFunction
-    module: UModuleDecomposition    # shift r_a
-    d_invariant: Fraction
-    sw_invariant: Fraction
-    ker: tuple[int, ...]            # ker U grades minus r_a, sorted
-    coker: tuple[int, ...]          # coker U grades minus r_a, sorted
+    __slots__ = ("a", "depth", "shift", "tau", "module", "d_invariant", "sw_invariant", "ker", "coker")
+
+    def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, module: UModuleDecomposition,
+                 d_invariant: Fraction, sw_invariant: Fraction, ker: tuple[int, ...], coker: tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "depth", depth)                  # t_a
+        object.__setattr__(self, "shift", shift)                  # r_a
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "module", module)                # shift r_a
+        object.__setattr__(self, "d_invariant", d_invariant)
+        object.__setattr__(self, "sw_invariant", sw_invariant)
+        object.__setattr__(self, "ker", ker)                      # ker U grades minus r_a, sorted
+        object.__setattr__(self, "coker", coker)                  # coker U grades minus r_a, sorted
 
     @property
     def ker_u(self) -> tuple[Fraction, ...]:

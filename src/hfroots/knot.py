@@ -28,10 +28,10 @@ values are computed with integer arithmetic only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import InternalInvariantError
+from .frozen import Frozen
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials, coefficient lists indexed by exponent
@@ -61,16 +61,18 @@ def t_power_minus_one(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Frozen):
     """A numerical semigroup given by generators (plus 0) and a table.
 
     membership[k] says whether k belongs to the semigroup, for 0 <= k <= bound.
     The complement below the table bound is the full (finite) gap set.
     """
 
-    generators: tuple[int, ...]
-    membership: tuple[bool, ...]
+    __slots__ = ("generators", "membership")
+
+    def __init__(self, generators: tuple[int, ...], membership: tuple[bool, ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "membership", membership)
 
     @property
     def bound(self) -> int:
@@ -95,22 +97,26 @@ def _membership(gens: list[int], bound: int) -> list[bool]:
     return table
 
 
-@dataclass(frozen=True)
-class AlgebraicKnot:
+class AlgebraicKnot(Frozen):
     """An algebraic knot with all derived invariants precomputed.
 
     Immutable; safe to share and to use as a cache key.
     """
 
-    newton_pairs: tuple[tuple[int, int], ...]
-    linking_pairs: tuple[tuple[int, int], ...]
-    semigroup: NumericalSemigroup
-    gaps: tuple[int, ...]
-    delta: int
-    mu: int
-    alexander: tuple[int, ...]
-    alpha: tuple[int, ...]
-    mf: int
+    __slots__ = ("newton_pairs", "linking_pairs", "semigroup", "gaps", "delta", "mu", "alexander", "alpha", "mf")
+
+    def __init__(self, newton_pairs: tuple[tuple[int, int], ...], linking_pairs: tuple[tuple[int, int], ...],
+                 semigroup: NumericalSemigroup, gaps: tuple[int, ...], delta: int, mu: int,
+                 alexander: tuple[int, ...], alpha: tuple[int, ...], mf: int):
+        object.__setattr__(self, "newton_pairs", newton_pairs)
+        object.__setattr__(self, "linking_pairs", linking_pairs)
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "mf", mf)
 
     def __repr__(self):
         pairs = ",".join(f"({p},{q})" for p, q in self.newton_pairs)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .frozen import Frozen
+
 
 def mod_inverse(q: int, p: int) -> int:
     """Inverse of q modulo p, represented in the window [1, p].
@@ -82,7 +84,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-class NegContinuedFraction:
+class NegContinuedFraction(Frozen):
     """Expansion p/q = [k_1, ..., k_s] = k_1 - 1/(k_2 - 1/(... - 1/k_s)).
 
     The expansion with k_1 >= 1 and k_j >= 2 for j >= 2 is unique; q > p is
@@ -98,13 +100,12 @@ class NegContinuedFraction:
         P_j = k_j P_{j-1} - P_{j-2} from P_0 = 1, P_{-1} = 0, where
         P_j = n(1, j); it is the inverse of q modulo p inside [1, p].
 
-    Instances are immutable by convention.
+    Instances are frozen; two are equal when their fields are.
     """
 
+    __slots__ = ("p", "q", "terms", "tail", "q_prime")
+
     def __init__(self, p: int, q: int, terms: tuple[int, ...]):
-        self.p = p
-        self.q = q
-        self.terms = terms
         if not terms:
             raise ValueError("empty continued fraction")
         if terms[0] < 1 or any(k < 2 for k in terms[1:]):
@@ -112,17 +113,21 @@ class NegContinuedFraction:
         col = [0, 1]  # n(s+2, s), n(s+1, s), then n(s, s), ..., n(1, s)
         for k in reversed(terms):
             col.append(k * col[-1] - col[-2])
-        self.tail = tuple(reversed(col[1:]))
-        if self.tail[0] != p:
+        tail = tuple(reversed(col[1:]))
+        if tail[0] != p:
             raise ValueError("numerator column does not reproduce p")
-        if self.tail[1] != q:
+        if tail[1] != q:
             raise ValueError("numerator column does not reproduce q")
         before, qp = 0, 1  # P_{-1}, P_0
         for k in terms[:-1]:
             before, qp = qp, k * qp - before
         if not (1 <= qp <= p) or (q * qp) % p != 1 % p:
             raise ValueError("q' = n(1, s-1) is not the normalised inverse of q")
-        self.q_prime = qp
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "q_prime", qp)
 
     def __repr__(self):
         return f"NegContinuedFraction({self.p}/{self.q} = {list(self.terms)})"

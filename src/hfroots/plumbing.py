@@ -50,14 +50,12 @@ Oracle paths implemented here:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional
 
 from .errors import InternalInvariantError, ResourceLimitError
+from .frozen import Frozen
 from .hfcore import SurgerySpec
 from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
@@ -126,7 +124,7 @@ class PlumbingGraph:
     runs for distinct spin^c classes are independent of each other.
     """
 
-    def __init__(self, euler, edges, distinguished: Optional[int] = None, arrow: Optional[int] = None):
+    def __init__(self, euler, edges, distinguished: int | None = None, arrow: int | None = None):
         self.euler = tuple(int(e) for e in euler)
         self.edges = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in edges))
         self.distinguished = distinguished
@@ -216,29 +214,12 @@ def graph_doc(g: PlumbingGraph) -> dict:
     }
 
 
-def graph_to_json(g: PlumbingGraph) -> str:
-    return json.dumps(graph_doc(g), indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> PlumbingGraph:
-    doc = json.loads(text)
-    verts = sorted(doc["vertices"], key=lambda v: v["index"])
-    if [v["index"] for v in verts] != list(range(len(verts))):
-        raise ValueError("vertex indices must be 0..n-1")
-    return PlumbingGraph(
-        euler=[v["euler"] for v in verts],
-        edges=[tuple(e) for e in doc["edges"]],
-        distinguished=doc.get("distinguished"),
-        arrow=doc.get("arrow"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # embedded resolution and surgery graphs
 # ---------------------------------------------------------------------------
 
 
-def _mediant_walk(euler: list[int], edge_set: set, attach: Optional[int], P: int, Q: int) -> int:
+def _mediant_walk(euler: list[int], edge_set: set, attach: int | None, P: int, Q: int) -> int:
     """Blow-up walk resolving v^P = u^Q at a free point of `attach`.
 
     The u-axis ray (1,0) carries `attach` (None for the first Newton pair,
@@ -246,8 +227,8 @@ def _mediant_walk(euler: list[int], edge_set: set, attach: Optional[int], P: int
     final ray (P, Q), which supports the strict transform afterwards.
     """
     lray, rray = (1, 0), (0, 1)
-    lcur: Optional[int] = attach
-    rcur: Optional[int] = None
+    lcur: int | None = attach
+    rcur: int | None = None
     for _ in range(P + Q + 1):
         mray = (lray[0] + rray[0], lray[1] + rray[1])
         v = len(euler)
@@ -295,7 +276,7 @@ def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
     """
     euler: list[int] = []
     edge_set: set[tuple[int, int]] = set()
-    attach: Optional[int] = None
+    attach: int | None = None
     for p_i, q_i in knot.newton_pairs:
         attach = _mediant_walk(euler, edge_set, attach, p_i, q_i)
     g = PlumbingGraph(euler, sorted(edge_set), distinguished=attach, arrow=attach)
@@ -380,8 +361,7 @@ def canonical_class(g: PlumbingGraph) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpincClass:
+class SpincClass(Frozen):
     """One spin^c structure of the surgery manifold, lattice-side data.
 
     a_coeffs are the chain coefficients a_1..a_s of the class (they obey the
@@ -392,12 +372,16 @@ class SpincClass:
     (l_prime, b_j) and (k_r, b_j), checked once when the class is built.
     """
 
-    a: int
-    a_coeffs: tuple[int, ...]
-    l_prime: tuple[Fraction, ...]
-    k_r: tuple[Fraction, ...]
-    l_pairs: tuple[int, ...]
-    k_pairs: tuple[int, ...]
+    __slots__ = ("a", "a_coeffs", "l_prime", "k_r", "l_pairs", "k_pairs")
+
+    def __init__(self, a: int, a_coeffs: tuple[int, ...], l_prime: tuple[Fraction, ...],
+                 k_r: tuple[Fraction, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_coeffs", a_coeffs)
+        object.__setattr__(self, "l_prime", l_prime)
+        object.__setattr__(self, "k_r", k_r)
+        object.__setattr__(self, "l_pairs", l_pairs)
+        object.__setattr__(self, "k_pairs", k_pairs)
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
@@ -518,26 +502,26 @@ def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
     cycles = [tuple(x)]
     budget = _LAUFER_STEP_CAP
     ready = [j for j in range(g.n) if j != v0 and w[j] > 0]  # every j != v0 with w_j > 0
-
-    def add(j, k):
-        nonlocal chi, budget
-        wj, e = w[j], euler[j]
-        chi += k - k * wj - e * k * (k - 1) // 2
-        x[j] += k
-        w[j] = wj + k * e
-        for nb in adj[j]:
-            w[nb] += k
-            if 0 < w[nb] <= k and nb != v0:  # just turned positive
-                ready.append(nb)
-        budget -= k
-        if budget < 0:
-            raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
-
+    push, pop = ready.append, ready.pop
     for _ in range(i_max):
-        add(v0, 1)
-        while ready:
-            j = ready.pop()
-            add(j, -(-w[j] // -euler[j]))
+        j, k = v0, 1  # the step of pr_{v0}, then the forced additions
+        while True:
+            wj, e = w[j], euler[j]
+            chi += k - k * wj - e * k * (k - 1) // 2
+            x[j] += k
+            w[j] = wj + k * e
+            for nb in adj[j]:
+                wn = w[nb] + k
+                w[nb] = wn
+                if 0 < wn <= k and nb != v0:  # just turned positive
+                    push(nb)
+            budget -= k
+            if budget < 0:
+                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
+            if not ready:
+                break
+            j = pop()
+            k = -(-w[j] // -euler[j])
         values.append(chi)
         cycles.append(tuple(x))
     return values, cycles
@@ -576,8 +560,7 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SublevelRoot:
+class SublevelRoot(Frozen):
     """Result of a sublevel computation.
 
     boundary_contact means some connected component continues past the
@@ -585,8 +568,11 @@ class SublevelRoot:
     outside), so the root may be truncated and must not be trusted.
     """
 
-    root: GradedRoot
-    boundary_contact: bool
+    __slots__ = ("root", "boundary_contact")
+
+    def __init__(self, root: GradedRoot, boundary_contact: bool):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "boundary_contact", boundary_contact)
 
 
 def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -> tuple[tuple[int, int], ...]:
@@ -729,7 +715,7 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
     )
 
     chi_out: list[int] = []
-    parent_out: list[Optional[int]] = []
+    parent_out: list[int | None] = []
     prev: dict[int, int] = {}  # dsu root -> vertex id at the previous level
     active: list[int] = []
     pos = 0

@@ -29,23 +29,23 @@ needed only to draw a root or to compare it with another one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Optional
 
+from .frozen import Frozen
 from .grading import Grading
 
 
-@dataclass(frozen=True)
-class TauFunction:
+class TauFunction(Frozen):
     """An integer sequence tau(0..T) defining a graded root."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if len(self.values) == 0:
+    def __init__(self, values: tuple[int, ...]):
+        if len(values) == 0:
             raise ValueError("tau needs at least one value")
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return len(self.values)
@@ -65,7 +65,7 @@ class GradedRoot:
     root continues with one implicit vertex per level.
     """
 
-    def __init__(self, chi: list[int], parent: list[Optional[int]]):
+    def __init__(self, chi: list[int], parent: list[int | None]):
         self.chi = tuple(chi)
         self.parent = tuple(parent)
         n = len(self.chi)
@@ -136,7 +136,7 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
     order = sorted(range(len(vals)), key=vals.__getitem__)
     end = [-1] * len(vals)
     chi: list[int] = []
-    parent: list[Optional[int]] = []
+    parent: list[int | None] = []
     below: list[tuple[int, int]] = []  # (left end, vertex) of the runs at level k - 1
     pos = 0
     for k in range(vals[order[0]], vals[order[-1]] + 1):
@@ -161,8 +161,7 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
     return GradedRoot(chi, parent)
 
 
-@dataclass(frozen=True, eq=False)
-class UModuleDecomposition:
+class UModuleDecomposition(Frozen):
     """T+_{d}  plus a multiset of finite towers T_{r}(n), all in even degrees.
 
     Every grade is `shift` plus an even integer (`grading.Grading`), and the
@@ -174,9 +173,12 @@ class UModuleDecomposition:
     so it is multiset equality whatever the shift.
     """
 
-    shift: Fraction | int
-    tower: int
-    towers: tuple[tuple[int, int], ...]
+    __slots__ = ("shift", "tower", "towers")
+
+    def __init__(self, shift: Fraction | int, tower: int, towers: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "towers", towers)
 
     def shifted(self, r) -> "UModuleDecomposition":
         """The same module with every grade raised by r."""

@@ -37,10 +37,14 @@ here, and the tests require identical results:
     the vertices that still need additions);
   * the sublevel root by a sweep over every point of its coordinate box (the
     package enumerates only the lattice points of the ellipsoid chi <= n).
+
+Also here, because only the tests use it: a plumbing graph written to JSON
+text in the schema of `plumbing.graph_doc`, and read back.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -432,6 +436,23 @@ def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
     return pl.PlumbingGraph(
         euler=[-k for k in cfrac.terms],
         edges=[(i, i + 1) for i in range(s - 1)],
+    )
+
+
+def graph_to_json(g: pl.PlumbingGraph) -> str:
+    return json.dumps(pl.graph_doc(g), indent=2) + "\n"
+
+
+def graph_from_json(text: str) -> pl.PlumbingGraph:
+    doc = json.loads(text)
+    verts = sorted(doc["vertices"], key=lambda v: v["index"])
+    if [v["index"] for v in verts] != list(range(len(verts))):
+        raise ValueError("vertex indices must be 0..n-1")
+    return pl.PlumbingGraph(
+        euler=[v["euler"] for v in verts],
+        edges=[tuple(e) for e in doc["edges"]],
+        distinguished=doc.get("distinguished"),
+        arrow=doc.get("arrow"),
     )
 
 

@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -152,9 +154,18 @@ class TestComputeCommand:
         assert "r_a = 60" in out
 
     def test_log_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HFROOTS_LOG", "info")
-        code, _, _ = run(capsys, "compute", "--newton", "2,3", "--surgery", "1/1")
+        argv = ("compute", "--newton", "2,3", "--surgery", "1/1")
+        monkeypatch.delenv("HFROOTS_LOG", raising=False)
+        code, quiet_out, quiet_err = run(capsys, *argv)
         assert code == 0
+        assert quiet_err == ""
+        # the variable is read on every call: set after a first call, it still counts
+        for level in ("info", "info", "DEBUG"):
+            monkeypatch.setenv("HFROOTS_LOG", level)
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            assert out == quiet_out
+            assert re.fullmatch(r"hfroots INFO computed 1 spin\^c structures in \d+\.\d{3}s\n", err)
 
 
 class TestVerifyCommand:
@@ -188,13 +199,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "AGREE" in out
 
-    @pytest.mark.parametrize("extra", [["--newton", "2,3"], ["--surgery", "1/1"], ["--newton", "2,3", "--surgery", "1/1"]])
+    @pytest.mark.parametrize("extra", [
+        ["--newton", "2,3"], ["--surgery", "1/1"], ["--newton", "2,3", "--surgery", "1/1"],
+        ["--spinc", "5"], ["--spinc", "all"], ["--oracle", "sublevel"], ["--oracle", "laufer"],
+        ["--spinc", "5", "--oracle", "sublevel"],
+    ])
     def test_lens_refuses_surgery_flags(self, capsys, extra):
-        # the surgery would otherwise go unverified while the lens check passes
+        # the surgery would otherwise go unverified while the lens check passes,
+        # and a class or an oracle would be asked for and silently ignored
         code, out, err = run(capsys, "verify", "--lens", "7/3", *extra)
         assert code == 1
         assert out == ""
         assert err.startswith("error: --lens ")
+        for flag in extra[0::2]:
+            assert flag in err
 
     def test_lens_single_class(self, capsys):
         code, out, _ = run(capsys, "verify", "--lens", "1/1", "--format", "json")
@@ -440,6 +458,48 @@ class TestParserReuse:
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "0\n"
+
+
+class TestStartup:
+    """The modules a fresh interpreter loads beyond a bare one, after
+    `import hfroots.cli` and after one `main` call.  Gated on modules, never
+    on seconds."""
+
+    PROBE = (
+        "import sys\n"
+        "base = set(sys.modules)\n"
+        "import hfroots.cli\n"
+        "after_import = sorted(set(sys.modules) - base)\n"
+        "code = hfroots.cli.main(sys.argv[1:])\n"
+        "print([code, after_import, sorted(set(sys.modules) - base)])\n"
+    )
+    UNUSED = {"hfroots.plumbing", "dataclasses", "inspect", "logging", "typing"}
+
+    def loaded(self, tmp_path, *argv):
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        cmd = [sys.executable, "-c", self.PROBE, *argv, "--out", str(tmp_path / "doc")]
+        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+        code, after_import, after_main = ast.literal_eval(out.stdout)
+        assert code == 0
+        return set(after_import), set(after_main)
+
+    @pytest.mark.parametrize("argv", [
+        ["knot", "--newton", "2,3"],
+        ["compute", "--newton", "2,3", "--surgery", "1/1", "--format", "json"],
+        ["compute", "--newton", "4,5", "--surgery", "2/1", "--format", "svg", "--spinc", "0"],
+    ])
+    def test_knot_and_compute_load_no_oracle(self, tmp_path, argv):
+        after_import, after_main = self.loaded(tmp_path, *argv)
+        assert "hfroots.cli" in after_import
+        assert after_import & self.UNUSED == set()
+        assert after_main & self.UNUSED == set()
+
+    def test_verify_loads_the_oracle(self, tmp_path):
+        after_import, after_main = self.loaded(tmp_path, "verify", "--newton", "2,3", "--surgery", "1/1")
+        assert "hfroots.plumbing" not in after_import
+        assert "hfroots.plumbing" in after_main
+        assert after_main & self.UNUSED == {"hfroots.plumbing"}
 
 
 class TestGoldens:

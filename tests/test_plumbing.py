@@ -13,6 +13,8 @@ from oracles import (
     chain_coefficients,
     chain_graph,
     determinant,
+    graph_from_json,
+    graph_to_json,
     laufer_run_rescan,
     laufer_tau,
     minimal_cycle_sequence,
@@ -130,7 +132,7 @@ class TestGraphType:
 
     def test_json_roundtrip(self):
         g = pl.surgery_graph(K23, SurgerySpec(K23, 7, 5).cfrac)
-        g2 = pl.graph_from_json(pl.graph_to_json(g))
+        g2 = graph_from_json(graph_to_json(g))
         assert g2.euler == g.euler
         assert g2.edges == g.edges
         assert g2.distinguished == g.distinguished
@@ -138,7 +140,7 @@ class TestGraphType:
 
     def test_json_validation(self):
         with pytest.raises(ValueError):
-            pl.graph_from_json('{"vertices": [{"index": 1, "euler": -2}], "edges": []}')
+            graph_from_json('{"vertices": [{"index": 1, "euler": -2}], "edges": []}')
 
 
 class TestElimination:
