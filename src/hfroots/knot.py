@@ -22,16 +22,19 @@ Everything else is read off the gap set (Campillo-Delgado-Gusein-Zade):
     Q in Delta(t) = 1 + delta (t - 1) + (t - 1)^2 Q(t), by one backward
     pass over 0 <= i <= mu - 2.
 
-The semigroup table costs O(mf g) and every invariant after it O(mu).  All
-values are computed with integer arithmetic only.
+The semigroup table costs O(mf g) and every invariant after it O(mu); a
+table over 2 * 10^6 entries is refused before it is allocated.  All values
+are computed with integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 from .frozen import Frozen
+
+_SEMIGROUP_TABLE_CAP = 2_000_000  # entries; the knot corpus needs at most 2,111
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials, coefficient lists indexed by exponent
@@ -174,6 +177,9 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
     gens.append(linking[-1][1])
     mf = linking[-1][1] * ps[-1]
 
+    if mf + 11 > _SEMIGROUP_TABLE_CAP:
+        raise ResourceLimitError(f"the semigroup table needs mf + 11 = {mf + 11} entries, "
+                                 f"over the cap of {_SEMIGROUP_TABLE_CAP}")
     # every gap lies below mf, so mu <= mf and a table to mf + 10 holds the
     # gap set and the final bound max(mu + 10, mf)
     table = _membership(gens, mf + 10)

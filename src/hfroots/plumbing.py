@@ -39,13 +39,13 @@ Oracle paths implemented here:
   * spin^c classes and their distinguished characteristic vectors k_r, each
     from one solve B l' = (0, ..., 0, -a_1, ..., -a_s) in the surgery lattice;
   * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
-    sum closed form, and (in hfcore) the grading shift r_a;
+    sum closed form in one pass per surgery, and (in hfcore) the shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
     whose condensation reproduces the tau function;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
     points of the ellipsoid chi <= n (Fincke-Pohst);
-  * lens space correction terms, degenerate delta = 0 case plus the
-    classical recursion as an oracle-of-the-oracle.
+  * lens space correction terms, the delta = 0 closed form plus the classical
+    recursion (run bottom-up) as an oracle-of-the-oracle.
 """
 
 from __future__ import annotations
@@ -63,10 +63,7 @@ from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
 _SUBLEVEL_POINT_CAP = 1_000_000
-# Cache bounds: a resolution graph per knot (a run meets a handful of knots),
-# and the lens recursion's (p, q, i) values (under 2p of them for one lens).
-_RESOLUTION_CACHE_SIZE = 64
-_LENS_CACHE_SIZE = 4096
+_RESOLUTION_CACHE_SIZE = 64  # graphs cached, one per knot; a run meets a handful
 
 
 # ---------------------------------------------------------------------------
@@ -453,23 +450,25 @@ def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
     return -(sum(k * b for k, b in zip(cls.k_r, cls.k_pairs)) + gm.n) / 4
 
 
-def grading_shift_formula(p: int, q: int, delta: int, a: int) -> Fraction:
-    """-(k_r^2 + s)/4 on the chain lattice, via Dedekind sums; no graphs.
+def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[Fraction]:
+    """[r_0, ..., r_a]: -(k_r^2 + s)/4 on the chain lattice, via Dedekind sums;
+    no graphs.  O(a) after one q' and one s(q, p).
 
     Assembled from the chain identities: the canonical square
     K~^2 + s = 2(p-1)/p - 12 s(q,p), its delta-correction through the first
-    dual basis vector, and the pairing of the minimal representative
-    (K~ + l~', l~') = a(p-1)/p - 2 sum_{j<=a} {j q'/p}, summed directly
-    over the integers j q' mod p and divided by p once.
+    dual basis vector, and the pairing (K~ + l~', l~') = b(p-1)/p -
+    2 sum_{j<=b} {j q'/p} of class b, over a running sum of j q' mod p.
     """
     if not 0 <= a < p:
         raise ValueError(f"spin^c index a={a} outside [0, {p})")
     qp = mod_inverse(q, p)
     ksq_s = Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
-    dksq_s = ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)
-    pair = Fraction(a * (p - 1) - 2 * sum((j * qp) % p for j in range(1, a + 1)), p)
-    krsq_s = dksq_s + 4 * pair + 8 * delta * Fraction(a, p)
-    return -krsq_s / 4
+    r_0 = -(ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)) / 4
+    shifts, total = [], 0  # total = sum_{j<=b} (j q' mod p)
+    for b in range(a + 1):
+        total += b * qp % p
+        shifts.append(r_0 - Fraction(b * (p - 1 + 2 * delta) - 2 * total, p))
+    return shifts
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +770,25 @@ def lens_d_invariants(p: int, q: int) -> list[Fraction]:
     through the delta = 0 degeneration of the grading-shift formula
     (every class has depth -1, a bare-stem root, and d = shift)."""
     _check_lens(p, q)
-    return [grading_shift_formula(p, q, 0, a) for a in range(p)]
-
-
-@lru_cache(maxsize=_LENS_CACHE_SIZE)
-def _lens_d_rec(p: int, q: int, i: int) -> Fraction:
-    if p == 1:
-        return Fraction(0)
-    return Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q) - Fraction(1, 4) - _lens_d_rec(q, p % q, i % q)
+    return grading_shift_formula(p, q, 0, p - 1)
 
 
 def lens_d_classical(p: int, q: int) -> list[Fraction]:
     """Independent oracle: the classical lens-space recursion
 
     d(1, 0, 0) = 0,
-    d(p, q, i) = (2i + 1 - p - q)^2 / (4pq) - 1/4 - d(q, p mod q, i mod q).
+    d(p, q, i) = (2i + 1 - p - q)^2 / (4pq) - 1/4 - d(q, p mod q, i mod q),
 
-    Folklore identity, kept separate from the formula path on purpose; the
-    two routes are compared as multisets because they index spin^c
-    structures differently.
+    built bottom-up, one list per level of the Euclidean chain (p, q) -> ... ->
+    (1, 0), under 4p values in all.  Kept apart from the formula path, which
+    indexes the classes differently: the two are compared as multisets.
     """
     _check_lens(p, q)
-    return [_lens_d_rec(p, q, i) for i in range(p)]
+    chain = [(p, q)]
+    while chain[-1][0] > 1:
+        m, n = chain[-1]
+        chain.append((n, m % n))
+    d = [Fraction(0)]
+    for m, n in reversed(chain[:-1]):
+        d = [Fraction((2 * i + 1 - m - n) ** 2 - m * n, 4 * m * n) - d[i % n] for i in range(m)]
+    return d

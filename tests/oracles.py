@@ -19,6 +19,10 @@ here, and the tests require identical results:
     from integer grades and one shift);
   * the Dedekind sum and the grading shift r_a by direct O(p) summation (the
     package uses reciprocity, a floor sum and per-spec constants);
+  * the lattice-side closed form for r_a one class at a time, recomputing q',
+    s(q, p) and sum_{j<=a} (j q' mod p) per class, and the classical
+    lens-space recursion top down, one descent per class (the package builds
+    the prefix r_0, ..., r_a in one pass and the recursion bottom-up);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
   * every grade of a spin^c structure as its own Fraction, written through
@@ -56,7 +60,7 @@ import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
-from hfroots.numtheory import NegContinuedFraction, mod_inverse
+from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
 from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
@@ -269,6 +273,31 @@ def grading_shift_direct(spec: SurgerySpec, a: int) -> Fraction:
         + Fraction(d * d * q, p)
         - Fraction(2 * d * a, p)
     )
+
+
+def grading_shift_formula_per_class(p: int, q: int, delta: int, a: int) -> Fraction:
+    """-(k_r^2 + s)/4 of class a alone on the chain lattice, via Dedekind sums,
+    with q', s(q, p) and the sum over j <= a recomputed for every class, O(a)."""
+    if not 0 <= a < p:
+        raise ValueError(f"spin^c index a={a} outside [0, {p})")
+    qp = mod_inverse(q, p)
+    ksq_s = Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
+    dksq_s = ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)
+    pair = Fraction(a * (p - 1) - 2 * sum((j * qp) % p for j in range(1, a + 1)), p)
+    krsq_s = dksq_s + 4 * pair + 8 * delta * Fraction(a, p)
+    return -krsq_s / 4
+
+
+def lens_d_recursive(p: int, q: int) -> list[Fraction]:
+    """d(p, q, i) for 0 <= i < p by the classical recursion, top down:
+    d(1, 0, 0) = 0, d(p, q, i) = (2i + 1 - p - q)^2/(4pq) - 1/4 - d(q, p mod q, i mod q)."""
+
+    def d(p: int, q: int, i: int) -> Fraction:
+        if p == 1:
+            return Fraction(0)
+        return Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q) - Fraction(1, 4) - d(q, p % q, i % q)
+
+    return [d(p, q, i) for i in range(p)]
 
 
 def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:

@@ -104,10 +104,12 @@ def test_criterion_7():
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 40
         classes = pl.spinc_classes(gm, spec)
+        formulas = pl.grading_shift_formula(p, q, knot.delta, p - 1)
+        assert len(formulas) == p
         for a in range(p):
             res = compute_spinc(spec, a)
             assert pl.lattice_grading_shift(gm, classes[a]) == res.shift
-            assert pl.grading_shift_formula(p, q, knot.delta, a) == res.shift
+            assert formulas[a] == res.shift
             tau = laufer_tau(gm, classes[a], (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf).values == res.tau.values
     for pairs, p, q in SUBLEVEL_CASES:

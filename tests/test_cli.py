@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hfroots.cli as cli
+import hfroots.knot as knot_mod
 import hfroots.plumbing as pl
 from hfroots.cli import main
 
@@ -263,7 +264,7 @@ class TestVerifyCommand:
 
     def test_mismatch_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            pl, "grading_shift_formula", lambda p, q, d, a: Fraction(12345)
+            pl, "grading_shift_formula", lambda p, q, d, a: [Fraction(12345)] * (a + 1)
         )
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
         assert code == 2
@@ -327,6 +328,17 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 0
         assert "usage: hfroots" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("newton", ["99999999999999,100000000000001", "2,100000001"])
+    def test_semigroup_table_cap_exits_4(self, capsys, monkeypatch, newton):
+        def allocate(gens, bound):
+            raise AssertionError(f"a semigroup table to {bound} was allocated")
+
+        monkeypatch.setattr(knot_mod, "_membership", allocate)
+        code, out, err = run(capsys, "knot", "--newton", newton)
+        assert code == 4
+        assert out == ""
+        assert re.fullmatch(r"error: the semigroup table needs mf \+ 11 = \d+ entries, over the cap of 2000000\n", err)
 
     def test_laufer_step_cap_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", 3)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hfroots.knot as knot_mod
+from hfroots.errors import ResourceLimitError
 from hfroots.knot import from_newton_pairs, poly_mul, t_power_minus_one
 
 from corpus_cases import KNOT_CORPUS
@@ -77,6 +79,15 @@ class TestConstruction:
     def test_rejects_invalid(self, pairs, message):
         with pytest.raises(ValueError, match=message):
             from_newton_pairs(pairs)
+
+    def test_table_cap_is_checked_before_allocating(self, monkeypatch):
+        # the trefoil has mf = 6, so its table holds mf + 11 = 17 entries
+        monkeypatch.setattr(knot_mod, "_SEMIGROUP_TABLE_CAP", 17)
+        assert from_newton_pairs([(2, 3)]).mf == 6
+        monkeypatch.setattr(knot_mod, "_SEMIGROUP_TABLE_CAP", 16)
+        monkeypatch.setattr(knot_mod, "_membership", lambda gens, bound: pytest.fail("table allocated"))
+        with pytest.raises(ResourceLimitError, match="mf \\+ 11 = 17 entries, over the cap of 16"):
+            from_newton_pairs([(2, 3)])
 
     def test_alpha_extension(self):
         # alpha_i counts the gaps above i; the tuple stops where that count

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd, prod
@@ -13,10 +14,12 @@ from oracles import (
     chain_coefficients,
     chain_graph,
     determinant,
+    grading_shift_formula_per_class,
     graph_from_json,
     graph_to_json,
     laufer_run_rescan,
     laufer_tau,
+    lens_d_recursive,
     minimal_cycle_sequence,
     pullback_spinc_class,
     solve_exact,
@@ -24,7 +27,15 @@ from oracles import (
 )
 
 import hfroots.plumbing as pl
-from hfroots import InternalInvariantError, ResourceLimitError, SurgerySpec, compute_spinc, from_newton_pairs, root_from_tau
+from hfroots import (
+    InternalInvariantError,
+    ResourceLimitError,
+    SurgerySpec,
+    compute_spinc,
+    from_newton_pairs,
+    grading_shift,
+    root_from_tau,
+)
 from hfroots.cli import main
 
 K23 = from_newton_pairs([(2, 3)])
@@ -270,12 +281,11 @@ class TestSpincClasses:
     def test_shift_triple_equality(self):
         for pairs, p, q in [([(2, 3)], 5, 3), ([(4, 5)], 2, 1), ([(2, 3), (2, 1)], 7, 4)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            formulas = pl.grading_shift_formula(p, q, knot.delta, p - 1)
+            assert len(formulas) == p
             for a in range(p):
                 lattice = pl.lattice_grading_shift(gm, classes[a])
-                formula = pl.grading_shift_formula(p, q, knot.delta, a)
-                from hfroots import grading_shift
-
-                assert lattice == formula == grading_shift(spec, a)
+                assert lattice == formulas[a] == grading_shift(spec, a)
 
     def test_projection_formula(self):
         # (pullback(x~), y) = (x~, projection(y)) for the two lattice maps
@@ -685,9 +695,91 @@ class TestLens:
             pl.lens_d_classical(3, 4)
 
 
-class TestCaches:
-    def test_bounded(self):
-        for cached in (pl.embedded_resolution, pl._lens_d_rec):
-            maxsize = cached.cache_info().maxsize
-            assert maxsize is not None and 0 < maxsize < 10**6
+SHIFT_KNOTS = [from_newton_pairs([pair]) for pair in [(2, 3), (2, 5), (3, 4)]]
+
+
+class TestShiftPrefix:
+    """The one-pass prefix [r_0, ..., r_a] and the bottom-up lens recursion
+    against the per-class references, index by index."""
+
+    def test_prefix_matches_per_class_exhaustive(self):
+        for p in range(1, 30):
+            for q in range(1, p + 1):
+                if gcd(p, q) != 1:
+                    continue
+                for delta in (0, 1, 3):
+                    expected = [grading_shift_formula_per_class(p, q, delta, a) for a in range(p)]
+                    assert pl.grading_shift_formula(p, q, delta, p - 1) == expected, (p, q, delta)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_lens_routes_match_references(self, data):
+        p = data.draw(st.integers(2, 2000), label="p")
+        q = data.draw(st.integers(1, p - 1), label="q")
+        assume(gcd(p, q) == 1)
+        formula = pl.lens_d_invariants(p, q)
+        assert len(formula) == p
+        for a in data.draw(st.lists(st.integers(0, p - 1), max_size=6), label="a") + [0, p - 1]:
+            assert formula[a] == grading_shift_formula_per_class(p, q, 0, a)
+        assert pl.lens_d_classical(p, q) == lens_d_recursive(p, q)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_prefix_matches_hfcore_and_per_class(self, data):
+        knot = data.draw(st.sampled_from(SHIFT_KNOTS), label="knot")
+        p = data.draw(st.integers(1, 2000), label="p")
+        q = data.draw(st.integers(1, 2 * p), label="q")
+        assume(gcd(p, q) == 1)
+        a = data.draw(st.integers(0, p - 1), label="a")
+        prefix = pl.grading_shift_formula(p, q, knot.delta, a)
+        spec = SurgerySpec(knot, p, q)
+        assert prefix == [grading_shift(spec, b) for b in range(a + 1)]
+        for b in data.draw(st.lists(st.integers(0, a), max_size=6), label="b") + [0, a]:
+            assert prefix[b] == grading_shift_formula_per_class(p, q, knot.delta, b)
+
+    def test_index_outside_range(self):
+        for a in (-1, 7):
+            with pytest.raises(ValueError, match="outside"):
+                pl.grading_shift_formula(7, 5, 1, a)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of plumbing's dedekind_sum and mod_inverse, by name."""
+    calls = Counter()
+    for name in ("dedekind_sum", "mod_inverse"):
+        real = getattr(pl, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pl, name, counting)
+    return calls
+
+
+class TestOnePass:
+    """The formula constants are computed once per surgery, not once per class."""
+
+    def test_lens(self, counted):
+        assert len(pl.lens_d_invariants(211, 37)) == 211
+        assert counted == {"dedekind_sum": 1, "mod_inverse": 1}
+
+    def test_verify_all_classes(self, counted, capsys):
+        assert main(["verify", "--newton", "2,3", "--surgery", "7/5"]) == 0
+        assert "result: AGREE" in capsys.readouterr().out
+        assert counted == {"dedekind_sum": 1, "mod_inverse": 1}
+
+    def test_verify_one_class_asks_for_its_prefix(self, monkeypatch, capsys):
+        asked = []
+        real = pl.grading_shift_formula
+
+        def recording(p, q, delta, a):
+            asked.append(a)
+            return real(p, q, delta, a)
+
+        monkeypatch.setattr(pl, "grading_shift_formula", recording)
+        assert main(["verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "3"]) == 0
+        assert "a = 3: shift ok, tau ok" in capsys.readouterr().out
+        assert asked == [3]
 

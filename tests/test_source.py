@@ -1,4 +1,5 @@
-"""Mechanical guards on the package source: arithmetic stays exact."""
+"""Mechanical guards on the package source: arithmetic stays exact and every
+cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,62 @@ def test_guard_catches_each_kind():
     found = sorted(float_uses(ast.parse(source)))
     assert [line for line, _ in found] == [1, 2, 3, 4, 5]
     assert found[-1][1] == "from math import sqrt"
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def unbounded_caches(tree):
+    """(line, what) for every lru_cache without an explicit maxsize other than
+    None, and every import or attribute use of functools.cache."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+            size = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if not size:
+                yield node.lineno, "lru_cache without maxsize"
+            elif isinstance(size[0], ast.Constant) and size[0].value is None:
+                yield node.lineno, "lru_cache with maxsize None"
+        elif _name(node) == "lru_cache" and id(node) not in called:
+            yield node.lineno, "bare lru_cache"
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and _name(node.value) == "functools":
+            yield node.lineno, "functools.cache"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno, "from functools import cache"
+
+
+def test_every_lru_cache_is_bounded():
+    paths = sorted(SRC.glob("*.py"))
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in paths
+        for line, what in unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    assert any("lru_cache(maxsize=" in path.read_text() for path in paths)
+
+
+def test_cache_guard_catches_each_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache\ndef a(): pass\n"
+        "@lru_cache()\ndef b(): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(): pass\n"
+        "@functools.lru_cache(None, typed=True)\ndef d(): pass\n"
+        "@functools.cache\ndef e(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef ok(): pass\n"
+        "@lru_cache(16)\ndef ok2(): pass\n"
+        "@lru_cache(maxsize=SIZE)\ndef ok3(): pass\n"
+    )
+    found = sorted(unbounded_caches(ast.parse(source)))
+    assert found == [
+        (2, "from functools import cache"),
+        (3, "bare lru_cache"),
+        (5, "lru_cache without maxsize"),
+        (7, "lru_cache with maxsize None"),
+        (9, "lru_cache with maxsize None"),
+        (11, "functools.cache"),
+    ]
