@@ -8,12 +8,16 @@ through one writer, `_json`, which produces the bytes of
 json.dumps(doc, indent=2) and rejects any value but dict, list, str, int,
 bool and None.  Output is deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
-lattice oracle (`plumbing`).
+lattice oracle (`plumbing`).  `verify` runs the Laufer sequence of the
+resolution graph once per surgery and only the surgery chain per class; a
+class whose check fails also gets the values that differ ("shifts", and
+"laufer_first_diff" at the first differing tau index).
 
 Exit codes: 0 ok, 1 input error (usage errors from the argument parser
 included), 2 verification mismatch (or an oracle whose search box was
 invalidated), 3 internal invariant failure, 4 resource limit reached (the
-Laufer step cap, the sublevel point cap or the semigroup table cap).
+Laufer step cap per engine run, the sublevel point cap or the semigroup
+table cap).
 """
 
 from __future__ import annotations
@@ -290,6 +294,14 @@ def _verify_lens(args) -> int:
     return 0 if ok else 2
 
 
+def _first_diff(lattice, formula) -> dict:
+    """The first index where two value lists differ, and each one's value there
+    (None past its end)."""
+    i = next((i for i, (u, v) in enumerate(zip(lattice, formula)) if u != v), min(len(lattice), len(formula)))
+    return {"index": i, "lattice": lattice[i] if i < len(lattice) else None,
+            "formula": formula[i] if i < len(formula) else None}
+
+
 def cmd_verify(args) -> int:
     if args.lens:
         given = [flag for flag in ("newton", "surgery", "spinc", "oracle") if getattr(args, flag) is not None]
@@ -316,6 +328,8 @@ def cmd_verify(args) -> int:
         classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
     _info(f"graphs and spin^c classes built in {time.perf_counter() - t0:.3f}s")
     shifts_formula = plumbing.grading_shift_formula(p, q, knot.delta, classes[-1].a)
+    if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so classes[0] is deepest
+        chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (hfcore.tau_depth(spec, classes[0].a) + 1) * knot.mf)
 
     per = []
     overall = True
@@ -328,10 +342,14 @@ def cmd_verify(args) -> int:
             "shift_lattice_ok": shift_lattice == res.shift,
             "shift_formula_ok": shifts_formula[a] == res.shift,
         }
+        if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):
+            entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": _rat(shifts_formula[a])}
         if use_laufer:
-            values, _ = plumbing.laufer_sequence(gm, cls, (res.depth + 1) * knot.mf)
-            condensed = plumbing.condense_tau(TauFunction(tuple(values)), knot.mf)
-            entry["laufer_tau_ok"] = condensed.values == res.tau.values
+            values = plumbing.class_laufer_values(gm, cls, chi_gf, (res.depth + 1) * knot.mf)
+            condensed = plumbing.condense_tau(TauFunction(tuple(values)), knot.mf).values
+            entry["laufer_tau_ok"] = condensed == res.tau.values
+            if not entry["laufer_tau_ok"]:
+                entry["laufer_first_diff"] = _first_diff(condensed, res.tau.values)
         if use_sublevel:
             n_top = res.tau.max()
             box = plumbing.exact_sublevel_box(gm, cls.k_r, n_top)
@@ -372,6 +390,11 @@ def cmd_verify(args) -> int:
             if "sublevel" in entry:
                 status.append("sublevel " + entry["sublevel"])
             lines.append(f"  a = {entry['a']}: " + ", ".join(status))
+            if "shifts" in entry:
+                lines.append("    shifts: " + ", ".join(f"{k} = {v}" for k, v in entry["shifts"].items()))
+            if "laufer_first_diff" in entry:
+                lines.append("    tau first differs at index {index}: lattice {lattice}, formula {formula}"
+                             .format_map(entry["laufer_first_diff"]))
         lines.append(f"result: {'AGREE' if overall else 'DISAGREE'}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if overall else 2

@@ -41,7 +41,9 @@ Oracle paths implemented here:
   * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
     sum closed form in one pass per surgery, and (in hfcore) the shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
-    whose condensation reproduces the tau function;
+    whose condensation reproduces the tau function; split at v0, the
+    resolution graph's branches run once per surgery (every class pairs to 0
+    there) and only the surgery chain runs per class;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
     points of the ellipsoid chi <= n (Fincke-Pohst);
   * lens space correction terms, the delta = 0 closed form plus the classical
@@ -476,36 +478,65 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
-    """Laufer engine: starting from x = 0, step pr_{v0} up by 1 and then add
-    base vectors b_j (j != v0) while some w_j = (x + l', b_j) is positive,
-    where offsets[j] = (l', b_j); zero offsets give the minimal cycles of a
-    resolution graph.  Returns (chi values, cycles).
+def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]:
+    """Laufer engine on the branches of g - v0 hanging from `roots`, some
+    neighbours of v0: base[i] plus their share of chi(x(i)), i = 0..i_max.
 
-    Every such addition is forced, so the cycle where they stop does not
-    depend on their order (Laufer's lemma).  The vertices with w_j > 0 wait
-    on a stack, and the one popped gets all k = ceil(w_j / |e_j|) of its
-    forced additions at once.  chi is tracked incrementally: adding b_j
-    changes chi by 1 - w_j, so k additions change it by
-    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions;
-    passing it raises ResourceLimitError.
+    x(i) has pr_{v0} = i and is minimal with w_j = (x + l', b_j) <= 0 on the
+    branches, where offsets[j] = (l', b_j).  v0 is fed one step at a time,
+    and each step is followed by every forced addition of a b_j.
+
+    Split at v0: an addition on one branch changes w only there and at v0,
+    and a step of v0 raises w only at the roots.  The additions are forced,
+    so where they stop does not depend on their order (Laufer's lemma): x(i)
+    on a branch depends only on i and that branch's offsets, and the offsets
+    of other branches are never read.  Adding b_j changes chi by 1 - w_j, so
+    step i of v0 adds 1 - (l', b_{v0}) - e_{v0} (i - 1) - sum_r x_r(i - 1)
+    over the neighbours r of v0.  This run adds its own roots' cross terms
+    and base carries the rest:
+
+        chi(x(i)) = base[i] + [additions on the branches up to step i]
+                    - sum_{i' < i} sum_{r in roots} x_r(i').
+
+    laufer_values runs every root on base[i] = i (1 - (l', b_{v0})) -
+    e_{v0} i (i - 1) / 2; class_laufer_values chains a second run, the
+    surgery chain's, on the resolution graph's values.
+
+    Vertices with w_j > 0 wait on a stack; the one popped gets all
+    k = ceil(w_j / |e_j|) of its additions at once, changing chi by
+    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions,
+    each step of v0 included, per run; passing it raises ResourceLimitError.
     """
     v0 = g.distinguished
-    if v0 is None:
-        raise ValueError("graph has no distinguished vertex")
     euler, adj = g.euler, g.adj
+    branch, stack = set(roots), list(roots)
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb != v0 and nb not in branch:
+                branch.add(nb)
+                stack.append(nb)
     x = [0] * g.n
     w = list(offsets)
-    chi = 0
-    values = [0]
-    cycles = [tuple(x)]
-    budget = _LAUFER_STEP_CAP
-    ready = [j for j in range(g.n) if j != v0 and w[j] > 0]  # every j != v0 with w_j > 0
+    ready = [j for j in branch if w[j] > 0]  # every branch vertex with w_j > 0
     push, pop = ready.append, ready.pop
-    for _ in range(i_max):
-        j, k = v0, 1  # the step of pr_{v0}, then the forced additions
+    chi = 0  # this run's share of chi(x(i))
+    values = [base[0]]
+    budget = _LAUFER_STEP_CAP
+    for i in range(1, i_max + 1):
+        for r in roots:  # the step of v0
+            chi -= x[r]
+            w[r] += 1
+            if w[r] == 1:
+                push(r)
+        budget -= 1
         while True:
+            if budget < 0:
+                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
+            if not ready:
+                break
+            j = pop()
             wj, e = w[j], euler[j]
+            k = -(-wj // -e)
             chi += k - k * wj - e * k * (k - 1) // 2
             x[j] += k
             w[j] = wj + k * e
@@ -515,24 +546,40 @@ def _laufer_run(g: PlumbingGraph, offsets: list[int], i_max: int):
                 if 0 < wn <= k and nb != v0:  # just turned positive
                     push(nb)
             budget -= k
-            if budget < 0:
-                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
-            if not ready:
-                break
-            j = pop()
-            k = -(-w[j] // -euler[j])
-        values.append(chi)
-        cycles.append(tuple(x))
-    return values, cycles
+        values.append(base[i] + chi)
+    return values
 
 
-def laufer_sequence(gm: PlumbingGraph, cls: SpincClass, i_max: int):
-    """chi values and cycles of the generalized Laufer sequence x(i).
+def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
+    """chi(x(i)), i = 0..i_max, of the generalized Laufer sequence on the
+    whole graph: x(i) is minimal with pr_{v0} = i and (x(i) + l', b_j) <= 0
+    for j != v0, where offsets[j] = (l', b_j).  On a resolution graph with
+    zero offsets x(i) is the minimal cycle y(i)."""
+    v0 = g.distinguished
+    if v0 is None:
+        raise ValueError("graph has no distinguished vertex")
+    o, e = offsets[v0], g.euler[v0]
+    base = [i * (1 - o) - e * i * (i - 1) // 2 for i in range(i_max + 1)]
+    return _laufer_run(g, offsets, i_max, g.adj[v0], base)
 
-    x(i) is minimal with pr_{v0} = i and (x(i) + l', b_j) <= 0 for j != v0;
-    chi is taken with respect to k_r.  The offsets are the class's l_pairs.
+
+def class_laufer_values(gm: PlumbingGraph, cls: SpincClass, resolution_values, i_max: int) -> list[int]:
+    """chi_{k_r}(x(i)), i = 0..i_max, of the class's Laufer sequence on the
+    surgery graph, from resolution_values = laufer_values(gf, zeros, >= i_max)
+    of the knot's resolution graph gf: only the surgery chain runs.
+
+    Removing v0 from gm leaves gf's branches, where every class pairs to 0,
+    and the chain from index nf = gf.n; so x(i) there is gf's minimal cycle
+    in every class (the split in _laufer_run).  A class of another shape
+    raises InternalInvariantError.
     """
-    return _laufer_run(gm, list(cls.l_pairs), i_max)
+    nf = gm.n - len(cls.a_coeffs)
+    if any(cls.l_pairs[:nf]) or nf not in gm.adj[gm.distinguished]:
+        raise InternalInvariantError("the class's Laufer run cannot share the resolution side: l' must pair "
+                                     "to 0 there and the chain start at index nf next to v0")
+    if len(resolution_values) <= i_max:
+        raise InternalInvariantError(f"the resolution-side Laufer run stops before step {i_max}")
+    return _laufer_run(gm, cls.l_pairs, i_max, (nf,), resolution_values)
 
 
 def condense_tau(tau: TauFunction, mf: int) -> TauFunction:

@@ -37,8 +37,10 @@ here, and the tests require identical results:
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
     part of the generalized Laufer cycles; the Laufer engine that rescans
-    the vertices after every single addition (the package keeps a stack of
-    the vertices that still need additions);
+    the vertices after every single addition, runs the whole graph and keeps
+    the cycles (the package keeps a stack of the vertices that still need
+    additions, returns chi values only, and runs a surgery class's chain on
+    top of the resolution graph's values);
   * the sublevel root by a sweep over every point of its coordinate box (the
     package enumerates only the lattice points of the ellipsoid chi <= n).
 
@@ -515,9 +517,11 @@ def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple
     Returns [(y(i), (y(i), b_{v0}))] for i = 0..i_max.  The pairing with the
     distinguished vertex detects semigroup membership: 0 on the semigroup,
     1 on the gaps (for i below the period mf), and the sequence repeats as
-    y(i + mf) = y(i) + Z_f.
+    y(i + mf) = y(i) + Z_f.  The cycles come from the rescanning engine,
+    whose chi values must equal the package's on the same graph.
     """
-    _, cycles = pl._laufer_run(gf, [0] * gf.n, i_max)
+    values, cycles = laufer_run_rescan(gf, [0] * gf.n, i_max)
+    assert values == pl.laufer_values(gf, [0] * gf.n, i_max)
     return [(cyc, gf.apply_form(list(cyc))[gf.distinguished]) for cyc in cycles]
 
 
@@ -567,10 +571,11 @@ def laufer_run_rescan(g: pl.PlumbingGraph, offsets: list[int], i_max: int):
     return values, cycles
 
 
-def laufer_tau(gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:
-    """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max."""
-    values, _ = pl.laufer_sequence(gm, cls, i_max)
-    return TauFunction(tuple(values))
+def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:
+    """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max, by
+    the route `verify` takes: the run on the resolution graph gf, then the
+    class's chain on the surgery graph gm."""
+    return TauFunction(tuple(pl.class_laufer_values(gm, cls, pl.laufer_values(gf, [0] * gf.n, i_max), i_max)))
 
 
 def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:

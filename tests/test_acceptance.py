@@ -110,7 +110,7 @@ def test_criterion_7():
             res = compute_spinc(spec, a)
             assert pl.lattice_grading_shift(gm, classes[a]) == res.shift
             assert formulas[a] == res.shift
-            tau = laufer_tau(gm, classes[a], (res.depth + 1) * knot.mf)
+            tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf).values == res.tau.values
     for pairs, p, q in SUBLEVEL_CASES:
         knot = from_newton_pairs(list(pairs))

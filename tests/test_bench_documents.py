@@ -42,8 +42,9 @@ def test_every_candidate_matches_its_pin(tmp_path):
 
 def test_quick_run_passes():
     # the traced quick run is what calls the package the way bench/tracer.py
-    # reads it: sublevel_root's fourth positional argument, the
-    # (values, cycles) pair of laufer_sequence, embedded_resolution.cache_info()
+    # reads it: sublevel_root's fourth positional argument and
+    # embedded_resolution.cache_info(); the tracer's laufer_sequence observer
+    # finds no such function any more and reads 0
     run = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--quick"],
         cwd=BENCH.parent, capture_output=True, text=True, timeout=300,

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import laufer_run_rescan
 
 import hfroots.cli as cli
 import hfroots.knot as knot_mod
@@ -269,6 +270,42 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
         assert code == 2
         assert "result: DISAGREE" in out
+        # the three shifts are named, in the text and in the JSON document
+        r_a = cli._rat(cli.hfcore.grading_shift(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 3)]), 1, 1), 0))
+        assert f"    shifts: r_a = {r_a}, lattice = {r_a}, formula = 12345/1\n" in out
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--format", "json")
+        assert code == 2
+        entry = json.loads(out)["verification"]["per_spinc"][0]
+        assert entry["shifts"] == {"r_a": r_a, "lattice": r_a, "formula": "12345/1"}
+        assert "laufer_first_diff" not in entry
+
+    def test_laufer_mismatch_names_the_first_difference(self, capsys, monkeypatch):
+        # -2/1 surgery on T(2,5), class 0: chi(x(10)) lowered by 100 on the
+        # Laufer route moves tau(2) and leaves the block maxima around it
+        real = pl.class_laufer_values
+
+        def lowered(gm, cls, chi_gf, i_max):
+            values = real(gm, cls, chi_gf, i_max)
+            return values[:10] + [values[10] - 100] + values[11:] if cls.a == 0 else values
+
+        monkeypatch.setattr(pl, "class_laufer_values", lowered)
+        argv = ("verify", "--newton", "2,5", "--surgery", "2/1")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 2
+        per = json.loads(out)["verification"]["per_spinc"]
+        tau = cli.hfcore.compute_spinc(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 5)]), 2, 1), 0).tau.values
+        assert len(tau) == 5
+        assert per[0]["laufer_tau_ok"] is False
+        assert per[0]["laufer_first_diff"] == {"index": 2, "lattice": tau[2] - 100, "formula": tau[2]}
+        assert "shifts" not in per[0]
+        assert per[1] == {"a": 1, "shift_lattice_ok": True, "shift_formula_ok": True, "laufer_tau_ok": True}
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert f"  a = 0: shift ok, tau MISMATCH\n    tau first differs at index 2: lattice {tau[2] - 100}, formula {tau[2]}\n" in out
+
+    def test_first_difference_past_an_end(self):
+        assert cli._first_diff((0, 1, 2), (0, 1)) == {"index": 2, "lattice": 2, "formula": None}
+        assert cli._first_diff((0,), (0, -1, 0)) == {"index": 1, "lattice": None, "formula": -1}
 
     def test_unreliable_box_reported_distinctly(self, capsys, monkeypatch):
         real = pl.sublevel_root
@@ -346,6 +383,31 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "error: Laufer iteration exceeded its step cap of 3 additions\n"
+
+    @pytest.mark.parametrize("side", ["resolution", "chain"])
+    def test_laufer_step_cap_bounds_each_run(self, capsys, monkeypatch, side):
+        # -1/12 surgery on the trefoil: its one class runs 72 steps of v0;
+        # the resolution side takes 132 additions, the 12-vertex chain 150,
+        # so a cap of 132 passes the resolution run and stops the chain's
+        knot = cli.from_newton_pairs([(2, 3)])
+        gf = pl.embedded_resolution(knot)
+        i_max = (cli.hfcore.tau_depth(cli.hfcore.SurgerySpec(knot, 1, 12), 0) + 1) * knot.mf
+        resolution_steps = sum(laufer_run_rescan(gf, [0] * gf.n, i_max)[1][-1])
+        cap = resolution_steps - 1 if side == "resolution" else resolution_steps
+        real, roots_run = pl._laufer_run, []
+
+        def recorded(g, offsets, i_max, roots, base):
+            roots_run.append(tuple(roots))
+            return real(g, offsets, i_max, roots, base)
+
+        monkeypatch.setattr(pl, "_laufer_run", recorded)
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", cap)
+        code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/12")
+        assert code == 4
+        assert out == ""
+        assert err == f"error: Laufer iteration exceeded its step cap of {cap} additions\n"
+        assert roots_run[-1] == (gf.adj[gf.distinguished] if side == "resolution" else (gf.n,))
+        assert len(roots_run) == (1 if side == "resolution" else 2)
 
     def test_sublevel_point_cap_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 2)

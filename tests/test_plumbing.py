@@ -35,6 +35,7 @@ from hfroots import (
     from_newton_pairs,
     grading_shift,
     root_from_tau,
+    tau_depth,
 )
 from hfroots.cli import main
 
@@ -379,7 +380,7 @@ class TestSpincClasses:
             assert len(builds) == 2, argv
 
     def test_stored_pairings_match_the_lattice(self):
-        # laufer_sequence and lattice_grading_shift read these instead of pairing again
+        # class_laufer_values and lattice_grading_shift read these instead of pairing again
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             for cls in classes:
@@ -390,6 +391,8 @@ class TestSpincClasses:
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
         knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 7, 4)
+        gf = pl.embedded_resolution(knot)
+        chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
 
         def refuse(*args):
             raise AssertionError("paired with the intersection form again")
@@ -398,7 +401,7 @@ class TestSpincClasses:
         monkeypatch.setattr(pl.PlumbingGraph, "pairing", refuse)
         for cls in classes:
             pl.lattice_grading_shift(gm, cls)
-            pl.laufer_sequence(gm, cls, 2 * knot.mf)
+            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
 
     def test_single_class_matches_the_full_list(self):
         for pairs, p, q in ORACLE_CASES:
@@ -442,28 +445,36 @@ class TestCycles:
         assert chain_coefficients(spec, 0, 0) == (0,) * spec.cfrac.s
 
     def test_chain_coefficients_match_laufer(self):
+        # the cycles come from the rescanning engine, whose chi values are
+        # first checked against the package's split run
         rng = random.Random(9)
         for pairs, p, q in [([(2, 3)], 7, 5), ([(2, 5)], 5, 3), ([(2, 3), (2, 1)], 4, 3)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             s = spec.cfrac.s
             for a in rng.sample(range(p), min(3, p)):
                 i_max = 2 * knot.mf + 3
-                _, cycles = pl.laufer_sequence(gm, classes[a], i_max)
+                values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
+                assert tuple(values) == laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max).values
                 for i in range(i_max + 1):
                     assert cycles[i][gm.n - s:] == chain_coefficients(spec, a, i)
 
 
 class TestLauferEngine:
     def test_matches_rescan_on_oracle_corpus(self):
+        # every class, by the split route verify takes (the resolution graph
+        # once per surgery, then the class's chain) and by the whole-graph run
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             gf = pl.embedded_resolution(knot)
-            assert pl._laufer_run(gf, [0] * gf.n, 2 * knot.mf) == laufer_run_rescan(gf, [0] * gf.n, 2 * knot.mf)
+            top = (tau_depth(spec, 0) + 1) * knot.mf
+            chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
+            assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
                 offsets = [int(v) for v in gm.apply_form(list(cls.l_prime))]
-                expected = laufer_run_rescan(gm, offsets, i_max)
-                assert pl.laufer_sequence(gm, cls, i_max) == expected, (pairs, p, q, cls.a)
+                expected, _ = laufer_run_rescan(gm, offsets, i_max)
+                assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
+                assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(random_trees(st.integers(-3, 3)), st.integers(0, 6))
@@ -473,26 +484,65 @@ class TestLauferEngine:
         if not definite_by_reference(tree_form(euler, edges)):
             return
         g = pl.PlumbingGraph(euler, edges, distinguished=0)
-        assert pl._laufer_run(g, offsets, i_max) == laufer_run_rescan(g, offsets, i_max)
+        assert pl.laufer_values(g, offsets, i_max) == laufer_run_rescan(g, offsets, i_max)[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans())), st.integers(0, 6))
+    def test_split_runs_chain_to_the_whole_run(self, graph, i_max):
+        # v0's neighbours in two groups: the first run, on the first group's
+        # branches, gives the base of the second; each run sees its own
+        # branches' offsets and junk everywhere else, which it must not read
+        euler, parents, data = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        if not definite_by_reference(tree_form(euler, edges)):
+            return
+        g = pl.PlumbingGraph(euler, edges, distinguished=0)
+        offsets = [o for o, _, _ in data]
+        expected = laufer_run_rescan(g, offsets, i_max)[0]
+        assert pl.laufer_values(g, offsets, i_max) == expected
+        side = {0: None}  # the group of each vertex's branch, v0 in none
+        for j, par in enumerate(parents, start=1):
+            side[j] = data[j][2] if par == 0 else side[par]
+        groups = [tuple(r for r in g.adj[0] if side[r] is flag) for flag in (True, False)]
+        values = [i * (1 - offsets[0]) - euler[0] * i * (i - 1) // 2 for i in range(i_max + 1)]
+        for flag, roots in zip((True, False), groups):
+            own = [o if side[j] is flag else junk for j, (o, junk, _) in enumerate(data)]
+            values = pl._laufer_run(g, own, i_max, roots, values)
+        assert values == expected
 
     def test_step_cap_counts_single_additions(self, monkeypatch):
         # x(1) = (1, 3, 2) on the chain -2 - -2 - -2 from offsets (0, 3, 0):
-        # six additions, the first two to b_1 in one batch
+        # six additions, the step of v0 and then the first two to b_1 in one batch
         g = pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2)], distinguished=0)
-        values, cycles = pl._laufer_run(g, [0, 3, 0], 1)
-        assert (values, cycles) == laufer_run_rescan(g, [0, 3, 0], 1)
+        values, cycles = laufer_run_rescan(g, [0, 3, 0], 1)
+        assert pl.laufer_values(g, [0, 3, 0], 1) == values
         steps = sum(cycles[-1])
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps)
-        pl._laufer_run(g, [0, 3, 0], 1)
+        pl.laufer_values(g, [0, 3, 0], 1)
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps - 1)
         with pytest.raises(ResourceLimitError, match=f"step cap of {steps - 1} additions"):
-            pl._laufer_run(g, [0, 3, 0], 1)
+            pl.laufer_values(g, [0, 3, 0], 1)
+
+    def test_class_run_refuses_a_class_it_cannot_split(self):
+        knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
+        gf = pl.embedded_resolution(knot)
+        chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
+        cls = classes[3]
+        pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
+        fields = {name: getattr(cls, name) for name in pl.SpincClass.__slots__}
+        nonzero = {**fields, "l_pairs": (1,) + cls.l_pairs[1:]}  # pairs with b_0 on the resolution side
+        shifted = {**fields, "a_coeffs": cls.a_coeffs[1:]}  # nf would point one vertex down the chain
+        for tampered in (nonzero, shifted):
+            with pytest.raises(InternalInvariantError, match="cannot share the resolution side"):
+                pl.class_laufer_values(gm, pl.SpincClass(**tampered), chi_gf, 2 * knot.mf)
+        with pytest.raises(InternalInvariantError, match="stops before step"):
+            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf + 1)
 
 
 class TestLauferTau:
     def test_torus_45_condensation(self):
         knot, spec, gm, classes = surgery_setup([(4, 5)], 2, 1)
-        tau = laufer_tau(gm, classes[0], 6 * knot.mf)
+        tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[0], 6 * knot.mf)
         condensed = pl.condense_tau(tau, knot.mf)
         assert condensed.values == (0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0)
 
@@ -501,8 +551,9 @@ class TestLauferTau:
         for pairs, p, q in [([(2, 3)], 3, 2), ([(4, 5)], 2, 1)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             mf = knot.mf
+            gf = pl.embedded_resolution(knot)
             for a in range(p):
-                values, _ = pl.laufer_sequence(gm, classes[a], 2 * mf)
+                values = laufer_tau(gf, gm, classes[a], 2 * mf).values
                 for i in range(2 * mf):
                     t, i0 = divmod(i, mf)
                     ceil_term = -((-(i * q - a)) // (q * mf + p))
@@ -515,7 +566,7 @@ class TestLauferTau:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
-                tau = laufer_tau(gm, classes[a], i_max)
+                tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 condensed = pl.condense_tau(tau, knot.mf)
                 assert condensed.values == res.tau.values
                 assert (
@@ -529,7 +580,7 @@ class TestLauferTau:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
-                values, _ = pl.laufer_sequence(gm, classes[a], i_max)
+                values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max).values
                 d = pl.lattice_grading_shift(gm, classes[a]) + 2 * min(values)
                 assert d == res.d_invariant
 
@@ -580,13 +631,18 @@ class TestSublevel:
             pl.sublevel_root(g, kr, 2, wide)
 
     def test_laufer_cycles_inside_exact_box(self):
-        # the search box the sublevel oracle uses already holds every Laufer cycle
+        # the search box the sublevel oracle uses already holds every Laufer
+        # cycle; the cycles come from the rescanning engine, whose chi values
+        # are first checked against the package's split run
         for pairs, p, q in SUBLEVEL_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            gf = pl.embedded_resolution(knot)
             for a in range(p):
                 res = compute_spinc(spec, a)
                 box = pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max())
-                _, cycles = pl.laufer_sequence(gm, classes[a], (res.depth + 1) * knot.mf)
+                i_max = (res.depth + 1) * knot.mf
+                values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
+                assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max).values
                 for cyc in cycles:
                     assert all(lo <= x <= hi for x, (lo, hi) in zip(cyc, box))
 
