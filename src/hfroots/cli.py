@@ -10,14 +10,15 @@ bool and None.  Output is deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`).  `verify` runs the Laufer sequence of the
 resolution graph once per surgery and only the surgery chain per class; a
-class whose check fails also gets the values that differ ("shifts", and
-"laufer_first_diff" at the first differing tau index).
+class whose check fails also gets the values that differ ("shifts",
+"laufer_first_diff" at the first differing tau index, and
+"sublevel_first_diff" at the lowest level where the two roots differ).  A
+sublevel set that leaves its enumeration is an internal fault (exit 3).
 
 Exit codes: 0 ok, 1 input error (usage errors from the argument parser
-included), 2 verification mismatch (or an oracle whose search box was
-invalidated), 3 internal invariant failure, 4 resource limit reached (the
-Laufer step cap per engine run, the sublevel point cap or the semigroup
-table cap).
+included), 2 verification mismatch, 3 internal invariant failure, 4 resource
+limit reached (the Laufer step cap per engine run, the sublevel point cap or
+the semigroup table cap).
 """
 
 from __future__ import annotations
@@ -302,6 +303,21 @@ def _first_diff(lattice, formula) -> dict:
             "formula": formula[i] if i < len(formula) else None}
 
 
+def _root_first_diff(lattice, formula) -> dict:
+    """The lowest level whose sorted subtree keys differ between two graded
+    roots, with each root's vertex count there."""
+    def keys_by_level(root) -> dict:
+        key, out = {}, {}
+        for v in sorted(range(len(root)), key=root.chi.__getitem__):  # children first
+            key[v] = tuple(sorted(key[c] for c in root.children[v]))
+            out.setdefault(root.chi[v], []).append(key[v])
+        return {level: sorted(keys) for level, keys in out.items()}
+
+    a, b = keys_by_level(lattice), keys_by_level(formula)
+    level = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return {"level": level, "lattice": len(a.get(level, ())), "formula": len(b.get(level, ()))}
+
+
 def cmd_verify(args) -> int:
     if args.lens:
         given = [flag for flag in ("newton", "surgery", "spinc", "oracle") if getattr(args, flag) is not None]
@@ -353,12 +369,12 @@ def cmd_verify(args) -> int:
         if use_sublevel:
             n_top = res.tau.max()
             box = plumbing.exact_sublevel_box(gm, cls.k_r, n_top)
-            sub = plumbing.sublevel_root(gm, cls.k_r, n_top, box)
-            if sub.boundary_contact:
-                entry["sublevel"] = "unreliable-box"
-            else:
-                same = sub.root.canonical_key() == root_from_tau(res.tau).canonical_key()
-                entry["sublevel"] = "ok" if same else "disagree"
+            lattice_root = plumbing.sublevel_root(gm, cls.k_r, n_top, box)
+            formula_root = root_from_tau(res.tau)
+            same = lattice_root.canonical_key() == formula_root.canonical_key()
+            entry["sublevel"] = "ok" if same else "disagree"
+            if not same:
+                entry["sublevel_first_diff"] = _root_first_diff(lattice_root, formula_root)
         per.append(entry)
         bad = (
             not entry["shift_lattice_ok"]
@@ -395,6 +411,9 @@ def cmd_verify(args) -> int:
             if "laufer_first_diff" in entry:
                 lines.append("    tau first differs at index {index}: lattice {lattice}, formula {formula}"
                              .format_map(entry["laufer_first_diff"]))
+            if "sublevel_first_diff" in entry:
+                lines.append("    roots first differ at level {level}: lattice {lattice} vertices, formula {formula}"
+                             .format_map(entry["sublevel_first_diff"]))
         lines.append(f"result: {'AGREE' if overall else 'DISAGREE'}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0 if overall else 2

@@ -65,28 +65,19 @@ def t_power_minus_one(n: int) -> list[int]:
 
 
 class NumericalSemigroup(Frozen):
-    """A numerical semigroup given by generators (plus 0) and a table.
+    """A numerical semigroup given by generators (plus 0) and its finite gap set.
 
-    membership[k] says whether k belongs to the semigroup, for 0 <= k <= bound.
-    The complement below the table bound is the full (finite) gap set.
+    k is in the semigroup iff k >= 0 and k is not a gap, for every integer k.
     """
 
-    __slots__ = ("generators", "membership")
+    __slots__ = ("generators", "gaps")
 
-    def __init__(self, generators: tuple[int, ...], membership: tuple[bool, ...]):
+    def __init__(self, generators: tuple[int, ...], gaps: frozenset[int]):
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "membership", membership)
-
-    @property
-    def bound(self) -> int:
-        return len(self.membership) - 1
+        object.__setattr__(self, "gaps", gaps)
 
     def __contains__(self, k: int) -> bool:
-        if k < 0:
-            return False
-        if k > self.bound:
-            raise IndexError(f"{k} beyond the membership table (bound {self.bound})")
-        return self.membership[k]
+        return k >= 0 and k not in self.gaps
 
 
 def _membership(gens: list[int], bound: int) -> list[bool]:
@@ -180,8 +171,7 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
     if mf + 11 > _SEMIGROUP_TABLE_CAP:
         raise ResourceLimitError(f"the semigroup table needs mf + 11 = {mf + 11} entries, "
                                  f"over the cap of {_SEMIGROUP_TABLE_CAP}")
-    # every gap lies below mf, so mu <= mf and a table to mf + 10 holds the
-    # gap set and the final bound max(mu + 10, mf)
+    # every gap lies below mf, so a table to mf + 10 holds the gap set
     table = _membership(gens, mf + 10)
     gaps = tuple(k for k, member in enumerate(table) if not member)
     if gaps[-1] >= mf:
@@ -202,13 +192,10 @@ def from_newton_pairs(pairs) -> AlgebraicKnot:
     for i in range(mu - 2, -1, -1):
         above += not table[i + 1]
         alpha[i] = above
-    semigroup = NumericalSemigroup(
-        generators=(0,) + tuple(sorted(gens)), membership=tuple(table[: max(mu + 10, mf) + 1])
-    )
     return AlgebraicKnot(
         newton_pairs=pairs,
         linking_pairs=linking,
-        semigroup=semigroup,
+        semigroup=NumericalSemigroup(generators=(0,) + tuple(sorted(gens)), gaps=frozenset(gaps)),
         gaps=gaps,
         delta=delta,
         mu=mu,

@@ -45,7 +45,8 @@ Oracle paths implemented here:
     resolution graph's branches run once per surgery (every class pairs to 0
     there) and only the surgery chain runs per class;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
-    points of the ellipsoid chi <= n (Fincke-Pohst);
+    points of the ellipsoid chi <= n (Fincke-Pohst), closed under the steps
+    x -> x +- b_j or refused with InternalInvariantError;
   * lens space correction terms, the delta = 0 closed form plus the classical
     recursion (run bottom-up) as an oracle-of-the-oracle.
 """
@@ -606,28 +607,14 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
 # ---------------------------------------------------------------------------
 
 
-class SublevelRoot(Frozen):
-    """Result of a sublevel computation.
-
-    boundary_contact means some connected component continues past the
-    search box (an in-set point on the boundary has an in-set neighbour
-    outside), so the root may be truncated and must not be trusted.
-    """
-
-    __slots__ = ("root", "boundary_contact")
-
-    def __init__(self, root: GradedRoot, boundary_contact: bool):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "boundary_contact", boundary_contact)
-
-
 def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -> tuple[tuple[int, int], ...]:
     """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max}.
 
     Completing the square, chi(x) <= n says -(y, y) <= 2 n - (k, k)/4 for
     y = x + k/2, a positive definite ellipsoid condition, so coordinate j is
     bounded by y_j^2 <= R * (-B^{-1})_{jj}.  All bounds are taken with exact
-    integer square roots.  A run over this box can never leak.
+    integer square roots.  The box holds the whole sublevel set, so the
+    closure check of `sublevel_root` fires on it only on a fault.
     """
     radius = 2 * n_max - Fraction(g.pairing(kr, kr)) / 4
     if radius < 0:
@@ -701,18 +688,19 @@ def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[
     return pts
 
 
-def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> SublevelRoot:
+def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> GradedRoot:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
     restricted to an explicit coordinate box.
 
     Vertices at level n are the connected components of the sublevel set,
     where x and x + b_j are adjacent whenever both lie in the set; edges
-    follow component inclusion from level n to n + 1.  Correct only when the
-    box contains every relevant component; contact with the box boundary is
-    reported via boundary_contact.  The points are found by exact
-    enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`), which
-    the box only clips; the enumeration caps the points it produces at 10^6
-    and raises ResourceLimitError beyond that.
+    follow component inclusion from level n to n + 1.  The points are found
+    by exact enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`),
+    which the box only clips; the enumeration caps the points it produces at
+    10^6 and raises ResourceLimitError beyond that.  The level sweep checks
+    closure as it looks up the 2n neighbours of each point: a neighbour with
+    chi <= n_max that was not enumerated (a box that cuts the set, or a
+    point the enumeration skipped) raises InternalInvariantError.
     """
     n = g.n
     box = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -750,16 +738,6 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
             i = parent_dsu[i]
         return i
 
-    # a component leaks iff an in-set boundary point has an in-set neighbour
-    # just outside the box; only that makes the truncation real
-    contact = any(
-        chi(x[:j] + (x[j] + d,) + x[j + 1:]) <= n_max
-        for x in pts
-        for j in range(n)
-        for d in (1, -1)
-        if not box[j][0] <= x[j] + d <= box[j][1]
-    )
-
     chi_out: list[int] = []
     parent_out: list[int | None] = []
     prev: dict[int, int] = {}  # dsu root -> vertex id at the previous level
@@ -777,7 +755,11 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
                     y = list(x)
                     y[j] += d
                     k = index.get(tuple(y))
-                    if k is not None and levels[k] <= level:
+                    if k is None:  # closure: chi(y) = chi(x) - (d (k_j + 2 (x, b_j)) + e_j) / 2
+                        xb = g.euler[j] * x[j] + sum(x[w] for w in g.adj[j])
+                        if level - (d * (kb[j] + 2 * xb) + g.euler[j]) // 2 <= n_max:
+                            raise InternalInvariantError("the sublevel set leaves the enumeration")
+                    elif levels[k] <= level:
                         ri, rk = find(i), find(k)
                         if ri != rk:
                             parent_dsu[ri] = rk
@@ -793,7 +775,7 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
         prev = groups
     if len(prev) != 1:
         raise ValueError("n_max is below the merge level; raise it to close the root")
-    return SublevelRoot(GradedRoot(chi_out, parent_out), contact)
+    return GradedRoot(chi_out, parent_out)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,10 @@ SUBLEVEL_CASES = [
     (((3, 4),), 2, 1),
     (((3, 4),), 3, 1),
     (((3, 5),), 2, 1),
+    (((2, 3),), 12, 7),
+    (((3, 4),), 5, 1),
+    (((2, 5),), 5, 3),
+    (((3, 5),), 5, 1),
 ]
 
 SUBLEVEL_REFERENCE_CASES = SUBLEVEL_CASES[:7]

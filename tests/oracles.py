@@ -603,16 +603,17 @@ def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
     return tuple(u)
 
 
-def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> pl.SublevelRoot:
+def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> tuple[Optional[GradedRoot], bool]:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
     enumerated over an explicit coordinate box.
 
     Vertices at level n are the connected components of the sublevel set,
     where x and x + b_j are adjacent whenever both lie in the set; edges
-    follow component inclusion from level n to n + 1.  Correct only when the
-    box contains every relevant component; contact with the box boundary is
-    reported via boundary_contact.  Intended for tiny graphs (enumeration is
-    exhaustive; the box volume is capped at 10^7 points).
+    follow component inclusion from level n to n + 1.  Returns (root,
+    contact): contact means an in-set point on the box boundary has an
+    in-set neighbour outside, so the box cut a component; the root is then
+    untrustworthy, and None if it does not close.  Intended for tiny graphs
+    (enumeration is exhaustive; the box volume is capped at 10^7 points).
     """
     n = g.n
     box = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -712,5 +713,7 @@ def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int,
             parent_out[vid] = groups[find(r_prev)]
         prev = groups
     if len(prev) != 1:
+        if contact:
+            return None, True
         raise ValueError("n_max is below the merge level; raise it to close the root")
-    return pl.SublevelRoot(GradedRoot(chi_out, parent_out), contact)
+    return GradedRoot(chi_out, parent_out), contact

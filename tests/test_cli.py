@@ -19,6 +19,7 @@ import hfroots.cli as cli
 import hfroots.knot as knot_mod
 import hfroots.plumbing as pl
 from hfroots.cli import main
+from hfroots.root import GradedRoot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -307,19 +308,35 @@ class TestVerifyCommand:
         assert cli._first_diff((0, 1, 2), (0, 1)) == {"index": 2, "lattice": 2, "formula": None}
         assert cli._first_diff((0,), (0, -1, 0)) == {"index": 1, "lattice": None, "formula": -1}
 
-    def test_unreliable_box_reported_distinctly(self, capsys, monkeypatch):
-        real = pl.sublevel_root
-
-        def truncated(g, kr, n_max, box):
-            return pl.SublevelRoot(real(g, kr, n_max, box).root, True)
-
-        monkeypatch.setattr(pl, "sublevel_root", truncated)
-        code, out, _ = run(
-            capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "sublevel"
-        )
+    def test_sublevel_mismatch_names_the_first_difference(self, capsys, monkeypatch):
+        # -1/1 surgery on the trefoil: two leaves at level 0 joined at level 1;
+        # the fake lattice root joins them one level higher
+        monkeypatch.setattr(pl, "sublevel_root", lambda g, kr, n_max, box: GradedRoot([0, 0, 1, 1, 2], [2, 3, 4, 4, None]))
+        argv = ("verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "sublevel")
+        code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 2
-        assert "sublevel unreliable-box" in out
-        assert "MISMATCH" not in out
+        entry = json.loads(out)["verification"]["per_spinc"][0]
+        assert entry["sublevel"] == "disagree"
+        assert entry["sublevel_first_diff"] == {"level": 1, "lattice": 2, "formula": 1}
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert "  a = 0: shift ok, sublevel disagree\n    roots first differ at level 1: lattice 2 vertices, formula 1\n" in out
+
+    def test_root_first_difference_at_the_top(self):
+        # equal below, but one root stops a level lower than the other
+        assert cli._root_first_diff(GradedRoot([0], [None]), GradedRoot([0, 1], [1, None])) == {
+            "level": 1, "lattice": 0, "formula": 1}
+        assert cli._root_first_diff(GradedRoot([1], [None]), GradedRoot([0, 1], [1, None])) == {
+            "level": 0, "lattice": 0, "formula": 1}
+
+    def test_sublevel_leak_exits_3(self, capsys, monkeypatch):
+        # a point the enumeration skips is an internal fault, not a mismatch
+        real = pl._ellipsoid_points
+        monkeypatch.setattr(pl, "_ellipsoid_points", lambda *args: real(*args)[1:])
+        code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "2/1", "--oracle", "sublevel")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal invariant failure: ")
 
     def test_internal_failure_exits_3(self, capsys, monkeypatch):
         from hfroots import InternalInvariantError

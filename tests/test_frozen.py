@@ -14,7 +14,6 @@ from hfroots import (
     UModuleDecomposition,
     compute_spinc,
     from_newton_pairs,
-    root_from_tau,
 )
 from hfroots.frozen import Frozen
 
@@ -30,7 +29,6 @@ def instances():
 
     res = compute_spinc(SPEC, 1)
     cls = pl.spinc_class(pl.surgery_graph(K23, SPEC.cfrac), SPEC, 1)
-    sub = pl.SublevelRoot(root_from_tau(res.tau), False)
     return [
         (K23.semigroup, slots(K23.semigroup)),
         (K23, slots(K23)),
@@ -40,7 +38,6 @@ def instances():
         (res.tau, slots(res.tau)),
         (res.module, slots(res.module)),
         (cls, slots(cls)),
-        (sub, slots(sub)),
     ]
 
 
@@ -98,7 +95,7 @@ def test_module_equality_compares_absolute_grades():
 
 def test_repr_names_the_fields():
     assert repr(TauFunction((0, 1))) == "TauFunction(values=(0, 1))"
-    assert repr(pl.SublevelRoot(None, True)) == "SublevelRoot(root=None, boundary_contact=True)"
+    assert repr(K23.semigroup) == "NumericalSemigroup(generators=(0, 2, 3), gaps=frozenset({1}))"
     assert repr(K23) == "AlgebraicKnot[(2,3)]"
     assert repr(SPEC) == "SurgerySpec(AlgebraicKnot[(2,3)], -7/5)"
 

@@ -178,11 +178,26 @@ class TestInvariants:
 
         rng = random.Random(17)
         k = from_newton_pairs([(3, 4), (2, 1)])
-        members = [i for i in range(k.semigroup.bound + 1) if i in k.semigroup]
+        members = [i for i in range(k.mu + k.mf + 11) if i in k.semigroup]
         for _ in range(500):
             a, b = rng.choice(members), rng.choice(members)
-            if a + b <= k.semigroup.bound:
-                assert (a + b) in k.semigroup
+            assert (a + b) in k.semigroup
+
+    def test_membership_answers_every_integer(self):
+        # membership reads the gap set, so it needs no table bound: every
+        # k >= mu is in S, far past the table the construction builds
+        k = from_newton_pairs([(2, 3)])
+        assert 13 in k.semigroup
+        assert 10**30 in k.semigroup
+        assert -1 not in k.semigroup and -(10**30) not in k.semigroup
+        for pairs in [[(2, 3)], [(4, 5)], [(2, 3), (2, 1)]]:
+            k = from_newton_pairs(pairs)
+            gens = k.semigroup.generators[1:]
+            reachable = {0}
+            for i in range(1, 3 * k.mf):
+                if any(i - g in reachable for g in gens):
+                    reachable.add(i)
+            assert [i in k.semigroup for i in range(-5, 3 * k.mf)] == [i in reachable for i in range(-5, 3 * k.mf)]
 
 
 class TestPolyHelpers:

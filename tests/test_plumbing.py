@@ -78,13 +78,25 @@ def definite_by_reference(b):
     return all(m != 0 and (m > 0) == (k % 2 == 0) for k, m in enumerate(minors, start=1))
 
 
-def sublevel_outcome(sublevel, g, kr, n_max, box):
-    """(chi, parent, boundary_contact) of a sublevel root, or the ValueError text."""
+def sublevel_outcome(g, kr, n_max, box):
+    """(chi, parent) of the package's sublevel root, "leaves" if its closure
+    check raises, or the ValueError text."""
     try:
-        sub = sublevel(g, kr, n_max, box)
+        root = pl.sublevel_root(g, kr, n_max, box)
+    except InternalInvariantError:
+        return "leaves"
     except ValueError as exc:
         return str(exc)
-    return sub.root.chi, sub.root.parent, sub.boundary_contact
+    return root.chi, root.parent
+
+
+def reference_outcome(g, kr, n_max, box):
+    """The same outcome from the box sweep: "leaves" exactly on box contact."""
+    try:
+        root, contact = sublevel_root_box(g, kr, n_max, box)
+    except ValueError as exc:
+        return str(exc)
+    return "leaves" if contact else (root.chi, root.parent)
 
 
 def cube_euler_characteristics(weight, n_levels):
@@ -590,21 +602,19 @@ class TestSublevel:
         g = pl.PlumbingGraph([-3], [])
         kr = pl.canonical_class(g)
         box = pl.exact_sublevel_box(g, kr, 3)
-        sub = pl.sublevel_root(g, kr, 3, box)
-        assert not sub.boundary_contact
-        assert len(sub.root.leaves) == 1
-        assert sub.root.min_level() == 0
+        root = pl.sublevel_root(g, kr, 3, box)
+        assert len(root.leaves) == 1
+        assert root.min_level() == 0
 
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
         res = compute_spinc(spec, 0)
         box = pl.exact_sublevel_box(gm, classes[0].k_r, res.tau.max())
-        sub = pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), box)
-        assert not sub.boundary_contact
-        leaf_levels = sorted(sub.root.chi[v] for v in sub.root.leaves)
+        root = pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), box)
+        leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 0]
-        assert sub.root.chi[sub.root.top] == 1
-        assert sub.root.canonical_key() == root_from_tau(res.tau).canonical_key()
+        assert root.chi[root.top] == 1
+        assert root.canonical_key() == root_from_tau(res.tau).canonical_key()
 
     def test_empty_sublevel(self):
         g = pl.PlumbingGraph([-3], [])
@@ -621,9 +631,7 @@ class TestSublevel:
         wide = ((-300, 300),) * 3
         for n_max in (0, 2):
             exact = pl.exact_sublevel_box(g, kr, n_max)
-            assert sublevel_outcome(pl.sublevel_root, g, kr, n_max, wide) == sublevel_outcome(
-                pl.sublevel_root, g, kr, n_max, exact
-            )
+            assert sublevel_outcome(g, kr, n_max, wide) == sublevel_outcome(g, kr, n_max, exact)
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 19)
         pl.sublevel_root(g, kr, 2, wide)  # exactly at the cap
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 18)
@@ -679,13 +687,14 @@ class TestSublevel:
                 n_top = compute_spinc(spec, a).tau.max()
                 box = pl.exact_sublevel_box(gm, kr, n_top)
                 args = (gm, kr, n_top, box)
-                assert sublevel_outcome(pl.sublevel_root, *args) == sublevel_outcome(sublevel_root_box, *args)
+                assert sublevel_outcome(*args) == reference_outcome(*args)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
     def test_matches_box_sweep_on_random_trees(self, graph, n_max):
         # the exact box, and a box one step tighter on every side that cuts
-        # into most sublevel sets and so exercises boundary_contact
+        # into most sublevel sets: the package's closure check must raise
+        # exactly when the reference reports box contact
         euler, parents, shifts = graph
         edges = [(j + 1, par) for j, par in enumerate(parents)]
         assume(definite_by_reference(tree_form(euler, edges)))
@@ -694,9 +703,10 @@ class TestSublevel:
         box = pl.exact_sublevel_box(g, kr, n_max)
         assume(prod(hi - lo + 1 for lo, hi in box) <= 20_000)
         tight = tuple((lo + 1, hi - 1) for lo, hi in box)
+        assert sublevel_outcome(g, kr, n_max, box) != "leaves"
         for b in (box, tight):
             args = (g, kr, n_max, b)
-            assert sublevel_outcome(pl.sublevel_root, *args) == sublevel_outcome(sublevel_root_box, *args)
+            assert sublevel_outcome(*args) == reference_outcome(*args)
 
     def test_lattice_cohomology_vanishes_above_degree_zero(self):
         # for almost-rational graphs H^q = 0 for q >= 1, so at every level the
@@ -707,7 +717,7 @@ class TestSublevel:
                 kr = classes[a].k_r
                 n_top = compute_spinc(spec, a).tau.max()
                 box = pl.exact_sublevel_box(gm, kr, n_top)
-                root = pl.sublevel_root(gm, kr, n_top, box).root
+                root = pl.sublevel_root(gm, kr, n_top, box)
                 kb = [int(v) for v in gm.apply_form(list(kr))]
                 weight = {
                     x: -(sum(k * xj for k, xj in zip(kb, x)) + gm.pairing(x, x)) // 2
@@ -721,8 +731,22 @@ class TestSublevel:
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
         res = compute_spinc(spec, 0)
         tight = tuple((0, 1) for _ in range(gm.n))
-        sub = pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), tight)
-        assert sub.boundary_contact
+        with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
+            pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), tight)
+
+    def test_closure_check_catches_each_skipped_point(self, monkeypatch):
+        # (2,3) at -2/1, class 0: dropping any one of its 64 enumerated points
+        # must raise, whether or not the root would still come out right
+        knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
+        kr, n_top = classes[0].k_r, compute_spinc(spec, 0).tau.max()
+        box = pl.exact_sublevel_box(gm, kr, n_top)
+        real = pl._ellipsoid_points
+        pts = real(gm, [int(v) for v in gm.apply_form(list(kr))], n_top, box)
+        assert len(pts) == 64
+        for dropped in pts:
+            monkeypatch.setattr(pl, "_ellipsoid_points", lambda *args: [x for x in real(*args) if x != dropped])
+            with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
+                pl.sublevel_root(gm, kr, n_top, box)
 
 
 class TestLens:
