@@ -28,16 +28,17 @@ sweep over [B | I], run once when the graph is built: its pivots are the
 leading principal minors that certify negative definiteness, the last one is
 det B, and the right half it leaves is the integer adjugate det * B^{-1}.
 Every B x = y below (the divisorial cycle, the canonical class, the
-representatives of the spin^c classes) and the diagonal of B^{-1} that bounds
-the sublevel search box are read from that adjugate.  The one other
+representatives of the spin^c classes) is read from that adjugate as integer
+numerators over det B, as is the diagonal of B^{-1} that bounds the sublevel
+search box.  The one other
 elimination is the sublevel enumeration's: -B bordered by the integers
 (k_r, b_j), eliminated fraction-free from the last vertex back, whose pivot
 rows are the Schur complements that bound each coordinate given the ones
 before it.
 
 Oracle paths implemented here:
-  * spin^c classes and their distinguished characteristic vectors k_r, each
-    from one solve B l' = (0, ..., 0, -a_1, ..., -a_s) in the surgery lattice;
+  * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p;
+    l' reads only the adjugate's s chain columns (B l' is 0 off the chain);
   * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
     sum closed form in one pass per surgery, and (in hfcore) the shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
@@ -118,8 +119,8 @@ class PlumbingGraph:
     Both the tree property and negative definiteness (signs of all leading
     principal minors, exact integer arithmetic) are enforced on creation.
     The same fraction-free sweep leaves det B (the last of those minors) in
-    `det` and the integer matrix det * B^{-1} in `adjugate`, through which
-    `solve` answers every B x = y of the oracle.
+    `det` and the integer matrix det * B^{-1} in `adjugate`, the numerators
+    over det of every B x = y of the oracle.
     Instances are immutable after construction and safe to share; oracle
     runs for distinct spin^c classes are independent of each other.
     """
@@ -188,10 +189,6 @@ class PlumbingGraph:
         """(x, y) with respect to the intersection form."""
         by = self.apply_form(y)
         return sum(xi * bi for xi, bi in zip(x, by))
-
-    def solve(self, rhs) -> list[Fraction]:
-        """The solution x of B x = rhs, as adjugate * rhs / det."""
-        return [Fraction(sum(a * r for a, r in zip(row, rhs)), self.det) for row in self.adjugate]
 
     def __repr__(self):
         return f"PlumbingGraph(n={self.n}, euler={list(self.euler)})"
@@ -299,18 +296,16 @@ def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
 def divisorial_cycle(gf: PlumbingGraph) -> tuple[int, ...]:
     """The divisorial cycle of the germ on its resolution graph.
 
-    Unique solution of (Z, b_j) = 0 for j != v0 and (Z, b_{v0}) = -1; the
-    coefficients are the vanishing orders of the pulled-back germ, so they
-    must come out integral and strictly positive.
+    Unique solution of (Z, b_j) = 0 for j != v0 and (Z, b_{v0}) = -1, the
+    negated v0 column of the adjugate over det; its coefficients, the vanishing
+    orders of the pulled-back germ, must be integral and strictly positive.
     """
     if gf.distinguished is None:
         raise ValueError("graph has no distinguished vertex")
-    rhs = [0] * gf.n
-    rhs[gf.distinguished] = -1
-    sol = gf.solve(rhs)
-    if any(x.denominator != 1 for x in sol):
+    sol = [divmod(-row[gf.distinguished], gf.det) for row in gf.adjugate]
+    if any(r for _, r in sol):
         raise InternalInvariantError("divisorial cycle is not integral")
-    coeffs = tuple(int(x) for x in sol)
+    coeffs = tuple(c for c, _ in sol)
     if any(c <= 0 for c in coeffs):
         raise InternalInvariantError("divisorial cycle must be strictly positive")
     return coeffs
@@ -339,23 +334,6 @@ def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingG
     return gm
 
 
-def _check_characteristic(g: PlumbingGraph, coeffs) -> tuple[int, ...]:
-    """(k, b_j) + (b_j, b_j) must be even on every basis vector; returns the
-    integers (k, b_j)."""
-    pairs = g.apply_form(list(coeffs))
-    if any(v.denominator != 1 or (v + e) % 2 for v, e in zip(pairs, g.euler)):
-        raise InternalInvariantError("vector is not characteristic")
-    return tuple(int(v) for v in pairs)
-
-
-def canonical_class(g: PlumbingGraph) -> tuple[Fraction, ...]:
-    """The canonical characteristic element, from the adjunction equations
-    (K, b_j) = -e_j - 2, solved exactly over the rationals."""
-    k = tuple(g.solve([-e - 2 for e in g.euler]))
-    _check_characteristic(g, k)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # spin^c classes on the surgery graph
 # ---------------------------------------------------------------------------
@@ -365,23 +343,33 @@ class SpincClass(Frozen):
     """One spin^c structure of the surgery manifold, lattice-side data.
 
     a_coeffs are the chain coefficients a_1..a_s of the class (they obey the
-    strict inequalities (SI)); l_prime is its minimal dual-lattice
-    representative, the solution of (l', b_j) = 0 on the resolution vertices
-    and -a_j on the chain; k_r = K + 2 l_prime is the distinguished
-    characteristic vector of the class.  l_pairs and k_pairs are the integers
-    (l_prime, b_j) and (k_r, b_j), checked once when the class is built.
+    strict inequalities (SI)); l' is its minimal dual-lattice representative,
+    the solution of (l', b_j) = 0 on the resolution vertices and -a_j on the
+    chain; k_r = K + 2 l' is the distinguished characteristic vector of the
+    class.  Both are integer numerators over den = det B, l_num and k_num
+    (l_prime and k_r give the Fractions).  l_pairs and k_pairs are the
+    integers (l', b_j) and (k_r, b_j), checked once when the class is built.
     """
 
-    __slots__ = ("a", "a_coeffs", "l_prime", "k_r", "l_pairs", "k_pairs")
+    __slots__ = ("a", "a_coeffs", "den", "l_num", "k_num", "l_pairs", "k_pairs")
 
-    def __init__(self, a: int, a_coeffs: tuple[int, ...], l_prime: tuple[Fraction, ...],
-                 k_r: tuple[Fraction, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
+    def __init__(self, a: int, a_coeffs: tuple[int, ...], den: int, l_num: tuple[int, ...],
+                 k_num: tuple[int, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_coeffs", a_coeffs)
-        object.__setattr__(self, "l_prime", l_prime)
-        object.__setattr__(self, "k_r", k_r)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "l_num", l_num)
+        object.__setattr__(self, "k_num", k_num)
         object.__setattr__(self, "l_pairs", l_pairs)
         object.__setattr__(self, "k_pairs", k_pairs)
+
+    @property
+    def l_prime(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.l_num)
+
+    @property
+    def k_r(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.k_num)
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
@@ -406,11 +394,11 @@ def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[Fraction, ...]:
-    """The canonical class, which every class of the surgery graph shares.
-    gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac);
-    that it extends the knot's resolution graph and carries the chain on its
-    last s indices is validated before use."""
+def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[int, ...]:
+    """Numerators over det B of the canonical class K, which every class of
+    the surgery graph shares, checked against (K, b_j) = -e_j - 2.  gm must
+    be surgery_graph(spec.knot, spec.cfrac): the knot's resolution graph plus
+    the chain hung at v0 on the last s indices, with |det B| = p; checked."""
     cfrac = spec.cfrac
     nf = gm.n - cfrac.s
     gf = embedded_resolution(spec.knot)
@@ -418,18 +406,30 @@ def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[Fraction, ...]:
         raise ValueError("graph does not extend the knot's resolution graph")
     if gm.euler[nf:] != (-cfrac.terms[0] - spec.knot.mf, *(-k for k in cfrac.terms[1:])):
         raise ValueError("chain decorations do not match the continued fraction")
-    return canonical_class(gm)
+    if set(gm.edges) != {*gf.edges, (gf.distinguished, nf), *((v, v + 1) for v in range(nf, gm.n - 1))}:
+        raise ValueError("edges are not the resolution graph's plus the chain hung at v0")
+    if abs(gm.det) != spec.p:
+        raise ValueError(f"graph determinant {gm.det} is not +-{spec.p}")
+    rhs = [-e - 2 for e in gm.euler]
+    k_num = tuple(sum(x * r for x, r in zip(row, rhs)) for row in gm.adjugate)
+    if gm.apply_form(k_num) != [gm.det * r for r in rhs]:
+        raise InternalInvariantError("canonical class does not satisfy the adjunction equations")
+    return k_num
 
 
-def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, k_gm, a: int) -> SpincClass:
+def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, k_gm: tuple[int, ...], a: int) -> SpincClass:
     acoef = _si_coefficients(cfrac, a)
-    pairs = [0] * (gm.n - cfrac.s) + [-c for c in acoef]
-    lprime = gm.solve(pairs)
-    if gm.apply_form(lprime) != pairs:
+    nf, det = gm.n - cfrac.s, gm.det
+    chain = tuple(-c for c in acoef)
+    l_num = tuple(sum(x * r for x, r in zip(row[nf:], chain)) for row in gm.adjugate)  # B l' is 0 off the chain
+    pairs = (0,) * nf + chain
+    if gm.apply_form(l_num) != [det * x for x in pairs]:
         raise InternalInvariantError("l' does not pair to 0 on the resolution and -a_j on the chain")
-    kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-    return SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr,
-                      l_pairs=tuple(pairs), k_pairs=_check_characteristic(gm, kr))
+    k_num = tuple(k + 2 * l for k, l in zip(k_gm, l_num))
+    k_pairs = [divmod(v, det) for v in gm.apply_form(k_num)]  # (k_r, b_j): integers, + e_j even
+    if any(r or (v + e) % 2 for (v, r), e in zip(k_pairs, gm.euler)):
+        raise InternalInvariantError("k_r is not characteristic")
+    return SpincClass(a, acoef, det, l_num, k_num, pairs, tuple(v for v, _ in k_pairs))
 
 
 def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
@@ -448,9 +448,9 @@ def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:
 
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
-    """-(k_r^2 + #vertices) / 4, evaluated in the lattice: k_r^2 is the sum
-    of k_r[j] (k_r, b_j) over the vertices."""
-    return -(sum(k * b for k, b in zip(cls.k_r, cls.k_pairs)) + gm.n) / 4
+    """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction:
+    det * k_r^2 is the sum of k_num[j] (k_r, b_j) over the vertices."""
+    return Fraction(-(sum(k * b for k, b in zip(cls.k_num, cls.k_pairs)) + gm.n * cls.den), 4 * cls.den)
 
 
 def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[Fraction]:

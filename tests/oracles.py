@@ -30,10 +30,16 @@ here, and the tests require identical results:
     and writes r_a + g as (N + g D)/D);
   * det B by Bareiss elimination with row pivoting, and B x = y by Gauss-Jordan
     elimination over the rationals (a `PlumbingGraph` reads its minors, det B
-    and every solution off one fraction-free sweep over [B | I]);
+    and the adjugate off one fraction-free sweep over [B | I]); B x = y as
+    one Fraction per entry of adjugate * y / det, and the canonical class
+    solved that way (the package keeps integer numerators over det B);
   * each spin^c class from the lens-space chain lattice: its representative
-    solved on the chain graph and pulled back through the divisorial cycle
-    (the package solves once in the surgery lattice);
+    solved in Fractions on the chain graph and pulled back through the
+    divisorial cycle (the package reads it off the chain columns of the
+    surgery graph's adjugate, in integers over det B);
+  * d and sw without tau, from surgery formulas: d(-M) as a lens-space
+    correction term (Ni-Wu; algebraic knots are L-space knots), indexed and
+    as a multiset, and sum_a sw by the Casson-Walker surgery formula;
   * the Laufer-side checks: minimal cycles of a resolution graph, the
     unreduced tau of a surgery graph and the ceiling recursion for the chain
     part of the generalized Laufer cycles; the Laufer engine that rescans
@@ -319,6 +325,39 @@ def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
     return grading_shift_direct(spec, a) / 2 - total
 
 
+def surgery_d_from_lens(spec: SurgerySpec) -> list[Fraction]:
+    """d(-M, sigma_a) for a = 0..p-1 without tau: algebraic knots are L-space
+    knots, so V_i = 0 for the mirror and d(-M) is a lens-space correction term
+    (Ni-Wu, Prop. 1.6), d(-M, sigma_a) = lens_d_invariants(p, q mod p)[(a -
+    delta q) mod p].  p = 1 is S^3, d = 0.  The indexing rests on
+    grading_shift_formula at delta = 0, which shares the Dedekind closed form
+    with r_a; the multiset check against lens_d_classical does not."""
+    p, q, delta = spec.p, spec.q, spec.knot.delta
+    if p == 1:
+        return [Fraction(0)]
+    lens = pl.lens_d_invariants(p, q % p)
+    return [lens[(a - delta * q) % p] for a in range(p)]
+
+
+def lens_d_recursion_of_surgery(spec: SurgerySpec) -> list[Fraction]:
+    """The correction terms of L(p, q mod p) by the classical recursion, in
+    its own order; [0] for p = 1 (S^3, which the lens routes take only as
+    p = q = 1)."""
+    return [Fraction(0)] if spec.p == 1 else pl.lens_d_classical(spec.p, spec.q % spec.p)
+
+
+def casson_walker_sw_sum(spec: SurgerySpec) -> Fraction:
+    """sum_a sw(M, sigma_a) by the Casson-Walker surgery formula, in this
+    package's normalisation:
+
+        (1/2) sum_i d(L(p, q mod p), i) + q (delta (delta - 1)/2 - sum alpha),
+
+    the lens-space terms from the classical recursion."""
+    knot = spec.knot
+    lens = sum(lens_d_recursion_of_surgery(spec))
+    return lens / 2 + spec.q * (Fraction(knot.delta * (knot.delta - 1), 2) - sum(knot.alpha))
+
+
 @dataclass(frozen=True)
 class SpincFractions:
     """One spin^c structure with every grade held as its own Fraction."""
@@ -460,6 +499,30 @@ def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
     return [a[r][n] for r in range(n)]
 
 
+def solve(g: pl.PlumbingGraph, rhs) -> list[Fraction]:
+    """The solution x of B x = rhs, as adjugate * rhs / det, one Fraction per
+    entry (the package keeps the integer numerators adjugate * rhs)."""
+    return [Fraction(sum(a * r for a, r in zip(row, rhs)), g.det) for row in g.adjugate]
+
+
+def characteristic_pairs(g: pl.PlumbingGraph, k) -> tuple[int, ...]:
+    """The integers (k, b_j) of a rational vector k, which must pair
+    integrally with every b_j and have (k, b_j) + (b_j, b_j) even."""
+    pairs = g.apply_form(list(k))
+    if any(v.denominator != 1 or (v + e) % 2 for v, e in zip(pairs, g.euler)):
+        raise InternalInvariantError("vector is not characteristic")
+    return tuple(int(v) for v in pairs)
+
+
+def canonical_class(g: pl.PlumbingGraph) -> tuple[Fraction, ...]:
+    """The canonical characteristic element, from the adjunction equations
+    (K, b_j) = -e_j - 2, solved over the rationals (the package keeps its
+    numerators over det B)."""
+    k = tuple(solve(g, [-e - 2 for e in g.euler]))
+    characteristic_pairs(g, k)
+    return k
+
+
 def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
     """The lens-space chain -k_1, ..., -k_s (the blow-down of the surgery
     graph along the resolution part)."""
@@ -491,13 +554,15 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     """Spin^c class a through the chain lattice: l~' solves (l~', b~_j) = -a_j
     on the chain graph and is pulled back through the divisorial cycle Z_f,
     b~_1 -> Z_f + b_1 and b~_j -> b_j (the chain vertices of gm are last).
-    The package solves B l' = (0, ..., 0, -a_1, ..., -a_s) once on gm."""
+    The vectors are built in Fractions and only then written as numerators
+    over det B; the package reads l' off the chain columns of gm's adjugate
+    and never leaves the integers."""
     spec._check_a(a)
     cfrac = spec.cfrac
     zf = pl.divisorial_cycle(pl.embedded_resolution(spec.knot))
-    k_gm = pl.canonical_class(gm)
+    k_gm = canonical_class(gm)
     acoef = pl._si_coefficients(cfrac, a)
-    tilde = chain_graph(cfrac).solve([-c for c in acoef])  # l~' in the chain basis
+    tilde = solve(chain_graph(cfrac), [-c for c in acoef])  # l~' in the chain basis
     # pull-back b~_1 -> Z_f + b_1, b~_j -> b_j (chain vertices are last)
     lprime = [tilde[0] * z for z in zf] + tilde
     pair = gm.apply_form(lprime)
@@ -506,8 +571,16 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
         raise InternalInvariantError("l' is not the minimal representative")
     kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-    return pl.SpincClass(a=a, a_coeffs=acoef, l_prime=tuple(lprime), k_r=kr,
-                         l_pairs=tuple(int(x) for x in pair), k_pairs=pl._check_characteristic(gm, kr))
+    den = gm.det
+
+    def numerators(v) -> tuple[int, ...]:
+        nums = [x * den for x in v]
+        if any(x.denominator != 1 for x in nums):
+            raise InternalInvariantError("det B times a dual-lattice vector is not integral")
+        return tuple(int(x) for x in nums)
+
+    return pl.SpincClass(a=a, a_coeffs=acoef, den=den, l_num=numerators(lprime), k_num=numerators(kr),
+                         l_pairs=tuple(int(x) for x in pair), k_pairs=characteristic_pairs(gm, kr))
 
 
 def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple[int, ...], int]]:

@@ -7,12 +7,15 @@ from corpus_cases import KNOT_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    casson_walker_sw_sum,
     closed_form_p1q1,
     grading_shift_direct,
+    lens_d_recursion_of_surgery,
     module_from_parts,
     spinc_block,
     spinc_fractions,
     spinc_text,
+    surgery_d_from_lens,
     sw_invariant,
 )
 
@@ -304,6 +307,44 @@ class TestSw:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 assert res.sw_invariant == res.d_invariant / 2 - res.module.reduced_rank
+
+
+def check_surgery_formulas(spec):
+    """d of every class as the lens-space term of Ni-Wu (indexed, and as a
+    multiset against the classical recursion), and sum_a sw by Casson-Walker."""
+    results = compute_all(spec)
+    d = [r.d_invariant for r in results]
+    assert d == surgery_d_from_lens(spec)
+    assert sorted(d) == sorted(lens_d_recursion_of_surgery(spec))
+    assert sum(r.sw_invariant for r in results) == casson_walker_sw_sum(spec)
+
+
+class TestSurgeryFormulas:
+    """d and sw against surgery formulas that never build tau."""
+
+    def test_corpus_sample(self):
+        # every 9th corpus knot with delta <= 150 (18 knots) at every coprime
+        # -p/q with p, q <= 7, p = 1 as S^3
+        for knot in corpus_knots()[::9]:
+            if knot.delta > 150:
+                continue
+            for p in range(1, 8):
+                for q in range(1, 8):
+                    if gcd(p, q) == 1:
+                        check_surgery_formulas(SurgerySpec(knot, p, q))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([((2, 3),), ((2, 5),), ((3, 4),), ((2, 3), (2, 1))]),
+        st.integers(1, 2000),
+        st.integers(1, 60),
+    )
+    def test_random_surgeries(self, pairs, p, q):
+        if gcd(p, q) == 1:
+            check_surgery_formulas(SurgerySpec(from_newton_pairs(list(pairs)), p, q))
+
+    def test_large_p(self):
+        check_surgery_formulas(SurgerySpec(K23, 9973, 5))
 
 
 class TestComputeAll:

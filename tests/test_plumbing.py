@@ -11,6 +11,7 @@ from corpus_cases import ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SUBLEVEL_RE
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    canonical_class,
     chain_coefficients,
     chain_graph,
     determinant,
@@ -22,6 +23,7 @@ from oracles import (
     lens_d_recursive,
     minimal_cycle_sequence,
     pullback_spinc_class,
+    solve,
     solve_exact,
     sublevel_root_box,
 )
@@ -121,6 +123,22 @@ def cube_euler_characteristics(weight, n_levels):
     return totals
 
 
+def check_fraction_route(gm, spec, classes):
+    """Each class's numerators over den = det B equal, entry by entry, the
+    Fraction solve of its system in the surgery lattice and the chain-lattice
+    pull-back, which builds its vectors in Fractions."""
+    nf = gm.n - spec.cfrac.s
+    k_gm = canonical_class(gm)
+    for cls in classes:
+        assert cls.den == gm.det
+        l_prime = [Fraction(x, cls.den) for x in cls.l_num]
+        k_r = [Fraction(x, cls.den) for x in cls.k_num]
+        assert l_prime == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
+        assert k_r == [k + 2 * l for k, l in zip(k_gm, l_prime)]
+        ref = pullback_spinc_class(gm, spec, cls.a)
+        assert (tuple(l_prime), tuple(k_r)) == (cls.l_prime, cls.k_r) == (ref.l_prime, ref.k_r)
+
+
 def check_sweep(g):
     """B adjugate = det I, the sweep's minors are the leading minors, and
     solve gives the reference solution for every basis vector."""
@@ -132,7 +150,7 @@ def check_sweep(g):
     assert minors == [determinant([row[:k] for row in b[:k]]) for k in range(1, n + 1)]
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]
-        assert g.solve(e) == solve_exact(b, e)
+        assert solve(g, e) == solve_exact(b, e)
 
 
 class TestGraphType:
@@ -192,7 +210,7 @@ class TestElimination:
             return
         g = pl.PlumbingGraph(euler, edges)
         check_sweep(g)
-        assert g.solve(rhs) == solve_exact(b, rhs)
+        assert solve(g, rhs) == solve_exact(b, rhs)
 
 
 class TestEmbeddedResolution:
@@ -261,11 +279,11 @@ class TestCanonicalClass:
     def test_minus_two_chains_have_zero_class(self):
         for n in (1, 2, 5):
             g = pl.PlumbingGraph([-2] * n, [(i, i + 1) for i in range(n - 1)])
-            assert all(c == 0 for c in pl.canonical_class(g))
+            assert all(c == 0 for c in canonical_class(g))
 
     def test_adjunction(self):
         gm = pl.surgery_graph(K45, SurgerySpec(K45, 7, 5).cfrac)
-        k = pl.canonical_class(gm)
+        k = canonical_class(gm)
         for j in range(gm.n):
             basis = [1 if i == j else 0 for i in range(gm.n)]
             assert gm.pairing(k, basis) == -gm.euler[j] - 2
@@ -277,7 +295,7 @@ class TestSpincClasses:
         cls = classes[0]
         assert cls.a_coeffs == (0,) * spec.cfrac.s
         assert all(c == 0 for c in cls.l_prime)
-        assert cls.k_r == pl.canonical_class(gm)
+        assert cls.k_r == canonical_class(gm)
 
     def test_si_coefficients_7_5(self):
         cf = SurgerySpec(K23, 7, 5).cfrac
@@ -334,6 +352,7 @@ class TestSpincClasses:
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)], (pairs, p, q)
+            check_fraction_route(gm, spec, classes)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -346,8 +365,9 @@ class TestSpincClasses:
         p, q = pq
         knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
         assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)]
+        check_fraction_route(gm, spec, classes)
 
-    def test_frame_validates_the_graph(self):
+    def test_frame_validates_the_graph(self, monkeypatch):
         spec = SurgerySpec(K23, 5, 3)  # [2, 3]
         other_knot = pl.surgery_graph(from_newton_pairs([(2, 5)]), spec.cfrac)
         other_chain = pl.surgery_graph(K23, SurgerySpec(K23, 7, 4).cfrac)  # [2, 4]
@@ -355,23 +375,69 @@ class TestSpincClasses:
             pl.spinc_classes(other_knot, spec)
         with pytest.raises(ValueError, match="chain decorations do not match"):
             pl.spinc_class(other_chain, spec, 1)
+        # (2,3) at -7/4 with the edge (0, 2) moved to (0, 1): every Euler number
+        # still matches, but det B is -42, not +-7
+        spec74 = SurgerySpec(K23, 7, 4)
+        edges = [(0, 1) if e == (0, 2) else e for e in other_chain.edges]
+        miswired = pl.PlumbingGraph(other_chain.euler, edges, distinguished=other_chain.distinguished)
+        assert (miswired.euler, miswired.det) == (other_chain.euler, -42)
+        with pytest.raises(ValueError, match="edges are not the resolution graph's plus the chain"):
+            pl.spinc_classes(miswired, spec74)
+        with pytest.raises(ValueError, match="edges are not the resolution graph's plus the chain"):
+            pl.spinc_class(miswired, spec74, 3)
+        monkeypatch.setattr(other_chain, "det", 6 * other_chain.det)
+        with pytest.raises(ValueError, match="graph determinant -42 is not \\+-7"):
+            pl.spinc_classes(other_chain, spec74)
 
     def test_representative_check_is_live(self, monkeypatch):
         # l' moved by a lattice vector keeps K + 2 l' characteristic, so only
-        # the check (l', b_j) = (0, ..., 0, -a_1, ..., -a_s) can catch it
+        # the check (l', b_j) = (0, ..., 0, -a_1, ..., -a_s) can catch it.
+        # det added to the adjugate's entry (0, c), c a chain vertex with
+        # e_c = -2, moves l' by -a_c b_0 in class 3 = (0, 1, 0) and leaves K
+        # alone: the adjunction system is 0 at c
         knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
-        nf = gm.n - spec.cfrac.s
-        real = pl.PlumbingGraph.solve
-
-        def moved(self, rhs):
-            x = real(self, rhs)
-            if not any(rhs[:nf]):  # the class systems, not the adjunction one
-                x[0] += 1
-            return x
-
-        monkeypatch.setattr(pl.PlumbingGraph, "solve", moved)
+        c = gm.euler.index(-2, gm.n - spec.cfrac.s)
+        assert pl._si_coefficients(spec.cfrac, 3)[c - (gm.n - spec.cfrac.s)] == 1
+        moved = [list(row) for row in gm.adjugate]
+        moved[0][c] += gm.det
+        monkeypatch.setattr(gm, "adjugate", tuple(map(tuple, moved)))
         with pytest.raises(InternalInvariantError, match="l' does not pair"):
             pl.spinc_classes(gm, spec)
+
+    def test_canonical_and_characteristic_checks_are_live(self, monkeypatch):
+        # the adjugate moved at (0, 0) moves K off the adjunction equations; K
+        # moved by b_0 (e_0 = -3 is odd) leaves every k_r off parity at b_0
+        knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
+        assert gm.euler[0] % 2
+        k_gm = pl._spinc_frame(gm, spec)
+        off = (k_gm[0] + gm.det,) + k_gm[1:]
+        with pytest.raises(InternalInvariantError, match="k_r is not characteristic"):
+            pl._spinc_class(gm, spec.cfrac, off, 3)
+        moved = [list(row) for row in gm.adjugate]
+        moved[0][0] += gm.det
+        monkeypatch.setattr(gm, "adjugate", tuple(map(tuple, moved)))
+        with pytest.raises(InternalInvariantError, match="adjunction equations"):
+            pl.spinc_classes(gm, spec)
+
+    def test_one_fraction_per_class(self, monkeypatch):
+        # the classes stay in integers over det B; each lattice shift forms
+        # its one Fraction at the end
+        knot, spec, gm, _ = surgery_setup([(2, 3), (2, 1)], 12, 7)
+        built = []
+        real = pl.Fraction
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pl, "Fraction", counting)
+        classes = pl.spinc_classes(gm, spec)
+        assert built == []
+        shifts = [pl.lattice_grading_shift(gm, cls) for cls in classes]
+        assert len(built) <= len(classes) == spec.p
+        assert shifts == [grading_shift(spec, a) for a in range(spec.p)]
+        assert len(classes[0].k_r) == gm.n  # the wrapper is live: the Fraction view counts
+        assert len(built) == len(classes) + gm.n
 
     def test_verify_builds_two_graphs(self, monkeypatch):
         # the resolution graph and the surgery graph; no chain graph besides
@@ -428,9 +494,9 @@ class TestSpincClasses:
         knot, spec, gm, _ = surgery_setup([(2, 3), (3, 2)], 7, 5)
         s = spec.cfrac.s
         chain = chain_graph(spec.cfrac)
-        k_chain = pl.canonical_class(gm)[gm.n - s:]
-        k_tilde = pl.canonical_class(chain)
-        g1 = chain.solve([1] + [0] * (s - 1))
+        k_chain = canonical_class(gm)[gm.n - s:]
+        k_tilde = canonical_class(chain)
+        g1 = solve(chain, [1] + [0] * (s - 1))
         expected = [kt + 2 * knot.delta * g for kt, g in zip(k_tilde, g1)]
         assert list(k_chain) == expected
 
@@ -600,7 +666,7 @@ class TestLauferTau:
 class TestSublevel:
     def test_lens_space_is_bare_stem(self):
         g = pl.PlumbingGraph([-3], [])
-        kr = pl.canonical_class(g)
+        kr = canonical_class(g)
         box = pl.exact_sublevel_box(g, kr, 3)
         root = pl.sublevel_root(g, kr, 3, box)
         assert len(root.leaves) == 1
@@ -618,7 +684,7 @@ class TestSublevel:
 
     def test_empty_sublevel(self):
         g = pl.PlumbingGraph([-3], [])
-        kr = pl.canonical_class(g)
+        kr = canonical_class(g)
         with pytest.raises(ValueError, match="empty sublevel"):
             pl.sublevel_root(g, kr, -1, ((-3, 3),))
 
@@ -627,7 +693,7 @@ class TestSublevel:
         # gives the exact box's root, and only a sublevel set over the cap
         # (19 points at n_max = 2) is refused
         g = pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2)])
-        kr = pl.canonical_class(g)
+        kr = canonical_class(g)
         wide = ((-300, 300),) * 3
         for n_max in (0, 2):
             exact = pl.exact_sublevel_box(g, kr, n_max)
@@ -670,7 +736,7 @@ class TestSublevel:
         g = pl.PlumbingGraph(euler, edges)
         # characteristic: (k, b_j) = e_j + 2 m_j, any integer m_j
         kb = [e + 2 * m for e, m in zip(euler, shifts)]
-        kr = tuple(g.solve(kb))
+        kr = tuple(solve(g, kb))
         box = pl.exact_sublevel_box(g, kr, n_max)
         wide = [range(lo - 2, hi + 3) for lo, hi in box]
         assume(prod(len(r) for r in wide) <= 20_000)
@@ -699,7 +765,7 @@ class TestSublevel:
         edges = [(j + 1, par) for j, par in enumerate(parents)]
         assume(definite_by_reference(tree_form(euler, edges)))
         g = pl.PlumbingGraph(euler, edges)
-        kr = tuple(g.solve([e + 2 * m for e, m in zip(euler, shifts)]))
+        kr = tuple(solve(g, [e + 2 * m for e, m in zip(euler, shifts)]))
         box = pl.exact_sublevel_box(g, kr, n_max)
         assume(prod(hi - lo + 1 for lo, hi in box) <= 20_000)
         tight = tuple((lo + 1, hi - 1) for lo, hi in box)
