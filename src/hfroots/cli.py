@@ -146,6 +146,10 @@ def _knot_block(knot: AlgebraicKnot) -> dict:
     }
 
 
+def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
+    return {"p": p, "q": q, "coefficient": f"-{p}/{q}", "continued_fraction": list(spec.cfrac.terms)}
+
+
 def _module_block(module) -> dict:
     grade = Grading(module.shift).rat
     towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
@@ -246,16 +250,8 @@ def cmd_compute(args) -> int:
         return 0
 
     if args.format == "json":
-        doc = {
-            "knot": _knot_block(knot),
-            "surgery": {
-                "p": p,
-                "q": q,
-                "coefficient": f"-{p}/{q}",
-                "continued_fraction": list(spec.cfrac.terms),
-            },
-            "spinc": [_spinc_block(r) for r in results],
-        }
+        doc = {"knot": _knot_block(knot), "surgery": _surgery_block(p, q, spec),
+               "spinc": [_spinc_block(r) for r in results]}
         _emit(_json(doc) + "\n", args.out)
         return 0
 
@@ -307,10 +303,9 @@ def _root_first_diff(lattice, formula) -> dict:
     """The lowest level whose sorted subtree keys differ between two graded
     roots, with each root's vertex count there."""
     def keys_by_level(root) -> dict:
-        key, out = {}, {}
-        for v in sorted(range(len(root)), key=root.chi.__getitem__):  # children first
-            key[v] = tuple(sorted(key[c] for c in root.children[v]))
-            out.setdefault(root.chi[v], []).append(key[v])
+        out: dict = {}
+        for level, key in zip(root.chi, root.subtree_keys()):
+            out.setdefault(level, []).append(key)
         return {level: sorted(keys) for level, keys in out.items()}
 
     a, b = keys_by_level(lattice), keys_by_level(formula)
@@ -386,8 +381,7 @@ def cmd_verify(args) -> int:
 
     doc = {
         "knot": _knot_block(knot),
-        "surgery": {"p": p, "q": q, "coefficient": f"-{p}/{q}",
-                    "continued_fraction": list(spec.cfrac.terms)},
+        "surgery": _surgery_block(p, q, spec),
         "graphs": {
             "resolution": plumbing.graph_doc(gf),
             "surgery": plumbing.graph_doc(gm),

@@ -23,22 +23,20 @@ from the negative continued fraction p/q = [k_1, ..., k_s].  The vertex v0
 is the distinguished vertex: lowering its weight makes the graph rational
 (an almost-rational graph), which is what licenses the tau-function method.
 
-All the linear algebra of a graph is one fraction-free (Bareiss) Gauss-Jordan
-sweep over [B | I], run once when the graph is built: its pivots are the
-leading principal minors that certify negative definiteness, the last one is
-det B, and the right half it leaves is the integer adjugate det * B^{-1}.
-Every B x = y below (the divisorial cycle, the canonical class, the
-representatives of the spin^c classes) is read from that adjugate as integer
-numerators over det B, as is the diagonal of B^{-1} that bounds the sublevel
-search box.  The one other
-elimination is the sublevel enumeration's: -B bordered by the integers
-(k_r, b_j), eliminated fraction-free from the last vertex back, whose pivot
-rows are the Schur complements that bound each coordinate given the ones
-before it.
+All the linear algebra of a graph is one leaf-to-root elimination of the
+tree, run once when the graph is built: its subtree determinants give the
+pivots that certify negative definiteness and det B, and `solve` reuses them
+for any B x = y in O(n) integer operations, returning the numerators over
+det B.  Each B x = y below (the divisorial cycle, the canonical class, the
+representative of each spin^c class, the diagonal of B^{-1} that bounds the
+sublevel search box) is one such solve.  The one other elimination is the
+sublevel enumeration's: -B bordered by the integers (k_r, b_j), eliminated
+fraction-free from the last vertex back, whose pivot rows are the Schur
+complements that bound each coordinate given the ones before it.
 
 Oracle paths implemented here:
-  * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p;
-    l' reads only the adjugate's s chain columns (B l' is 0 off the chain);
+  * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p,
+    one tree solve per class;
   * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
     sum closed form in one pass per surgery, and (in hfcore) the shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
@@ -71,38 +69,6 @@ _RESOLUTION_CACHE_SIZE = 64  # graphs cached, one per knot; a run meets a handfu
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on small integer matrices
-# ---------------------------------------------------------------------------
-
-
-def _fraction_free_sweep(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Bareiss's fraction-free Gauss-Jordan elimination on [mat | I].
-
-    No pivoting: the pivot of step k is the k-th leading principal minor, so
-    every division by the previous pivot is exact.  A zero pivot stops the
-    sweep, and the minors found so far are returned (the last one is 0).
-    After a full sweep the left half is det * I and the right half is the
-    adjugate det * mat^{-1}.  Returns (minors, right half).
-    """
-    n = len(mat)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    minors = []
-    prev = 1
-    for k in range(n):
-        piv = rows[k][k]
-        minors.append(piv)
-        if piv == 0:
-            break
-        pivot_row = rows[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                rows[i] = [(x * piv - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = piv
-    return minors, [row[n:] for row in rows]
-
-
-# ---------------------------------------------------------------------------
 # plumbing graphs
 # ---------------------------------------------------------------------------
 
@@ -116,11 +82,14 @@ class PlumbingGraph:
     marks the vertex supporting the knot arrow in an embedded resolution
     graph (None for closed-manifold graphs).
 
-    Both the tree property and negative definiteness (signs of all leading
-    principal minors, exact integer arithmetic) are enforced on creation.
-    The same fraction-free sweep leaves det B (the last of those minors) in
-    `det` and the integer matrix det * B^{-1} in `adjugate`, the numerators
-    over det of every B x = y of the oracle.
+    Both the tree property and negative definiteness are enforced on
+    creation.  The tree is eliminated once, from the leaves to vertex 0 in
+    the order of the connectivity traversal, in integers: vertex v with
+    children c gets P_v = prod_c D_c and the determinant of its subtree
+    D_v = e_v P_v - sum_c P_c (P_v / D_c) (Eisenbud-Neumann), so its pivot
+    is D_v / P_v.  The form is negative definite exactly when every pivot is
+    negative, and det B = D_0.  `solve` reuses the elimination for any
+    B x = y in O(n) integer operations.
     Instances are immutable after construction and safe to share; oracle
     runs for distinct spin^c classes are independent of each other.
     """
@@ -144,27 +113,55 @@ class PlumbingGraph:
         self.adj = tuple(tuple(sorted(x)) for x in adj)
         if len(self.edges) != n - 1:
             raise ValueError("a plumbing tree needs exactly n - 1 edges")
-        stack, visited = [0], {0}
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        if len(visited) != n:
+        order, parent = [0], [-1] + [None] * (n - 1)  # parents before children
+        for v in order:
+            for w in self.adj[v]:
+                if parent[w] is None:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
             raise ValueError("plumbing graph is not connected")
         for v in (self.distinguished, self.arrow):
             if v is not None and not 0 <= v < n:
                 raise ValueError(f"vertex index {v} out of range")
-        minors, adjugate = _fraction_free_sweep(self.bmatrix())
-        for k, m in enumerate(minors, start=1):
-            if m == 0 or (m > 0) != (k % 2 == 0):
+        prods, dets, shares = [1] * n, [0] * n, [0] * n
+        for v in reversed(order):  # every child of v is done, so prods[v] is final
+            d = self.euler[v] * prods[v]
+            for c in self.adj[v]:
+                if c != parent[v]:
+                    shares[c] = prods[v] // dets[c]
+                    d -= prods[c] * shares[c]
+            if d == 0 or (d > 0) == (prods[v] > 0):  # the pivot d / P_v must be negative
                 raise ValueError("intersection form is not negative definite")
-        self.det = minors[-1]
-        self.adjugate = tuple(tuple(row) for row in adjugate)
+            dets[v] = d
+            if v:
+                prods[parent[v]] *= d
+        self._order, self._parent, self._prods, self._dets, self._shares = order, parent, prods, dets, shares
+        self.det = dets[0]
 
     @property
     def n(self) -> int:
         return len(self.euler)
+
+    def solve(self, y) -> list[int]:
+        """det B * x for the solution x of B x = y (integer y), in O(n).
+
+        Forward, u_v = y_v P_v - sum_c u_c (P_v / D_c) folds each subtree into
+        its root; back, X_0 = u_0 and X_v = (u_v det - X_parent P_v) / D_v.
+        det * B^{-1} is the integer adjugate, so every division is exact; one
+        that is not raises InternalInvariantError.
+        """
+        parent, prods, dets, shares, det = self._parent, self._prods, self._dets, self._shares, self.det
+        u = [yv * pv for yv, pv in zip(y, prods)]
+        for v in reversed(self._order[1:]):
+            u[parent[v]] -= u[v] * shares[v]
+        x = [0] * self.n
+        x[0] = u[0]
+        for v in self._order[1:]:
+            x[v], r = divmod(u[v] * det - x[parent[v]] * prods[v], dets[v])
+            if r:
+                raise InternalInvariantError("tree solve: a division by a subtree determinant is not exact")
+        return x
 
     def degree(self, j: int) -> int:
         return len(self.adj[j])
@@ -296,13 +293,13 @@ def embedded_resolution(knot: AlgebraicKnot) -> PlumbingGraph:
 def divisorial_cycle(gf: PlumbingGraph) -> tuple[int, ...]:
     """The divisorial cycle of the germ on its resolution graph.
 
-    Unique solution of (Z, b_j) = 0 for j != v0 and (Z, b_{v0}) = -1, the
-    negated v0 column of the adjugate over det; its coefficients, the vanishing
-    orders of the pulled-back germ, must be integral and strictly positive.
+    Unique solution of (Z, b_j) = 0 for j != v0 and (Z, b_{v0}) = -1, one
+    tree solve over det; its coefficients, the vanishing orders of the
+    pulled-back germ, must be integral and strictly positive.
     """
     if gf.distinguished is None:
         raise ValueError("graph has no distinguished vertex")
-    sol = [divmod(-row[gf.distinguished], gf.det) for row in gf.adjugate]
+    sol = [divmod(x, gf.det) for x in gf.solve([-(j == gf.distinguished) for j in range(gf.n)])]
     if any(r for _, r in sol):
         raise InternalInvariantError("divisorial cycle is not integral")
     coeffs = tuple(c for c, _ in sol)
@@ -411,7 +408,7 @@ def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[int, ...]:
     if abs(gm.det) != spec.p:
         raise ValueError(f"graph determinant {gm.det} is not +-{spec.p}")
     rhs = [-e - 2 for e in gm.euler]
-    k_num = tuple(sum(x * r for x, r in zip(row, rhs)) for row in gm.adjugate)
+    k_num = tuple(gm.solve(rhs))
     if gm.apply_form(k_num) != [gm.det * r for r in rhs]:
         raise InternalInvariantError("canonical class does not satisfy the adjunction equations")
     return k_num
@@ -420,9 +417,8 @@ def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[int, ...]:
 def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, k_gm: tuple[int, ...], a: int) -> SpincClass:
     acoef = _si_coefficients(cfrac, a)
     nf, det = gm.n - cfrac.s, gm.det
-    chain = tuple(-c for c in acoef)
-    l_num = tuple(sum(x * r for x, r in zip(row[nf:], chain)) for row in gm.adjugate)  # B l' is 0 off the chain
-    pairs = (0,) * nf + chain
+    pairs = (0,) * nf + tuple(-c for c in acoef)
+    l_num = tuple(gm.solve(pairs))
     if gm.apply_form(l_num) != [det * x for x in pairs]:
         raise InternalInvariantError("l' does not pair to 0 on the resolution and -a_j on the chain")
     k_num = tuple(k + 2 * l for k, l in zip(k_gm, l_num))
@@ -622,7 +618,7 @@ def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -
     box = []
     for j in range(g.n):
         kj = Fraction(kr[j])
-        diag = Fraction(-g.adjugate[j][j], g.det)  # -(B^{-1})_{jj} > 0
+        diag = Fraction(-g.solve([int(i == j) for i in range(g.n)])[j], g.det)  # -(B^{-1})_{jj} > 0
         bound = radius * diag
         kd, kn = kj.denominator, kj.numerator
         cap = 4 * kd * kd * bound

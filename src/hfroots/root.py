@@ -101,18 +101,20 @@ class GradedRoot:
     def min_level(self) -> int:
         return min(self.chi)
 
+    def subtree_keys(self) -> list[tuple]:
+        """The key of the subtree below each vertex: the sorted tuple of its
+        children's keys, so equal keys at one level mean isomorphic subtrees.
+        Computed iteratively (trees can be deep)."""
+        key: list = [None] * len(self.chi)
+        for v in sorted(range(len(self.chi)), key=self.chi.__getitem__):  # children before parents
+            key[v] = tuple(sorted(key[c] for c in self.children[v]))
+        return key
+
     def canonical_key(self):
         """Canonical encoding; equal keys <=> grading-preserving isomorphism.
-
         Children subtrees are sorted recursively, so the key is independent
-        of vertex numbering.  Computed iteratively (trees can be deep).
-        """
-        n = len(self.chi)
-        key: list = [None] * n
-        order = sorted(range(n), key=lambda v: self.chi[v])  # children before parents
-        for v in order:
-            key[v] = tuple(sorted(key[c] for c in self.children[v]))
-        return (self.chi[self.top], key[self.top])
+        of vertex numbering."""
+        return (self.chi[self.top], self.subtree_keys()[self.top])
 
 
 def _switch_on(end: list[int], i: int) -> tuple[int, int]:

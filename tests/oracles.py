@@ -28,15 +28,15 @@ here, and the tests require identical results:
   * every grade of a spin^c structure as its own Fraction, written through
     Fraction's own reduction (the package keeps integer grades and one r_a,
     and writes r_a + g as (N + g D)/D);
-  * det B by Bareiss elimination with row pivoting, and B x = y by Gauss-Jordan
-    elimination over the rationals (a `PlumbingGraph` reads its minors, det B
-    and the adjugate off one fraction-free sweep over [B | I]); B x = y as
-    one Fraction per entry of adjugate * y / det, and the canonical class
-    solved that way (the package keeps integer numerators over det B);
+  * det B and the leading principal minors by Bareiss elimination of the
+    dense matrix with row pivoting, and B x = y (the canonical class
+    included) by Gauss-Jordan elimination of the dense matrix over the
+    rationals (a `PlumbingGraph` eliminates its tree once, from the leaves
+    to vertex 0, and solves in integer numerators over det B);
   * each spin^c class from the lens-space chain lattice: its representative
     solved in Fractions on the chain graph and pulled back through the
-    divisorial cycle (the package reads it off the chain columns of the
-    surgery graph's adjugate, in integers over det B);
+    divisorial cycle (the package solves once on the surgery graph, in
+    integers over det B);
   * d and sw without tau, from surgery formulas: d(-M) as a lens-space
     correction term (Ni-Wu; algebraic knots are L-space knots), indexed and
     as a multiset, and sum_a sw by the Casson-Walker surgery formula;
@@ -59,6 +59,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from itertools import product as iter_product
 from math import prod
@@ -481,10 +482,11 @@ def determinant(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
-    """Solve mat x = rhs over the rationals (Gaussian elimination)."""
+def gauss_jordan(mat: list[list], right: list[list]) -> list[list[Fraction]]:
+    """Reduce [mat | right] over the rationals (Gauss-Jordan elimination with
+    row pivoting) and return the right block, mat^{-1} right."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
+    a = [[Fraction(x) for x in row] + [Fraction(r) for r in rrow] for row, rrow in zip(mat, right)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -496,13 +498,29 @@ def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    return [row[n:] for row in a]
+
+
+def solve_exact(mat: list[list], rhs: list) -> list[Fraction]:
+    """Solve mat x = rhs over the rationals (Gaussian elimination)."""
+    return [row[0] for row in gauss_jordan(mat, [[r] for r in rhs])]
+
+
+@lru_cache(maxsize=16)
+def _dense_inverse(euler: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> tuple[tuple[Fraction, ...], ...]:
+    n = len(euler)
+    b = [[euler[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for u, v in edges:
+        b[u][v] = b[v][u] = 1
+    return tuple(map(tuple, gauss_jordan(b, [[int(i == j) for j in range(n)] for i in range(n)])))
 
 
 def solve(g: pl.PlumbingGraph, rhs) -> list[Fraction]:
-    """The solution x of B x = rhs, as adjugate * rhs / det, one Fraction per
-    entry (the package keeps the integer numerators adjugate * rhs)."""
-    return [Fraction(sum(a * r for a, r in zip(row, rhs)), g.det) for row in g.adjugate]
+    """The solution x of B x = rhs, one Fraction per entry, as B^{-1} rhs for
+    the inverse of the dense matrix B, found by Gauss-Jordan elimination of
+    [B | I] over the rationals once per graph (the package solves on the
+    tree, in integer numerators over det B)."""
+    return [sum(a * r for a, r in zip(row, rhs)) for row in _dense_inverse(g.euler, g.edges)]
 
 
 def characteristic_pairs(g: pl.PlumbingGraph, k) -> tuple[int, ...]:
@@ -555,8 +573,8 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     on the chain graph and is pulled back through the divisorial cycle Z_f,
     b~_1 -> Z_f + b_1 and b~_j -> b_j (the chain vertices of gm are last).
     The vectors are built in Fractions and only then written as numerators
-    over det B; the package reads l' off the chain columns of gm's adjugate
-    and never leaves the integers."""
+    over det B; the package solves for l' on gm's tree and never leaves the
+    integers."""
     spec._check_a(a)
     cfrac = spec.cfrac
     zf = pl.divisorial_cycle(pl.embedded_resolution(spec.knot))

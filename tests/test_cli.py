@@ -256,6 +256,15 @@ class TestVerifyCommand:
             assert single["verification"].pop("per_spinc") == [full["verification"]["per_spinc"][a]]
             assert single == {**full, "verification": {"oracle": "both", "ok": True}}
 
+    def test_long_surgery_chain(self, capsys):
+        # -200/199 hangs a chain of 199 vertices of weight -2 at v0: 202
+        # vertices and 200 classes, each one tree solve
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "200/199", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verification"]["ok"] is True
+        assert len(doc["verification"]["per_spinc"]) == 200
+
     def test_laufer_two_classes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--newton", "4,5", "--surgery", "2/1", "--oracle", "laufer"

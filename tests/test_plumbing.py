@@ -53,10 +53,10 @@ def surgery_setup(pairs, p, q):
     return knot, spec, gm, classes
 
 
-def random_trees(vertex_data):
-    """Trees on 1-4 vertices with Euler numbers in [-4, -1], vertex j + 1
-    hanging from an earlier vertex, and one vertex_data draw per vertex."""
-    return st.integers(1, 4).flatmap(
+def random_trees(vertex_data, max_n=4):
+    """Trees on 1 to max_n vertices with Euler numbers in [-4, -1], vertex
+    j + 1 hanging from an earlier vertex, and one vertex_data draw per vertex."""
+    return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.lists(st.integers(-4, -1), min_size=n, max_size=n),
             st.tuples(*(st.integers(0, j - 1) for j in range(1, n))),
@@ -139,18 +139,44 @@ def check_fraction_route(gm, spec, classes):
         assert (tuple(l_prime), tuple(k_r)) == (cls.l_prime, cls.k_r) == (ref.l_prime, ref.k_r)
 
 
+def moved_solve(monkeypatch, g, rhs):
+    """Patch g.solve so that for the right-hand side rhs alone it returns
+    det more at entry 0, as if the solution had moved by the unit vector at
+    vertex 0."""
+    real = g.solve
+
+    def solve_moved(y):
+        x = real(y)
+        if tuple(y) == rhs:
+            x[0] += g.det
+        return x
+
+    monkeypatch.setattr(g, "solve", solve_moved)
+
+
+def tree_path(g, u, v):
+    """The vertices of the path from u to v in the tree g."""
+    back, todo = {u: None}, [u]
+    for x in todo:
+        for w in g.adj[x]:
+            if w not in back:
+                back[w] = x
+                todo.append(w)
+    path = [v]
+    while path[-1] != u:
+        path.append(back[path[-1]])
+    return path
+
+
 def check_sweep(g):
-    """B adjugate = det I, the sweep's minors are the leading minors, and
-    solve gives the reference solution for every basis vector."""
+    """The tree elimination's det is the reference determinant, and its
+    solve gives det times the reference solution for every basis vector."""
     b = g.bmatrix()
-    n = g.n
-    product = [[sum(b[i][t] * g.adjugate[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    assert product == [[g.det if i == j else 0 for j in range(n)] for i in range(n)]
-    minors, _ = pl._fraction_free_sweep(b)
-    assert minors == [determinant([row[:k] for row in b[:k]]) for k in range(1, n + 1)]
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        assert solve(g, e) == solve_exact(b, e)
+    det = determinant(b)
+    assert g.det == det
+    for j in range(g.n):
+        e = [1 if i == j else 0 for i in range(g.n)]
+        assert g.solve(e) == [det * x for x in solve_exact(b, e)]
 
 
 class TestGraphType:
@@ -196,11 +222,14 @@ class TestElimination:
         for g in graphs.values():
             check_sweep(g)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(random_trees(st.integers(-3, 3)))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-3, 3), max_n=8))
+    # vertex 0 of degree 3, each child with a child: definite, then not
+    @example(([-3, -2, -2, -2, -2, -2, -2, -2], (0, 0, 0, 1, 2, 3, 4), [1, -2, 0, 3, 0, 0, -1, 2]))
+    @example(([-2] * 8, (0, 0, 0, 1, 2, 3, 4), [0] * 8))
     def test_sweep_matches_reference_on_random_trees(self, graph):
-        # definiteness is decided by the reference minors, so a sweep that
-        # rejects a definite tree fails here instead of being filtered out
+        # definiteness is decided by the reference minors, so an elimination
+        # that rejects a definite tree fails here instead of being filtered out
         euler, parents, rhs = graph
         edges = [(j + 1, par) for j, par in enumerate(parents)]
         b = tree_form(euler, edges)
@@ -210,7 +239,25 @@ class TestElimination:
             return
         g = pl.PlumbingGraph(euler, edges)
         check_sweep(g)
-        assert solve(g, rhs) == solve_exact(b, rhs)
+        assert g.solve(rhs) == [g.det * x for x in solve_exact(b, rhs)]
+        # Eisenbud-Neumann: on a tree, (det B^{-1})_{uv} is (-1)^{d(u,v)} times
+        # the determinant of B on the vertices off the path from u to v
+        for v in range(g.n):
+            column = g.solve([int(i == v) for i in range(g.n)])
+            for u in range(g.n):
+                path = tree_path(g, u, v)
+                off = [i for i in range(g.n) if i not in path]
+                minor = determinant([[b[i][j] for j in off] for i in off]) if off else 1
+                assert column[u] == (-1) ** (len(path) - 1) * minor
+
+    def test_long_chain(self):
+        # the A_n chain of -2 vertices: det B = (-1)^n (n + 1), and column 0
+        # of the Cartan inverse min(i, j) (n + 1 - max(i, j)) / (n + 1)
+        # (1-based) is (n - i) / (n + 1) at 0-based row i
+        n = 2000
+        g = pl.PlumbingGraph([-2] * n, [(i, i + 1) for i in range(n - 1)])
+        assert g.det == (-1) ** n * (n + 1)
+        assert g.solve([1] + [0] * (n - 1)) == [-g.det * (n - i) // (n + 1) for i in range(n)]
 
 
 class TestEmbeddedResolution:
@@ -392,30 +439,25 @@ class TestSpincClasses:
     def test_representative_check_is_live(self, monkeypatch):
         # l' moved by a lattice vector keeps K + 2 l' characteristic, so only
         # the check (l', b_j) = (0, ..., 0, -a_1, ..., -a_s) can catch it.
-        # det added to the adjugate's entry (0, c), c a chain vertex with
-        # e_c = -2, moves l' by -a_c b_0 in class 3 = (0, 1, 0) and leaves K
-        # alone: the adjunction system is 0 at c
+        # det added at entry 0 of the solve for class 3 = (0, 1, 0) moves its
+        # l' by the unit vector at vertex 0 and leaves K alone
         knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
-        c = gm.euler.index(-2, gm.n - spec.cfrac.s)
-        assert pl._si_coefficients(spec.cfrac, 3)[c - (gm.n - spec.cfrac.s)] == 1
-        moved = [list(row) for row in gm.adjugate]
-        moved[0][c] += gm.det
-        monkeypatch.setattr(gm, "adjugate", tuple(map(tuple, moved)))
+        assert pl._si_coefficients(spec.cfrac, 3) == (0, 1, 0)
+        moved_solve(monkeypatch, gm, (0,) * (gm.n - spec.cfrac.s) + (0, -1, 0))
         with pytest.raises(InternalInvariantError, match="l' does not pair"):
             pl.spinc_classes(gm, spec)
 
     def test_canonical_and_characteristic_checks_are_live(self, monkeypatch):
-        # the adjugate moved at (0, 0) moves K off the adjunction equations; K
-        # moved by b_0 (e_0 = -3 is odd) leaves every k_r off parity at b_0
+        # det added at entry 0 of the adjunction solve moves K off the
+        # adjunction equations; K moved by the unit vector at vertex 0
+        # (e_0 = -3 is odd) leaves every k_r off parity at b_0
         knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
         assert gm.euler[0] % 2
         k_gm = pl._spinc_frame(gm, spec)
         off = (k_gm[0] + gm.det,) + k_gm[1:]
         with pytest.raises(InternalInvariantError, match="k_r is not characteristic"):
             pl._spinc_class(gm, spec.cfrac, off, 3)
-        moved = [list(row) for row in gm.adjugate]
-        moved[0][0] += gm.det
-        monkeypatch.setattr(gm, "adjugate", tuple(map(tuple, moved)))
+        moved_solve(monkeypatch, gm, tuple(-e - 2 for e in gm.euler))
         with pytest.raises(InternalInvariantError, match="adjunction equations"):
             pl.spinc_classes(gm, spec)
 
