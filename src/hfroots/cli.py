@@ -362,9 +362,9 @@ def cmd_verify(args) -> int:
             if not entry["laufer_tau_ok"]:
                 entry["laufer_first_diff"] = _first_diff(condensed, res.tau.values)
         if use_sublevel:
-            n_top, kr = res.tau.max(), cls.k_r  # k_r as Fractions, built once
-            box = plumbing.exact_sublevel_box(gm, kr, n_top)
-            lattice_root = plumbing.sublevel_root(gm, kr, n_top, box)
+            n_top = res.tau.max()
+            box = plumbing.exact_sublevel_box(gm, cls.k_pairs, n_top)
+            lattice_root = plumbing.sublevel_root(gm, cls.k_pairs, n_top, box)
             formula_root = root_from_tau(res.tau)
             same = lattice_root.canonical_key() == formula_root.canonical_key()
             entry["sublevel"] = "ok" if same else "disagree"

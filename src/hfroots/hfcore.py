@@ -87,14 +87,15 @@ class SpincResult(Frozen):
     """Everything the pipeline knows about one spin^c structure.
 
     Grades are stored as even integers g and read as r_a + g
-    (`grading.Grading`): `ker` and `coker` hold those integers, `ker_u` and
-    `coker_u` give the absolute grades.  Only r_a, d and sw are Fractions.
+    (`grading.Grading`): `ker` and `coker` give those integers, read off the
+    one stored tau, and `ker_u` and `coker_u` the absolute grades.  Only
+    r_a, d and sw are Fractions.
     """
 
-    __slots__ = ("a", "depth", "shift", "tau", "module", "d_invariant", "sw_invariant", "ker", "coker")
+    __slots__ = ("a", "depth", "shift", "tau", "module", "d_invariant", "sw_invariant")
 
     def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, module: UModuleDecomposition,
-                 d_invariant: Fraction, sw_invariant: Fraction, ker: tuple[int, ...], coker: tuple[int, ...]):
+                 d_invariant: Fraction, sw_invariant: Fraction):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "depth", depth)                  # t_a
         object.__setattr__(self, "shift", shift)                  # r_a
@@ -102,8 +103,16 @@ class SpincResult(Frozen):
         object.__setattr__(self, "module", module)                # shift r_a
         object.__setattr__(self, "d_invariant", d_invariant)
         object.__setattr__(self, "sw_invariant", sw_invariant)
-        object.__setattr__(self, "ker", ker)                      # ker U grades minus r_a, sorted
-        object.__setattr__(self, "coker", coker)                  # coker U grades minus r_a, sorted
+
+    @property
+    def ker(self) -> tuple[int, ...]:
+        """ker U grades minus r_a, sorted: 2 tau(2t)."""
+        return tuple(2 * v for v in sorted(self.tau.values[0::2]))
+
+    @property
+    def coker(self) -> tuple[int, ...]:
+        """coker U grades minus r_a, sorted: 2 tau(2t+1) - 2."""
+        return tuple(2 * v - 2 for v in sorted(self.tau.values[1::2]))
 
     @property
     def ker_u(self) -> tuple[Fraction, ...]:
@@ -193,8 +202,6 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
         module=module,
         d_invariant=r_a + low,
         sw_invariant=r_a / 2 - alpha_sum,
-        ker=tuple(2 * v for v in sorted(vals[0::2])),
-        coker=tuple(2 * v - 2 for v in sorted(vals[1::2])),
     )
 
 

@@ -28,11 +28,9 @@ tree, run once when the graph is built: its subtree determinants give the
 pivots that certify negative definiteness and det B, and `solve` reuses them
 for any B x = y in O(n) integer operations, returning the numerators over
 det B.  Each B x = y below (the divisorial cycle, the canonical class, the
-representative of each spin^c class, the diagonal of B^{-1} that bounds the
-sublevel search box) is one such solve.  The one other elimination is the
-sublevel enumeration's: -B bordered by the integers (k_r, b_j), eliminated
-fraction-free from the last vertex back, whose pivot rows are the Schur
-complements that bound each coordinate given the ones before it.
+representative of each spin^c class, the centre and the diagonal of B^{-1}
+that bound the sublevel search) is one such solve, and the sublevel
+enumeration walks the same pivots, parents first.
 
 Oracle paths implemented here:
   * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p,
@@ -44,8 +42,9 @@ Oracle paths implemented here:
     resolution graph's branches run once per surgery (every class pairs to 0
     there) and only the surgery chain runs per class;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
-    points of the ellipsoid chi <= n (Fincke-Pohst), closed under the steps
-    x -> x +- b_j or refused with InternalInvariantError;
+    points of the ellipsoid chi <= n (Fincke-Pohst, in integers, from the
+    pairings (k_r, b_j)), closed under the steps x -> x +- b_j or refused
+    with InternalInvariantError;
   * lens space correction terms, the delta = 0 closed form plus the classical
     recursion (run bottom-up) as an oracle-of-the-oracle.
 """
@@ -165,14 +164,6 @@ class PlumbingGraph:
 
     def degree(self, j: int) -> int:
         return len(self.adj[j])
-
-    def bmatrix(self) -> list[list[int]]:
-        b = [[0] * self.n for _ in range(self.n)]
-        for j, e in enumerate(self.euler):
-            b[j][j] = e
-        for a, c in self.edges:
-            b[a][c] = b[c][a] = 1
-        return b
 
     def apply_form(self, x):
         """B x, computed edge-wise; exact for int or Fraction entries."""
@@ -343,9 +334,9 @@ class SpincClass(Frozen):
     strict inequalities (SI)); l' is its minimal dual-lattice representative,
     the solution of (l', b_j) = 0 on the resolution vertices and -a_j on the
     chain; k_r = K + 2 l' is the distinguished characteristic vector of the
-    class.  Both are integer numerators over den = det B, l_num and k_num
-    (l_prime and k_r give the Fractions).  l_pairs and k_pairs are the
-    integers (l', b_j) and (k_r, b_j), checked once when the class is built.
+    class.  Both are integer numerators over den = det B, l_num and k_num.
+    l_pairs and k_pairs are the integers (l', b_j) and (k_r, b_j), checked
+    once when the class is built.
     """
 
     __slots__ = ("a", "a_coeffs", "den", "l_num", "k_num", "l_pairs", "k_pairs")
@@ -359,14 +350,6 @@ class SpincClass(Frozen):
         object.__setattr__(self, "k_num", k_num)
         object.__setattr__(self, "l_pairs", l_pairs)
         object.__setattr__(self, "k_pairs", k_pairs)
-
-    @property
-    def l_prime(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.l_num)
-
-    @property
-    def k_r(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.k_num)
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
@@ -603,90 +586,91 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
 # ---------------------------------------------------------------------------
 
 
-def exact_sublevel_box(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -> tuple[tuple[int, int], ...]:
-    """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max}.
+def _completed_square(g: PlumbingGraph, kb, n_max: int) -> tuple[list[int], int]:
+    """(K, R) with chi_{k_r}(x) <= n_max exactly when -(z, z) <= R for the
+    integer vector z = 2 det x + K: K = det B^{-1} kb is one tree solve, and
+    R = 8 det^2 n_max - det (kb . K) is 4 det^2 (2 n_max - (k_r, k_r)/4)."""
+    big_k = g.solve(kb)
+    return big_k, 8 * g.det * g.det * n_max - g.det * sum(k * c for k, c in zip(kb, big_k))
 
-    Completing the square, chi(x) <= n says -(y, y) <= 2 n - (k, k)/4 for
-    y = x + k/2, a positive definite ellipsoid condition, so coordinate j is
-    bounded by y_j^2 <= R * (-B^{-1})_{jj}.  All bounds are taken with exact
-    integer square roots.  The box holds the whole sublevel set, so the
-    closure check of `sublevel_root` fires on it only on a fault.
+
+def exact_sublevel_box(g: PlumbingGraph, kb, n_max: int) -> tuple[tuple[int, int], ...]:
+    """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max},
+    from the integers kb = ((k_r, b_j))_j (a class's k_pairs).
+
+    Completing the square, -(z, z) <= R (`_completed_square`) is a positive
+    definite ellipsoid condition, so coordinate j is bounded by
+    z_j^2 <= R |(det B^{-1})_{jj}| / |det|, read off one tree solve and
+    taken with an exact integer square root.  The box holds the whole
+    sublevel set, so the closure check of `sublevel_root` fires on it only
+    on a fault.
     """
-    radius = 2 * n_max - Fraction(g.pairing(kr, kr)) / 4
+    big_k, radius = _completed_square(g, kb, n_max)
     if radius < 0:
         return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
+    det, sign = abs(g.det), (1 if g.det > 0 else -1)
     box = []
-    for j in range(g.n):
-        kj = Fraction(kr[j])
-        diag = Fraction(-g.solve([int(i == j) for i in range(g.n)])[j], g.det)  # -(B^{-1})_{jj} > 0
-        bound = radius * diag
-        kd, kn = kj.denominator, kj.numerator
-        cap = 4 * kd * kd * bound
-        t = isqrt(cap.numerator // cap.denominator)
-        lo = -((t + kn) // (2 * kd))
-        hi = (t - kn) // (2 * kd)
-        box.append((lo, hi))
+    for j in range(g.n):  # |2 |det| x_j + sign K_j| <= t
+        t = isqrt(radius * abs(g.solve([int(i == j) for i in range(g.n)])[j]) // det)
+        kj = sign * big_k[j]
+        box.append((-((t + kj) // (2 * det)), (t - kj) // (2 * det)))
     return tuple(box)
 
 
-def _ellipsoid_points(g: PlumbingGraph, kb: list[int], n_max: int, box) -> list[tuple[int, ...]]:
-    """The lattice points x of `box` with f(x) = x^T Q x - (kb . x) <= 2 n_max,
-    Q = -B, in lexicographic order (Fincke-Pohst enumeration).
+def _ellipsoid_points(g: PlumbingGraph, kb, n_max: int, box) -> list[tuple[int, ...]]:
+    """The lattice points x of `box` with chi_{k_r}(x) <= n_max, sorted
+    (Fincke-Pohst enumeration on the tree's own elimination).
 
-    One fraction-free elimination of the bordered matrix [[Q, kb], [kb^T, 0]],
-    pivoting on the vertices from the last to the first, splits the form as
-    f(x) = f_min + sum_t w_t^2 / (4 M_t M_{t+1}) with M_t = det Q[t:, t:]
-    (M_n = 1).  The pivot row of t holds M_t, the integers P_ts (s < t) and
-    K_t that give w_t = 2 M_t x_t - K_t + 2 sum_{s<t} P_ts x_s, and the last
-    corner is det of the bordered matrix, 4 M_0 f_min.  Coordinate t, given
-    x_0..x_{t-1}, so ranges over an exact interval around the centre of its
-    Schur complement, found with isqrt; the slack is carried as the integer
-    r_t = 4 M_0 M_t (2 n_max - f_min - sum_{s<t} w_s^2 / (4 M_s M_{s+1})).
-    The work grows with the points of the ellipsoid, not the box volume;
-    more than _SUBLEVEL_POINT_CAP = 10^6 points raise ResourceLimitError.
+    The pivots of `PlumbingGraph` split -(z, z) (`_completed_square`) into
+    sum_v w_v^2 / |D_v P_v| with the integers
+    w_v = D_v z_v + P_v z_parent = 2 det (D_v x_v + P_v x_parent) + D_v K_v + P_v K_parent
+    (no parent terms at vertex 0).  Visited parents first, coordinate v,
+    given its parent's, ranges over one exact interval found with isqrt; the
+    slack is carried as the integer L (R - sum of the terms so far),
+    L = lcm_v |D_v P_v|.  The work grows with the points of the ellipsoid,
+    not the box volume; more than _SUBLEVEL_POINT_CAP = 10^6 points raise
+    ResourceLimitError.
     """
-    n = g.n
-    rows = [[-b for b in row] + [k] for row, k in zip(g.bmatrix(), kb)]
-    rows.append(list(kb) + [0])
-    pivot_rows: list[list[int]] = [[]] * n
-    prev = 1
-    for t in range(n - 1, -1, -1):
-        pivot_rows[t] = pr = rows[t]
-        piv = pr[t]
-        for i in (*range(t), n):
-            f = rows[i][t]
-            rows[i] = [(x * piv - f * y) // prev for x, y in zip(rows[i], pr)]
-        prev = piv
-    m0 = prev
-    minors = [pr[t] for t, pr in enumerate(pivot_rows)] + [1]
+    big_k, radius = _completed_square(g, kb, n_max)
+    if radius < 0:
+        return []
+    det, dets, prods = g.det, g._dets, g._prods
+    weights = [abs(d * p) for d, p in zip(dets, prods)]
+    scale = 1  # lcm of the weights
+    for wt in weights:
+        scale *= wt // gcd(scale, wt)
+    steps = []
+    for v in g._order:  # w_v = sign (a x_v + b x_parent + c) with a > 0; no parent at vertex 0
+        d, p, par = dets[v], prods[v], g._parent[v]
+        sign = 1 if det * d > 0 else -1
+        b, k_par = (2 * det * p, big_k[par]) if v else (0, 0)
+        steps.append((v, par, sign * 2 * det * d, sign * b, sign * (d * big_k[v] + p * k_par), scale // weights[v]))
     pts: list[tuple[int, ...]] = []
-    x = [0] * n
+    x = [0] * g.n
 
-    def descend(t: int, r: int) -> None:
-        if t == n:
+    def descend(t: int, slack: int) -> None:
+        if t == g.n:
             if len(pts) == _SUBLEVEL_POINT_CAP:
                 raise ResourceLimitError(f"sublevel set exceeds the enumeration cap of {_SUBLEVEL_POINT_CAP} points")
             pts.append(tuple(x))
             return
-        pr, mt, m_next = pivot_rows[t], minors[t], minors[t + 1]
-        centre = pr[n] - 2 * sum(pr[s] * x[s] for s in range(t))  # 2 M_t times the centre
-        w_max = isqrt(m_next * r // m0)
-        lo = max(box[t][0], -((w_max - centre) // (2 * mt)))
-        hi = min(box[t][1], (centre + w_max) // (2 * mt))
-        for xt in range(lo, hi + 1):
-            x[t] = xt
-            w = 2 * mt * xt - centre
-            descend(t + 1, (m_next * r - m0 * w * w) // mt)
+        v, par, a, b, c, m = steps[t]
+        c += b * x[par]  # b = 0 at vertex 0, whose parent index is -1
+        w_max = isqrt(slack // m)
+        for xv in range(max(box[v][0], -((w_max + c) // a)), min(box[v][1], (w_max - c) // a) + 1):
+            x[v] = xv
+            w = a * xv + c
+            descend(t + 1, slack - m * w * w)
 
-    r0 = m0 * (8 * n_max * m0 - rows[n][n])
-    if r0 >= 0:
-        descend(0, r0)
+    descend(0, scale * radius)
+    pts.sort()
     return pts
 
 
-def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> GradedRoot:
+def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
-    restricted to an explicit coordinate box.
+    restricted to an explicit coordinate box; kb = ((k_r, b_j))_j are the
+    integers a class keeps as k_pairs.
 
     Vertices at level n are the connected components of the sublevel set,
     where x and x + b_j are adjacent whenever both lie in the set; edges
@@ -702,11 +686,6 @@ def sublevel_root(g: PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box must give one (lo, hi) range per vertex")
-
-    kb = g.apply_form(list(kr))  # (k_r, b_j), must be integers
-    if any(v.denominator != 1 for v in kb):
-        raise ValueError("k_r is not in the dual lattice")
-    kb = [int(v) for v in kb]
     if any((kb[j] + g.euler[j]) % 2 for j in range(n)):
         raise ValueError("k_r is not characteristic")
 

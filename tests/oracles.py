@@ -48,7 +48,11 @@ here, and the tests require identical results:
     additions, returns chi values only, and runs a surgery class's chain on
     top of the resolution graph's values);
   * the sublevel root by a sweep over every point of its coordinate box (the
-    package enumerates only the lattice points of the ellipsoid chi <= n).
+    package enumerates only the lattice points of the ellipsoid chi <= n),
+    and that box in Fractions of k_r (the package bounds it in integers from
+    the pairings (k_r, b_j));
+  * the Fraction views l' and k_r of a spin^c class (the package keeps only
+    their numerators over det B).
 
 Also here, because only the tests use it: a plumbing graph written to JSON
 text in the schema of `plumbing.graph_doc`, and read back.
@@ -62,7 +66,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from itertools import product as iter_product
-from math import prod
+from math import isqrt, prod
 from typing import Callable, Optional
 
 import hfroots.plumbing as pl
@@ -541,6 +545,16 @@ def canonical_class(g: pl.PlumbingGraph) -> tuple[Fraction, ...]:
     return k
 
 
+def l_prime(cls: pl.SpincClass) -> tuple[Fraction, ...]:
+    """l' of a class as Fractions: its numerators l_num over den = det B."""
+    return tuple(Fraction(x, cls.den) for x in cls.l_num)
+
+
+def k_r(cls: pl.SpincClass) -> tuple[Fraction, ...]:
+    """k_r = K + 2 l' of a class as Fractions: k_num over den = det B."""
+    return tuple(Fraction(x, cls.den) for x in cls.k_num)
+
+
 def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
     """The lens-space chain -k_1, ..., -k_s (the blow-down of the surgery
     graph along the resolution part)."""
@@ -692,6 +706,32 @@ def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
         num = u[-1] * table.n(j + 1, s) - aprime[j]
         u.append(-(-num // table.n(j, s)))
     return tuple(u)
+
+
+def exact_sublevel_box_fractions(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int) -> tuple[tuple[int, int], ...]:
+    """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max}.
+
+    Completing the square, chi(x) <= n says -(y, y) <= 2 n - (k, k)/4 for
+    y = x + k/2, a positive definite ellipsoid condition, so coordinate j is
+    bounded by y_j^2 <= R * (-B^{-1})_{jj}.  All bounds are taken with exact
+    integer square roots.  (The package's box, in Fractions of k_r; the
+    package now bounds 2 det x + det k_r in integers from (k_r, b_j).)
+    """
+    radius = 2 * n_max - Fraction(g.pairing(kr, kr)) / 4
+    if radius < 0:
+        return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
+    box = []
+    for j in range(g.n):
+        kj = Fraction(kr[j])
+        diag = Fraction(-g.solve([int(i == j) for i in range(g.n)])[j], g.det)  # -(B^{-1})_{jj} > 0
+        bound = radius * diag
+        kd, kn = kj.denominator, kj.numerator
+        cap = 4 * kd * kd * bound
+        t = isqrt(cap.numerator // cap.denominator)
+        lo = -((t + kn) // (2 * kd))
+        hi = (t - kn) // (2 * kd)
+        box.append((lo, hi))
+    return tuple(box)
 
 
 def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int, box) -> tuple[Optional[GradedRoot], bool]:

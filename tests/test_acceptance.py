@@ -120,8 +120,8 @@ def test_criterion_7():
         classes = pl.spinc_classes(gm, spec)
         for a in range(p):
             res = compute_spinc(spec, a)
-            box = pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max())
-            root = pl.sublevel_root(gm, classes[a].k_r, res.tau.max(), box)
+            box = pl.exact_sublevel_box(gm, classes[a].k_pairs, res.tau.max())
+            root = pl.sublevel_root(gm, classes[a].k_pairs, res.tau.max(), box)
             assert root.canonical_key() == root_from_tau(res.tau).canonical_key()
     assert time.perf_counter() - start < 300.0
 

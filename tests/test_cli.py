@@ -320,7 +320,7 @@ class TestVerifyCommand:
     def test_sublevel_mismatch_names_the_first_difference(self, capsys, monkeypatch):
         # -1/1 surgery on the trefoil: two leaves at level 0 joined at level 1;
         # the fake lattice root joins them one level higher
-        monkeypatch.setattr(pl, "sublevel_root", lambda g, kr, n_max, box: GradedRoot([0, 0, 1, 1, 2], [2, 3, 4, 4, None]))
+        monkeypatch.setattr(pl, "sublevel_root", lambda g, kb, n_max, box: GradedRoot([0, 0, 1, 1, 2], [2, 3, 4, 4, None]))
         argv = ("verify", "--newton", "2,3", "--surgery", "1/1", "--oracle", "sublevel")
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 2

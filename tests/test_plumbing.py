@@ -15,9 +15,12 @@ from oracles import (
     chain_coefficients,
     chain_graph,
     determinant,
+    exact_sublevel_box_fractions,
     grading_shift_formula_per_class,
     graph_from_json,
     graph_to_json,
+    k_r,
+    l_prime,
     laufer_run_rescan,
     laufer_tau,
     lens_d_recursive,
@@ -80,11 +83,11 @@ def definite_by_reference(b):
     return all(m != 0 and (m > 0) == (k % 2 == 0) for k, m in enumerate(minors, start=1))
 
 
-def sublevel_outcome(g, kr, n_max, box):
+def sublevel_outcome(g, kb, n_max, box):
     """(chi, parent) of the package's sublevel root, "leaves" if its closure
     check raises, or the ValueError text."""
     try:
-        root = pl.sublevel_root(g, kr, n_max, box)
+        root = pl.sublevel_root(g, kb, n_max, box)
     except InternalInvariantError:
         return "leaves"
     except ValueError as exc:
@@ -92,10 +95,11 @@ def sublevel_outcome(g, kr, n_max, box):
     return root.chi, root.parent
 
 
-def reference_outcome(g, kr, n_max, box):
-    """The same outcome from the box sweep: "leaves" exactly on box contact."""
+def reference_outcome(g, kb, n_max, box):
+    """The same outcome from the box sweep: "leaves" exactly on box contact.
+    The sweep pairs k_r = B^{-1} kb, solved in Fractions, with the form itself."""
     try:
-        root, contact = sublevel_root_box(g, kr, n_max, box)
+        root, contact = sublevel_root_box(g, tuple(solve(g, kb)), n_max, box)
     except ValueError as exc:
         return str(exc)
     return "leaves" if contact else (root.chi, root.parent)
@@ -131,12 +135,11 @@ def check_fraction_route(gm, spec, classes):
     k_gm = canonical_class(gm)
     for cls in classes:
         assert cls.den == gm.det
-        l_prime = [Fraction(x, cls.den) for x in cls.l_num]
-        k_r = [Fraction(x, cls.den) for x in cls.k_num]
-        assert l_prime == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
-        assert k_r == [k + 2 * l for k, l in zip(k_gm, l_prime)]
+        lp, kr = l_prime(cls), k_r(cls)
+        assert list(lp) == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
+        assert list(kr) == [k + 2 * l for k, l in zip(k_gm, lp)]
         ref = pullback_spinc_class(gm, spec, cls.a)
-        assert (tuple(l_prime), tuple(k_r)) == (cls.l_prime, cls.k_r) == (ref.l_prime, ref.k_r)
+        assert (lp, kr) == (l_prime(ref), k_r(ref))
 
 
 def moved_solve(monkeypatch, g, rhs):
@@ -171,7 +174,7 @@ def tree_path(g, u, v):
 def check_sweep(g):
     """The tree elimination's det is the reference determinant, and its
     solve gives det times the reference solution for every basis vector."""
-    b = g.bmatrix()
+    b = tree_form(g.euler, g.edges)
     det = determinant(b)
     assert g.det == det
     for j in range(g.n):
@@ -288,7 +291,7 @@ class TestEmbeddedResolution:
         # construction already runs the four validations; re-check two here
         k = from_newton_pairs(pairs)
         g = pl.embedded_resolution(k)
-        assert g.det == determinant(g.bmatrix())
+        assert g.det == determinant(tree_form(g.euler, g.edges))
         assert abs(g.det) == 1
         m = pl.divisorial_cycle(g)
         assert all(c > 0 for c in m)
@@ -310,7 +313,7 @@ class TestSurgeryGraph:
     def test_determinant_is_p(self):
         for p, q in [(1, 1), (2, 1), (7, 5), (5, 12)]:
             gm = pl.surgery_graph(K23, SurgerySpec(K23, p, q).cfrac)
-            assert gm.det == determinant(gm.bmatrix())
+            assert gm.det == determinant(tree_form(gm.euler, gm.edges))
             assert abs(gm.det) == p
 
     def test_det_matches_reference_on_oracle_corpus(self):
@@ -319,7 +322,7 @@ class TestSurgeryGraph:
             knot = from_newton_pairs(list(pairs))
             gm = pl.surgery_graph(knot, SurgerySpec(knot, p, q).cfrac)
             for g in (pl.embedded_resolution(knot), gm):
-                assert g.det == determinant(g.bmatrix()) == (-1) ** g.n * abs(g.det)
+                assert g.det == determinant(tree_form(g.euler, g.edges)) == (-1) ** g.n * abs(g.det)
 
 
 class TestCanonicalClass:
@@ -341,8 +344,8 @@ class TestSpincClasses:
         knot, spec, gm, classes = surgery_setup([(4, 5)], 7, 5)
         cls = classes[0]
         assert cls.a_coeffs == (0,) * spec.cfrac.s
-        assert all(c == 0 for c in cls.l_prime)
-        assert cls.k_r == canonical_class(gm)
+        assert all(c == 0 for c in l_prime(cls))
+        assert k_r(cls) == canonical_class(gm)
 
     def test_si_coefficients_7_5(self):
         cf = SurgerySpec(K23, 7, 5).cfrac
@@ -391,7 +394,7 @@ class TestSpincClasses:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             nf = gm.n - spec.cfrac.s
             for cls in classes:
-                assert gm.apply_form(list(cls.l_prime)) == [0] * nf + [-c for c in cls.a_coeffs]
+                assert gm.apply_form(list(l_prime(cls))) == [0] * nf + [-c for c in cls.a_coeffs]
 
     def test_matches_pullback_reference_on_oracle_corpus(self):
         # one solve in the surgery lattice gives every field the chain-lattice
@@ -478,8 +481,7 @@ class TestSpincClasses:
         shifts = [pl.lattice_grading_shift(gm, cls) for cls in classes]
         assert len(built) <= len(classes) == spec.p
         assert shifts == [grading_shift(spec, a) for a in range(spec.p)]
-        assert len(classes[0].k_r) == gm.n  # the wrapper is live: the Fraction view counts
-        assert len(built) == len(classes) + gm.n
+        assert len(built) == len(classes)  # the wrapper is live: each shift's Fraction counts
 
     def test_verify_builds_two_graphs(self, monkeypatch):
         # the resolution graph and the surgery graph; no chain graph besides
@@ -504,10 +506,10 @@ class TestSpincClasses:
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             for cls in classes:
-                assert cls.l_pairs == tuple(gm.apply_form(list(cls.l_prime)))
-                assert cls.k_pairs == tuple(gm.apply_form(list(cls.k_r)))
+                assert cls.l_pairs == tuple(gm.apply_form(list(l_prime(cls))))
+                assert cls.k_pairs == tuple(gm.apply_form(list(k_r(cls))))
                 assert all(type(v) is int for v in cls.l_pairs + cls.k_pairs)
-                assert pl.lattice_grading_shift(gm, cls) == -(gm.pairing(cls.k_r, cls.k_r) + gm.n) / 4
+                assert pl.lattice_grading_shift(gm, cls) == -(gm.pairing(k_r(cls), k_r(cls)) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
         knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 7, 4)
@@ -591,7 +593,7 @@ class TestLauferEngine:
             assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                offsets = [int(v) for v in gm.apply_form(list(cls.l_prime))]
+                offsets = [int(v) for v in gm.apply_form(list(l_prime(cls)))]
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
                 assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
                 assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
@@ -708,17 +710,17 @@ class TestLauferTau:
 class TestSublevel:
     def test_lens_space_is_bare_stem(self):
         g = pl.PlumbingGraph([-3], [])
-        kr = canonical_class(g)
-        box = pl.exact_sublevel_box(g, kr, 3)
-        root = pl.sublevel_root(g, kr, 3, box)
+        kb = [-e - 2 for e in g.euler]  # the canonical class's pairings
+        box = pl.exact_sublevel_box(g, kb, 3)
+        root = pl.sublevel_root(g, kb, 3, box)
         assert len(root.leaves) == 1
         assert root.min_level() == 0
 
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
         res = compute_spinc(spec, 0)
-        box = pl.exact_sublevel_box(gm, classes[0].k_r, res.tau.max())
-        root = pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), box)
+        box = pl.exact_sublevel_box(gm, classes[0].k_pairs, res.tau.max())
+        root = pl.sublevel_root(gm, classes[0].k_pairs, res.tau.max(), box)
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 0]
         assert root.chi[root.top] == 1
@@ -726,36 +728,42 @@ class TestSublevel:
 
     def test_empty_sublevel(self):
         g = pl.PlumbingGraph([-3], [])
-        kr = canonical_class(g)
         with pytest.raises(ValueError, match="empty sublevel"):
-            pl.sublevel_root(g, kr, -1, ((-3, 3),))
+            pl.sublevel_root(g, [1], -1, ((-3, 3),))
+
+    def test_parity_check(self):
+        g = pl.PlumbingGraph([-3, -2], [(0, 1)])
+        with pytest.raises(ValueError, match="k_r is not characteristic"):
+            pl.sublevel_root(g, [1, 1], 3, ((-3, 3),) * 2)
 
     def test_volume_cap(self, monkeypatch):
         # the cap counts enumerated points, not the box volume: a 601^3 box
         # gives the exact box's root, and only a sublevel set over the cap
         # (19 points at n_max = 2) is refused
         g = pl.PlumbingGraph([-2, -2, -2], [(0, 1), (1, 2)])
-        kr = canonical_class(g)
+        kb = [-e - 2 for e in g.euler]
         wide = ((-300, 300),) * 3
         for n_max in (0, 2):
-            exact = pl.exact_sublevel_box(g, kr, n_max)
-            assert sublevel_outcome(g, kr, n_max, wide) == sublevel_outcome(g, kr, n_max, exact)
+            exact = pl.exact_sublevel_box(g, kb, n_max)
+            assert sublevel_outcome(g, kb, n_max, wide) == sublevel_outcome(g, kb, n_max, exact)
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 19)
-        pl.sublevel_root(g, kr, 2, wide)  # exactly at the cap
+        pl.sublevel_root(g, kb, 2, wide)  # exactly at the cap
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 18)
         with pytest.raises(ResourceLimitError, match="enumeration cap of 18 points"):
-            pl.sublevel_root(g, kr, 2, wide)
+            pl.sublevel_root(g, kb, 2, wide)
 
     def test_laufer_cycles_inside_exact_box(self):
-        # the search box the sublevel oracle uses already holds every Laufer
-        # cycle; the cycles come from the rescanning engine, whose chi values
-        # are first checked against the package's split run
+        # the search box the sublevel oracle uses, which is the Fraction
+        # route's box, already holds every Laufer cycle; the cycles come from
+        # the rescanning engine, whose chi values are first checked against
+        # the package's split run
         for pairs, p, q in SUBLEVEL_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             gf = pl.embedded_resolution(knot)
             for a in range(p):
                 res = compute_spinc(spec, a)
-                box = pl.exact_sublevel_box(gm, classes[a].k_r, res.tau.max())
+                box = pl.exact_sublevel_box(gm, classes[a].k_pairs, res.tau.max())
+                assert box == exact_sublevel_box_fractions(gm, k_r(classes[a]), res.tau.max())
                 i_max = (res.depth + 1) * knot.mf
                 values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
                 assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max).values
@@ -764,8 +772,11 @@ class TestSublevel:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
+    # visited parents first, the order is 0, 1, 3, 2, not the index order
+    @example(([-2, -2, -2, -3], (0, 1, 0), [0, 1, 0, -1]), 2)
     def test_exact_box_holds_the_sublevel_set(self, graph, n_max):
-        # brute force over the exact box widened by 2 on every side
+        # brute force over the exact box widened by 2 on every side; the
+        # enumeration must give the points inside in lexicographic order.
         # definiteness is decided by the reference minors, and PlumbingGraph
         # must accept exactly the definite trees
         euler, parents, shifts = graph
@@ -778,27 +789,66 @@ class TestSublevel:
         g = pl.PlumbingGraph(euler, edges)
         # characteristic: (k, b_j) = e_j + 2 m_j, any integer m_j
         kb = [e + 2 * m for e, m in zip(euler, shifts)]
-        kr = tuple(solve(g, kb))
-        box = pl.exact_sublevel_box(g, kr, n_max)
+        box = pl.exact_sublevel_box(g, kb, n_max)
         wide = [range(lo - 2, hi + 3) for lo, hi in box]
         assume(prod(len(r) for r in wide) <= 20_000)
+        inside = []
         for x in itertools.product(*wide):
+            two_chi = -(sum(k * xj for k, xj in zip(kb, x)) + g.pairing(x, x))
             if any(not lo <= xj <= hi for xj, (lo, hi) in zip(x, box)):
-                two_chi = -(sum(k * xj for k, xj in zip(kb, x)) + g.pairing(x, x))
                 assert two_chi > 2 * n_max
+            elif two_chi <= 2 * n_max:
+                inside.append(x)
+        assert pl._ellipsoid_points(g, kb, n_max, box) == inside
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-3, 3), max_n=8), st.integers(-3, 6))
+    # vertex 0 of degree 3, each child with a child: |det| = 4 * 4 * 4 * 3 - ... > 1
+    @example(([-3, -2, -2, -2, -2, -2, -2, -2], (0, 0, 0, 1, 2, 3, 4), [1, -2, 0, 3, 0, 0, -1, 2]), 2)
+    def test_integer_box_matches_fraction_reference(self, graph, n_max):
+        # the box from (k_r, b_j) in integers is the box the Fraction route
+        # gives from k_r = B^{-1} kb, range for range, on every definite tree
+        euler, parents, shifts = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        assume(definite_by_reference(tree_form(euler, edges)))
+        g = pl.PlumbingGraph(euler, edges)
+        kb = [e + 2 * m for e, m in zip(euler, shifts)]
+        assert pl.exact_sublevel_box(g, kb, n_max) == exact_sublevel_box_fractions(g, tuple(solve(g, kb)), n_max)
+
+    def test_sublevel_path_builds_no_fraction(self, monkeypatch):
+        knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 4)
+        built = []
+        real = pl.Fraction
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pl, "Fraction", counting)
+        for cls in classes:
+            tau = compute_spinc(spec, cls.a).tau
+            box = pl.exact_sublevel_box(gm, cls.k_pairs, tau.max())
+            root = pl.sublevel_root(gm, cls.k_pairs, tau.max(), box)
+            assert root.canonical_key() == root_from_tau(tau).canonical_key()
+        assert built == []
+        pl.lattice_grading_shift(gm, classes[0])
+        assert len(built) == 1  # the counter is live
 
     def test_matches_box_sweep_on_corpus(self):
         for pairs, p, q in SUBLEVEL_REFERENCE_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                kr = classes[a].k_r
+                kb = classes[a].k_pairs
                 n_top = compute_spinc(spec, a).tau.max()
-                box = pl.exact_sublevel_box(gm, kr, n_top)
-                args = (gm, kr, n_top, box)
+                box = pl.exact_sublevel_box(gm, kb, n_top)
+                args = (gm, kb, n_top, box)
                 assert sublevel_outcome(*args) == reference_outcome(*args)
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(random_trees(st.integers(-2, 2)), st.integers(-2, 3))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(random_trees(st.integers(-2, 2), max_n=6), st.integers(-2, 3))
+    # vertex 0 of degree 3, each child with a child: visited parents first,
+    # the order is 0, 1, 3, 5, 2, 4, 6, not the index order
+    @example(([-4, -3, -4, -3, -4, -3, -4], (0, 1, 0, 3, 0, 5), [1, 0, -1, 0, 2, -1, 0]), 0)
     def test_matches_box_sweep_on_random_trees(self, graph, n_max):
         # the exact box, and a box one step tighter on every side that cuts
         # into most sublevel sets: the package's closure check must raise
@@ -807,13 +857,13 @@ class TestSublevel:
         edges = [(j + 1, par) for j, par in enumerate(parents)]
         assume(definite_by_reference(tree_form(euler, edges)))
         g = pl.PlumbingGraph(euler, edges)
-        kr = tuple(solve(g, [e + 2 * m for e, m in zip(euler, shifts)]))
-        box = pl.exact_sublevel_box(g, kr, n_max)
+        kb = [e + 2 * m for e, m in zip(euler, shifts)]
+        box = pl.exact_sublevel_box(g, kb, n_max)
         assume(prod(hi - lo + 1 for lo, hi in box) <= 20_000)
         tight = tuple((lo + 1, hi - 1) for lo, hi in box)
-        assert sublevel_outcome(g, kr, n_max, box) != "leaves"
+        assert sublevel_outcome(g, kb, n_max, box) != "leaves"
         for b in (box, tight):
-            args = (g, kr, n_max, b)
+            args = (g, kb, n_max, b)
             assert sublevel_outcome(*args) == reference_outcome(*args)
 
     def test_lattice_cohomology_vanishes_above_degree_zero(self):
@@ -822,11 +872,10 @@ class TestSublevel:
         for pairs, p, q in SUBLEVEL_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                kr = classes[a].k_r
+                kb = classes[a].k_pairs
                 n_top = compute_spinc(spec, a).tau.max()
-                box = pl.exact_sublevel_box(gm, kr, n_top)
-                root = pl.sublevel_root(gm, kr, n_top, box)
-                kb = [int(v) for v in gm.apply_form(list(kr))]
+                box = pl.exact_sublevel_box(gm, kb, n_top)
+                root = pl.sublevel_root(gm, kb, n_top, box)
                 weight = {
                     x: -(sum(k * xj for k, xj in zip(kb, x)) + gm.pairing(x, x)) // 2
                     for x in pl._ellipsoid_points(gm, kb, n_top, box)
@@ -840,21 +889,21 @@ class TestSublevel:
         res = compute_spinc(spec, 0)
         tight = tuple((0, 1) for _ in range(gm.n))
         with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
-            pl.sublevel_root(gm, classes[0].k_r, res.tau.max(), tight)
+            pl.sublevel_root(gm, classes[0].k_pairs, res.tau.max(), tight)
 
     def test_closure_check_catches_each_skipped_point(self, monkeypatch):
         # (2,3) at -2/1, class 0: dropping any one of its 64 enumerated points
         # must raise, whether or not the root would still come out right
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
-        kr, n_top = classes[0].k_r, compute_spinc(spec, 0).tau.max()
-        box = pl.exact_sublevel_box(gm, kr, n_top)
+        kb, n_top = classes[0].k_pairs, compute_spinc(spec, 0).tau.max()
+        box = pl.exact_sublevel_box(gm, kb, n_top)
         real = pl._ellipsoid_points
-        pts = real(gm, [int(v) for v in gm.apply_form(list(kr))], n_top, box)
+        pts = real(gm, kb, n_top, box)
         assert len(pts) == 64
         for dropped in pts:
             monkeypatch.setattr(pl, "_ellipsoid_points", lambda *args: [x for x in real(*args) if x != dropped])
             with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
-                pl.sublevel_root(gm, kr, n_top, box)
+                pl.sublevel_root(gm, kb, n_top, box)
 
 
 class TestLens:
