@@ -40,7 +40,11 @@ Oracle paths implemented here:
   * generalized Laufer computation sequences x(i) and their chi values,
     whose condensation reproduces the tau function; split at v0, the
     resolution graph's branches run once per surgery (every class pairs to 0
-    there) and only the surgery chain runs per class;
+    there) and only the surgery chain runs per class; a branch does work only
+    at the steps of v0 that force an addition, and a string hanging from v0
+    none at all beyond its response to v0 (a ceiling recursion on its own
+    Euler numbers and offsets), so the cost grows with the additions, not
+    with the steps of v0;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
     points of the ellipsoid chi <= n (Fincke-Pohst, in integers, from the
     pairings (k_r, b_j)), closed under the steps x -> x +- b_j or refused
@@ -53,7 +57,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import gcd, isqrt
+from operator import add, mul
 
 from .errors import InternalInvariantError, ResourceLimitError
 from .frozen import Frozen
@@ -458,6 +464,10 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _step_cap_error() -> ResourceLimitError:
+    return ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
+
+
 def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]:
     """Laufer engine on the branches of g - v0 hanging from `roots`, some
     neighbours of v0: base[i] plus their share of chi(x(i)), i = 0..i_max.
@@ -480,16 +490,110 @@ def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]
 
     laufer_values runs every root on base[i] = i (1 - (l', b_{v0})) -
     e_{v0} i (i - 1) / 2; class_laufer_values chains a second run, the
-    surgery chain's, on the resolution graph's values.
+    surgery chain's, on the resolution graph's values.  base is read once,
+    in order, and may be an iterator or longer than i_max + 1.
 
-    Vertices with w_j > 0 wait on a stack; the one popped gets all
+    Each branch runs on its own and records only its events.  Once a step's
+    additions are done, w_r <= 0 and nothing on the branch moves until w_r
+    reaches 1, so the next step that forces an addition is 1 - w_r steps
+    ahead, and each quiet step in between only lowers chi by x_r.  With J[i]
+    the chi change of the additions at step i and X(t) = sum_r x_r(t), the
+    run adds F[t] = J[t + 1] - X(t) from t to t + 1, and F changes only at
+    events: a forced step i with chi change J and growth dx of x_r adds J
+    to the difference F[i - 1] - F[i - 2] and -(J + dx) to F[i] - F[i - 1].
+    These second differences are the run's one list; two accumulate passes
+    and one map over base give all i_max + 1 values.
+
+    A branch that is a string s_1 = r, ..., s_L (a leaf) with every e_j <= -2
+    and every offset o_j <= 0 is answered by its response to v0 (`_string`).
+    With n_j the determinant of the string s_j..s_L of -e's (n_{L+1} = 1)
+    and c_j = sum_{t>=j} n_{t+1} o_t, the least integer solution of
+    w_j <= 0 on the string when x_{v0} = m follows the ceiling recursion
+    y_j = ceil((y_{j-1} n_{j+1} + c_j) / n_j), y_0 = m, which is monotone
+    in m.  When it gives 0 at m = 0, it is >= 0 for m >= 0, so it is x(m)
+    there, and x_r(i) = ceil((i n_2 + c_1) / n_1).  No addition on the
+    string changes chi.  Before each step every w_j <= 0, and the step
+    raises w_r to at most 1.  Suppose s_1, ..., s_{j-1} have fired once
+    this step, s_j has w_j = 1, and every other w is <= 0.  Then s_j gets
+    k = ceil(1 / |e_j|) = 1 addition, leaving w_j = 1 + e_j <= -1; s_{j-1}
+    (fired, so at 1 + e <= -1) rises to <= 0, and only s_{j+1} can reach 1.
+    So the increment moves along the string one vertex at a time, each
+    vertex fires at most once per step and always at w = 1, and 1 - w = 0.
+    The branch costs O(L) plus O(1) per change of x_r, and none of its
+    ripples is walked.  Every other branch takes the event loop, where the
+    vertex popped off the stack of those with w_j > 0 gets all
     k = ceil(w_j / |e_j|) of its additions at once, changing chi by
-    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions,
-    each step of v0 included, per run; passing it raises ResourceLimitError.
+    k - k w_j + |e_j| k (k - 1) / 2.
+
+    The step cap counts single additions, each step of v0 included, per
+    run: i_max is charged on entry, before anything is allocated, a string
+    sum_j y_j(i_max) from the recursion, and the event loop each batch k.
+    Passing it raises ResourceLimitError.
     """
+    budget = _LAUFER_STEP_CAP - i_max
+    if budget < 0:
+        raise _step_cap_error()
+    diffs = [0] * (i_max + 1)  # second differences of the run's share of chi
+    for r in roots:
+        string = _string(g, offsets, r)
+        if string is None:
+            budget = _branch_events(g, offsets, i_max, r, diffs, budget)
+            continue
+        n, c = string
+        top = _string_cycle(n, c, i_max)
+        budget -= sum(top)
+        if budget < 0:
+            raise _step_cap_error()
+        n1, n2, c1 = n[0], n[1], c[0]
+        for v in range(top[0]):  # x_r passes v at the first i with i n_2 + c_1 > v n_1
+            diffs[(v * n1 - c1) // n2 + 1] -= 1
+    base = iter(base)
+    return [next(base), *map(add, islice(base, i_max), accumulate(accumulate(diffs)))]
+
+
+def _string(g: PlumbingGraph, offsets, r: int):
+    """(n, c) for the branch at r when it is a string r = s_1, ..., s_L (a
+    leaf) with every e_j <= -2 and offset o_j <= 0 whose ceiling recursion
+    gives 0 at m = 0: n = [n_1, ..., n_{L+1}], the determinants of the
+    strings s_j..s_L of -e's, and c = [c_1, ..., c_L],
+    c_j = sum_{t>=j} n_{t+1} o_t.  None for any other branch."""
+    euler, adj = g.euler, g.adj
+    path, prev = [r], g.distinguished
+    while True:
+        j = path[-1]
+        if euler[j] > -2 or offsets[j] > 0:
+            return None
+        nbrs = adj[j]
+        if len(nbrs) == 1:
+            break
+        if len(nbrs) > 2:
+            return None
+        prev, nxt = j, nbrs[nbrs[0] == prev]
+        path.append(nxt)
+    n, c = [0, 1], [0]  # built from the leaf, reversed below
+    for j in reversed(path):
+        c.append(c[-1] + n[-1] * offsets[j])
+        n.append(-euler[j] * n[-1] - n[-2])
+    n, c = n[:0:-1], c[:0:-1]
+    return None if any(_string_cycle(n, c, 0)) else (n, c)
+
+
+def _string_cycle(n, c, m: int) -> list[int]:
+    """y_1, ..., y_L: the minimal cycle on the string of (n, c) (`_string`)
+    when its neighbour on the v0 side has coefficient m."""
+    y = []
+    for t, ct in enumerate(c):
+        m = -(-(m * n[t + 1] + ct) // n[t])
+        y.append(m)
+    return y
+
+
+def _branch_events(g: PlumbingGraph, offsets, i_max: int, r: int, diffs, budget: int) -> int:
+    """The event loop of `_laufer_run` on the branch at r: adds the events of
+    the steps that force an addition to diffs, and returns the budget left."""
     v0 = g.distinguished
     euler, adj = g.euler, g.adj
-    branch, stack = set(roots), list(roots)
+    branch, stack = {r}, [r]
     while stack:
         for nb in adj[stack.pop()]:
             if nb != v0 and nb not in branch:
@@ -497,23 +601,19 @@ def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]
                 stack.append(nb)
     x = [0] * g.n
     w = list(offsets)
-    ready = [j for j in branch if w[j] > 0]  # every branch vertex with w_j > 0
+    ready = [j for j in branch if w[j] > 0]  # only before step 1; empty after every step
     push, pop = ready.append, ready.pop
-    chi = 0  # this run's share of chi(x(i))
-    values = [base[0]]
-    budget = _LAUFER_STEP_CAP
-    for i in range(1, i_max + 1):
-        for r in roots:  # the step of v0
-            chi -= x[r]
-            w[r] += 1
-            if w[r] == 1:
-                push(r)
-        budget -= 1
-        while True:
-            if budget < 0:
-                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {_LAUFER_STEP_CAP} additions")
-            if not ready:
-                break
+    i = 0
+    while True:
+        step = 1 if ready else 1 - w[r]  # the next step that forces an addition
+        i += step
+        if i > i_max:
+            return budget
+        w[r] += step
+        if w[r] == 1:
+            push(r)
+        xr, chi = x[r], 0
+        while ready:
             j = pop()
             wj, e = w[j], euler[j]
             k = -(-wj // -e)
@@ -526,8 +626,10 @@ def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]
                 if 0 < wn <= k and nb != v0:  # just turned positive
                     push(nb)
             budget -= k
-        values.append(base[i] + chi)
-    return values
+            if budget < 0:
+                raise _step_cap_error()
+        diffs[i - 1] += chi
+        diffs[i] -= chi + x[r] - xr
 
 
 def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
@@ -538,8 +640,8 @@ def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
     v0 = g.distinguished
     if v0 is None:
         raise ValueError("graph has no distinguished vertex")
-    o, e = offsets[v0], g.euler[v0]
-    base = [i * (1 - o) - e * i * (i - 1) // 2 for i in range(i_max + 1)]
+    o, e = offsets[v0], g.euler[v0]  # step i of v0 alone adds 1 - o - e (i - 1); e < 0
+    base = accumulate(range(1 - o, 1 - o - e * i_max, -e), initial=0)
     return _laufer_run(g, offsets, i_max, g.adj[v0], base)
 
 
@@ -677,34 +779,43 @@ def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
     follow component inclusion from level n to n + 1.  The points are found
     by exact enumeration of the ellipsoid chi <= n_max (`_ellipsoid_points`),
     which the box only clips; the enumeration caps the points it produces at
-    10^6 and raises ResourceLimitError beyond that.  The level sweep checks
-    closure as it looks up the 2n neighbours of each point: a neighbour with
-    chi <= n_max that was not enumerated (a box that cuts the set, or a
-    point the enumeration skipped) raises InternalInvariantError.
+    10^6 and raises ResourceLimitError beyond that.  Each point gets one
+    apply_form, whose (x, b_j) give its chi and its neighbours' chi, and one
+    integer code over the box, so a neighbour is its code plus or minus a
+    stride (a step out of the box is never looked up, so it cannot wrap into
+    the next row).  The level sweep checks closure as it looks up the 2n
+    neighbours of each point: a neighbour with chi <= n_max that was not
+    enumerated (a box that cuts the set, or a point the enumeration skipped)
+    raises InternalInvariantError.
     """
-    n = g.n
+    n, euler = g.n, g.euler
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box must give one (lo, hi) range per vertex")
-    if any((kb[j] + g.euler[j]) % 2 for j in range(n)):
+    if any((kb[j] + euler[j]) % 2 for j in range(n)):
         raise ValueError("k_r is not characteristic")
-
-    def chi(x) -> int:
-        kx = sum(a * b for a, b in zip(kb, x))
-        q, r = divmod(-(kx + g.pairing(x, x)), 2)
-        if r:
-            raise InternalInvariantError("chi is not an integer on the lattice")
-        return q
 
     pts = _ellipsoid_points(g, kb, n_max, box)
     if not pts:
         raise ValueError(f"empty sublevel set: no lattice point in the box has chi <= {n_max}")
-    levels = [chi(x) for x in pts]
+    strides, size = [], 1  # x in the box has the code sum_j (x_j - lo_j) strides[j]
+    for lo, hi in box:
+        strides.append(size)
+        size *= hi - lo + 1
+    origin = sum(lo * stride for (lo, _), stride in zip(box, strides))
+    pairs = [g.apply_form(x) for x in pts]  # ((x, b_j))_j, for chi and the closure check
+    levels = []
+    for x, bx in zip(pts, pairs):
+        level, r = divmod(-(sum(map(mul, kb, x)) + sum(map(mul, x, bx))), 2)
+        if r:
+            raise InternalInvariantError("chi is not an integer on the lattice")
+        levels.append(level)
     if max(levels) > n_max:
         raise InternalInvariantError("an enumerated point lies outside the sublevel set")
 
-    index = {x: i for i, x in enumerate(pts)}
-    order = sorted(range(len(pts)), key=lambda i: levels[i])
+    codes = [sum(map(mul, x, strides)) - origin for x in pts]
+    index = {code: i for i, code in enumerate(codes)}
+    order = sorted(range(len(pts)), key=levels.__getitem__)
     parent_dsu = list(range(len(pts)))
 
     def find(i):
@@ -724,15 +835,13 @@ def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
             i = order[pos]
             pos += 1
             active.append(i)
-            x = pts[i]
-            for j in range(n):
-                for d in (1, -1):
-                    y = list(x)
-                    y[j] += d
-                    k = index.get(tuple(y))
+            x, bx, code = pts[i], pairs[i], codes[i]
+            for j, (lo, hi) in enumerate(box):
+                for d, inside in ((1, x[j] < hi), (-1, x[j] > lo)):
+                    # a step out of the box must not wrap into the next row's codes
+                    k = index.get(code + d * strides[j]) if inside else None
                     if k is None:  # closure: chi(y) = chi(x) - (d (k_j + 2 (x, b_j)) + e_j) / 2
-                        xb = g.euler[j] * x[j] + sum(x[w] for w in g.adj[j])
-                        if level - (d * (kb[j] + 2 * xb) + g.euler[j]) // 2 <= n_max:
+                        if level - (d * (kb[j] + 2 * bx[j]) + euler[j]) // 2 <= n_max:
                             raise InternalInvariantError("the sublevel set leaves the enumeration")
                     elif levels[k] <= level:
                         ri, rk = find(i), find(k)

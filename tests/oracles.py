@@ -44,9 +44,11 @@ here, and the tests require identical results:
     unreduced tau of a surgery graph and the ceiling recursion for the chain
     part of the generalized Laufer cycles; the Laufer engine that rescans
     the vertices after every single addition, runs the whole graph and keeps
-    the cycles (the package keeps a stack of the vertices that still need
-    additions, returns chi values only, and runs a surgery class's chain on
-    top of the resolution graph's values);
+    the cycles, and the per-step engine that feeds v0 one step at a time
+    and keeps a stack of the vertices that still need additions (the package
+    works only at the steps that force an addition, answers a string hanging
+    from v0 by its response, returns chi values only, and runs a surgery
+    class's chain on top of the resolution graph's values);
   * the sublevel root by a sweep over every point of its coordinate box (the
     package enumerates only the lattice points of the ellipsoid chi <= n),
     and that box in Fractions of k_r (the package bounds it in integers from
@@ -674,6 +676,80 @@ def laufer_run_rescan(g: pl.PlumbingGraph, offsets: list[int], i_max: int):
         values.append(chi)
         cycles.append(tuple(x))
     return values, cycles
+
+
+def laufer_run_stepwise(g: pl.PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]:
+    """The per-step Laufer engine, `plumbing._laufer_run` before it worked by
+    events: one iteration per step of v0 and one stack pop per batch.  On the
+    branches of g - v0 hanging from `roots`, some neighbours of v0: base[i]
+    plus their share of chi(x(i)), i = 0..i_max.
+
+    x(i) has pr_{v0} = i and is minimal with w_j = (x + l', b_j) <= 0 on the
+    branches, where offsets[j] = (l', b_j).  v0 is fed one step at a time,
+    and each step is followed by every forced addition of a b_j.
+
+    Split at v0: an addition on one branch changes w only there and at v0,
+    and a step of v0 raises w only at the roots.  The additions are forced,
+    so where they stop does not depend on their order (Laufer's lemma): x(i)
+    on a branch depends only on i and that branch's offsets, and the offsets
+    of other branches are never read.  Adding b_j changes chi by 1 - w_j, so
+    step i of v0 adds 1 - (l', b_{v0}) - e_{v0} (i - 1) - sum_r x_r(i - 1)
+    over the neighbours r of v0.  This run adds its own roots' cross terms
+    and base carries the rest:
+
+        chi(x(i)) = base[i] + [additions on the branches up to step i]
+                    - sum_{i' < i} sum_{r in roots} x_r(i').
+
+    laufer_values runs every root on base[i] = i (1 - (l', b_{v0})) -
+    e_{v0} i (i - 1) / 2; class_laufer_values chains a second run, the
+    surgery chain's, on the resolution graph's values.
+
+    Vertices with w_j > 0 wait on a stack; the one popped gets all
+    k = ceil(w_j / |e_j|) of its additions at once, changing chi by
+    k - k w_j + |e_j| k (k - 1) / 2.  The step cap counts single additions,
+    each step of v0 included, per run; passing it raises ResourceLimitError.
+    """
+    v0 = g.distinguished
+    euler, adj = g.euler, g.adj
+    branch, stack = set(roots), list(roots)
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb != v0 and nb not in branch:
+                branch.add(nb)
+                stack.append(nb)
+    x = [0] * g.n
+    w = list(offsets)
+    ready = [j for j in branch if w[j] > 0]  # every branch vertex with w_j > 0
+    push, pop = ready.append, ready.pop
+    chi = 0  # this run's share of chi(x(i))
+    values = [base[0]]
+    budget = pl._LAUFER_STEP_CAP
+    for i in range(1, i_max + 1):
+        for r in roots:  # the step of v0
+            chi -= x[r]
+            w[r] += 1
+            if w[r] == 1:
+                push(r)
+        budget -= 1
+        while True:
+            if budget < 0:
+                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {pl._LAUFER_STEP_CAP} additions")
+            if not ready:
+                break
+            j = pop()
+            wj, e = w[j], euler[j]
+            k = -(-wj // -e)
+            chi += k - k * wj - e * k * (k - 1) // 2
+            x[j] += k
+            w[j] = wj + k * e
+            for nb in adj[j]:
+                wn = w[nb] + k
+                w[nb] = wn
+                if 0 < wn <= k and nb != v0:  # just turned positive
+                    push(nb)
+            budget -= k
+        values.append(base[i] + chi)
+    return values
 
 
 def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -22,6 +23,7 @@ from oracles import (
     k_r,
     l_prime,
     laufer_run_rescan,
+    laufer_run_stepwise,
     laufer_tau,
     lens_d_recursive,
     minimal_cycle_sequence,
@@ -66,6 +68,29 @@ def random_trees(vertex_data, max_n=4):
             st.lists(vertex_data, min_size=n, max_size=n),
         )
     )
+
+
+def laufer_trees(vertex_data, max_n=9):
+    """Trees on 1 to max_n vertices with Euler numbers in [-9, -1], biased
+    towards paths: vertex j + 1 hangs from vertex j at least half the time,
+    so the branches at vertex 0 are often strings.  One vertex_data draw per
+    vertex."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-9, -1), min_size=n, max_size=n),
+            st.tuples(*(st.one_of(st.just(j - 1), st.integers(0, j - 1)) for j in range(1, n))),
+            st.lists(vertex_data, min_size=n, max_size=n),
+        )
+    )
+
+
+# (euler, parents, offsets) with vertex 0 as v0: a leaf root with e = -7 and
+# an offset the response must carry in c_1; a string of six -2s, the
+# (k, k+1) leg; a string through a -1 vertex; a string with a positive offset
+LAUFER_LEAF = ([-1, -7], (0,), [2, -3])
+LAUFER_LEG = ([-1, -2, -2, -2, -2, -2, -2], (0, 1, 2, 3, 4, 5), [0] * 7)
+LAUFER_MINUS_ONE = ([-3, -2, -1, -3], (0, 1, 2), [0, 0, 0, 0])
+LAUFER_POSITIVE = ([-2, -2, -2, -2], (0, 1, 2), [0, 0, 2, 0])
 
 
 def tree_form(euler, edges):
@@ -598,8 +623,29 @@ class TestLauferEngine:
                 assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
                 assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(random_trees(st.integers(-3, 3)), st.integers(0, 6))
+    def test_matches_stepwise_engine_on_oracle_corpus(self):
+        # route by route: the resolution run and each class's chain run, on
+        # the same roots and base as the per-step engine
+        for pairs, p, q in ORACLE_CASES:
+            knot, spec, gm, classes = surgery_setup(pairs, p, q)
+            gf = pl.embedded_resolution(knot)
+            v0 = gf.distinguished
+            top = (tau_depth(spec, 0) + 1) * knot.mf
+            base = [i - gf.euler[v0] * i * (i - 1) // 2 for i in range(top + 1)]
+            chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
+            assert chi_gf == laufer_run_stepwise(gf, [0] * gf.n, top, gf.adj[v0], base), (pairs, p, q)
+            nf = gf.n
+            for cls in classes:
+                i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
+                expected = laufer_run_stepwise(gm, cls.l_pairs, i_max, (nf,), chi_gf)
+                assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(laufer_trees(st.integers(-3, 3)), st.integers(0, 60))
+    @example(LAUFER_LEAF, 60)
+    @example(LAUFER_LEG, 60)
+    @example(LAUFER_MINUS_ONE, 60)
+    @example(LAUFER_POSITIVE, 60)
     def test_matches_rescan_on_random_trees(self, graph, i_max):
         euler, parents, offsets = graph
         edges = [(j + 1, par) for j, par in enumerate(parents)]
@@ -609,7 +655,7 @@ class TestLauferEngine:
         assert pl.laufer_values(g, offsets, i_max) == laufer_run_rescan(g, offsets, i_max)[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(random_trees(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans())), st.integers(0, 6))
+    @given(laufer_trees(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.booleans())), st.integers(0, 60))
     def test_split_runs_chain_to_the_whole_run(self, graph, i_max):
         # v0's neighbours in two groups: the first run, on the first group's
         # branches, gives the base of the second; each run sees its own
@@ -644,6 +690,36 @@ class TestLauferEngine:
         monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps - 1)
         with pytest.raises(ResourceLimitError, match=f"step cap of {steps - 1} additions"):
             pl.laufer_values(g, [0, 3, 0], 1)
+
+    def test_string_responses_take_only_strings(self):
+        # the leaf and the -2 leg are answered by their response; a -1 vertex
+        # or a positive offset sends the string to the event loop
+        for (euler, parents, offsets), response in [
+            (LAUFER_LEAF, ([7, 1], [-3])),
+            (LAUFER_LEG, ([7, 6, 5, 4, 3, 2, 1], [0] * 6)),
+            (LAUFER_MINUS_ONE, None),
+            (LAUFER_POSITIVE, None),
+        ]:
+            g = pl.PlumbingGraph(euler, [(j + 1, par) for j, par in enumerate(parents)], distinguished=0)
+            assert pl._string(g, offsets, 1) == response
+        # offsets <= 0 whose recursion does not give 0 at m = 0: the Laufer
+        # cycle starts at 0, below the least integer solution
+        g = pl.PlumbingGraph([-1, -2], [(0, 1)], distinguished=0)
+        assert pl._string(g, [0, -2], 1) is None
+        assert pl.laufer_values(g, [0, -2], 8) == laufer_run_rescan(g, [0, -2], 8)[0]
+
+    def test_step_cap_refuses_before_allocating(self, monkeypatch):
+        # 10^6 steps of v0 alone pass a cap of 10: nothing of size i_max is built
+        g = pl.PlumbingGraph([-2, -2], [(0, 1)], distinguished=0)
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="step cap of 10 additions"):
+                pl.laufer_values(g, [0, 0], 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_class_run_refuses_a_class_it_cannot_split(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
@@ -751,6 +827,16 @@ class TestSublevel:
         monkeypatch.setattr(pl, "_SUBLEVEL_POINT_CAP", 18)
         with pytest.raises(ResourceLimitError, match="enumeration cap of 18 points"):
             pl.sublevel_root(g, kb, 2, wide)
+
+    def test_box_rows_do_not_wrap(self):
+        # a box one column wide on vertex 0: x + b_0 leaves it, and x's code
+        # plus that stride is the next row's point, also in the set; the set
+        # goes on outside the box, so the closure check must fire
+        g = pl.PlumbingGraph([-5, -3], [(0, 1)])
+        kb = [1, -3]
+        assert pl.exact_sublevel_box(g, kb, 3) == ((-1, 1), (-2, 1))
+        box = ((0, 0), (-2, 1))
+        assert sublevel_outcome(g, kb, 3, box) == reference_outcome(g, kb, 3, box) == "leaves"
 
     def test_laufer_cycles_inside_exact_box(self):
         # the search box the sublevel oracle uses, which is the Fraction

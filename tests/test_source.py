@@ -101,3 +101,52 @@ def test_cache_guard_catches_each_form():
         (9, "lru_cache with maxsize None"),
         (11, "functools.cache"),
     ]
+
+
+LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "divisorial_cycle", "cfrac"}
+
+
+def laufer_reads(tree, entry="_laufer_run"):
+    """(functions walked, [(function, line, name)]): every module-level
+    function that `entry` reaches by naming it, directly or through others,
+    and each mention in them of a name in LAUFER_FORBIDDEN, as a variable,
+    an attribute, a parameter or a keyword."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, walked, found = [entry], set(), []
+    while todo:
+        name = todo.pop()
+        if name in walked or name not in funcs:
+            continue
+        walked.add(name)
+        for node in ast.walk(funcs[name]):
+            ident = _name(node) or getattr(node, "arg", None)
+            if ident in LAUFER_FORBIDDEN:
+                found.append((name, node.lineno, ident))
+            if isinstance(node, ast.Name) and node.id in funcs:
+                todo.append(node.id)
+    return walked, sorted(found)
+
+
+def test_laufer_engine_reads_only_the_graph():
+    # the lattice route stays independent of the closed formulas: the
+    # engine and its helpers never see p/q, mf, delta or the sums behind r_a
+    path = SRC / "plumbing.py"
+    walked, found = laufer_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert {"_laufer_run", "_string", "_string_cycle", "_branch_events"} <= walked
+    assert found == []
+
+
+def test_laufer_guard_catches_helpers():
+    source = (
+        "def _laufer_run(g, spec):\n"
+        "    return _helper(g) + _other(g, cfrac=1)\n"
+        "def _helper(g):\n"
+        "    return g.mf + delta\n"
+        "def _other(g, SurgerySpec=None, **kw):\n"
+        "    return 0\n"
+        "def unrelated(knot):\n"
+        "    return knot.mf + dedekind_sum(1, 2)\n"
+    )
+    walked, found = laufer_reads(ast.parse(source))
+    assert walked == {"_laufer_run", "_helper", "_other"}
+    assert found == [("_helper", 4, "delta"), ("_helper", 4, "mf"), ("_laufer_run", 2, "cfrac"), ("_other", 5, "SurgerySpec")]
