@@ -150,8 +150,8 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
     return {"p": p, "q": q, "coefficient": f"-{p}/{q}", "continued_fraction": list(spec.cfrac.terms)}
 
 
-def _module_block(module) -> dict:
-    grade = Grading(module.shift).rat
+def _module_block(module, grade) -> dict:
+    """`grade` writes the module's grades: `Grading(module.shift).rat`."""
     towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
     return {"tower_grade": grade(module.tower), "finite_towers": towers}
 
@@ -163,7 +163,7 @@ def _spinc_block(res: hfcore.SpincResult) -> dict:
         "t_a": res.depth,
         "r_a": _rat(res.shift),
         "tau": list(res.tau.values),
-        "module": _module_block(res.module),
+        "module": _module_block(res.module, grade),
         "d_invariant": _rat(res.d_invariant),
         "sw_invariant": _rat(res.sw_invariant),
         "ker_u": [grade(g) for g in res.ker],

@@ -30,6 +30,12 @@ The module is read off tau directly (`root.module_from_tau`); the graded root
 itself is not part of a `SpincResult`.  Build it with `root.root_from_tau`
 where it is drawn or compared.
 
+Tau depends on a only through t_a and the floors floor((j p + a)/q), so when
+p is large and tau short most classes share one tau.  Per class the pipeline
+computes t_a, r_a, tau, the module shifted by r_a, d and sw; per distinct tau
+(within one `compute_all`) it builds the shift-0 module, checks it against
+`reduced_rank(tau)` and sums the alpha terms.
+
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
 intersection lattice and serves as an independent oracle.
@@ -180,20 +186,28 @@ def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
     return TauFunction(tuple(vals))
 
 
-def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
-    """Assemble tau -> module for one spin^c structure."""
+def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
+    """One class, reusing the shift-0 module of an equal tau from `by_tau`.
+
+    `by_tau` maps tau values to (tau, shift-0 module, 2 min tau, alpha sum),
+    all functions of tau alone; an entry is built and checked against
+    `reduced_rank(tau)` the first time its tau appears.
+    """
     t_a = tau_depth(spec, a)
     r_a = grading_shift(spec, a)
     tau = tau_function(spec, a)
-    module = module_from_tau(tau)
-    if len(tau) > 1 and module.reduced_rank != reduced_rank(tau):
-        raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
+    vals = tau.values
+    shared = by_tau.get(vals)
+    if shared is None:
+        module = module_from_tau(tau)
+        if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
+            raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
+        # tau(2t+1) - tau(2t+2) for t = 0..t_a
+        shared = by_tau[vals] = (tau, module, 2 * min(vals), sum(vals[1::2]) - sum(vals[2::2]))
+    tau, module, low, alpha_sum = shared
     module = module.shifted(r_a)
-    low = 2 * tau.min()
     if module.shift != r_a or module.tower != low:
         raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
-    vals = tau.values
-    alpha_sum = sum(vals[2 * t + 1] - vals[2 * t + 2] for t in range(t_a + 1))
     return SpincResult(
         a=a,
         depth=t_a,
@@ -205,15 +219,23 @@ def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
     )
 
 
+def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
+    """Assemble tau -> module for one spin^c structure."""
+    return _assemble(spec, a, {})
+
+
 def compute_all(spec: SurgerySpec) -> list[SpincResult]:
     """All p spin^c structures, with the global rank identity enforced:
 
     sum_a (t_a + 2) = p + (2 delta - 1) q  (total rank of ker U).
 
-    Per-class computations are pure and independent of each other, so
-    callers may evaluate them concurrently if they wish.
+    Classes with equal tau share one `TauFunction`, one shift-0 module (its
+    `towers` tuple) and one alpha sum, built once per distinct tau by a map
+    that lives only for this call; each class adds its own t_a, r_a, shifted
+    module, d and sw.
     """
-    results = [compute_spinc(spec, a) for a in range(spec.p)]
+    by_tau: dict = {}
+    results = [_assemble(spec, a, by_tau) for a in range(spec.p)]
     total = sum(r.depth + 2 for r in results)
     expected = spec.p + (2 * spec.knot.delta - 1) * spec.q
     if total != expected:

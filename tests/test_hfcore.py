@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 from corpus_cases import KNOT_CORPUS
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     casson_walker_sw_sum,
@@ -361,6 +361,51 @@ class TestComputeAll:
         monkeypatch.setattr(hfcore, "tau_depth", lambda spec, a: 0)
         with pytest.raises(InternalInvariantError):
             compute_all(SurgerySpec(K45, 2, 1))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 300),
+        st.one_of(st.integers(1, 9), st.integers(1, 900)),
+        st.sampled_from([1, 20]),
+        st.data(),
+    )
+    def test_matches_per_class_runs(self, p, q, depth, data):
+        # classes sharing a tau share its module, never another class's r_a;
+        # depth 1 draws knots with (2 delta - 1) q <= p where q allows, which
+        # leaves classes with t_a = -1
+        assume(gcd(p, q) == 1)
+        depth = max(depth, -(-3 * q // p))  # the trefoil always qualifies
+        spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
+        results, refs = compute_all(spec), [compute_spinc(spec, a) for a in range(p)]
+        assert results == refs
+        for a, (res, ref) in enumerate(zip(results, refs)):
+            assert (res.a, res.depth, res.shift, res.tau) == (a, ref.depth, ref.shift, ref.tau)
+            assert res.module.shift == ref.module.shift == res.shift
+            assert res.module.tower == ref.module.tower
+            assert res.module.towers == ref.module.towers
+            assert res.d_invariant == ref.d_invariant
+            assert res.sw_invariant == ref.sw_invariant
+
+    def test_one_module_per_distinct_tau(self, monkeypatch):
+        # 599 classes on 2 taus, 401 on 12; the third call has the first's
+        # two taus and builds both again: no module outlives its call
+        cases = [([(2, 3)], 599, 397, 2), ([(2, 13)], 401, 1, 12), ([(2, 3)], 601, 397, 2)]
+        specs = [SurgerySpec(from_newton_pairs(pairs), p, q) for pairs, p, q, _ in cases]
+        fresh = [[compute_spinc(spec, a) for a in range(spec.p)] for spec in specs]
+        built = []
+        real = hfcore.module_from_tau
+
+        def counting(tau):
+            built.append(tau.values)
+            return real(tau)
+
+        monkeypatch.setattr(hfcore, "module_from_tau", counting)
+        for spec, ref, (*_, taus) in zip(specs, fresh, cases):
+            built.clear()
+            assert compute_all(spec) == ref
+            assert len(built) == len(set(built)) == taus
+            assert set(built) == {r.tau.values for r in ref}
+        assert set(built) == {r.tau.values for r in fresh[0]}
 
 
 class TestClosedForm:
