@@ -3,10 +3,13 @@
 The surgery coefficient is entered as a positive fraction P/Q and always
 means the negative coefficient -P/Q.  Rationals are printed exactly; in
 JSON they are "numerator/denominator" strings, never floats.  A grade
-r_a + g is written from the integer g (`grading.Grading`), and documents go
-through one writer, `_json`, which produces the bytes of
-json.dumps(doc, indent=2) and rejects any value but dict, list, str, int,
-bool and None.  Output is deterministic byte for byte; timings go to stderr
+r_a + g is written from the integer g (`grading.Grading`).  Documents have
+the bytes of json.dumps(doc, indent=2): `_json` writes every `knot` and
+`verify` document and the head of a `compute` one, and rejects any value
+but dict, list, str, int, bool and None; each spin^c class of a `compute`
+document is written by one template, `_spinc_json`, straight from its
+integers, and rejects any value but an int where an int is due.  Output is
+deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`).  `verify` runs the Laufer sequence of the
 resolution graph once per surgery and only the surgery chain per class; a
@@ -150,25 +153,73 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
     return {"p": p, "q": q, "coefficient": f"-{p}/{q}", "continued_fraction": list(spec.cfrac.terms)}
 
 
-def _module_block(module, grade) -> dict:
-    """`grade` writes the module's grades: `Grading(module.shift).rat`."""
-    towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in module.grouped()]
-    return {"tower_grade": grade(module.tower), "finite_towers": towers}
+_ITEM = ",\n        "  # between two items of a list in a spin^c block
 
 
-def _spinc_block(res: hfcore.SpincResult) -> dict:
-    grade = Grading(res.shift).rat
-    return {
-        "a": res.a,
-        "t_a": res.depth,
-        "r_a": _rat(res.shift),
-        "tau": list(res.tau.values),
-        "module": _module_block(res.module, grade),
-        "d_invariant": _rat(res.d_invariant),
-        "sw_invariant": _rat(res.sw_invariant),
-        "ker_u": [grade(g) for g in res.ker],
-        "coker_u": [grade(g) for g in res.coker],
-    }
+def _spinc_json(res: hfcore.SpincResult) -> str:
+    """One class's entry in the "spinc" list of a `compute` JSON document: the
+    text `_json` gives its block (`tests/oracles.py::spinc_block`) at indent 4.
+
+    Written from the stored integers and r_a = N/D: a grade r_a + g as
+    (N + g D)/D, d as (N + low D)/D, and sw = r_a/2 - alpha_sum as
+    (N - 2 D alpha_sum)/(2 D) when N is odd, else (N/2 - D alpha_sum)/D; each
+    is in lowest terms since gcd(N, D) = 1.  Every int is written by
+    `int.__repr__` after a type check, so a Fraction, float or bool raises
+    TypeError, as in `_json`.
+    """
+    module, vals = res.module, res.tau.values
+    num, den = res.shift.numerator, res.shift.denominator
+    kinds = {*map(type, vals)}
+    kinds.update(map(type, (res.a, res.depth, num, den, module.tower, res.low, res.alpha_sum)))
+    for column in zip(*module.towers):  # the grades, then the lengths
+        kinds.update(map(type, column))
+    if kinds != {int}:
+        raise TypeError("a spin^c block holds only ints, not " + " or ".join(k.__name__ for k in kinds - {int}))
+    over = "/" + int.__repr__(den)
+    if num % 2:
+        sw = int.__repr__(num - 2 * den * res.alpha_sum) + "/" + int.__repr__(2 * den)
+    else:
+        sw = int.__repr__(num // 2 - den * res.alpha_sum) + over
+    tau = _ITEM.join(map(int.__repr__, vals))
+    grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
+    ker = grade.join(map(int.__repr__, [num + g * den for g in res.ker]))
+    coker = grade.join(map(int.__repr__, [num + g * den for g in res.coker]))
+    coker_u = '[\n        "' + coker + over + '"\n      ]' if coker else "[]"  # ker U is never empty
+    towers = ",".join([f"""
+          {{
+            "grade": "{int.__repr__(num + g * den)}{over}",
+            "length": {int.__repr__(n)},
+            "multiplicity": {int.__repr__(m)}
+          }}""" for g, n, m in module.grouped()])
+    finite = "[" + towers + "\n        ]" if towers else "[]"
+    return f"""{{
+      "a": {int.__repr__(res.a)},
+      "t_a": {int.__repr__(res.depth)},
+      "r_a": "{int.__repr__(num)}{over}",
+      "tau": [
+        {tau}
+      ],
+      "module": {{
+        "tower_grade": "{int.__repr__(num + module.tower * den)}{over}",
+        "finite_towers": {finite}
+      }},
+      "d_invariant": "{int.__repr__(num + res.low * den)}{over}",
+      "sw_invariant": "{sw}",
+      "ker_u": [
+        "{ker}{over}"
+      ],
+      "coker_u": {coker_u}
+    }}"""
+
+
+def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:
+    """The `compute` JSON document: `_json` writes the "knot" and "surgery"
+    blocks, `_spinc_json` each class."""
+    return (
+        '{\n  "knot": ' + _json(_knot_block(knot), "  ")
+        + ',\n  "surgery": ' + _json(_surgery_block(p, q, spec), "  ")
+        + ',\n  "spinc": [\n    ' + ",\n    ".join(map(_spinc_json, results)) + "\n  ]\n}\n"
+    )
 
 
 def _spinc_text(res: hfcore.SpincResult) -> list[str]:
@@ -250,9 +301,7 @@ def cmd_compute(args) -> int:
         return 0
 
     if args.format == "json":
-        doc = {"knot": _knot_block(knot), "surgery": _surgery_block(p, q, spec),
-               "spinc": [_spinc_block(r) for r in results]}
-        _emit(_json(doc) + "\n", args.out)
+        _emit(_compute_json(knot, p, q, spec, results), args.out)
         return 0
 
     lines = _knot_text(knot)

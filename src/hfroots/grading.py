@@ -5,11 +5,12 @@ the Z[U]-module of the graded root of tau, in the even degrees 2 chi, shifted
 by r_a, so all its grades share the fractional part of r_a (Ozsvath-Szabo,
 Absolutely graded Floer homologies, Adv. Math. 173, 2003).  The pipeline
 therefore stores each grade as the integer g and reads it as r_a + g; a
-`Grading` is that reading, the one place where it is done.
+`Grading` is that reading, as a value or as text.
 
 With r_a = N/D in lowest terms, gcd(N + g D, D) = gcd(N, D) = 1, so
 (N + g D)/D is r_a + g already reduced: writing a grade needs neither a gcd
-nor a Fraction.
+nor a Fraction.  The JSON documents write it so, "(N + g D)/D", in the
+template of a spin^c block (`cli._spinc_json`).
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class Grading:
     def value(self, g: int) -> Fraction:
         """r + g as an exact rational."""
         return self.shift + g
-
-    def rat(self, g: int) -> str:
-        """r + g as the string "numerator/denominator" of the JSON documents."""
-        return f"{self.num + g * self.den}/{self.den}"
 
     def text(self, g: int) -> str:
         """r + g as str(Fraction) prints it: a bare integer when D = 1."""

@@ -19,9 +19,11 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     alpha indices past the depth reach mu - 1, where alpha vanishes),
   * the kernel and cokernel gradings of the U-action.
 
-Every grade above is r_a plus an even integer, so a `SpincResult` stores the
-integers (2 tau(2t), 2 tau(2t+1) - 2, 2 b, 2 min tau) with the one r_a, and
-`grading.Grading` reads them; per class only r_a, d and sw are Fractions.
+Every grade above is r_a plus an even integer, d included, and sw is r_a/2
+minus an integer, so a `SpincResult` stores the integers (2 tau(2t),
+2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with the one r_a, and
+`grading.Grading` reads them; per class only r_a is a Fraction, and d and sw
+are built from it only when read.
 
 For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
@@ -32,9 +34,10 @@ where it is drawn or compared.
 
 Tau depends on a only through t_a and the floors floor((j p + a)/q), so when
 p is large and tau short most classes share one tau.  Per class the pipeline
-computes t_a, r_a, tau, the module shifted by r_a, d and sw; per distinct tau
-(within one `compute_all`) it builds the shift-0 module, checks it against
-`reduced_rank(tau)` and sums the alpha terms.
+computes t_a (once), r_a, the tau values and the module shifted by r_a; per
+distinct tau (within one `compute_all`) it builds the `TauFunction` and the
+shift-0 module, checks the module against `reduced_rank(tau)` and sums the
+alpha terms.
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -94,31 +97,43 @@ class SpincResult(Frozen):
 
     Grades are stored as even integers g and read as r_a + g
     (`grading.Grading`): `ker` and `coker` give those integers, read off the
-    one stored tau, and `ker_u` and `coker_u` the absolute grades.  Only
-    r_a, d and sw are Fractions.
+    one stored tau, and `ker_u` and `coker_u` the absolute grades.  `low` =
+    2 min tau and `alpha_sum` are ints too; `d_invariant` = r_a + low and
+    `sw_invariant` = r_a/2 - alpha_sum are Fractions built when read.  Only
+    r_a is stored as a Fraction.
     """
 
-    __slots__ = ("a", "depth", "shift", "tau", "module", "d_invariant", "sw_invariant")
+    __slots__ = ("a", "depth", "shift", "tau", "module", "low", "alpha_sum")
 
     def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, module: UModuleDecomposition,
-                 d_invariant: Fraction, sw_invariant: Fraction):
+                 low: int, alpha_sum: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "depth", depth)                  # t_a
         object.__setattr__(self, "shift", shift)                  # r_a
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "module", module)                # shift r_a
-        object.__setattr__(self, "d_invariant", d_invariant)
-        object.__setattr__(self, "sw_invariant", sw_invariant)
+        object.__setattr__(self, "low", low)                      # 2 min tau
+        object.__setattr__(self, "alpha_sum", alpha_sum)          # sum of tau(2t+1) - tau(2t+2)
+
+    @property
+    def d_invariant(self) -> Fraction:
+        """d(-M, sigma_a) = r_a + 2 min tau."""
+        return self.shift + self.low
+
+    @property
+    def sw_invariant(self) -> Fraction:
+        """sw(M, sigma_a) = r_a/2 - the alpha sum."""
+        return self.shift / 2 - self.alpha_sum
 
     @property
     def ker(self) -> tuple[int, ...]:
         """ker U grades minus r_a, sorted: 2 tau(2t)."""
-        return tuple(2 * v for v in sorted(self.tau.values[0::2]))
+        return tuple([2 * v for v in sorted(self.tau.values[0::2])])
 
     @property
     def coker(self) -> tuple[int, ...]:
         """coker U grades minus r_a, sorted: 2 tau(2t+1) - 2."""
-        return tuple(2 * v - 2 for v in sorted(self.tau.values[1::2]))
+        return tuple([2 * v - 2 for v in sorted(self.tau.values[1::2])])
 
     @property
     def ker_u(self) -> tuple[Fraction, ...]:
@@ -165,9 +180,13 @@ def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
 
 def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
     """The tau function of sigma_a on {0, ..., 2 t_a + 2}."""
-    t_a = tau_depth(spec, a)
+    return TauFunction(_tau_values(spec, a, tau_depth(spec, a)))
+
+
+def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
+    """The values of `tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`."""
     if t_a == -1:
-        return TauFunction((0,))
+        return (0,)
     p, q, knot = spec.p, spec.q, spec.knot
     delta, mu = knot.delta, knot.mu
     even = [0] * (t_a + 2)
@@ -183,11 +202,11 @@ def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
         if idx > mu - 2:
             raise InternalInvariantError("alpha index beyond mu - 2 within depth")
         vals[2 * t + 1] = even[t + 1] + knot.alpha[idx]
-    return TauFunction(tuple(vals))
+    return tuple(vals)
 
 
 def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
-    """One class, reusing the shift-0 module of an equal tau from `by_tau`.
+    """One class, reusing the tau and shift-0 module of an equal tau from `by_tau`.
 
     `by_tau` maps tau values to (tau, shift-0 module, 2 min tau, alpha sum),
     all functions of tau alone; an entry is built and checked against
@@ -195,10 +214,10 @@ def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
     """
     t_a = tau_depth(spec, a)
     r_a = grading_shift(spec, a)
-    tau = tau_function(spec, a)
-    vals = tau.values
+    vals = _tau_values(spec, a, t_a)
     shared = by_tau.get(vals)
     if shared is None:
+        tau = TauFunction(vals)
         module = module_from_tau(tau)
         if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
             raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
@@ -208,15 +227,7 @@ def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
     module = module.shifted(r_a)
     if module.shift != r_a or module.tower != low:
         raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
-    return SpincResult(
-        a=a,
-        depth=t_a,
-        shift=r_a,
-        tau=tau,
-        module=module,
-        d_invariant=r_a + low,
-        sw_invariant=r_a / 2 - alpha_sum,
-    )
+    return SpincResult(a, t_a, r_a, tau, module, low, alpha_sum)
 
 
 def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
@@ -231,8 +242,8 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
 
     Classes with equal tau share one `TauFunction`, one shift-0 module (its
     `towers` tuple) and one alpha sum, built once per distinct tau by a map
-    that lives only for this call; each class adds its own t_a, r_a, shifted
-    module, d and sw.
+    that lives only for this call; each class adds its own t_a, r_a and
+    shifted module.
     """
     by_tau: dict = {}
     results = [_assemble(spec, a, by_tau) for a in range(spec.p)]

@@ -27,7 +27,9 @@ here, and the tests require identical results:
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
   * every grade of a spin^c structure as its own Fraction, written through
     Fraction's own reduction (the package keeps integer grades and one r_a,
-    and writes r_a + g as (N + g D)/D);
+    and writes r_a + g as (N + g D)/D), and a spin^c block as the dict that
+    the generic JSON writer takes (the package writes the block's text from
+    one template);
   * det B and the leading principal minors by Bareiss elimination of the
     dense matrix with row pivoting, and B x = y (the canonical class
     included) by Gauss-Jordan elimination of the dense matrix over the
@@ -73,7 +75,7 @@ from typing import Callable, Optional
 
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
-from hfroots.hfcore import SurgerySpec, tau_depth, tau_function
+from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
 from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
@@ -415,7 +417,29 @@ def _grouped(towers):
     return [(g, n, sum(1 for _ in same)) for (g, n), same in groupby(towers)]
 
 
-def spinc_block(ref: SpincFractions) -> dict:
+def spinc_block(res: SpincResult) -> dict:
+    """The JSON block of one spin^c structure as a dict for `cli._json`, each
+    grade, d and sw written from its Fraction (the package writes the block's
+    text straight from the result's integers, `cli._spinc_json`)."""
+
+    def grade(g):
+        return rat(res.shift + g)
+
+    towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in res.module.grouped()]
+    return {
+        "a": res.a,
+        "t_a": res.depth,
+        "r_a": rat(res.shift),
+        "tau": list(res.tau.values),
+        "module": {"tower_grade": grade(res.module.tower), "finite_towers": towers},
+        "d_invariant": rat(res.d_invariant),
+        "sw_invariant": rat(res.sw_invariant),
+        "ker_u": [grade(g) for g in res.ker],
+        "coker_u": [grade(g) for g in res.coker],
+    }
+
+
+def spinc_fractions_block(ref: SpincFractions) -> dict:
     """The JSON block of one spin^c structure, each grade written from its
     Fraction."""
     towers = [{"grade": rat(g), "length": n, "multiplicity": m} for g, n, m in _grouped(ref.finite_towers)]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -14,6 +15,7 @@ from oracles import (
     module_from_parts,
     spinc_block,
     spinc_fractions,
+    spinc_fractions_block,
     spinc_text,
     surgery_d_from_lens,
     sw_invariant,
@@ -32,7 +34,8 @@ from hfroots import (
     tau_depth,
     tau_function,
 )
-from hfroots.root import reduced_rank
+from hfroots.hfcore import SpincResult
+from hfroots.root import TauFunction, UModuleDecomposition, reduced_rank
 
 
 K23 = from_newton_pairs([(2, 3)])
@@ -454,17 +457,23 @@ class TestIntegerGrades:
         assert res.ker_u == ref.ker_u
         assert res.coker_u == ref.coker_u
         # written as (N + g D)/D and printed without Fractions, against Fraction's own
-        assert cli._spinc_block(res) == spinc_block(ref)
+        assert cli._spinc_json(res) == cli._json(spinc_fractions_block(ref), "    ")
         assert cli._spinc_text(res) == spinc_text(ref)
 
     def test_stored_grades_are_ints(self):
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
             for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
                 module = res.module
-                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker)
+                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker, res.low)
                 assert all(type(g) is int for g in stored)
                 assert all(g % 2 == 0 for g in stored)
+                assert type(res.alpha_sum) is int
                 assert module.shift == res.shift
+                assert res.low == module.tower == 2 * res.tau.min()
+                # d and sw stay exact Fractions, built from the ints when read
+                assert type(res.d_invariant) is type(res.sw_invariant) is Fraction
+                assert res.d_invariant == res.shift + res.low
+                assert res.sw_invariant == res.shift / 2 - res.alpha_sum
 
     def test_module_equality_is_on_absolute_grades(self):
         mod = module_from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
@@ -475,3 +484,87 @@ class TestIntegerGrades:
             module_from_parts(0, [(1, 1)])
         with pytest.raises(ValueError, match="even integer"):
             module_from_parts(0, [(Fraction(1, 2), 1)])
+
+
+class TestSpincTemplate:
+    """`cli._spinc_json` writes a class's block straight from its integers;
+    the reference is the dict `oracles.spinc_block` run through `cli._json`."""
+
+    @staticmethod
+    def reference(res):
+        return cli._json(spinc_block(res), "    ")
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 700), st.integers(1, 700), st.data())
+    def test_matches_reference(self, p, q, data):
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        depth = max(40, -(-q // p))  # the trefoil always qualifies
+        spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
+        res = compute_spinc(spec, data.draw(st.integers(0, p - 1)))
+        assert cli._spinc_json(res) == self.reference(res)
+
+    @pytest.mark.parametrize(
+        "pairs, p, q, a, shape",
+        [
+            ([(2, 3)], 6, 1, 1, "stem"),             # t_a = -1: tau = [0], no finite tower, no coker
+            ([(2, 3)], 3, 7, 0, "q > p"),
+            ([(3, 4)], 5, 11, 4, "q > p"),
+            ([(2, 3), (2, 1)], 4, 3, 1, "two pairs"),
+            ([(2, 3), (3, 2)], 7, 2, 5, "two pairs"),
+            ([(4, 5)], 2, 1, 0, "multiplicity"),
+            ([(4, 5)], 1, 1, 0, "multiplicity"),
+        ],
+    )
+    def test_named_cases(self, pairs, p, q, a, shape):
+        res = compute_spinc(SurgerySpec(from_newton_pairs(pairs), p, q), a)
+        text = cli._spinc_json(res)
+        assert text == self.reference(res)
+        if shape == "stem":
+            assert res.depth == -1 and res.tau.values == (0,)
+            assert '"finite_towers": []' in text and '"coker_u": []' in text
+        elif shape == "q > p":
+            assert q > p
+        elif shape == "two pairs":
+            assert len(pairs) == 2
+        else:
+            assert any(m > 1 for *_, m in res.module.grouped())
+
+    def test_d_and_sw_in_lowest_terms(self):
+        # r_a with an odd numerator, an even one, and an integral r_a
+        seen = set()
+        for pairs, p, q in [([(2, 3)], 7, 5), ([(4, 5)], 2, 1), ([(3, 4)], 1, 2), ([(2, 5)], 9, 4)]:
+            for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
+                seen.add((res.shift.numerator % 2, res.shift.denominator))
+                block = json.loads(cli._spinc_json(res))
+                for key in ("d_invariant", "sw_invariant"):
+                    x = getattr(res, key)
+                    assert block[key] == f"{x.numerator}/{x.denominator}"
+        assert {1, 0} == {odd for odd, den in seen if den > 1}
+        assert (0, 1) in seen
+
+    @staticmethod
+    def broken(res, field, bad):
+        """res with one stored int replaced by `bad`."""
+        module, vals = res.module, res.tau.values
+        parts = {"a": res.a, "depth": res.depth, "shift": res.shift, "tau": res.tau, "module": module,
+                 "low": res.low, "alpha_sum": res.alpha_sum}
+        if field == "tau":
+            parts["tau"] = TauFunction((*vals[:-1], bad))
+        elif field == "tower":
+            parts["module"] = UModuleDecomposition(module.shift, bad, module.towers)
+        elif field in ("tower grade", "tower length"):
+            (g, n), *rest = module.towers
+            first = (bad, n) if field == "tower grade" else (g, bad)
+            parts["module"] = UModuleDecomposition(module.shift, module.tower, (first, *rest))
+        else:
+            parts[field] = bad
+        return SpincResult(**parts)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
+    @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
+    def test_rejects_everything_else(self, field, bad):
+        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
+        assert res.module.towers
+        with pytest.raises(TypeError):
+            cli._spinc_json(self.broken(res, field, bad))

@@ -150,3 +150,108 @@ def test_laufer_guard_catches_helpers():
     walked, found = laufer_reads(ast.parse(source))
     assert walked == {"_laufer_run", "_helper", "_other"}
     assert found == [("_helper", 4, "delta"), ("_helper", 4, "mf"), ("_laufer_run", 2, "cfrac"), ("_other", 5, "SurgerySpec")]
+
+
+FORMATTERS = {"str", "format", "repr", "ascii"}
+FORMAT_METHODS = {"format", "format_map", "__str__", "__format__", "__repr__"}
+BLOCK_WRITERS = ("_spinc_json", "_compute_json")
+
+
+def _int_repr(node):
+    return isinstance(node, ast.Attribute) and node.attr == "__repr__" and _name(node.value) == "int"
+
+
+def _is_text(node, names):
+    """Whether `node` is sure to be a str or to raise TypeError: a str literal,
+    an f-string, int.__repr__(...), a join, a sum or choice of those, or a
+    name in `names`."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is str
+    if isinstance(node, ast.JoinedStr):
+        return True
+    if isinstance(node, ast.Call):
+        return _int_repr(node.func) or isinstance(node.func, ast.Attribute) and node.func.attr == "join"
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.Add) and _is_text(node.left, names) and _is_text(node.right, names)
+    if isinstance(node, ast.IfExp):
+        return _is_text(node.body, names) and _is_text(node.orelse, names)
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def formatted_values(func):
+    """(line, what) for every way `func` could print a value other than by
+    int.__repr__: a use of str, format, repr or ascii; a format method or a
+    __repr__ other than int's; a % on text; and an f-string field that is neither
+    int.__repr__(...) nor a name bound only to text (`_is_text`)."""
+    body = [node for stmt in func.body for node in ast.walk(stmt)]  # not the annotations
+    bound: dict = {}
+    for node in body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        # a tuple target unpacks a value that is not known to be text
+                        bound.setdefault(name.id, []).append(node.value if target is name else None)
+    text = set(bound)
+    while True:  # keep the names whose every binding is text, given the others
+        kept = {n for n in text if all(v is not None and _is_text(v, text) for v in bound[n])}
+        if kept == text:
+            break
+        text = kept
+    for node in body:
+        if isinstance(node, ast.Name) and node.id in FORMATTERS:
+            yield node.lineno, f"name {node.id}"
+        elif isinstance(node, ast.Attribute) and node.attr in FORMAT_METHODS and not _int_repr(node):
+            yield node.lineno, f"attribute {node.attr}"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _is_text(node.left, text):
+            yield node.lineno, "% on text"
+        elif isinstance(node, ast.FormattedValue):
+            value = node.value
+            if node.conversion != -1 or node.format_spec is not None:
+                yield node.lineno, "f-string conversion or format spec"
+            elif not (isinstance(value, ast.Call) and _int_repr(value.func)
+                      or isinstance(value, ast.Name) and value.id in text):
+                yield node.lineno, f"f-string field {ast.unparse(value)}"
+
+
+def test_spinc_block_writer_prints_ints_only_by_int_repr():
+    # a Fraction, float or bool that reached a compute document through the
+    # class-block template would be printed unquoted; int.__repr__ refuses
+    # the first two, and the writer's type check the third
+    path = SRC / "cli.py"
+    funcs = {node.name: node for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(BLOCK_WRITERS) <= set(funcs)
+    found = [f"{name}:{line}: {what}" for name in BLOCK_WRITERS for line, what in formatted_values(funcs[name])]
+    assert found == []
+
+
+def test_block_writer_guard_catches_each_form():
+    source = (
+        "def w(res: str, n) -> str:\n"
+        "    head = int.__repr__(res.a) + '/'\n"
+        "    items = ', '.join(map(int.__repr__, res.tau))\n"
+        "    x, y = res.a, res.b\n"
+        "    z = res.c if n else 'none'\n"
+        "    loop = head\n"
+        "    loop = loop + res.d\n"
+        "    ok = f'{head}{items}{int.__repr__(n % 2)}'\n"
+        "    bad = f'{res.a}{x}{z}{loop}'\n"
+        "    fmt = f'{head!r}{items:>4}'\n"
+        "    return str(n) + '{}'.format(n) + '%d' % n + repr(n) + ''.join(map(format, res)) + n.__str__()\n"
+    )
+    found = sorted(formatted_values(ast.parse(source).body[0]))
+    assert found == [
+        (9, "f-string field loop"),
+        (9, "f-string field res.a"),
+        (9, "f-string field x"),
+        (9, "f-string field z"),
+        (10, "f-string conversion or format spec"),
+        (10, "f-string conversion or format spec"),
+        (11, "% on text"),
+        (11, "attribute __str__"),
+        (11, "attribute format"),
+        (11, "name format"),
+        (11, "name repr"),
+        (11, "name str"),
+    ]
