@@ -1,19 +1,26 @@
 """Command line interface: `hfroots knot|compute|verify`.
 
 The surgery coefficient is entered as a positive fraction P/Q and always
-means the negative coefficient -P/Q.  Rationals are printed exactly; in
+means the negative coefficient -P/Q; a P with a minus sign (`--surgery -3/2`,
+`--lens=-5/2`) exits 1 with that rule.  Rationals are printed exactly; in
 JSON they are "numerator/denominator" strings, never floats.  A grade
 r_a + g is written from the integer g (`grading.Grading`).  Documents have
 the bytes of json.dumps(doc, indent=2): `_json` writes every `knot` and
 `verify` document and the head of a `compute` one, and rejects any value
 but dict, list, str, int, bool and None; each spin^c class of a `compute`
 document is written by one template, `_spinc_json`, straight from its
-integers, and rejects any value but an int where an int is due.  Output is
+integers, and rejects any value but an int where an int is due.  What
+depends on tau alone (the tau text, the sorted ker/coker offsets, the
+grouped finite towers) is one `_tau_piece` per distinct tau of the document;
+per class the template formats only what depends on r_a.  Output is
 deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
-lattice oracle (`plumbing`).  `verify` runs the Laufer sequence of the
-resolution graph once per surgery and only the surgery chain per class; a
-class whose check fails also gets the values that differ ("shifts",
+lattice oracle (`plumbing`).  `verify --spinc all` takes its formula side
+from `hfcore.compute_all` (one module per distinct tau, the ker U rank
+identity checked), `--spinc N` from `compute_spinc`.  `verify` runs the
+Laufer sequence of the resolution graph once per surgery and only the
+surgery chain per class; a class whose check fails also gets the values
+that differ ("shifts",
 "laufer_first_diff" at the first differing tau index, and
 "sublevel_first_diff" at the lowest level where the two roots differ).  A
 sublevel set that leaves its enumeration is an internal fault (exit 3).
@@ -119,15 +126,30 @@ def _parse_newton(text: str) -> AlgebraicKnot:
 
 
 def _parse_fraction(text: str, flag: str) -> tuple[int, int]:
+    """(P, Q) from the text P or P/Q of --surgery or --lens.  A negative P gets
+    the sign rule; other ranges are checked where the pair is used."""
     parts = text.split("/")
     try:
-        if len(parts) == 1:
-            return int(parts[0]), 1
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        p, q = (int(parts[0]), 1) if len(parts) == 1 else map(int, parts)  # three parts fail to unpack
     except ValueError:
-        pass
-    raise ValueError(f"{flag} expects P or P/Q, got {text!r}")
+        raise ValueError(f"{flag} expects P or P/Q, got {text!r}") from None
+    if p < 0:
+        raise ValueError(f"{flag} takes the coefficient as a positive P/Q, which means -P/Q; got {text!r}")
+    return p, q
+
+
+def _attach_signed_values(argv) -> list[str]:
+    """argv with `--surgery -3/2` and `--lens -5/2` written `--surgery=-3/2`
+    and `--lens=-5/2`: argparse would read a value that starts with a minus
+    sign and a digit as an option and report only a missing argument, while
+    attached it reaches `_parse_fraction`, which names the sign rule."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--surgery", "--lens") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,54 +178,75 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
 _ITEM = ",\n        "  # between two items of a list in a spin^c block
 
 
-def _spinc_json(res: hfcore.SpincResult) -> str:
+def _only_ints(kinds: set) -> None:
+    """Raise TypeError unless every type in `kinds` is int."""
+    if kinds != {int}:
+        raise TypeError("a spin^c block holds only ints, not " + " or ".join(k.__name__ for k in kinds - {int}))
+
+
+def _tau_piece(res: hfcore.SpincResult) -> tuple:
+    """What a class's block shares with every class of the same tau: the tau
+    text, the sorted grade offsets of ker U and coker U, the grouped finite
+    towers (g, length, multiplicity), the tower offset, 2 min tau and the
+    alpha sum.  All of them are functions of tau alone (`hfcore` builds the
+    module, 2 min tau and the alpha sum once per `TauFunction`).  Each is
+    checked to be an int, so a Fraction, float or bool raises TypeError here.
+    """
+    module, vals = res.module, res.tau.values
+    kinds = {*map(type, vals)}
+    kinds.update(map(type, (module.tower, res.low, res.alpha_sum)))
+    for column in zip(*module.towers):  # the grades, then the lengths
+        kinds.update(map(type, column))
+    _only_ints(kinds)
+    tau = _ITEM.join(map(int.__repr__, vals))
+    return tau, res.ker, res.coker, [*module.grouped()], module.tower, res.low, res.alpha_sum
+
+
+def _spinc_json(res: hfcore.SpincResult, piece: tuple | None = None) -> str:
     """One class's entry in the "spinc" list of a `compute` JSON document: the
     text `_json` gives its block (`tests/oracles.py::spinc_block`) at indent 4.
 
-    Written from the stored integers and r_a = N/D: a grade r_a + g as
+    `piece` is `_tau_piece` of a class with the same tau (built here if not
+    given); this formats only what depends on r_a = N/D: a grade r_a + g as
     (N + g D)/D, d as (N + low D)/D, and sw = r_a/2 - alpha_sum as
     (N - 2 D alpha_sum)/(2 D) when N is odd, else (N/2 - D alpha_sum)/D; each
     is in lowest terms since gcd(N, D) = 1.  Every int is written by
     `int.__repr__` after a type check, so a Fraction, float or bool raises
     TypeError, as in `_json`.
     """
-    module, vals = res.module, res.tau.values
+    if piece is None:
+        piece = _tau_piece(res)
+    tau, kers, cokers, grouped, tower, low, alpha_sum = piece
     num, den = res.shift.numerator, res.shift.denominator
-    kinds = {*map(type, vals)}
-    kinds.update(map(type, (res.a, res.depth, num, den, module.tower, res.low, res.alpha_sum)))
-    for column in zip(*module.towers):  # the grades, then the lengths
-        kinds.update(map(type, column))
-    if kinds != {int}:
-        raise TypeError("a spin^c block holds only ints, not " + " or ".join(k.__name__ for k in kinds - {int}))
+    _only_ints({type(res.a), type(res.depth), type(num), type(den)})
     over = "/" + int.__repr__(den)
     if num % 2:
-        sw = int.__repr__(num - 2 * den * res.alpha_sum) + "/" + int.__repr__(2 * den)
+        sw = int.__repr__(num - 2 * den * alpha_sum) + "/" + int.__repr__(2 * den)
     else:
-        sw = int.__repr__(num // 2 - den * res.alpha_sum) + over
-    tau = _ITEM.join(map(int.__repr__, vals))
+        sw = int.__repr__(num // 2 - den * alpha_sum) + over
     grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
-    ker = grade.join(map(int.__repr__, [num + g * den for g in res.ker]))
-    coker = grade.join(map(int.__repr__, [num + g * den for g in res.coker]))
+    ker = grade.join(map(int.__repr__, [num + g * den for g in kers]))
+    coker = grade.join(map(int.__repr__, [num + g * den for g in cokers]))
     coker_u = '[\n        "' + coker + over + '"\n      ]' if coker else "[]"  # ker U is never empty
     towers = ",".join([f"""
           {{
             "grade": "{int.__repr__(num + g * den)}{over}",
             "length": {int.__repr__(n)},
             "multiplicity": {int.__repr__(m)}
-          }}""" for g, n, m in module.grouped()])
+          }}""" for g, n, m in grouped])
     finite = "[" + towers + "\n        ]" if towers else "[]"
     return f"""{{
       "a": {int.__repr__(res.a)},
       "t_a": {int.__repr__(res.depth)},
       "r_a": "{int.__repr__(num)}{over}",
       "tau": [
-        {tau}
+        """ + tau + f"""
       ],
       "module": {{
-        "tower_grade": "{int.__repr__(num + module.tower * den)}{over}",
+        "tower_grade": "{int.__repr__(num + tower * den)}{over}",
         "finite_towers": {finite}
       }},
-      "d_invariant": "{int.__repr__(num + res.low * den)}{over}",
+      "d_invariant": "{int.__repr__(num + low * den)}{over}",
       "sw_invariant": "{sw}",
       "ker_u": [
         "{ker}{over}"
@@ -214,11 +257,23 @@ def _spinc_json(res: hfcore.SpincResult) -> str:
 
 def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
-    blocks, `_spinc_json` each class."""
+    blocks, `_spinc_json` each class from the `_tau_piece` of its tau.
+
+    A piece is built once per distinct `TauFunction` object (`compute_all`
+    shares one among the classes with equal tau) and lives only for this
+    document.
+    """
+    pieces: dict = {}  # id(tau) -> (tau, piece); holding tau keeps its id unique
+    blocks = []
+    for res in results:
+        entry = pieces.get(id(res.tau))
+        if entry is None:
+            entry = pieces[id(res.tau)] = res.tau, _tau_piece(res)
+        blocks.append(_spinc_json(res, entry[1]))
     return (
         '{\n  "knot": ' + _json(_knot_block(knot), "  ")
         + ',\n  "surgery": ' + _json(_surgery_block(p, q, spec), "  ")
-        + ',\n  "spinc": [\n    ' + ",\n    ".join(map(_spinc_json, results)) + "\n  ]\n}\n"
+        + ',\n  "spinc": [\n    ' + ",\n    ".join(blocks) + "\n  ]\n}\n"
     )
 
 
@@ -384,18 +439,19 @@ def cmd_verify(args) -> int:
     gm = plumbing.surgery_graph(knot, spec.cfrac)
     if index is None:
         classes = plumbing.spinc_classes(gm, spec)
+        results = hfcore.compute_all(spec)  # with the ker U rank identity, one module per distinct tau
     else:
         classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
-    _info(f"graphs and spin^c classes built in {time.perf_counter() - t0:.3f}s")
+        results = [hfcore.compute_spinc(spec, index)]
+    _info(f"graphs, spin^c classes and formula side built in {time.perf_counter() - t0:.3f}s")
     shifts_formula = plumbing.grading_shift_formula(p, q, knot.delta, classes[-1].a)
-    if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so classes[0] is deepest
-        chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (hfcore.tau_depth(spec, classes[0].a) + 1) * knot.mf)
+    if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so results[0] is deepest
+        chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (results[0].depth + 1) * knot.mf)
 
     per = []
     overall = True
-    for cls in classes:
+    for cls, res in zip(classes, results, strict=True):
         a = cls.a
-        res = hfcore.compute_spinc(spec, a)
         shift_lattice = plumbing.lattice_grading_shift(gm, cls)
         entry = {
             "a": a,
@@ -505,8 +561,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_signed_values(argv))
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a mismatch here
         if exc.code == 0:  # --help
             raise

@@ -348,6 +348,7 @@ class TestVerifyCommand:
         assert err.startswith("internal invariant failure: ")
 
     def test_internal_failure_exits_3(self, capsys, monkeypatch):
+        # one class (--spinc N) takes its formula side from compute_spinc
         from hfroots import InternalInvariantError
         import hfroots.cli as cli_mod
 
@@ -355,9 +356,43 @@ class TestVerifyCommand:
             raise InternalInvariantError("forced")
 
         monkeypatch.setattr(cli_mod.hfcore, "compute_spinc", boom)
-        code, _, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
+        code, _, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--spinc", "0")
         assert code == 3
         assert "internal invariant failure" in err
+
+    def test_internal_failure_in_compute_all_exits_3(self, capsys, monkeypatch):
+        # every class (--spinc all, the default) takes it from compute_all,
+        # so a broken rank identity there stops verify
+        from hfroots import InternalInvariantError
+
+        def boom(spec):
+            raise InternalInvariantError("ker U rank forced off")
+
+        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
+        monkeypatch.setattr(cli.hfcore, "compute_spinc", lambda spec, a: pytest.fail("compute_spinc called"))
+        for extra in ((), ("--spinc", "all")):
+            code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", *extra)
+            assert code == 3
+            assert out == ""
+            assert err == "internal invariant failure: ker U rank forced off\n"
+
+    def test_all_classes_share_one_module_per_tau(self, capsys, monkeypatch):
+        # -7/1 on the trefoil: classes 1..6 all have tau = [0], so verify
+        # builds two modules for seven classes, and its document is unchanged
+        counted = []
+        real = cli.hfcore.module_from_tau
+
+        def counting(tau):
+            counted.append(tau.values)
+            return real(tau)
+
+        argv = ("verify", "--newton", "2,3", "--surgery", "7/1", "--format", "json")
+        code, before, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli.hfcore, "module_from_tau", counting)
+        code, after, _ = run(capsys, *argv)
+        assert code == 0 and after == before
+        assert len(json.loads(after)["verification"]["per_spinc"]) == 7
+        assert sorted(counted) == [(0,), (0, 1, 0)]
 
 
 class TestExitCodes:
@@ -376,6 +411,27 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "error: " in err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["compute", "--newton", "2,3", "--surgery", "-3/2"], "--surgery takes the coefficient as a positive P/Q, which means -P/Q; got '-3/2'"),
+            (["compute", "--newton", "2,3", "--surgery=-3/2"], "--surgery takes the coefficient as a positive P/Q, which means -P/Q; got '-3/2'"),
+            (["verify", "--newton", "2,3", "--surgery", "-1"], "--surgery takes the coefficient as a positive P/Q, which means -P/Q; got '-1'"),
+            (["verify", "--lens", "-5/2"], "--lens takes the coefficient as a positive P/Q, which means -P/Q; got '-5/2'"),
+            (["verify", "--lens=-5/2"], "--lens takes the coefficient as a positive P/Q, which means -P/Q; got '-5/2'"),
+        ],
+    )
+    def test_signed_coefficient_names_the_rule(self, capsys, argv, shown):
+        # without this, argparse reads "-3/2" as an option: "expected one argument"
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {shown}\n"
+
+    def test_signed_values_are_attached_only_to_coefficients(self):
+        assert cli._attach_signed_values(["--surgery", "-3/2", "--spinc", "-1", "--lens", "-x", "--lens", "-5"]) == [
+            "--surgery=-3/2", "--spinc", "-1", "--lens", "-x", "--lens=-5"]
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     @pytest.mark.parametrize("index", ["x", "1.5", ""])

@@ -568,3 +568,81 @@ class TestSpincTemplate:
         assert res.module.towers
         with pytest.raises(TypeError):
             cli._spinc_json(self.broken(res, field, bad))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
+    @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
+    def test_shared_piece_rejects_everything_else(self, field, bad):
+        # a value of tau alone is checked once, when its piece is built
+        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
+        with pytest.raises(TypeError):
+            cli._tau_piece(self.broken(res, field, bad))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
+    @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
+    def test_class_on_a_shared_piece_rejects_everything_else(self, field, bad):
+        # -13/2 on (4,5): classes 10 and 11 share tau = [0, 3, 0], so class
+        # 11 reuses the piece of class 10; its own a, t_a and r_a are still checked
+        spec = SurgerySpec(K45, 13, 2)
+        results = compute_all(spec)
+        first, res = results[10:12]
+        assert first.tau is res.tau and res.module.towers
+        if field in ("numerator", "denominator"):
+            parts = {"numerator": res.shift.numerator, "denominator": res.shift.denominator, field: bad}
+            broken = SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.module, res.low,
+                                 res.alpha_sum)
+        else:
+            broken = self.broken(res, field, bad)
+        piece = cli._tau_piece(first)
+        assert cli._spinc_json(res, piece) == self.reference(res)
+        with pytest.raises(TypeError):
+            cli._spinc_json(broken, piece)
+        with pytest.raises(TypeError):
+            cli._compute_json(K45, 13, 2, spec, [*results[:11], broken, *results[12:]])
+
+
+class TestComputeDocument:
+    """`cli._compute_json` writes each distinct tau's piece once per document."""
+
+    @staticmethod
+    def reference(knot, p, q, spec, results):
+        """The whole document through `cli._json`: each class is
+        `_json(spinc_block(res), "    ")`, joined as `_json` joins a list."""
+        doc = {"knot": cli._knot_block(knot), "surgery": cli._surgery_block(p, q, spec),
+               "spinc": [spinc_block(res) for res in results]}
+        return cli._json(doc) + "\n"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 60), st.integers(1, 120), st.data())
+    def test_matches_reference(self, p, q, data):
+        assume(gcd(p, q) == 1)
+        knot = data.draw(st.sampled_from(knots_within(p, q, max(30, -(-q // p)))))  # the trefoil always qualifies
+        spec = SurgerySpec(knot, p, q)
+        results = compute_all(spec)
+        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+
+    @pytest.mark.parametrize("pairs, p, q, taus", [([(2, 3)], 599, 397, 2), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1)])
+    def test_one_piece_per_distinct_tau(self, monkeypatch, pairs, p, q, taus):
+        knot = from_newton_pairs(pairs)
+        spec = SurgerySpec(knot, p, q)
+        results = compute_all(spec)
+        assert len({res.tau.values for res in results}) == taus
+        built = []
+        real = cli._tau_piece
+
+        def counting(res):
+            built.append(res.tau.values)
+            return real(res)
+
+        monkeypatch.setattr(cli, "_tau_piece", counting)
+        for _ in range(2):  # no piece outlives its document
+            built.clear()
+            assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+            assert len(built) == len(set(built)) == taus
+
+    def test_classes_with_equal_but_unshared_taus(self):
+        # per-class results hold equal taus in distinct objects: one piece
+        # each, and the same document
+        spec = SurgerySpec(K23, 7, 1)
+        shared, single = compute_all(spec), [compute_spinc(spec, a) for a in range(7)]
+        assert shared[1].tau is shared[2].tau and single[1].tau is not single[2].tau
+        assert cli._compute_json(K23, 7, 1, spec, single) == cli._compute_json(K23, 7, 1, spec, shared)

@@ -32,6 +32,7 @@ from oracles import (
     solve_exact,
     sublevel_root_box,
 )
+from test_knot import newton_pair_sequences
 
 import hfroots.plumbing as pl
 from hfroots import (
@@ -308,6 +309,21 @@ class TestEmbeddedResolution:
         nodes = [j for j in range(g.n) if g.degree(j) + (1 if j == g.arrow else 0) >= 3]
         assert len(nodes) == 2
         assert pl.divisorial_cycle(g)[g.arrow] == 26
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(newton_pair_sequences())
+    @example([(2, 3), (2, 1), (2, 1)])
+    @example([(3, 5), (3, 1), (3, 1)])
+    def test_self_checks_hold_on_random_knots(self, pairs):
+        # 1-3 pairs with mf <= 5000; the uncached construction runs the four
+        # self-checks (|det B| = 1, the one (-1)-vertex at the arrow, mf at v0,
+        # A'Campo, the Euler-characteristic identity) and raises on a failure
+        knot = from_newton_pairs(pairs)
+        g = pl.embedded_resolution.__wrapped__(knot)
+        assert g.euler.count(-1) == 1 and g.euler[g.arrow] == -1
+        assert pl.divisorial_cycle(g)[g.arrow] == knot.mf
+        nodes = [j for j in range(g.n) if g.degree(j) + (1 if j == g.arrow else 0) >= 3]
+        assert len(nodes) == len(pairs)
 
     @pytest.mark.parametrize(
         "pairs", [[(2, 3)], [(2, 5)], [(3, 4)], [(4, 7)], [(2, 3), (2, 3)], [(3, 4), (5, 3)]]

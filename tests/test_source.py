@@ -154,7 +154,7 @@ def test_laufer_guard_catches_helpers():
 
 FORMATTERS = {"str", "format", "repr", "ascii"}
 FORMAT_METHODS = {"format", "format_map", "__str__", "__format__", "__repr__"}
-BLOCK_WRITERS = ("_spinc_json", "_compute_json")
+BLOCK_WRITERS = ("_tau_piece", "_spinc_json", "_compute_json")
 
 
 def _int_repr(node):
