@@ -4,15 +4,16 @@ The surgery coefficient is entered as a positive fraction P/Q and always
 means the negative coefficient -P/Q; a P with a minus sign (`--surgery -3/2`,
 `--lens=-5/2`) exits 1 with that rule.  Rationals are printed exactly; in
 JSON they are "numerator/denominator" strings, never floats.  A grade
-r_a + g is written from the integer g (`grading.Grading`).  Documents have
-the bytes of json.dumps(doc, indent=2): `_json` writes every `knot` and
-`verify` document and the head of a `compute` one, and rejects any value
-but dict, list, str, int, bool and None; each spin^c class of a `compute`
-document is written by one template, `_spinc_json`, straight from its
-integers, and rejects any value but an int where an int is due.  What
+r_a + g is written from r_a and the integer g (`root.grade_text` in text).
+Documents have the bytes of json.dumps(doc, indent=2): `_json` writes every
+`knot` and `verify` document and the head of a `compute` one, and rejects
+any value but dict, list, str, int, bool and None; each spin^c class of a
+`compute` document is written by one template, `_spinc_json`, straight from
+its integers, and rejects any value but an int where an int is due.  What
 depends on tau alone (the tau text, the sorted ker/coker offsets, the
-grouped finite towers) is one `_tau_piece` per distinct tau of the document;
-per class the template formats only what depends on r_a.  Output is
+grouped finite towers, 2 min tau, the alpha sum) is one `_tau_piece` per
+distinct tau of the document; per class the template formats only what
+depends on r_a.  Output is
 deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`).  `verify --spinc all` takes its formula side
@@ -43,9 +44,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
-from .grading import Grading
 from .knot import AlgebraicKnot, from_newton_pairs
-from .root import TauFunction, render, root_from_tau
+from .root import TauFunction, grade_text, render, root_from_tau
 
 
 def _info(message: str) -> None:
@@ -187,36 +187,34 @@ def _only_ints(kinds: set) -> None:
 def _tau_piece(res: hfcore.SpincResult) -> tuple:
     """What a class's block shares with every class of the same tau: the tau
     text, the sorted grade offsets of ker U and coker U, the grouped finite
-    towers (g, length, multiplicity), the tower offset, 2 min tau and the
+    towers (g, length, multiplicity), the tower offset 2 min tau and the
     alpha sum.  All of them are functions of tau alone (`hfcore` builds the
-    module, 2 min tau and the alpha sum once per `TauFunction`).  Each is
+    shift-0 module and the alpha sum once per `TauFunction`).  Each is
     checked to be an int, so a Fraction, float or bool raises TypeError here.
     """
-    module, vals = res.module, res.tau.values
+    module, vals = res.tau_module, res.tau.values
     kinds = {*map(type, vals)}
-    kinds.update(map(type, (module.tower, res.low, res.alpha_sum)))
+    kinds.update(map(type, (module.tower, res.alpha_sum)))
     for column in zip(*module.towers):  # the grades, then the lengths
         kinds.update(map(type, column))
     _only_ints(kinds)
     tau = _ITEM.join(map(int.__repr__, vals))
-    return tau, res.ker, res.coker, [*module.grouped()], module.tower, res.low, res.alpha_sum
+    return tau, res.ker, res.coker, [*module.grouped()], module.tower, res.alpha_sum
 
 
-def _spinc_json(res: hfcore.SpincResult, piece: tuple | None = None) -> str:
+def _spinc_json(res: hfcore.SpincResult, piece: tuple) -> str:
     """One class's entry in the "spinc" list of a `compute` JSON document: the
     text `_json` gives its block (`tests/oracles.py::spinc_block`) at indent 4.
 
-    `piece` is `_tau_piece` of a class with the same tau (built here if not
-    given); this formats only what depends on r_a = N/D: a grade r_a + g as
-    (N + g D)/D, d as (N + low D)/D, and sw = r_a/2 - alpha_sum as
-    (N - 2 D alpha_sum)/(2 D) when N is odd, else (N/2 - D alpha_sum)/D; each
-    is in lowest terms since gcd(N, D) = 1.  Every int is written by
-    `int.__repr__` after a type check, so a Fraction, float or bool raises
-    TypeError, as in `_json`.
+    `piece` is `_tau_piece` of a class with the same tau; this formats only
+    what depends on r_a = N/D: a grade r_a + g as (N + g D)/D, the tower
+    grade and d = r_a + 2 min tau as one such text, and sw = r_a/2 -
+    alpha_sum as (N - 2 D alpha_sum)/(2 D) when N is odd, else
+    (N/2 - D alpha_sum)/D; each is in lowest terms since gcd(N, D) = 1.
+    Every int is written by `int.__repr__` after a type check, so a
+    Fraction, float or bool raises TypeError, as in `_json`.
     """
-    if piece is None:
-        piece = _tau_piece(res)
-    tau, kers, cokers, grouped, tower, low, alpha_sum = piece
+    tau, kers, cokers, grouped, tower, alpha_sum = piece
     num, den = res.shift.numerator, res.shift.denominator
     _only_ints({type(res.a), type(res.depth), type(num), type(den)})
     over = "/" + int.__repr__(den)
@@ -235,6 +233,7 @@ def _spinc_json(res: hfcore.SpincResult, piece: tuple | None = None) -> str:
             "multiplicity": {int.__repr__(m)}
           }}""" for g, n, m in grouped])
     finite = "[" + towers + "\n        ]" if towers else "[]"
+    tower_grade = int.__repr__(num + tower * den) + over  # also d = r_a + 2 min tau
     return f"""{{
       "a": {int.__repr__(res.a)},
       "t_a": {int.__repr__(res.depth)},
@@ -243,10 +242,10 @@ def _spinc_json(res: hfcore.SpincResult, piece: tuple | None = None) -> str:
         """ + tau + f"""
       ],
       "module": {{
-        "tower_grade": "{int.__repr__(num + tower * den)}{over}",
+        "tower_grade": "{tower_grade}",
         "finite_towers": {finite}
       }},
-      "d_invariant": "{int.__repr__(num + low * den)}{over}",
+      "d_invariant": "{tower_grade}",
       "sw_invariant": "{sw}",
       "ker_u": [
         "{ker}{over}"
@@ -259,17 +258,16 @@ def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec,
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
     blocks, `_spinc_json` each class from the `_tau_piece` of its tau.
 
-    A piece is built once per distinct `TauFunction` object (`compute_all`
-    shares one among the classes with equal tau) and lives only for this
+    A piece is built once per distinct tau values and lives only for this
     document.
     """
-    pieces: dict = {}  # id(tau) -> (tau, piece); holding tau keeps its id unique
+    pieces: dict = {}  # tau values -> piece
     blocks = []
     for res in results:
-        entry = pieces.get(id(res.tau))
-        if entry is None:
-            entry = pieces[id(res.tau)] = res.tau, _tau_piece(res)
-        blocks.append(_spinc_json(res, entry[1]))
+        piece = pieces.get(res.tau.values)
+        if piece is None:
+            piece = pieces[res.tau.values] = _tau_piece(res)
+        blocks.append(_spinc_json(res, piece))
     return (
         '{\n  "knot": ' + _json(_knot_block(knot), "  ")
         + ',\n  "surgery": ' + _json(_surgery_block(p, q, spec), "  ")
@@ -278,15 +276,14 @@ def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec,
 
 
 def _spinc_text(res: hfcore.SpincResult) -> list[str]:
-    grade = Grading(res.shift).text
     return [
         f"spin^c a = {res.a}:",
         f"  t_a = {res.depth}   r_a = {res.shift}",
         "  tau: " + ", ".join(str(v) for v in res.tau.values),
         f"  HF+ = {res.module}",
         f"  d = {res.d_invariant}   sw = {res.sw_invariant}",
-        "  ker U gradings: " + ", ".join(map(grade, res.ker)),
-        "  coker U gradings: " + (", ".join(map(grade, res.coker)) or "(none)"),
+        "  ker U gradings: " + ", ".join([grade_text(res.shift, g) for g in res.ker]),
+        "  coker U gradings: " + (", ".join([grade_text(res.shift, g) for g in res.coker]) or "(none)"),
     ]
 
 
@@ -576,7 +573,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,11 +19,11 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     alpha indices past the depth reach mu - 1, where alpha vanishes),
   * the kernel and cokernel gradings of the U-action.
 
-Every grade above is r_a plus an even integer, d included, and sw is r_a/2
-minus an integer, so a `SpincResult` stores the integers (2 tau(2t),
-2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with the one r_a, and
-`grading.Grading` reads them; per class only r_a is a Fraction, and d and sw
-are built from it only when read.
+Every grade above is r_a plus an even integer g, d included, and sw is r_a/2
+minus an integer, so a `SpincResult` keeps the integers (2 tau(2t),
+2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with the one r_a and reads a
+grade as r_a + g; per class only r_a is a Fraction, and d, sw and the
+shifted module are built from it only when read.
 
 For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
@@ -34,10 +34,10 @@ where it is drawn or compared.
 
 Tau depends on a only through t_a and the floors floor((j p + a)/q), so when
 p is large and tau short most classes share one tau.  Per class the pipeline
-computes t_a (once), r_a, the tau values and the module shifted by r_a; per
-distinct tau (within one `compute_all`) it builds the `TauFunction` and the
-shift-0 module, checks the module against `reduced_rank(tau)` and sums the
-alpha terms.
+computes t_a (once), r_a and the tau values; per distinct tau (within one
+`compute_all`) it builds the `TauFunction` and the shift-0 module, checks the
+module against `reduced_rank(tau)` and 2 min tau, and sums the alpha terms.
+A `SpincResult` holds each of these facts once.
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -51,7 +51,6 @@ from math import gcd
 
 from .errors import InternalInvariantError
 from .frozen import Frozen
-from .grading import Grading
 from .knot import AlgebraicKnot
 from .numtheory import dedekind_sum, floor_sum, neg_cfrac
 from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
@@ -62,11 +61,11 @@ class SurgerySpec(Frozen):
 
     p and q are positive and coprime; q > p (coefficient in (-1, 0)) is
     allowed.  The normalised continued fraction of p/q is attached, with
-    the constants every grading shift needs: q' (1 <= q' <= p, q q' = 1
-    mod p) and the integer 6 p s(q, p), all fixed by (knot, p, q).
+    q' (1 <= q' <= p, q q' = 1 mod p), and so is the integer 6 p s(q, p):
+    the constants every grading shift needs, all fixed by (knot, p, q).
     """
 
-    __slots__ = ("knot", "p", "q", "cfrac", "q_prime", "dedekind_6p")
+    __slots__ = ("knot", "p", "q", "cfrac", "dedekind_6p")
 
     def __init__(self, knot: AlgebraicKnot, p: int, q: int):
         if p < 1 or q < 1:
@@ -81,7 +80,6 @@ class SurgerySpec(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cfrac", cfrac)
-        object.__setattr__(self, "q_prime", cfrac.q_prime)
         object.__setattr__(self, "dedekind_6p", six_p_s.numerator)
 
     def __repr__(self):
@@ -95,30 +93,34 @@ class SurgerySpec(Frozen):
 class SpincResult(Frozen):
     """Everything the pipeline knows about one spin^c structure.
 
-    Grades are stored as even integers g and read as r_a + g
-    (`grading.Grading`): `ker` and `coker` give those integers, read off the
-    one stored tau, and `ker_u` and `coker_u` the absolute grades.  `low` =
-    2 min tau and `alpha_sum` are ints too; `d_invariant` = r_a + low and
-    `sw_invariant` = r_a/2 - alpha_sum are Fractions built when read.  Only
-    r_a is stored as a Fraction.
+    a, t_a and r_a belong to the class; tau, its shift-0 module and the alpha
+    sum are functions of tau alone, shared by the classes with equal tau.
+    Grades are even integers g read as r_a + g: `ker` and `coker` give
+    them, and `ker_u` and `coker_u` the absolute grades.  `module`,
+    `d_invariant` = r_a + 2 min tau (the tower grade) and `sw_invariant` =
+    r_a/2 - alpha_sum are built when read; only r_a is a Fraction.
     """
 
-    __slots__ = ("a", "depth", "shift", "tau", "module", "low", "alpha_sum")
+    __slots__ = ("a", "depth", "shift", "tau", "tau_module", "alpha_sum")
 
-    def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, module: UModuleDecomposition,
-                 low: int, alpha_sum: int):
+    def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, tau_module: UModuleDecomposition,
+                 alpha_sum: int):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "depth", depth)                  # t_a
         object.__setattr__(self, "shift", shift)                  # r_a
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "module", module)                # shift r_a
-        object.__setattr__(self, "low", low)                      # 2 min tau
+        object.__setattr__(self, "tau_module", tau_module)        # shift 0, tower 2 min tau
         object.__setattr__(self, "alpha_sum", alpha_sum)          # sum of tau(2t+1) - tau(2t+2)
+
+    @property
+    def module(self) -> UModuleDecomposition:
+        """HF+(-M, sigma_a): the module of tau shifted by r_a."""
+        return self.tau_module.shifted(self.shift)
 
     @property
     def d_invariant(self) -> Fraction:
         """d(-M, sigma_a) = r_a + 2 min tau."""
-        return self.shift + self.low
+        return self.shift + self.tau_module.tower
 
     @property
     def sw_invariant(self) -> Fraction:
@@ -138,12 +140,12 @@ class SpincResult(Frozen):
     @property
     def ker_u(self) -> tuple[Fraction, ...]:
         """Gradings of ker U, sorted."""
-        return tuple(map(Grading(self.shift).value, self.ker))
+        return tuple([self.shift + g for g in self.ker])
 
     @property
     def coker_u(self) -> tuple[Fraction, ...]:
         """Gradings of coker U, sorted."""
-        return tuple(map(Grading(self.shift).value, self.coker))
+        return tuple([self.shift + g for g in self.coker])
 
 
 def tau_depth(spec: SurgerySpec, a: int) -> int:
@@ -165,7 +167,7 @@ def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
     F/p with F = sum_{j<=a} (j q' mod p) = q' a(a+1)/2 - p sum_{j<=a} floor(j q'/p).
     """
     spec._check_a(a)
-    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.q_prime
+    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.cfrac.q_prime
     f = qp * a * (a + 1) // 2 - p * floor_sum(a + 1, p, qp, 0)
     return Fraction(
         spec.dedekind_6p
@@ -208,9 +210,9 @@ def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
 def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
     """One class, reusing the tau and shift-0 module of an equal tau from `by_tau`.
 
-    `by_tau` maps tau values to (tau, shift-0 module, 2 min tau, alpha sum),
-    all functions of tau alone; an entry is built and checked against
-    `reduced_rank(tau)` the first time its tau appears.
+    `by_tau` maps tau values to (tau, shift-0 module, alpha sum), all
+    functions of tau alone; an entry is built and its module checked against
+    `reduced_rank(tau)` and 2 min tau the first time its tau appears.
     """
     t_a = tau_depth(spec, a)
     r_a = grading_shift(spec, a)
@@ -221,13 +223,11 @@ def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
         module = module_from_tau(tau)
         if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
             raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
+        if module.tower != 2 * min(vals):
+            raise InternalInvariantError("tower grade disagrees with 2 min tau")
         # tau(2t+1) - tau(2t+2) for t = 0..t_a
-        shared = by_tau[vals] = (tau, module, 2 * min(vals), sum(vals[1::2]) - sum(vals[2::2]))
-    tau, module, low, alpha_sum = shared
-    module = module.shifted(r_a)
-    if module.shift != r_a or module.tower != low:
-        raise InternalInvariantError("tower grade disagrees with 2 min tau + r_a")
-    return SpincResult(a, t_a, r_a, tau, module, low, alpha_sum)
+        shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
+    return SpincResult(a, t_a, r_a, *shared)
 
 
 def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
@@ -240,10 +240,9 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
 
     sum_a (t_a + 2) = p + (2 delta - 1) q  (total rank of ker U).
 
-    Classes with equal tau share one `TauFunction`, one shift-0 module (its
-    `towers` tuple) and one alpha sum, built once per distinct tau by a map
-    that lives only for this call; each class adds its own t_a, r_a and
-    shifted module.
+    Classes with equal tau share one `TauFunction`, one shift-0 module and
+    one alpha sum, built once per distinct tau by a map that lives only for
+    this call; each class adds only its own a, t_a and r_a.
     """
     by_tau: dict = {}
     results = [_assemble(spec, a, by_tau) for a in range(spec.p)]

@@ -179,11 +179,6 @@ class PlumbingGraph:
                 out[j] += x[w]
         return out
 
-    def pairing(self, x, y):
-        """(x, y) with respect to the intersection form."""
-        by = self.apply_form(y)
-        return sum(xi * bi for xi, bi in zip(x, by))
-
     def __repr__(self):
         return f"PlumbingGraph(n={self.n}, euler={list(self.euler)})"
 

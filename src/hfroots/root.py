@@ -19,7 +19,12 @@ that survives to the end carries the infinite tower T+ at twice its birth.
 
 The module's grades are the even integers 2 b and 2 min tau; a
 `UModuleDecomposition` keeps them as ints next to one shift (0 here, r_a for
-the homology of -M), and shifting it touches no tower.
+the homology of -M), and shifting it touches no tower.  So every grade of
+HF+(-M, sigma_a) reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded
+Floer homologies, Adv. Math. 173, 2003).  With r_a = N/D in lowest terms,
+gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g already reduced:
+writing a grade needs neither a gcd nor a Fraction (`grade_text`, and the
+JSON template `cli._spinc_json`).
 
 Both constructions are one sweep over that order, keeping only the two ends
 of every run.  `module_from_tau` costs O(n log n) for n = len(tau);
@@ -34,7 +39,6 @@ from fractions import Fraction
 from itertools import groupby
 
 from .frozen import Frozen
-from .grading import Grading
 
 
 class TauFunction(Frozen):
@@ -166,9 +170,9 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
 class UModuleDecomposition(Frozen):
     """T+_{d}  plus a multiset of finite towers T_{r}(n), all in even degrees.
 
-    Every grade is `shift` plus an even integer (`grading.Grading`), and the
-    integers are what is stored: `tower` for the infinite tower, `towers`
-    for the (grade, length) pairs of the finite ones, kept sorted.  A graded
+    Every grade is `shift` plus an even integer, and the integers are what
+    is stored: `tower` for the infinite tower, `towers` for the (grade,
+    length) pairs of the finite ones, kept sorted.  A graded
     root's module has shift 0 and its grades at 2 chi; the homology of -M in
     sigma_a is that module shifted by r_a.  `tower_grade` and
     `finite_towers` give the absolute grades, and equality compares those,
@@ -189,12 +193,11 @@ class UModuleDecomposition(Frozen):
 
     @property
     def tower_grade(self) -> Fraction:
-        return Grading(self.shift).value(self.tower)
+        return self.shift + self.tower
 
     @property
     def finite_towers(self) -> tuple[tuple[Fraction, int], ...]:
-        value = Grading(self.shift).value
-        return tuple((value(g), n) for g, n in self.towers)
+        return tuple((self.shift + g, n) for g, n in self.towers)
 
     def __eq__(self, other):
         if not isinstance(other, UModuleDecomposition):
@@ -215,11 +218,18 @@ class UModuleDecomposition(Frozen):
             yield g, n, sum(1 for _ in same)
 
     def __str__(self):
-        text = Grading(self.shift).text
-        parts = [f"T+[{text(self.tower)}]"]
+        parts = [f"T+[{grade_text(self.shift, self.tower)}]"]
         for g, n, mult in self.grouped():
-            parts.append(f"{mult}*T[{text(g)}]({n})" if mult > 1 else f"T[{text(g)}]({n})")
+            text = grade_text(self.shift, g)
+            parts.append(f"{mult}*T[{text}]({n})" if mult > 1 else f"T[{text}]({n})")
         return " + ".join(parts)
+
+
+def grade_text(shift, g: int) -> str:
+    """The grade shift + g, for a Fraction or int shift N/D and an integer g,
+    as str(Fraction) prints it: (N + g D)/D, or a bare integer when D = 1."""
+    num, den = shift.numerator, shift.denominator
+    return str(num + g * den) if den == 1 else f"{num + g * den}/{den}"
 
 
 def module_from_tau(tau: TauFunction) -> UModuleDecomposition:

@@ -58,8 +58,9 @@ here, and the tests require identical results:
   * the Fraction views l' and k_r of a spin^c class (the package keeps only
     their numerators over det B).
 
-Also here, because only the tests use it: a plumbing graph written to JSON
-text in the schema of `plumbing.graph_doc`, and read back.
+Also here, because only the tests use them: a plumbing graph written to
+JSON text in the schema of `plumbing.graph_doc`, and read back; and the
+intersection pairing (x, y) of two vectors.
 """
 
 from __future__ import annotations
@@ -571,6 +572,11 @@ def canonical_class(g: pl.PlumbingGraph) -> tuple[Fraction, ...]:
     return k
 
 
+def pairing(g: pl.PlumbingGraph, x, y):
+    """(x, y) with respect to the intersection form of g."""
+    return sum(xi * bi for xi, bi in zip(x, g.apply_form(y)))
+
+
 def l_prime(cls: pl.SpincClass) -> tuple[Fraction, ...]:
     """l' of a class as Fractions: its numerators l_num over den = det B."""
     return tuple(Fraction(x, cls.den) for x in cls.l_num)
@@ -817,7 +823,7 @@ def exact_sublevel_box_fractions(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], 
     integer square roots.  (The package's box, in Fractions of k_r; the
     package now bounds 2 det x + det k_r in integers from (k_r, b_j).)
     """
-    radius = 2 * n_max - Fraction(g.pairing(kr, kr)) / 4
+    radius = 2 * n_max - Fraction(pairing(g, kr, kr)) / 4
     if radius < 0:
         return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
     box = []
@@ -865,7 +871,7 @@ def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int,
 
     def chi(x) -> int:
         kx = sum(a * b for a, b in zip(kb, x))
-        q, r = divmod(-(kx + g.pairing(x, x)), 2)
+        q, r = divmod(-(kx + pairing(g, x, x)), 2)
         if r:
             raise InternalInvariantError("chi is not an integer on the lattice")
         return q

@@ -19,7 +19,7 @@ import hfroots.cli as cli
 import hfroots.knot as knot_mod
 import hfroots.plumbing as pl
 from hfroots.cli import main
-from hfroots.root import GradedRoot
+from hfroots.root import GradedRoot, UModuleDecomposition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -497,6 +497,33 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "error: sublevel set exceeds the enumeration cap of 2 points\n"
+
+    def test_tower_disagreement_exits_3(self, capsys, monkeypatch):
+        # a module whose tower grade is not 2 min tau is caught once per tau,
+        # for every class (--spinc all) and for one (--spinc N)
+        real = cli.hfcore.module_from_tau
+
+        def wrong_tower(tau):
+            module = real(tau)
+            return UModuleDecomposition(module.shift, module.tower + 2, module.towers)
+
+        monkeypatch.setattr(cli.hfcore, "module_from_tau", wrong_tower)
+        for extra in ((), ("--spinc", "0"), ("--spinc", "2")):
+            code, out, err = run(capsys, "compute", "--newton", "2,3", "--surgery", "3/1", *extra)
+            assert code == 3
+            assert out == ""
+            assert err == "internal invariant failure: tower grade disagrees with 2 min tau\n"
+
+    def test_index_error_is_not_an_input_error(self, capsys, monkeypatch):
+        # no input path raises IndexError, so one is a fault of the program
+        # and surfaces with its traceback instead of exit 1
+        def boom(spec):
+            raise IndexError("forced")
+
+        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
+        with pytest.raises(IndexError, match="forced"):
+            main(["compute", "--newton", "2,3", "--surgery", "3/1"])
+        assert capsys.readouterr().err == ""
 
 
 SMALL = st.integers(-3, 12)

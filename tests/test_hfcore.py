@@ -147,8 +147,7 @@ class TestShift:
     def test_spec_constants(self):
         for p, q in [(1, 1), (7, 5), (12, 7), (5, 12), (101, 4)]:
             spec = SurgerySpec(K45, p, q)
-            assert spec.q_prime == spec.cfrac.q_prime
-            assert (q * spec.q_prime) % p == 1 % p
+            assert (q * spec.cfrac.q_prime) % p == 1 % p
             assert spec.dedekind_6p == 6 * p * dedekind_sum(q, p)
 
     def test_integrality_guard(self, monkeypatch):
@@ -365,6 +364,21 @@ class TestComputeAll:
         with pytest.raises(InternalInvariantError):
             compute_all(SurgerySpec(K45, 2, 1))
 
+    def test_tower_guard(self, monkeypatch):
+        # the tower grade of each distinct tau's module must be 2 min tau; a
+        # wrong one keeps reduced_rank, so only this check can see it
+        real = hfcore.module_from_tau
+
+        def wrong_tower(tau):
+            module = real(tau)
+            return UModuleDecomposition(module.shift, module.tower + 2, module.towers)
+
+        monkeypatch.setattr(hfcore, "module_from_tau", wrong_tower)
+        spec = SurgerySpec(K23, 6, 1)  # a = 0 has a finite tower, a = 1 the stem tau = [0]
+        for run in (compute_all, lambda spec: compute_spinc(spec, 0), lambda spec: compute_spinc(spec, 1)):
+            with pytest.raises(InternalInvariantError, match="^tower grade disagrees with 2 min tau$"):
+                run(spec)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         st.integers(1, 300),
@@ -409,6 +423,24 @@ class TestComputeAll:
             assert len(built) == len(set(built)) == taus
             assert set(built) == {r.tau.values for r in ref}
         assert set(built) == {r.tau.values for r in fresh[0]}
+
+    def test_no_class_builds_a_shifted_module(self, monkeypatch):
+        # per class the pipeline stores r_a and the writer formats it; a
+        # shifted module is built only where `res.module` is read
+        spec = SurgerySpec(K23, 599, 397)
+        shifts = []
+        real = UModuleDecomposition.shifted
+
+        def counting(module, r):
+            shifts.append(r)
+            return real(module, r)
+
+        monkeypatch.setattr(UModuleDecomposition, "shifted", counting)
+        results = compute_all(spec)
+        cli._compute_json(K23, 599, 397, spec, results)
+        assert shifts == []
+        assert results[7].module.shift == results[7].shift
+        assert shifts == [results[7].shift]
 
 
 class TestClosedForm:
@@ -457,22 +489,23 @@ class TestIntegerGrades:
         assert res.ker_u == ref.ker_u
         assert res.coker_u == ref.coker_u
         # written as (N + g D)/D and printed without Fractions, against Fraction's own
-        assert cli._spinc_json(res) == cli._json(spinc_fractions_block(ref), "    ")
+        assert cli._spinc_json(res, cli._tau_piece(res)) == cli._json(spinc_fractions_block(ref), "    ")
         assert cli._spinc_text(res) == spinc_text(ref)
 
     def test_stored_grades_are_ints(self):
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
             for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
                 module = res.module
-                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker, res.low)
+                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker)
                 assert all(type(g) is int for g in stored)
                 assert all(g % 2 == 0 for g in stored)
                 assert type(res.alpha_sum) is int
-                assert module.shift == res.shift
-                assert res.low == module.tower == 2 * res.tau.min()
+                assert module.shift == res.shift and res.tau_module.shift == 0
+                assert (module.tower, module.towers) == (res.tau_module.tower, res.tau_module.towers)
+                assert module.tower == 2 * res.tau.min()
                 # d and sw stay exact Fractions, built from the ints when read
                 assert type(res.d_invariant) is type(res.sw_invariant) is Fraction
-                assert res.d_invariant == res.shift + res.low
+                assert res.d_invariant == res.shift + module.tower
                 assert res.sw_invariant == res.shift / 2 - res.alpha_sum
 
     def test_module_equality_is_on_absolute_grades(self):
@@ -502,7 +535,7 @@ class TestSpincTemplate:
         depth = max(40, -(-q // p))  # the trefoil always qualifies
         spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
         res = compute_spinc(spec, data.draw(st.integers(0, p - 1)))
-        assert cli._spinc_json(res) == self.reference(res)
+        assert cli._spinc_json(res, cli._tau_piece(res)) == self.reference(res)
 
     @pytest.mark.parametrize(
         "pairs, p, q, a, shape",
@@ -518,7 +551,7 @@ class TestSpincTemplate:
     )
     def test_named_cases(self, pairs, p, q, a, shape):
         res = compute_spinc(SurgerySpec(from_newton_pairs(pairs), p, q), a)
-        text = cli._spinc_json(res)
+        text = cli._spinc_json(res, cli._tau_piece(res))
         assert text == self.reference(res)
         if shape == "stem":
             assert res.depth == -1 and res.tau.values == (0,)
@@ -536,7 +569,7 @@ class TestSpincTemplate:
         for pairs, p, q in [([(2, 3)], 7, 5), ([(4, 5)], 2, 1), ([(3, 4)], 1, 2), ([(2, 5)], 9, 4)]:
             for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
                 seen.add((res.shift.numerator % 2, res.shift.denominator))
-                block = json.loads(cli._spinc_json(res))
+                block = json.loads(cli._spinc_json(res, cli._tau_piece(res)))
                 for key in ("d_invariant", "sw_invariant"):
                     x = getattr(res, key)
                     assert block[key] == f"{x.numerator}/{x.denominator}"
@@ -546,31 +579,32 @@ class TestSpincTemplate:
     @staticmethod
     def broken(res, field, bad):
         """res with one stored int replaced by `bad`."""
-        module, vals = res.module, res.tau.values
-        parts = {"a": res.a, "depth": res.depth, "shift": res.shift, "tau": res.tau, "module": module,
-                 "low": res.low, "alpha_sum": res.alpha_sum}
+        module, vals = res.tau_module, res.tau.values
+        parts = {"a": res.a, "depth": res.depth, "shift": res.shift, "tau": res.tau, "tau_module": module,
+                 "alpha_sum": res.alpha_sum}
         if field == "tau":
             parts["tau"] = TauFunction((*vals[:-1], bad))
         elif field == "tower":
-            parts["module"] = UModuleDecomposition(module.shift, bad, module.towers)
+            parts["tau_module"] = UModuleDecomposition(module.shift, bad, module.towers)
         elif field in ("tower grade", "tower length"):
             (g, n), *rest = module.towers
             first = (bad, n) if field == "tower grade" else (g, bad)
-            parts["module"] = UModuleDecomposition(module.shift, module.tower, (first, *rest))
+            parts["tau_module"] = UModuleDecomposition(module.shift, module.tower, (first, *rest))
         else:
             parts[field] = bad
         return SpincResult(**parts)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
-    @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
+    @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "alpha_sum"])
     def test_rejects_everything_else(self, field, bad):
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
-        assert res.module.towers
+        assert res.tau_module.towers
+        broken = self.broken(res, field, bad)
         with pytest.raises(TypeError):
-            cli._spinc_json(self.broken(res, field, bad))
+            cli._spinc_json(broken, cli._tau_piece(broken))
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
-    @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
+    @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "alpha_sum"])
     def test_shared_piece_rejects_everything_else(self, field, bad):
         # a value of tau alone is checked once, when its piece is built
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
@@ -588,7 +622,7 @@ class TestSpincTemplate:
         assert first.tau is res.tau and res.module.towers
         if field in ("numerator", "denominator"):
             parts = {"numerator": res.shift.numerator, "denominator": res.shift.denominator, field: bad}
-            broken = SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.module, res.low,
+            broken = SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.tau_module,
                                  res.alpha_sum)
         else:
             broken = self.broken(res, field, bad)

@@ -1,5 +1,5 @@
-"""Mechanical guards on the package source: arithmetic stays exact and every
-cache is bounded."""
+"""Mechanical guards on the package source: arithmetic stays exact, every
+cache is bounded and every module is in use."""
 
 import ast
 from pathlib import Path
@@ -101,6 +101,41 @@ def test_cache_guard_catches_each_form():
         (9, "lru_cache with maxsize None"),
         (11, "functools.cache"),
     ]
+
+
+ENTRY_MODULES = {"__init__", "cli"}
+
+
+def orphan_modules(sources: dict) -> list[str]:
+    """The modules of a package, given as {name: source}, that no other module
+    of it imports by a relative `from` import, anywhere in its source (inside
+    functions too, as in `from . import plumbing`), entry points aside."""
+    imported = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+                imported.update(t for t in targets if t != name)
+    return sorted(set(sources) - imported - ENTRY_MODULES)
+
+
+def test_every_module_is_imported():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert {"plumbing", "frozen"} < set(sources)  # plumbing is imported only inside cli's functions
+    assert orphan_modules(sources) == []
+
+
+def test_orphan_guard_flags_an_unused_module():
+    sources = {
+        "__init__": "from .a import f\n",
+        "cli": "def main():\n    from . import b\n",
+        "a": "from .errors import E\n",
+        "b": "from .a import f as g\n",
+        "errors": "class E(Exception): pass\n",
+        "self_only": "from .self_only import x\n",
+        "orphan": "from . import a\n",
+    }
+    assert orphan_modules(sources) == ["orphan", "self_only"]
 
 
 LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "divisorial_cycle", "cfrac"}
