@@ -590,12 +590,17 @@ class TestSpincTemplate:
             (g, n), *rest = module.towers
             first = (bad, n) if field == "tower grade" else (g, bad)
             parts["tau_module"] = UModuleDecomposition(module.shift, module.tower, (first, *rest))
+        elif field == "low":
+            # tau's minimum and the tower grade 2 min tau read from it, together
+            i = vals.index(min(vals))
+            parts["tau"] = TauFunction((*vals[:i], bad, *vals[i + 1:]))
+            parts["tau_module"] = UModuleDecomposition(module.shift, 2 * bad, module.towers)
         else:
             parts[field] = bad
         return SpincResult(**parts)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
-    @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "alpha_sum"])
+    @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
     def test_rejects_everything_else(self, field, bad):
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
         assert res.tau_module.towers
@@ -604,7 +609,7 @@ class TestSpincTemplate:
             cli._spinc_json(broken, cli._tau_piece(broken))
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
-    @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "alpha_sum"])
+    @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
     def test_shared_piece_rejects_everything_else(self, field, bad):
         # a value of tau alone is checked once, when its piece is built
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
