@@ -16,7 +16,11 @@ distinct tau of the document; per class the template formats only what
 depends on r_a.  Output is
 deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
-lattice oracle (`plumbing`).  `verify --spinc all` takes its formula side
+lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
+--lens` loads `lens` alone, compares its two routes' integer numerators
+cross-multiplied to one denominator and writes each value reduced by one
+gcd.  `verify` checks each class's closed-form shift against r_a by an
+integer identity over 2p.  `verify --spinc all` takes its formula side
 from `hfcore.compute_all` (one module per distinct tau, the ker U rank
 identity checked), `--spinc N` from `compute_spinc`.  `verify` runs the
 Laufer sequence of the resolution graph once per surgery and only the
@@ -41,6 +45,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
@@ -366,26 +371,37 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _verify_lens(args) -> int:
-    from . import plumbing
+    from . import lens
     p, q = _parse_fraction(args.lens, "--lens")
-    formula = plumbing.lens_d_invariants(p, q)
-    recursion = plumbing.lens_d_classical(p, q)
-    ok = sorted(formula) == sorted(recursion)
-    doc = {
-        "verification": {
-            "lens": f"{p}/{q}",
-            "formula_path": [_rat(x) for x in formula],
-            "recursion_path": [_rat(x) for x in recursion],
-            "multiset_ok": ok,
-        }
-    }
+    formula, formula_den = lens.lens_d_invariants(p, q), 2 * p
+    recursion, recursion_den = lens.lens_d_classical(p, q)
+    # equal multisets of num/den, cross-multiplied to the one denominator formula_den * recursion_den
+    ok = sorted([n * recursion_den for n in formula]) == sorted([n * formula_den for n in recursion])
+    formula_path = [_ratio(n, formula_den) for n in formula]
+    recursion_path = [_ratio(n, recursion_den) for n in recursion]
     if args.format == "json":
+        doc = {
+            "verification": {
+                "lens": f"{p}/{q}",
+                "formula_path": [f"{n}/{d}" for n, d in formula_path],
+                "recursion_path": [f"{n}/{d}" for n, d in recursion_path],
+                "multiset_ok": ok,
+            }
+        }
         _emit(_json(doc) + "\n", args.out)
-    else:
+    else:  # as str(Fraction) writes them: a bare integer when the denominator is 1
+        formula_text = [f"{n}/{d}" if d != 1 else f"{n}" for n, d in formula_path]
+        recursion_text = [f"{n}/{d}" if d != 1 else f"{n}" for n, d in recursion_path]
         _emit(
-            f"lens {p}/{q}: formula path {[str(x) for x in formula]}\n"
-            f"          recursion   {[str(x) for x in recursion]}\n"
+            f"lens {p}/{q}: formula path {formula_text}\n"
+            f"          recursion   {recursion_text}\n"
             f"result: {'AGREE' if ok else 'DISAGREE'}\n",
             args.out,
         )
@@ -422,7 +438,7 @@ def cmd_verify(args) -> int:
         return _verify_lens(args)
     if not args.newton or not args.surgery:
         raise ValueError("verify needs --newton and --surgery (or --lens P/Q)")
-    from . import plumbing
+    from . import lens, plumbing
     knot = _parse_newton(args.newton)
     p, q = _parse_fraction(args.surgery, "--surgery")
     spec = hfcore.SurgerySpec(knot, p, q)
@@ -441,7 +457,7 @@ def cmd_verify(args) -> int:
         classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
         results = [hfcore.compute_spinc(spec, index)]
     _info(f"graphs, spin^c classes and formula side built in {time.perf_counter() - t0:.3f}s")
-    shifts_formula = plumbing.grading_shift_formula(p, q, knot.delta, classes[-1].a)
+    shifts_formula = lens.grading_shift_formula(p, q, knot.delta, classes[-1].a)  # numerators over 2p
     if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so results[0] is deepest
         chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (results[0].depth + 1) * knot.mf)
 
@@ -453,10 +469,11 @@ def cmd_verify(args) -> int:
         entry = {
             "a": a,
             "shift_lattice_ok": shift_lattice == res.shift,
-            "shift_formula_ok": shifts_formula[a] == res.shift,
+            "shift_formula_ok": shifts_formula[a] * res.shift.denominator == 2 * p * res.shift.numerator,
         }
         if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):
-            entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": _rat(shifts_formula[a])}
+            num, den = _ratio(shifts_formula[a], 2 * p)
+            entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": f"{num}/{den}"}
         if use_laufer:
             values = plumbing.class_laufer_values(gm, cls, chi_gf, (res.depth + 1) * knot.mf)
             condensed = plumbing.condense_tau(TauFunction(tuple(values)), knot.mf).values

@@ -1,8 +1,8 @@
-"""Plumbing graphs and the lattice-theoretic oracle.
+"""Plumbing graphs and the lattice oracle.
 
 This module rebuilds the surgery invariants from the intersection lattice of
 a negative definite plumbing tree, independently of the closed formulas in
-`hfcore`, so the two paths can be cross-checked on every example.
+`hfcore` and `lens`, so the paths can be cross-checked on every example.
 
 The embedded resolution graph of an algebraic knot is constructed by
 simulating the blow-up process one Newton pair at a time.  Resolving the
@@ -35,8 +35,9 @@ enumeration walks the same pivots, parents first.
 Oracle paths implemented here:
   * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p,
     one tree solve per class;
-  * -(k_r^2 + #vertices)/4 three ways: from the lattice, from the Dedekind
-    sum closed form in one pass per surgery, and (in hfcore) the shift r_a;
+  * -(k_r^2 + #vertices)/4 from the lattice, checked against the Dedekind
+    sum closed form of `lens.grading_shift_formula` and (in hfcore) the
+    shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
     whose condensation reproduces the tau function; split at v0, the
     resolution graph's branches run once per surgery (every class pairs to 0
@@ -48,9 +49,9 @@ Oracle paths implemented here:
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
     points of the ellipsoid chi <= n (Fincke-Pohst, in integers, from the
     pairings (k_r, b_j)), closed under the steps x -> x +- b_j or refused
-    with InternalInvariantError;
-  * lens space correction terms, the delta = 0 closed form plus the classical
-    recursion (run bottom-up) as an oracle-of-the-oracle.
+    with InternalInvariantError.
+
+Lens-space correction terms need no graph: they live in `lens`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .errors import InternalInvariantError, ResourceLimitError
 from .frozen import Frozen
 from .hfcore import SurgerySpec
 from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
-from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
+from .numtheory import NegContinuedFraction
 from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
@@ -431,27 +432,6 @@ def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
     """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction:
     det * k_r^2 is the sum of k_num[j] (k_r, b_j) over the vertices."""
     return Fraction(-(sum(k * b for k, b in zip(cls.k_num, cls.k_pairs)) + gm.n * cls.den), 4 * cls.den)
-
-
-def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[Fraction]:
-    """[r_0, ..., r_a]: -(k_r^2 + s)/4 on the chain lattice, via Dedekind sums;
-    no graphs.  O(a) after one q' and one s(q, p).
-
-    Assembled from the chain identities: the canonical square
-    K~^2 + s = 2(p-1)/p - 12 s(q,p), its delta-correction through the first
-    dual basis vector, and the pairing (K~ + l~', l~') = b(p-1)/p -
-    2 sum_{j<=b} {j q'/p} of class b, over a running sum of j q' mod p.
-    """
-    if not 0 <= a < p:
-        raise ValueError(f"spin^c index a={a} outside [0, {p})")
-    qp = mod_inverse(q, p)
-    ksq_s = Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
-    r_0 = -(ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)) / 4
-    shifts, total = [], 0  # total = sum_{j<=b} (j q' mod p)
-    for b in range(a + 1):
-        total += b * qp % p
-        shifts.append(r_0 - Fraction(b * (p - 1 + 2 * delta) - 2 * total, p))
-    return shifts
 
 
 # ---------------------------------------------------------------------------
@@ -855,48 +835,3 @@ def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
     if len(prev) != 1:
         raise ValueError("n_max is below the merge level; raise it to close the root")
     return GradedRoot(chi_out, parent_out)
-
-
-# ---------------------------------------------------------------------------
-# lens space correction terms
-# ---------------------------------------------------------------------------
-
-
-def _check_lens(p: int, q: int) -> None:
-    """Accept coprime 0 < q < p, and p = q = 1 (S^3, whose one class has d = 0
-    on both routes); reject everything else."""
-    if p < 1:
-        raise ValueError("p must be positive")
-    if not (0 < q < p or p == q == 1):
-        raise ValueError("lens parameters need 0 < q < p, or p = q = 1")
-    if gcd(p, q) != 1:
-        raise ValueError("lens parameters must be coprime")
-
-
-def lens_d_invariants(p: int, q: int) -> list[Fraction]:
-    """Correction terms of the surgered lens space, one per spin^c class,
-    through the delta = 0 degeneration of the grading-shift formula
-    (every class has depth -1, a bare-stem root, and d = shift)."""
-    _check_lens(p, q)
-    return grading_shift_formula(p, q, 0, p - 1)
-
-
-def lens_d_classical(p: int, q: int) -> list[Fraction]:
-    """Independent oracle: the classical lens-space recursion
-
-    d(1, 0, 0) = 0,
-    d(p, q, i) = (2i + 1 - p - q)^2 / (4pq) - 1/4 - d(q, p mod q, i mod q),
-
-    built bottom-up, one list per level of the Euclidean chain (p, q) -> ... ->
-    (1, 0), under 4p values in all.  Kept apart from the formula path, which
-    indexes the classes differently: the two are compared as multisets.
-    """
-    _check_lens(p, q)
-    chain = [(p, q)]
-    while chain[-1][0] > 1:
-        m, n = chain[-1]
-        chain.append((n, m % n))
-    d = [Fraction(0)]
-    for m, n in reversed(chain[:-1]):
-        d = [Fraction((2 * i + 1 - m - n) ** 2 - m * n, 4 * m * n) - d[i % n] for i in range(m)]
-    return d

@@ -49,6 +49,12 @@ def run():
          "--format", "text", "--out", str(GOLDEN / "verify_23_2_1.txt")]
     )
     assert rc == 0
+    # lens checks: fractional d, and S^3, whose d = 0 is "0/1" in JSON and 0 in text
+    for p, q in [(7, 3), (1, 1)]:
+        for fmt, ext in [("json", "json"), ("text", "txt")]:
+            rc = main(["verify", "--lens", f"{p}/{q}", "--format", fmt,
+                       "--out", str(GOLDEN / f"verify_lens_{p}_{q}.{ext}")])
+            assert rc == 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ here, and the tests require identical results:
   * the lattice-side closed form for r_a one class at a time, recomputing q',
     s(q, p) and sum_{j<=a} (j q' mod p) per class, and the classical
     lens-space recursion top down, one descent per class (the package builds
-    the prefix r_0, ..., r_a in one pass and the recursion bottom-up);
+    the prefix r_0, ..., r_a in one pass and the recursion bottom-up, both
+    in integer numerators);
   * sw from a second evaluation of r_a and a direct alpha sum (the pipeline
     reads the alpha terms off tau), and the p = q = 1 module in closed form;
   * every grade of a spin^c structure as its own Fraction, written through
@@ -59,8 +60,9 @@ here, and the tests require identical results:
     their numerators over det B).
 
 Also here, because only the tests use them: a plumbing graph written to
-JSON text in the schema of `plumbing.graph_doc`, and read back; and the
-intersection pairing (x, y) of two vectors.
+JSON text in the schema of `plumbing.graph_doc`, and read back; the
+intersection pairing (x, y) of two vectors; and `over`, which reads integer
+numerators over one denominator as Fractions.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from itertools import product as iter_product
 from math import isqrt, prod
 from typing import Callable, Optional
 
+import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
@@ -335,6 +338,12 @@ def sw_invariant(spec: SurgerySpec, a: int) -> Fraction:
     return grading_shift_direct(spec, a) / 2 - total
 
 
+def over(nums, den: int) -> list[Fraction]:
+    """Each integer numerator of `nums` over `den`, as a Fraction: the view
+    of the integer routes of `hfroots.lens` that the references here use."""
+    return [Fraction(n, den) for n in nums]
+
+
 def surgery_d_from_lens(spec: SurgerySpec) -> list[Fraction]:
     """d(-M, sigma_a) for a = 0..p-1 without tau: algebraic knots are L-space
     knots, so V_i = 0 for the mirror and d(-M) is a lens-space correction term
@@ -345,15 +354,15 @@ def surgery_d_from_lens(spec: SurgerySpec) -> list[Fraction]:
     p, q, delta = spec.p, spec.q, spec.knot.delta
     if p == 1:
         return [Fraction(0)]
-    lens = pl.lens_d_invariants(p, q % p)
-    return [lens[(a - delta * q) % p] for a in range(p)]
+    d = over(lens.lens_d_invariants(p, q % p), 2 * p)
+    return [d[(a - delta * q) % p] for a in range(p)]
 
 
 def lens_d_recursion_of_surgery(spec: SurgerySpec) -> list[Fraction]:
     """The correction terms of L(p, q mod p) by the classical recursion, in
     its own order; [0] for p = 1 (S^3, which the lens routes take only as
     p = q = 1)."""
-    return [Fraction(0)] if spec.p == 1 else pl.lens_d_classical(spec.p, spec.q % spec.p)
+    return [Fraction(0)] if spec.p == 1 else over(*lens.lens_d_classical(spec.p, spec.q % spec.p))
 
 
 def casson_walker_sw_sum(spec: SurgerySpec) -> Fraction:

@@ -11,8 +11,9 @@ from math import gcd
 
 import pytest
 from corpus_cases import KNOT_CORPUS, ORACLE_CASES, ORACLE_KNOTS, SUBLEVEL_CASES, SURGERY_CORPUS
-from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence, module_from_parts, product_invariants
+from oracles import closed_form_p1q1, laufer_tau, minimal_cycle_sequence, module_from_parts, over, product_invariants
 
+import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots import (
     SurgerySpec,
@@ -104,7 +105,7 @@ def test_criterion_7():
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 40
         classes = pl.spinc_classes(gm, spec)
-        formulas = pl.grading_shift_formula(p, q, knot.delta, p - 1)
+        formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
         assert len(formulas) == p
         for a in range(p):
             res = compute_spinc(spec, a)
@@ -144,12 +145,12 @@ def test_criterion_8():
 
 @pytest.mark.criterion(9, "lens spaces: delta = 0 formula path equals the classical recursion for all coprime (p, q), p <= 50")
 def test_criterion_9():
-    assert pl.lens_d_invariants(1, 1) == pl.lens_d_classical(1, 1) == [0]
+    assert over(lens.lens_d_invariants(1, 1), 2) == over(*lens.lens_d_classical(1, 1)) == [0]
     for p in range(2, 51):
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            assert sorted(pl.lens_d_invariants(p, q)) == sorted(pl.lens_d_classical(p, q))
+            assert sorted(over(lens.lens_d_invariants(p, q), 2 * p)) == sorted(over(*lens.lens_d_classical(p, q)))
 
 
 @pytest.mark.criterion(10, "minimal-cycle laws: periodicity and node pairings up to 3 mf on the oracle knots")

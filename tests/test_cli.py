@@ -17,6 +17,7 @@ from oracles import laufer_run_rescan
 
 import hfroots.cli as cli
 import hfroots.knot as knot_mod
+import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.cli import main
 from hfroots.root import GradedRoot, UModuleDecomposition
@@ -202,6 +203,33 @@ class TestVerifyCommand:
         assert code == 0
         assert "AGREE" in out
 
+    @pytest.mark.parametrize("lens_pq", ["7/3", "1/1"])
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+    def test_golden_lens(self, capsys, lens_pq, fmt, ext):
+        # at 1/1 d = 0 is "0/1" in JSON and a bare 0 in text
+        code, out, _ = run(capsys, "verify", "--lens", lens_pq, "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"verify_lens_{lens_pq.replace('/', '_')}.{ext}").read_text()
+
+    @pytest.mark.parametrize("route", ["lens_d_invariants", "lens_d_classical"])
+    def test_lens_one_unit_off_exits_2(self, capsys, monkeypatch, route):
+        # one numerator of either route raised by one unit of its denominator
+        real = getattr(lens, route)
+
+        def raised(nums):
+            return [nums[0] + 1, *nums[1:]]
+
+        if route == "lens_d_invariants":  # numerators over 2p
+            monkeypatch.setattr(lens, route, lambda p, q: raised(real(p, q)))
+        else:  # (numerators, their denominator)
+            monkeypatch.setattr(lens, route, lambda p, q: (raised(real(p, q)[0]), real(p, q)[1]))
+        code, out, _ = run(capsys, "verify", "--lens", "7/3", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["verification"]["multiset_ok"] is False
+        code, out, _ = run(capsys, "verify", "--lens", "7/3")
+        assert code == 2
+        assert out.endswith("result: DISAGREE\n")
+
     @pytest.mark.parametrize("extra", [
         ["--newton", "2,3"], ["--surgery", "1/1"], ["--newton", "2,3", "--surgery", "1/1"],
         ["--spinc", "5"], ["--spinc", "all"], ["--oracle", "sublevel"], ["--oracle", "laufer"],
@@ -274,8 +302,8 @@ class TestVerifyCommand:
         assert "a = 1: shift ok, tau ok" in out
 
     def test_mismatch_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            pl, "grading_shift_formula", lambda p, q, d, a: [Fraction(12345)] * (a + 1)
+        monkeypatch.setattr(  # numerators over 2p, here 12345 for every class
+            lens, "grading_shift_formula", lambda p, q, d, a: [12345 * 2 * p] * (a + 1)
         )
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1")
         assert code == 2
@@ -656,7 +684,7 @@ class TestStartup:
         "code = hfroots.cli.main(sys.argv[1:])\n"
         "print([code, after_import, sorted(set(sys.modules) - base)])\n"
     )
-    UNUSED = {"hfroots.plumbing", "dataclasses", "inspect", "logging", "typing"}
+    UNUSED = {"hfroots.plumbing", "hfroots.lens", "dataclasses", "inspect", "logging", "typing"}
 
     def loaded(self, tmp_path, *argv):
         src = Path(cli.__file__).resolve().parent.parent
@@ -680,9 +708,13 @@ class TestStartup:
 
     def test_verify_loads_the_oracle(self, tmp_path):
         after_import, after_main = self.loaded(tmp_path, "verify", "--newton", "2,3", "--surgery", "1/1")
-        assert "hfroots.plumbing" not in after_import
-        assert "hfroots.plumbing" in after_main
-        assert after_main & self.UNUSED == {"hfroots.plumbing"}
+        assert after_import & self.UNUSED == set()
+        assert after_main & self.UNUSED == {"hfroots.plumbing", "hfroots.lens"}
+
+    def test_verify_lens_loads_no_oracle(self, tmp_path):
+        after_import, after_main = self.loaded(tmp_path, "verify", "--lens", "7/3", "--format", "json")
+        assert after_import & self.UNUSED == set()
+        assert after_main & self.UNUSED == {"hfroots.lens"}
 
 
 class TestGoldens:
@@ -693,6 +725,6 @@ class TestGoldens:
         make_goldens.run()
         written = sorted(f.name for f in tmp_path.iterdir())
         assert written == sorted(f.name for f in GOLDEN.iterdir())
-        assert len(written) == 12
+        assert len(written) == 16
         for name in written:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -27,6 +27,7 @@ from oracles import (
     laufer_tau,
     lens_d_recursive,
     minimal_cycle_sequence,
+    over,
     pairing,
     pullback_spinc_class,
     solve,
@@ -35,6 +36,7 @@ from oracles import (
 )
 from test_knot import newton_pair_sequences
 
+import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots import (
     InternalInvariantError,
@@ -404,7 +406,7 @@ class TestSpincClasses:
     def test_shift_triple_equality(self):
         for pairs, p, q in [([(2, 3)], 5, 3), ([(4, 5)], 2, 1), ([(2, 3), (2, 1)], 7, 4)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
-            formulas = pl.grading_shift_formula(p, q, knot.delta, p - 1)
+            formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
             assert len(formulas) == p
             for a in range(p):
                 lattice = pl.lattice_grading_shift(gm, classes[a])
@@ -1010,28 +1012,42 @@ class TestSublevel:
 
 class TestLens:
     def test_l21(self):
-        assert sorted(pl.lens_d_invariants(2, 1)) == [Fraction(-1, 4), Fraction(1, 4)]
+        assert sorted(over(lens.lens_d_invariants(2, 1), 4)) == [Fraction(-1, 4), Fraction(1, 4)]
 
     def test_trivial(self):
-        assert pl.lens_d_invariants(1, 1) == [0]
-        assert pl.lens_d_classical(1, 1) == [0]
+        assert lens.lens_d_invariants(1, 1) == [0]
+        assert lens.lens_d_classical(1, 1) == ([0], 1)
 
     def test_dual_paths_small(self):
         for p in range(2, 13):
             for q in range(1, p):
                 if gcd(p, q) != 1:
                     continue
-                assert sorted(pl.lens_d_invariants(p, q)) == sorted(pl.lens_d_classical(p, q))
+                assert sorted(over(lens.lens_d_invariants(p, q), 2 * p)) == sorted(over(*lens.lens_d_classical(p, q)))
+
+    def test_fibonacci_chain(self):
+        # 987/610 = F_16/F_15 runs the deepest Euclidean chain below 1000:
+        # fourteen levels, every partial quotient 1 but the last
+        nums, den = lens.lens_d_classical(987, 610)
+        recursive = lens_d_recursive(987, 610)
+        assert over(nums, den) == recursive
+        assert sorted(over(lens.lens_d_invariants(987, 610), 2 * 987)) == sorted(recursive)
+
+    def test_classical_denominator_is_its_own(self):
+        # the lcm of the 4 m n of the levels (7, 3) and (3, 1), not 2p = 14
+        nums, den = lens.lens_d_classical(7, 3)
+        assert den == 84
+        assert over(nums, den) == lens_d_recursive(7, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pl.lens_d_invariants(4, 2)
+            lens.lens_d_invariants(4, 2)
         with pytest.raises(ValueError):
-            pl.lens_d_invariants(3, 4)
+            lens.lens_d_invariants(3, 4)
         with pytest.raises(ValueError, match="coprime"):
-            pl.lens_d_classical(4, 2)
+            lens.lens_d_classical(4, 2)
         with pytest.raises(ValueError):
-            pl.lens_d_classical(3, 4)
+            lens.lens_d_classical(3, 4)
 
 
 SHIFT_KNOTS = [from_newton_pairs([pair]) for pair in [(2, 3), (2, 5), (3, 4)]]
@@ -1048,7 +1064,7 @@ class TestShiftPrefix:
                     continue
                 for delta in (0, 1, 3):
                     expected = [grading_shift_formula_per_class(p, q, delta, a) for a in range(p)]
-                    assert pl.grading_shift_formula(p, q, delta, p - 1) == expected, (p, q, delta)
+                    assert over(lens.grading_shift_formula(p, q, delta, p - 1), 2 * p) == expected, (p, q, delta)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -1056,11 +1072,11 @@ class TestShiftPrefix:
         p = data.draw(st.integers(2, 2000), label="p")
         q = data.draw(st.integers(1, p - 1), label="q")
         assume(gcd(p, q) == 1)
-        formula = pl.lens_d_invariants(p, q)
+        formula = over(lens.lens_d_invariants(p, q), 2 * p)
         assert len(formula) == p
         for a in data.draw(st.lists(st.integers(0, p - 1), max_size=6), label="a") + [0, p - 1]:
             assert formula[a] == grading_shift_formula_per_class(p, q, 0, a)
-        assert pl.lens_d_classical(p, q) == lens_d_recursive(p, q)
+        assert over(*lens.lens_d_classical(p, q)) == lens_d_recursive(p, q)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1070,7 +1086,7 @@ class TestShiftPrefix:
         q = data.draw(st.integers(1, 2 * p), label="q")
         assume(gcd(p, q) == 1)
         a = data.draw(st.integers(0, p - 1), label="a")
-        prefix = pl.grading_shift_formula(p, q, knot.delta, a)
+        prefix = over(lens.grading_shift_formula(p, q, knot.delta, a), 2 * p)
         spec = SurgerySpec(knot, p, q)
         assert prefix == [grading_shift(spec, b) for b in range(a + 1)]
         for b in data.draw(st.lists(st.integers(0, a), max_size=6), label="b") + [0, a]:
@@ -1079,21 +1095,27 @@ class TestShiftPrefix:
     def test_index_outside_range(self):
         for a in (-1, 7):
             with pytest.raises(ValueError, match="outside"):
-                pl.grading_shift_formula(7, 5, 1, a)
+                lens.grading_shift_formula(7, 5, 1, a)
+
+    def test_non_integer_dedekind_term_is_a_fault(self, monkeypatch):
+        # every term is an integer over 2p only while 6 p s(q, p) is one
+        monkeypatch.setattr(lens, "dedekind_sum", lambda q, p: Fraction(1, 5 * 6 * p))
+        with pytest.raises(InternalInvariantError, match="not an integer"):
+            lens.grading_shift_formula(7, 5, 1, 0)
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of plumbing's dedekind_sum and mod_inverse, by name."""
+    """Calls of lens's dedekind_sum and mod_inverse, by name."""
     calls = Counter()
     for name in ("dedekind_sum", "mod_inverse"):
-        real = getattr(pl, name)
+        real = getattr(lens, name)
 
         def counting(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(pl, name, counting)
+        monkeypatch.setattr(lens, name, counting)
     return calls
 
 
@@ -1101,7 +1123,7 @@ class TestOnePass:
     """The formula constants are computed once per surgery, not once per class."""
 
     def test_lens(self, counted):
-        assert len(pl.lens_d_invariants(211, 37)) == 211
+        assert len(lens.lens_d_invariants(211, 37)) == 211
         assert counted == {"dedekind_sum": 1, "mod_inverse": 1}
 
     def test_verify_all_classes(self, counted, capsys):
@@ -1111,13 +1133,13 @@ class TestOnePass:
 
     def test_verify_one_class_asks_for_its_prefix(self, monkeypatch, capsys):
         asked = []
-        real = pl.grading_shift_formula
+        real = lens.grading_shift_formula
 
         def recording(p, q, delta, a):
             asked.append(a)
             return real(p, q, delta, a)
 
-        monkeypatch.setattr(pl, "grading_shift_formula", recording)
+        monkeypatch.setattr(lens, "grading_shift_formula", recording)
         assert main(["verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "3"]) == 0
         assert "a = 3: shift ok, tau ok" in capsys.readouterr().out
         assert asked == [3]

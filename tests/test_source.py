@@ -121,7 +121,7 @@ def orphan_modules(sources: dict) -> list[str]:
 
 def test_every_module_is_imported():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
-    assert {"plumbing", "frozen"} < set(sources)  # plumbing is imported only inside cli's functions
+    assert {"plumbing", "lens", "frozen"} < set(sources)  # both imported only inside cli's functions
     assert orphan_modules(sources) == []
 
 
@@ -136,6 +136,62 @@ def test_orphan_guard_flags_an_unused_module():
         "orphan": "from . import a\n",
     }
     assert orphan_modules(sources) == ["orphan", "self_only"]
+
+
+LENS_IMPORTS = {"numtheory", "errors"}
+
+
+def lens_dependencies(tree):
+    """(line, what) for every import of a package module other than those in
+    LENS_IMPORTS (relative or through `hfroots.`), every import of
+    `fractions` and every mention of the name `Fraction` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "hfroots":
+                inner = module.removeprefix("hfroots").lstrip(".")
+                targets = [inner.split(".")[0]] if inner else [alias.name for alias in node.names]
+                yield from ((node.lineno, f"from {t}") for t in targets if t not in LENS_IMPORTS)
+            elif module.split(".")[0] == "fractions":
+                yield node.lineno, "fractions"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "fractions" or top == "hfroots" and rest.split(".")[0] not in LENS_IMPORTS:
+                    yield node.lineno, f"import {alias.name}"
+        elif _name(node) == "Fraction":
+            yield node.lineno, "Fraction"
+
+
+def test_lens_routes_stay_independent():
+    # the closed-form shift and the lens recursion check hfcore and the
+    # lattice oracle, so they share no code with either, and run in integers
+    path = SRC / "lens.py"
+    assert list(lens_dependencies(ast.parse(path.read_text(), filename=str(path)))) == []
+
+
+def test_lens_guard_flags_planted_imports():
+    source = (
+        "from math import gcd\n"
+        "from .errors import InternalInvariantError\n"
+        "from .numtheory import dedekind_sum, mod_inverse\n"
+        "from .hfcore import grading_shift\n"
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "from . import root, numtheory\n"
+        "from hfroots.plumbing import graph_doc\n"
+        "import hfroots.numtheory, hfroots.plumbing\n"
+        "x = numtheory.Fraction(1, 2)\n"
+    )
+    assert sorted(lens_dependencies(ast.parse(source))) == [
+        (4, "from hfcore"),
+        (5, "fractions"),
+        (6, "import fractions"),
+        (7, "from root"),
+        (8, "from plumbing"),
+        (9, "import hfroots.plumbing"),
+        (10, "Fraction"),
+    ]
 
 
 LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "divisorial_cycle", "cfrac"}
