@@ -27,15 +27,17 @@ All the linear algebra of a graph is one leaf-to-root elimination of the
 tree, run once when the graph is built: its subtree determinants give the
 pivots that certify negative definiteness and det B, and `solve` reuses them
 for any B x = y in O(n) integer operations, returning the numerators over
-det B.  Each B x = y below (the divisorial cycle, the canonical class, the
-representative of each spin^c class, the centre and the diagonal of B^{-1}
-that bound the sublevel search) is one such solve, and the sublevel
-enumeration walks the same pivots, parents first.
+det B.  Each B x = y below (the divisorial cycle, the k_r of a spin^c
+class for its square and as the centre of the sublevel search, and the
+diagonal of B^{-1} that bounds that search) is one such solve, and the
+sublevel enumeration walks the same pivots, parents first.
 
 Oracle paths implemented here:
-  * spin^c classes, l' and k_r = K + 2 l' held as integers over det B = +-p,
-    one tree solve per class;
-  * -(k_r^2 + #vertices)/4 from the lattice, checked against the Dedekind
+  * spin^c classes as their chain digits, with the pairings (l', b_j) and
+    (k_r, b_j) of l' and k_r = K + 2 l' taken from their definitions, no
+    linear algebra per class;
+  * -(k_r^2 + #vertices)/4 from the lattice, one tree solve of the pairings
+    (k_r, b_j) checked by pairing back, itself checked against the Dedekind
     sum closed form of `lens.grading_shift_formula` and (in hfcore) the
     shift r_a;
   * generalized Laufer computation sequences x(i) and their chi values,
@@ -332,24 +334,20 @@ def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingG
 class SpincClass(Frozen):
     """One spin^c structure of the surgery manifold, lattice-side data.
 
-    a_coeffs are the chain coefficients a_1..a_s of the class (they obey the
-    strict inequalities (SI)); l' is its minimal dual-lattice representative,
-    the solution of (l', b_j) = 0 on the resolution vertices and -a_j on the
-    chain; k_r = K + 2 l' is the distinguished characteristic vector of the
-    class.  Both are integer numerators over den = det B, l_num and k_num.
-    l_pairs and k_pairs are the integers (l', b_j) and (k_r, b_j), checked
-    once when the class is built.
+    a_coeffs are the chain digits a_1..a_s of the class, which obey the
+    strict inequalities (SI).  The class is its digits: its minimal
+    dual-lattice representative l' pairs to 0 on the resolution vertices
+    and to -a_j on the chain by definition, and its characteristic vector
+    k_r = K + 2 l' then pairs with b_j as -e_j - 2 + 2 (l', b_j).  l_pairs
+    and k_pairs are these integers (l', b_j) and (k_r, b_j); no vector of
+    the class is solved for until a consumer needs k_r^2 (`_k_square`).
     """
 
-    __slots__ = ("a", "a_coeffs", "den", "l_num", "k_num", "l_pairs", "k_pairs")
+    __slots__ = ("a", "a_coeffs", "l_pairs", "k_pairs")
 
-    def __init__(self, a: int, a_coeffs: tuple[int, ...], den: int, l_num: tuple[int, ...],
-                 k_num: tuple[int, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
+    def __init__(self, a: int, a_coeffs: tuple[int, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_coeffs", a_coeffs)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "l_num", l_num)
-        object.__setattr__(self, "k_num", k_num)
         object.__setattr__(self, "l_pairs", l_pairs)
         object.__setattr__(self, "k_pairs", k_pairs)
 
@@ -376,11 +374,10 @@ def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[int, ...]:
-    """Numerators over det B of the canonical class K, which every class of
-    the surgery graph shares, checked against (K, b_j) = -e_j - 2.  gm must
-    be surgery_graph(spec.knot, spec.cfrac): the knot's resolution graph plus
-    the chain hung at v0 on the last s indices, with |det B| = p; checked."""
+def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> None:
+    """Check that gm is surgery_graph(spec.knot, spec.cfrac): the knot's
+    resolution graph plus the chain hung at v0 on the last s indices, with
+    |det B| = p; any other graph raises ValueError."""
     cfrac = spec.cfrac
     nf = gm.n - cfrac.s
     gf = embedded_resolution(spec.knot)
@@ -392,46 +389,46 @@ def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> tuple[int, ...]:
         raise ValueError("edges are not the resolution graph's plus the chain hung at v0")
     if abs(gm.det) != spec.p:
         raise ValueError(f"graph determinant {gm.det} is not +-{spec.p}")
-    rhs = [-e - 2 for e in gm.euler]
-    k_num = tuple(gm.solve(rhs))
-    if gm.apply_form(k_num) != [gm.det * r for r in rhs]:
-        raise InternalInvariantError("canonical class does not satisfy the adjunction equations")
-    return k_num
 
 
-def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, k_gm: tuple[int, ...], a: int) -> SpincClass:
+def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, a: int) -> SpincClass:
     acoef = _si_coefficients(cfrac, a)
-    nf, det = gm.n - cfrac.s, gm.det
-    pairs = (0,) * nf + tuple(-c for c in acoef)
-    l_num = tuple(gm.solve(pairs))
-    if gm.apply_form(l_num) != [det * x for x in pairs]:
-        raise InternalInvariantError("l' does not pair to 0 on the resolution and -a_j on the chain")
-    k_num = tuple(k + 2 * l for k, l in zip(k_gm, l_num))
-    k_pairs = [divmod(v, det) for v in gm.apply_form(k_num)]  # (k_r, b_j): integers, + e_j even
-    if any(r or (v + e) % 2 for (v, r), e in zip(k_pairs, gm.euler)):
-        raise InternalInvariantError("k_r is not characteristic")
-    return SpincClass(a, acoef, det, l_num, k_num, pairs, tuple(v for v, _ in k_pairs))
+    l_pairs = (0,) * (gm.n - cfrac.s) + tuple(-c for c in acoef)
+    return SpincClass(a, acoef, l_pairs, tuple(2 * l - e - 2 for l, e in zip(l_pairs, gm.euler)))
 
 
 def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
-    """All spin^c classes of the surgery graph, with their k_r vectors.
+    """All spin^c classes of the surgery graph, with their pairings.
 
     gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac).
     """
-    k_gm = _spinc_frame(gm, spec)
-    return [_spinc_class(gm, spec.cfrac, k_gm, a) for a in range(spec.p)]
+    _spinc_frame(gm, spec)
+    return [_spinc_class(gm, spec.cfrac, a) for a in range(spec.p)]
 
 
 def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:
     """The spin^c class a alone, equal to spinc_classes(gm, spec)[a]."""
     spec._check_a(a)
-    return _spinc_class(gm, spec.cfrac, _spinc_frame(gm, spec), a)
+    _spinc_frame(gm, spec)
+    return _spinc_class(gm, spec.cfrac, a)
+
+
+def _k_square(g: PlumbingGraph, kb) -> tuple[list[int], int]:
+    """(det k_r, det k_r^2) for the vector k_r with (k_r, b_j) = kb[j]: det k_r
+    is one tree solve, checked by pairing it back to det kb, and det k_r^2 is
+    its dot product with kb.  A solve that does not pair back raises
+    InternalInvariantError."""
+    k_num = g.solve(kb)
+    if g.apply_form(k_num) != [g.det * v for v in kb]:
+        raise InternalInvariantError("k_r does not pair back to its (k_r, b_j)")
+    return k_num, sum(map(mul, kb, k_num))
 
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
-    """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction:
-    det * k_r^2 is the sum of k_num[j] (k_r, b_j) over the vertices."""
-    return Fraction(-(sum(k * b for k, b in zip(cls.k_num, cls.k_pairs)) + gm.n * cls.den), 4 * cls.den)
+    """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction
+    from det k_r^2 (`_k_square` of the class's k_pairs)."""
+    _, k_square = _k_square(gm, cls.k_pairs)
+    return Fraction(-(k_square + gm.n * gm.det), 4 * gm.det)
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +661,12 @@ def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
 
 
 def _completed_square(g: PlumbingGraph, kb, n_max: int) -> tuple[list[int], int]:
-    """(K, R) with chi_{k_r}(x) <= n_max exactly when -(z, z) <= R for the
-    integer vector z = 2 det x + K: K = det B^{-1} kb is one tree solve, and
-    R = 8 det^2 n_max - det (kb . K) is 4 det^2 (2 n_max - (k_r, k_r)/4)."""
-    big_k = g.solve(kb)
-    return big_k, 8 * g.det * g.det * n_max - g.det * sum(k * c for k, c in zip(kb, big_k))
+    """(k, R) with chi_{k_r}(x) <= n_max exactly when -(z, z) <= R for the
+    integer vector z = 2 det x + k: k = det k_r are k_r's numerators over
+    det, and R = 8 det^2 n_max - det * (det k_r^2) is
+    4 det^2 (2 n_max - (k_r, k_r)/4), both from `_k_square`."""
+    k_num, k_square = _k_square(g, kb)
+    return k_num, 8 * g.det * g.det * n_max - g.det * k_square
 
 
 def exact_sublevel_box(g: PlumbingGraph, kb, n_max: int) -> tuple[tuple[int, int], ...]:
@@ -682,14 +680,14 @@ def exact_sublevel_box(g: PlumbingGraph, kb, n_max: int) -> tuple[tuple[int, int
     sublevel set, so the closure check of `sublevel_root` fires on it only
     on a fault.
     """
-    big_k, radius = _completed_square(g, kb, n_max)
+    k_num, radius = _completed_square(g, kb, n_max)
     if radius < 0:
         return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
     det, sign = abs(g.det), (1 if g.det > 0 else -1)
     box = []
-    for j in range(g.n):  # |2 |det| x_j + sign K_j| <= t
+    for j in range(g.n):  # |2 |det| x_j + sign k_j| <= t
         t = isqrt(radius * abs(g.solve([int(i == j) for i in range(g.n)])[j]) // det)
-        kj = sign * big_k[j]
+        kj = sign * k_num[j]
         box.append((-((t + kj) // (2 * det)), (t - kj) // (2 * det)))
     return tuple(box)
 
@@ -700,7 +698,7 @@ def _ellipsoid_points(g: PlumbingGraph, kb, n_max: int, box) -> list[tuple[int, 
 
     The pivots of `PlumbingGraph` split -(z, z) (`_completed_square`) into
     sum_v w_v^2 / |D_v P_v| with the integers
-    w_v = D_v z_v + P_v z_parent = 2 det (D_v x_v + P_v x_parent) + D_v K_v + P_v K_parent
+    w_v = D_v z_v + P_v z_parent = 2 det (D_v x_v + P_v x_parent) + D_v k_v + P_v k_parent
     (no parent terms at vertex 0).  Visited parents first, coordinate v,
     given its parent's, ranges over one exact interval found with isqrt; the
     slack is carried as the integer L (R - sum of the terms so far),
@@ -708,7 +706,7 @@ def _ellipsoid_points(g: PlumbingGraph, kb, n_max: int, box) -> list[tuple[int, 
     not the box volume; more than _SUBLEVEL_POINT_CAP = 10^6 points raise
     ResourceLimitError.
     """
-    big_k, radius = _completed_square(g, kb, n_max)
+    k_num, radius = _completed_square(g, kb, n_max)
     if radius < 0:
         return []
     det, dets, prods = g.det, g._dets, g._prods
@@ -720,8 +718,8 @@ def _ellipsoid_points(g: PlumbingGraph, kb, n_max: int, box) -> list[tuple[int, 
     for v in g._order:  # w_v = sign (a x_v + b x_parent + c) with a > 0; no parent at vertex 0
         d, p, par = dets[v], prods[v], g._parent[v]
         sign = 1 if det * d > 0 else -1
-        b, k_par = (2 * det * p, big_k[par]) if v else (0, 0)
-        steps.append((v, par, sign * 2 * det * d, sign * b, sign * (d * big_k[v] + p * k_par), scale // weights[v]))
+        b, k_par = (2 * det * p, k_num[par]) if v else (0, 0)
+        steps.append((v, par, sign * 2 * det * d, sign * b, sign * (d * k_num[v] + p * k_par), scale // weights[v]))
     pts: list[tuple[int, ...]] = []
     x = [0] * g.n
 

@@ -586,14 +586,14 @@ def pairing(g: pl.PlumbingGraph, x, y):
     return sum(xi * bi for xi, bi in zip(x, g.apply_form(y)))
 
 
-def l_prime(cls: pl.SpincClass) -> tuple[Fraction, ...]:
-    """l' of a class as Fractions: its numerators l_num over den = det B."""
-    return tuple(Fraction(x, cls.den) for x in cls.l_num)
+def l_prime(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
+    """l' of a class as Fractions: the dense solve of B l' = l_pairs."""
+    return tuple(solve(g, cls.l_pairs))
 
 
-def k_r(cls: pl.SpincClass) -> tuple[Fraction, ...]:
-    """k_r = K + 2 l' of a class as Fractions: k_num over den = det B."""
-    return tuple(Fraction(x, cls.den) for x in cls.k_num)
+def k_r(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
+    """k_r = K + 2 l' of a class as Fractions: the dense solve of B k_r = k_pairs."""
+    return tuple(solve(g, cls.k_pairs))
 
 
 def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
@@ -627,9 +627,9 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     """Spin^c class a through the chain lattice: l~' solves (l~', b~_j) = -a_j
     on the chain graph and is pulled back through the divisorial cycle Z_f,
     b~_1 -> Z_f + b_1 and b~_j -> b_j (the chain vertices of gm are last).
-    The vectors are built in Fractions and only then written as numerators
-    over det B; the package solves for l' on gm's tree and never leaves the
-    integers."""
+    The vectors are built in Fractions and the class keeps their pairings
+    with the b_j; the package takes those pairings from their definitions
+    and solves for no vector of the class."""
     spec._check_a(a)
     cfrac = spec.cfrac
     zf = pl.divisorial_cycle(pl.embedded_resolution(spec.knot))
@@ -644,16 +644,8 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
         raise InternalInvariantError("l' is not the minimal representative")
     kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-    den = gm.det
-
-    def numerators(v) -> tuple[int, ...]:
-        nums = [x * den for x in v]
-        if any(x.denominator != 1 for x in nums):
-            raise InternalInvariantError("det B times a dual-lattice vector is not integral")
-        return tuple(int(x) for x in nums)
-
-    return pl.SpincClass(a=a, a_coeffs=acoef, den=den, l_num=numerators(lprime), k_num=numerators(kr),
-                         l_pairs=tuple(int(x) for x in pair), k_pairs=characteristic_pairs(gm, kr))
+    return pl.SpincClass(a=a, a_coeffs=acoef, l_pairs=tuple(int(x) for x in pair),
+                         k_pairs=characteristic_pairs(gm, kr))
 
 
 def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple[int, ...], int]]:

@@ -157,18 +157,18 @@ def cube_euler_characteristics(weight, n_levels):
 
 
 def check_fraction_route(gm, spec, classes):
-    """Each class's numerators over den = det B equal, entry by entry, the
-    Fraction solve of its system in the surgery lattice and the chain-lattice
-    pull-back, which builds its vectors in Fractions."""
+    """Each class's l' and k_r, dense Fraction solves of its pairings, are
+    the solve of l''s system in the surgery lattice and K + 2 l' with the
+    dense canonical class K, and equal the chain-lattice pull-back's, which
+    builds its vectors in Fractions."""
     nf = gm.n - spec.cfrac.s
     k_gm = canonical_class(gm)
     for cls in classes:
-        assert cls.den == gm.det
-        lp, kr = l_prime(cls), k_r(cls)
+        lp, kr = l_prime(gm, cls), k_r(gm, cls)
         assert list(lp) == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
         assert list(kr) == [k + 2 * l for k, l in zip(k_gm, lp)]
         ref = pullback_spinc_class(gm, spec, cls.a)
-        assert (lp, kr) == (l_prime(ref), k_r(ref))
+        assert (lp, kr) == (l_prime(gm, ref), k_r(gm, ref))
 
 
 def moved_solve(monkeypatch, g, rhs):
@@ -388,8 +388,8 @@ class TestSpincClasses:
         knot, spec, gm, classes = surgery_setup([(4, 5)], 7, 5)
         cls = classes[0]
         assert cls.a_coeffs == (0,) * spec.cfrac.s
-        assert all(c == 0 for c in l_prime(cls))
-        assert k_r(cls) == canonical_class(gm)
+        assert all(c == 0 for c in l_prime(gm, cls))
+        assert k_r(gm, cls) == canonical_class(gm)
 
     def test_si_coefficients_7_5(self):
         cf = SurgerySpec(K23, 7, 5).cfrac
@@ -432,17 +432,17 @@ class TestSpincClasses:
                 assert pairing(gm, px, y) == pairing(chain, xt, proj_y)
 
     def test_pullback_pairs_as_the_chain_representative(self):
-        # l' pairs to 0 with the resolution vertices and to -a_j with the
-        # chain, as pullback(l~') does by the projection formula
+        # pullback(l~') pairs to 0 with the resolution vertices and to -a_j
+        # with the chain, by the projection formula, as l' does by definition
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             nf = gm.n - spec.cfrac.s
             for cls in classes:
-                assert gm.apply_form(list(l_prime(cls))) == [0] * nf + [-c for c in cls.a_coeffs]
+                ref = pullback_spinc_class(gm, spec, cls.a)
+                assert ref.l_pairs == cls.l_pairs == (0,) * nf + tuple(-c for c in cls.a_coeffs)
 
     def test_matches_pullback_reference_on_oracle_corpus(self):
-        # one solve in the surgery lattice gives every field the chain-lattice
-        # pull-back gives
+        # the digits give every field the chain-lattice pull-back gives
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)], (pairs, p, q)
@@ -483,34 +483,49 @@ class TestSpincClasses:
         with pytest.raises(ValueError, match="graph determinant -42 is not \\+-7"):
             pl.spinc_classes(other_chain, spec74)
 
-    def test_representative_check_is_live(self, monkeypatch):
-        # l' moved by a lattice vector keeps K + 2 l' characteristic, so only
-        # the check (l', b_j) = (0, ..., 0, -a_1, ..., -a_s) can catch it.
-        # det added at entry 0 of the solve for class 3 = (0, 1, 0) moves its
-        # l' by the unit vector at vertex 0 and leaves K alone
-        knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
-        assert pl._si_coefficients(spec.cfrac, 3) == (0, 1, 0)
-        moved_solve(monkeypatch, gm, (0,) * (gm.n - spec.cfrac.s) + (0, -1, 0))
-        with pytest.raises(InternalInvariantError, match="l' does not pair"):
-            pl.spinc_classes(gm, spec)
+    def test_classes_do_no_linear_algebra(self, monkeypatch):
+        # a class is its digits: its pairings come from their definitions
+        knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 12, 7)
 
-    def test_canonical_and_characteristic_checks_are_live(self, monkeypatch):
-        # det added at entry 0 of the adjunction solve moves K off the
-        # adjunction equations; K moved by the unit vector at vertex 0
-        # (e_0 = -3 is odd) leaves every k_r off parity at b_0
-        knot, spec, gm, _ = surgery_setup([(2, 3)], 7, 5)
-        assert gm.euler[0] % 2
-        k_gm = pl._spinc_frame(gm, spec)
-        off = (k_gm[0] + gm.det,) + k_gm[1:]
-        with pytest.raises(InternalInvariantError, match="k_r is not characteristic"):
-            pl._spinc_class(gm, spec.cfrac, off, 3)
-        moved_solve(monkeypatch, gm, tuple(-e - 2 for e in gm.euler))
-        with pytest.raises(InternalInvariantError, match="adjunction equations"):
-            pl.spinc_classes(gm, spec)
+        def refuse(*args):
+            raise AssertionError("a class was built with the intersection form")
+
+        monkeypatch.setattr(gm, "solve", refuse)
+        monkeypatch.setattr(gm, "apply_form", refuse)
+        assert pl.spinc_classes(gm, spec) == classes
+        assert [pl.spinc_class(gm, spec, a) for a in range(spec.p)] == classes
+
+    def test_k_square_check_is_live(self, monkeypatch):
+        # det added at entry 0 of the solve of class 3's k_pairs moves its k_r
+        # by the unit vector at vertex 0, which no longer pairs back; both the
+        # shift and the sublevel search solve through the one check
+        knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
+        kb = classes[3].k_pairs
+        n_top = compute_spinc(spec, 3).tau.max()
+        pl.lattice_grading_shift(gm, classes[3])
+        pl.exact_sublevel_box(gm, kb, n_top)
+        moved_solve(monkeypatch, gm, kb)
+        with pytest.raises(InternalInvariantError, match="does not pair back"):
+            pl.lattice_grading_shift(gm, classes[3])
+        with pytest.raises(InternalInvariantError, match="does not pair back"):
+            pl.exact_sublevel_box(gm, kb, n_top)
+
+    def test_classes_stay_small(self):
+        # p classes of a few tuples of small ints each; no dense vector is
+        # kept per class (the dense l' and k_r of 200 classes peaked at 4.1 MB)
+        knot, spec, gm, _ = surgery_setup([(2, 3)], 200, 199)
+        tracemalloc.start()
+        try:
+            classes = pl.spinc_classes(gm, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(classes) == 200
+        assert peak < 2 * 2**20
 
     def test_one_fraction_per_class(self, monkeypatch):
-        # the classes stay in integers over det B; each lattice shift forms
-        # its one Fraction at the end
+        # the classes are integers; each lattice shift forms its one
+        # Fraction at the end
         knot, spec, gm, _ = surgery_setup([(2, 3), (2, 1)], 12, 7)
         built = []
         real = pl.Fraction
@@ -546,27 +561,38 @@ class TestSpincClasses:
             assert len(builds) == 2, argv
 
     def test_stored_pairings_match_the_lattice(self):
-        # class_laufer_values and lattice_grading_shift read these instead of pairing again
+        # the pairings of l' and of k_r = K + 2 l', with the dense canonical
+        # class K, are the class's; its shift is -(k_r^2 + #vertices)/4
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
+            k_gm = canonical_class(gm)
             for cls in classes:
-                assert cls.l_pairs == tuple(gm.apply_form(list(l_prime(cls))))
-                assert cls.k_pairs == tuple(gm.apply_form(list(k_r(cls))))
+                kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, cls))]
+                assert cls.k_pairs == tuple(gm.apply_form(kr))
                 assert all(type(v) is int for v in cls.l_pairs + cls.k_pairs)
-                assert pl.lattice_grading_shift(gm, cls) == -(pairing(gm, k_r(cls), k_r(cls)) + gm.n) / 4
+                assert pl.lattice_grading_shift(gm, cls) == -(pairing(gm, kr, kr) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
+        # class_laufer_values reads the class's pairings and never pairs; the
+        # shift solves once and pairs once, to check that solve
         knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 7, 4)
         gf = pl.embedded_resolution(knot)
         chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
+        calls = Counter()
+        for name in ("solve", "apply_form"):
+            real = getattr(gm, name)
 
-        def refuse(*args):
-            raise AssertionError("paired with the intersection form again")
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
 
-        monkeypatch.setattr(pl.PlumbingGraph, "apply_form", refuse)  # under `oracles.pairing` too
+            monkeypatch.setattr(gm, name, counted)
+        for cls in classes:
+            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
+        assert calls == Counter()
         for cls in classes:
             pl.lattice_grading_shift(gm, cls)
-            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
+        assert calls == Counter(solve=spec.p, apply_form=spec.p)
 
     def test_single_class_matches_the_full_list(self):
         for pairs, p, q in ORACLE_CASES:
@@ -636,7 +662,7 @@ class TestLauferEngine:
             assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                offsets = [int(v) for v in gm.apply_form(list(l_prime(cls)))]
+                offsets = list(cls.l_pairs)
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
                 assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
                 assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
@@ -867,7 +893,7 @@ class TestSublevel:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 box = pl.exact_sublevel_box(gm, classes[a].k_pairs, res.tau.max())
-                assert box == exact_sublevel_box_fractions(gm, k_r(classes[a]), res.tau.max())
+                assert box == exact_sublevel_box_fractions(gm, k_r(gm, classes[a]), res.tau.max())
                 i_max = (res.depth + 1) * knot.mf
                 values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
                 assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max).values

@@ -243,6 +243,31 @@ def test_laufer_guard_catches_helpers():
     assert found == [("_helper", 4, "delta"), ("_helper", 4, "mf"), ("_laufer_run", 2, "cfrac"), ("_other", 5, "SurgerySpec")]
 
 
+def test_lattice_shift_reads_only_the_graph():
+    # the lattice shift and its checked solve see only the graph and the
+    # class's pairings; a class reads the continued fraction's digits alone
+    path = SRC / "plumbing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    walked, found = laufer_reads(tree, "lattice_grading_shift")
+    assert "_k_square" in walked
+    assert found == []
+    walked, found = laufer_reads(tree, "_spinc_class")
+    assert "_si_coefficients" in walked
+    assert found and {ident for _, _, ident in found} == {"cfrac"}
+
+
+def test_laufer_guard_catches_helpers_of_the_lattice_shift():
+    source = (
+        "def lattice_grading_shift(gm, cls):\n"
+        "    return _k_square(gm, cls.k_pairs)\n"
+        "def _k_square(g, kb):\n"
+        "    return g.solve(kb), dedekind_sum(g.n, kb[0])\n"
+    )
+    walked, found = laufer_reads(ast.parse(source), "lattice_grading_shift")
+    assert walked == {"lattice_grading_shift", "_k_square"}
+    assert found == [("_k_square", 4, "dedekind_sum")]
+
+
 FORMATTERS = {"str", "format", "repr", "ascii"}
 FORMAT_METHODS = {"format", "format_map", "__str__", "__format__", "__repr__"}
 BLOCK_WRITERS = ("_tau_piece", "_spinc_json", "_compute_json")
