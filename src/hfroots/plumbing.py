@@ -28,9 +28,9 @@ tree, run once when the graph is built: its subtree determinants give the
 pivots that certify negative definiteness and det B, and `solve` reuses them
 for any B x = y in O(n) integer operations, returning the numerators over
 det B.  Each B x = y below (the divisorial cycle, the k_r of a spin^c
-class for its square and as the centre of the sublevel search, and the
-diagonal of B^{-1} that bounds that search) is one such solve, and the
-sublevel enumeration walks the same pivots, parents first.
+class for its square and as the centre of the sublevel search, and, once
+per graph, the diagonal of B^{-1} that bounds that search) is one such
+solve, and the sublevel enumeration walks the same pivots, parents first.
 
 Oracle paths implemented here:
   * spin^c classes as their chain digits, with the pairings (l', b_j) and
@@ -43,11 +43,12 @@ Oracle paths implemented here:
   * generalized Laufer computation sequences x(i) and their chi values,
     whose condensation reproduces the tau function; split at v0, the
     resolution graph's branches run once per surgery (every class pairs to 0
-    there) and only the surgery chain runs per class; a branch does work only
-    at the steps of v0 that force an addition, and a string hanging from v0
-    none at all beyond its response to v0 (a ceiling recursion on its own
-    Euler numbers and offsets), so the cost grows with the additions, not
-    with the steps of v0;
+    there) and only the surgery chain runs per class; a string hanging from
+    v0 or from any vertex of a branch is answered by its response (a ceiling
+    recursion on its own Euler numbers and offsets), and only the vertices
+    on no string, nodes and the vertices between them, are walked, one
+    addition at a time, so the cost grows with their additions, not with the
+    strings' or the steps of v0;
   * sublevel-set roots on small graphs, by exact enumeration of the lattice
     points of the ellipsoid chi <= n (Fincke-Pohst, in integers, from the
     pairings (k_r, b_j)), closed under the steps x -> x +- b_j or refused
@@ -60,9 +61,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
-from operator import add, mul
+from operator import add, floordiv, mul, sub
 
 from .errors import InternalInvariantError, ResourceLimitError
 from .frozen import Frozen
@@ -72,6 +73,8 @@ from .numtheory import NegContinuedFraction
 from .root import GradedRoot, TauFunction
 
 _LAUFER_STEP_CAP = 20_000_000
+_WALK_BLOCK = 256  # own values an interior vertex walks at once, at most
+_WALK_CHUNK = 1024  # steps of v0 between step-cap checks of a walked branch
 _SUBLEVEL_POINT_CAP = 1_000_000
 _RESOLUTION_CACHE_SIZE = 64  # graphs cached, one per knot; a run meets a handful
 
@@ -146,6 +149,15 @@ class PlumbingGraph:
                 prods[parent[v]] *= d
         self._order, self._parent, self._prods, self._dets, self._shares = order, parent, prods, dets, shares
         self.det = dets[0]
+        self._inverse_diagonal = None
+
+    @property
+    def inverse_diagonal(self) -> tuple[int, ...]:
+        """The diagonal of det B * B^{-1}, one unit-vector solve per vertex
+        on first use, then kept with the graph."""
+        if self._inverse_diagonal is None:
+            self._inverse_diagonal = tuple(self.solve([int(i == j) for i in range(self.n)])[j] for j in range(self.n))
+        return self._inverse_diagonal
 
     @property
     def n(self) -> int:
@@ -460,77 +472,71 @@ def _laufer_run(g: PlumbingGraph, offsets, i_max: int, roots, base) -> list[int]
         chi(x(i)) = base[i] + [additions on the branches up to step i]
                     - sum_{i' < i} sum_{r in roots} x_r(i').
 
-    laufer_values runs every root on base[i] = i (1 - (l', b_{v0})) -
-    e_{v0} i (i - 1) / 2; class_laufer_values chains a second run, the
-    surgery chain's, on the resolution graph's values.  base is read once,
-    in order, and may be an iterator or longer than i_max + 1.
+    laufer_values runs every root on v0's own steps, base None for
+    base[i] = i (1 - (l', b_{v0})) - e_{v0} i (i - 1) / 2; class_laufer_values
+    chains a second run, the surgery chain's, on the resolution graph's
+    values.  base is read once, in order, and may be an iterator or longer
+    than i_max + 1.
 
-    Each branch runs on its own and records only its events.  Once a step's
-    additions are done, w_r <= 0 and nothing on the branch moves until w_r
-    reaches 1, so the next step that forces an addition is 1 - w_r steps
-    ahead, and each quiet step in between only lowers chi by x_r.  With J[i]
-    the chi change of the additions at step i and X(t) = sum_r x_r(t), the
-    run adds F[t] = J[t + 1] - X(t) from t to t + 1, and F changes only at
-    events: a forced step i with chi change J and growth dx of x_r adds J
-    to the difference F[i - 1] - F[i - 2] and -(J + dx) to F[i] - F[i - 1].
-    These second differences are the run's one list; two accumulate passes
-    and one map over base give all i_max + 1 values.
-
-    A branch that is a string s_1 = r, ..., s_L (a leaf) with every e_j <= -2
-    and every offset o_j <= 0 is answered by its response to v0 (`_string`).
-    With n_j the determinant of the string s_j..s_L of -e's (n_{L+1} = 1)
-    and c_j = sum_{t>=j} n_{t+1} o_t, the least integer solution of
-    w_j <= 0 on the string when x_{v0} = m follows the ceiling recursion
-    y_j = ceil((y_{j-1} n_{j+1} + c_j) / n_j), y_0 = m, which is monotone
-    in m.  When it gives 0 at m = 0, it is >= 0 for m >= 0, so it is x(m)
-    there, and x_r(i) = ceil((i n_2 + c_1) / n_1).  No addition on the
-    string changes chi.  Before each step every w_j <= 0, and the step
-    raises w_r to at most 1.  Suppose s_1, ..., s_{j-1} have fired once
-    this step, s_j has w_j = 1, and every other w is <= 0.  Then s_j gets
-    k = ceil(1 / |e_j|) = 1 addition, leaving w_j = 1 + e_j <= -1; s_{j-1}
-    (fired, so at 1 + e <= -1) rises to <= 0, and only s_{j+1} can reach 1.
-    So the increment moves along the string one vertex at a time, each
-    vertex fires at most once per step and always at w = 1, and 1 - w = 0.
-    The branch costs O(L) plus O(1) per change of x_r, and none of its
-    ripples is walked.  Every other branch takes the event loop, where the
-    vertex popped off the stack of those with w_j > 0 gets all
-    k = ceil(w_j / |e_j|) of its additions at once, changing chi by
-    k - k w_j + |e_j| k (k - 1) / 2.
+    With J[i] the chi change of the additions at step i and X(t) = sum_r
+    x_r(t), the run adds F[t] = J[t + 1] - X(t) from t to t + 1.  An
+    addition at r at step p with chi change c (with what it forces below r)
+    adds c to F[p - 1] and -1 to F[t], t >= p: diffs[p - 1] += c and
+    diffs[p] -= c + 1 in the run's one list, the second differences of F.
+    A string at v0 is answered by its response (`_string`), and every other
+    branch walked at its interior vertices (`_branch_walk`).
 
     The step cap counts single additions, each step of v0 included, per
-    run: i_max is charged on entry, before anything is allocated, a string
-    sum_j y_j(i_max) from the recursion, and the event loop each batch k.
-    Passing it raises ResourceLimitError.
+    run: i_max on entry, before anything is allocated, a string at v0
+    sum_j y_j(i_max), and a walked branch all its additions so far every
+    _WALK_CHUNK steps and at the end.  Passing it raises ResourceLimitError.
     """
     budget = _LAUFER_STEP_CAP - i_max
     if budget < 0:
         raise _step_cap_error()
-    diffs = [0] * (i_max + 1)  # second differences of the run's share of chi
+    if base is None:  # second differences of v0's own steps, to which the run adds its share
+        diffs = [-g.euler[g.distinguished]] * (i_max + 1)
+        diffs[0] = 1 - offsets[g.distinguished]
+    else:
+        diffs = [0] * (i_max + 1)  # second differences of the run's share of chi
     for r in roots:
-        string = _string(g, offsets, r)
+        string = _string(g, offsets, r, g.distinguished)
         if string is None:
-            budget = _branch_events(g, offsets, i_max, r, diffs, budget)
+            budget = _branch_walk(g, offsets, i_max, r, diffs, budget)
             continue
         n, c = string
         top = _string_cycle(n, c, i_max)
         budget -= sum(top)
         if budget < 0:
             raise _step_cap_error()
-        n1, n2, c1 = n[0], n[1], c[0]
-        for v in range(top[0]):  # x_r passes v at the first i with i n_2 + c_1 > v n_1
-            diffs[(v * n1 - c1) // n2 + 1] -= 1
+        n1, n2, c1 = n[0], n[1], c[0]  # x_r passes v at the first i with i n_2 + c_1 > v n_1
+        for i in map(floordiv, range(n2 - c1, top[0] * n1 + n2 - c1, n1), repeat(n2)):
+            diffs[i] -= 1
+    if base is None:
+        return [0, *islice(accumulate(accumulate(diffs)), i_max)]
     base = iter(base)
     return [next(base), *map(add, islice(base, i_max), accumulate(accumulate(diffs)))]
 
 
-def _string(g: PlumbingGraph, offsets, r: int):
-    """(n, c) for the branch at r when it is a string r = s_1, ..., s_L (a
-    leaf) with every e_j <= -2 and offset o_j <= 0 whose ceiling recursion
-    gives 0 at m = 0: n = [n_1, ..., n_{L+1}], the determinants of the
-    strings s_j..s_L of -e's, and c = [c_1, ..., c_L],
-    c_j = sum_{t>=j} n_{t+1} o_t.  None for any other branch."""
+def _string(g: PlumbingGraph, offsets, r: int, u: int):
+    """(n, c) for the branch at r away from its neighbour u when it is a
+    string r = s_1, ..., s_L (s_L a leaf) with every e_j <= -2 and offset
+    o_j <= 0 whose ceiling recursion gives 0 at m = 0: n = [n_1, ...,
+    n_{L+1}], the determinants of the strings s_j..s_L of -e's (n_{L+1} =
+    1), and c = [c_1, ..., c_L], c_j = sum_{t>=j} n_{t+1} o_t.  None for any
+    other branch.
+
+    The least solution of w_j <= 0 on the string when x_u = m follows the
+    recursion y_j = ceil((y_{j-1} n_{j+1} + c_j) / n_j), y_0 = m, monotone
+    in m; giving 0 at m = 0, it is the minimal cycle for m >= 0, and the
+    string answers u by x_r = f(m) = ceil((m n_2 + c_1) / n_1).  No
+    addition on it changes chi: an addition at u raises w_r to at most 1
+    from w <= 0, and if s_1..s_{j-1} fired and w_j = 1, s_j fires once
+    (|e_j| >= 2) to w_j <= -1, s_{j-1} rises only to <= 0, and only s_{j+1}
+    can reach 1; so every vertex fires at most once, at w = 1.
+    """
     euler, adj = g.euler, g.adj
-    path, prev = [r], g.distinguished
+    path, prev = [r], u
     while True:
         j = path[-1]
         if euler[j] > -2 or offsets[j] > 0:
@@ -552,7 +558,7 @@ def _string(g: PlumbingGraph, offsets, r: int):
 
 def _string_cycle(n, c, m: int) -> list[int]:
     """y_1, ..., y_L: the minimal cycle on the string of (n, c) (`_string`)
-    when its neighbour on the v0 side has coefficient m."""
+    when the vertex it hangs from has coefficient m."""
     y = []
     for t, ct in enumerate(c):
         m = -(-(m * n[t + 1] + ct) // n[t])
@@ -560,48 +566,138 @@ def _string_cycle(n, c, m: int) -> list[int]:
     return y
 
 
-def _branch_events(g: PlumbingGraph, offsets, i_max: int, r: int, diffs, budget: int) -> int:
-    """The event loop of `_laufer_run` on the branch at r: adds the events of
-    the steps that force an addition to diffs, and returns the budget left."""
-    v0 = g.distinguished
-    euler, adj = g.euler, g.adj
-    branch, stack = {r}, [r]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb != v0 and nb not in branch:
-                branch.add(nb)
-                stack.append(nb)
-    x = [0] * g.n
-    w = list(offsets)
-    ready = [j for j in branch if w[j] > 0]  # only before step 1; empty after every step
-    push, pop = ready.append, ready.pop
-    i = 0
-    while True:
-        step = 1 if ready else 1 - w[r]  # the next step that forces an addition
-        i += step
-        if i > i_max:
-            return budget
-        w[r] += step
-        if w[r] == 1:
-            push(r)
-        xr, chi = x[r], 0
-        while ready:
-            j = pop()
-            wj, e = w[j], euler[j]
-            k = -(-wj // -e)
-            chi += k - k * wj - e * k * (k - 1) // 2
-            x[j] += k
-            w[j] = wj + k * e
-            for nb in adj[j]:
-                wn = w[nb] + k
-                w[nb] = wn
-                if 0 < wn <= k and nb != v0:  # just turned positive
-                    push(nb)
-            budget -= k
-            if budget < 0:
-                raise _step_cap_error()
-        diffs[i - 1] += chi
-        diffs[i] -= chi + x[r] - xr
+class _Interior:
+    """A vertex u of a walked branch that is on no string (`_string`): a
+    node, or a vertex on a path between nodes.
+
+    The minimal cycle below u depends only on u's value t, so u answers its
+    parent by R_u(s), its value at parent value s: with g_u(t) = o_u + e_u t
+    + sum_strings f(t) + sum_kids R_c(t), R_u(s) is the least t with
+    g_u(t) <= -s, and the addition from t to t + 1 lands at parent value
+    q_t + 1, q_t = max(floor - 1, max_{t' <= t} -g_u(t')), floor 1 at the
+    root (what positive offsets force lands at step 1) and 0 below it.  Made
+    before the children move on to t + 1, it changes chi by -g_u(t) - q_t.
+
+    u walks t = 0, 1, ... in blocks of at most _WALK_BLOCK, keeping q and a,
+    the chi of its own additions below t.  Below the root it appends to
+    `out` the pair R_u(s), C_u(s), C_u the chi of its subtree's additions up
+    to s, for s = 0, 1, ...; a parent reads them from its own value lo on.
+    A block asks the children for data only as far as u expects to need
+    it: what a vertex walks past its parent's need makes its children walk
+    past theirs, and along a path that grows with every vertex.
+    """
+
+    __slots__ = ("o", "e", "floor", "out", "strings", "kids", "t", "q", "a", "lo")
+
+    def __init__(self, o: int, e: int, floor: int, out):
+        self.o, self.e, self.floor, self.out = o, e, floor, out
+        self.strings, self.kids = [], []
+        self.t, self.q, self.a, self.lo = 0, floor - 1, 0, 0
+
+    def _block(self, t: int, s_hi: int, extra: int, stack):
+        """(-g_u, sum_kids C_c) at u's values t, t + 1, ... (the second one
+        `extra` further); None, with a request pushed for a child that lags
+        behind."""
+        q, covered = self.q, self.q - self.floor + 1
+        if covered > 0:  # as many values per parent value as so far
+            size = -(-(s_hi - q) * t // covered)
+        else:  # no value adds more than |e| to -g_u
+            size = -(-(s_hi - q) // -self.e)
+        end, lo = t + min(size, _WALK_BLOCK), self.lo
+        for kid in self.kids:
+            if len(kid.out) < 2 * (end + extra - lo):
+                stack.append((kid, end + extra - 1))
+                return None
+        neg_g = range(-self.o - self.e * t, -self.o - self.e * end, -self.e)
+        for n, c in self.strings:  # -f(t) = floor((-c_1 - t n_2) / n_1)
+            neg_g = map(add, neg_g, map(floordiv, range(-c[0] - t * n[1], -c[0] - end * n[1], -n[1]), repeat(n[0])))
+        i0, i1 = 2 * (t - lo), 2 * (end + extra - lo)
+        for kid in self.kids:
+            neg_g = map(sub, neg_g, kid.out[i0:i1:2])
+        chis = [kid.out[i0 + 1:i1:2] for kid in self.kids] or [[0] * (end + extra - t)]
+        return neg_g, (chis[0] if len(chis) == 1 else list(map(sum, zip(*chis))))
+
+    def emit(self, s_hi: int, stack) -> bool:
+        """Append the pairs up to parent value s_hi; False if a child must walk first."""
+        q, t, a, out = self.q, self.t, self.a, self.out
+        while q < s_hi:
+            block = self._block(t, s_hi, 0, stack)
+            if block is None:
+                return False
+            for ng, sc in zip(*block):
+                if ng <= q:
+                    a += ng - q
+                else:  # parent values q + 1 .. ng see u at t
+                    out += (t, a + sc) * (ng - q)
+                    q = ng
+                    if q >= s_hi:
+                        t += 1
+                        break
+                t += 1
+            self.q, self.t, self.a = q, t, a
+        return True
+
+    def run(self, diffs, s_hi: int, stack) -> bool:
+        """The root: each addition at a step <= s_hi into diffs; False if a
+        child must walk first."""
+        q, t = self.q, self.t
+        while True:
+            block = self._block(t, s_hi, 1, stack)
+            if block is None:
+                return False
+            neg_g, chis = block
+            for ng, sc, sn in zip(neg_g, chis, chis[1:]):
+                if ng > q:
+                    if ng >= s_hi:  # the addition from t lands after s_hi
+                        self.q, self.t = q, t
+                        return True
+                    q = ng
+                c = ng - q + sn - sc
+                diffs[q] += c
+                diffs[q + 1] -= c + 1
+                t += 1
+            self.q, self.t = q, t
+
+
+def _branch_walk(g: PlumbingGraph, offsets, i_max: int, r: int, diffs, budget: int) -> int:
+    """The walk of `_laufer_run` on the branch at r (`_Interior`), into diffs;
+    returns the budget left.  Requests for more go through one stack, so
+    no path is too long for it."""
+    if not i_max:
+        return budget
+    root = _Interior(offsets[r], g.euler[r], 1, None)
+    todo = [(root, r, g.distinguished)]
+    for node, u, up in todo:  # parents first
+        for c in g.adj[u]:
+            if c != up:
+                string = _string(g, offsets, c, u)
+                if string is None:
+                    node.kids.append(_Interior(offsets[c], g.euler[c], 0, []))
+                    todo.append((node.kids[-1], c, u))
+                else:
+                    node.strings.append(string)
+    s_hi = 0
+    while s_hi < i_max:
+        s_hi = min(s_hi + _WALK_CHUNK, i_max)
+        stack = [(root, s_hi)]
+        while stack:
+            node, s = stack[-1]
+            if node.run(diffs, s, stack) if node is root else node.emit(s, stack):
+                stack.pop()
+        if s_hi <= _WALK_CHUNK:  # the children's additions at root value 0 land at step 1
+            x0 = sum(kid.out[1] for kid in root.kids)
+            diffs[0] += x0
+            diffs[1] -= x0
+        count, todo = 0, [(root, root.t)]
+        for node, t in todo:  # each value at step s_hi, parents first
+            count += t + sum(sum(_string_cycle(n, c, t)) for n, c in node.strings)
+            cut, node.lo = 2 * (t - node.lo), t
+            for kid in node.kids:
+                todo.append((kid, kid.out[cut]))
+                del kid.out[:cut]  # pairs below the parent's value are never read again
+        if count > budget:
+            raise _step_cap_error()
+    return budget - count
 
 
 def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
@@ -612,9 +708,7 @@ def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
     v0 = g.distinguished
     if v0 is None:
         raise ValueError("graph has no distinguished vertex")
-    o, e = offsets[v0], g.euler[v0]  # step i of v0 alone adds 1 - o - e (i - 1); e < 0
-    base = accumulate(range(1 - o, 1 - o - e * i_max, -e), initial=0)
-    return _laufer_run(g, offsets, i_max, g.adj[v0], base)
+    return _laufer_run(g, offsets, i_max, g.adj[v0], None)
 
 
 def class_laufer_values(gm: PlumbingGraph, cls: SpincClass, resolution_values, i_max: int) -> list[int]:
@@ -675,18 +769,18 @@ def exact_sublevel_box(g: PlumbingGraph, kb, n_max: int) -> tuple[tuple[int, int
 
     Completing the square, -(z, z) <= R (`_completed_square`) is a positive
     definite ellipsoid condition, so coordinate j is bounded by
-    z_j^2 <= R |(det B^{-1})_{jj}| / |det|, read off one tree solve and
-    taken with an exact integer square root.  The box holds the whole
-    sublevel set, so the closure check of `sublevel_root` fires on it only
-    on a fault.
+    z_j^2 <= R |(det B^{-1})_{jj}| / |det|, read off the graph's
+    `inverse_diagonal` and taken with an exact integer square root.  The
+    box holds the whole sublevel set, so the closure check of
+    `sublevel_root` fires on it only on a fault.
     """
     k_num, radius = _completed_square(g, kb, n_max)
     if radius < 0:
         return ((0, -1),) * g.n  # empty ranges: the sublevel set is empty
     det, sign = abs(g.det), (1 if g.det > 0 else -1)
     box = []
-    for j in range(g.n):  # |2 |det| x_j + sign k_j| <= t
-        t = isqrt(radius * abs(g.solve([int(i == j) for i in range(g.n)])[j]) // det)
+    for j, inv in enumerate(g.inverse_diagonal):  # |2 |det| x_j + sign k_j| <= t
+        t = isqrt(radius * abs(inv) // det)
         kj = sign * k_num[j]
         box.append((-((t + kj) // (2 * det)), (t - kj) // (2 * det)))
     return tuple(box)

@@ -48,10 +48,12 @@ here, and the tests require identical results:
     part of the generalized Laufer cycles; the Laufer engine that rescans
     the vertices after every single addition, runs the whole graph and keeps
     the cycles, and the per-step engine that feeds v0 one step at a time
-    and keeps a stack of the vertices that still need additions (the package
-    works only at the steps that force an addition, answers a string hanging
-    from v0 by its response, returns chi values only, and runs a surgery
-    class's chain on top of the resolution graph's values);
+    and keeps a stack of the vertices that still need additions, and the
+    event loop of one branch that jumps to the next step of v0 that forces
+    an addition and pops every addition on the branch (the package answers
+    every string hanging from v0 or from a node by its response, walks only
+    the other vertices one addition at a time, returns chi values only, and
+    runs a surgery class's chain on top of the resolution graph's values);
   * the sublevel root by a sweep over every point of its coordinate box (the
     package enumerates only the lattice points of the ellipsoid chi <= n),
     and that box in Fractions of k_r (the package bounds it in integers from
@@ -781,6 +783,61 @@ def laufer_run_stepwise(g: pl.PlumbingGraph, offsets, i_max: int, roots, base) -
             budget -= k
         values.append(base[i] + chi)
     return values
+
+
+def laufer_branch_events(g: pl.PlumbingGraph, offsets, i_max: int, r: int, diffs, budget: int) -> int:
+    """The event loop of one branch, `plumbing._branch_walk` before it
+    walked only interior vertices: adds the branch at r's share of chi to
+    the second differences diffs of `plumbing._laufer_run` and returns the
+    budget left.
+
+    Once a step's additions are done, w_r <= 0 and nothing on the branch
+    moves until w_r reaches 1, so the next step that forces an addition is
+    1 - w_r steps ahead.  At that step every vertex with w_j > 0 waits on a
+    stack; the one popped gets all k = ceil(w_j / |e_j|) of its additions at
+    once, changing chi by k - k w_j + |e_j| k (k - 1) / 2, and each batch is
+    charged to the budget.  A step i with chi change J and growth dx of x_r
+    adds J to diffs[i - 1] and -(J + dx) to diffs[i].
+    """
+    v0 = g.distinguished
+    euler, adj = g.euler, g.adj
+    branch, stack = {r}, [r]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb != v0 and nb not in branch:
+                branch.add(nb)
+                stack.append(nb)
+    x = [0] * g.n
+    w = list(offsets)
+    ready = [j for j in branch if w[j] > 0]  # only before step 1; empty after every step
+    push, pop = ready.append, ready.pop
+    i = 0
+    while True:
+        step = 1 if ready else 1 - w[r]  # the next step that forces an addition
+        i += step
+        if i > i_max:
+            return budget
+        w[r] += step
+        if w[r] == 1:
+            push(r)
+        xr, chi = x[r], 0
+        while ready:
+            j = pop()
+            wj, e = w[j], euler[j]
+            k = -(-wj // -e)
+            chi += k - k * wj - e * k * (k - 1) // 2
+            x[j] += k
+            w[j] = wj + k * e
+            for nb in adj[j]:
+                wn = w[nb] + k
+                w[nb] = wn
+                if 0 < wn <= k and nb != v0:  # just turned positive
+                    push(nb)
+            budget -= k
+            if budget < 0:
+                raise ResourceLimitError(f"Laufer iteration exceeded its step cap of {pl._LAUFER_STEP_CAP} additions")
+        diffs[i - 1] += chi
+        diffs[i] -= chi + x[r] - xr
 
 
 def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:

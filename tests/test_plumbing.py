@@ -22,6 +22,7 @@ from oracles import (
     graph_to_json,
     k_r,
     l_prime,
+    laufer_branch_events,
     laufer_run_rescan,
     laufer_run_stepwise,
     laufer_tau,
@@ -95,6 +96,27 @@ LAUFER_LEAF = ([-1, -7], (0,), [2, -3])
 LAUFER_LEG = ([-1, -2, -2, -2, -2, -2, -2], (0, 1, 2, 3, 4, 5), [0] * 7)
 LAUFER_MINUS_ONE = ([-3, -2, -1, -3], (0, 1, 2), [0, 0, 0, 0])
 LAUFER_POSITIVE = ([-2, -2, -2, -2], (0, 1, 2), [0, 0, 2, 0])
+
+
+def branch_outcome(engine, g, offsets, i_max, r, budget):
+    """(budget left, second differences) of one branch engine on the branch
+    at r, or the step-cap message it raises."""
+    diffs = [0] * (i_max + 1)
+    try:
+        return engine(g, offsets, i_max, r, diffs, budget), diffs
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def check_walk(g, offsets, i_max, budget=10**9):
+    # the walk against the event loop, root by root, with the step cap
+    # checked at every chunk end as well as at the last step
+    for r in g.adj[g.distinguished]:
+        expected = branch_outcome(laufer_branch_events, g, offsets, i_max, r, budget)
+        assert branch_outcome(pl._branch_walk, g, offsets, i_max, r, budget) == expected, r
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "_WALK_CHUNK", 3)
+            assert branch_outcome(pl._branch_walk, g, offsets, i_max, r, budget) == expected, r
 
 
 def tree_form(euler, edges):
@@ -722,6 +744,73 @@ class TestLauferEngine:
             values = pl._laufer_run(g, own, i_max, roots, values)
         assert values == expected
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(laufer_trees(st.integers(-3, 3)), st.integers(0, 60), st.one_of(st.just(10**9), st.integers(0, 300)))
+    @example(LAUFER_MINUS_ONE, 60, 10**9)
+    @example(LAUFER_POSITIVE, 60, 10**9)
+    @example(([-2, -2, -2, -3, -2], (0, 1, 2, 2), [0, 0, 2, 0, 0]), 40, 10**9)
+    def test_walk_matches_event_loop_on_random_trees(self, graph, i_max, budget):
+        # diffs and the budget left, or the same step-cap refusal; -1
+        # vertices, positive offsets and strings that fail their recursion
+        # make interior vertices of every kind
+        euler, parents, offsets = graph
+        edges = [(j + 1, par) for j, par in enumerate(parents)]
+        if not definite_by_reference(tree_form(euler, edges)):
+            return
+        check_walk(pl.PlumbingGraph(euler, edges, distinguished=0), offsets, i_max, budget)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(newton_pair_sequences(), st.integers(0, 300))
+    @example([(2, 3), (3, 2)], 300)
+    @example([(2, 3), (2, 1), (2, 3)], 300)
+    @example([(3, 5), (3, 1), (3, 1)], 300)
+    def test_walk_matches_event_loop_on_resolution_graphs(self, pairs, i_max):
+        gf = pl.embedded_resolution(from_newton_pairs(pairs))
+        check_walk(gf, [0] * gf.n, i_max)
+
+    def test_long_interior_path(self):
+        # 6,7,2,43: the first pair's node under a path of 21 vertices, all
+        # -2 but the -3 at its top, the branch root at v0
+        knot = from_newton_pairs([(6, 7), (2, 43)])
+        gf = pl.embedded_resolution(knot)
+        node = next(j for j in range(gf.n) if gf.degree(j) == 3)
+        path = tree_path(gf, node, gf.distinguished)[1:-1]
+        assert sorted(gf.euler[j] for j in path) == [-3] + [-2] * 20
+        i_max = 2 * knot.mf
+        assert pl.laufer_values(gf, [0] * gf.n, i_max) == laufer_run_rescan(gf, [0] * gf.n, i_max)[0]
+        check_walk(gf, [0] * gf.n, i_max)
+
+    def test_walk_memory_grows_with_the_steps_only(self):
+        # x(i) on 6,7,2,43 makes about 10 additions per step of v0; a walk
+        # that kept them would grow by hundreds of bytes a step, where the
+        # run's values and second differences take about 50
+        gf = pl.embedded_resolution(from_newton_pairs([(6, 7), (2, 43)]))
+        peaks = []
+        for i_max in (4_000, 12_000):
+            tracemalloc.start()
+            try:
+                pl.laufer_values(gf, [0] * gf.n, i_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**22  # the chunks' buffers: O(n) for a fixed chunk
+        assert (peaks[1] - peaks[0]) / 8_000 < 100
+
+    def test_step_cap_on_a_node_branch(self, monkeypatch):
+        # 2,3,2,1: the branch at v0 holding the first pair's node is walked;
+        # its single additions are the rescanning engine's cycles, and the
+        # cap is checked at every chunk end, exactly
+        gf = pl.embedded_resolution(from_newton_pairs([(2, 3), (2, 1)]))
+        i_max = 60
+        values, cycles = laufer_run_rescan(gf, [0] * gf.n, i_max)
+        steps = sum(cycles[-1])
+        monkeypatch.setattr(pl, "_WALK_CHUNK", 7)
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps)
+        assert pl.laufer_values(gf, [0] * gf.n, i_max) == values
+        monkeypatch.setattr(pl, "_LAUFER_STEP_CAP", steps - 1)
+        with pytest.raises(ResourceLimitError, match=f"step cap of {steps - 1} additions"):
+            pl.laufer_values(gf, [0] * gf.n, i_max)
+
     def test_step_cap_counts_single_additions(self, monkeypatch):
         # x(1) = (1, 3, 2) on the chain -2 - -2 - -2 from offsets (0, 3, 0):
         # six additions, the step of v0 and then the first two to b_1 in one batch
@@ -737,7 +826,7 @@ class TestLauferEngine:
 
     def test_string_responses_take_only_strings(self):
         # the leaf and the -2 leg are answered by their response; a -1 vertex
-        # or a positive offset sends the string to the event loop
+        # or a positive offset makes the string's vertices interior
         for (euler, parents, offsets), response in [
             (LAUFER_LEAF, ([7, 1], [-3])),
             (LAUFER_LEG, ([7, 6, 5, 4, 3, 2, 1], [0] * 6)),
@@ -745,11 +834,21 @@ class TestLauferEngine:
             (LAUFER_POSITIVE, None),
         ]:
             g = pl.PlumbingGraph(euler, [(j + 1, par) for j, par in enumerate(parents)], distinguished=0)
-            assert pl._string(g, offsets, 1) == response
+            assert pl._string(g, offsets, 1, 0) == response
+        # strings hung from a node: on 2,3,2,1's resolution graph the node
+        # next to v0 carries the first pair's legs, a -2 and a -3 vertex, and
+        # from the node's side the path to v0 is no string
+        gf = pl.embedded_resolution(from_newton_pairs([(2, 3), (2, 1)]))
+        v0 = gf.distinguished
+        node = next(j for j in gf.adj[v0] if gf.degree(j) == 3)
+        legs = {gf.euler[j]: pl._string(gf, [0] * gf.n, j, node) for j in gf.adj[node] if j != v0}
+        assert legs == {-2: ([2, 1], [0]), -3: ([3, 1], [0])}
+        assert pl._string(gf, [0] * gf.n, v0, node) is None
+        assert pl._string(gf, [0] * gf.n, node, v0) is None
         # offsets <= 0 whose recursion does not give 0 at m = 0: the Laufer
         # cycle starts at 0, below the least integer solution
         g = pl.PlumbingGraph([-1, -2], [(0, 1)], distinguished=0)
-        assert pl._string(g, [0, -2], 1) is None
+        assert pl._string(g, [0, -2], 1, 0) is None
         assert pl.laufer_values(g, [0, -2], 8) == laufer_run_rescan(g, [0, -2], 8)[0]
 
     def test_step_cap_refuses_before_allocating(self, monkeypatch):
@@ -963,6 +1062,24 @@ class TestSublevel:
         assert built == []
         pl.lattice_grading_shift(gm, classes[0])
         assert len(built) == 1  # the counter is live
+
+    def test_box_solves_the_diagonal_once_per_graph(self, monkeypatch):
+        # verify's 7 classes share one 6-vertex graph: one unit-vector solve
+        # per vertex, not one per vertex and class (42)
+        units = []
+        real = pl.PlumbingGraph.solve
+
+        def counted(self, y):
+            if sorted(y) == [0] * (len(y) - 1) + [1]:
+                units.append(tuple(y))
+            return real(self, y)
+
+        monkeypatch.setattr(pl.PlumbingGraph, "solve", counted)
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--newton", "2,3", "--surgery", "7/5", "--oracle", "sublevel"]) == 0
+        assert len(units) == len(set(units)) == 6
+        g = pl.PlumbingGraph([-2, -3, -2], [(0, 1), (1, 2)])
+        assert [solve(g, [int(i == j) for i in range(3)])[j] * g.det for j in range(3)] == list(g.inverse_diagonal)
 
     def test_matches_box_sweep_on_corpus(self):
         for pairs, p, q in SUBLEVEL_REFERENCE_CASES:

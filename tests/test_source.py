@@ -199,10 +199,10 @@ LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "
 
 def laufer_reads(tree, entry="_laufer_run"):
     """(functions walked, [(function, line, name)]): every module-level
-    function that `entry` reaches by naming it, directly or through others,
-    and each mention in them of a name in LAUFER_FORBIDDEN, as a variable,
-    an attribute, a parameter or a keyword."""
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    function or class that `entry` reaches by naming it, directly or through
+    others, and each mention in them of a name in LAUFER_FORBIDDEN, as a
+    variable, an attribute, a parameter or a keyword."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     todo, walked, found = [entry], set(), []
     while todo:
         name = todo.pop()
@@ -223,7 +223,7 @@ def test_laufer_engine_reads_only_the_graph():
     # engine and its helpers never see p/q, mf, delta or the sums behind r_a
     path = SRC / "plumbing.py"
     walked, found = laufer_reads(ast.parse(path.read_text(), filename=str(path)))
-    assert {"_laufer_run", "_string", "_string_cycle", "_branch_events"} <= walked
+    assert {"_laufer_run", "_string", "_string_cycle", "_branch_walk", "_Interior"} <= walked
     assert found == []
 
 
@@ -241,6 +241,20 @@ def test_laufer_guard_catches_helpers():
     walked, found = laufer_reads(ast.parse(source))
     assert walked == {"_laufer_run", "_helper", "_other"}
     assert found == [("_helper", 4, "delta"), ("_helper", 4, "mf"), ("_laufer_run", 2, "cfrac"), ("_other", 5, "SurgerySpec")]
+
+
+def test_laufer_guard_follows_classes():
+    # a class the engine names is walked whole, methods and all
+    source = (
+        "def _laufer_run(g):\n"
+        "    return _Walk(g).run()\n"
+        "class _Walk:\n"
+        "    def run(self):\n"
+        "        return self.spec.delta\n"
+    )
+    walked, found = laufer_reads(ast.parse(source))
+    assert walked == {"_laufer_run", "_Walk"}
+    assert found == [("_Walk", 5, "delta")]
 
 
 def test_lattice_shift_reads_only_the_graph():
