@@ -50,7 +50,7 @@ from math import gcd
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
 from .knot import AlgebraicKnot, from_newton_pairs
-from .root import TauFunction, grade_text, render, root_from_tau
+from .root import grade_text, render, root_from_tau
 
 
 def _info(message: str) -> None:
@@ -476,7 +476,7 @@ def cmd_verify(args) -> int:
             entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": f"{num}/{den}"}
         if use_laufer:
             values = plumbing.class_laufer_values(gm, cls, chi_gf, (res.depth + 1) * knot.mf)
-            condensed = plumbing.condense_tau(TauFunction(tuple(values)), knot.mf).values
+            condensed = plumbing.condense_tau(values, knot.mf)
             entry["laufer_tau_ok"] = condensed == res.tau.values
             if not entry["laufer_tau_ok"]:
                 entry["laufer_first_diff"] = _first_diff(condensed, res.tau.values)

@@ -186,24 +186,21 @@ def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
 
 
 def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
-    """The values of `tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`."""
+    """The values of `tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`,
+    in one pass over t = 0..t_a with f = floor((t p + a)/q):
+    tau(2t+2) = tau(2t) + f + 1 - delta and tau(2t+1) = tau(2t+2) + alpha_f.
+    f grows with t, so the bound alpha needs is checked once, at t_a."""
     if t_a == -1:
         return (0,)
     p, q, knot = spec.p, spec.q, spec.knot
-    delta, mu = knot.delta, knot.mu
-    even = [0] * (t_a + 2)
-    acc = 0
-    for t in range(1, t_a + 2):
-        acc += ((t - 1) * p + a) // q
-        even[t] = t * (1 - delta) + acc
-    vals = [0] * (2 * t_a + 3)
-    for t in range(t_a + 2):
-        vals[2 * t] = even[t]
-    for t in range(t_a + 1):
-        idx = (t * p + a) // q
-        if idx > mu - 2:
-            raise InternalInvariantError("alpha index beyond mu - 2 within depth")
-        vals[2 * t + 1] = even[t + 1] + knot.alpha[idx]
+    if (t_a * p + a) // q > knot.mu - 2:
+        raise InternalInvariantError("alpha index beyond mu - 2 within depth")
+    alpha, step = knot.alpha, 1 - knot.delta
+    vals, even = [0], 0
+    for n in range(a, t_a * p + a + 1, p):  # n = t p + a
+        f = n // q
+        even += f + step
+        vals += (even + alpha[f], even)
     return tuple(vals)
 
 

@@ -70,7 +70,7 @@ from .frozen import Frozen
 from .hfcore import SurgerySpec
 from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from .numtheory import NegContinuedFraction
-from .root import GradedRoot, TauFunction
+from .root import GradedRoot
 
 _LAUFER_STEP_CAP = 20_000_000
 _WALK_BLOCK = 256  # own values an interior vertex walks at once, at most
@@ -662,17 +662,30 @@ class _Interior:
 def _branch_walk(g: PlumbingGraph, offsets, i_max: int, r: int, diffs, budget: int) -> int:
     """The walk of `_laufer_run` on the branch at r (`_Interior`), into diffs;
     returns the budget left.  Requests for more go through one stack, so
-    no path is too long for it."""
+    no path is too long for it.
+
+    `_string` runs only at the vertices whose side away from the parent is
+    a path of e <= -2 and offsets <= 0 ending in a leaf, marked in one pass
+    from the leaves up: on a path above a node it would walk down to the
+    node from every vertex."""
     if not i_max:
         return budget
-    root = _Interior(offsets[r], g.euler[r], 1, None)
+    euler, adj = g.euler, g.adj
+    order = [(r, g.distinguished)]
+    for u, up in order:  # parents first
+        order += [(c, u) for c in adj[u] if c != up]
+    path = {}
+    for u, up in reversed(order):
+        below = [path[c] for c in adj[u] if c != up]
+        path[u] = euler[u] <= -2 and offsets[u] <= 0 and len(below) < 2 and all(below)
+    root = _Interior(offsets[r], euler[r], 1, None)
     todo = [(root, r, g.distinguished)]
     for node, u, up in todo:  # parents first
-        for c in g.adj[u]:
+        for c in adj[u]:
             if c != up:
-                string = _string(g, offsets, c, u)
+                string = _string(g, offsets, c, u) if path[c] else None
                 if string is None:
-                    node.kids.append(_Interior(offsets[c], g.euler[c], 0, []))
+                    node.kids.append(_Interior(offsets[c], euler[c], 0, []))
                     todo.append((node.kids[-1], c, u))
                 else:
                     node.strings.append(string)
@@ -730,23 +743,20 @@ def class_laufer_values(gm: PlumbingGraph, cls: SpincClass, resolution_values, i
     return _laufer_run(gm, cls.l_pairs, i_max, (nf,), resolution_values)
 
 
-def condense_tau(tau: TauFunction, mf: int) -> TauFunction:
-    """Collapse a full Laufer tau over blocks of length mf to the short form
-    tau(0), max(block 0), tau(mf), max(block 1), ..., tau(T).
+def condense_tau(values, mf: int) -> tuple[int, ...]:
+    """Collapse a full Laufer tau, the values tau(0..T), over blocks of
+    length mf to the short form tau(0), max(block 0), tau(mf), max(block 1),
+    ..., tau(T).
 
     The block maxima sit strictly above both block ends, so the graded root
     is unchanged; the result is directly comparable with the closed-form tau.
     """
-    vals = tau.values
-    if (len(vals) - 1) % mf != 0:
+    if (len(values) - 1) % mf != 0:
         raise ValueError("tau length is not a whole number of mf-blocks")
-    blocks = (len(vals) - 1) // mf
-    out = [vals[0]]
-    for t in range(blocks):
-        seg = vals[t * mf: (t + 1) * mf + 1]
-        out.append(max(seg))
-        out.append(vals[(t + 1) * mf])
-    return TauFunction(tuple(out))
+    out = [values[0]]
+    for t in range(mf, len(values), mf):
+        out += (max(values[t - mf:t + 1]), values[t])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g already reduced:
 writing a grade needs neither a gcd nor a Fraction (`grade_text`, and the
 JSON template `cli._spinc_json`).
 
-Both constructions are one sweep over that order, keeping only the two ends
-of every run.  `module_from_tau` costs O(n log n) for n = len(tau);
-`root_from_tau` costs O(n log n + |V|) for a root with |V| vertices, and is
-needed only to draw a root or to compare it with another one.
+`module_from_tau` needs only the order in which runs meet, which one
+left-to-right pass with a stack finds, in O(n) for n = len(tau) plus the
+sort of its towers.  `root_from_tau` sweeps tau in (value, index) order,
+keeping only the two ends of every run; it costs O(n log n + |V|) for a root
+with |V| vertices, and is needed only to draw a root or to compare it with
+another one.
 """
 
 from __future__ import annotations
@@ -233,35 +235,32 @@ def grade_text(shift, g: int) -> str:
 
 
 def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
-    """Z[U]-module of the graded root of tau, by the elder rule.
+    """Z[U]-module of the graded root of tau, by the elder rule, in one
+    left-to-right pass with a stack.
 
-    Indices are switched on in (value, index) order.  Each run of on-indices
-    remembers its elder, the (value, index) of its oldest minimum; when two
-    runs meet at level k the younger elder dies, adding the finite tower
-    T_{2b}(k - b) for its birth level b < k.  The last elder standing gives
-    the infinite tower at twice its birth level.
+    Index i of value k switches on at level k, joining its left run (values
+    <= k) to its right run up to the first value >= k (values < k).  The
+    stack holds the indices whose right run is still open, each with the
+    elder (lowest value) of its left run and itself; the index that closes
+    i's right run pops i.  Of the two elders then meeting, the younger, b,
+    dies and adds the finite tower T_{2b}(k - b) when b < k.  A sentinel
+    max tau + 1 pops every index; the last elder standing gives the
+    infinite tower at twice its level.
     """
     vals = tau.values
-    end = [-1] * len(vals)
-    elder: list[tuple[int, int]] = [(0, 0)] * len(vals)  # valid at the left end of a run
+    stack: list[tuple[int, int]] = []  # (value, elder of its left run and itself)
     towers = []
-
-    def meet(a, b, k):
-        young = max(a, b)
-        if young[0] < k:
-            towers.append((2 * young[0], k - young[0]))
-        return min(a, b)
-
-    for i in sorted(range(len(vals)), key=vals.__getitem__):  # stable: (value, index) order
-        k = vals[i]
-        l, r = _switch_on(end, i)
-        e = (k, i)
-        if l < i:
-            e = meet(elder[l], e, k)
-        if r > i:
-            e = meet(e, elder[i + 1], k)
-        elder[l] = e
-    return UModuleDecomposition(0, 2 * elder[0][0], tuple(sorted(towers)))
+    for k in (*vals, max(vals) + 1):
+        low = k  # the elder of the runs k has closed so far
+        while stack and stack[-1][0] <= k:
+            v, e = stack.pop()
+            if e > low:
+                e, low = low, e
+            if low < v:  # low is now the younger elder
+                towers.append((2 * low, v - low))
+            low = e
+        stack.append((k, low))
+    return UModuleDecomposition(0, 2 * low, tuple(sorted(towers)))
 
 
 def reduced_rank(tau: TauFunction) -> int:

@@ -10,8 +10,13 @@ here, and the tests require identical results:
     set of the semigroup);
   * the original graded-root algorithms: the merge tree of tau by rescanning
     tau at every level, and the Z[U]-module by a parent-pointer walk for
-    every pair of leaves (`hfroots.root` does both in one sweep over tau in
-    (value, index) order);
+    every pair of leaves (`hfroots.root` builds the merge tree in one sweep
+    over tau in (value, index) order);
+  * the Z[U]-module of tau by that sweep, switching the indices on in
+    (value, index) order (the package pops a stack in one left-to-right
+    pass);
+  * tau straight from its definition, one sum per t (the package keeps a
+    running sum);
   * the whole numerator table n(i, j) of a negative continued fraction,
     column by column (the package keeps the one column n(., s) and
     q' = n(1, s-1), from two three-term recursions);
@@ -84,7 +89,7 @@ from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
-from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, module_from_tau
+from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, _switch_on, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
 
@@ -262,6 +267,57 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
         w_level = min(merge_level(root, v, u) for u in leaves[:k])
         towers.append((Fraction(2 * root.chi[v]), w_level - root.chi[v]))
     return module_from_parts(Fraction(2 * root.chi[first]), towers)
+
+
+def module_from_tau_sweep(tau: TauFunction) -> UModuleDecomposition:
+    """Z[U]-module of the graded root of tau by the elder rule, switching the
+    indices on in (value, index) order, O(n log n).
+
+    Each run of on-indices remembers its elder, the (value, index) of its
+    oldest minimum; when two runs meet at level k the younger elder dies,
+    adding the finite tower T_{2b}(k - b) for its birth level b < k.  The
+    last elder standing gives the infinite tower at twice its birth level.
+    """
+    vals = tau.values
+    end = [-1] * len(vals)
+    elder: list[tuple[int, int]] = [(0, 0)] * len(vals)  # valid at the left end of a run
+    towers = []
+
+    def meet(a, b, k):
+        young = max(a, b)
+        if young[0] < k:
+            towers.append((2 * young[0], k - young[0]))
+        return min(a, b)
+
+    for i in sorted(range(len(vals)), key=vals.__getitem__):  # stable: (value, index) order
+        k = vals[i]
+        l, r = _switch_on(end, i)
+        e = (k, i)
+        if l < i:
+            e = meet(elder[l], e, k)
+        if r > i:
+            e = meet(e, elder[i + 1], k)
+        elder[l] = e
+    return UModuleDecomposition(0, 2 * elder[0][0], tuple(sorted(towers)))
+
+
+def tau_values_direct(spec: SurgerySpec, a: int) -> tuple[int, ...]:
+    """tau(0), ..., tau(2 t_a + 2) of sigma_a from the definition, with
+    t_a = floor(((2 delta - 1) q - a - 1)/p) and one sum per t:
+
+        tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
+        tau(2t+1) = tau(2t+2) + alpha_{floor((t p + a)/q)}.
+    """
+    p, q, knot = spec.p, spec.q, spec.knot
+    t_a = ((2 * knot.delta - 1) * q - a - 1) // p
+
+    def even(t):
+        return t * (1 - knot.delta) + sum((j * p + a) // q for j in range(t))
+
+    vals = []
+    for t in range(t_a + 1):
+        vals += [even(t), even(t + 1) + knot.alpha[(t * p + a) // q]]
+    return (*vals, even(t_a + 1))
 
 
 def dedekind_sum_direct(q: int, p: int) -> Fraction:

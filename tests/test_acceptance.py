@@ -112,7 +112,7 @@ def test_criterion_7():
             assert pl.lattice_grading_shift(gm, classes[a]) == res.shift
             assert formulas[a] == res.shift
             tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], (res.depth + 1) * knot.mf)
-            assert pl.condense_tau(tau, knot.mf).values == res.tau.values
+            assert pl.condense_tau(tau.values, knot.mf) == res.tau.values
     for pairs, p, q in SUBLEVEL_CASES:
         knot = from_newton_pairs(list(pairs))
         spec = SurgerySpec(knot, p, q)

@@ -8,6 +8,8 @@ git-ignored `bench/_work/` and removes it.
 """
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +52,39 @@ def test_quick_run_passes():
         cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+TRACED_RUN = """
+import json, sys
+from tracer import Tracer
+tracer = Tracer()
+main = tracer.install()
+codes = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    tracer.start_doc(i)
+    codes.append(main(argv))
+print(json.dumps({"codes": codes, "calls": tracer.summary()["calls"]}))
+"""
+
+
+def test_traced_documents_run(tmp_path):
+    # bench/tracer.py needs hfroots.plumbing to import, embedded_resolution
+    # to have cache_info() and sublevel_root's fourth argument to be a box;
+    # the benchmark runs it only on demand, so this run keeps it working
+    argvs = [
+        ["verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--format", "json"],
+        ["compute", "--newton", "4,5", "--surgery", "2/1", "--format", "json"],
+        ["compute", "--newton", "4,5", "--surgery", "2/1", "--format", "svg"],
+        ["verify", "--lens", "7/3"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"d{i}")] for i, argv in enumerate(argvs)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(BENCH.parent / "src"), str(BENCH)])}
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, json.dumps(argvs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    for name in ("plumbing.sublevel_root", "plumbing.laufer_values", "root.module_from_tau"):
+        assert result["calls"].get(name, 0) > 0, name

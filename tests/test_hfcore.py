@@ -19,7 +19,9 @@ from oracles import (
     spinc_text,
     surgery_d_from_lens,
     sw_invariant,
+    tau_values_direct,
 )
+from test_knot import newton_pair_sequences
 
 import hfroots.cli as cli
 import hfroots.hfcore as hfcore
@@ -35,6 +37,7 @@ from hfroots import (
     tau_function,
 )
 from hfroots.hfcore import SpincResult
+from hfroots.knot import AlgebraicKnot
 from hfroots.root import TauFunction, UModuleDecomposition, reduced_rank
 
 
@@ -195,6 +198,26 @@ class TestTau:
             for knot in (K23, K45):
                 vals = tau_function(SurgerySpec(knot, 1, q), 0).values
                 assert vals == vals[::-1]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(newton_pair_sequences(), st.integers(1, 40), st.data())
+    def test_matches_definition(self, pairs, q, data):
+        # p from where t_a <= 300, so that the definition's sums stay small
+        knot = from_newton_pairs(pairs)
+        lo = -(-(2 * knot.delta - 1) * q // 300)
+        p = data.draw(st.integers(lo, lo + 500))
+        g = gcd(p, q)
+        spec = SurgerySpec(knot, p // g, q // g)
+        a = data.draw(st.integers(0, spec.p - 1))
+        assert tau_function(spec, a).values == tau_values_direct(spec, a)
+
+    def test_alpha_bound_guard(self):
+        # a knot whose mu is one short: at -1/1 the last floor of the depth
+        # is mu - 2 of the true knot, one past the lowered bound
+        fields = {name: getattr(K45, name) for name in AlgebraicKnot.__slots__}
+        short = AlgebraicKnot(**{**fields, "mu": K45.mu - 1})
+        with pytest.raises(InternalInvariantError, match="alpha index beyond mu - 2"):
+            compute_spinc(SurgerySpec(short, 1, 1), 0)
 
 
 class TestComputeSpinc:

@@ -780,6 +780,27 @@ class TestLauferEngine:
         assert pl.laufer_values(gf, [0] * gf.n, i_max) == laufer_run_rescan(gf, [0] * gf.n, i_max)[0]
         check_walk(gf, [0] * gf.n, i_max)
 
+    def test_strings_found_without_walking_the_path(self, monkeypatch):
+        # (5,14),(2,N): the first pair's node under a path of about N/2
+        # vertices; the path is no string, and asking `_string` at each of
+        # its vertices would walk down to the node from every one
+        calls = []
+        string = pl._string
+        monkeypatch.setattr(pl, "_string", lambda *args: calls.append(args) or string(*args))
+        counts = []
+        for n in (743, 1483):
+            knot = from_newton_pairs([(5, 14), (2, n)])
+            gf = pl.embedded_resolution(knot)
+            i_max = knot.mf // 20
+            calls.clear()
+            values = pl.laufer_values(gf, [0] * gf.n, i_max)
+            counts.append(len(calls))
+            with monkeypatch.context() as mp:
+                mp.setattr(pl, "_branch_walk", laufer_branch_events)
+                assert pl.laufer_values(gf, [0] * gf.n, i_max) == values
+            check_walk(gf, [0] * gf.n, i_max)
+        assert counts[0] == counts[1]
+
     def test_walk_memory_grows_with_the_steps_only(self):
         # x(i) on 6,7,2,43 makes about 10 additions per step of v0; a walk
         # that kept them would grow by hundreds of bytes a step, where the
@@ -883,9 +904,10 @@ class TestLauferEngine:
 class TestLauferTau:
     def test_torus_45_condensation(self):
         knot, spec, gm, classes = surgery_setup([(4, 5)], 2, 1)
-        tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[0], 6 * knot.mf)
-        condensed = pl.condense_tau(tau, knot.mf)
-        assert condensed.values == (0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0)
+        values = laufer_tau(pl.embedded_resolution(knot), gm, classes[0], 6 * knot.mf).values
+        assert pl.condense_tau(values, knot.mf) == (0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0)
+        with pytest.raises(ValueError, match="whole number of mf-blocks"):
+            pl.condense_tau(values[:-1], knot.mf)
 
     def test_increment_formula(self):
         # chi(x(i+1)) - chi(x(i)) = t + 1 - ceil((iq - a)/(q mf + p)) - [i0 not in semigroup]
@@ -908,8 +930,7 @@ class TestLauferTau:
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
                 tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
-                condensed = pl.condense_tau(tau, knot.mf)
-                assert condensed.values == res.tau.values
+                assert pl.condense_tau(tau.values, knot.mf) == res.tau.values
                 assert (
                     root_from_tau(tau).canonical_key()
                     == root_from_tau(res.tau).canonical_key()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merge_level, module_from_parts, module_from_root, root_from_tau_rescan
+from oracles import merge_level, module_from_parts, module_from_root, module_from_tau_sweep, root_from_tau_rescan
 
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
 from hfroots.root import (
@@ -27,8 +27,9 @@ def towers(*pairs):
     return tuple(sorted((Fraction(g), n) for g, n in pairs))
 
 
-# the fast path and the reference (rescanned root, pairwise leaf walk)
-MODULE_ROUTES = (module_from_tau, lambda tau: module_from_root(root_from_tau_rescan(tau)))
+# the stack pass and the references: the (value, index) sweep, and the
+# rescanned root's pairwise leaf walk
+MODULE_ROUTES = (module_from_tau, module_from_tau_sweep, lambda tau: module_from_root(root_from_tau_rescan(tau)))
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -135,7 +136,7 @@ class TestModule:
     @PROPERTY
     @given(TAUS)
     def test_matches_reference(self, tau):
-        assert module_from_tau(tau) == module_from_root(root_from_tau_rescan(tau))
+        assert module_from_tau(tau) == module_from_tau_sweep(tau) == module_from_root(root_from_tau_rescan(tau))
 
     @pytest.mark.parametrize(
         "pairs, p, q",
@@ -146,7 +147,7 @@ class TestModule:
         spec = SurgerySpec(from_newton_pairs(list(pairs)), p, q)
         for a in range(spec.p):
             tau = compute_spinc(spec, a).tau
-            assert module_from_tau(tau) == module_from_root(root_from_tau_rescan(tau))
+            assert module_from_tau(tau) == module_from_tau_sweep(tau) == module_from_root(root_from_tau_rescan(tau))
 
     def test_tie_break_invariance(self):
         rng = random.Random(23)
