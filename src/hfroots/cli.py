@@ -13,7 +13,9 @@ its integers, and rejects any value but an int where an int is due.  What
 depends on tau alone (the tau text, the sorted ker/coker offsets, the
 grouped finite towers, 2 min tau, the alpha sum) is one `_tau_piece` per
 distinct tau of the document; per class the template formats only what
-depends on r_a.  Output is
+depends on r_a.  `--format svg --spinc all` draws one root per distinct
+tau of the call and writes its text to the file of every class with that
+tau before drawing the next.  Output is
 deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
@@ -348,13 +350,17 @@ def cmd_compute(args) -> int:
     _info(f"computed {len(results)} spin^c structures in {time.perf_counter() - t0:.3f}s")
 
     if args.format == "svg":
+        by_tau: dict = {}  # tau values -> its classes: one root drawn per distinct tau, one text alive
         for res in results:
-            svg = render(root_from_tau(res.tau), "svg")
-            if args.out and len(results) > 1:
-                stem, ext = os.path.splitext(args.out)
-                _emit(svg, f"{stem}_a{res.a}{ext or '.svg'}")
-            else:
-                _emit(svg, args.out)
+            by_tau.setdefault(res.tau.values, []).append(res)
+        for same in by_tau.values():
+            svg = render(root_from_tau(same[0].tau), "svg")
+            for res in same:
+                if args.out and len(results) > 1:
+                    stem, ext = os.path.splitext(args.out)
+                    _emit(svg, f"{stem}_a{res.a}{ext or '.svg'}")
+                else:
+                    _emit(svg, args.out)
         return 0
 
     if args.format == "json":
@@ -417,15 +423,9 @@ def _first_diff(lattice, formula) -> dict:
 
 
 def _root_first_diff(lattice, formula) -> dict:
-    """The lowest level whose sorted subtree keys differ between two graded
-    roots, with each root's vertex count there."""
-    def keys_by_level(root) -> dict:
-        out: dict = {}
-        for level, key in zip(root.chi, root.subtree_keys()):
-            out.setdefault(level, []).append(key)
-        return {level: sorted(keys) for level, keys in out.items()}
-
-    a, b = keys_by_level(lattice), keys_by_level(formula)
+    """The lowest level whose sorted labels (`GradedRoot.level_keys`) differ
+    between two graded roots, with each root's vertex count there."""
+    a, b = lattice.level_keys(), formula.level_keys()
     level = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     return {"level": level, "lattice": len(a.get(level, ())), "formula": len(b.get(level, ()))}
 

@@ -31,7 +31,12 @@ left-to-right pass with a stack finds, in O(n) for n = len(tau) plus the
 sort of its towers.  `root_from_tau` sweeps tau in (value, index) order,
 keeping only the two ends of every run; it costs O(n log n + |V|) for a root
 with |V| vertices, and is needed only to draw a root or to compare it with
-another one.
+another one.  Two roots are compared by flat keys, one tuple of ranked
+child labels per level (AHU), so a root thousands of levels tall compares
+without deep recursion.  The renderers lay a root out in integers: a leaf
+takes its int slot, a vertex with one child shares its child's position, and
+only a vertex with two or more children takes the exact mean of its
+children, as one Fraction; every coordinate is floored by `//`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 from .frozen import Frozen
 
@@ -77,22 +83,22 @@ class GradedRoot:
         n = len(self.chi)
         if len(self.parent) != n or n == 0:
             raise ValueError("chi and parent must be nonempty and equally long")
-        tops = [v for v in range(n) if self.parent[v] is None]
+        tops = [v for v, p in enumerate(self.parent) if p is None]
         if len(tops) != 1:
             raise ValueError(f"expected a unique top vertex, found {len(tops)}")
         self.top = tops[0]
+        chi = self.chi
         children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            p = self.parent[v]
+        for v, p in enumerate(self.parent):
             if p is not None:
-                if self.chi[p] != self.chi[v] + 1:
+                if chi[p] != chi[v] + 1:
                     raise ValueError("edge levels must differ by exactly 1")
                 children[p].append(v)
-        self.children = tuple(tuple(c) for c in children)
-        top_level = self.chi[self.top]
-        if any(self.chi[v] > top_level for v in range(n)):
+        self.children = tuple(map(tuple, children))
+        top_level = chi[self.top]
+        if max(chi) > top_level:
             raise ValueError("top vertex must carry the maximal level")
-        if sum(1 for v in range(n) if self.chi[v] == top_level) != 1:
+        if chi.count(top_level) != 1:
             raise ValueError("the top level must contain a single vertex")
         # connectivity: every vertex reaches top through parents (acyclic by levels)
 
@@ -107,20 +113,32 @@ class GradedRoot:
     def min_level(self) -> int:
         return min(self.chi)
 
-    def subtree_keys(self) -> list[tuple]:
-        """The key of the subtree below each vertex: the sorted tuple of its
-        children's keys, so equal keys at one level mean isomorphic subtrees.
-        Computed iteratively (trees can be deep)."""
-        key: list = [None] * len(self.chi)
-        for v in sorted(range(len(self.chi)), key=self.chi.__getitem__):  # children before parents
-            key[v] = tuple(sorted(key[c] for c in self.children[v]))
-        return key
+    def level_keys(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The sorted labels of each level, by level (AHU): a vertex's label
+        is the sorted tuple of its children's ranks, and a rank numbers the
+        distinct labels of one level in sorted order.  Below the lowest level
+        where two roots' keys differ, their ranks name the same subtrees, so
+        equal keys at every level <=> grading-preserving isomorphism.  The
+        keys are flat tuples of ints however tall the root."""
+        by_level: dict[int, list[int]] = {}
+        for v, k in enumerate(self.chi):
+            by_level.setdefault(k, []).append(v)
+        rank = [0] * len(self.chi)
+        keys = {}
+        for k in sorted(by_level):  # children before parents
+            level = by_level[k]
+            labels = [tuple(sorted([rank[c] for c in self.children[v]])) for v in level]
+            ranks = {label: i for i, label in enumerate(sorted(set(labels)))}
+            for v, label in zip(level, labels):
+                rank[v] = ranks[label]
+            keys[k] = tuple(sorted(labels))
+        return keys
 
-    def canonical_key(self):
+    def canonical_key(self) -> tuple:
         """Canonical encoding; equal keys <=> grading-preserving isomorphism.
-        Children subtrees are sorted recursively, so the key is independent
-        of vertex numbering."""
-        return (self.chi[self.top], self.subtree_keys()[self.top])
+        The (level, labels) pairs of `level_keys` in ascending level, so the
+        key is independent of vertex numbering."""
+        return tuple(sorted(self.level_keys().items()))
 
 
 def _switch_on(end: list[int], i: int) -> tuple[int, int]:
@@ -145,7 +163,7 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
     end = [-1] * len(vals)
     chi: list[int] = []
     parent: list[int | None] = []
-    below: list[tuple[int, int]] = []  # (left end, vertex) of the runs at level k - 1
+    lefts: list[int] = []  # left ends of the runs at level k - 1, in index order
     pos = 0
     for k in range(vals[order[0]], vals[order[-1]] + 1):
         start = pos
@@ -154,18 +172,23 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
             pos += 1
         # Every level-k run starts at an old left end or at an index switched
         # on at k, so walking both in index order meets each run at its start.
-        level = []
+        # The runs at level k - 1 are the last len(lefts) vertices, in order.
+        below = len(chi) - len(lefts)
+        starts = sorted(lefts + order[start:pos])  # two sorted runs: merged in linear time
+        lefts.append(len(vals))  # past every index: j never runs off the end
+        runs = []
         right = -1
-        born = [(i, None) for i in order[start:pos]]
-        for i, v in sorted(below + born):  # two sorted runs: merged in linear time
+        j = 0
+        for i in starts:
             if i > right:
                 right = end[i]
+                runs.append(i)
                 chi.append(k)
                 parent.append(None)
-                level.append((i, len(chi) - 1))
-            if v is not None:
-                parent[v] = len(chi) - 1
-        below = level
+            if i == lefts[j]:
+                parent[below + j] = len(chi) - 1
+                j += 1
+        lefts = runs
     return GradedRoot(chi, parent)
 
 
@@ -281,30 +304,49 @@ def reduced_rank(tau: TauFunction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layout(root: GradedRoot) -> dict[int, Fraction]:
-    """x-positions: leaves at 0, 1, 2, ... in planar order, parents centred."""
-    pos: dict[int, Fraction] = {}
+def _layout(root: GradedRoot) -> list[int | Fraction]:
+    """x-positions by vertex: leaves at 0, 1, 2, ... in planar order, parents
+    centred over their children.
+
+    A leaf takes its int slot and a vertex with one child shares its child's
+    position object, so a position is a Fraction only at or above a vertex
+    with two or more children.  Such a vertex adds its k children's
+    positions up as num/den in integers and takes their mean as the one
+    Fraction(num, den * k).  The renderers floor unit * p.numerator //
+    p.denominator, which an int answers as well.
+    """
+    children = root.children
+    pos: list = [None] * len(children)
     next_slot = 0
-    stack: list[tuple[int, bool]] = [(root.top, False)]
+    stack = [root.top]  # ~v: every child of v is placed, place v
     while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            xs = [pos[c] for c in root.children[v]]
-            pos[v] = sum(xs) / len(xs)
-        elif root.children[v]:
-            stack.append((v, True))
-            for c in reversed(root.children[v]):
-                stack.append((c, False))
+        v = stack.pop()
+        if v < 0:
+            kids = children[~v]
+            if len(kids) == 1:
+                pos[~v] = pos[kids[0]]
+                continue
+            num, den = 0, 1  # the sum of the k children's positions, num/den
+            for c in kids:
+                d = pos[c].denominator
+                if d == den:
+                    num += pos[c].numerator
+                else:
+                    g = gcd(den, d)
+                    num, den = num * (d // g) + pos[c].numerator * (den // g), den // g * d
+            pos[~v] = Fraction(num, den * len(kids))
+        elif children[v]:
+            stack.append(~v)
+            stack.extend(reversed(children[v]))
         else:
-            pos[v] = Fraction(next_slot)
+            pos[v] = next_slot
             next_slot += 1
     return pos
 
 
 def render_ascii(root: GradedRoot) -> str:
-    pos = _layout(root)
-    col = {v: int(4 * pos[v]) for v in pos}
-    width = max(col.values()) + 1
+    col = [4 * p.numerator // p.denominator for p in _layout(root)]
+    width = max(col) + 1
     lo, hi = root.min_level(), root.chi[root.top]
     label_w = max(len(str(lo)), len(str(hi))) + 1
     by_level: dict[int, list[int]] = {}
@@ -339,9 +381,9 @@ def render_svg(root: GradedRoot) -> str:
     margin_x, margin_y = 60, 30
     stem = 30
     lo, hi = root.min_level(), root.chi[root.top]
-    x = {v: margin_x + int(unit * pos[v]) for v in pos}
-    y = {v: margin_y + stem + level_h * (hi - root.chi[v]) for v in pos}
-    width = max(x.values()) + margin_x
+    x = [margin_x + unit * p.numerator // p.denominator for p in pos]
+    y = [margin_y + stem + level_h * (hi - k) for k in root.chi]
+    width = max(x) + margin_x
     height = margin_y + stem + level_h * (hi - lo) + margin_y
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -357,15 +399,11 @@ def render_svg(root: GradedRoot) -> str:
             out.append(f'<text x="4" y="{gy + 4}" font-size="11" fill="#333">{k}</text>')
     tx, ty = x[root.top], y[root.top]
     out.append(f'<line x1="{tx}" y1="{ty}" x2="{tx}" y2="{ty - stem}" stroke="#000" stroke-width="1.5"/>')
-    for v in range(len(root.chi)):
-        p = root.parent[v]
-        if p is not None:
-            out.append(
-                f'<line x1="{x[v]}" y1="{y[v]}" x2="{x[p]}" y2="{y[p]}" '
-                f'stroke="#000" stroke-width="1.5"/>'
-            )
-    for v in range(len(root.chi)):
-        out.append(f'<circle cx="{x[v]}" cy="{y[v]}" r="3" fill="#000"/>')
+    out += [
+        f'<line x1="{x[v]}" y1="{y[v]}" x2="{x[p]}" y2="{y[p]}" stroke="#000" stroke-width="1.5"/>'
+        for v, p in enumerate(root.parent) if p is not None
+    ]
+    out += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="#000"/>' for cx, cy in zip(x, y)]
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

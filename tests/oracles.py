@@ -15,6 +15,12 @@ here, and the tests require identical results:
   * the Z[U]-module of tau by that sweep, switching the indices on in
     (value, index) order (the package pops a stack in one left-to-right
     pass);
+  * a root's drawing positions as one Fraction per vertex, each parent the
+    Fraction mean of its children (the package keeps ints at leaves, shares
+    a one-child vertex's position with its child and builds one Fraction
+    per vertex with two or more children), and a root's isomorphism keys
+    nested one tuple per level (the package ranks the labels of each level,
+    AHU, so a key is flat however tall the root);
   * tau straight from its definition, one sum per t (the package keeps a
     running sum);
   * the whole numerator table n(i, j) of a negative continued fraction,
@@ -299,6 +305,51 @@ def module_from_tau_sweep(tau: TauFunction) -> UModuleDecomposition:
             e = meet(e, elder[i + 1], k)
         elder[l] = e
     return UModuleDecomposition(0, 2 * elder[0][0], tuple(sorted(towers)))
+
+
+def layout_fractions(root: GradedRoot) -> dict[int, Fraction]:
+    """x-positions: leaves at 0, 1, 2, ... in planar order, parents centred."""
+    pos: dict[int, Fraction] = {}
+    next_slot = 0
+    stack: list[tuple[int, bool]] = [(root.top, False)]
+    while stack:
+        v, expanded = stack.pop()
+        if expanded:
+            xs = [pos[c] for c in root.children[v]]
+            pos[v] = sum(xs) / len(xs)
+        elif root.children[v]:
+            stack.append((v, True))
+            for c in reversed(root.children[v]):
+                stack.append((c, False))
+        else:
+            pos[v] = Fraction(next_slot)
+            next_slot += 1
+    return pos
+
+
+def subtree_keys_nested(root: GradedRoot) -> list[tuple]:
+    """The key of the subtree below each vertex: the sorted tuple of its
+    children's keys, so equal keys at one level mean isomorphic subtrees.
+    The keys nest one tuple per level, so comparing those of a tall root
+    overflows the interpreter's recursion limit."""
+    key: list = [None] * len(root.chi)
+    for v in sorted(range(len(root.chi)), key=root.chi.__getitem__):  # children before parents
+        key[v] = tuple(sorted(key[c] for c in root.children[v]))
+    return key
+
+
+def root_first_diff_nested(lattice: GradedRoot, formula: GradedRoot) -> dict:
+    """The lowest level whose sorted nested subtree keys differ between two
+    graded roots, with each root's vertex count there."""
+    def keys_by_level(root) -> dict:
+        out: dict = {}
+        for level, key in zip(root.chi, subtree_keys_nested(root)):
+            out.setdefault(level, []).append(key)
+        return {level: sorted(keys) for level, keys in out.items()}
+
+    a, b = keys_by_level(lattice), keys_by_level(formula)
+    level = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return {"level": level, "lattice": len(a.get(level, ())), "formula": len(b.get(level, ()))}
 
 
 def tau_values_direct(spec: SurgerySpec, a: int) -> tuple[int, ...]:

@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import laufer_run_rescan
+from oracles import laufer_run_rescan, root_first_diff_nested
 
 import hfroots.cli as cli
 import hfroots.knot as knot_mod
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.cli import main
-from hfroots.root import GradedRoot, UModuleDecomposition
+from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, render_svg, root_from_tau
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,6 +139,24 @@ class TestComputeCommand:
         assert code == 0
         for a in (0, 1):
             assert (tmp_path / f"root_a{a}.svg").exists()
+
+    def test_svg_drawn_once_per_distinct_tau(self, capsys, monkeypatch, tmp_path):
+        # 256 classes, 6 distinct taus: each root is built and drawn once,
+        # and every class still gets the file of its own tau
+        calls = {"render": 0, "root_from_tau": 0}
+        for name in calls:
+            def counting(*args, real=getattr(cli, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run(capsys, "compute", "--newton", "3,4", "--surgery", "256/251",
+                         "--format", "svg", "--out", str(tmp_path / "root.svg"))
+        assert code == 0
+        assert calls == {"render": 6, "root_from_tau": 6}
+        spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(3, 4)]), 256, 251)
+        assert sorted(tmp_path.iterdir()) == sorted(tmp_path / f"root_a{a}.svg" for a in range(256))
+        for res in cli.hfcore.compute_all(spec):
+            assert (tmp_path / f"root_a{res.a}.svg").read_text() == render_svg(root_from_tau(res.tau))
 
     def test_surgery_shorthand(self, capsys):
         code, out, _ = run(capsys, "compute", "--newton", "2,3", "--surgery", "6", "--spinc", "0")
@@ -365,6 +383,34 @@ class TestVerifyCommand:
             "level": 1, "lattice": 0, "formula": 1}
         assert cli._root_first_diff(GradedRoot([1], [None]), GradedRoot([0, 1], [1, None])) == {
             "level": 0, "lattice": 0, "formula": 1}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=20), st.integers(0, 10**6), st.integers(-2, 2))
+    def test_root_first_difference_matches_nested_keys(self, vals, at, step):
+        # a tau and one value of it moved: the same level and counts as
+        # comparing the nested subtree keys
+        bumped = list(vals)
+        bumped[at % len(vals)] += step
+        a, b = root_from_tau(TauFunction(tuple(vals))), root_from_tau(TauFunction(tuple(bumped)))
+        if a.canonical_key() != b.canonical_key():
+            assert cli._root_first_diff(a, b) == root_first_diff_nested(a, b)
+
+    def test_root_first_difference_of_tall_roots(self):
+        # height 6001: sorting nested subtree keys would overflow the recursion limit
+        spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(4, 5)]), 1, 400)
+        vals = list(cli.hfcore.compute_spinc(spec, 0).tau.values)
+        root = root_from_tau(TauFunction(tuple(vals)))
+
+        def lowered(i):
+            return root_from_tau(TauFunction(tuple(vals[:i] + [vals[i] - 1] + vals[i + 1:])))
+
+        assert cli._root_first_diff(root, lowered(vals.index(min(vals)))) == {
+            "level": root.min_level() - 1, "lattice": 0, "formula": 1}
+        # a strict local minimum halfway along, lowered: one more run one level below it
+        i = next(i for i in range(len(vals) // 2, len(vals) - 1) if vals[i - 1] > vals[i] < vals[i + 1])
+        level = vals[i] - 1
+        count = root.chi.count(level)
+        assert cli._root_first_diff(root, lowered(i)) == {"level": level, "lattice": count, "formula": count + 1}
 
     def test_sublevel_leak_exits_3(self, capsys, monkeypatch):
         # a point the enumeration skips is an internal fault, not a mismatch

@@ -5,15 +5,26 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import merge_level, module_from_parts, module_from_root, module_from_tau_sweep, root_from_tau_rescan
+from oracles import (
+    layout_fractions,
+    merge_level,
+    module_from_parts,
+    module_from_root,
+    module_from_tau_sweep,
+    root_from_tau_rescan,
+    subtree_keys_nested,
+)
 
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
     TauFunction,
+    _layout,
     module_from_tau,
     reduced_rank,
     render,
+    render_ascii,
+    render_svg,
     root_from_tau,
 )
 
@@ -103,6 +114,38 @@ class TestRootFromTau:
     def test_matches_rescan_numbering(self, tau):
         fast, ref = root_from_tau(tau), root_from_tau_rescan(tau)
         assert (fast.chi, fast.parent) == (ref.chi, ref.parent)
+
+    @PROPERTY
+    @given(TAUS, st.sampled_from(["same", "mirror", "plateau", "bump"]), st.integers(0, 10**6), st.integers(-2, 2))
+    def test_keys_match_nested_keys(self, tau, twist, at, step):
+        # the flat level keys tell roots apart exactly as the nested subtree keys do
+        vals = list(tau.values)
+        i = at % len(vals)
+        if twist == "mirror":
+            vals.reverse()
+        elif twist == "plateau":
+            vals.insert(i, vals[i])
+        elif twist == "bump":
+            vals[i] += step
+        a, b = root_from_tau(tau), root_from_tau(TauFunction(tuple(vals)))
+
+        def nested(root):
+            return root.chi[root.top], subtree_keys_nested(root)[root.top]
+
+        assert (a.canonical_key() == b.canonical_key()) == (nested(a) == nested(b))
+
+    def test_tall_root_keys(self):
+        # height 6001: nested keys overflow the recursion limit when compared
+        tau = compute_spinc(SurgerySpec(from_newton_pairs([(4, 5)]), 1, 400), 0).tau
+        root = root_from_tau(tau)
+        assert root.chi[root.top] - root.min_level() == 6001
+        assert root.canonical_key() == root_from_tau(TauFunction(tau.values)).canonical_key()
+        vals = list(tau.values)
+        middle = next(i for i in range(len(vals) // 2, len(vals) - 1)
+                      if vals[i - 1] > vals[i] < vals[i + 1])  # a leaf well above the lowest
+        for i, step in ((vals.index(min(vals)), -1), (middle, -1), (middle, 1)):
+            bumped = vals[:i] + [vals[i] + step] + vals[i + 1:]
+            assert root.canonical_key() != root_from_tau(TauFunction(tuple(bumped))).canonical_key()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -225,3 +268,54 @@ class TestRender:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             render(root_from_tau(TauFunction((0,))), "png")
+
+
+def assert_layout_matches(root):
+    pos = _layout(root)
+    ref = layout_fractions(root)
+    assert pos == [ref[v] for v in range(len(root))]
+    assert {type(x) for x in pos} <= {int, Fraction}
+    for v, kids in enumerate(root.children):  # a Fraction only where a mean is taken
+        if not kids:
+            assert type(pos[v]) is int
+        elif len(kids) == 1:
+            assert pos[v] is pos[kids[0]]
+
+
+class TestLayout:
+    @PROPERTY
+    @given(TAUS)
+    def test_matches_fraction_layout(self, tau):
+        assert_layout_matches(root_from_tau(tau))
+
+    @pytest.mark.parametrize(
+        "pairs, p, q",
+        [(((4, 5),), 1, 16), (((7, 11),), 1, 16), (((3, 7),), 1, 12), (((2, 13),), 1, 8),
+         (((11, 13),), 1, 1), (((2, 3), (2, 1)), 5, 3)],
+    )
+    def test_matches_fraction_layout_on_corpus_taus(self, pairs, p, q):
+        spec = SurgerySpec(from_newton_pairs(list(pairs)), p, q)
+        for a in range(spec.p):
+            assert_layout_matches(root_from_tau(compute_spinc(spec, a).tau))
+
+    def test_fractions_only_at_branching_vertices(self, monkeypatch):
+        # `layout_fractions` alone builds 747 Fractions for this 374-vertex root
+        root = root_from_tau(compute_spinc(SurgerySpec(from_newton_pairs([(3, 7)]), 1, 12), 0).tau)
+        branching = sum(1 for kids in root.children if len(kids) > 1)
+        assert (len(root), branching) == (374, 61)
+        built = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results skip __new__ there
+            make = Fraction._from_coprime_ints.__func__
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(lambda cls, *args: built.append(cls) or make(cls, *args)))
+        for renderer in (render_svg, render_ascii):
+            built.clear()
+            renderer(root)
+            assert 0 < len(built) <= 3 * branching

@@ -385,3 +385,40 @@ def test_block_writer_guard_catches_each_form():
         (11, "name repr"),
         (11, "name str"),
     ]
+
+
+RENDERERS = ("_layout", "render_svg", "render_ascii")
+
+
+def true_divisions(func):
+    """(line, what) for every `/` and `/=` in a parsed function: an int / int
+    makes a float, which the float guard above cannot see."""
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_renderers_never_divide():
+    # positions are ints or Fractions built by Fraction(num, den); every
+    # coordinate is floored by //
+    path = SRC / "root.py"
+    funcs = {node.name: node for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(RENDERERS) <= set(funcs)
+    assert [f"{name}:{line}: {what}" for name in RENDERERS for line, what in true_divisions(funcs[name])] == []
+
+
+def test_division_guard_catches_each_form():
+    source = (
+        "def _layout(root):\n"
+        "    xs = [pos[c] for c in kids]\n"
+        "    mean = sum(xs) / len(xs)\n"
+        "    mean /= 2\n"
+        "    ok = Fraction(sum(xs), len(xs)) + 7 // 2\n"
+        "    return [int(48 * p / q) for p, q in xs]\n"
+    )
+    assert sorted(true_divisions(ast.parse(source).body[0])) == [
+        (3, "sum(xs) / len(xs)"),
+        (4, "mean /= 2"),
+        (6, "48 * p / q"),
+    ]
