@@ -6,8 +6,10 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
   * the depth t_a = floor(((2 delta - 1) q - a - 1) / p)  (may be -1),
   * the rational grading shift r_a, assembled from the Dedekind sum s(q, p),
     fractional parts of j q'/p, and delta; s(q, p) is computed once per
-    SurgerySpec, and the fractional sum is a floor sum, so r_a costs
-    O(log p) integer steps and one Fraction,
+    SurgerySpec, and the fractional sum is a floor sum, taken once, in
+    O(log p) steps, at the first class of a run of classes and then stepped
+    by one floor per class, so r_a costs O(1) integer steps and one Fraction
+    within `compute_all` and O(log p) alone,
   * the tau function on {0..2 t_a + 2}:
         tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
         tau(2t+1) = tau(2t+2) + alpha_{floor((t p + a)/q)},
@@ -33,11 +35,15 @@ itself is not part of a `SpincResult`.  Build it with `root.root_from_tau`
 where it is drawn or compared.
 
 Tau depends on a only through t_a and the floors floor((j p + a)/q), so when
-p is large and tau short most classes share one tau.  Per class the pipeline
-computes t_a (once), r_a and the tau values; per distinct tau (within one
-`compute_all`) it builds the `TauFunction` and the shift-0 module, checks the
-module against `reduced_rank(tau)` and 2 min tau, and sums the alpha terms.
-A `SpincResult` holds each of these facts once.
+p is large and tau short most classes share one tau.  `compute_all` and
+`compute_spinc` are one pass over a range of classes, [0, p) and [a, a + 1):
+one range check and one floor sum for the range, then per class t_a (one
+floor division), r_a (one floor added to the running sum) and the tau
+values; per distinct tau (within one pass) it builds the `TauFunction` and
+the shift-0 module, checks the module against `reduced_rank(tau)` and 2 min
+tau, and sums the alpha terms.  So `compute_all` runs in
+O(log p + p + sum_a len tau_a) after the one Dedekind sum of the
+SurgerySpec.  A `SpincResult` holds each of these facts once.
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -59,8 +65,9 @@ from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_ra
 class SurgerySpec(Frozen):
     """An algebraic knot together with a negative surgery coefficient -p/q.
 
-    p and q are positive and coprime; q > p (coefficient in (-1, 0)) is
-    allowed.  The normalised continued fraction of p/q is attached, with
+    p and q are positive and coprime, of type int (a bool, float, str or
+    Fraction raises TypeError); q > p (coefficient in (-1, 0)) is allowed.
+    The normalised continued fraction of p/q is attached, with
     q' (1 <= q' <= p, q q' = 1 mod p), and so is the integer 6 p s(q, p):
     the constants every grading shift needs, all fixed by (knot, p, q).
     """
@@ -68,6 +75,9 @@ class SurgerySpec(Frozen):
     __slots__ = ("knot", "p", "q", "cfrac", "dedekind_6p")
 
     def __init__(self, knot: AlgebraicKnot, p: int, q: int):
+        for name, v in (("p", p), ("q", q)):
+            if type(v) is not int:
+                raise TypeError(f"surgery coefficient: {name} = {v!r} must be an int, not {type(v).__name__}")
         if p < 1 or q < 1:
             raise ValueError(f"surgery coefficient needs p, q >= 1, got {p}/{q}")
         if gcd(p, q) != 1:
@@ -148,13 +158,37 @@ class SpincResult(Frozen):
         return tuple([self.shift + g for g in self.coker])
 
 
+def _depth_top(spec: SurgerySpec) -> int:
+    """(2 delta - 1) q - 1, the numerator of every depth: t_a = floor((it - a)/p)."""
+    return (2 * spec.knot.delta - 1) * spec.q - 1
+
+
 def tau_depth(spec: SurgerySpec, a: int) -> int:
     """t_a; equals -1 exactly when a >= (2 delta - 1) q."""
     spec._check_a(a)
-    t = ((2 * spec.knot.delta - 1) * spec.q - a - 1) // spec.p
+    t = (_depth_top(spec) - a) // spec.p
     if t < -1:
         raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
     return t
+
+
+def _shift_numerators(spec: SurgerySpec, start: int, stop: int):
+    """Yield 2p r_a for a = start, ..., stop - 1, where 0 <= start < stop <= p:
+
+    2p r_a = 6p s(q, p) + 4 F(a) - (1 + 2a)(p - 1) + 2 delta (p - q - 1)
+             + 2 delta^2 q - 4 delta a,
+
+    F(a) = sum_{j<=a} (j q' mod p) = q' a(a+1)/2 - p S(a) with the floor sum
+    S(a) = sum_{j<=a} floor(j q'/p).  S(start - 1) is one `floor_sum`,
+    O(log p); each class then adds its own floor to S, O(1).
+    """
+    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.cfrac.q_prime
+    base = spec.dedekind_6p - (p - 1) + 2 * d * (p - q - 1) + 2 * d * d * q  # 2p r_0
+    slope = 2 * (p - 1) + 4 * d
+    s = floor_sum(start, p, qp, 0)
+    for a in range(start, stop):
+        s += a * qp // p
+        yield base + 4 * (qp * a * (a + 1) // 2 - p * s) - slope * a
 
 
 def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
@@ -163,21 +197,12 @@ def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
     r_a = 3 s(q, p) + 2 sum_{j<=a} {j q'/p} - (1 + 2a)(p - 1)/(2p)
           + delta (1 - (q + 1)/p) + delta^2 q/p - 2 delta a/p.
 
-    Over the denominator 2p every term is an integer; the fractional sum is
-    F/p with F = sum_{j<=a} (j q' mod p) = q' a(a+1)/2 - p sum_{j<=a} floor(j q'/p).
+    Over the denominator 2p every term is an integer (`_shift_numerators`,
+    the one route to r_a here, which `compute_all` steps through all p
+    classes); one class costs one floor sum, O(log p).
     """
     spec._check_a(a)
-    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.cfrac.q_prime
-    f = qp * a * (a + 1) // 2 - p * floor_sum(a + 1, p, qp, 0)
-    return Fraction(
-        spec.dedekind_6p
-        + 4 * f
-        - (1 + 2 * a) * (p - 1)
-        + 2 * d * (p - q - 1)
-        + 2 * d * d * q
-        - 4 * d * a,
-        2 * p,
-    )
+    return Fraction(next(_shift_numerators(spec, a, a + 1)), 2 * spec.p)
 
 
 def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
@@ -204,46 +229,59 @@ def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _assemble(spec: SurgerySpec, a: int, by_tau: dict) -> SpincResult:
-    """One class, reusing the tau and shift-0 module of an equal tau from `by_tau`.
+def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult], int]:
+    """Classes start, ..., stop - 1 (0 <= start < stop <= p) in one pass, with
+    their ker U rank, the sum of t_a + 2.
 
-    `by_tau` maps tau values to (tau, shift-0 module, alpha sum), all
+    One range check and one floor sum for the whole range; per class t_a is
+    one floor division of a constant, r_a one floor added to a running floor
+    sum (`_shift_numerators`) and one Fraction, and tau its O(t_a) values.
+    Classes with equal tau share its (tau, shift-0 module, alpha sum), all
     functions of tau alone; an entry is built and its module checked against
-    `reduced_rank(tau)` and 2 min tau the first time its tau appears.
+    `reduced_rank(tau)` and 2 min tau the first time its tau appears, in a
+    map that lives only for this pass.
     """
-    t_a = tau_depth(spec, a)
-    r_a = grading_shift(spec, a)
-    vals = _tau_values(spec, a, t_a)
-    shared = by_tau.get(vals)
-    if shared is None:
-        tau = TauFunction(vals)
-        module = module_from_tau(tau)
-        if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
-            raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
-        if module.tower != 2 * min(vals):
-            raise InternalInvariantError("tower grade disagrees with 2 min tau")
-        # tau(2t+1) - tau(2t+2) for t = 0..t_a
-        shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
-    return SpincResult(a, t_a, r_a, *shared)
+    spec._check_a(start)
+    p, top = spec.p, _depth_top(spec)
+    if (top - (stop - 1)) // p < -1:  # t_a falls as a grows
+        raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
+    two_p, by_tau, results, rank = 2 * p, {}, [], 0
+    for a, n in zip(range(start, stop), _shift_numerators(spec, start, stop)):
+        t_a = (top - a) // p
+        rank += t_a + 2
+        vals = _tau_values(spec, a, t_a)
+        shared = by_tau.get(vals)
+        if shared is None:
+            tau = TauFunction(vals)
+            module = module_from_tau(tau)
+            if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
+                raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
+            if module.tower != 2 * min(vals):
+                raise InternalInvariantError("tower grade disagrees with 2 min tau")
+            # tau(2t+1) - tau(2t+2) for t = 0..t_a
+            shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
+        results.append(SpincResult(a, t_a, Fraction(n, two_p), *shared))
+    return results, rank
 
 
 def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
-    """Assemble tau -> module for one spin^c structure."""
-    return _assemble(spec, a, {})
+    """Assemble tau -> module for one spin^c structure: the pass over [a, a + 1),
+    O(log p + len tau)."""
+    return _classes(spec, a, a + 1)[0][0]
 
 
 def compute_all(spec: SurgerySpec) -> list[SpincResult]:
-    """All p spin^c structures, with the global rank identity enforced:
+    """All p spin^c structures in one pass over [0, p), with the global rank
+    identity enforced:
 
     sum_a (t_a + 2) = p + (2 delta - 1) q  (total rank of ker U).
 
-    Classes with equal tau share one `TauFunction`, one shift-0 module and
-    one alpha sum, built once per distinct tau by a map that lives only for
-    this call; each class adds only its own a, t_a and r_a.
+    After the one floor sum of the pass each class costs O(1) for t_a and
+    r_a plus O(len tau) for tau.  Classes with equal tau share one
+    `TauFunction`, one shift-0 module and one alpha sum, built once per
+    distinct tau; each class adds only its own a, t_a and r_a.
     """
-    by_tau: dict = {}
-    results = [_assemble(spec, a, by_tau) for a in range(spec.p)]
-    total = sum(r.depth + 2 for r in results)
+    results, total = _classes(spec, 0, spec.p)
     expected = spec.p + (2 * spec.knot.delta - 1) * spec.q
     if total != expected:
         raise InternalInvariantError(

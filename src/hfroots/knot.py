@@ -123,7 +123,11 @@ class AlgebraicKnot(Frozen):
 
 
 def _validate_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    pairs = tuple((int(p), int(q)) for p, q in pairs)
+    pairs = tuple((p, q) for p, q in pairs)
+    for i, pair in enumerate(pairs, start=1):
+        for name, v in zip("pq", pair):
+            if type(v) is not int:  # no float, str, bool or Fraction is rounded into a knot
+                raise TypeError(f"Newton pair {i}: {name}_{i} = {v!r} must be an int, not {type(v).__name__}")
     if not pairs:
         raise ValueError("at least one Newton pair is required (the unknot is excluded)")
     for i, (p, q) in enumerate(pairs, start=1):
@@ -153,7 +157,9 @@ def _linking_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int],
 def from_newton_pairs(pairs) -> AlgebraicKnot:
     """Build an AlgebraicKnot with all derived invariants.
 
-    Rejects invalid pair sequences with a diagnostic.  Internal consistency
+    Rejects invalid pair sequences with a diagnostic: an entry whose type is
+    not int (a float, str, bool or Fraction) raises TypeError, a value out of
+    range ValueError.  Internal consistency
     (gaps below mf, a semigroup symmetric about its conductor) is asserted;
     a failure there is a bug, not bad input.
     """

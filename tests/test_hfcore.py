@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from corpus_cases import KNOT_CORPUS
@@ -80,6 +80,16 @@ class TestDepth:
         with pytest.raises(ValueError):
             SurgerySpec(K23, 0, 1)
 
+    @pytest.mark.parametrize("p, q, message", [
+        (True, 1, "p = True must be an int, not bool"),  # bool passes p >= 1 and gcd as the integer 1
+        (3, 2.0, "q = 2.0 must be an int, not float"),
+        (Fraction(3), 2, "p = Fraction\\(3, 1\\) must be an int, not Fraction"),
+        (3, "2", "q = '2' must be an int, not str"),
+    ])
+    def test_spec_rejects_inexact_coefficients(self, p, q, message):
+        with pytest.raises(TypeError, match=f"^surgery coefficient: {message}$"):
+            SurgerySpec(K23, p, q)
+
 
 class TestShift:
     def test_known_shift_values(self):
@@ -145,7 +155,11 @@ class TestShift:
             spec = SurgerySpec(knot, p, 1)
             d = knot.delta
             for a in (0, 1, p // 2, p - 1):
-                assert grading_shift(spec, a) == Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p)
+                expected = Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p)
+                assert grading_shift(spec, a) == expected
+                # one class is one floor sum, not a pass over the classes below it
+                res = compute_spinc(spec, a)
+                assert (res.a, res.depth, res.shift) == (a, (2 * d - 2 - a) // p, expected)
 
     def test_spec_constants(self):
         for p, q in [(1, 1), (7, 5), (12, 7), (5, 12), (101, 4)]:
@@ -383,9 +397,61 @@ class TestComputeAll:
         assert len(compute_all(SurgerySpec(K45, 1, 2))) == 1
 
     def test_global_identity_guard(self, monkeypatch):
-        monkeypatch.setattr(hfcore, "tau_depth", lambda spec, a: 0)
-        with pytest.raises(InternalInvariantError):
+        # the pass reads every t_a off one numerator; p - 1 makes each t_a 0
+        monkeypatch.setattr(hfcore, "_depth_top", lambda spec: spec.p - 1)
+        with pytest.raises(InternalInvariantError, match="^ker U rank 4 != p"):
             compute_all(SurgerySpec(K45, 2, 1))
+
+    def test_one_floor_sum_per_pass(self, monkeypatch):
+        # r_a steps a running floor sum from one floor_sum at the first class
+        # of the pass: one call for all 599 classes, one for a single class
+        calls = []
+        real = hfcore.floor_sum
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hfcore, "floor_sum", counting)
+        for pairs, p, q in [([(2, 3)], 599, 397), ([(4, 5)], 401, 1), ([(2, 5)], 1, 7)]:
+            spec = SurgerySpec(from_newton_pairs(pairs), p, q)
+            calls.clear()
+            compute_all(spec)
+            assert len(calls) == 1
+            for a in {0, p // 2, p - 1}:
+                calls.clear()
+                compute_spinc(spec, a)
+                assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(newton_pair_sequences(), st.data())
+    def test_matches_oracles(self, pairs, data):
+        # every class of the pass against the definitions: t_a by its formula,
+        # r_a term by term (grading_shift_direct), tau by its sums
+        # (tau_values_direct, O(t_a^2)).  p <= 200 and q <= 400, with
+        # t_a <= sqrt(B/p) so that the p classes cost the definitions about B
+        # steps: p = 1 and q > p come with the smaller knots, classes with
+        # t_a = -1 with p > (2 delta - 1) q
+        knot = from_newton_pairs(pairs)
+        width, budget = 2 * knot.delta - 1, 160_000
+
+        def q_max(p):  # (2 delta - 1) q <= p sqrt(B/p)
+            return min(400, isqrt(budget // p) * p // width)
+
+        lo = next(p for p in range(1, 201) if q_max(p) >= 1)
+        p = data.draw(st.integers(lo, 200) | st.just(lo), label="p")
+        q = data.draw(st.integers(1, q_max(p)), label="q")
+        assume(gcd(p, q) == 1)
+        spec = SurgerySpec(knot, p, q)
+        results = compute_all(spec)
+        assert len(results) == p
+        for a, res in enumerate(results):
+            assert res.a == a
+            assert res.depth == (width * q - a - 1) // p
+            assert res.shift == grading_shift_direct(spec, a)
+            assert res.tau.values == tau_values_direct(spec, a)
+        a = data.draw(st.integers(0, p - 1), label="a")
+        assert compute_spinc(spec, a) == results[a]
 
     def test_tower_guard(self, monkeypatch):
         # the tower grade of each distinct tau's module must be 2 min tau; a

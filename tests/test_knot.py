@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -78,6 +79,19 @@ class TestConstruction:
     )
     def test_rejects_invalid(self, pairs, message):
         with pytest.raises(ValueError, match=message):
+            from_newton_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(2.5, 3.9)], "Newton pair 1: p_1 = 2.5 must be an int, not float"),  # int() would make the trefoil
+            ([(2, "3")], "Newton pair 1: q_1 = '3' must be an int, not str"),
+            ([(2, 3), (True, 1)], "Newton pair 2: p_2 = True must be an int, not bool"),
+            ([(2, Fraction(3))], "Newton pair 1: q_1 = Fraction\\(3, 1\\) must be an int, not Fraction"),
+        ],
+    )
+    def test_rejects_inexact_entries(self, pairs, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             from_newton_pairs(pairs)
 
     def test_table_cap_is_checked_before_allocating(self, monkeypatch):

@@ -194,6 +194,15 @@ def test_lens_guard_flags_planted_imports():
     ]
 
 
+def test_hfcore_imports_neither_check_route():
+    # `verify` checks hfcore's r_a against lens.grading_shift_formula and
+    # plumbing.lattice_grading_shift, so hfcore loads neither
+    path = SRC / "hfcore.py"
+    found = {what for _, what in lens_dependencies(ast.parse(path.read_text(), filename=str(path)))}
+    assert found & {"from lens", "from plumbing", "import hfroots.lens", "import hfroots.plumbing"} == set()
+    assert "from root" in found  # the guard sees hfcore's own package imports
+
+
 LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "divisorial_cycle", "cfrac"}
 
 
