@@ -7,16 +7,16 @@ JSON they are "numerator/denominator" strings, never floats.  A grade
 r_a + g is written from r_a and the integer g (`root.grade_text` in text).
 Documents have the bytes of json.dumps(doc, indent=2): `_json` writes every
 `knot` and `verify` document and the head of a `compute` one, and rejects
-any value but dict, list, str, int, bool and None; each spin^c class of a
-`compute` document is written by one template, `_spinc_json`, straight from
-its integers, and rejects any value but an int where an int is due.  What
-depends on tau alone (the tau text, the sorted ker/coker offsets, the
-grouped finite towers, 2 min tau, the alpha sum) is one `_tau_piece` per
-distinct tau of the document; per class the template formats only what
-depends on r_a.  `--format svg --spinc all` draws one root per distinct
-tau of the call and writes its text to the file of every class with that
-tau before drawing the next.  Output is
-deterministic byte for byte; timings go to stderr
+any value but dict, list, str, int, bool and None.  A `compute` document's
+classes are written from their integers in groups of equal tau and equal
+denominator D of r_a: one `_tau_piece` per distinct tau holds the tau text,
+the sorted ker/coker offsets and the grouped finite towers, and
+`_group_blocks` writes a group's fixed text once and each slot that depends
+on r_a (a, t_a, N, each N + g D, sw) as one column; an int slot holding
+anything but an int raises TypeError.  `--format svg --spinc all` draws one
+root per distinct tau of the call and writes its text to the file of every
+class with that tau before drawing the next.  Output is deterministic byte
+for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
 --lens` loads `lens` alone, compares its two routes' integer numerators
@@ -44,10 +44,13 @@ import argparse
 import os
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import attrgetter
 
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
@@ -87,7 +90,7 @@ def _json(obj, indent: str = "") -> str:
     if kind is list:
         if not obj:
             return "[]"
-        items = [_json(v, inner) for v in obj]
+        items = map(int.__repr__, obj) if {*map(type, obj)} == {int} else [_json(v, inner) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if kind is dict:
         if not obj:
@@ -183,6 +186,9 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
 
 
 _ITEM = ",\n        "  # between two items of a list in a spin^c block
+_TOWER = ',\n          {\n            "grade": "'  # from the end of a finite tower to the next grade
+_CLASS = attrgetter("a", "depth", "shift.numerator", "shift.denominator")
+_TAU, _DEN = attrgetter("tau.values"), attrgetter("shift.denominator")
 
 
 def _only_ints(kinds: set) -> None:
@@ -206,80 +212,88 @@ def _tau_piece(res: hfcore.SpincResult) -> tuple:
         kinds.update(map(type, column))
     _only_ints(kinds)
     tau = _ITEM.join(map(int.__repr__, vals))
-    return tau, res.ker, res.coker, [*module.grouped()], module.tower, res.alpha_sum
+    return tau, res.ker, res.coker, module.grouped(), module.tower, res.alpha_sum
 
 
-def _spinc_json(res: hfcore.SpincResult, piece: tuple) -> str:
-    """One class's entry in the "spinc" list of a `compute` JSON document: the
-    text `_json` gives its block (`tests/oracles.py::spinc_block`) at indent 4.
+def _grade_lists(nums, den: int, offsets, links) -> list:
+    """Per N of `nums`, the ints N + g D for g in `offsets` with `links`
+    between them (a str, or a list whose i-th item follows the i-th int):
+    one text per class, whatever the length of tau."""
+    if len(offsets) == 1:
+        return [*map(int.__repr__, map((offsets[0] * den).__add__, nums))]
+    if not isinstance(links, list):
+        return [links.join(map(int.__repr__, [n + g * den for g in offsets])) for n in nums]
+    texts, column = [""] * (2 * len(offsets) - 1), []
+    texts[1::2] = links
+    for n in nums:
+        texts[::2] = map(int.__repr__, [n + g * den for g in offsets])
+        column.append("".join(texts))
+    return column
 
-    `piece` is `_tau_piece` of a class with the same tau; this formats only
-    what depends on r_a = N/D: a grade r_a + g as (N + g D)/D, the tower
-    grade and d = r_a + 2 min tau as one such text, and sw = r_a/2 -
-    alpha_sum as (N - 2 D alpha_sum)/(2 D) when N is odd, else
-    (N/2 - D alpha_sum)/D; each is in lowest terms since gcd(N, D) = 1.
-    Every int is written by `int.__repr__` after a type check, so a
-    Fraction, float or bool raises TypeError, as in `_json`.
-    """
+
+def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
+    """The blocks (`tests/oracles.py::spinc_block` through `_json` at indent 4)
+    of the classes `group`, which share the tau of `piece` and the denominator
+    D = `den` of r_a = N/D.  They differ only in a, t_a, N, the grades N + g D
+    over D (d = r_a + 2 min tau is the tower grade) and sw = r_a/2 - alpha_sum,
+    (N - 2 D alpha_sum)/(2 D) for odd N, else (N/2 - D alpha_sum)/D; gcd(N, D)
+    = 1 keeps each in lowest terms.  Each slot is one column over the group,
+    zipped with the fixed text and joined per block.  Each class's a, t_a, N
+    and D must be ints and every int is written by `int.__repr__`, so a
+    Fraction, float or bool raises TypeError, as in `_json`."""
     tau, kers, cokers, grouped, tower, alpha_sum = piece
-    num, den = res.shift.numerator, res.shift.denominator
-    _only_ints({type(res.a), type(res.depth), type(num), type(den)})
+    a, depth, nums, dens = zip(*map(_CLASS, group))  # D is checked per class: True == 1 as a key
+    _only_ints({*map(type, a), *map(type, depth), *map(type, nums), *map(type, dens)})
     over = "/" + int.__repr__(den)
-    if num % 2:
-        sw = int.__repr__(num - 2 * den * alpha_sum) + "/" + int.__repr__(2 * den)
-    else:
-        sw = int.__repr__(num // 2 - den * alpha_sum) + over
     grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
-    ker = grade.join(map(int.__repr__, [num + g * den for g in kers]))
-    coker = grade.join(map(int.__repr__, [num + g * den for g in cokers]))
-    coker_u = '[\n        "' + coker + over + '"\n      ]' if coker else "[]"  # ker U is never empty
-    towers = ",".join([f"""
-          {{
-            "grade": "{int.__repr__(num + g * den)}{over}",
-            "length": {int.__repr__(n)},
-            "multiplicity": {int.__repr__(m)}
-          }}""" for g, n, m in grouped])
-    finite = "[" + towers + "\n        ]" if towers else "[]"
-    tower_grade = int.__repr__(num + tower * den) + over  # also d = r_a + 2 min tau
-    return f"""{{
-      "a": {int.__repr__(res.a)},
-      "t_a": {int.__repr__(res.depth)},
-      "r_a": "{int.__repr__(num)}{over}",
-      "tau": [
-        """ + tau + f"""
-      ],
-      "module": {{
-        "tower_grade": "{tower_grade}",
-        "finite_towers": {finite}
-      }},
-      "d_invariant": "{tower_grade}",
-      "sw_invariant": "{sw}",
-      "ker_u": [
-        "{ker}{over}"
-      ],
-      "coker_u": {coker_u}
-    }}"""
+    tower_grade = [*map(int.__repr__, map((tower * den).__add__, nums))]  # also d
+    half, double = "/" + int.__repr__(2 * den), 2 * den * alpha_sum
+    sw = [int.__repr__(n - double) + half if n % 2 else int.__repr__(n // 2 - den * alpha_sum) + over for n in nums]
+    cols = ['{\n      "a": ', [*map(int.__repr__, a)], ',\n      "t_a": ', [*map(int.__repr__, depth)],
+            ',\n      "r_a": "', [*map(int.__repr__, nums)], over + '",\n      "tau": [\n        ', tau,
+            '\n      ],\n      "module": {\n        "tower_grade": "', tower_grade, over + '",\n        "finite_towers": ']
+    if grouped:  # each tower's text after its grade, to the next tower's grade
+        links = [f'{over}",\n            "length": {int.__repr__(n)},\n            "multiplicity": {int.__repr__(m)}\n'
+                 '          },\n          {\n            "grade": "' for _, n, m in grouped]
+        last = links.pop().removesuffix(_TOWER) + "\n        ]"
+        cols += ['[\n          {\n            "grade": "', _grade_lists(nums, den, [g for g, _, _ in grouped], links), last]
+    else:
+        cols.append("[]")
+    cols += ['\n      },\n      "d_invariant": "', tower_grade, over + '",\n      "sw_invariant": "', sw,
+             '",\n      "ker_u": [\n        "', _grade_lists(nums, den, kers, grade)]
+    if cokers:  # ker U is never empty
+        cols += [over + '"\n      ],\n      "coker_u": [\n        "',
+                 _grade_lists(nums, den, cokers, grade), over + '"\n      ]\n    }']
+    else:
+        cols.append(over + '"\n      ],\n      "coker_u": []\n    }')
+    return [*map("".join, zip(*[c if isinstance(c, list) else repeat(c) for c in cols]))]
 
 
 def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
-    blocks, `_spinc_json` each class from the `_tau_piece` of its tau.
-
-    A piece is built once per distinct tau values and lives only for this
-    document.
+    blocks, `_group_blocks` the classes that share a tau values object and D,
+    from one `_tau_piece` per distinct tau values (it lives for this document
+    only); each block goes to its class's place in one join.
     """
+    groups = defaultdict(list)  # (id of the tau values, D) -> the places of its classes
+    for i, key in enumerate(zip(map(id, map(_TAU, results)), map(_DEN, results))):
+        groups[key].append(i)
     pieces: dict = {}  # tau values -> piece
-    blocks = []
-    for res in results:
-        piece = pieces.get(res.tau.values)
+    blocks = [""] * len(results)
+    for (_, den), places in groups.items():
+        group = [*map(results.__getitem__, places)]
+        vals = group[0].tau.values
+        piece = pieces.get(vals)
         if piece is None:
-            piece = pieces[res.tau.values] = _tau_piece(res)
-        blocks.append(_spinc_json(res, piece))
-    return (
-        '{\n  "knot": ' + _json(_knot_block(knot), "  ")
-        + ',\n  "surgery": ' + _json(_surgery_block(p, q, spec), "  ")
-        + ',\n  "spinc": [\n    ' + ",\n    ".join(blocks) + "\n  ]\n}\n"
-    )
+            piece = pieces[vals] = _tau_piece(group[0])
+        for i, block in zip(places, _group_blocks(piece, den, group)):
+            blocks[i] = block
+    parts = [",\n    "] * (2 * len(blocks) + 1)  # the document: one copy of each block
+    parts[1::2] = blocks
+    parts[0] = ('{\n  "knot": ' + _json(_knot_block(knot), "  ") + ',\n  "surgery": '
+                + _json(_surgery_block(p, q, spec), "  ") + ',\n  "spinc": [\n    ')
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
 
 
 def _spinc_text(res: hfcore.SpincResult) -> list[str]:

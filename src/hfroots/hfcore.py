@@ -158,6 +158,9 @@ class SpincResult(Frozen):
         return tuple([self.shift + g for g in self.coker])
 
 
+_PUT = tuple(SpincResult.__dict__[name].__set__ for name in SpincResult.__slots__)  # its member descriptors
+
+
 def _depth_top(spec: SurgerySpec) -> int:
     """(2 delta - 1) q - 1, the numerator of every depth: t_a = floor((it - a)/p)."""
     return (2 * spec.knot.delta - 1) * spec.q - 1
@@ -246,6 +249,7 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
     if (top - (stop - 1)) // p < -1:  # t_a falls as a grows
         raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
     two_p, by_tau, results, rank = 2 * p, {}, [], 0
+    put_a, put_depth, put_shift, put_tau, put_module, put_alpha = _PUT
     for a, n in zip(range(start, stop), _shift_numerators(spec, start, stop)):
         t_a = (top - a) // p
         rank += t_a + 2
@@ -260,7 +264,10 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
                 raise InternalInvariantError("tower grade disagrees with 2 min tau")
             # tau(2t+1) - tau(2t+2) for t = 0..t_a
             shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
-        results.append(SpincResult(a, t_a, Fraction(n, two_p), *shared))
+        res = object.__new__(SpincResult)  # the fields of __init__, set past Frozen's __setattr__
+        put_a(res, a), put_depth(res, t_a), put_shift(res, Fraction(n, two_p))
+        put_tau(res, shared[0]), put_module(res, shared[1]), put_alpha(res, shared[2])
+        results.append(res)
     return results, rank
 
 

@@ -24,7 +24,7 @@ HF+(-M, sigma_a) reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded
 Floer homologies, Adv. Math. 173, 2003).  With r_a = N/D in lowest terms,
 gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g already reduced:
 writing a grade needs neither a gcd nor a Fraction (`grade_text`, and the
-JSON template `cli._spinc_json`).
+JSON writer `cli._group_blocks`).
 
 `module_from_tau` needs only the order in which runs meet, which one
 left-to-right pass with a stack finds, in O(n) for n = len(tau) plus the
@@ -41,7 +41,6 @@ children, as one Fraction; every coordinate is floored by `//`.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -236,11 +235,10 @@ class UModuleDecomposition(Frozen):
     def reduced_rank(self) -> int:
         return sum(n for _, n in self.towers)
 
-    def grouped(self) -> Iterator[tuple[int, int, int]]:
+    def grouped(self) -> list[tuple[int, int, int]]:
         """(g, length, multiplicity) of each distinct finite tower, in order;
         its grade is shift + g."""
-        for (g, n), same in groupby(self.towers):
-            yield g, n, sum(1 for _ in same)
+        return [(g, n, len([*same])) for (g, n), same in groupby(self.towers)]
 
     def __str__(self):
         parts = [f"T+[{grade_text(self.shift, self.tower)}]"]

@@ -40,8 +40,8 @@ here, and the tests require identical results:
   * every grade of a spin^c structure as its own Fraction, written through
     Fraction's own reduction (the package keeps integer grades and one r_a,
     and writes r_a + g as (N + g D)/D), and a spin^c block as the dict that
-    the generic JSON writer takes (the package writes the block's text from
-    one template);
+    the generic JSON writer takes (the package writes the blocks' text
+    column-wise, per group of classes with equal tau and denominator of r_a);
   * det B and the leading principal minors by Bareiss elimination of the
     dense matrix with row pivoting, and B x = y (the canonical class
     included) by Gauss-Jordan elimination of the dense matrix over the
@@ -539,7 +539,7 @@ def _grouped(towers):
 def spinc_block(res: SpincResult) -> dict:
     """The JSON block of one spin^c structure as a dict for `cli._json`, each
     grade, d and sw written from its Fraction (the package writes the block's
-    text straight from the result's integers, `cli._spinc_json`)."""
+    text straight from the result's integers, `cli._group_blocks`)."""
 
     def grade(g):
         return rat(res.shift + g)

@@ -1,4 +1,6 @@
 import json
+import pickle
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -43,6 +45,12 @@ from hfroots.root import TauFunction, UModuleDecomposition, reduced_rank
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
+
+
+def class_block(res, piece=None):
+    """One class's block through the document writer: `cli._group_blocks` on
+    a group of one, with the `_tau_piece` of its own tau unless given."""
+    return cli._group_blocks(piece or cli._tau_piece(res), res.shift.denominator, [res])[0]
 
 
 @cache
@@ -396,6 +404,23 @@ class TestComputeAll:
     def test_single_class(self):
         assert len(compute_all(SurgerySpec(K45, 1, 2))) == 1
 
+    def test_results_are_the_values_init_builds(self):
+        # the pass fills each SpincResult's slots through their member
+        # descriptors: the same frozen value as SpincResult(...) builds
+        for spec in (SurgerySpec(K23, 599, 397), SurgerySpec(K45, 13, 2), SurgerySpec(K45, 1, 16)):
+            for res in compute_all(spec)[::37]:
+                built = SpincResult(res.a, res.depth, res.shift, res.tau, res.tau_module, res.alpha_sum)
+                assert type(res) is SpincResult
+                assert res == built and built == res and hash(res) == hash(built)
+                assert pickle.dumps(res) == pickle.dumps(built)
+                assert pickle.loads(pickle.dumps(res)) == built
+                for name in SpincResult.__slots__:
+                    with pytest.raises(AttributeError):
+                        setattr(res, name, getattr(res, name))
+                    with pytest.raises(AttributeError):
+                        delattr(res, name)
+                    assert getattr(res, name) is getattr(built, name)
+
     def test_global_identity_guard(self, monkeypatch):
         # the pass reads every t_a off one numerator; p - 1 makes each t_a 0
         monkeypatch.setattr(hfcore, "_depth_top", lambda spec: spec.p - 1)
@@ -578,7 +603,7 @@ class TestIntegerGrades:
         assert res.ker_u == ref.ker_u
         assert res.coker_u == ref.coker_u
         # written as (N + g D)/D and printed without Fractions, against Fraction's own
-        assert cli._spinc_json(res, cli._tau_piece(res)) == cli._json(spinc_fractions_block(ref), "    ")
+        assert class_block(res) == cli._json(spinc_fractions_block(ref), "    ")
         assert cli._spinc_text(res) == spinc_text(ref)
 
     def test_stored_grades_are_ints(self):
@@ -609,7 +634,7 @@ class TestIntegerGrades:
 
 
 class TestSpincTemplate:
-    """`cli._spinc_json` writes a class's block straight from its integers;
+    """`cli._group_blocks` writes a class's block straight from its integers;
     the reference is the dict `oracles.spinc_block` run through `cli._json`."""
 
     @staticmethod
@@ -624,7 +649,7 @@ class TestSpincTemplate:
         depth = max(40, -(-q // p))  # the trefoil always qualifies
         spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
         res = compute_spinc(spec, data.draw(st.integers(0, p - 1)))
-        assert cli._spinc_json(res, cli._tau_piece(res)) == self.reference(res)
+        assert class_block(res) == self.reference(res)
 
     @pytest.mark.parametrize(
         "pairs, p, q, a, shape",
@@ -640,7 +665,7 @@ class TestSpincTemplate:
     )
     def test_named_cases(self, pairs, p, q, a, shape):
         res = compute_spinc(SurgerySpec(from_newton_pairs(pairs), p, q), a)
-        text = cli._spinc_json(res, cli._tau_piece(res))
+        text = class_block(res)
         assert text == self.reference(res)
         if shape == "stem":
             assert res.depth == -1 and res.tau.values == (0,)
@@ -658,7 +683,7 @@ class TestSpincTemplate:
         for pairs, p, q in [([(2, 3)], 7, 5), ([(4, 5)], 2, 1), ([(3, 4)], 1, 2), ([(2, 5)], 9, 4)]:
             for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
                 seen.add((res.shift.numerator % 2, res.shift.denominator))
-                block = json.loads(cli._spinc_json(res, cli._tau_piece(res)))
+                block = json.loads(class_block(res))
                 for key in ("d_invariant", "sw_invariant"):
                     x = getattr(res, key)
                     assert block[key] == f"{x.numerator}/{x.denominator}"
@@ -695,7 +720,7 @@ class TestSpincTemplate:
         assert res.tau_module.towers
         broken = self.broken(res, field, bad)
         with pytest.raises(TypeError):
-            cli._spinc_json(broken, cli._tau_piece(broken))
+            class_block(broken)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
     @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
@@ -721,9 +746,9 @@ class TestSpincTemplate:
         else:
             broken = self.broken(res, field, bad)
         piece = cli._tau_piece(first)
-        assert cli._spinc_json(res, piece) == self.reference(res)
+        assert class_block(res, piece) == self.reference(res)
         with pytest.raises(TypeError):
-            cli._spinc_json(broken, piece)
+            class_block(broken, piece)
         with pytest.raises(TypeError):
             cli._compute_json(K45, 13, 2, spec, [*results[:11], broken, *results[12:]])
 
@@ -774,3 +799,74 @@ class TestComputeDocument:
         shared, single = compute_all(spec), [compute_spinc(spec, a) for a in range(7)]
         assert shared[1].tau is shared[2].tau and single[1].tau is not single[2].tau
         assert cli._compute_json(K23, 7, 1, spec, single) == cli._compute_json(K23, 7, 1, spec, shared)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(1, 700), st.sampled_from([360, 420, 480, 504, 540, 600, 630, 660, 672, 700])),
+           st.integers(1, 700), st.data())
+    def test_matches_reference_up_to_p_700(self, p, q, data):
+        # even p and p with many divisors give one tau several denominators of r_a
+        while gcd(p, q) != 1:
+            q += 1
+        knot = data.draw(st.sampled_from(knots_within(p, q, max(6, -(-q // p)))))  # the trefoil always qualifies
+        spec = SurgerySpec(knot, p, q)
+        results = compute_all(spec)
+        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+
+    @pytest.mark.parametrize("pairs, p, q, groups", [
+        ([(2, 3)], 599, 397, 3), ([(3, 4)], 256, 253, 17), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1),
+    ])
+    def test_named_documents(self, pairs, p, q, groups):
+        # groups: the distinct (tau, denominator of r_a); more than the taus
+        # where one tau carries several denominators
+        knot = from_newton_pairs(pairs)
+        spec = SurgerySpec(knot, p, q)
+        results = compute_all(spec)
+        assert len({(res.tau.values, res.shift.denominator) for res in results}) == groups
+        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+
+    @staticmethod
+    def planted(res, field, bad):
+        """res with `bad` in its a, t_a, or the numerator or denominator of r_a."""
+        if field in ("numerator", "denominator"):
+            parts = {"numerator": res.shift.numerator, "denominator": res.shift.denominator, field: bad}
+            return SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.tau_module,
+                               res.alpha_sum)
+        return SpincResult(**{"a": res.a, "depth": res.depth, field: bad}, shift=res.shift, tau=res.tau,
+                           tau_module=res.tau_module, alpha_sum=res.alpha_sum)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1198), 0.5, 1198.0, True, False])
+    @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
+    def test_rejects_a_value_planted_inside_a_large_group(self, field, bad):
+        # class 300 of -599/397 shares its tau object and D = 1198 with 395
+        # other classes; Fraction(1198) and 1198.0 are equal keys to 1198
+        spec = SurgerySpec(K23, 599, 397)
+        results = compute_all(spec)
+        res = results[300]
+        assert sum(r.tau is res.tau and r.shift.denominator == 1198 for r in results) == 396
+        with pytest.raises(TypeError):
+            cli._compute_json(K23, 599, 397, spec, [*results[:300], self.planted(res, field, bad), *results[301:]])
+
+    @pytest.mark.parametrize("bad", [True, Fraction(1), 1.0])
+    def test_rejects_a_denominator_equal_to_1_as_a_key(self, bad):
+        # -9/2: classes 2, 5 and 8 share tau (0,) and r_a = 0/1; True == 1
+        # puts class 5 in their group, where only its own D shows the bool
+        spec = SurgerySpec(K23, 9, 2)
+        results = compute_all(spec)
+        assert [r.a for r in results if r.tau is results[5].tau and r.shift.denominator == 1] == [2, 5, 8]
+        with pytest.raises(TypeError):
+            cli._compute_json(K23, 9, 2, spec, [*results[:5], self.planted(results[5], "denominator", bad),
+                                                *results[6:]])
+
+    def test_memory_of_a_long_tau(self):
+        # one class with 66,001 tau values: the writer keeps one text per
+        # class for its ker U, coker U and finite towers, not a column per grade
+        spec = SurgerySpec(K45, 1, 3000)
+        results = compute_all(spec)
+        tracemalloc.start()
+        try:
+            text = cli._compute_json(K45, 1, 3000, spec, results)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results[0].tau.values) == 66001
+        assert peak <= 5 * len(text)

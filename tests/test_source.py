@@ -293,7 +293,7 @@ def test_laufer_guard_catches_helpers_of_the_lattice_shift():
 
 FORMATTERS = {"str", "format", "repr", "ascii"}
 FORMAT_METHODS = {"format", "format_map", "__str__", "__format__", "__repr__"}
-BLOCK_WRITERS = ("_tau_piece", "_spinc_json", "_compute_json")
+BLOCK_WRITERS = ("_tau_piece", "_grade_lists", "_group_blocks", "_compute_json")
 
 
 def _int_repr(node):
