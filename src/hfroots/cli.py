@@ -12,11 +12,11 @@ classes are written from their integers in groups of equal tau and equal
 denominator D of r_a: one `_tau_piece` per distinct tau holds the tau text,
 the sorted ker/coker offsets and the grouped finite towers, and
 `_group_blocks` writes a group's fixed text once and each slot that depends
-on r_a (a, t_a, N, each N + g D, sw) as one column; an int slot holding
-anything but an int raises TypeError.  `--format svg --spinc all` draws one
-root per distinct tau of the call and writes its text to the file of every
-class with that tau before drawing the next.  Output is deterministic byte
-for byte; timings go to stderr
+on r_a (a, t_a, N, each N + g D, sw) as one column, a grade list as one text
+per class; an int slot holding anything but an int raises TypeError.
+`--format svg --spinc all` draws one root per distinct tau of the call and
+writes its text to the file of every class with that tau before drawing the
+next.  Output is deterministic byte for byte; timings go to stderr
 (HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
 lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
 --lens` loads `lens` alone, compares its two routes' integer numerators
@@ -90,7 +90,7 @@ def _json(obj, indent: str = "") -> str:
     if kind is list:
         if not obj:
             return "[]"
-        items = map(int.__repr__, obj) if {*map(type, obj)} == {int} else [_json(v, inner) for v in obj]
+        items = [_json(v, inner) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if kind is dict:
         if not obj:
@@ -215,14 +215,12 @@ def _tau_piece(res: hfcore.SpincResult) -> tuple:
     return tau, res.ker, res.coker, module.grouped(), module.tower, res.alpha_sum
 
 
-def _grade_lists(nums, den: int, offsets, links) -> list:
+def _grade_lists(nums, den: int, offsets, links) -> list[str]:
     """Per N of `nums`, the ints N + g D for g in `offsets` with `links`
-    between them (a str, or a list whose i-th item follows the i-th int):
-    one text per class, whatever the length of tau."""
-    if len(offsets) == 1:
-        return [*map(int.__repr__, map((offsets[0] * den).__add__, nums))]
-    if not isinstance(links, list):
-        return [links.join(map(int.__repr__, [n + g * den for g in offsets])) for n in nums]
+    between them, the i-th after the i-th int: one text per class, whatever
+    the length of tau."""
+    if len(offsets) < 2:  # a column per grade, as there is at most one
+        return [*map(int.__repr__, map((offsets[0] * den).__add__, nums))] if offsets else [""] * len(nums)
     texts, column = [""] * (2 * len(offsets) - 1), []
     texts[1::2] = links
     for n in nums:
@@ -238,35 +236,34 @@ def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
     over D (d = r_a + 2 min tau is the tower grade) and sw = r_a/2 - alpha_sum,
     (N - 2 D alpha_sum)/(2 D) for odd N, else (N/2 - D alpha_sum)/D; gcd(N, D)
     = 1 keeps each in lowest terms.  Each slot is one column over the group,
-    zipped with the fixed text and joined per block.  Each class's a, t_a, N
-    and D must be ints and every int is written by `int.__repr__`, so a
-    Fraction, float or bool raises TypeError, as in `_json`."""
+    zipped with the fixed text between slots and joined per block.  Each
+    class's a, t_a, N and D must be ints and every int is written by
+    `int.__repr__`, so a Fraction, float or bool raises TypeError, as in `_json`."""
     tau, kers, cokers, grouped, tower, alpha_sum = piece
-    a, depth, nums, dens = zip(*map(_CLASS, group))  # D is checked per class: True == 1 as a key
-    _only_ints({*map(type, a), *map(type, depth), *map(type, nums), *map(type, dens)})
+    a, depth, nums, dens = zip(*map(_CLASS, group))  # each class's own D: True == 1 as a key
+    _only_ints({*map(type, a + depth + nums + dens)})
     over = "/" + int.__repr__(den)
     grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
+    end = over + '"\n      ]'  # ends the last grade of a list
     tower_grade = [*map(int.__repr__, map((tower * den).__add__, nums))]  # also d
     half, double = "/" + int.__repr__(2 * den), 2 * den * alpha_sum
     sw = [int.__repr__(n - double) + half if n % 2 else int.__repr__(n // 2 - den * alpha_sum) + over for n in nums]
-    cols = ['{\n      "a": ', [*map(int.__repr__, a)], ',\n      "t_a": ', [*map(int.__repr__, depth)],
-            ',\n      "r_a": "', [*map(int.__repr__, nums)], over + '",\n      "tau": [\n        ', tau,
-            '\n      ],\n      "module": {\n        "tower_grade": "', tower_grade, over + '",\n        "finite_towers": ']
-    if grouped:  # each tower's text after its grade, to the next tower's grade
-        links = [f'{over}",\n            "length": {int.__repr__(n)},\n            "multiplicity": {int.__repr__(m)}\n'
-                 '          },\n          {\n            "grade": "' for _, n, m in grouped]
-        last = links.pop().removesuffix(_TOWER) + "\n        ]"
-        cols += ['[\n          {\n            "grade": "', _grade_lists(nums, den, [g for g, _, _ in grouped], links), last]
-    else:
-        cols.append("[]")
-    cols += ['\n      },\n      "d_invariant": "', tower_grade, over + '",\n      "sw_invariant": "', sw,
-             '",\n      "ker_u": [\n        "', _grade_lists(nums, den, kers, grade)]
-    if cokers:  # ker U is never empty
-        cols += [over + '"\n      ],\n      "coker_u": [\n        "',
-                 _grade_lists(nums, den, cokers, grade), over + '"\n      ]\n    }']
-    else:
-        cols.append(over + '"\n      ],\n      "coker_u": []\n    }')
-    return [*map("".join, zip(*[c if isinstance(c, list) else repeat(c) for c in cols]))]
+    towers = [f'{over}",\n            "length": {int.__repr__(n)},\n            "multiplicity": {int.__repr__(m)}\n'
+              '          },\n          {\n            "grade": "' for _, n, m in grouped]  # to the next grade
+    last = towers.pop().removesuffix(_TOWER) + "\n        ]" if towers else ""
+    fixed = ['{\n      "a": ', ',\n      "t_a": ', ',\n      "r_a": "',
+             over + '",\n      "tau": [\n        ' + tau + '\n      ],\n      "module": {\n        "tower_grade": "',
+             over + '",\n        "finite_towers": ' + ('[\n          {\n            "grade": "' if grouped else "[]"),
+             last + '\n      },\n      "d_invariant": "', over + '",\n      "sw_invariant": "',
+             '",\n      "ker_u": [\n        "', end + ',\n      "coker_u": ' + ('[\n        "' if cokers else "[]"),
+             (end if cokers else "") + "\n    }"]  # the text before each column, and after the last
+    columns = [map(int.__repr__, a), map(int.__repr__, depth), map(int.__repr__, nums), tower_grade,
+               _grade_lists(nums, den, [g for g, _, _ in grouped], towers), tower_grade, sw,
+               _grade_lists(nums, den, kers, [grade] * (len(kers) - 1)),
+               _grade_lists(nums, den, cokers, [grade] * (len(cokers) - 1))]
+    slots = fixed + columns  # the fixed texts, each repeated, between the columns
+    slots[::2], slots[1::2] = map(repeat, fixed), columns
+    return [*map("".join, zip(*slots))]
 
 
 def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:

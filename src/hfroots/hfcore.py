@@ -115,12 +115,14 @@ class SpincResult(Frozen):
 
     def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, tau_module: UModuleDecomposition,
                  alpha_sum: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "depth", depth)                  # t_a
-        object.__setattr__(self, "shift", shift)                  # r_a
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "tau_module", tau_module)        # shift 0, tower 2 min tau
-        object.__setattr__(self, "alpha_sum", alpha_sum)          # sum of tau(2t+1) - tau(2t+2)
+        # each slot's member descriptor, past Frozen's __setattr__: about half
+        # the cost of object.__setattr__, paid once per class by compute_all
+        _put_a(self, a)
+        _put_depth(self, depth)                 # t_a
+        _put_shift(self, shift)                 # r_a
+        _put_tau(self, tau)
+        _put_module(self, tau_module)           # shift 0, tower 2 min tau
+        _put_alpha(self, alpha_sum)             # sum of tau(2t+1) - tau(2t+2)
 
     @property
     def module(self) -> UModuleDecomposition:
@@ -158,7 +160,8 @@ class SpincResult(Frozen):
         return tuple([self.shift + g for g in self.coker])
 
 
-_PUT = tuple(SpincResult.__dict__[name].__set__ for name in SpincResult.__slots__)  # its member descriptors
+_put_a, _put_depth, _put_shift, _put_tau, _put_module, _put_alpha = (
+    SpincResult.__dict__[name].__set__ for name in SpincResult.__slots__)
 
 
 def _depth_top(spec: SurgerySpec) -> int:
@@ -249,7 +252,6 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
     if (top - (stop - 1)) // p < -1:  # t_a falls as a grows
         raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
     two_p, by_tau, results, rank = 2 * p, {}, [], 0
-    put_a, put_depth, put_shift, put_tau, put_module, put_alpha = _PUT
     for a, n in zip(range(start, stop), _shift_numerators(spec, start, stop)):
         t_a = (top - a) // p
         rank += t_a + 2
@@ -264,10 +266,7 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
                 raise InternalInvariantError("tower grade disagrees with 2 min tau")
             # tau(2t+1) - tau(2t+2) for t = 0..t_a
             shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
-        res = object.__new__(SpincResult)  # the fields of __init__, set past Frozen's __setattr__
-        put_a(res, a), put_depth(res, t_a), put_shift(res, Fraction(n, two_p))
-        put_tau(res, shared[0]), put_module(res, shared[1]), put_alpha(res, shared[2])
-        results.append(res)
+        results.append(SpincResult(a, t_a, Fraction(n, two_p), *shared))
     return results, rank
 
 

@@ -405,8 +405,9 @@ class TestComputeAll:
         assert len(compute_all(SurgerySpec(K45, 1, 2))) == 1
 
     def test_results_are_the_values_init_builds(self):
-        # the pass fills each SpincResult's slots through their member
-        # descriptors: the same frozen value as SpincResult(...) builds
+        # __init__ fills the slots through their member descriptors, past
+        # Frozen's __setattr__: still frozen, and equal, hashed and pickled
+        # like a copy built from the same fields and one restored by pickle
         for spec in (SurgerySpec(K23, 599, 397), SurgerySpec(K45, 13, 2), SurgerySpec(K45, 1, 16)):
             for res in compute_all(spec)[::37]:
                 built = SpincResult(res.a, res.depth, res.shift, res.tau, res.tau_module, res.alpha_sum)
@@ -858,8 +859,9 @@ class TestComputeDocument:
                                                 *results[6:]])
 
     def test_memory_of_a_long_tau(self):
-        # one class with 66,001 tau values: the writer keeps one text per
-        # class for its ker U, coker U and finite towers, not a column per grade
+        # one class with 66,001 tau values: the peak (about 3.8x the document)
+        # stays within 5x, which catches a whole extra copy of the block text
+        # alive at once, not smaller per-grade overheads
         spec = SurgerySpec(K45, 1, 3000)
         results = compute_all(spec)
         tracemalloc.start()
