@@ -19,7 +19,6 @@ from .knot import AlgebraicKnot, NumericalSemigroup, from_newton_pairs
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
 from .root import (
     GradedRoot,
-    TauFunction,
     UModuleDecomposition,
     module_from_tau,
     reduced_rank,
@@ -36,7 +35,6 @@ __all__ = [
     "ResourceLimitError",
     "SpincResult",
     "SurgerySpec",
-    "TauFunction",
     "UModuleDecomposition",
     "compute_all",
     "compute_spinc",

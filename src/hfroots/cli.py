@@ -125,9 +125,19 @@ def _pretty_poly(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
+def _int(text: str) -> int:
+    """The integer of an optional '-' and ASCII digits 0-9, for --newton,
+    --surgery, --lens and --spinc.  int() alone would also take '+', '_',
+    spaces and non-ASCII digits; any of them raises ValueError here."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_newton(text: str) -> AlgebraicKnot:
     try:
-        nums = [int(x) for x in text.split(",")]
+        nums = [_int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"--newton expects a comma list of integers, got {text!r}")
     if len(nums) % 2 != 0 or not nums:
@@ -140,7 +150,7 @@ def _parse_fraction(text: str, flag: str) -> tuple[int, int]:
     the sign rule; other ranges are checked where the pair is used."""
     parts = text.split("/")
     try:
-        p, q = (int(parts[0]), 1) if len(parts) == 1 else map(int, parts)  # three parts fail to unpack
+        p, q = (_int(parts[0]), 1) if len(parts) == 1 else map(_int, parts)  # three parts fail to unpack
     except ValueError:
         raise ValueError(f"{flag} expects P or P/Q, got {text!r}") from None
     if p < 0:
@@ -188,7 +198,7 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
 _ITEM = ",\n        "  # between two items of a list in a spin^c block
 _TOWER = ',\n          {\n            "grade": "'  # from the end of a finite tower to the next grade
 _CLASS = attrgetter("a", "depth", "shift.numerator", "shift.denominator")
-_TAU, _DEN = attrgetter("tau.values"), attrgetter("shift.denominator")
+_TAU, _DEN = attrgetter("tau"), attrgetter("shift.denominator")
 
 
 def _only_ints(kinds: set) -> None:
@@ -202,10 +212,10 @@ def _tau_piece(res: hfcore.SpincResult) -> tuple:
     text, the sorted grade offsets of ker U and coker U, the grouped finite
     towers (g, length, multiplicity), the tower offset 2 min tau and the
     alpha sum.  All of them are functions of tau alone (`hfcore` builds the
-    shift-0 module and the alpha sum once per `TauFunction`).  Each is
+    shift-0 module and the alpha sum once per distinct tau tuple).  Each is
     checked to be an int, so a Fraction, float or bool raises TypeError here.
     """
-    module, vals = res.tau_module, res.tau.values
+    module, vals = res.tau_module, res.tau
     kinds = {*map(type, vals)}
     kinds.update(map(type, (module.tower, res.alpha_sum)))
     for column in zip(*module.towers):  # the grades, then the lengths
@@ -268,21 +278,21 @@ def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
 
 def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
-    blocks, `_group_blocks` the classes that share a tau values object and D,
-    from one `_tau_piece` per distinct tau values (it lives for this document
-    only); each block goes to its class's place in one join.
+    blocks, `_group_blocks` the classes that share a tau tuple object and D,
+    from one `_tau_piece` per distinct tau (it lives for this document only);
+    each block goes to its class's place in one join.
     """
-    groups = defaultdict(list)  # (id of the tau values, D) -> the places of its classes
+    groups = defaultdict(list)  # (id of the tau tuple, D) -> the places of its classes
     for i, key in enumerate(zip(map(id, map(_TAU, results)), map(_DEN, results))):
         groups[key].append(i)
-    pieces: dict = {}  # tau values -> piece
+    pieces: dict = {}  # tau -> piece
     blocks = [""] * len(results)
     for (_, den), places in groups.items():
         group = [*map(results.__getitem__, places)]
-        vals = group[0].tau.values
-        piece = pieces.get(vals)
+        tau = group[0].tau
+        piece = pieces.get(tau)
         if piece is None:
-            piece = pieces[vals] = _tau_piece(group[0])
+            piece = pieces[tau] = _tau_piece(group[0])
         for i, block in zip(places, _group_blocks(piece, den, group)):
             blocks[i] = block
     parts = [",\n    "] * (2 * len(blocks) + 1)  # the document: one copy of each block
@@ -297,7 +307,7 @@ def _spinc_text(res: hfcore.SpincResult) -> list[str]:
     return [
         f"spin^c a = {res.a}:",
         f"  t_a = {res.depth}   r_a = {res.shift}",
-        "  tau: " + ", ".join(str(v) for v in res.tau.values),
+        "  tau: " + ", ".join(str(v) for v in res.tau),
         f"  HF+ = {res.module}",
         f"  d = {res.d_invariant}   sw = {res.sw_invariant}",
         "  ker U gradings: " + ", ".join([grade_text(res.shift, g) for g in res.ker]),
@@ -344,7 +354,7 @@ def _parse_spinc(text: str) -> int | None:
     if text == "all":
         return None
     try:
-        return int(text)
+        return _int(text)
     except ValueError:
         raise ValueError(f"--spinc expects a spin^c index or 'all', got {text!r}")
 
@@ -361,10 +371,10 @@ def cmd_compute(args) -> int:
     _info(f"computed {len(results)} spin^c structures in {time.perf_counter() - t0:.3f}s")
 
     if args.format == "svg":
-        by_tau: dict = {}  # tau values -> its classes: one root drawn per distinct tau, one text alive
+        groups: dict = {}  # tau -> its classes: one root drawn per distinct tau, one text alive
         for res in results:
-            by_tau.setdefault(res.tau.values, []).append(res)
-        for same in by_tau.values():
+            groups.setdefault(res.tau, []).append(res)
+        for same in groups.values():
             svg = render(root_from_tau(same[0].tau), "svg")
             for res in same:
                 if args.out and len(results) > 1:
@@ -433,12 +443,11 @@ def _first_diff(lattice, formula) -> dict:
             "formula": formula[i] if i < len(formula) else None}
 
 
-def _root_first_diff(lattice, formula) -> dict:
-    """The lowest level whose sorted labels (`GradedRoot.level_keys`) differ
-    between two graded roots, with each root's vertex count there."""
-    a, b = lattice.level_keys(), formula.level_keys()
-    level = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return {"level": level, "lattice": len(a.get(level, ())), "formula": len(b.get(level, ()))}
+def _root_first_diff(lattice: dict, formula: dict) -> dict:
+    """The lowest level whose sorted labels differ between the
+    `GradedRoot.level_keys` of two roots, with each root's vertex count there."""
+    level = min(k for k in lattice.keys() | formula.keys() if lattice.get(k) != formula.get(k))
+    return {"level": level, "lattice": len(lattice.get(level, ())), "formula": len(formula.get(level, ()))}
 
 
 def cmd_verify(args) -> int:
@@ -488,18 +497,18 @@ def cmd_verify(args) -> int:
         if use_laufer:
             values = plumbing.class_laufer_values(gm, cls, chi_gf, (res.depth + 1) * knot.mf)
             condensed = plumbing.condense_tau(values, knot.mf)
-            entry["laufer_tau_ok"] = condensed == res.tau.values
+            entry["laufer_tau_ok"] = condensed == res.tau
             if not entry["laufer_tau_ok"]:
-                entry["laufer_first_diff"] = _first_diff(condensed, res.tau.values)
+                entry["laufer_first_diff"] = _first_diff(condensed, res.tau)
         if use_sublevel:
-            n_top = res.tau.max()
+            n_top = max(res.tau)
             box = plumbing.exact_sublevel_box(gm, cls.k_pairs, n_top)
-            lattice_root = plumbing.sublevel_root(gm, cls.k_pairs, n_top, box)
-            formula_root = root_from_tau(res.tau)
-            same = lattice_root.canonical_key() == formula_root.canonical_key()
+            lattice_keys = plumbing.sublevel_root(gm, cls.k_pairs, n_top, box).level_keys()
+            formula_keys = root_from_tau(res.tau).level_keys()
+            same = lattice_keys == formula_keys
             entry["sublevel"] = "ok" if same else "disagree"
             if not same:
-                entry["sublevel_first_diff"] = _root_first_diff(lattice_root, formula_root)
+                entry["sublevel_first_diff"] = _root_first_diff(lattice_keys, formula_keys)
         per.append(entry)
         bad = (
             not entry["shift_lattice_ok"]

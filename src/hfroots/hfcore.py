@@ -10,7 +10,8 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     O(log p) steps, at the first class of a run of classes and then stepped
     by one floor per class, so r_a costs O(1) integer steps and one Fraction
     within `compute_all` and O(log p) alone,
-  * the tau function on {0..2 t_a + 2}:
+  * the tau function on {0..2 t_a + 2}, a plain tuple of ints (tau(i) is
+    its i-th entry):
         tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
         tau(2t+1) = tau(2t+2) + alpha_{floor((t p + a)/q)},
   * the Z[U]-module of the graded root of tau, shifted by r_a; the homology
@@ -27,7 +28,7 @@ minus an integer, so a `SpincResult` keeps the integers (2 tau(2t),
 grade as r_a + g; per class only r_a is a Fraction, and d, sw and the
 shifted module are built from it only when read.
 
-For a >= (2 delta - 1) q the depth is -1, tau = [0], the root is a bare stem
+For a >= (2 delta - 1) q the depth is -1, tau = (0,), the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
 
 The module is read off tau directly (`root.module_from_tau`); the graded root
@@ -39,8 +40,8 @@ p is large and tau short most classes share one tau.  `compute_all` and
 `compute_spinc` are one pass over a range of classes, [0, p) and [a, a + 1):
 one range check and one floor sum for the range, then per class t_a (one
 floor division), r_a (one floor added to the running sum) and the tau
-values; per distinct tau (within one pass) it builds the `TauFunction` and
-the shift-0 module, checks the module against `reduced_rank(tau)` and 2 min
+values; per distinct tau (within one pass) it keeps the first tuple built,
+builds the shift-0 module, checks it against `reduced_rank(tau)` and 2 min
 tau, and sums the alpha terms.  So `compute_all` runs in
 O(log p + p + sum_a len tau_a) after the one Dedekind sum of the
 SurgerySpec.  A `SpincResult` holds each of these facts once.
@@ -59,7 +60,7 @@ from .errors import InternalInvariantError
 from .frozen import Frozen
 from .knot import AlgebraicKnot
 from .numtheory import dedekind_sum, floor_sum, neg_cfrac
-from .root import TauFunction, UModuleDecomposition, module_from_tau, reduced_rank
+from .root import UModuleDecomposition, module_from_tau, reduced_rank
 
 
 class SurgerySpec(Frozen):
@@ -113,7 +114,7 @@ class SpincResult(Frozen):
 
     __slots__ = ("a", "depth", "shift", "tau", "tau_module", "alpha_sum")
 
-    def __init__(self, a: int, depth: int, shift: Fraction, tau: TauFunction, tau_module: UModuleDecomposition,
+    def __init__(self, a: int, depth: int, shift: Fraction, tau: tuple[int, ...], tau_module: UModuleDecomposition,
                  alpha_sum: int):
         # each slot's member descriptor, past Frozen's __setattr__: about half
         # the cost of object.__setattr__, paid once per class by compute_all
@@ -142,12 +143,12 @@ class SpincResult(Frozen):
     @property
     def ker(self) -> tuple[int, ...]:
         """ker U grades minus r_a, sorted: 2 tau(2t)."""
-        return tuple([2 * v for v in sorted(self.tau.values[0::2])])
+        return tuple([2 * v for v in sorted(self.tau[0::2])])
 
     @property
     def coker(self) -> tuple[int, ...]:
         """coker U grades minus r_a, sorted: 2 tau(2t+1) - 2."""
-        return tuple([2 * v - 2 for v in sorted(self.tau.values[1::2])])
+        return tuple([2 * v - 2 for v in sorted(self.tau[1::2])])
 
     @property
     def ker_u(self) -> tuple[Fraction, ...]:
@@ -211,13 +212,13 @@ def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
     return Fraction(next(_shift_numerators(spec, a, a + 1)), 2 * spec.p)
 
 
-def tau_function(spec: SurgerySpec, a: int) -> TauFunction:
-    """The tau function of sigma_a on {0, ..., 2 t_a + 2}."""
-    return TauFunction(_tau_values(spec, a, tau_depth(spec, a)))
+def tau_function(spec: SurgerySpec, a: int) -> tuple[int, ...]:
+    """The tau function of sigma_a on {0, ..., 2 t_a + 2}, as its values."""
+    return _tau_values(spec, a, tau_depth(spec, a))
 
 
 def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
-    """The values of `tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`,
+    """`tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`,
     in one pass over t = 0..t_a with f = floor((t p + a)/q):
     tau(2t+2) = tau(2t) + f + 1 - delta and tau(2t+1) = tau(2t+2) + alpha_f.
     f grows with t, so the bound alpha needs is checked once, at t_a."""
@@ -242,10 +243,10 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
     One range check and one floor sum for the whole range; per class t_a is
     one floor division of a constant, r_a one floor added to a running floor
     sum (`_shift_numerators`) and one Fraction, and tau its O(t_a) values.
-    Classes with equal tau share its (tau, shift-0 module, alpha sum), all
-    functions of tau alone; an entry is built and its module checked against
-    `reduced_rank(tau)` and 2 min tau the first time its tau appears, in a
-    map that lives only for this pass.
+    Classes with equal tau share its (tau tuple, shift-0 module, alpha sum),
+    all functions of tau alone; an entry is built and its module checked
+    against `reduced_rank(tau)` and 2 min tau the first time its tau
+    appears, in a map that lives only for this pass.
     """
     spec._check_a(start)
     p, top = spec.p, _depth_top(spec)
@@ -258,14 +259,13 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
         vals = _tau_values(spec, a, t_a)
         shared = by_tau.get(vals)
         if shared is None:
-            tau = TauFunction(vals)
-            module = module_from_tau(tau)
-            if len(vals) > 1 and module.reduced_rank != reduced_rank(tau):
+            module = module_from_tau(vals)
+            if len(vals) > 1 and module.reduced_rank != reduced_rank(vals):
                 raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
             if module.tower != 2 * min(vals):
                 raise InternalInvariantError("tower grade disagrees with 2 min tau")
             # tau(2t+1) - tau(2t+2) for t = 0..t_a
-            shared = by_tau[vals] = (tau, module, sum(vals[1::2]) - sum(vals[2::2]))
+            shared = by_tau[vals] = (vals, module, sum(vals[1::2]) - sum(vals[2::2]))
         results.append(SpincResult(a, t_a, Fraction(n, two_p), *shared))
     return results, rank
 
@@ -283,9 +283,9 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
     sum_a (t_a + 2) = p + (2 delta - 1) q  (total rank of ker U).
 
     After the one floor sum of the pass each class costs O(1) for t_a and
-    r_a plus O(len tau) for tau.  Classes with equal tau share one
-    `TauFunction`, one shift-0 module and one alpha sum, built once per
-    distinct tau; each class adds only its own a, t_a and r_a.
+    r_a plus O(len tau) for tau.  Classes with equal tau share one tau tuple
+    (the first one built), one shift-0 module and one alpha sum, built once
+    per distinct tau; each class adds only its own a, t_a and r_a.
     """
     results, total = _classes(spec, 0, spec.p)
     expected = spec.p + (2 * spec.knot.delta - 1) * spec.q

@@ -7,7 +7,8 @@ levels, and all sufficiently high levels contain a single vertex.  We store
 only the finite part up to the first level from which the tree is a single
 upward stem; `top` marks the base of that implicit stem.
 
-A finite integer sequence tau produces a graded root: vertex classes at
+A finite integer sequence tau, a plain tuple of ints with tau(i) = tau[i]
+(an empty one raises ValueError), produces a graded root: vertex classes at
 level k are the maximal index intervals on which tau <= k (the merge tree of
 tau), so local minima of tau become the leaves.  The associated graded
 Z[U]-module is the 0-dimensional sublevel persistence of tau under the elder
@@ -31,9 +32,9 @@ left-to-right pass with a stack finds, in O(n) for n = len(tau) plus the
 sort of its towers.  `root_from_tau` sweeps tau in (value, index) order,
 keeping only the two ends of every run; it costs O(n log n + |V|) for a root
 with |V| vertices, and is needed only to draw a root or to compare it with
-another one.  Two roots are compared by flat keys, one tuple of ranked
-child labels per level (AHU), so a root thousands of levels tall compares
-without deep recursion.  The renderers lay a root out in integers: a leaf
+another one.  Two roots are compared by their `level_keys`, a dict of flat
+keys, one tuple of ranked child labels per level (AHU), so a root thousands
+of levels tall compares without deep recursion.  The renderers lay a root out in integers: a leaf
 takes its int slot, a vertex with one child shares its child's position, and
 only a vertex with two or more children takes the exact mean of its
 children, as one Fraction; every coordinate is floored by `//`.
@@ -46,26 +47,6 @@ from itertools import groupby
 from math import gcd
 
 from .frozen import Frozen
-
-
-class TauFunction(Frozen):
-    """An integer sequence tau(0..T) defining a graded root."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        if len(values) == 0:
-            raise ValueError("tau needs at least one value")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def min(self) -> int:
-        return min(self.values)
-
-    def max(self) -> int:
-        return max(self.values)
 
 
 class GradedRoot:
@@ -133,12 +114,6 @@ class GradedRoot:
             keys[k] = tuple(sorted(labels))
         return keys
 
-    def canonical_key(self) -> tuple:
-        """Canonical encoding; equal keys <=> grading-preserving isomorphism.
-        The (level, labels) pairs of `level_keys` in ascending level, so the
-        key is independent of vertex numbering."""
-        return tuple(sorted(self.level_keys().items()))
-
 
 def _switch_on(end: list[int], i: int) -> tuple[int, int]:
     """Switch index i on and return the run [l, r] of on-indices it joins.
@@ -152,21 +127,22 @@ def _switch_on(end: list[int], i: int) -> tuple[int, int]:
     return l, r
 
 
-def root_from_tau(tau: TauFunction) -> GradedRoot:
+def root_from_tau(tau: tuple[int, ...]) -> GradedRoot:
     """Merge tree of tau: level-k vertices are runs of {i : tau(i) <= k}.
 
     Vertices are numbered by ascending level, left to right within a level.
     """
-    vals = tau.values
-    order = sorted(range(len(vals)), key=vals.__getitem__)
-    end = [-1] * len(vals)
+    if not tau:
+        raise ValueError("tau needs at least one value")
+    order = sorted(range(len(tau)), key=tau.__getitem__)
+    end = [-1] * len(tau)
     chi: list[int] = []
     parent: list[int | None] = []
     lefts: list[int] = []  # left ends of the runs at level k - 1, in index order
     pos = 0
-    for k in range(vals[order[0]], vals[order[-1]] + 1):
+    for k in range(tau[order[0]], tau[order[-1]] + 1):
         start = pos
-        while pos < len(order) and vals[order[pos]] == k:
+        while pos < len(order) and tau[order[pos]] == k:
             _switch_on(end, order[pos])
             pos += 1
         # Every level-k run starts at an old left end or at an index switched
@@ -174,7 +150,7 @@ def root_from_tau(tau: TauFunction) -> GradedRoot:
         # The runs at level k - 1 are the last len(lefts) vertices, in order.
         below = len(chi) - len(lefts)
         starts = sorted(lefts + order[start:pos])  # two sorted runs: merged in linear time
-        lefts.append(len(vals))  # past every index: j never runs off the end
+        lefts.append(len(tau))  # past every index: j never runs off the end
         runs = []
         right = -1
         j = 0
@@ -255,7 +231,7 @@ def grade_text(shift, g: int) -> str:
     return str(num + g * den) if den == 1 else f"{num + g * den}/{den}"
 
 
-def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
+def module_from_tau(tau: tuple[int, ...]) -> UModuleDecomposition:
     """Z[U]-module of the graded root of tau, by the elder rule, in one
     left-to-right pass with a stack.
 
@@ -268,10 +244,11 @@ def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
     max tau + 1 pops every index; the last elder standing gives the
     infinite tower at twice its level.
     """
-    vals = tau.values
+    if not tau:
+        raise ValueError("tau needs at least one value")
     stack: list[tuple[int, int]] = []  # (value, elder of its left run and itself)
     towers = []
-    for k in (*vals, max(vals) + 1):
+    for k in (*tau, max(tau) + 1):
         low = k  # the elder of the runs k has closed so far
         while stack and stack[-1][0] <= k:
             v, e = stack.pop()
@@ -284,17 +261,16 @@ def module_from_tau(tau: TauFunction) -> UModuleDecomposition:
     return UModuleDecomposition(0, 2 * low, tuple(sorted(towers)))
 
 
-def reduced_rank(tau: TauFunction) -> int:
+def reduced_rank(tau: tuple[int, ...]) -> int:
     """Total rank of the finite towers, straight from the tau values.
 
     Valid under the normalisation tau(1) > tau(0) = 0:
     rank = min tau + sum of the downward jumps of tau.
     """
-    vals = tau.values
-    if len(vals) < 2 or vals[0] != 0 or vals[1] <= vals[0]:
+    if len(tau) < 2 or tau[0] != 0 or tau[1] <= tau[0]:
         raise ValueError("reduced_rank requires tau(1) > tau(0) = 0")
-    drops = sum(max(vals[i] - vals[i + 1], 0) for i in range(len(vals) - 1))
-    return min(vals) + drops
+    drops = sum(max(tau[i] - tau[i + 1], 0) for i in range(len(tau) - 1))
+    return min(tau) + drops
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
-from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, _switch_on, module_from_tau
+from hfroots.root import GradedRoot, UModuleDecomposition, _switch_on, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
 
@@ -214,13 +214,12 @@ def merge_level(root: GradedRoot, u: int, v: int) -> int:
     return root.chi[v]
 
 
-def root_from_tau_rescan(tau: TauFunction) -> GradedRoot:
+def root_from_tau_rescan(vals: tuple[int, ...]) -> GradedRoot:
     """Merge tree of tau, rescanning all of tau for the runs of every level.
 
     O((max tau - min tau + 1) * len(tau)); numbers vertices by ascending
     level, left to right within a level.
     """
-    vals = tau.values
     lo, hi = min(vals), max(vals)
     chi: list[int] = []
     parent: list[Optional[int]] = []
@@ -275,7 +274,7 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
     return module_from_parts(Fraction(2 * root.chi[first]), towers)
 
 
-def module_from_tau_sweep(tau: TauFunction) -> UModuleDecomposition:
+def module_from_tau_sweep(vals: tuple[int, ...]) -> UModuleDecomposition:
     """Z[U]-module of the graded root of tau by the elder rule, switching the
     indices on in (value, index) order, O(n log n).
 
@@ -284,7 +283,6 @@ def module_from_tau_sweep(tau: TauFunction) -> UModuleDecomposition:
     adding the finite tower T_{2b}(k - b) for its birth level b < k.  The
     last elder standing gives the infinite tower at twice its birth level.
     """
-    vals = tau.values
     end = [-1] * len(vals)
     elder: list[tuple[int, int]] = [(0, 0)] * len(vals)  # valid at the left end of a run
     towers = []
@@ -493,7 +491,7 @@ class SpincFractions:
     a: int
     depth: int
     shift: Fraction
-    tau: TauFunction
+    tau: tuple[int, ...]
     tower_grade: Fraction
     finite_towers: tuple[tuple[Fraction, int], ...]
     d_invariant: Fraction
@@ -511,7 +509,6 @@ def spinc_fractions(spec: SurgerySpec, a: int) -> SpincFractions:
     r_a = grading_shift_direct(spec, a)
     tau = tau_function(spec, a)
     base = module_from_tau(tau)
-    vals = tau.values
     return SpincFractions(
         a=a,
         depth=tau_depth(spec, a),
@@ -519,10 +516,10 @@ def spinc_fractions(spec: SurgerySpec, a: int) -> SpincFractions:
         tau=tau,
         tower_grade=Fraction(base.tower_grade) + r_a,
         finite_towers=tuple((Fraction(g) + r_a, n) for g, n in base.finite_towers),
-        d_invariant=2 * tau.min() + r_a,
+        d_invariant=2 * min(tau) + r_a,
         sw_invariant=sw_invariant(spec, a),
-        ker_u=tuple(2 * v + r_a for v in sorted(vals[0::2])),
-        coker_u=tuple(2 * v - 2 + r_a for v in sorted(vals[1::2])),
+        ker_u=tuple(2 * v + r_a for v in sorted(tau[0::2])),
+        coker_u=tuple(2 * v - 2 + r_a for v in sorted(tau[1::2])),
     )
 
 
@@ -549,7 +546,7 @@ def spinc_block(res: SpincResult) -> dict:
         "a": res.a,
         "t_a": res.depth,
         "r_a": rat(res.shift),
-        "tau": list(res.tau.values),
+        "tau": list(res.tau),
         "module": {"tower_grade": grade(res.module.tower), "finite_towers": towers},
         "d_invariant": rat(res.d_invariant),
         "sw_invariant": rat(res.sw_invariant),
@@ -566,7 +563,7 @@ def spinc_fractions_block(ref: SpincFractions) -> dict:
         "a": ref.a,
         "t_a": ref.depth,
         "r_a": rat(ref.shift),
-        "tau": list(ref.tau.values),
+        "tau": list(ref.tau),
         "module": {"tower_grade": rat(ref.tower_grade), "finite_towers": towers},
         "d_invariant": rat(ref.d_invariant),
         "sw_invariant": rat(ref.sw_invariant),
@@ -583,7 +580,7 @@ def spinc_text(ref: SpincFractions) -> list[str]:
     return [
         f"spin^c a = {ref.a}:",
         f"  t_a = {ref.depth}   r_a = {ref.shift}",
-        "  tau: " + ", ".join(str(v) for v in ref.tau.values),
+        "  tau: " + ", ".join(str(v) for v in ref.tau),
         "  HF+ = " + " + ".join(parts),
         f"  d = {ref.d_invariant}   sw = {ref.sw_invariant}",
         "  ker U gradings: " + ", ".join(str(x) for x in ref.ker_u),
@@ -947,11 +944,11 @@ def laufer_branch_events(g: pl.PlumbingGraph, offsets, i_max: int, r: int, diffs
         diffs[i] -= chi + x[r] - xr
 
 
-def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> TauFunction:
+def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> tuple[int, ...]:
     """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max, by
     the route `verify` takes: the run on the resolution graph gf, then the
     class's chain on the surgery graph gm."""
-    return TauFunction(tuple(pl.class_laufer_values(gm, cls, pl.laufer_values(gf, [0] * gf.n, i_max), i_max)))
+    return tuple(pl.class_laufer_values(gm, cls, pl.laufer_values(gf, [0] * gf.n, i_max), i_max))
 
 
 def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:

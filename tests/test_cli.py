@@ -20,7 +20,7 @@ import hfroots.knot as knot_mod
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.cli import main
-from hfroots.root import GradedRoot, TauFunction, UModuleDecomposition, render_svg, root_from_tau
+from hfroots.root import GradedRoot, UModuleDecomposition, render_svg, root_from_tau
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -349,7 +349,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 2
         per = json.loads(out)["verification"]["per_spinc"]
-        tau = cli.hfcore.compute_spinc(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 5)]), 2, 1), 0).tau.values
+        tau = cli.hfcore.compute_spinc(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 5)]), 2, 1), 0).tau
         assert len(tau) == 5
         assert per[0]["laufer_tau_ok"] is False
         assert per[0]["laufer_first_diff"] == {"index": 2, "lattice": tau[2] - 100, "formula": tau[2]}
@@ -379,9 +379,10 @@ class TestVerifyCommand:
 
     def test_root_first_difference_at_the_top(self):
         # equal below, but one root stops a level lower than the other
-        assert cli._root_first_diff(GradedRoot([0], [None]), GradedRoot([0, 1], [1, None])) == {
+        two = GradedRoot([0, 1], [1, None]).level_keys()
+        assert cli._root_first_diff(GradedRoot([0], [None]).level_keys(), two) == {
             "level": 1, "lattice": 0, "formula": 1}
-        assert cli._root_first_diff(GradedRoot([1], [None]), GradedRoot([0, 1], [1, None])) == {
+        assert cli._root_first_diff(GradedRoot([1], [None]).level_keys(), two) == {
             "level": 0, "lattice": 0, "formula": 1}
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -391,26 +392,28 @@ class TestVerifyCommand:
         # comparing the nested subtree keys
         bumped = list(vals)
         bumped[at % len(vals)] += step
-        a, b = root_from_tau(TauFunction(tuple(vals))), root_from_tau(TauFunction(tuple(bumped)))
-        if a.canonical_key() != b.canonical_key():
-            assert cli._root_first_diff(a, b) == root_first_diff_nested(a, b)
+        a, b = root_from_tau(tuple(vals)), root_from_tau(tuple(bumped))
+        keys_a, keys_b = a.level_keys(), b.level_keys()
+        if keys_a != keys_b:
+            assert cli._root_first_diff(keys_a, keys_b) == root_first_diff_nested(a, b)
 
     def test_root_first_difference_of_tall_roots(self):
         # height 6001: sorting nested subtree keys would overflow the recursion limit
         spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(4, 5)]), 1, 400)
-        vals = list(cli.hfcore.compute_spinc(spec, 0).tau.values)
-        root = root_from_tau(TauFunction(tuple(vals)))
+        vals = list(cli.hfcore.compute_spinc(spec, 0).tau)
+        root = root_from_tau(tuple(vals))
+        keys = root.level_keys()
 
         def lowered(i):
-            return root_from_tau(TauFunction(tuple(vals[:i] + [vals[i] - 1] + vals[i + 1:])))
+            return root_from_tau(tuple(vals[:i] + [vals[i] - 1] + vals[i + 1:])).level_keys()
 
-        assert cli._root_first_diff(root, lowered(vals.index(min(vals)))) == {
+        assert cli._root_first_diff(keys, lowered(vals.index(min(vals)))) == {
             "level": root.min_level() - 1, "lattice": 0, "formula": 1}
         # a strict local minimum halfway along, lowered: one more run one level below it
         i = next(i for i in range(len(vals) // 2, len(vals) - 1) if vals[i - 1] > vals[i] < vals[i + 1])
         level = vals[i] - 1
         count = root.chi.count(level)
-        assert cli._root_first_diff(root, lowered(i)) == {"level": level, "lattice": count, "formula": count + 1}
+        assert cli._root_first_diff(keys, lowered(i)) == {"level": level, "lattice": count, "formula": count + 1}
 
     def test_sublevel_leak_exits_3(self, capsys, monkeypatch):
         # a point the enumeration skips is an internal fault, not a mismatch
@@ -457,7 +460,7 @@ class TestVerifyCommand:
         real = cli.hfcore.module_from_tau
 
         def counting(tau):
-            counted.append(tau.values)
+            counted.append(tau)
             return real(tau)
 
         argv = ("verify", "--newton", "2,3", "--surgery", "7/1", "--format", "json")
@@ -508,12 +511,27 @@ class TestExitCodes:
             "--surgery=-3/2", "--spinc", "-1", "--lens", "-x", "--lens=-5"]
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
-    @pytest.mark.parametrize("index", ["x", "1.5", ""])
+    @pytest.mark.parametrize("index", ["x", "1.5", "", "+1", " 1", "1_0", "\uff11", "-\u0661"])
     def test_malformed_spinc_names_the_flag(self, capsys, command, index):
         code, out, err = run(capsys, command, "--newton", "2,3", "--surgery", "3/1", "--spinc", index)
         assert code == 1
         assert out == ""
         assert err == f"error: --spinc expects a spin^c index or 'all', got {index!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["compute", "--newton", "2,3", "--surgery", "1_0/3"], "--surgery expects P or P/Q, got '1_0/3'"),
+            (["knot", "--newton", "\uff12,\uff13"], "--newton expects a comma list of integers, got '\uff12,\uff13'"),
+            (["knot", "--newton", "2, 3"], "--newton expects a comma list of integers, got '2, 3'"),
+            (["verify", "--lens", "+7/3"], "--lens expects P or P/Q, got '+7/3'"),
+        ],
+    )
+    def test_integers_are_ascii_decimals(self, capsys, argv, shown):
+        # int() would read these as -10/3 surgery and the trefoil
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {shown}\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
     def test_help_exits_0(self, capsys, argv):
@@ -603,6 +621,8 @@ class TestExitCodes:
 SMALL = st.integers(-3, 12)
 NONPOSITIVE = st.integers(-3, 0)
 VALID_NEWTON = ["2,3", "2,5", "3,4", "2,3,2,1"]
+# each is an int to int(), but not an optional '-' and ASCII digits
+NOT_DECIMAL = ["1_0", " 3", "3 ", "+3", "\uff13", "\u0663", "3\n"]
 BAD_NEWTON = st.one_of(
     st.integers(0, 2).flatmap(lambda k: st.lists(SMALL, min_size=2 * k + 1, max_size=2 * k + 1)).map(
         lambda xs: ",".join(map(str, xs))
@@ -610,12 +630,13 @@ BAD_NEWTON = st.one_of(
     st.tuples(NONPOSITIVE, SMALL, st.booleans(), st.booleans()).map(
         lambda t: ("2,3," if t[3] else "") + (f"{t[0]},{t[1]}" if t[2] else f"{t[1]},{t[0]}")
     ),  # a zero or negative entry
-    st.tuples(SMALL, st.sampled_from(["x", "2.5", "", "3/2", " "])).map(lambda t: f"{t[0]},{t[1]}"),
+    st.tuples(SMALL, st.sampled_from(["x", "2.5", "", "3/2", " "] + NOT_DECIMAL)).map(lambda t: f"{t[0]},{t[1]}"),
 )
 VALID_FRACTION = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda pq: gcd(*pq) == 1)
 BAD_FRACTION = st.one_of(
     st.tuples(SMALL, SMALL, SMALL).map(lambda t: "/".join(map(str, t))),  # extra slash
     st.sampled_from(["1.5", "a/2", "2/x", "", "1//2", "/"]),
+    st.tuples(st.sampled_from(NOT_DECIMAL), st.booleans()).map(lambda t: f"{t[0]}/2" if t[1] else f"3/{t[0]}"),
     st.tuples(NONPOSITIVE, SMALL).map(lambda t: f"{t[0]}/{t[1]}"),
     st.tuples(SMALL, NONPOSITIVE).map(lambda t: f"{t[0]}/{t[1]}"),
     NONPOSITIVE.map(str),

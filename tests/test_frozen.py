@@ -10,7 +10,6 @@ import pytest
 import hfroots.plumbing as pl
 from hfroots import (
     SurgerySpec,
-    TauFunction,
     UModuleDecomposition,
     compute_spinc,
     from_newton_pairs,
@@ -35,7 +34,6 @@ def instances():
         (SPEC.cfrac, {"p": 7, "q": 5, "terms": SPEC.cfrac.terms}),
         (SPEC, {"knot": K23, "p": 7, "q": 5}),
         (res, slots(res)),
-        (res.tau, slots(res.tau)),
         (res.module, slots(res.module)),
         (cls, slots(cls)),
     ]
@@ -82,7 +80,6 @@ def test_unequal_fields_give_unequal_instances():
     assert SurgerySpec(K23, 7, 4) != SPEC
     assert SurgerySpec(from_newton_pairs([(2, 5)]), 7, 5) != SPEC
     assert SurgerySpec(from_newton_pairs([(2, 3)]), 7, 5) == SPEC
-    assert TauFunction((0, 1)) != TauFunction((0, 2))
     assert len({SPEC, SurgerySpec(K23, 7, 5), SurgerySpec(K23, 7, 4)}) == 2
 
 
@@ -94,15 +91,9 @@ def test_module_equality_compares_absolute_grades():
 
 
 def test_repr_names_the_fields():
-    assert repr(TauFunction((0, 1))) == "TauFunction(values=(0, 1))"
     assert repr(K23.semigroup) == "NumericalSemigroup(generators=(0, 2, 3), gaps=frozenset({1}))"
     assert repr(K23) == "AlgebraicKnot[(2,3)]"
     assert repr(SPEC) == "SurgerySpec(AlgebraicKnot[(2,3)], -7/5)"
-
-
-def test_tau_function_keeps_its_empty_check():
-    with pytest.raises(ValueError, match="at least one value"):
-        TauFunction(())
 
 
 def test_every_value_class_is_covered():

@@ -40,7 +40,7 @@ from hfroots import (
 )
 from hfroots.hfcore import SpincResult
 from hfroots.knot import AlgebraicKnot
-from hfroots.root import TauFunction, UModuleDecomposition, reduced_rank
+from hfroots.root import UModuleDecomposition, reduced_rank
 
 
 K23 = from_newton_pairs([(2, 3)])
@@ -183,21 +183,21 @@ class TestShift:
 
 class TestTau:
     def test_torus_45_sequences(self):
-        assert tau_function(SurgerySpec(K45, 2, 1), 0).values == (
+        assert tau_function(SurgerySpec(K45, 2, 1), 0) == (
             0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0
         )
-        assert tau_function(SurgerySpec(K45, 2, 1), 1).values == (
+        assert tau_function(SurgerySpec(K45, 2, 1), 1) == (
             0, 1, -4, -3, -6, -3, -6, -3, -4, 1, 0
         )
-        assert tau_function(SurgerySpec(K23, 1, 1), 0).values == (0, 1, 0)
+        assert tau_function(SurgerySpec(K23, 1, 1), 0) == (0, 1, 0)
 
     def test_depth_minus_one(self):
-        assert tau_function(SurgerySpec(K23, 6, 1), 3).values == (0,)
+        assert tau_function(SurgerySpec(K23, 6, 1), 3) == (0,)
 
     def test_oddity_bounds(self):
         # odd entries rise from the left and drop to the right, strictly
         for spec, a in [(SurgerySpec(K45, 7, 5), 3), (SurgerySpec(K23, 2, 3), 1)]:
-            vals = tau_function(spec, a).values
+            vals = tau_function(spec, a)
             t_a = (len(vals) - 3) // 2
             for t in range(t_a + 1):
                 assert vals[2 * t + 1] > vals[2 * t]
@@ -209,7 +209,7 @@ class TestTau:
             knot = from_newton_pairs(pairs)
             spec = SurgerySpec(knot, p, q)
             for a in range(p):
-                vals = tau_function(spec, a).values
+                vals = tau_function(spec, a)
                 t_a = (len(vals) - 3) // 2
                 for t in range(t_a + 1):
                     count = sum(1 for k in range((t * p + a) // q + 1) if k in knot.semigroup)
@@ -218,7 +218,7 @@ class TestTau:
     def test_p1_palindrome(self):
         for q in (1, 2, 3):
             for knot in (K23, K45):
-                vals = tau_function(SurgerySpec(knot, 1, q), 0).values
+                vals = tau_function(SurgerySpec(knot, 1, q), 0)
                 assert vals == vals[::-1]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -231,7 +231,7 @@ class TestTau:
         g = gcd(p, q)
         spec = SurgerySpec(knot, p // g, q // g)
         a = data.draw(st.integers(0, spec.p - 1))
-        assert tau_function(spec, a).values == tau_values_direct(spec, a)
+        assert tau_function(spec, a) == tau_values_direct(spec, a)
 
     def test_alpha_bound_guard(self):
         # a knot whose mu is one short: at -1/1 the last floor of the depth
@@ -295,7 +295,7 @@ class TestComputeSpinc:
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
         assert len(res.ker_u) == res.depth + 2
         assert res.ker_u == tuple(
-            sorted(2 * res.tau.values[2 * t] + res.shift for t in range(res.depth + 2))
+            sorted(2 * res.tau[2 * t] + res.shift for t in range(res.depth + 2))
         )
         # depth -1: one generator at r_a, trivial cokernel
         res = compute_spinc(SurgerySpec(K23, 6, 1), 5)
@@ -475,7 +475,7 @@ class TestComputeAll:
             assert res.a == a
             assert res.depth == (width * q - a - 1) // p
             assert res.shift == grading_shift_direct(spec, a)
-            assert res.tau.values == tau_values_direct(spec, a)
+            assert res.tau == tau_values_direct(spec, a)
         a = data.draw(st.integers(0, p - 1), label="a")
         assert compute_spinc(spec, a) == results[a]
 
@@ -528,7 +528,7 @@ class TestComputeAll:
         real = hfcore.module_from_tau
 
         def counting(tau):
-            built.append(tau.values)
+            built.append(tau)
             return real(tau)
 
         monkeypatch.setattr(hfcore, "module_from_tau", counting)
@@ -536,8 +536,8 @@ class TestComputeAll:
             built.clear()
             assert compute_all(spec) == ref
             assert len(built) == len(set(built)) == taus
-            assert set(built) == {r.tau.values for r in ref}
-        assert set(built) == {r.tau.values for r in fresh[0]}
+            assert set(built) == {r.tau for r in ref}
+        assert set(built) == {r.tau for r in fresh[0]}
 
     def test_no_class_builds_a_shifted_module(self, monkeypatch):
         # per class the pipeline stores r_a and the writer formats it; a
@@ -617,7 +617,7 @@ class TestIntegerGrades:
                 assert type(res.alpha_sum) is int
                 assert module.shift == res.shift and res.tau_module.shift == 0
                 assert (module.tower, module.towers) == (res.tau_module.tower, res.tau_module.towers)
-                assert module.tower == 2 * res.tau.min()
+                assert module.tower == 2 * min(res.tau)
                 # d and sw stay exact Fractions, built from the ints when read
                 assert type(res.d_invariant) is type(res.sw_invariant) is Fraction
                 assert res.d_invariant == res.shift + module.tower
@@ -669,7 +669,7 @@ class TestSpincTemplate:
         text = class_block(res)
         assert text == self.reference(res)
         if shape == "stem":
-            assert res.depth == -1 and res.tau.values == (0,)
+            assert res.depth == -1 and res.tau == (0,)
             assert '"finite_towers": []' in text and '"coker_u": []' in text
         elif shape == "q > p":
             assert q > p
@@ -694,11 +694,11 @@ class TestSpincTemplate:
     @staticmethod
     def broken(res, field, bad):
         """res with one stored int replaced by `bad`."""
-        module, vals = res.tau_module, res.tau.values
+        module, vals = res.tau_module, res.tau
         parts = {"a": res.a, "depth": res.depth, "shift": res.shift, "tau": res.tau, "tau_module": module,
                  "alpha_sum": res.alpha_sum}
         if field == "tau":
-            parts["tau"] = TauFunction((*vals[:-1], bad))
+            parts["tau"] = (*vals[:-1], bad)
         elif field == "tower":
             parts["tau_module"] = UModuleDecomposition(module.shift, bad, module.towers)
         elif field in ("tower grade", "tower length"):
@@ -708,7 +708,7 @@ class TestSpincTemplate:
         elif field == "low":
             # tau's minimum and the tower grade 2 min tau read from it, together
             i = vals.index(min(vals))
-            parts["tau"] = TauFunction((*vals[:i], bad, *vals[i + 1:]))
+            parts["tau"] = (*vals[:i], bad, *vals[i + 1:])
             parts["tau_module"] = UModuleDecomposition(module.shift, 2 * bad, module.towers)
         else:
             parts[field] = bad
@@ -779,12 +779,12 @@ class TestComputeDocument:
         knot = from_newton_pairs(pairs)
         spec = SurgerySpec(knot, p, q)
         results = compute_all(spec)
-        assert len({res.tau.values for res in results}) == taus
+        assert len({res.tau for res in results}) == taus
         built = []
         real = cli._tau_piece
 
         def counting(res):
-            built.append(res.tau.values)
+            built.append(res.tau)
             return real(res)
 
         monkeypatch.setattr(cli, "_tau_piece", counting)
@@ -794,11 +794,17 @@ class TestComputeDocument:
             assert len(built) == len(set(built)) == taus
 
     def test_classes_with_equal_but_unshared_taus(self):
-        # per-class results hold equal taus in distinct objects: one piece
-        # each, and the same document
+        # per-class results holding equal taus in distinct objects: one piece
+        # each, and the same document.  Each tau is copied here, as two
+        # compute_spinc calls may return one object (at t_a = -1 tau is the
+        # constant (0,))
         spec = SurgerySpec(K23, 7, 1)
-        shared, single = compute_all(spec), [compute_spinc(spec, a) for a in range(7)]
+        shared = compute_all(spec)
+        single = [SpincResult(r.a, r.depth, r.shift, tuple(list(r.tau)), r.tau_module, r.alpha_sum)
+                  for r in (compute_spinc(spec, a) for a in range(7))]
         assert shared[1].tau is shared[2].tau and single[1].tau is not single[2].tau
+        assert shared[3].tau is shared[4].tau and single[3].tau is not single[4].tau
+        assert [r.tau for r in single] == [r.tau for r in shared]
         assert cli._compute_json(K23, 7, 1, spec, single) == cli._compute_json(K23, 7, 1, spec, shared)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -822,7 +828,7 @@ class TestComputeDocument:
         knot = from_newton_pairs(pairs)
         spec = SurgerySpec(knot, p, q)
         results = compute_all(spec)
-        assert len({(res.tau.values, res.shift.denominator) for res in results}) == groups
+        assert len({(res.tau, res.shift.denominator) for res in results}) == groups
         assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
 
     @staticmethod
@@ -870,5 +876,5 @@ class TestComputeDocument:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results[0].tau.values) == 66001
+        assert len(results[0].tau) == 66001
         assert peak <= 5 * len(text)

@@ -523,7 +523,7 @@ class TestSpincClasses:
         # shift and the sublevel search solve through the one check
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
         kb = classes[3].k_pairs
-        n_top = compute_spinc(spec, 3).tau.max()
+        n_top = max(compute_spinc(spec, 3).tau)
         pl.lattice_grading_shift(gm, classes[3])
         pl.exact_sublevel_box(gm, kb, n_top)
         moved_solve(monkeypatch, gm, kb)
@@ -667,7 +667,7 @@ class TestCycles:
             for a in rng.sample(range(p), min(3, p)):
                 i_max = 2 * knot.mf + 3
                 values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
-                assert tuple(values) == laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max).values
+                assert tuple(values) == laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 for i in range(i_max + 1):
                     assert cycles[i][gm.n - s:] == chain_coefficients(spec, a, i)
 
@@ -904,7 +904,7 @@ class TestLauferEngine:
 class TestLauferTau:
     def test_torus_45_condensation(self):
         knot, spec, gm, classes = surgery_setup([(4, 5)], 2, 1)
-        values = laufer_tau(pl.embedded_resolution(knot), gm, classes[0], 6 * knot.mf).values
+        values = laufer_tau(pl.embedded_resolution(knot), gm, classes[0], 6 * knot.mf)
         assert pl.condense_tau(values, knot.mf) == (0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0)
         with pytest.raises(ValueError, match="whole number of mf-blocks"):
             pl.condense_tau(values[:-1], knot.mf)
@@ -916,7 +916,7 @@ class TestLauferTau:
             mf = knot.mf
             gf = pl.embedded_resolution(knot)
             for a in range(p):
-                values = laufer_tau(gf, gm, classes[a], 2 * mf).values
+                values = laufer_tau(gf, gm, classes[a], 2 * mf)
                 for i in range(2 * mf):
                     t, i0 = divmod(i, mf)
                     ceil_term = -((-(i * q - a)) // (q * mf + p))
@@ -930,10 +930,10 @@ class TestLauferTau:
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
                 tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
-                assert pl.condense_tau(tau.values, knot.mf) == res.tau.values
+                assert pl.condense_tau(tau, knot.mf) == res.tau
                 assert (
-                    root_from_tau(tau).canonical_key()
-                    == root_from_tau(res.tau).canonical_key()
+                    root_from_tau(tau).level_keys()
+                    == root_from_tau(res.tau).level_keys()
                 )
 
     def test_d_from_lattice(self):
@@ -942,7 +942,7 @@ class TestLauferTau:
             for a in range(p):
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
-                values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max).values
+                values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 d = pl.lattice_grading_shift(gm, classes[a]) + 2 * min(values)
                 assert d == res.d_invariant
 
@@ -959,12 +959,12 @@ class TestSublevel:
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
         res = compute_spinc(spec, 0)
-        box = pl.exact_sublevel_box(gm, classes[0].k_pairs, res.tau.max())
-        root = pl.sublevel_root(gm, classes[0].k_pairs, res.tau.max(), box)
+        box = pl.exact_sublevel_box(gm, classes[0].k_pairs, max(res.tau))
+        root = pl.sublevel_root(gm, classes[0].k_pairs, max(res.tau), box)
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 0]
         assert root.chi[root.top] == 1
-        assert root.canonical_key() == root_from_tau(res.tau).canonical_key()
+        assert root.level_keys() == root_from_tau(res.tau).level_keys()
 
     def test_empty_sublevel(self):
         g = pl.PlumbingGraph([-3], [])
@@ -1012,11 +1012,11 @@ class TestSublevel:
             gf = pl.embedded_resolution(knot)
             for a in range(p):
                 res = compute_spinc(spec, a)
-                box = pl.exact_sublevel_box(gm, classes[a].k_pairs, res.tau.max())
-                assert box == exact_sublevel_box_fractions(gm, k_r(gm, classes[a]), res.tau.max())
+                box = pl.exact_sublevel_box(gm, classes[a].k_pairs, max(res.tau))
+                assert box == exact_sublevel_box_fractions(gm, k_r(gm, classes[a]), max(res.tau))
                 i_max = (res.depth + 1) * knot.mf
                 values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
-                assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max).values
+                assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max)
                 for cyc in cycles:
                     assert all(lo <= x <= hi for x, (lo, hi) in zip(cyc, box))
 
@@ -1077,9 +1077,9 @@ class TestSublevel:
         monkeypatch.setattr(pl, "Fraction", counting)
         for cls in classes:
             tau = compute_spinc(spec, cls.a).tau
-            box = pl.exact_sublevel_box(gm, cls.k_pairs, tau.max())
-            root = pl.sublevel_root(gm, cls.k_pairs, tau.max(), box)
-            assert root.canonical_key() == root_from_tau(tau).canonical_key()
+            box = pl.exact_sublevel_box(gm, cls.k_pairs, max(tau))
+            root = pl.sublevel_root(gm, cls.k_pairs, max(tau), box)
+            assert root.level_keys() == root_from_tau(tau).level_keys()
         assert built == []
         pl.lattice_grading_shift(gm, classes[0])
         assert len(built) == 1  # the counter is live
@@ -1107,7 +1107,7 @@ class TestSublevel:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
                 kb = classes[a].k_pairs
-                n_top = compute_spinc(spec, a).tau.max()
+                n_top = max(compute_spinc(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 args = (gm, kb, n_top, box)
                 assert sublevel_outcome(*args) == reference_outcome(*args)
@@ -1141,7 +1141,7 @@ class TestSublevel:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
                 kb = classes[a].k_pairs
-                n_top = compute_spinc(spec, a).tau.max()
+                n_top = max(compute_spinc(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 root = pl.sublevel_root(gm, kb, n_top, box)
                 weight = {
@@ -1157,13 +1157,13 @@ class TestSublevel:
         res = compute_spinc(spec, 0)
         tight = tuple((0, 1) for _ in range(gm.n))
         with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
-            pl.sublevel_root(gm, classes[0].k_pairs, res.tau.max(), tight)
+            pl.sublevel_root(gm, classes[0].k_pairs, max(res.tau), tight)
 
     def test_closure_check_catches_each_skipped_point(self, monkeypatch):
         # (2,3) at -2/1, class 0: dropping any one of its 64 enumerated points
         # must raise, whether or not the root would still come out right
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
-        kb, n_top = classes[0].k_pairs, compute_spinc(spec, 0).tau.max()
+        kb, n_top = classes[0].k_pairs, max(compute_spinc(spec, 0).tau)
         box = pl.exact_sublevel_box(gm, kb, n_top)
         real = pl._ellipsoid_points
         pts = real(gm, kb, n_top, box)

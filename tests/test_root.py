@@ -18,7 +18,6 @@ from oracles import (
 from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
-    TauFunction,
     _layout,
     module_from_tau,
     reduced_rank,
@@ -52,18 +51,18 @@ TAUS = st.one_of(
         st.integers(-10, 10),
         st.lists(st.integers(-3, 3), max_size=40),
     ),
-).map(lambda vals: TauFunction(tuple(vals)))
+).map(tuple)
 
 
 class TestRootFromTau:
     def test_single_stem(self):
-        root = root_from_tau(TauFunction((0,)))
+        root = root_from_tau((0,))
         assert len(root) == 1
         assert root.chi[root.top] == 0
         assert root.leaves == (root.top,)
 
     def test_two_leaves(self):
-        root = root_from_tau(TauFunction((0, 3, 1, 5)))
+        root = root_from_tau((0, 3, 1, 5))
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 1]
         v0, v1 = sorted(root.leaves, key=lambda v: root.chi[v])
@@ -71,7 +70,7 @@ class TestRootFromTau:
         assert root.chi[root.top] == 5
 
     def test_torus_45_leaf_levels(self):
-        root = root_from_tau(TauFunction(TAU_45_2_1_A0))
+        root = root_from_tau(TAU_45_2_1_A0)
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [-9, -8, -8, -5, -5, 0, 0]
 
@@ -88,7 +87,7 @@ class TestRootFromTau:
                 for i in range(len(vals))
                 if (i == 0 or vals[i] < vals[i - 1]) and (i == len(vals) - 1 or vals[i] < vals[i + 1])
             ]
-            root = root_from_tau(TauFunction(tuple(vals)))
+            root = root_from_tau(tuple(vals))
             assert sorted(root.chi[v] for v in root.leaves) == sorted(vals[i] for i in minima)
 
     def test_plateau_insertion_invariance(self):
@@ -97,17 +96,17 @@ class TestRootFromTau:
             vals = [rng.randint(-6, 6) for _ in range(rng.randint(1, 12))]
             i = rng.randrange(len(vals))
             doubled = vals[: i + 1] + [vals[i]] + vals[i + 1:]
-            a = root_from_tau(TauFunction(tuple(vals)))
-            b = root_from_tau(TauFunction(tuple(doubled)))
-            assert a.canonical_key() == b.canonical_key()
+            a = root_from_tau(tuple(vals))
+            b = root_from_tau(tuple(doubled))
+            assert a.level_keys() == b.level_keys()
 
     def test_mirror_symmetry(self):
         rng = random.Random(11)
         for _ in range(200):
             vals = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 12)))
-            a = root_from_tau(TauFunction(vals))
-            b = root_from_tau(TauFunction(vals[::-1]))
-            assert a.canonical_key() == b.canonical_key()
+            a = root_from_tau(vals)
+            b = root_from_tau(vals[::-1])
+            assert a.level_keys() == b.level_keys()
 
     @PROPERTY
     @given(TAUS)
@@ -119,7 +118,7 @@ class TestRootFromTau:
     @given(TAUS, st.sampled_from(["same", "mirror", "plateau", "bump"]), st.integers(0, 10**6), st.integers(-2, 2))
     def test_keys_match_nested_keys(self, tau, twist, at, step):
         # the flat level keys tell roots apart exactly as the nested subtree keys do
-        vals = list(tau.values)
+        vals = list(tau)
         i = at % len(vals)
         if twist == "mirror":
             vals.reverse()
@@ -127,25 +126,25 @@ class TestRootFromTau:
             vals.insert(i, vals[i])
         elif twist == "bump":
             vals[i] += step
-        a, b = root_from_tau(tau), root_from_tau(TauFunction(tuple(vals)))
+        a, b = root_from_tau(tau), root_from_tau(tuple(vals))
 
         def nested(root):
             return root.chi[root.top], subtree_keys_nested(root)[root.top]
 
-        assert (a.canonical_key() == b.canonical_key()) == (nested(a) == nested(b))
+        assert (a.level_keys() == b.level_keys()) == (nested(a) == nested(b))
 
     def test_tall_root_keys(self):
         # height 6001: nested keys overflow the recursion limit when compared
         tau = compute_spinc(SurgerySpec(from_newton_pairs([(4, 5)]), 1, 400), 0).tau
         root = root_from_tau(tau)
         assert root.chi[root.top] - root.min_level() == 6001
-        assert root.canonical_key() == root_from_tau(TauFunction(tau.values)).canonical_key()
-        vals = list(tau.values)
+        vals = list(tau)
+        assert root.level_keys() == root_from_tau(tuple(vals)).level_keys()
         middle = next(i for i in range(len(vals) // 2, len(vals) - 1)
                       if vals[i - 1] > vals[i] < vals[i + 1])  # a leaf well above the lowest
         for i, step in ((vals.index(min(vals)), -1), (middle, -1), (middle, 1)):
             bumped = vals[:i] + [vals[i] + step] + vals[i + 1:]
-            assert root.canonical_key() != root_from_tau(TauFunction(tuple(bumped))).canonical_key()
+            assert root.level_keys() != root_from_tau(tuple(bumped)).level_keys()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -154,25 +153,31 @@ class TestRootFromTau:
             GradedRoot([0, 1, 1], [1, None, None])  # two tops
 
 
+@pytest.mark.parametrize("route", [root_from_tau, module_from_tau])
+def test_empty_tau_is_refused(route):
+    with pytest.raises(ValueError, match="^tau needs at least one value$"):
+        route(())
+
+
 class TestModule:
     def test_bare_stem(self):
         for route in MODULE_ROUTES:
-            mod = route(TauFunction((0,)))
+            mod = route((0,))
             assert mod.tower_grade == 0
             assert mod.finite_towers == ()
 
     def test_two_leaves(self):
         for route in MODULE_ROUTES:
-            mod = route(TauFunction((0, 3, 1, 5)))
+            mod = route((0, 3, 1, 5))
             assert mod.tower_grade == 0
             assert mod.finite_towers == towers((2, 2))
 
     def test_torus_45_modules(self):
         for route in MODULE_ROUTES:
-            mod = route(TauFunction(TAU_45_2_1_A0))
+            mod = route(TAU_45_2_1_A0)
             assert mod.tower_grade == -18
             assert mod.finite_towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
-            mod = route(TauFunction(TAU_45_2_1_A1))
+            mod = route(TAU_45_2_1_A1)
             assert mod.tower_grade == -12
             assert mod.finite_towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
 
@@ -197,7 +202,7 @@ class TestModule:
         for _ in range(300):
             vals = [0] + [rng.randint(-5, 8) for _ in range(rng.randint(1, 14))]
             vals[1] = abs(vals[1]) + 1
-            root = root_from_tau(TauFunction(tuple(vals)))
+            root = root_from_tau(tuple(vals))
             base = module_from_root(root)
             perm = list(range(len(root.chi)))
             rng.shuffle(perm)
@@ -219,24 +224,26 @@ class TestModule:
 
 class TestReducedRank:
     def test_examples(self):
-        assert reduced_rank(TauFunction((0, 1))) == 0
-        assert reduced_rank(TauFunction((0, 3, 1, 5))) == 2
-        assert reduced_rank(TauFunction(TAU_45_2_1_A0)) == 8
+        assert reduced_rank((0, 1)) == 0
+        assert reduced_rank((0, 3, 1, 5)) == 2
+        assert reduced_rank(TAU_45_2_1_A0) == 8
 
     def test_hypothesis_enforced(self):
+        with pytest.raises(ValueError, match=r"^reduced_rank requires tau\(1\) > tau\(0\) = 0$"):
+            reduced_rank(())  # its own check, not the empty-tau one
         with pytest.raises(ValueError):
-            reduced_rank(TauFunction((0,)))
+            reduced_rank((0,))
         with pytest.raises(ValueError):
-            reduced_rank(TauFunction((0, 0, 3)))
+            reduced_rank((0, 0, 3))
         with pytest.raises(ValueError):
-            reduced_rank(TauFunction((1, 2)))
+            reduced_rank((1, 2))
 
     def test_matches_module_rank(self):
         rng = random.Random(5)
         for _ in range(1000):
             vals = [0, rng.randint(1, 10)]
             vals += [rng.randint(-10, 10) for _ in range(rng.randint(0, 18))]
-            tau = TauFunction(tuple(vals))
+            tau = tuple(vals)
             assert reduced_rank(tau) == module_from_tau(tau).reduced_rank
 
 
@@ -259,7 +266,7 @@ class TestRender:
                 vals += [even[t], even[t + 1] + alpha[t]]
             vals.append(even[11])
             tau = tuple(vals)
-        root = root_from_tau(TauFunction(tau))
+        root = root_from_tau(tau)
         for fmt, ext in (("ascii", "txt"), ("svg", "svg")):
             got = render(root, fmt)
             path = GOLDEN / f"{name}.{ext}"
@@ -267,7 +274,7 @@ class TestRender:
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
-            render(root_from_tau(TauFunction((0,))), "png")
+            render(root_from_tau((0,)), "png")
 
 
 def assert_layout_matches(root):

@@ -1,5 +1,6 @@
 """Mechanical guards on the package source: arithmetic stays exact, every
-cache is bounded and every module is in use."""
+cache is bounded, every module is in use and the public names stay as they
+are."""
 
 import ast
 from pathlib import Path
@@ -123,6 +124,27 @@ def test_every_module_is_imported():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert {"plumbing", "lens", "frozen"} < set(sources)  # both imported only inside cli's functions
     assert orphan_modules(sources) == []
+
+
+PUBLIC_NAMES = {
+    "AlgebraicKnot", "GradedRoot", "InternalInvariantError", "NegContinuedFraction", "NumericalSemigroup",
+    "ResourceLimitError", "SpincResult", "SurgerySpec", "UModuleDecomposition", "compute_all", "compute_spinc",
+    "dedekind_sum", "from_newton_pairs", "grading_shift", "mod_inverse", "module_from_tau", "neg_cfrac",
+    "reduced_rank", "render", "root_from_tau", "tau_depth", "tau_function",
+}
+
+
+def test_public_names_resolve():
+    # the exports are exactly these names, each one bound, and a star import binds them and nothing else
+    import hfroots
+
+    assert sorted(hfroots.__all__) == sorted(PUBLIC_NAMES)
+    assert [name for name in hfroots.__all__ if not hasattr(hfroots, name)] == []
+    namespace = {}
+    exec("from hfroots import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == PUBLIC_NAMES
+    assert all(namespace[name] is getattr(hfroots, name) for name in PUBLIC_NAMES)
 
 
 def test_orphan_guard_flags_an_unused_module():
