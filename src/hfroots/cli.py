@@ -471,10 +471,10 @@ def cmd_verify(args) -> int:
     gf = plumbing.embedded_resolution(knot)
     gm = plumbing.surgery_graph(knot, spec.cfrac)
     if index is None:
-        classes = plumbing.spinc_classes(gm, spec)
+        classes = plumbing.spinc_classes(spec)
         results = hfcore.compute_all(spec)  # with the ker U rank identity, one module per distinct tau
     else:
-        classes = [plumbing.spinc_class(gm, spec, index)]  # rejects a outside [0, p)
+        classes = [plumbing.spinc_class(spec, index)]  # rejects a outside [0, p)
         results = [hfcore.compute_spinc(spec, index)]
     _info(f"graphs, spin^c classes and formula side built in {time.perf_counter() - t0:.3f}s")
     shifts_formula = lens.grading_shift_formula(p, q, knot.delta, classes[-1].a)  # numerators over 2p
@@ -502,8 +502,9 @@ def cmd_verify(args) -> int:
                 entry["laufer_first_diff"] = _first_diff(condensed, res.tau)
         if use_sublevel:
             n_top = max(res.tau)
-            box = plumbing.exact_sublevel_box(gm, cls.k_pairs, n_top)
-            lattice_keys = plumbing.sublevel_root(gm, cls.k_pairs, n_top, box).level_keys()
+            _, k_pairs = plumbing.class_pairings(gm, cls)
+            box = plumbing.exact_sublevel_box(gm, k_pairs, n_top)
+            lattice_keys = plumbing.sublevel_root(gm, k_pairs, n_top, box).level_keys()
             formula_keys = root_from_tau(res.tau).level_keys()
             same = lattice_keys == formula_keys
             entry["sublevel"] = "ok" if same else "disagree"

@@ -33,9 +33,10 @@ per graph, the diagonal of B^{-1} that bounds that search) is one such
 solve, and the sublevel enumeration walks the same pivots, parents first.
 
 Oracle paths implemented here:
-  * spin^c classes as their chain digits, with the pairings (l', b_j) and
-    (k_r, b_j) of l' and k_r = K + 2 l' taken from their definitions, no
-    linear algebra per class;
+  * spin^c classes as their chain digits alone; the pairings (l', b_j) and
+    (k_r, b_j) of l' and k_r = K + 2 l' are built from their definitions on
+    the graph a consumer holds (`class_pairings`), no linear algebra per
+    class;
   * -(k_r^2 + #vertices)/4 from the lattice, one tree solve of the pairings
     (k_r, b_j) checked by pairing back, itself checked against the Dedekind
     sum closed form of `lens.grading_shift_formula` and (in hfcore) the
@@ -94,9 +95,11 @@ class PlumbingGraph:
     graph (None for closed-manifold graphs).
 
     Both the tree property and negative definiteness are enforced on
-    creation.  The tree is eliminated once, from the leaves to vertex 0 in
-    the order of the connectivity traversal, in integers: vertex v with
-    children c gets P_v = prod_c D_c and the determinant of its subtree
+    creation, and every Euler number, edge endpoint and vertex index must
+    be an int (a bool is not one): anything else raises TypeError.  The
+    tree is eliminated once, from the leaves to vertex 0 in the order of
+    the connectivity traversal, in integers: vertex v with children c gets
+    P_v = prod_c D_c and the determinant of its subtree
     D_v = e_v P_v - sum_c P_c (P_v / D_c) (Eisenbud-Neumann), so its pivot
     is D_v / P_v.  The form is negative definite exactly when every pivot is
     negative, and det B = D_0.  `solve` reuses the elimination for any
@@ -106,8 +109,12 @@ class PlumbingGraph:
     """
 
     def __init__(self, euler, edges, distinguished: int | None = None, arrow: int | None = None):
-        self.euler = tuple(int(e) for e in euler)
-        self.edges = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in edges))
+        euler, edges = tuple(euler), [(a, b) for a, b in edges]
+        for v in (*euler, *(v for e in edges for v in e), *(v for v in (distinguished, arrow) if v is not None)):
+            if type(v) is not int:  # no float, str, bool or Fraction is rounded into a graph
+                raise TypeError(f"plumbing graph: {v!r} must be an int, not {type(v).__name__}")
+        self.euler = euler
+        self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.distinguished = distinguished
         self.arrow = arrow
         n = len(self.euler)
@@ -347,21 +354,17 @@ class SpincClass(Frozen):
     """One spin^c structure of the surgery manifold, lattice-side data.
 
     a_coeffs are the chain digits a_1..a_s of the class, which obey the
-    strict inequalities (SI).  The class is its digits: its minimal
-    dual-lattice representative l' pairs to 0 on the resolution vertices
-    and to -a_j on the chain by definition, and its characteristic vector
-    k_r = K + 2 l' then pairs with b_j as -e_j - 2 + 2 (l', b_j).  l_pairs
-    and k_pairs are these integers (l', b_j) and (k_r, b_j); no vector of
-    the class is solved for until a consumer needs k_r^2 (`_k_square`).
+    strict inequalities (SI).  The class is its digits and holds nothing of
+    a graph: its pairings with the b_j of the surgery graph a consumer holds
+    follow from them by definition (`class_pairings`), and no vector of the
+    class is solved for until a consumer needs k_r^2 (`_k_square`).
     """
 
-    __slots__ = ("a", "a_coeffs", "l_pairs", "k_pairs")
+    __slots__ = ("a", "a_coeffs")
 
-    def __init__(self, a: int, a_coeffs: tuple[int, ...], l_pairs: tuple[int, ...], k_pairs: tuple[int, ...]):
+    def __init__(self, a: int, a_coeffs: tuple[int, ...]):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_coeffs", a_coeffs)
-        object.__setattr__(self, "l_pairs", l_pairs)
-        object.__setattr__(self, "k_pairs", k_pairs)
 
 
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
@@ -386,43 +389,29 @@ def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _spinc_frame(gm: PlumbingGraph, spec: SurgerySpec) -> None:
-    """Check that gm is surgery_graph(spec.knot, spec.cfrac): the knot's
-    resolution graph plus the chain hung at v0 on the last s indices, with
-    |det B| = p; any other graph raises ValueError."""
-    cfrac = spec.cfrac
-    nf = gm.n - cfrac.s
-    gf = embedded_resolution(spec.knot)
-    if nf != gf.n or gm.euler[:nf] != gf.euler:
-        raise ValueError("graph does not extend the knot's resolution graph")
-    if gm.euler[nf:] != (-cfrac.terms[0] - spec.knot.mf, *(-k for k in cfrac.terms[1:])):
-        raise ValueError("chain decorations do not match the continued fraction")
-    if set(gm.edges) != {*gf.edges, (gf.distinguished, nf), *((v, v + 1) for v in range(nf, gm.n - 1))}:
-        raise ValueError("edges are not the resolution graph's plus the chain hung at v0")
-    if abs(gm.det) != spec.p:
-        raise ValueError(f"graph determinant {gm.det} is not +-{spec.p}")
+def _spinc_class(cfrac: NegContinuedFraction, a: int) -> SpincClass:
+    return SpincClass(a, _si_coefficients(cfrac, a))
 
 
-def _spinc_class(gm: PlumbingGraph, cfrac: NegContinuedFraction, a: int) -> SpincClass:
-    acoef = _si_coefficients(cfrac, a)
-    l_pairs = (0,) * (gm.n - cfrac.s) + tuple(-c for c in acoef)
-    return SpincClass(a, acoef, l_pairs, tuple(2 * l - e - 2 for l, e in zip(l_pairs, gm.euler)))
+def spinc_classes(spec: SurgerySpec) -> list[SpincClass]:
+    """All spin^c classes of the surgery, as their chain digits."""
+    return [_spinc_class(spec.cfrac, a) for a in range(spec.p)]
 
 
-def spinc_classes(gm: PlumbingGraph, spec: SurgerySpec) -> list[SpincClass]:
-    """All spin^c classes of the surgery graph, with their pairings.
-
-    gm must be the graph produced by surgery_graph(spec.knot, spec.cfrac).
-    """
-    _spinc_frame(gm, spec)
-    return [_spinc_class(gm, spec.cfrac, a) for a in range(spec.p)]
-
-
-def spinc_class(gm: PlumbingGraph, spec: SurgerySpec, a: int) -> SpincClass:
-    """The spin^c class a alone, equal to spinc_classes(gm, spec)[a]."""
+def spinc_class(spec: SurgerySpec, a: int) -> SpincClass:
+    """The spin^c class a alone, equal to spinc_classes(spec)[a]."""
     spec._check_a(a)
-    _spinc_frame(gm, spec)
-    return _spinc_class(gm, spec.cfrac, a)
+    return _spinc_class(spec.cfrac, a)
+
+
+def class_pairings(gm: PlumbingGraph, cls: SpincClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(l_pairs, k_pairs), the integers (l', b_j) and (k_r, b_j) of the class
+    on its surgery graph gm, whose chain takes the last s indices
+    (`surgery_graph`): the minimal dual-lattice representative l' pairs to 0
+    on the resolution vertices and to -a_j on the chain by definition, and
+    k_r = K + 2 l' then pairs with b_j as -e_j - 2 + 2 (l', b_j)."""
+    l_pairs = (0,) * (gm.n - len(cls.a_coeffs)) + tuple(-c for c in cls.a_coeffs)
+    return l_pairs, tuple(2 * l - e - 2 for l, e in zip(l_pairs, gm.euler))
 
 
 def _k_square(g: PlumbingGraph, kb) -> tuple[list[int], int]:
@@ -438,8 +427,8 @@ def _k_square(g: PlumbingGraph, kb) -> tuple[list[int], int]:
 
 def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
     """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction
-    from det k_r^2 (`_k_square` of the class's k_pairs)."""
-    _, k_square = _k_square(gm, cls.k_pairs)
+    from det k_r^2 (`_k_square` of the class's k_pairs, `class_pairings`)."""
+    _, k_square = _k_square(gm, class_pairings(gm, cls)[1])
     return Fraction(-(k_square + gm.n * gm.det), 4 * gm.det)
 
 
@@ -729,18 +718,18 @@ def class_laufer_values(gm: PlumbingGraph, cls: SpincClass, resolution_values, i
     surgery graph, from resolution_values = laufer_values(gf, zeros, >= i_max)
     of the knot's resolution graph gf: only the surgery chain runs.
 
-    Removing v0 from gm leaves gf's branches, where every class pairs to 0,
-    and the chain from index nf = gf.n; so x(i) there is gf's minimal cycle
-    in every class (the split in _laufer_run).  A class of another shape
-    raises InternalInvariantError.
+    Removing v0 from gm leaves gf's branches, where every class pairs to 0
+    (`class_pairings`), and the chain from index nf = gf.n; so x(i) there is
+    gf's minimal cycle in every class (the split in _laufer_run).  A chain
+    that does not start at index nf next to v0 raises InternalInvariantError.
     """
     nf = gm.n - len(cls.a_coeffs)
-    if any(cls.l_pairs[:nf]) or nf not in gm.adj[gm.distinguished]:
-        raise InternalInvariantError("the class's Laufer run cannot share the resolution side: l' must pair "
-                                     "to 0 there and the chain start at index nf next to v0")
+    if nf not in gm.adj[gm.distinguished]:
+        raise InternalInvariantError("the class's Laufer run cannot share the resolution side: "
+                                     "the chain must start at index nf next to v0")
     if len(resolution_values) <= i_max:
         raise InternalInvariantError(f"the resolution-side Laufer run stops before step {i_max}")
-    return _laufer_run(gm, cls.l_pairs, i_max, (nf,), resolution_values)
+    return _laufer_run(gm, class_pairings(gm, cls)[0], i_max, (nf,), resolution_values)
 
 
 def condense_tau(values, mf: int) -> tuple[int, ...]:
@@ -775,7 +764,7 @@ def _completed_square(g: PlumbingGraph, kb, n_max: int) -> tuple[list[int], int]
 
 def exact_sublevel_box(g: PlumbingGraph, kb, n_max: int) -> tuple[tuple[int, int], ...]:
     """The smallest coordinate box certain to contain {x : chi_{k_r}(x) <= n_max},
-    from the integers kb = ((k_r, b_j))_j (a class's k_pairs).
+    from the integers kb = ((k_r, b_j))_j (a class's k_pairs, `class_pairings`).
 
     Completing the square, -(z, z) <= R (`_completed_square`) is a positive
     definite ellipsoid condition, so coordinate j is bounded by
@@ -848,8 +837,9 @@ def _ellipsoid_points(g: PlumbingGraph, kb, n_max: int, box) -> list[tuple[int, 
 
 def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
     """Graded root of the sublevel sets {x : chi_{k_r}(x) <= n}, n <= n_max,
-    restricted to an explicit coordinate box; kb = ((k_r, b_j))_j are the
-    integers a class keeps as k_pairs.
+    restricted to an explicit coordinate box of int bounds (any other bound
+    raises TypeError); kb = ((k_r, b_j))_j are a class's k_pairs
+    (`class_pairings`).
 
     Vertices at level n are the connected components of the sublevel set,
     where x and x + b_j are adjacent whenever both lie in the set; edges
@@ -866,9 +856,12 @@ def sublevel_root(g: PlumbingGraph, kb, n_max: int, box) -> GradedRoot:
     raises InternalInvariantError.
     """
     n, euler = g.n, g.euler
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    box = tuple((lo, hi) for lo, hi in box)
     if len(box) != n:
         raise ValueError("box must give one (lo, hi) range per vertex")
+    for v in (v for bounds in box for v in bounds):
+        if type(v) is not int:
+            raise TypeError(f"box bound {v!r} must be an int, not {type(v).__name__}")
     if any((kb[j] + euler[j]) % 2 for j in range(n)):
         raise ValueError("k_r is not characteristic")
 

@@ -694,12 +694,12 @@ def pairing(g: pl.PlumbingGraph, x, y):
 
 def l_prime(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
     """l' of a class as Fractions: the dense solve of B l' = l_pairs."""
-    return tuple(solve(g, cls.l_pairs))
+    return tuple(solve(g, pl.class_pairings(g, cls)[0]))
 
 
 def k_r(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
     """k_r = K + 2 l' of a class as Fractions: the dense solve of B k_r = k_pairs."""
-    return tuple(solve(g, cls.k_pairs))
+    return tuple(solve(g, pl.class_pairings(g, cls)[1]))
 
 
 def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
@@ -729,13 +729,13 @@ def graph_from_json(text: str) -> pl.PlumbingGraph:
     )
 
 
-def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.SpincClass:
+def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> tuple[tuple[int, ...], ...]:
     """Spin^c class a through the chain lattice: l~' solves (l~', b~_j) = -a_j
     on the chain graph and is pulled back through the divisorial cycle Z_f,
     b~_1 -> Z_f + b_1 and b~_j -> b_j (the chain vertices of gm are last).
-    The vectors are built in Fractions and the class keeps their pairings
-    with the b_j; the package takes those pairings from their definitions
-    and solves for no vector of the class."""
+    The vectors are built in Fractions; returns the digits and the pairings
+    (l', b_j) and (k_r, b_j), which the package takes from their definitions
+    (`class_pairings`) without solving for any vector of the class."""
     spec._check_a(a)
     cfrac = spec.cfrac
     zf = pl.divisorial_cycle(pl.embedded_resolution(spec.knot))
@@ -750,8 +750,7 @@ def pullback_spinc_class(gm: pl.PlumbingGraph, spec: SurgerySpec, a: int) -> pl.
     if any(x > 0 for x in pair) or pair[gm.distinguished] != 0:
         raise InternalInvariantError("l' is not the minimal representative")
     kr = tuple(k + 2 * l for k, l in zip(k_gm, lprime))
-    return pl.SpincClass(a=a, a_coeffs=acoef, l_pairs=tuple(int(x) for x in pair),
-                         k_pairs=characteristic_pairs(gm, kr))
+    return acoef, tuple(int(x) for x in pair), characteristic_pairs(gm, kr)
 
 
 def minimal_cycle_sequence(gf: pl.PlumbingGraph, i_max: int) -> list[tuple[tuple[int, ...], int]]:

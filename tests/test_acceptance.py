@@ -104,7 +104,7 @@ def test_criterion_7():
         spec = SurgerySpec(knot, p, q)
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 40
-        classes = pl.spinc_classes(gm, spec)
+        classes = pl.spinc_classes(spec)
         formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
         assert len(formulas) == p
         for a in range(p):
@@ -118,11 +118,12 @@ def test_criterion_7():
         spec = SurgerySpec(knot, p, q)
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 10
-        classes = pl.spinc_classes(gm, spec)
+        classes = pl.spinc_classes(spec)
         for a in range(p):
             res = compute_spinc(spec, a)
-            box = pl.exact_sublevel_box(gm, classes[a].k_pairs, max(res.tau))
-            root = pl.sublevel_root(gm, classes[a].k_pairs, max(res.tau), box)
+            _, kb = pl.class_pairings(gm, classes[a])
+            box = pl.exact_sublevel_box(gm, kb, max(res.tau))
+            root = pl.sublevel_root(gm, kb, max(res.tau), box)
             assert root.level_keys() == root_from_tau(res.tau).level_keys()
     assert time.perf_counter() - start < 300.0
 

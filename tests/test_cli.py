@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import laufer_run_rescan, root_first_diff_nested
 
@@ -677,6 +677,10 @@ def malformed_argv(draw):
 class TestMalformedInput:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(malformed_argv())
+    # one per integer flag, each value one that int() alone would take
+    @example(["compute", "--newton", "2,+3", "--surgery", "3/1"])
+    @example(["compute", "--newton", "2,3", "--surgery", "1_0/3"])
+    @example(["compute", "--newton", "2,3", "--surgery", "3/1", "--spinc", " 1"])
     def test_exits_1_without_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -27,7 +27,7 @@ def instances():
         return {name: getattr(obj, name) for name in obj.__slots__}
 
     res = compute_spinc(SPEC, 1)
-    cls = pl.spinc_class(pl.surgery_graph(K23, SPEC.cfrac), SPEC, 1)
+    cls = pl.spinc_class(SPEC, 1)
     return [
         (K23.semigroup, slots(K23.semigroup)),
         (K23, slots(K23)),

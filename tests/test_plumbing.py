@@ -59,8 +59,24 @@ def surgery_setup(pairs, p, q):
     knot = from_newton_pairs(pairs)
     spec = SurgerySpec(knot, p, q)
     gm = pl.surgery_graph(knot, spec.cfrac)
-    classes = pl.spinc_classes(gm, spec)
+    classes = pl.spinc_classes(spec)
     return knot, spec, gm, classes
+
+
+def l_pairs(gm, cls):
+    """The class's pairings (l', b_j) on gm."""
+    return pl.class_pairings(gm, cls)[0]
+
+
+def k_pairs(gm, cls):
+    """The class's pairings (k_r, b_j) on gm."""
+    return pl.class_pairings(gm, cls)[1]
+
+
+def digits_and_pairings(gm, classes):
+    """Each class's digits and its pairings on gm, as pullback_spinc_class
+    gives them."""
+    return [(cls.a_coeffs, *pl.class_pairings(gm, cls)) for cls in classes]
 
 
 def random_trees(vertex_data, max_n=4):
@@ -189,8 +205,8 @@ def check_fraction_route(gm, spec, classes):
         lp, kr = l_prime(gm, cls), k_r(gm, cls)
         assert list(lp) == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
         assert list(kr) == [k + 2 * l for k, l in zip(k_gm, lp)]
-        ref = pullback_spinc_class(gm, spec, cls.a)
-        assert (lp, kr) == (l_prime(gm, ref), k_r(gm, ref))
+        _, l_ref, k_ref = pullback_spinc_class(gm, spec, cls.a)
+        assert (lp, kr) == (tuple(solve(gm, l_ref)), tuple(solve(gm, k_ref)))
 
 
 def moved_solve(monkeypatch, g, rhs):
@@ -236,7 +252,7 @@ def check_sweep(g):
 class TestGraphType:
     def test_tree_and_definite_enforced(self):
         with pytest.raises(ValueError):
-            pl.PlumbingGraph([-2, -2], [])  # disconnected
+            pl.PlumbingGraph([-2, -2], [])  # one edge short
         with pytest.raises(ValueError):
             pl.PlumbingGraph([0], [])  # not negative definite
         with pytest.raises(ValueError):
@@ -245,6 +261,37 @@ class TestGraphType:
             pl.PlumbingGraph([-1, -1], [(0, 1)])  # second minor 0 stops the sweep
         with pytest.raises(ValueError, match="negative definite"):
             pl.PlumbingGraph([-2, 0], [(0, 1)])  # second minor -1 has the wrong sign
+        with pytest.raises(ValueError, match="empty plumbing graph"):
+            pl.PlumbingGraph([], [])
+        for edges in ([(0, 2)], [(-1, 0)], [(1, 1)], [(0, 1), (1, 0)]):  # out of range, a loop, a repeat
+            with pytest.raises(ValueError, match="bad edge"):
+                pl.PlumbingGraph([-2, -2], edges)
+        with pytest.raises(ValueError, match="not connected"):
+            pl.PlumbingGraph([-2] * 4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges, vertex 3 alone
+        with pytest.raises(ValueError, match="vertex index 2 out of range"):
+            pl.PlumbingGraph([-2, -2], [(0, 1)], distinguished=2)
+        with pytest.raises(ValueError, match="vertex index -1 out of range"):
+            pl.PlumbingGraph([-2, -2], [(0, 1)], arrow=-1)
+
+    @pytest.mark.parametrize(
+        "euler, edges, marks",
+        [
+            ([-2.9, -2.0], [(0, 1.7)], {}),  # int() would make the -2, -2 chain of it
+            ([-2, Fraction(-2)], [(0, 1)], {}),
+            ([-2, "-2"], [(0, 1)], {}),
+            ([True, -2], [(0, 1)], {}),
+            ([-2, -2], [(0, True)], {}),
+            ([-2, -2], [("0", 1)], {}),
+            ([-2, -2], [(0, 1)], {"distinguished": True}),
+            ([-2, -2], [(0, 1)], {"arrow": True}),
+            ([-2, -2], [(0, 1)], {"distinguished": 0.0}),
+        ],
+        ids=["float", "fraction", "str", "bool-euler", "bool-edge", "str-edge", "bool-v0", "bool-arrow", "float-v0"],
+    )
+    def test_takes_ints_only(self, euler, edges, marks):
+        pl.PlumbingGraph([-2, -2], [(0, 1)], distinguished=0, arrow=1)
+        with pytest.raises(TypeError, match="must be an int"):
+            pl.PlumbingGraph(euler, edges, **marks)
 
     def test_pairing(self):
         g = pl.PlumbingGraph([-2, -3], [(0, 1)])
@@ -460,14 +507,17 @@ class TestSpincClasses:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             nf = gm.n - spec.cfrac.s
             for cls in classes:
-                ref = pullback_spinc_class(gm, spec, cls.a)
-                assert ref.l_pairs == cls.l_pairs == (0,) * nf + tuple(-c for c in cls.a_coeffs)
+                _, l_ref, _ = pullback_spinc_class(gm, spec, cls.a)
+                assert l_ref == l_pairs(gm, cls) == (0,) * nf + tuple(-c for c in cls.a_coeffs)
 
     def test_matches_pullback_reference_on_oracle_corpus(self):
-        # the digits give every field the chain-lattice pull-back gives
+        # the digits and the pairings built from them are the chain-lattice
+        # pull-back's
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-            assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)], (pairs, p, q)
+            assert [cls.a for cls in classes] == list(range(p))
+            expected = [pullback_spinc_class(gm, spec, a) for a in range(p)]
+            assert digits_and_pairings(gm, classes) == expected, (pairs, p, q)
             check_fraction_route(gm, spec, classes)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -480,49 +530,30 @@ class TestSpincClasses:
     def test_matches_pullback_reference_on_long_chains(self, pairs, pq):
         p, q = pq
         knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-        assert classes == [pullback_spinc_class(gm, spec, a) for a in range(p)]
+        assert [cls.a for cls in classes] == list(range(p))
+        assert digits_and_pairings(gm, classes) == [pullback_spinc_class(gm, spec, a) for a in range(p)]
         check_fraction_route(gm, spec, classes)
-
-    def test_frame_validates_the_graph(self, monkeypatch):
-        spec = SurgerySpec(K23, 5, 3)  # [2, 3]
-        other_knot = pl.surgery_graph(from_newton_pairs([(2, 5)]), spec.cfrac)
-        other_chain = pl.surgery_graph(K23, SurgerySpec(K23, 7, 4).cfrac)  # [2, 4]
-        with pytest.raises(ValueError, match="does not extend the knot's resolution graph"):
-            pl.spinc_classes(other_knot, spec)
-        with pytest.raises(ValueError, match="chain decorations do not match"):
-            pl.spinc_class(other_chain, spec, 1)
-        # (2,3) at -7/4 with the edge (0, 2) moved to (0, 1): every Euler number
-        # still matches, but det B is -42, not +-7
-        spec74 = SurgerySpec(K23, 7, 4)
-        edges = [(0, 1) if e == (0, 2) else e for e in other_chain.edges]
-        miswired = pl.PlumbingGraph(other_chain.euler, edges, distinguished=other_chain.distinguished)
-        assert (miswired.euler, miswired.det) == (other_chain.euler, -42)
-        with pytest.raises(ValueError, match="edges are not the resolution graph's plus the chain"):
-            pl.spinc_classes(miswired, spec74)
-        with pytest.raises(ValueError, match="edges are not the resolution graph's plus the chain"):
-            pl.spinc_class(miswired, spec74, 3)
-        monkeypatch.setattr(other_chain, "det", 6 * other_chain.det)
-        with pytest.raises(ValueError, match="graph determinant -42 is not \\+-7"):
-            pl.spinc_classes(other_chain, spec74)
 
     def test_classes_do_no_linear_algebra(self, monkeypatch):
         # a class is its digits: its pairings come from their definitions
         knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 12, 7)
+        expected = digits_and_pairings(gm, classes)
 
         def refuse(*args):
             raise AssertionError("a class was built with the intersection form")
 
         monkeypatch.setattr(gm, "solve", refuse)
         monkeypatch.setattr(gm, "apply_form", refuse)
-        assert pl.spinc_classes(gm, spec) == classes
-        assert [pl.spinc_class(gm, spec, a) for a in range(spec.p)] == classes
+        assert pl.spinc_classes(spec) == classes
+        assert [pl.spinc_class(spec, a) for a in range(spec.p)] == classes
+        assert digits_and_pairings(gm, classes) == expected
 
     def test_k_square_check_is_live(self, monkeypatch):
         # det added at entry 0 of the solve of class 3's k_pairs moves its k_r
         # by the unit vector at vertex 0, which no longer pairs back; both the
         # shift and the sublevel search solve through the one check
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
-        kb = classes[3].k_pairs
+        kb = k_pairs(gm, classes[3])
         n_top = max(compute_spinc(spec, 3).tau)
         pl.lattice_grading_shift(gm, classes[3])
         pl.exact_sublevel_box(gm, kb, n_top)
@@ -533,17 +564,19 @@ class TestSpincClasses:
             pl.exact_sublevel_box(gm, kb, n_top)
 
     def test_classes_stay_small(self):
-        # p classes of a few tuples of small ints each; no dense vector is
-        # kept per class (the dense l' and k_r of 200 classes peaked at 4.1 MB)
-        knot, spec, gm, _ = surgery_setup([(2, 3)], 200, 199)
-        tracemalloc.start()
-        try:
-            classes = pl.spinc_classes(gm, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(classes) == 200
-        assert peak < 2 * 2**20
+        # p classes of one tuple of small ints each; no vector and no pairing
+        # is kept per class (the dense l' and k_r of 200 classes peaked at
+        # 4.1 MB, the pairings of 400 classes on their chain of 399 at 3.75 MiB)
+        for p in (200, 400):
+            spec = SurgerySpec(K23, p, p - 1)
+            tracemalloc.start()
+            try:
+                classes = pl.spinc_classes(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(classes) == p
+            assert peak < 2 * 2**20, p
 
     def test_one_fraction_per_class(self, monkeypatch):
         # the classes are integers; each lattice shift forms its one
@@ -557,7 +590,8 @@ class TestSpincClasses:
             return real(*args)
 
         monkeypatch.setattr(pl, "Fraction", counting)
-        classes = pl.spinc_classes(gm, spec)
+        classes = pl.spinc_classes(spec)
+        digits_and_pairings(gm, classes)
         assert built == []
         shifts = [pl.lattice_grading_shift(gm, cls) for cls in classes]
         assert len(built) <= len(classes) == spec.p
@@ -584,19 +618,19 @@ class TestSpincClasses:
 
     def test_stored_pairings_match_the_lattice(self):
         # the pairings of l' and of k_r = K + 2 l', with the dense canonical
-        # class K, are the class's; its shift is -(k_r^2 + #vertices)/4
+        # class K, are class_pairings'; its shift is -(k_r^2 + #vertices)/4
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             k_gm = canonical_class(gm)
             for cls in classes:
                 kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, cls))]
-                assert cls.k_pairs == tuple(gm.apply_form(kr))
-                assert all(type(v) is int for v in cls.l_pairs + cls.k_pairs)
+                assert k_pairs(gm, cls) == tuple(gm.apply_form(kr))
+                assert all(type(v) is int for v in l_pairs(gm, cls) + k_pairs(gm, cls))
                 assert pl.lattice_grading_shift(gm, cls) == -(pairing(gm, kr, kr) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
-        # class_laufer_values reads the class's pairings and never pairs; the
-        # shift solves once and pairs once, to check that solve
+        # class_pairings and class_laufer_values never pair; the shift solves
+        # once and pairs once, to check that solve
         knot, spec, gm, classes = surgery_setup([(2, 3), (2, 1)], 7, 4)
         gf = pl.embedded_resolution(knot)
         chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
@@ -609,6 +643,7 @@ class TestSpincClasses:
                 return real(*args)
 
             monkeypatch.setattr(gm, name, counted)
+        digits_and_pairings(gm, classes)
         for cls in classes:
             pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
         assert calls == Counter()
@@ -619,10 +654,10 @@ class TestSpincClasses:
     def test_single_class_matches_the_full_list(self):
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-            assert [pl.spinc_class(gm, spec, a) for a in range(p)] == classes
+            assert [pl.spinc_class(spec, a) for a in range(p)] == classes
         for a in (-1, p):
             with pytest.raises(ValueError, match=f"spin\\^c index a={a} outside"):
-                pl.spinc_class(gm, spec, a)
+                pl.spinc_class(spec, a)
 
     def test_projected_canonical_class(self):
         # chain coordinates of K match the chain class corrected by 2 delta g~_1
@@ -666,7 +701,7 @@ class TestCycles:
             s = spec.cfrac.s
             for a in rng.sample(range(p), min(3, p)):
                 i_max = 2 * knot.mf + 3
-                values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
+                values, cycles = laufer_run_rescan(gm, list(l_pairs(gm, classes[a])), i_max)
                 assert tuple(values) == laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 for i in range(i_max + 1):
                     assert cycles[i][gm.n - s:] == chain_coefficients(spec, a, i)
@@ -684,7 +719,7 @@ class TestLauferEngine:
             assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                offsets = list(cls.l_pairs)
+                offsets = list(l_pairs(gm, cls))
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
                 assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
                 assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
@@ -703,7 +738,7 @@ class TestLauferEngine:
             nf = gf.n
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                expected = laufer_run_stepwise(gm, cls.l_pairs, i_max, (nf,), chi_gf)
+                expected = laufer_run_stepwise(gm, l_pairs(gm, cls), i_max, (nf,), chi_gf)
                 assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -891,12 +926,9 @@ class TestLauferEngine:
         chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
         cls = classes[3]
         pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
-        fields = {name: getattr(cls, name) for name in pl.SpincClass.__slots__}
-        nonzero = {**fields, "l_pairs": (1,) + cls.l_pairs[1:]}  # pairs with b_0 on the resolution side
-        shifted = {**fields, "a_coeffs": cls.a_coeffs[1:]}  # nf would point one vertex down the chain
-        for tampered in (nonzero, shifted):
-            with pytest.raises(InternalInvariantError, match="cannot share the resolution side"):
-                pl.class_laufer_values(gm, pl.SpincClass(**tampered), chi_gf, 2 * knot.mf)
+        shifted = pl.SpincClass(cls.a, cls.a_coeffs[1:])  # nf would point one vertex down the chain
+        with pytest.raises(InternalInvariantError, match="cannot share the resolution side"):
+            pl.class_laufer_values(gm, shifted, chi_gf, 2 * knot.mf)
         with pytest.raises(InternalInvariantError, match="stops before step"):
             pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf + 1)
 
@@ -959,8 +991,8 @@ class TestSublevel:
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
         res = compute_spinc(spec, 0)
-        box = pl.exact_sublevel_box(gm, classes[0].k_pairs, max(res.tau))
-        root = pl.sublevel_root(gm, classes[0].k_pairs, max(res.tau), box)
+        box = pl.exact_sublevel_box(gm, k_pairs(gm, classes[0]), max(res.tau))
+        root = pl.sublevel_root(gm, k_pairs(gm, classes[0]), max(res.tau), box)
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
         assert leaf_levels == [0, 0]
         assert root.chi[root.top] == 1
@@ -970,6 +1002,13 @@ class TestSublevel:
         g = pl.PlumbingGraph([-3], [])
         with pytest.raises(ValueError, match="empty sublevel"):
             pl.sublevel_root(g, [1], -1, ((-3, 3),))
+
+    @pytest.mark.parametrize("bound", [3.0, Fraction(3), True, "3"])
+    def test_box_takes_ints_only(self, bound):
+        g = pl.PlumbingGraph([-3], [])
+        pl.sublevel_root(g, [1], 3, ((-3, 3),))
+        with pytest.raises(TypeError, match="must be an int"):
+            pl.sublevel_root(g, [1], 3, ((-3, bound),))
 
     def test_parity_check(self):
         g = pl.PlumbingGraph([-3, -2], [(0, 1)])
@@ -1012,10 +1051,10 @@ class TestSublevel:
             gf = pl.embedded_resolution(knot)
             for a in range(p):
                 res = compute_spinc(spec, a)
-                box = pl.exact_sublevel_box(gm, classes[a].k_pairs, max(res.tau))
+                box = pl.exact_sublevel_box(gm, k_pairs(gm, classes[a]), max(res.tau))
                 assert box == exact_sublevel_box_fractions(gm, k_r(gm, classes[a]), max(res.tau))
                 i_max = (res.depth + 1) * knot.mf
-                values, cycles = laufer_run_rescan(gm, list(classes[a].l_pairs), i_max)
+                values, cycles = laufer_run_rescan(gm, list(l_pairs(gm, classes[a])), i_max)
                 assert tuple(values) == laufer_tau(gf, gm, classes[a], i_max)
                 for cyc in cycles:
                     assert all(lo <= x <= hi for x, (lo, hi) in zip(cyc, box))
@@ -1077,8 +1116,8 @@ class TestSublevel:
         monkeypatch.setattr(pl, "Fraction", counting)
         for cls in classes:
             tau = compute_spinc(spec, cls.a).tau
-            box = pl.exact_sublevel_box(gm, cls.k_pairs, max(tau))
-            root = pl.sublevel_root(gm, cls.k_pairs, max(tau), box)
+            box = pl.exact_sublevel_box(gm, k_pairs(gm, cls), max(tau))
+            root = pl.sublevel_root(gm, k_pairs(gm, cls), max(tau), box)
             assert root.level_keys() == root_from_tau(tau).level_keys()
         assert built == []
         pl.lattice_grading_shift(gm, classes[0])
@@ -1106,7 +1145,7 @@ class TestSublevel:
         for pairs, p, q in SUBLEVEL_REFERENCE_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                kb = classes[a].k_pairs
+                kb = k_pairs(gm, classes[a])
                 n_top = max(compute_spinc(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 args = (gm, kb, n_top, box)
@@ -1140,7 +1179,7 @@ class TestSublevel:
         for pairs, p, q in SUBLEVEL_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                kb = classes[a].k_pairs
+                kb = k_pairs(gm, classes[a])
                 n_top = max(compute_spinc(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 root = pl.sublevel_root(gm, kb, n_top, box)
@@ -1157,13 +1196,13 @@ class TestSublevel:
         res = compute_spinc(spec, 0)
         tight = tuple((0, 1) for _ in range(gm.n))
         with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
-            pl.sublevel_root(gm, classes[0].k_pairs, max(res.tau), tight)
+            pl.sublevel_root(gm, k_pairs(gm, classes[0]), max(res.tau), tight)
 
     def test_closure_check_catches_each_skipped_point(self, monkeypatch):
         # (2,3) at -2/1, class 0: dropping any one of its 64 enumerated points
         # must raise, whether or not the root would still come out right
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
-        kb, n_top = classes[0].k_pairs, max(compute_spinc(spec, 0).tau)
+        kb, n_top = k_pairs(gm, classes[0]), max(compute_spinc(spec, 0).tau)
         box = pl.exact_sublevel_box(gm, kb, n_top)
         real = pl._ellipsoid_points
         pts = real(gm, kb, n_top, box)

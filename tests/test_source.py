@@ -289,12 +289,16 @@ def test_laufer_guard_follows_classes():
 
 
 def test_lattice_shift_reads_only_the_graph():
-    # the lattice shift and its checked solve see only the graph and the
-    # class's pairings; a class reads the continued fraction's digits alone
+    # the lattice shift, its checked solve and the class's Laufer run see
+    # only the graph and the pairings class_pairings builds on it from the
+    # digits; a class reads the continued fraction's digits alone
     path = SRC / "plumbing.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     walked, found = laufer_reads(tree, "lattice_grading_shift")
-    assert "_k_square" in walked
+    assert {"_k_square", "class_pairings"} <= walked
+    assert found == []
+    walked, found = laufer_reads(tree, "class_laufer_values")
+    assert {"class_pairings", "_laufer_run"} <= walked
     assert found == []
     walked, found = laufer_reads(tree, "_spinc_class")
     assert "_si_coefficients" in walked
@@ -304,13 +308,15 @@ def test_lattice_shift_reads_only_the_graph():
 def test_laufer_guard_catches_helpers_of_the_lattice_shift():
     source = (
         "def lattice_grading_shift(gm, cls):\n"
-        "    return _k_square(gm, cls.k_pairs)\n"
+        "    return _k_square(gm, class_pairings(gm, cls)[1])\n"
+        "def class_pairings(gm, cls):\n"
+        "    return cls.a_coeffs, gm.euler, cls.spec.mf\n"
         "def _k_square(g, kb):\n"
         "    return g.solve(kb), dedekind_sum(g.n, kb[0])\n"
     )
     walked, found = laufer_reads(ast.parse(source), "lattice_grading_shift")
-    assert walked == {"lattice_grading_shift", "_k_square"}
-    assert found == [("_k_square", 4, "dedekind_sum")]
+    assert walked == {"lattice_grading_shift", "class_pairings", "_k_square"}
+    assert found == [("_k_square", 6, "dedekind_sum"), ("class_pairings", 4, "mf")]
 
 
 FORMATTERS = {"str", "format", "repr", "ascii"}
