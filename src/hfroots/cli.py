@@ -32,25 +32,31 @@ that differ ("shifts",
 "sublevel_first_diff" at the lowest level where the two roots differ).  A
 sublevel set that leaves its enumeration is an internal fault (exit 3).
 
-Exit codes: 0 ok, 1 input error (usage errors from the argument parser
-included), 2 verification mismatch, 3 internal invariant failure, 4 resource
-limit reached (the Laufer step cap per engine run, the sublevel point cap or
-the semigroup table cap).
+The command line is read against one table, `_COMMANDS`: per command its
+handler and, per flag, a default (or required) and the values it takes.  A
+flag's value is the next argument or the text after '=', whatever its first
+character (`--newton -2,3` reaches the Newton pair check, `--out -x.json`
+names a file).  A flag given twice, an unknown or abbreviated flag, a flag
+without a value, a value outside its choices or a missing required flag is
+a usage error; -h or --help prints a fixed usage text.
+
+Exit codes: 0 ok, 1 input error (usage errors included), 2 verification
+mismatch, 3 internal invariant failure, 4 resource limit reached (the Laufer
+step cap per engine run, the sublevel point cap or the semigroup table cap).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
@@ -156,20 +162,6 @@ def _parse_fraction(text: str, flag: str) -> tuple[int, int]:
     if p < 0:
         raise ValueError(f"{flag} takes the coefficient as a positive P/Q, which means -P/Q; got {text!r}")
     return p, q
-
-
-def _attach_signed_values(argv) -> list[str]:
-    """argv with `--surgery -3/2` and `--lens -5/2` written `--surgery=-3/2`
-    and `--lens=-5/2`: argparse would read a value that starts with a minus
-    sign and a digit as an option and report only a missing argument, while
-    attached it reaches `_parse_fraction`, which names the sign rule."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in ("--surgery", "--lens") and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +477,8 @@ def cmd_verify(args) -> int:
     overall = True
     for cls, res in zip(classes, results, strict=True):
         a = cls.a
-        shift_lattice = plumbing.lattice_grading_shift(gm, cls)
+        l_pairs, k_pairs = plumbing.class_pairings(gm, cls)
+        shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
         entry = {
             "a": a,
             "shift_lattice_ok": shift_lattice == res.shift,
@@ -495,14 +488,13 @@ def cmd_verify(args) -> int:
             num, den = _ratio(shifts_formula[a], 2 * p)
             entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": f"{num}/{den}"}
         if use_laufer:
-            values = plumbing.class_laufer_values(gm, cls, chi_gf, (res.depth + 1) * knot.mf)
+            values = plumbing.class_laufer_values(gm, l_pairs, chi_gf, (res.depth + 1) * knot.mf)
             condensed = plumbing.condense_tau(values, knot.mf)
             entry["laufer_tau_ok"] = condensed == res.tau
             if not entry["laufer_tau_ok"]:
                 entry["laufer_first_diff"] = _first_diff(condensed, res.tau)
         if use_sublevel:
             n_top = max(res.tau)
-            _, k_pairs = plumbing.class_pairings(gm, cls)
             box = plumbing.exact_sublevel_box(gm, k_pairs, n_top)
             lattice_keys = plumbing.sublevel_root(gm, k_pairs, n_top, box).level_keys()
             formula_keys = root_from_tau(res.tau).level_keys()
@@ -558,52 +550,87 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first `main` call and then reused."""
-    ap = argparse.ArgumentParser(
-        prog="hfroots",
-        description="Heegaard Floer homology of negative rational surgeries on "
-                    "algebraic knots, via graded roots (surgery P/Q means -P/Q).",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: hfroots knot --newton P1,Q1[,P2,Q2,...] [--format text|json] [--out FILE]
+       hfroots compute --newton ... --surgery P[/Q] [--spinc A|all] [--format text|json|svg] [--out FILE]
+       hfroots verify --newton ... --surgery P[/Q] [--spinc A|all] [--oracle laufer|sublevel|both]
+                      [--format text|json] [--out FILE]
+       hfroots verify --lens P[/Q] [--format text|json] [--out FILE]
 
-    k = sub.add_parser("knot", help="classical invariants of an algebraic knot")
-    k.add_argument("--newton", required=True, help="Newton pairs p1,q1[,p2,q2,...]")
-    k.add_argument("--format", choices=["text", "json"], default="text")
-    k.add_argument("--out", default=None, help="write output to a file")
-    k.set_defaults(func=cmd_knot)
+Heegaard Floer homology of negative rational surgeries on algebraic knots, via
+graded roots: `knot` prints the knot's invariants, `compute` HF+ of -M per spin^c
+structure (all by default), `verify` checks it against the lattice oracle (laufer
+by default) or, with --lens, the correction terms of a lens space.  P/Q always
+means the coefficient -P/Q.  A flag's value is the next argument or the text
+after '=', even when it starts with '-'; a flag is given at most once, in full.
+Exit codes: 0 ok, 1 input error, 2 verification mismatch, 3 internal invariant
+failure, 4 resource limit reached.
+"""
 
-    c = sub.add_parser("compute", help="HF+ of -M per spin^c structure")
-    c.add_argument("--newton", required=True, help="Newton pairs p1,q1[,p2,q2,...]")
-    c.add_argument("--surgery", required=True, help="P/Q for surgery coefficient -P/Q")
-    c.add_argument("--spinc", default="all", help="a spin^c index or 'all'")
-    c.add_argument("--format", choices=["text", "json", "svg"], default="text")
-    c.add_argument("--out", default=None, help="write output to a file")
-    c.set_defaults(func=cmd_compute)
+_HELP = ("-h", "--help")
+_REQUIRED = object()  # the default of a flag that must be given
+_TEXT_JSON = ("text", "json")
 
-    v = sub.add_parser("verify", help="cross-check against the lattice oracle")
-    v.add_argument("--newton", default=None, help="Newton pairs p1,q1[,p2,q2,...]")
-    v.add_argument("--surgery", default=None, help="P/Q for surgery coefficient -P/Q")
-    v.add_argument("--spinc", default=None, help="a spin^c index or 'all' (the default)")
-    v.add_argument("--oracle", choices=["laufer", "sublevel", "both"], default=None,
-                   help="laufer (the default), sublevel or both")
-    v.add_argument("--lens", default=None, help="P/Q: check lens-space correction terms instead")
-    v.add_argument("--format", choices=["text", "json"], default="text")
-    v.add_argument("--out", default=None, help="write output to a file")
-    v.set_defaults(func=cmd_verify)
-    return ap
+# command -> (handler, {flag: (default, the values it takes or None for any)})
+_COMMANDS = {
+    "knot": (cmd_knot, {"--newton": (_REQUIRED, None), "--format": ("text", _TEXT_JSON), "--out": (None, None)}),
+    "compute": (cmd_compute, {
+        "--newton": (_REQUIRED, None), "--surgery": (_REQUIRED, None), "--spinc": ("all", None),
+        "--format": ("text", (*_TEXT_JSON, "svg")), "--out": (None, None)}),
+    "verify": (cmd_verify, {
+        "--newton": (None, None), "--surgery": (None, None), "--spinc": (None, None),
+        "--oracle": (None, ("laufer", "sublevel", "both")), "--lens": (None, None),
+        "--format": ("text", _TEXT_JSON), "--out": (None, None)}),
+}
+
+
+def _help():
+    sys.stdout.write(_USAGE)
+    raise SystemExit(0)
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The namespace of argv = [command, flags...] that a command's handler
+    reads: `func` the handler and one attribute per flag of the command (the
+    flag without its dashes), its value or its default.  A flag's value is
+    the next argument or the text after '=', whatever its first character.
+    A missing command, an unknown or repeated flag, a flag with no value, a
+    value outside the flag's choices or a required flag left out raises
+    ValueError; -h or --help in place of a command or a flag prints the
+    usage and raises SystemExit(0)."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        _help()
+    if command not in _COMMANDS:
+        raise ValueError("expected a command: knot, compute or verify" + (f", got {command!r}" if argv else ""))
+    func, flags = _COMMANDS[command]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            _help()
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown argument {flag} for {command}")
+        if flag in given:
+            raise ValueError(f"{flag} given twice")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{flag} expects a value")
+        choices = flags[flag][1]
+        if choices and value not in choices:
+            raise ValueError(f"{flag} takes {', '.join(choices)}, got {value!r}")
+        given[flag] = value
+    missing = [flag for flag, (default, _) in flags.items() if default is _REQUIRED and flag not in given]
+    if missing:
+        raise ValueError(f"{command} needs " + " and ".join(missing))
+    return SimpleNamespace(func=func, **{flag[2:]: given.get(flag, default) for flag, (default, _) in flags.items()})
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(_attach_signed_values(argv))
-    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means a mismatch here
-        if exc.code == 0:  # --help
-            raise
-        return 1
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

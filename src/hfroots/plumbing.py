@@ -425,10 +425,10 @@ def _k_square(g: PlumbingGraph, kb) -> tuple[list[int], int]:
     return k_num, sum(map(mul, kb, k_num))
 
 
-def lattice_grading_shift(gm: PlumbingGraph, cls: SpincClass) -> Fraction:
+def lattice_grading_shift(gm: PlumbingGraph, k_pairs) -> Fraction:
     """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction
-    from det k_r^2 (`_k_square` of the class's k_pairs, `class_pairings`)."""
-    _, k_square = _k_square(gm, class_pairings(gm, cls)[1])
+    from det k_r^2 (`_k_square` of a class's k_pairs, `class_pairings`)."""
+    _, k_square = _k_square(gm, k_pairs)
     return Fraction(-(k_square + gm.n * gm.det), 4 * gm.det)
 
 
@@ -713,23 +713,25 @@ def laufer_values(g: PlumbingGraph, offsets, i_max: int) -> list[int]:
     return _laufer_run(g, offsets, i_max, g.adj[v0], None)
 
 
-def class_laufer_values(gm: PlumbingGraph, cls: SpincClass, resolution_values, i_max: int) -> list[int]:
-    """chi_{k_r}(x(i)), i = 0..i_max, of the class's Laufer sequence on the
-    surgery graph, from resolution_values = laufer_values(gf, zeros, >= i_max)
-    of the knot's resolution graph gf: only the surgery chain runs.
+def class_laufer_values(gm: PlumbingGraph, l_pairs, resolution_values, i_max: int) -> list[int]:
+    """chi_{k_r}(x(i)), i = 0..i_max, of a class's Laufer sequence on the
+    surgery graph, from its l_pairs (`class_pairings`) and resolution_values
+    = laufer_values(gf, zeros, >= i_max) of the knot's resolution graph gf:
+    only the surgery chain runs.
 
-    Removing v0 from gm leaves gf's branches, where every class pairs to 0
-    (`class_pairings`), and the chain from index nf = gf.n; so x(i) there is
-    gf's minimal cycle in every class (the split in _laufer_run).  A chain
-    that does not start at index nf next to v0 raises InternalInvariantError.
+    The chain takes the last indices, from nf = gf.n on, and nf is v0's
+    highest neighbour (`surgery_graph`).  Removing v0 from gm leaves gf's
+    branches and the chain; a class pairs to 0 on gf's vertices, so x(i)
+    there is gf's minimal cycle in every class (the split in _laufer_run).
+    l_pairs that do not vanish below nf raise InternalInvariantError.
     """
-    nf = gm.n - len(cls.a_coeffs)
-    if nf not in gm.adj[gm.distinguished]:
+    nf = max(gm.adj[gm.distinguished])
+    if any(l_pairs[:nf]):
         raise InternalInvariantError("the class's Laufer run cannot share the resolution side: "
-                                     "the chain must start at index nf next to v0")
+                                     "its pairings must vanish below the chain")
     if len(resolution_values) <= i_max:
         raise InternalInvariantError(f"the resolution-side Laufer run stops before step {i_max}")
-    return _laufer_run(gm, class_pairings(gm, cls)[0], i_max, (nf,), resolution_values)
+    return _laufer_run(gm, l_pairs, i_max, (nf,), resolution_values)
 
 
 def condense_tau(values, mf: int) -> tuple[int, ...]:

@@ -34,10 +34,13 @@ keeping only the two ends of every run; it costs O(n log n + |V|) for a root
 with |V| vertices, and is needed only to draw a root or to compare it with
 another one.  Two roots are compared by their `level_keys`, a dict of flat
 keys, one tuple of ranked child labels per level (AHU), so a root thousands
-of levels tall compares without deep recursion.  The renderers lay a root out in integers: a leaf
-takes its int slot, a vertex with one child shares its child's position, and
-only a vertex with two or more children takes the exact mean of its
-children, as one Fraction; every coordinate is floored by `//`.
+of levels tall compares without deep recursion.  The renderers lay a root
+out in ints and build no Fraction: a position is a pair (num, den) in lowest
+terms, a leaf takes (slot, 1), a vertex with one child shares its child's
+pair, and a vertex with two or more children takes the mean of its
+children's, reduced by one gcd; every coordinate is unit * num // den.
+`reduced_rank` reads the downward jumps of tau off sum |tau(i) - tau(i+1)|
+and tau(0) - tau(-1).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
+from operator import sub
 
 from .frozen import Frozen
 
@@ -115,18 +119,6 @@ class GradedRoot:
         return keys
 
 
-def _switch_on(end: list[int], i: int) -> tuple[int, int]:
-    """Switch index i on and return the run [l, r] of on-indices it joins.
-
-    `end` holds, at each end of a run, the index of its other end, and -1 at
-    indices still off; values left inside a run are never read again.
-    """
-    l = end[i - 1] if i > 0 and end[i - 1] >= 0 else i
-    r = end[i + 1] if i + 1 < len(end) and end[i + 1] >= 0 else i
-    end[l], end[r] = r, l
-    return l, r
-
-
 def root_from_tau(tau: tuple[int, ...]) -> GradedRoot:
     """Merge tree of tau: level-k vertices are runs of {i : tau(i) <= k}.
 
@@ -134,23 +126,34 @@ def root_from_tau(tau: tuple[int, ...]) -> GradedRoot:
     """
     if not tau:
         raise ValueError("tau needs at least one value")
-    order = sorted(range(len(tau)), key=tau.__getitem__)
-    end = [-1] * len(tau)
+    n = len(tau)
+    order = sorted(range(n), key=tau.__getitem__)
+    # Switching index i on joins the runs ending at i - 1 and starting at
+    # i + 1: `end` holds, at each end of a run, the index of its other end,
+    # and -1 at indices still off and at the pad end[n], which end[-1] also
+    # reads; values left inside a run are never read again.
+    end = [-1] * (n + 1)
     chi: list[int] = []
     parent: list[int | None] = []
     lefts: list[int] = []  # left ends of the runs at level k - 1, in index order
     pos = 0
     for k in range(tau[order[0]], tau[order[-1]] + 1):
         start = pos
-        while pos < len(order) and tau[order[pos]] == k:
-            _switch_on(end, order[pos])
+        while pos < n and tau[order[pos]] == k:
+            i = order[pos]
+            l, r = end[i - 1], end[i + 1]
+            if l < 0:
+                l = i
+            if r < 0:
+                r = i
+            end[l], end[r] = r, l
             pos += 1
         # Every level-k run starts at an old left end or at an index switched
         # on at k, so walking both in index order meets each run at its start.
         # The runs at level k - 1 are the last len(lefts) vertices, in order.
         below = len(chi) - len(lefts)
         starts = sorted(lefts + order[start:pos])  # two sorted runs: merged in linear time
-        lefts.append(len(tau))  # past every index: j never runs off the end
+        lefts.append(n)  # past every index: j never runs off the end
         runs = []
         right = -1
         j = 0
@@ -265,12 +268,13 @@ def reduced_rank(tau: tuple[int, ...]) -> int:
     """Total rank of the finite towers, straight from the tau values.
 
     Valid under the normalisation tau(1) > tau(0) = 0:
-    rank = min tau + sum of the downward jumps of tau.
+    rank = min tau + sum of the downward jumps of tau.  The jumps down and
+    up add to sum |tau(i) - tau(i+1)| and differ by tau(0) - tau(-1), so
+    the drops are half of their sum.
     """
     if len(tau) < 2 or tau[0] != 0 or tau[1] <= tau[0]:
         raise ValueError("reduced_rank requires tau(1) > tau(0) = 0")
-    drops = sum(max(tau[i] - tau[i + 1], 0) for i in range(len(tau) - 1))
-    return min(tau) + drops
+    return min(tau) + (sum(map(abs, map(sub, tau, tau[1:]))) + tau[0] - tau[-1]) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -278,48 +282,51 @@ def reduced_rank(tau: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _layout(root: GradedRoot) -> list[int | Fraction]:
-    """x-positions by vertex: leaves at 0, 1, 2, ... in planar order, parents
-    centred over their children.
+def _layout(root: GradedRoot, unit: int) -> list[int]:
+    """x-coordinates by vertex, floor(unit * x) for the position x: leaves at
+    x = 0, 1, 2, ... in planar order, parents centred over their children.
 
-    A leaf takes its int slot and a vertex with one child shares its child's
-    position object, so a position is a Fraction only at or above a vertex
-    with two or more children.  Such a vertex adds its k children's
-    positions up as num/den in integers and takes their mean as the one
-    Fraction(num, den * k).  The renderers floor unit * p.numerator //
-    p.denominator, which an int answers as well.
+    A position is a pair (num, den) of ints in lowest terms, den > 0.  A leaf
+    takes (slot, 1) and a vertex with one child shares its child's pair; a
+    vertex with k >= 2 children adds theirs up as num/den and takes num/(den k)
+    reduced by one gcd.  So every floor is unit * num // den, as a Fraction
+    position would give, without a Fraction.
     """
     children = root.children
     pos: list = [None] * len(children)
+    order = []  # the inner vertices in pre-order: reversed, children come first
     next_slot = 0
-    stack = [root.top]  # ~v: every child of v is placed, place v
+    stack = [root.top]
     while stack:
         v = stack.pop()
-        if v < 0:
-            kids = children[~v]
-            if len(kids) == 1:
-                pos[~v] = pos[kids[0]]
-                continue
-            num, den = 0, 1  # the sum of the k children's positions, num/den
-            for c in kids:
-                d = pos[c].denominator
-                if d == den:
-                    num += pos[c].numerator
-                else:
-                    g = gcd(den, d)
-                    num, den = num * (d // g) + pos[c].numerator * (den // g), den // g * d
-            pos[~v] = Fraction(num, den * len(kids))
-        elif children[v]:
-            stack.append(~v)
-            stack.extend(reversed(children[v]))
+        kids = children[v]
+        if kids:
+            order.append(v)
+            stack += reversed(kids)
         else:
-            pos[v] = next_slot
+            pos[v] = (next_slot, 1)
             next_slot += 1
-    return pos
+    for v in reversed(order):
+        kids = children[v]
+        if len(kids) == 1:
+            pos[v] = pos[kids[0]]
+            continue
+        total, d = 0, 1  # the sum of the k children's positions, total/d
+        for c in kids:
+            num, den = pos[c]
+            if den == d:
+                total += num
+            else:
+                g = gcd(d, den)
+                total, d = total * (den // g) + num * (d // g), d // g * den
+        d *= len(kids)
+        g = gcd(total, d)
+        pos[v] = (total // g, d // g)
+    return [unit * num // den for num, den in pos]
 
 
 def render_ascii(root: GradedRoot) -> str:
-    col = [4 * p.numerator // p.denominator for p in _layout(root)]
+    col = _layout(root, 4)
     width = max(col) + 1
     lo, hi = root.min_level(), root.chi[root.top]
     label_w = max(len(str(lo)), len(str(hi))) + 1
@@ -350,34 +357,34 @@ def render_ascii(root: GradedRoot) -> str:
 
 
 def render_svg(root: GradedRoot) -> str:
-    pos = _layout(root)
+    """The root as SVG text: each x is written once per vertex and each y
+    once per level, and the edges and circles paste those texts."""
     unit, level_h = 48, 24
     margin_x, margin_y = 60, 30
     stem = 30
     lo, hi = root.min_level(), root.chi[root.top]
-    x = [margin_x + unit * p.numerator // p.denominator for p in pos]
-    y = [margin_y + stem + level_h * (hi - k) for k in root.chi]
+    x = [margin_x + c for c in _layout(root, unit)]
+    xs = [*map(int.__repr__, x)]
+    level_y = [margin_y + stem + level_h * i for i in range(hi - lo + 1)]  # level hi - i
+    level_ys = [*map(int.__repr__, level_y)]
+    ys = [level_ys[hi - k] for k in root.chi]
     width = max(x) + margin_x
-    height = margin_y + stem + level_h * (hi - lo) + margin_y
+    height = level_y[-1] + margin_y
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for k in range(hi, lo - 1, -1):
-        gy = margin_y + stem + level_h * (hi - k)
-        out.append(
-            f'<line x1="{margin_x // 2}" y1="{gy}" x2="{width - 10}" y2="{gy}" '
-            f'stroke="#999" stroke-width="1" stroke-dasharray="3,4"/>'
-        )
+    x1, x2 = str(margin_x // 2), str(width - 10)
+    for k, gy, gys in zip(range(hi, lo - 1, -1), level_y, level_ys):
+        out.append(f'<line x1="{x1}" y1="{gys}" x2="{x2}" y2="{gys}" '
+                   'stroke="#999" stroke-width="1" stroke-dasharray="3,4"/>')
         if k % 5 == 0:
             out.append(f'<text x="4" y="{gy + 4}" font-size="11" fill="#333">{k}</text>')
-    tx, ty = x[root.top], y[root.top]
+    tx, ty = x[root.top], level_y[0]
     out.append(f'<line x1="{tx}" y1="{ty}" x2="{tx}" y2="{ty - stem}" stroke="#000" stroke-width="1.5"/>')
-    out += [
-        f'<line x1="{x[v]}" y1="{y[v]}" x2="{x[p]}" y2="{y[p]}" stroke="#000" stroke-width="1.5"/>'
-        for v, p in enumerate(root.parent) if p is not None
-    ]
-    out += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="#000"/>' for cx, cy in zip(x, y)]
+    out += [f'<line x1="{xs[v]}" y1="{ys[v]}" x2="{xs[p]}" y2="{ys[p]}" stroke="#000" stroke-width="1.5"/>'
+            for v, p in enumerate(root.parent) if p is not None]
+    out += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="#000"/>' for cx, cy in zip(xs, ys)]
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

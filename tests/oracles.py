@@ -11,16 +11,21 @@ here, and the tests require identical results:
   * the original graded-root algorithms: the merge tree of tau by rescanning
     tau at every level, and the Z[U]-module by a parent-pointer walk for
     every pair of leaves (`hfroots.root` builds the merge tree in one sweep
-    over tau in (value, index) order);
+    over tau in (value, index) order), and that sweep switching each index
+    on through a bounds-checked helper (the package reads a padded list);
+  * the rank of the finite towers as min tau plus each downward jump of tau
+    (the package halves sum |tau(i) - tau(i+1)| + tau(0) - tau(-1));
   * the Z[U]-module of tau by that sweep, switching the indices on in
     (value, index) order (the package pops a stack in one left-to-right
     pass);
   * a root's drawing positions as one Fraction per vertex, each parent the
-    Fraction mean of its children (the package keeps ints at leaves, shares
-    a one-child vertex's position with its child and builds one Fraction
-    per vertex with two or more children), and a root's isomorphism keys
-    nested one tuple per level (the package ranks the labels of each level,
-    AHU, so a key is flat however tall the root);
+    Fraction mean of its children (the package keeps (num, den) pairs of
+    ints, shares a one-child vertex's pair with its child and builds no
+    Fraction), the SVG drawing written from those Fractions one formatted
+    line per edge and per vertex (the package writes each coordinate's text
+    once), and a root's isomorphism keys nested one tuple per level (the
+    package ranks the labels of each level, AHU, so a key is flat however
+    tall the root);
   * tau straight from its definition, one sum per t (the package keeps a
     running sum);
   * the whole numerator table n(i, j) of a negative continued fraction,
@@ -72,6 +77,9 @@ here, and the tests require identical results:
   * the Fraction views l' and k_r of a spin^c class (the package keeps only
     their numerators over det B).
 
+The command line as an argparse parser, whose namespace for a valid argv
+is the one `cli._parse_args` builds from its table.
+
 Also here, because only the tests use them: a plumbing graph written to
 JSON text in the schema of `plumbing.graph_doc`, and read back; the
 intersection pairing (x, y) of two vectors; and `over`, which reads integer
@@ -80,6 +88,7 @@ numerators over one denominator as Fractions.
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,7 +104,8 @@ from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
-from hfroots.root import GradedRoot, UModuleDecomposition, _switch_on, module_from_tau
+from hfroots.cli import cmd_compute, cmd_knot, cmd_verify
+from hfroots.root import GradedRoot, UModuleDecomposition, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
 
@@ -214,6 +224,52 @@ def merge_level(root: GradedRoot, u: int, v: int) -> int:
     return root.chi[v]
 
 
+def _switch_on(end: list[int], i: int) -> tuple[int, int]:
+    """Switch index i on and return the run [l, r] of on-indices it joins.
+
+    `end` holds, at each end of a run, the index of its other end, and -1 at
+    indices still off; values left inside a run are never read again.
+    """
+    l = end[i - 1] if i > 0 and end[i - 1] >= 0 else i
+    r = end[i + 1] if i + 1 < len(end) and end[i + 1] >= 0 else i
+    end[l], end[r] = r, l
+    return l, r
+
+
+def root_from_tau_switch(tau: tuple[int, ...]) -> GradedRoot:
+    """Merge tree of tau by the (value, index) sweep, switching each index on
+    through `_switch_on` with its bounds checks; numbers vertices as
+    `root.root_from_tau` does."""
+    order = sorted(range(len(tau)), key=tau.__getitem__)
+    end = [-1] * len(tau)
+    chi: list[int] = []
+    parent: list[Optional[int]] = []
+    lefts: list[int] = []  # left ends of the runs at level k - 1, in index order
+    pos = 0
+    for k in range(tau[order[0]], tau[order[-1]] + 1):
+        start = pos
+        while pos < len(order) and tau[order[pos]] == k:
+            _switch_on(end, order[pos])
+            pos += 1
+        below = len(chi) - len(lefts)
+        starts = sorted(lefts + order[start:pos])
+        lefts.append(len(tau))
+        runs = []
+        right = -1
+        j = 0
+        for i in starts:
+            if i > right:
+                right = end[i]
+                runs.append(i)
+                chi.append(k)
+                parent.append(None)
+            if i == lefts[j]:
+                parent[below + j] = len(chi) - 1
+                j += 1
+        lefts = runs
+    return GradedRoot(chi, parent)
+
+
 def root_from_tau_rescan(vals: tuple[int, ...]) -> GradedRoot:
     """Merge tree of tau, rescanning all of tau for the runs of every level.
 
@@ -323,6 +379,46 @@ def layout_fractions(root: GradedRoot) -> dict[int, Fraction]:
             pos[v] = Fraction(next_slot)
             next_slot += 1
     return pos
+
+
+def render_svg_rows(root: GradedRoot) -> str:
+    """`root.render_svg` written one formatted line per edge and per vertex,
+    from the Fraction positions of `layout_fractions`."""
+    pos = layout_fractions(root)
+    unit, level_h = 48, 24
+    margin_x, margin_y = 60, 30
+    stem = 30
+    lo, hi = root.min_level(), root.chi[root.top]
+    x = [margin_x + unit * pos[v].numerator // pos[v].denominator for v in range(len(root))]
+    y = [margin_y + stem + level_h * (hi - k) for k in root.chi]
+    width = max(x) + margin_x
+    height = margin_y + stem + level_h * (hi - lo) + margin_y
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+    ]
+    for k in range(hi, lo - 1, -1):
+        gy = margin_y + stem + level_h * (hi - k)
+        out.append(
+            f'<line x1="{margin_x // 2}" y1="{gy}" x2="{width - 10}" y2="{gy}" '
+            f'stroke="#999" stroke-width="1" stroke-dasharray="3,4"/>'
+        )
+        if k % 5 == 0:
+            out.append(f'<text x="4" y="{gy + 4}" font-size="11" fill="#333">{k}</text>')
+    tx, ty = x[root.top], y[root.top]
+    out.append(f'<line x1="{tx}" y1="{ty}" x2="{tx}" y2="{ty - stem}" stroke="#000" stroke-width="1.5"/>')
+    out += [
+        f'<line x1="{x[v]}" y1="{y[v]}" x2="{x[p]}" y2="{y[p]}" stroke="#000" stroke-width="1.5"/>'
+        for v, p in enumerate(root.parent) if p is not None
+    ]
+    out += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="#000"/>' for cx, cy in zip(x, y)]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reduced_rank_drops(tau: tuple[int, ...]) -> int:
+    """min tau plus the sum of tau's downward jumps, one jump at a time."""
+    return min(tau) + sum(max(tau[i] - tau[i + 1], 0) for i in range(len(tau) - 1))
 
 
 def subtree_keys_nested(root: GradedRoot) -> list[tuple]:
@@ -947,7 +1043,8 @@ def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i
     """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max, by
     the route `verify` takes: the run on the resolution graph gf, then the
     class's chain on the surgery graph gm."""
-    return tuple(pl.class_laufer_values(gm, cls, pl.laufer_values(gf, [0] * gf.n, i_max), i_max))
+    l_pairs = pl.class_pairings(gm, cls)[0]
+    return tuple(pl.class_laufer_values(gm, l_pairs, pl.laufer_values(gf, [0] * gf.n, i_max), i_max))
 
 
 def chain_coefficients(spec: SurgerySpec, a: int, i: int) -> tuple[int, ...]:
@@ -1115,3 +1212,41 @@ def sublevel_root_box(g: pl.PlumbingGraph, kr: tuple[Fraction, ...], n_max: int,
             return None, True
         raise ValueError("n_max is below the merge level; raise it to close the root")
     return GradedRoot(chi_out, parent_out), contact
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The `hfroots` command line as an argparse parser: the namespace it
+    parses a valid argv into is the one `cli._parse_args` returns, plus
+    `command`, the command's name."""
+    ap = argparse.ArgumentParser(
+        prog="hfroots",
+        description="Heegaard Floer homology of negative rational surgeries on "
+                    "algebraic knots, via graded roots (surgery P/Q means -P/Q).",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    k = sub.add_parser("knot", help="classical invariants of an algebraic knot")
+    k.add_argument("--newton", required=True, help="Newton pairs p1,q1[,p2,q2,...]")
+    k.add_argument("--format", choices=["text", "json"], default="text")
+    k.add_argument("--out", default=None, help="write output to a file")
+    k.set_defaults(func=cmd_knot)
+
+    c = sub.add_parser("compute", help="HF+ of -M per spin^c structure")
+    c.add_argument("--newton", required=True, help="Newton pairs p1,q1[,p2,q2,...]")
+    c.add_argument("--surgery", required=True, help="P/Q for surgery coefficient -P/Q")
+    c.add_argument("--spinc", default="all", help="a spin^c index or 'all'")
+    c.add_argument("--format", choices=["text", "json", "svg"], default="text")
+    c.add_argument("--out", default=None, help="write output to a file")
+    c.set_defaults(func=cmd_compute)
+
+    v = sub.add_parser("verify", help="cross-check against the lattice oracle")
+    v.add_argument("--newton", default=None, help="Newton pairs p1,q1[,p2,q2,...]")
+    v.add_argument("--surgery", default=None, help="P/Q for surgery coefficient -P/Q")
+    v.add_argument("--spinc", default=None, help="a spin^c index or 'all' (the default)")
+    v.add_argument("--oracle", choices=["laufer", "sublevel", "both"], default=None,
+                   help="laufer (the default), sublevel or both")
+    v.add_argument("--lens", default=None, help="P/Q: check lens-space correction terms instead")
+    v.add_argument("--format", choices=["text", "json"], default="text")
+    v.add_argument("--out", default=None, help="write output to a file")
+    v.set_defaults(func=cmd_verify)
+    return ap

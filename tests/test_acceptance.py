@@ -109,7 +109,7 @@ def test_criterion_7():
         assert len(formulas) == p
         for a in range(p):
             res = compute_spinc(spec, a)
-            assert pl.lattice_grading_shift(gm, classes[a]) == res.shift
+            assert pl.lattice_grading_shift(gm, pl.class_pairings(gm, classes[a])[1]) == res.shift
             assert formulas[a] == res.shift
             tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf) == res.tau

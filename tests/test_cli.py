@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import laufer_run_rescan, root_first_diff_nested
+from oracles import argparse_parser, laufer_run_rescan, root_first_diff_nested
 
 import hfroots.cli as cli
 import hfroots.knot as knot_mod
@@ -336,13 +336,14 @@ class TestVerifyCommand:
         assert "laufer_first_diff" not in entry
 
     def test_laufer_mismatch_names_the_first_difference(self, capsys, monkeypatch):
-        # -2/1 surgery on T(2,5), class 0: chi(x(10)) lowered by 100 on the
-        # Laufer route moves tau(2) and leaves the block maxima around it
+        # -2/1 surgery on T(2,5), class 0 (the one whose pairings all vanish):
+        # chi(x(10)) lowered by 100 on the Laufer route moves tau(2) and
+        # leaves the block maxima around it
         real = pl.class_laufer_values
 
-        def lowered(gm, cls, chi_gf, i_max):
-            values = real(gm, cls, chi_gf, i_max)
-            return values[:10] + [values[10] - 100] + values[11:] if cls.a == 0 else values
+        def lowered(gm, l_pairs, chi_gf, i_max):
+            values = real(gm, l_pairs, chi_gf, i_max)
+            return values if any(l_pairs) else values[:10] + [values[10] - 100] + values[11:]
 
         monkeypatch.setattr(pl, "class_laufer_values", lowered)
         argv = ("verify", "--newton", "2,5", "--surgery", "2/1")
@@ -453,6 +454,20 @@ class TestVerifyCommand:
             assert out == ""
             assert err == "internal invariant failure: ker U rank forced off\n"
 
+    def test_pairings_built_once_per_class(self, capsys, monkeypatch):
+        # the shift, the Laufer run and the sublevel root each read their half
+        real, built = pl.class_pairings, []
+
+        def counting(gm, cls):
+            built.append(cls.a)
+            return real(gm, cls)
+
+        monkeypatch.setattr(pl, "class_pairings", counting)
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--format", "json")
+        assert code == 0
+        assert built == [0, 1, 2]
+        assert [e["sublevel"] for e in json.loads(out)["verification"]["per_spinc"]] == ["ok"] * 3
+
     def test_all_classes_share_one_module_per_tau(self, capsys, monkeypatch):
         # -7/1 on the trefoil: classes 1..6 all have tau = [0], so verify
         # builds two modules for seven classes, and its document is unchanged
@@ -483,7 +498,7 @@ class TestExitCodes:
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
-        # argparse's own exit code 2 would read as a verification mismatch
+        # not 2, which means a verification mismatch
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -506,9 +521,51 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {shown}\n"
 
-    def test_signed_values_are_attached_only_to_coefficients(self):
-        assert cli._attach_signed_values(["--surgery", "-3/2", "--spinc", "-1", "--lens", "-x", "--lens", "-5"]) == [
-            "--surgery=-3/2", "--spinc", "-1", "--lens", "-x", "--lens=-5"]
+    @pytest.mark.parametrize("argv", [["knot", "--newton", "-2,3"], ["knot", "--newton=-2,3"]])
+    def test_a_value_may_start_with_a_minus_sign(self, capsys, argv):
+        # the next argument is the value whatever its first character, so
+        # both forms reach the Newton pair check
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: Newton pair 1: p_1 = -2 must be >= 2\n"
+
+    def test_out_may_name_a_file_that_starts_with_a_minus_sign(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "knot", "--newton", "2,3", "--format", "json", "--out", "-x.json")
+        assert (code, out, err) == (0, "", "")
+        assert json.loads((tmp_path / "-x.json").read_text())["knot"]["delta"] == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["knot", "--newton", "2,3", "--newton", "2,5"], "--newton"),
+        (["knot", "--newton", "2,3", "--format", "json", "--format=text"], "--format"),
+        (["compute", "--newton", "2,3", "--surgery", "3/1", "--newton", "2,5", "--spinc", "0", "--format", "json"],
+         "--newton"),
+        (["compute", "--newton", "2,3", "--surgery", "3/1", "--out", "a", "--out", "b"], "--out"),
+        (["verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--oracle", "laufer"], "--oracle"),
+        (["verify", "--lens", "7/3", "--lens=5/2"], "--lens"),
+    ])
+    def test_a_repeated_flag_exits_1(self, capsys, argv, flag):
+        # a second value must not replace the first silently: the first
+        # compute argv would compute the (2,5) knot
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} given twice\n"
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["compute", "--newton", "2,3", "--surg", "3/1"], "unknown argument --surg for compute"),
+        (["knot", "--newton", "2,3", "--spinc", "0"], "unknown argument --spinc for knot"),
+        (["knot", "--newton", "2,3", "extra"], "unknown argument extra for knot"),
+        (["knot", "--newton"], "--newton expects a value"),
+        (["render", "--newton", "2,3"], "expected a command: knot, compute or verify, got 'render'"),
+        ([], "expected a command: knot, compute or verify"),
+        (["compute", "--newton", "2,3", "--format=pdf"], "--format takes text, json, svg, got 'pdf'"),
+        (["compute", "--format", "json"], "compute needs --newton and --surgery"),
+    ])
+    def test_usage_errors_name_the_argument(self, capsys, argv, shown):
+        # flags match in full: --surg is an unknown flag, not --surgery
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {shown}\n"
 
     @pytest.mark.parametrize("command", ["compute", "verify"])
     @pytest.mark.parametrize("index", ["x", "1.5", "", "+1", " 1", "1_0", "\uff11", "-\u0661"])
@@ -533,7 +590,7 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {shown}\n"
 
-    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["compute", "--newton", "2,3", "-h"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -712,6 +769,33 @@ class TestJsonWriter:
             cli._json(value)
 
 
+VALUE = st.text(st.sampled_from("=-,/ 19a") | st.characters(), max_size=6).filter(
+    lambda t: not t.startswith("-"))  # argparse reads '-...' as a flag
+TEXT_JSON = st.sampled_from(["text", "json"])
+FLAG_VALUES = {
+    "knot": {"--newton": VALUE, "--format": TEXT_JSON, "--out": VALUE},
+    "compute": {"--newton": VALUE, "--surgery": VALUE, "--spinc": VALUE,
+                "--format": st.sampled_from(["text", "json", "svg"]), "--out": VALUE},
+    "verify": {"--newton": VALUE, "--surgery": VALUE, "--spinc": VALUE, "--lens": VALUE,
+               "--oracle": st.sampled_from(["laufer", "sublevel", "both"]), "--format": TEXT_JSON, "--out": VALUE},
+}
+REQUIRED = {"knot": {"--newton"}, "compute": {"--newton", "--surgery"}, "verify": set()}
+
+
+@st.composite
+def valid_argv(draw):
+    """A command and some of its flags, every required one among them, in
+    any order, each as `--flag value` or `--flag=value`."""
+    command = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    flags = FLAG_VALUES[command]
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if flag in REQUIRED[command] or draw(st.booleans()):
+            value = draw(flags[flag])
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
 class TestParserReuse:
     ARGVS = [
         ["compute", "--newton", "4,5", "--surgery", "2/1", "--spinc", "0"],
@@ -724,22 +808,37 @@ class TestParserReuse:
         ["knot", "--newton", "2,2"],
         ["compute", "--newton", "2,3", "--surgery", "3/1", "--spinc", "1", "--format", "json"],
     ]
+    ORACLE = argparse_parser()
 
-    def test_interleaved_calls_match_fresh_ones(self, capsys):
+    def test_interleaved_calls_match_fresh_ones(self, capsys, monkeypatch):
+        # one process answers each argv, after all the ones before it, as a
+        # fresh interpreter does
+        monkeypatch.delenv("HFROOTS_LOG", raising=False)
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
         fresh = []
         for argv in self.ARGVS:
-            cli._parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        reused = [run(capsys, *argv) for argv in self.ARGVS]
-        assert reused == fresh
-        assert cli._parser.cache_info().misses == 1
+            done = subprocess.run([sys.executable, "-m", "hfroots", *argv], env=env, capture_output=True, text=True)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        interleaved = [run(capsys, *argv) for argv in self.ARGVS]
+        assert interleaved == fresh
 
-    def test_import_builds_no_parser(self):
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(valid_argv())
+    def test_matches_the_argparse_parser(self, argv):
+        ref = vars(self.ORACLE.parse_args(argv))
+        assert ref.pop("command") == argv[0]
+        assert vars(cli._parse_args(argv)) == ref
+
+    def test_python_m_hfroots(self):
         src = Path(cli.__file__).resolve().parent.parent
-        probe = "import hfroots.cli as c; print(c._parser.cache_info().currsize)"
         env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout == "0\n"
+        shown = subprocess.run([sys.executable, "-m", "hfroots", "--help"], env=env, capture_output=True, text=True)
+        assert shown.returncode == 0
+        assert shown.stdout.startswith("usage: hfroots")
+        bare = subprocess.run([sys.executable, "-m", "hfroots"], env=env, capture_output=True, text=True)
+        assert (bare.returncode, bare.stdout) == (1, "")
+        assert bare.stderr.startswith("error: ") and bare.stderr.count("\n") == 1
 
 
 class TestStartup:
@@ -755,7 +854,7 @@ class TestStartup:
         "code = hfroots.cli.main(sys.argv[1:])\n"
         "print([code, after_import, sorted(set(sys.modules) - base)])\n"
     )
-    UNUSED = {"hfroots.plumbing", "hfroots.lens", "dataclasses", "inspect", "logging", "typing"}
+    UNUSED = {"hfroots.plumbing", "hfroots.lens", "argparse", "dataclasses", "gettext", "inspect", "logging", "typing"}
 
     def loaded(self, tmp_path, *argv):
         src = Path(cli.__file__).resolve().parent.parent

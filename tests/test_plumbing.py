@@ -478,7 +478,7 @@ class TestSpincClasses:
             formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
             assert len(formulas) == p
             for a in range(p):
-                lattice = pl.lattice_grading_shift(gm, classes[a])
+                lattice = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a]))
                 assert lattice == formulas[a] == grading_shift(spec, a)
 
     def test_projection_formula(self):
@@ -555,11 +555,11 @@ class TestSpincClasses:
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
         kb = k_pairs(gm, classes[3])
         n_top = max(compute_spinc(spec, 3).tau)
-        pl.lattice_grading_shift(gm, classes[3])
+        pl.lattice_grading_shift(gm, k_pairs(gm, classes[3]))
         pl.exact_sublevel_box(gm, kb, n_top)
         moved_solve(monkeypatch, gm, kb)
         with pytest.raises(InternalInvariantError, match="does not pair back"):
-            pl.lattice_grading_shift(gm, classes[3])
+            pl.lattice_grading_shift(gm, k_pairs(gm, classes[3]))
         with pytest.raises(InternalInvariantError, match="does not pair back"):
             pl.exact_sublevel_box(gm, kb, n_top)
 
@@ -593,7 +593,7 @@ class TestSpincClasses:
         classes = pl.spinc_classes(spec)
         digits_and_pairings(gm, classes)
         assert built == []
-        shifts = [pl.lattice_grading_shift(gm, cls) for cls in classes]
+        shifts = [pl.lattice_grading_shift(gm, k_pairs(gm, cls)) for cls in classes]
         assert len(built) <= len(classes) == spec.p
         assert shifts == [grading_shift(spec, a) for a in range(spec.p)]
         assert len(built) == len(classes)  # the wrapper is live: each shift's Fraction counts
@@ -626,7 +626,7 @@ class TestSpincClasses:
                 kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, cls))]
                 assert k_pairs(gm, cls) == tuple(gm.apply_form(kr))
                 assert all(type(v) is int for v in l_pairs(gm, cls) + k_pairs(gm, cls))
-                assert pl.lattice_grading_shift(gm, cls) == -(pairing(gm, kr, kr) + gm.n) / 4
+                assert pl.lattice_grading_shift(gm, k_pairs(gm, cls)) == -(pairing(gm, kr, kr) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
         # class_pairings and class_laufer_values never pair; the shift solves
@@ -645,10 +645,10 @@ class TestSpincClasses:
             monkeypatch.setattr(gm, name, counted)
         digits_and_pairings(gm, classes)
         for cls in classes:
-            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
+            pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, 2 * knot.mf)
         assert calls == Counter()
         for cls in classes:
-            pl.lattice_grading_shift(gm, cls)
+            pl.lattice_grading_shift(gm, k_pairs(gm, cls))
         assert calls == Counter(solve=spec.p, apply_form=spec.p)
 
     def test_single_class_matches_the_full_list(self):
@@ -721,7 +721,7 @@ class TestLauferEngine:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
                 offsets = list(l_pairs(gm, cls))
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
-                assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
+                assert pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, i_max) == expected, (pairs, p, q, cls.a)
                 assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
 
     def test_matches_stepwise_engine_on_oracle_corpus(self):
@@ -739,7 +739,7 @@ class TestLauferEngine:
             for cls in classes:
                 i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
                 expected = laufer_run_stepwise(gm, l_pairs(gm, cls), i_max, (nf,), chi_gf)
-                assert pl.class_laufer_values(gm, cls, chi_gf, i_max) == expected, (pairs, p, q, cls.a)
+                assert pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, i_max) == expected, (pairs, p, q, cls.a)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(laufer_trees(st.integers(-3, 3)), st.integers(0, 60))
@@ -924,13 +924,14 @@ class TestLauferEngine:
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
         gf = pl.embedded_resolution(knot)
         chi_gf = pl.laufer_values(gf, [0] * gf.n, 2 * knot.mf)
-        cls = classes[3]
-        pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf)
-        shifted = pl.SpincClass(cls.a, cls.a_coeffs[1:])  # nf would point one vertex down the chain
+        offsets = l_pairs(gm, classes[5])
+        assert offsets[gf.n]  # the class pairs to nonzero at the chain's first vertex
+        pl.class_laufer_values(gm, offsets, chi_gf, 2 * knot.mf)
+        shifted = offsets[1:] + (0,)  # one vertex down: nonzero on the resolution side
         with pytest.raises(InternalInvariantError, match="cannot share the resolution side"):
             pl.class_laufer_values(gm, shifted, chi_gf, 2 * knot.mf)
         with pytest.raises(InternalInvariantError, match="stops before step"):
-            pl.class_laufer_values(gm, cls, chi_gf, 2 * knot.mf + 1)
+            pl.class_laufer_values(gm, offsets, chi_gf, 2 * knot.mf + 1)
 
 
 class TestLauferTau:
@@ -975,7 +976,7 @@ class TestLauferTau:
                 res = compute_spinc(spec, a)
                 i_max = (res.depth + 1) * knot.mf
                 values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
-                d = pl.lattice_grading_shift(gm, classes[a]) + 2 * min(values)
+                d = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a])) + 2 * min(values)
                 assert d == res.d_invariant
 
 
@@ -1120,7 +1121,7 @@ class TestSublevel:
             root = pl.sublevel_root(gm, k_pairs(gm, cls), max(tau), box)
             assert root.level_keys() == root_from_tau(tau).level_keys()
         assert built == []
-        pl.lattice_grading_shift(gm, classes[0])
+        pl.lattice_grading_shift(gm, k_pairs(gm, classes[0]))
         assert len(built) == 1  # the counter is live
 
     def test_box_solves_the_diagonal_once_per_graph(self, monkeypatch):

@@ -11,7 +11,10 @@ from oracles import (
     module_from_parts,
     module_from_root,
     module_from_tau_sweep,
+    reduced_rank_drops,
+    render_svg_rows,
     root_from_tau_rescan,
+    root_from_tau_switch,
     subtree_keys_nested,
 )
 
@@ -111,8 +114,10 @@ class TestRootFromTau:
     @PROPERTY
     @given(TAUS)
     def test_matches_rescan_numbering(self, tau):
-        fast, ref = root_from_tau(tau), root_from_tau_rescan(tau)
-        assert (fast.chi, fast.parent) == (ref.chi, ref.parent)
+        # and the sweep through the bounds-checked `_switch_on`
+        fast = root_from_tau(tau)
+        for ref in (root_from_tau_rescan(tau), root_from_tau_switch(tau)):
+            assert (fast.chi, fast.parent) == (ref.chi, ref.parent)
 
     @PROPERTY
     @given(TAUS, st.sampled_from(["same", "mirror", "plateau", "bump"]), st.integers(0, 10**6), st.integers(-2, 2))
@@ -238,6 +243,12 @@ class TestReducedRank:
         with pytest.raises(ValueError):
             reduced_rank((1, 2))
 
+    @PROPERTY
+    @given(st.tuples(st.integers(1, 10), st.lists(st.integers(-10, 10), max_size=40)))
+    def test_matches_the_sum_of_drops(self, start):
+        tau = (0, start[0], *start[1])
+        assert reduced_rank(tau) == reduced_rank_drops(tau)
+
     def test_matches_module_rank(self):
         rng = random.Random(5)
         for _ in range(1000):
@@ -272,21 +283,23 @@ class TestRender:
             path = GOLDEN / f"{name}.{ext}"
             assert got == path.read_text(), f"regenerate with tests/make_goldens.py ({path})"
 
+    @PROPERTY
+    @given(TAUS)
+    def test_svg_matches_the_row_writer(self, tau):
+        root = root_from_tau(tau)
+        assert render_svg(root) == render_svg_rows(root)
+
     def test_bad_format(self):
         with pytest.raises(ValueError):
             render(root_from_tau((0,)), "png")
 
 
 def assert_layout_matches(root):
-    pos = _layout(root)
     ref = layout_fractions(root)
-    assert pos == [ref[v] for v in range(len(root))]
-    assert {type(x) for x in pos} <= {int, Fraction}
-    for v, kids in enumerate(root.children):  # a Fraction only where a mean is taken
-        if not kids:
-            assert type(pos[v]) is int
-        elif len(kids) == 1:
-            assert pos[v] is pos[kids[0]]
+    for unit in (4, 48):  # the columns of render_ascii and render_svg
+        cols = _layout(root, unit)
+        assert cols == [unit * ref[v].numerator // ref[v].denominator for v in range(len(root))]
+        assert {type(c) for c in cols} == {int}
 
 
 class TestLayout:
@@ -306,7 +319,8 @@ class TestLayout:
             assert_layout_matches(root_from_tau(compute_spinc(spec, a).tau))
 
     def test_fractions_only_at_branching_vertices(self, monkeypatch):
-        # `layout_fractions` alone builds 747 Fractions for this 374-vertex root
+        # `layout_fractions` alone builds 747 Fractions for this 374-vertex
+        # root; the renderers' layout keeps integer pairs and builds none
         root = root_from_tau(compute_spinc(SurgerySpec(from_newton_pairs([(3, 7)]), 1, 12), 0).tau)
         branching = sum(1 for kids in root.children if len(kids) > 1)
         assert (len(root), branching) == (374, 61)
@@ -323,6 +337,7 @@ class TestLayout:
             monkeypatch.setattr(Fraction, "_from_coprime_ints",
                                 classmethod(lambda cls, *args: built.append(cls) or make(cls, *args)))
         for renderer in (render_svg, render_ascii):
-            built.clear()
             renderer(root)
-            assert 0 < len(built) <= 3 * branching
+        assert built == []
+        layout_fractions(root)
+        assert built  # the counter sees the Fractions a layout would build
