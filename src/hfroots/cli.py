@@ -24,10 +24,12 @@ cross-multiplied to one denominator and writes each value reduced by one
 gcd.  `verify` checks each class's closed-form shift against r_a by an
 integer identity over 2p.  `verify --spinc all` takes its formula side
 from `hfcore.compute_all` (one module per distinct tau, the ker U rank
-identity checked), `--spinc N` from `compute_spinc`.  `verify` runs the
-Laufer sequence of the resolution graph once per surgery and only the
-surgery chain per class; a class whose check fails also gets the values
-that differ ("shifts",
+identity checked), `--spinc N` from `compute_spinc`, before it builds
+any graph, so an index outside [0, p) is refused first; it then builds
+each class's chain digits and pairings in its loop, one class at a time.
+`verify` runs the Laufer sequence of the resolution graph once per
+surgery and only the surgery chain per class; a class whose check fails
+also gets the values that differ ("shifts",
 "laufer_first_diff" at the first differing tau index, and
 "sublevel_first_diff" at the lowest level where the two roots differ).  A
 sublevel set that leaves its enumeration is an internal fault (exit 3).
@@ -460,24 +462,21 @@ def cmd_verify(args) -> int:
     use_sublevel = oracle in ("sublevel", "both")
 
     t0 = time.perf_counter()
+    # the formula side first, so that its range check refuses a outside [0, p) before any graph;
+    # compute_all checks the ker U rank identity and builds one module per distinct tau
+    results = hfcore.compute_all(spec) if index is None else [hfcore.compute_spinc(spec, index)]
     gf = plumbing.embedded_resolution(knot)
     gm = plumbing.surgery_graph(knot, spec.cfrac)
-    if index is None:
-        classes = plumbing.spinc_classes(spec)
-        results = hfcore.compute_all(spec)  # with the ker U rank identity, one module per distinct tau
-    else:
-        classes = [plumbing.spinc_class(spec, index)]  # rejects a outside [0, p)
-        results = [hfcore.compute_spinc(spec, index)]
-    _info(f"graphs, spin^c classes and formula side built in {time.perf_counter() - t0:.3f}s")
-    shifts_formula = lens.grading_shift_formula(p, q, knot.delta, classes[-1].a)  # numerators over 2p
+    _info(f"formula side and graphs built in {time.perf_counter() - t0:.3f}s")
+    shifts_formula = lens.grading_shift_formula(p, q, knot.delta, results[-1].a)  # numerators over 2p
     if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so results[0] is deepest
         chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (results[0].depth + 1) * knot.mf)
 
     per = []
     overall = True
-    for cls, res in zip(classes, results, strict=True):
-        a = cls.a
-        l_pairs, k_pairs = plumbing.class_pairings(gm, cls)
+    for res in results:  # one class at a time: its digits and pairings are dropped with it
+        a = res.a
+        l_pairs, k_pairs = plumbing.class_pairings(gm, plumbing.chain_digits(spec.cfrac, a))
         shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
         entry = {
             "a": a,

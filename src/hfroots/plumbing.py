@@ -33,10 +33,11 @@ per graph, the diagonal of B^{-1} that bounds that search) is one such
 solve, and the sublevel enumeration walks the same pivots, parents first.
 
 Oracle paths implemented here:
-  * spin^c classes as their chain digits alone; the pairings (l', b_j) and
-    (k_r, b_j) of l' and k_r = K + 2 l' are built from their definitions on
-    the graph a consumer holds (`class_pairings`), no linear algebra per
-    class;
+  * spin^c class a as its chain digits alone (`chain_digits`), read off the
+    continued fraction of p/q with no graph; the pairings (l', b_j) and
+    (k_r, b_j) of l' and k_r = K + 2 l' are built from the digits by their
+    definitions on the graph a consumer holds (`class_pairings`), no linear
+    algebra per class;
   * -(k_r^2 + #vertices)/4 from the lattice, one tree solve of the pairings
     (k_r, b_j) checked by pairing back, itself checked against the Dedekind
     sum closed form of `lens.grading_shift_formula` and (in hfcore) the
@@ -67,8 +68,6 @@ from math import gcd, isqrt
 from operator import add, floordiv, mul, sub
 
 from .errors import InternalInvariantError, ResourceLimitError
-from .frozen import Frozen
-from .hfcore import SurgerySpec
 from .knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from .numtheory import NegContinuedFraction
 from .root import GradedRoot
@@ -350,23 +349,6 @@ def surgery_graph(knot: AlgebraicKnot, cfrac: NegContinuedFraction) -> PlumbingG
 # ---------------------------------------------------------------------------
 
 
-class SpincClass(Frozen):
-    """One spin^c structure of the surgery manifold, lattice-side data.
-
-    a_coeffs are the chain digits a_1..a_s of the class, which obey the
-    strict inequalities (SI).  The class is its digits and holds nothing of
-    a graph: its pairings with the b_j of the surgery graph a consumer holds
-    follow from them by definition (`class_pairings`), and no vector of the
-    class is solved for until a consumer needs k_r^2 (`_k_square`).
-    """
-
-    __slots__ = ("a", "a_coeffs")
-
-    def __init__(self, a: int, a_coeffs: tuple[int, ...]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_coeffs", a_coeffs)
-
-
 def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     """Greedy floor recursion for the chain coefficients of class a."""
     tail = cfrac.tail  # tail[i-1] = n(i, s)
@@ -389,28 +371,25 @@ def _si_coefficients(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
     return coeffs
 
 
-def _spinc_class(cfrac: NegContinuedFraction, a: int) -> SpincClass:
-    return SpincClass(a, _si_coefficients(cfrac, a))
+def chain_digits(cfrac: NegContinuedFraction, a: int) -> tuple[int, ...]:
+    """Spin^c class a of the -p/q surgery, p/q = cfrac, as its chain digits
+    a_1..a_s, which obey the strict inequalities (SI); an a outside [0, p)
+    raises ValueError.  The class is its digits and holds nothing of a
+    graph: its pairings with the b_j of the surgery graph follow from them
+    by definition (`class_pairings`)."""
+    if not 0 <= a < cfrac.p:
+        raise ValueError(f"spin^c index a={a} outside [0, {cfrac.p})")
+    return _si_coefficients(cfrac, a)
 
 
-def spinc_classes(spec: SurgerySpec) -> list[SpincClass]:
-    """All spin^c classes of the surgery, as their chain digits."""
-    return [_spinc_class(spec.cfrac, a) for a in range(spec.p)]
-
-
-def spinc_class(spec: SurgerySpec, a: int) -> SpincClass:
-    """The spin^c class a alone, equal to spinc_classes(spec)[a]."""
-    spec._check_a(a)
-    return _spinc_class(spec.cfrac, a)
-
-
-def class_pairings(gm: PlumbingGraph, cls: SpincClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def class_pairings(gm: PlumbingGraph, digits) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(l_pairs, k_pairs), the integers (l', b_j) and (k_r, b_j) of the class
-    on its surgery graph gm, whose chain takes the last s indices
-    (`surgery_graph`): the minimal dual-lattice representative l' pairs to 0
-    on the resolution vertices and to -a_j on the chain by definition, and
-    k_r = K + 2 l' then pairs with b_j as -e_j - 2 + 2 (l', b_j)."""
-    l_pairs = (0,) * (gm.n - len(cls.a_coeffs)) + tuple(-c for c in cls.a_coeffs)
+    with these chain digits (`chain_digits`) on its surgery graph gm, whose
+    chain takes the last s indices (`surgery_graph`): the minimal dual-lattice
+    representative l' pairs to 0 on the resolution vertices and to -a_j on
+    the chain by definition, and k_r = K + 2 l' then pairs with b_j as
+    -e_j - 2 + 2 (l', b_j)."""
+    l_pairs = (0,) * (gm.n - len(digits)) + tuple(-c for c in digits)
     return l_pairs, tuple(2 * l - e - 2 for l, e in zip(l_pairs, gm.euler))
 
 

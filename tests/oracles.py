@@ -788,14 +788,16 @@ def pairing(g: pl.PlumbingGraph, x, y):
     return sum(xi * bi for xi, bi in zip(x, g.apply_form(y)))
 
 
-def l_prime(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
-    """l' of a class as Fractions: the dense solve of B l' = l_pairs."""
-    return tuple(solve(g, pl.class_pairings(g, cls)[0]))
+def l_prime(g: pl.PlumbingGraph, digits) -> tuple[Fraction, ...]:
+    """l' of the class with these chain digits as Fractions: the dense solve
+    of B l' = l_pairs."""
+    return tuple(solve(g, pl.class_pairings(g, digits)[0]))
 
 
-def k_r(g: pl.PlumbingGraph, cls: pl.SpincClass) -> tuple[Fraction, ...]:
-    """k_r = K + 2 l' of a class as Fractions: the dense solve of B k_r = k_pairs."""
-    return tuple(solve(g, pl.class_pairings(g, cls)[1]))
+def k_r(g: pl.PlumbingGraph, digits) -> tuple[Fraction, ...]:
+    """k_r = K + 2 l' of the class with these chain digits as Fractions: the
+    dense solve of B k_r = k_pairs."""
+    return tuple(solve(g, pl.class_pairings(g, digits)[1]))
 
 
 def chain_graph(cfrac: NegContinuedFraction) -> pl.PlumbingGraph:
@@ -1039,11 +1041,11 @@ def laufer_branch_events(g: pl.PlumbingGraph, offsets, i_max: int, r: int, diffs
         diffs[i] -= chi + x[r] - xr
 
 
-def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, cls: pl.SpincClass, i_max: int) -> tuple[int, ...]:
+def laufer_tau(gf: pl.PlumbingGraph, gm: pl.PlumbingGraph, digits, i_max: int) -> tuple[int, ...]:
     """The unreduced tau function tau(i) = chi_{k_r}(x(i)), i = 0..i_max, by
     the route `verify` takes: the run on the resolution graph gf, then the
-    class's chain on the surgery graph gm."""
-    l_pairs = pl.class_pairings(gm, cls)[0]
+    chain of the class with these chain digits on the surgery graph gm."""
+    l_pairs = pl.class_pairings(gm, digits)[0]
     return tuple(pl.class_laufer_values(gm, l_pairs, pl.laufer_values(gf, [0] * gf.n, i_max), i_max))
 
 

@@ -104,24 +104,23 @@ def test_criterion_7():
         spec = SurgerySpec(knot, p, q)
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 40
-        classes = pl.spinc_classes(spec)
         formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
         assert len(formulas) == p
         for a in range(p):
             res = compute_spinc(spec, a)
-            assert pl.lattice_grading_shift(gm, pl.class_pairings(gm, classes[a])[1]) == res.shift
+            digits = pl.chain_digits(spec.cfrac, a)
+            assert pl.lattice_grading_shift(gm, pl.class_pairings(gm, digits)[1]) == res.shift
             assert formulas[a] == res.shift
-            tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], (res.depth + 1) * knot.mf)
+            tau = laufer_tau(pl.embedded_resolution(knot), gm, digits, (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf) == res.tau
     for pairs, p, q in SUBLEVEL_CASES:
         knot = from_newton_pairs(list(pairs))
         spec = SurgerySpec(knot, p, q)
         gm = pl.surgery_graph(knot, spec.cfrac)
         assert gm.n <= 10
-        classes = pl.spinc_classes(spec)
         for a in range(p):
             res = compute_spinc(spec, a)
-            _, kb = pl.class_pairings(gm, classes[a])
+            _, kb = pl.class_pairings(gm, pl.chain_digits(spec.cfrac, a))
             box = pl.exact_sublevel_box(gm, kb, max(res.tau))
             root = pl.sublevel_root(gm, kb, max(res.tau), box)
             assert root.level_keys() == root_from_tau(res.tau).level_keys()

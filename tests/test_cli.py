@@ -290,6 +290,19 @@ class TestVerifyCommand:
         assert out == ""
         assert f"spin^c index a={index} outside [0, 3)" in err
 
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_spinc_out_of_range_builds_no_graph(self, capsys, monkeypatch, index):
+        # the formula side's range check comes before either plumbing graph
+        def refuse(*args):
+            raise AssertionError("a plumbing graph was built for an index outside [0, p)")
+
+        monkeypatch.setattr(pl, "embedded_resolution", refuse)
+        monkeypatch.setattr(pl, "surgery_graph", refuse)
+        code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", "--spinc", index)
+        assert code == 1
+        assert out == ""
+        assert f"spin^c index a={index} outside [0, 3)" in err
+
     def test_single_class_matches_all(self, capsys):
         argv = ("verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--format", "json")
         code, out, _ = run(capsys, *argv)
@@ -458,14 +471,14 @@ class TestVerifyCommand:
         # the shift, the Laufer run and the sublevel root each read their half
         real, built = pl.class_pairings, []
 
-        def counting(gm, cls):
-            built.append(cls.a)
-            return real(gm, cls)
+        def counting(gm, digits):
+            built.append(digits)
+            return real(gm, digits)
 
         monkeypatch.setattr(pl, "class_pairings", counting)
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", "--oracle", "both", "--format", "json")
         assert code == 0
-        assert built == [0, 1, 2]
+        assert built == [(0,), (1,), (2,)]  # classes 0, 1, 2 of -3/1 = [3]
         assert [e["sublevel"] for e in json.loads(out)["verification"]["per_spinc"]] == ["ok"] * 3
 
     def test_all_classes_share_one_module_per_tau(self, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import hfroots.plumbing as pl
 from hfroots import (
     SurgerySpec,
     UModuleDecomposition,
@@ -27,7 +26,6 @@ def instances():
         return {name: getattr(obj, name) for name in obj.__slots__}
 
     res = compute_spinc(SPEC, 1)
-    cls = pl.spinc_class(SPEC, 1)
     return [
         (K23.semigroup, slots(K23.semigroup)),
         (K23, slots(K23)),
@@ -35,7 +33,6 @@ def instances():
         (SPEC, {"knot": K23, "p": 7, "q": 5}),
         (res, slots(res)),
         (res.module, slots(res.module)),
-        (cls, slots(cls)),
     ]
 
 

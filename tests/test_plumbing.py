@@ -59,24 +59,24 @@ def surgery_setup(pairs, p, q):
     knot = from_newton_pairs(pairs)
     spec = SurgerySpec(knot, p, q)
     gm = pl.surgery_graph(knot, spec.cfrac)
-    classes = pl.spinc_classes(spec)
+    classes = [pl.chain_digits(spec.cfrac, a) for a in range(spec.p)]  # class a as its chain digits
     return knot, spec, gm, classes
 
 
-def l_pairs(gm, cls):
-    """The class's pairings (l', b_j) on gm."""
-    return pl.class_pairings(gm, cls)[0]
+def l_pairs(gm, digits):
+    """The pairings (l', b_j) on gm of the class with these chain digits."""
+    return pl.class_pairings(gm, digits)[0]
 
 
-def k_pairs(gm, cls):
-    """The class's pairings (k_r, b_j) on gm."""
-    return pl.class_pairings(gm, cls)[1]
+def k_pairs(gm, digits):
+    """The pairings (k_r, b_j) on gm of the class with these chain digits."""
+    return pl.class_pairings(gm, digits)[1]
 
 
 def digits_and_pairings(gm, classes):
     """Each class's digits and its pairings on gm, as pullback_spinc_class
     gives them."""
-    return [(cls.a_coeffs, *pl.class_pairings(gm, cls)) for cls in classes]
+    return [(digits, *pl.class_pairings(gm, digits)) for digits in classes]
 
 
 def random_trees(vertex_data, max_n=4):
@@ -201,11 +201,11 @@ def check_fraction_route(gm, spec, classes):
     builds its vectors in Fractions."""
     nf = gm.n - spec.cfrac.s
     k_gm = canonical_class(gm)
-    for cls in classes:
-        lp, kr = l_prime(gm, cls), k_r(gm, cls)
-        assert list(lp) == solve(gm, [0] * nf + [-c for c in cls.a_coeffs])
+    for a, digits in enumerate(classes):
+        lp, kr = l_prime(gm, digits), k_r(gm, digits)
+        assert list(lp) == solve(gm, [0] * nf + [-c for c in digits])
         assert list(kr) == [k + 2 * l for k, l in zip(k_gm, lp)]
-        _, l_ref, k_ref = pullback_spinc_class(gm, spec, cls.a)
+        _, l_ref, k_ref = pullback_spinc_class(gm, spec, a)
         assert (lp, kr) == (tuple(solve(gm, l_ref)), tuple(solve(gm, k_ref)))
 
 
@@ -455,10 +455,9 @@ class TestCanonicalClass:
 class TestSpincClasses:
     def test_class_zero_is_canonical(self):
         knot, spec, gm, classes = surgery_setup([(4, 5)], 7, 5)
-        cls = classes[0]
-        assert cls.a_coeffs == (0,) * spec.cfrac.s
-        assert all(c == 0 for c in l_prime(gm, cls))
-        assert k_r(gm, cls) == canonical_class(gm)
+        assert classes[0] == (0,) * spec.cfrac.s
+        assert all(c == 0 for c in l_prime(gm, classes[0]))
+        assert k_r(gm, classes[0]) == canonical_class(gm)
 
     def test_si_coefficients_7_5(self):
         cf = SurgerySpec(K23, 7, 5).cfrac
@@ -506,16 +505,15 @@ class TestSpincClasses:
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             nf = gm.n - spec.cfrac.s
-            for cls in classes:
-                _, l_ref, _ = pullback_spinc_class(gm, spec, cls.a)
-                assert l_ref == l_pairs(gm, cls) == (0,) * nf + tuple(-c for c in cls.a_coeffs)
+            for a, digits in enumerate(classes):
+                _, l_ref, _ = pullback_spinc_class(gm, spec, a)
+                assert l_ref == l_pairs(gm, digits) == (0,) * nf + tuple(-c for c in digits)
 
     def test_matches_pullback_reference_on_oracle_corpus(self):
         # the digits and the pairings built from them are the chain-lattice
         # pull-back's
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-            assert [cls.a for cls in classes] == list(range(p))
             expected = [pullback_spinc_class(gm, spec, a) for a in range(p)]
             assert digits_and_pairings(gm, classes) == expected, (pairs, p, q)
             check_fraction_route(gm, spec, classes)
@@ -530,7 +528,6 @@ class TestSpincClasses:
     def test_matches_pullback_reference_on_long_chains(self, pairs, pq):
         p, q = pq
         knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-        assert [cls.a for cls in classes] == list(range(p))
         assert digits_and_pairings(gm, classes) == [pullback_spinc_class(gm, spec, a) for a in range(p)]
         check_fraction_route(gm, spec, classes)
 
@@ -544,8 +541,7 @@ class TestSpincClasses:
 
         monkeypatch.setattr(gm, "solve", refuse)
         monkeypatch.setattr(gm, "apply_form", refuse)
-        assert pl.spinc_classes(spec) == classes
-        assert [pl.spinc_class(spec, a) for a in range(spec.p)] == classes
+        assert [pl.chain_digits(spec.cfrac, a) for a in range(spec.p)] == classes
         assert digits_and_pairings(gm, classes) == expected
 
     def test_k_square_check_is_live(self, monkeypatch):
@@ -563,20 +559,19 @@ class TestSpincClasses:
         with pytest.raises(InternalInvariantError, match="does not pair back"):
             pl.exact_sublevel_box(gm, kb, n_top)
 
-    def test_classes_stay_small(self):
-        # p classes of one tuple of small ints each; no vector and no pairing
-        # is kept per class (the dense l' and k_r of 200 classes peaked at
-        # 4.1 MB, the pairings of 400 classes on their chain of 399 at 3.75 MiB)
-        for p in (200, 400):
-            spec = SurgerySpec(K23, p, p - 1)
-            tracemalloc.start()
-            try:
-                classes = pl.spinc_classes(spec)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert len(classes) == p
-            assert peak < 2 * 2**20, p
+    def test_verify_holds_one_class_at_a_time(self, tmp_path):
+        # verify builds each class's digits and pairings in its loop and drops
+        # them with it; with the digits of all 400 classes on their chain of
+        # 399 held in a list before the loop, this run peaked at 1.97 MiB
+        out = str(tmp_path / "verify.json")
+        assert main(["verify", "--newton", "2,3", "--surgery", "7/6", "--format", "json", "--out", out]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--newton", "2,3", "--surgery", "400/399", "--format", "json", "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_one_fraction_per_class(self, monkeypatch):
         # the classes are integers; each lattice shift forms its one
@@ -590,10 +585,10 @@ class TestSpincClasses:
             return real(*args)
 
         monkeypatch.setattr(pl, "Fraction", counting)
-        classes = pl.spinc_classes(spec)
+        classes = [pl.chain_digits(spec.cfrac, a) for a in range(spec.p)]
         digits_and_pairings(gm, classes)
         assert built == []
-        shifts = [pl.lattice_grading_shift(gm, k_pairs(gm, cls)) for cls in classes]
+        shifts = [pl.lattice_grading_shift(gm, k_pairs(gm, digits)) for digits in classes]
         assert len(built) <= len(classes) == spec.p
         assert shifts == [grading_shift(spec, a) for a in range(spec.p)]
         assert len(built) == len(classes)  # the wrapper is live: each shift's Fraction counts
@@ -622,11 +617,11 @@ class TestSpincClasses:
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
             k_gm = canonical_class(gm)
-            for cls in classes:
-                kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, cls))]
-                assert k_pairs(gm, cls) == tuple(gm.apply_form(kr))
-                assert all(type(v) is int for v in l_pairs(gm, cls) + k_pairs(gm, cls))
-                assert pl.lattice_grading_shift(gm, k_pairs(gm, cls)) == -(pairing(gm, kr, kr) + gm.n) / 4
+            for digits in classes:
+                kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, digits))]
+                assert k_pairs(gm, digits) == tuple(gm.apply_form(kr))
+                assert all(type(v) is int for v in l_pairs(gm, digits) + k_pairs(gm, digits))
+                assert pl.lattice_grading_shift(gm, k_pairs(gm, digits)) == -(pairing(gm, kr, kr) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
         # class_pairings and class_laufer_values never pair; the shift solves
@@ -644,20 +639,23 @@ class TestSpincClasses:
 
             monkeypatch.setattr(gm, name, counted)
         digits_and_pairings(gm, classes)
-        for cls in classes:
-            pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, 2 * knot.mf)
+        for digits in classes:
+            pl.class_laufer_values(gm, l_pairs(gm, digits), chi_gf, 2 * knot.mf)
         assert calls == Counter()
-        for cls in classes:
-            pl.lattice_grading_shift(gm, k_pairs(gm, cls))
+        for digits in classes:
+            pl.lattice_grading_shift(gm, k_pairs(gm, digits))
         assert calls == Counter(solve=spec.p, apply_form=spec.p)
 
-    def test_single_class_matches_the_full_list(self):
+    def test_chain_digits_checks_the_range(self):
+        # in [0, p) the digits are the (SI) recursion's; outside it the
+        # index is refused before the recursion, whose own checks would
+        # raise InternalInvariantError
         for pairs, p, q in ORACLE_CASES:
-            knot, spec, gm, classes = surgery_setup(list(pairs), p, q)
-            assert [pl.spinc_class(spec, a) for a in range(p)] == classes
-        for a in (-1, p):
-            with pytest.raises(ValueError, match=f"spin\\^c index a={a} outside"):
-                pl.spinc_class(spec, a)
+            cfrac = SurgerySpec(from_newton_pairs(list(pairs)), p, q).cfrac
+            assert [pl.chain_digits(cfrac, a) for a in range(p)] == [pl._si_coefficients(cfrac, a) for a in range(p)]
+            for a in (-1, p):
+                with pytest.raises(ValueError, match=f"spin\\^c index a={a} outside \\[0, {p}\\)"):
+                    pl.chain_digits(cfrac, a)
 
     def test_projected_canonical_class(self):
         # chain coordinates of K match the chain class corrected by 2 delta g~_1
@@ -717,12 +715,12 @@ class TestLauferEngine:
             top = (tau_depth(spec, 0) + 1) * knot.mf
             chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
             assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
-            for cls in classes:
-                i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                offsets = list(l_pairs(gm, cls))
+            for a, digits in enumerate(classes):
+                i_max = (compute_spinc(spec, a).depth + 1) * knot.mf
+                offsets = list(l_pairs(gm, digits))
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
-                assert pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, i_max) == expected, (pairs, p, q, cls.a)
-                assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, cls.a)
+                assert pl.class_laufer_values(gm, l_pairs(gm, digits), chi_gf, i_max) == expected, (pairs, p, q, a)
+                assert pl.laufer_values(gm, offsets, i_max) == expected, (pairs, p, q, a)
 
     def test_matches_stepwise_engine_on_oracle_corpus(self):
         # route by route: the resolution run and each class's chain run, on
@@ -736,10 +734,10 @@ class TestLauferEngine:
             chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
             assert chi_gf == laufer_run_stepwise(gf, [0] * gf.n, top, gf.adj[v0], base), (pairs, p, q)
             nf = gf.n
-            for cls in classes:
-                i_max = (compute_spinc(spec, cls.a).depth + 1) * knot.mf
-                expected = laufer_run_stepwise(gm, l_pairs(gm, cls), i_max, (nf,), chi_gf)
-                assert pl.class_laufer_values(gm, l_pairs(gm, cls), chi_gf, i_max) == expected, (pairs, p, q, cls.a)
+            for a, digits in enumerate(classes):
+                i_max = (compute_spinc(spec, a).depth + 1) * knot.mf
+                expected = laufer_run_stepwise(gm, l_pairs(gm, digits), i_max, (nf,), chi_gf)
+                assert pl.class_laufer_values(gm, l_pairs(gm, digits), chi_gf, i_max) == expected, (pairs, p, q, a)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(laufer_trees(st.integers(-3, 3)), st.integers(0, 60))
@@ -1115,10 +1113,10 @@ class TestSublevel:
             return real(*args)
 
         monkeypatch.setattr(pl, "Fraction", counting)
-        for cls in classes:
-            tau = compute_spinc(spec, cls.a).tau
-            box = pl.exact_sublevel_box(gm, k_pairs(gm, cls), max(tau))
-            root = pl.sublevel_root(gm, k_pairs(gm, cls), max(tau), box)
+        for a, digits in enumerate(classes):
+            tau = compute_spinc(spec, a).tau
+            box = pl.exact_sublevel_box(gm, k_pairs(gm, digits), max(tau))
+            root = pl.sublevel_root(gm, k_pairs(gm, digits), max(tau), box)
             assert root.level_keys() == root_from_tau(tau).level_keys()
         assert built == []
         pl.lattice_grading_shift(gm, k_pairs(gm, classes[0]))

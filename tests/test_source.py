@@ -225,6 +225,16 @@ def test_hfcore_imports_neither_check_route():
     assert "from root" in found  # the guard sees hfcore's own package imports
 
 
+def test_plumbing_imports_neither_formula_route():
+    # the lattice oracle checks hfcore's r_a and tau and lens's closed-form
+    # shift, so it loads neither: a spin^c class is its index, read into
+    # chain digits off the continued fraction alone
+    path = SRC / "plumbing.py"
+    found = {what for _, what in lens_dependencies(ast.parse(path.read_text(), filename=str(path)))}
+    assert found & {"from hfcore", "from lens", "import hfroots.hfcore", "import hfroots.lens"} == set()
+    assert "from root" in found  # the guard sees plumbing's own package imports
+
+
 LAUFER_FORBIDDEN = {"SurgerySpec", "mf", "delta", "floor_sum", "dedekind_sum", "divisorial_cycle", "cfrac"}
 
 
@@ -303,7 +313,7 @@ def test_lattice_shift_reads_only_the_graph():
     walked, found = laufer_reads(tree, "class_laufer_values")
     assert "_laufer_run" in walked
     assert found == []
-    walked, found = laufer_reads(tree, "_spinc_class")
+    walked, found = laufer_reads(tree, "chain_digits")
     assert "_si_coefficients" in walked
     assert found and {ident for _, _, ident in found} == {"cfrac"}
 
