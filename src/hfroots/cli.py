@@ -4,7 +4,8 @@ The surgery coefficient is entered as a positive fraction P/Q and always
 means the negative coefficient -P/Q; a P with a minus sign (`--surgery -3/2`,
 `--lens=-5/2`) exits 1 with that rule.  Rationals are printed exactly; in
 JSON they are "numerator/denominator" strings, never floats.  A grade
-r_a + g is written from r_a and the integer g (`root.grade_text` in text).
+r_a + g is written from the two ints of r_a = N/D and the integer g
+(`root.grade_text` in text), and no writer builds a Fraction per class.
 Documents have the bytes of json.dumps(doc, indent=2): `_json` writes every
 `knot` and `verify` document and the head of a `compute` one, and rejects
 any value but dict, list, str, int, bool and None.  A `compute` document's
@@ -21,8 +22,10 @@ next.  Output is deterministic byte for byte; timings go to stderr
 lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
 --lens` loads `lens` alone, compares its two routes' integer numerators
 cross-multiplied to one denominator and writes each value reduced by one
-gcd.  `verify` checks each class's closed-form shift against r_a by an
-integer identity over 2p.  `verify --spinc all` takes its formula side
+gcd.  `verify` checks each class's closed-form shift against r_a = N/D by
+an integer identity over 2p and its lattice shift by numerator and
+denominator; it reads r_a as a Fraction only to name the shifts of a class
+that disagrees.  `verify --spinc all` takes its formula side
 from `hfcore.compute_all` (one module per distinct tau, the ker U rank
 identity checked), `--spinc N` from `compute_spinc`, before it builds
 any graph, so an index outside [0, p) is refused first; it then builds
@@ -63,7 +66,7 @@ from types import SimpleNamespace
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
 from .knot import AlgebraicKnot, from_newton_pairs
-from .root import grade_text, render, root_from_tau
+from .root import grade_text, module_text, render, root_from_tau
 
 
 def _info(message: str) -> None:
@@ -191,8 +194,8 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
 
 _ITEM = ",\n        "  # between two items of a list in a spin^c block
 _TOWER = ',\n          {\n            "grade": "'  # from the end of a finite tower to the next grade
-_CLASS = attrgetter("a", "depth", "shift.numerator", "shift.denominator")
-_TAU, _DEN = attrgetter("tau"), attrgetter("shift.denominator")
+_CLASS = attrgetter("a", "depth", "r_num", "r_den")
+_TAU, _DEN = attrgetter("tau"), attrgetter("r_den")
 
 
 def _only_ints(kinds: set) -> None:
@@ -298,14 +301,20 @@ def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec,
 
 
 def _spinc_text(res: hfcore.SpincResult) -> list[str]:
+    """The text lines of one class, each value written from r_a = N/D and
+    the shift-0 module as str(Fraction) prints it (`root.grade_text`): r_a,
+    d and every grade as N + g D over D, sw = r_a/2 - alpha_sum as
+    (N - 2 D alpha_sum)/(2 D) for odd N, else as N/2 - D alpha_sum over D."""
+    num, den, module, alpha_sum = res.r_num, res.r_den, res.tau_module, res.alpha_sum
+    sw = f"{num - 2 * den * alpha_sum}/{2 * den}" if num % 2 else grade_text(num // 2 - den * alpha_sum, den, 0)
     return [
         f"spin^c a = {res.a}:",
-        f"  t_a = {res.depth}   r_a = {res.shift}",
-        "  tau: " + ", ".join(str(v) for v in res.tau),
-        f"  HF+ = {res.module}",
-        f"  d = {res.d_invariant}   sw = {res.sw_invariant}",
-        "  ker U gradings: " + ", ".join([grade_text(res.shift, g) for g in res.ker]),
-        "  coker U gradings: " + (", ".join([grade_text(res.shift, g) for g in res.coker]) or "(none)"),
+        f"  t_a = {res.depth}   r_a = {grade_text(num, den, 0)}",
+        "  tau: " + ", ".join(map(str, res.tau)),
+        "  HF+ = " + module_text(num, den, module.tower, module.grouped()),
+        f"  d = {grade_text(num, den, module.tower)}   sw = {sw}",
+        "  ker U gradings: " + ", ".join([grade_text(num, den, g) for g in res.ker]),
+        "  coker U gradings: " + (", ".join([grade_text(num, den, g) for g in res.coker]) or "(none)"),
     ]
 
 
@@ -480,10 +489,10 @@ def cmd_verify(args) -> int:
         shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
         entry = {
             "a": a,
-            "shift_lattice_ok": shift_lattice == res.shift,
-            "shift_formula_ok": shifts_formula[a] * res.shift.denominator == 2 * p * res.shift.numerator,
+            "shift_lattice_ok": shift_lattice.numerator == res.r_num and shift_lattice.denominator == res.r_den,
+            "shift_formula_ok": shifts_formula[a] * res.r_den == 2 * p * res.r_num,
         }
-        if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):
+        if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):  # only here is r_a read as a Fraction
             num, den = _ratio(shifts_formula[a], 2 * p)
             entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": f"{num}/{den}"}
         if use_laufer:

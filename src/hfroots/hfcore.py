@@ -8,8 +8,9 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
     fractional parts of j q'/p, and delta; s(q, p) is computed once per
     SurgerySpec, and the fractional sum is a floor sum, taken once, in
     O(log p) steps, at the first class of a run of classes and then stepped
-    by one floor per class, so r_a costs O(1) integer steps and one Fraction
-    within `compute_all` and O(log p) alone,
+    by one floor per class, so r_a costs O(1) integer steps and one gcd
+    within `compute_all` and O(log p) alone; it is kept as two ints
+    r_num/r_den in lowest terms,
   * the tau function on {0..2 t_a + 2}, a plain tuple of ints (tau(i) is
     its i-th entry):
         tau(2t)   = t (1 - delta) + sum_{j<t} floor((j p + a)/q),
@@ -24,9 +25,10 @@ indexed by a = 0..p-1 (a = 0 canonical).  For each a the pipeline produces
 
 Every grade above is r_a plus an even integer g, d included, and sw is r_a/2
 minus an integer, so a `SpincResult` keeps the integers (2 tau(2t),
-2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with the one r_a and reads a
-grade as r_a + g; per class only r_a is a Fraction, and d, sw and the
-shifted module are built from it only when read.
+2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with r_a = r_num/r_den and
+reads a grade as r_a + g, (r_num + g r_den)/r_den in lowest terms; a class
+holds no Fraction, and r_a as a Fraction, d, sw and the shifted module are
+built from its ints only when read.
 
 For a >= (2 delta - 1) q the depth is -1, tau = (0,), the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.
@@ -35,16 +37,21 @@ The module is read off tau directly (`root.module_from_tau`); the graded root
 itself is not part of a `SpincResult`.  Build it with `root.root_from_tau`
 where it is drawn or compared.
 
-Tau depends on a only through t_a and the floors floor((j p + a)/q), so when
-p is large and tau short most classes share one tau.  `compute_all` and
-`compute_spinc` are one pass over a range of classes, [0, p) and [a, a + 1):
-one range check and one floor sum for the range, then per class t_a (one
-floor division), r_a (one floor added to the running sum) and the tau
-values; per distinct tau (within one pass) it keeps the first tuple built,
-builds the shift-0 module, checks it against `reduced_rank(tau)` and 2 min
-tau, and sums the alpha terms.  So `compute_all` runs in
-O(log p + p + sum_a len tau_a) after the one Dedekind sum of the
-SurgerySpec.  A `SpincResult` holds each of these facts once.
+Tau depends on a only through t_a and the floors floor((j p + a)/q), j <= t_a,
+so when p is large and tau short most classes share one tau, and
+consecutive classes share it until t_a drops or one of those floors steps
+up.  `compute_all` and `compute_spinc` are one pass over a range of
+classes, [0, p) and [a, a + 1): one range check, one floor sum and one
+inverse of p mod q for the range, then per class t_a (one floor
+division), r_a (one floor added to the running sum, one gcd) and one test
+whether a floor steps up at a; the tau values are built once per run of
+consecutive classes with equal tau.  Floors only step up as a grows and
+t_a only falls, so a tau never comes back after its run: per run the pass
+builds the tau tuple and the shift-0 module, checks the module against
+`reduced_rank(tau)` and 2 min tau, and sums the alpha terms.  So
+`compute_all` runs in O(log p + p + sum over runs of len tau) after the
+one Dedekind sum of the SurgerySpec.  A `SpincResult` holds each of these
+facts once.
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -104,26 +111,34 @@ class SurgerySpec(Frozen):
 class SpincResult(Frozen):
     """Everything the pipeline knows about one spin^c structure.
 
-    a, t_a and r_a belong to the class; tau, its shift-0 module and the alpha
-    sum are functions of tau alone, shared by the classes with equal tau.
+    a, t_a and r_a = r_num/r_den belong to the class, r_a as two ints in
+    lowest terms with r_den > 0; tau, its shift-0 module and the alpha sum
+    are functions of tau alone, shared by the classes with equal tau.
     Grades are even integers g read as r_a + g: `ker` and `coker` give
-    them, and `ker_u` and `coker_u` the absolute grades.  `module`,
-    `d_invariant` = r_a + 2 min tau (the tower grade) and `sw_invariant` =
-    r_a/2 - alpha_sum are built when read; only r_a is a Fraction.
+    them, and `ker_u` and `coker_u` the absolute grades.  `shift` (r_a as a
+    Fraction), `module`, `d_invariant` = r_a + 2 min tau (the tower grade)
+    and `sw_invariant` = r_a/2 - alpha_sum are built when read; a
+    `SpincResult` holds no Fraction.
     """
 
-    __slots__ = ("a", "depth", "shift", "tau", "tau_module", "alpha_sum")
+    __slots__ = ("a", "depth", "r_num", "r_den", "tau", "tau_module", "alpha_sum")
 
-    def __init__(self, a: int, depth: int, shift: Fraction, tau: tuple[int, ...], tau_module: UModuleDecomposition,
-                 alpha_sum: int):
+    def __init__(self, a: int, depth: int, r_num: int, r_den: int, tau: tuple[int, ...],
+                 tau_module: UModuleDecomposition, alpha_sum: int):
         # each slot's member descriptor, past Frozen's __setattr__: about half
         # the cost of object.__setattr__, paid once per class by compute_all
         _put_a(self, a)
         _put_depth(self, depth)                 # t_a
-        _put_shift(self, shift)                 # r_a
+        _put_num(self, r_num)                   # r_a = r_num/r_den
+        _put_den(self, r_den)
         _put_tau(self, tau)
         _put_module(self, tau_module)           # shift 0, tower 2 min tau
         _put_alpha(self, alpha_sum)             # sum of tau(2t+1) - tau(2t+2)
+
+    @property
+    def shift(self) -> Fraction:
+        """r_a, a new Fraction on each read."""
+        return Fraction(self.r_num, self.r_den)
 
     @property
     def module(self) -> UModuleDecomposition:
@@ -153,15 +168,17 @@ class SpincResult(Frozen):
     @property
     def ker_u(self) -> tuple[Fraction, ...]:
         """Gradings of ker U, sorted."""
-        return tuple([self.shift + g for g in self.ker])
+        shift = self.shift
+        return tuple([shift + g for g in self.ker])
 
     @property
     def coker_u(self) -> tuple[Fraction, ...]:
         """Gradings of coker U, sorted."""
-        return tuple([self.shift + g for g in self.coker])
+        shift = self.shift
+        return tuple([shift + g for g in self.coker])
 
 
-_put_a, _put_depth, _put_shift, _put_tau, _put_module, _put_alpha = (
+_put_a, _put_depth, _put_num, _put_den, _put_tau, _put_module, _put_alpha = (
     SpincResult.__dict__[name].__set__ for name in SpincResult.__slots__)
 
 
@@ -240,33 +257,41 @@ def _classes(spec: SurgerySpec, start: int, stop: int) -> tuple[list[SpincResult
     """Classes start, ..., stop - 1 (0 <= start < stop <= p) in one pass, with
     their ker U rank, the sum of t_a + 2.
 
-    One range check and one floor sum for the whole range; per class t_a is
-    one floor division of a constant, r_a one floor added to a running floor
-    sum (`_shift_numerators`) and one Fraction, and tau its O(t_a) values.
-    Classes with equal tau share its (tau tuple, shift-0 module, alpha sum),
-    all functions of tau alone; an entry is built and its module checked
-    against `reduced_rank(tau)` and 2 min tau the first time its tau
-    appears, in a map that lives only for this pass.
+    One range check, one floor sum and one inverse of p mod q for the whole
+    range; per class t_a is one floor division of a constant and r_a one
+    floor added to a running floor sum (`_shift_numerators`), put in lowest
+    terms by one gcd.  tau depends on a only through t_a and the floors
+    floor((t p + a)/q) for t <= t_a, and from a - 1 to a such a floor steps
+    up exactly when q divides t p + a, first at t = (-a p^-1) mod q.  So
+    tau is built (O(t_a)) only when t_a changes or that t is at most t_a;
+    every other class takes the previous class's (tau tuple, shift-0 module,
+    alpha sum), all functions of tau alone, and each built tau's module is
+    checked against `reduced_rank(tau)` and 2 min tau.  A built tau differs
+    from every earlier one of the pass: t_a only falls as a grows, and at
+    equal t_a a floor that steps up raises tau(2t + 2) for good.  So equal
+    taus of a pass are one run of classes and share one tuple.
     """
     spec._check_a(start)
-    p, top = spec.p, _depth_top(spec)
+    p, q, top = spec.p, spec.q, _depth_top(spec)
     if (top - (stop - 1)) // p < -1:  # t_a falls as a grows
         raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
-    two_p, by_tau, results, rank = 2 * p, {}, [], 0
+    p_inv = pow(p, -1, q)  # 0 for q = 1, where every floor steps at every a
+    two_p, results, rank = 2 * p, [], 0
+    run_depth = shared = None  # t_a and the shared record of the current run of equal taus
     for a, n in zip(range(start, stop), _shift_numerators(spec, start, stop)):
         t_a = (top - a) // p
         rank += t_a + 2
-        vals = _tau_values(spec, a, t_a)
-        shared = by_tau.get(vals)
-        if shared is None:
+        if t_a != run_depth or -a * p_inv % q <= t_a:  # a new run: tau differs from the last class's
+            run_depth, vals = t_a, _tau_values(spec, a, t_a)
             module = module_from_tau(vals)
             if len(vals) > 1 and module.reduced_rank != reduced_rank(vals):
                 raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
             if module.tower != 2 * min(vals):
                 raise InternalInvariantError("tower grade disagrees with 2 min tau")
             # tau(2t+1) - tau(2t+2) for t = 0..t_a
-            shared = by_tau[vals] = (vals, module, sum(vals[1::2]) - sum(vals[2::2]))
-        results.append(SpincResult(a, t_a, Fraction(n, two_p), *shared))
+            shared = (vals, module, sum(vals[1::2]) - sum(vals[2::2]))
+        g = gcd(n, two_p)
+        results.append(SpincResult(a, t_a, n // g, two_p // g, *shared))
     return results, rank
 
 
@@ -282,10 +307,12 @@ def compute_all(spec: SurgerySpec) -> list[SpincResult]:
 
     sum_a (t_a + 2) = p + (2 delta - 1) q  (total rank of ker U).
 
-    After the one floor sum of the pass each class costs O(1) for t_a and
-    r_a plus O(len tau) for tau.  Classes with equal tau share one tau tuple
-    (the first one built), one shift-0 module and one alpha sum, built once
-    per distinct tau; each class adds only its own a, t_a and r_a.
+    After the one floor sum of the pass each class costs O(1) for t_a, r_a
+    (two ints, one gcd) and the test whether its tau differs from the last
+    class's; tau is built, in O(len tau), once per run of classes with equal
+    tau, and no tau comes back after its run.  Classes with equal tau share
+    one tau tuple, one shift-0 module and one alpha sum; each class adds
+    only its own a, t_a, r_num and r_den.
     """
     results, total = _classes(spec, 0, spec.p)
     expected = spec.p + (2 * spec.knot.delta - 1) * spec.q

@@ -220,18 +220,25 @@ class UModuleDecomposition(Frozen):
         return [(g, n, len([*same])) for (g, n), same in groupby(self.towers)]
 
     def __str__(self):
-        parts = [f"T+[{grade_text(self.shift, self.tower)}]"]
-        for g, n, mult in self.grouped():
-            text = grade_text(self.shift, g)
-            parts.append(f"{mult}*T[{text}]({n})" if mult > 1 else f"T[{text}]({n})")
-        return " + ".join(parts)
+        shift = self.shift
+        return module_text(shift.numerator, shift.denominator, self.tower, self.grouped())
 
 
-def grade_text(shift, g: int) -> str:
-    """The grade shift + g, for a Fraction or int shift N/D and an integer g,
+def grade_text(num: int, den: int, g: int) -> str:
+    """The grade N/D + g, for N/D in lowest terms (D > 0) and an integer g,
     as str(Fraction) prints it: (N + g D)/D, or a bare integer when D = 1."""
-    num, den = shift.numerator, shift.denominator
     return str(num + g * den) if den == 1 else f"{num + g * den}/{den}"
+
+
+def module_text(num: int, den: int, tower: int, grouped) -> str:
+    """The module with infinite tower at grade offset `tower` and the
+    `grouped` finite towers (g, length, multiplicity), shifted by N/D, as
+    "T+[d] + m*T[g](n) + ...", each grade written by `grade_text`."""
+    parts = [f"T+[{grade_text(num, den, tower)}]"]
+    for g, n, mult in grouped:
+        text = grade_text(num, den, g)
+        parts.append(f"{mult}*T[{text}]({n})" if mult > 1 else f"T[{text}]({n})")
+    return " + ".join(parts)
 
 
 def module_from_tau(tau: tuple[int, ...]) -> UModuleDecomposition:

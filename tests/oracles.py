@@ -28,6 +28,9 @@ here, and the tests require identical results:
     tall the root);
   * tau straight from its definition, one sum per t (the package keeps a
     running sum);
+  * the pass over all p classes building tau and r_a for every class, one
+    `_tau_values` and one Fraction(n, 2p) each (the package builds tau once
+    per run of classes with equal tau and keeps r_a as two ints);
   * the whole numerator table n(i, j) of a negative continued fraction,
     column by column (the package keeps the one column n(., s) and
     q' = n(1, s-1), from two three-term recursions);
@@ -98,6 +101,7 @@ from itertools import product as iter_product
 from math import isqrt, prod
 from typing import Callable, Optional
 
+import hfroots.hfcore as hfcore
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
@@ -578,6 +582,35 @@ def casson_walker_sw_sum(spec: SurgerySpec) -> Fraction:
     knot = spec.knot
     lens = sum(lens_d_recursion_of_surgery(spec))
     return lens / 2 + spec.q * (Fraction(knot.delta * (knot.delta - 1), 2) - sum(knot.alpha))
+
+
+@dataclass(frozen=True)
+class PerClassResult:
+    """One class of `compute_all_per_class`, r_a as a Fraction."""
+
+    a: int
+    depth: int
+    shift: Fraction
+    tau: tuple[int, ...]
+    tau_module: UModuleDecomposition
+    alpha_sum: int
+
+
+def compute_all_per_class(spec: SurgerySpec) -> list[PerClassResult]:
+    """All p classes in one pass that builds every class's tau and r_a:
+    per class one `_tau_values` and one Fraction(n, 2p) from the running
+    numerators of `_shift_numerators`.  Equal taus of the pass share the
+    first tuple built, its shift-0 module and its alpha sum, found by value."""
+    p, top = spec.p, hfcore._depth_top(spec)
+    by_tau, results = {}, []
+    for a, n in zip(range(p), hfcore._shift_numerators(spec, 0, p)):
+        t_a = (top - a) // p
+        vals = hfcore._tau_values(spec, a, t_a)
+        shared = by_tau.get(vals)
+        if shared is None:
+            shared = by_tau[vals] = (vals, module_from_tau(vals), sum(vals[1::2]) - sum(vals[2::2]))
+        results.append(PerClassResult(a, t_a, Fraction(n, 2 * p), *shared))
+    return results
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,17 @@ class TestVerifyCommand:
             assert single["verification"].pop("per_spinc") == [full["verification"]["per_spinc"][a]]
             assert single == {**full, "verification": {"oracle": "both", "ok": True}}
 
+    def test_agreeing_classes_read_no_fraction_shift(self, capsys, monkeypatch):
+        # both shift checks compare r_a's two ints; r_a as a Fraction is read
+        # only to name the shifts of a class that disagrees
+        def refuse(res):
+            raise AssertionError(f"SpincResult.shift read for a = {res.a}")
+
+        monkeypatch.setattr(cli.hfcore.SpincResult, "shift", property(refuse))
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "12/7", "--oracle", "both")
+        assert code == 0
+        assert out.count("shift ok, tau ok, sublevel ok") == 12
+
     def test_long_surgery_chain(self, capsys):
         # -200/199 hangs a chain of 199 vertices of weight -2 at v0: 202
         # vertices and 200 classes, each one tree solve
@@ -911,3 +922,22 @@ class TestGoldens:
         assert len(written) == 16
         for name in written:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_make_goldens_check_names_every_differing_file(self, monkeypatch, tmp_path, capsys):
+        # --check regenerates into a temporary directory and writes nothing
+        import make_goldens
+
+        for f in GOLDEN.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        monkeypatch.setattr(make_goldens, "GOLDEN", tmp_path)
+        assert make_goldens.command(["--check"]) == 0
+        (tmp_path / "compute_45_2_1.txt").write_bytes(b"changed\n")
+        (tmp_path / "verify_lens_1_1.json").unlink()
+        capsys.readouterr()
+        assert make_goldens.command(["--check"]) == 1
+        out = capsys.readouterr().out
+        named = [line.removeprefix("differs: ") for line in out.splitlines() if line.startswith("differs: ")]
+        assert named == [str(tmp_path / "compute_45_2_1.txt"), str(tmp_path / "verify_lens_1_1.json")]
+        assert (tmp_path / "compute_45_2_1.txt").read_bytes() == b"changed\n"
+        assert not (tmp_path / "verify_lens_1_1.json").exists()
+        assert make_goldens.command(["--bogus"]) == 2

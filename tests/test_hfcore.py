@@ -4,14 +4,16 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
+from operator import attrgetter
 
 import pytest
 from corpus_cases import KNOT_CORPUS
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     casson_walker_sw_sum,
     closed_form_p1q1,
+    compute_all_per_class,
     grading_shift_direct,
     lens_d_recursion_of_surgery,
     module_from_parts,
@@ -45,12 +47,13 @@ from hfroots.root import UModuleDecomposition, reduced_rank
 
 K23 = from_newton_pairs([(2, 3)])
 K45 = from_newton_pairs([(4, 5)])
+RATIO_SLOTS = {"numerator": "r_num", "denominator": "r_den"}  # r_a = r_num/r_den, by the parametrize ids
 
 
 def class_block(res, piece=None):
     """One class's block through the document writer: `cli._group_blocks` on
     a group of one, with the `_tau_piece` of its own tau unless given."""
-    return cli._group_blocks(piece or cli._tau_piece(res), res.shift.denominator, [res])[0]
+    return cli._group_blocks(piece or cli._tau_piece(res), res.r_den, [res])[0]
 
 
 @cache
@@ -410,7 +413,7 @@ class TestComputeAll:
         # like a copy built from the same fields and one restored by pickle
         for spec in (SurgerySpec(K23, 599, 397), SurgerySpec(K45, 13, 2), SurgerySpec(K45, 1, 16)):
             for res in compute_all(spec)[::37]:
-                built = SpincResult(res.a, res.depth, res.shift, res.tau, res.tau_module, res.alpha_sum)
+                built = SpincResult(res.a, res.depth, res.r_num, res.r_den, res.tau, res.tau_module, res.alpha_sum)
                 assert type(res) is SpincResult
                 assert res == built and built == res and hash(res) == hash(built)
                 assert pickle.dumps(res) == pickle.dumps(built)
@@ -478,6 +481,65 @@ class TestComputeAll:
             assert res.tau == tau_values_direct(spec, a)
         a = data.draw(st.integers(0, p - 1), label="a")
         assert compute_spinc(spec, a) == results[a]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
+           st.integers(1, 900) | st.just(1))
+    @example(pairs=1, pick=0, p=1, q=1)
+    @example(pairs=2, pick=0, p=1, q=1)
+    @example(pairs=2, pick=7, p=3, q=899)
+    def test_matches_the_per_class_pass(self, pairs, pick, p, q):
+        # the pass that builds tau once per run of equal taus and r_a as two
+        # ints, field by field against one that builds both for every class.
+        # Knots of `pairs` Newton pairs with t_a <= 20 where q allows, else
+        # the one of least delta, so the classes hold O(p + q) tau values
+        assume(gcd(p, q) == 1)
+        kind = [k for k in corpus_knots() if len(k.newton_pairs) == pairs]
+        least = min(kind, key=attrgetter("delta"))
+        kind = [k for k in kind if k in knots_within(p, q, max(20, -(-(2 * least.delta - 1) * q // p)))]
+        spec = SurgerySpec(kind[pick % len(kind)], p, q)
+        results, refs = compute_all(spec), compute_all_per_class(spec)
+        assert len(results) == len(refs) == p
+        first = {}  # tau -> the first tuple of the pass equal to it
+        for res, ref in zip(results, refs):
+            assert (res.a, res.depth, Fraction(res.r_num, res.r_den)) == (ref.a, ref.depth, ref.shift)
+            assert res.tau == ref.tau and first.setdefault(res.tau, res.tau) is res.tau
+            assert (res.tau_module.shift, res.tau_module.tower, res.tau_module.towers) == (
+                ref.tau_module.shift, ref.tau_module.tower, ref.tau_module.towers)
+            assert res.alpha_sum == ref.alpha_sum
+            assert type(res.r_num) is type(res.r_den) is int
+            assert res.r_den > 0 and gcd(res.r_num, res.r_den) == 1
+        assert len(first) == 1 + sum(r.tau is not prev.tau for r, prev in zip(results[1:], results))
+
+    @pytest.mark.parametrize("pairs, p, q, runs", [([(2, 3)], 599, 397, 2), ([(3, 4)], 256, 253, 6),
+                                                   ([(4, 5)], 401, 1, 12)])
+    def test_one_tau_per_run_of_equal_taus_and_no_fraction(self, monkeypatch, pairs, p, q, runs):
+        # tau is built at the first class of each run of consecutive classes
+        # with equal tau (for q = 1 a floor steps up at every a with t_a >= 0),
+        # no tau comes back after its run, and r_a is two ints: no Fraction
+        # until `shift` is read
+        spec = SurgerySpec(from_newton_pairs(pairs), p, q)
+        built, fractions = [], []
+        real_tau = hfcore._tau_values
+
+        def counting_tau(spec, a, t_a):
+            built.append(a)
+            return real_tau(spec, a, t_a)
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                fractions.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(hfcore, "_tau_values", counting_tau)
+        monkeypatch.setattr(hfcore, "Fraction", CountingFraction)
+        results = compute_all(spec)
+        starts = [0] + [r.a for r, prev in zip(results[1:], results) if r.tau != prev.tau]
+        assert built == starts
+        assert len(starts) == len({r.tau for r in results}) == runs
+        assert fractions == []
+        assert results[7].shift == grading_shift_direct(spec, 7)  # the counter sees a read
+        assert len(fractions) == 1
 
     def test_tower_guard(self, monkeypatch):
         # the tower grade of each distinct tau's module must be 2 min tau; a
@@ -695,8 +757,8 @@ class TestSpincTemplate:
     def broken(res, field, bad):
         """res with one stored int replaced by `bad`."""
         module, vals = res.tau_module, res.tau
-        parts = {"a": res.a, "depth": res.depth, "shift": res.shift, "tau": res.tau, "tau_module": module,
-                 "alpha_sum": res.alpha_sum}
+        parts = {"a": res.a, "depth": res.depth, "r_num": res.r_num, "r_den": res.r_den, "tau": res.tau,
+                 "tau_module": module, "alpha_sum": res.alpha_sum}
         if field == "tau":
             parts["tau"] = (*vals[:-1], bad)
         elif field == "tower":
@@ -740,12 +802,7 @@ class TestSpincTemplate:
         results = compute_all(spec)
         first, res = results[10:12]
         assert first.tau is res.tau and res.module.towers
-        if field in ("numerator", "denominator"):
-            parts = {"numerator": res.shift.numerator, "denominator": res.shift.denominator, field: bad}
-            broken = SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.tau_module,
-                                 res.alpha_sum)
-        else:
-            broken = self.broken(res, field, bad)
+        broken = self.broken(res, RATIO_SLOTS.get(field, field), bad)
         piece = cli._tau_piece(first)
         assert class_block(res, piece) == self.reference(res)
         with pytest.raises(TypeError):
@@ -800,7 +857,7 @@ class TestComputeDocument:
         # constant (0,))
         spec = SurgerySpec(K23, 7, 1)
         shared = compute_all(spec)
-        single = [SpincResult(r.a, r.depth, r.shift, tuple(list(r.tau)), r.tau_module, r.alpha_sum)
+        single = [SpincResult(r.a, r.depth, r.r_num, r.r_den, tuple(list(r.tau)), r.tau_module, r.alpha_sum)
                   for r in (compute_spinc(spec, a) for a in range(7))]
         assert shared[1].tau is shared[2].tau and single[1].tau is not single[2].tau
         assert shared[3].tau is shared[4].tau and single[3].tau is not single[4].tau
@@ -828,18 +885,15 @@ class TestComputeDocument:
         knot = from_newton_pairs(pairs)
         spec = SurgerySpec(knot, p, q)
         results = compute_all(spec)
-        assert len({(res.tau, res.shift.denominator) for res in results}) == groups
+        assert len({(res.tau, res.r_den) for res in results}) == groups
         assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
 
     @staticmethod
     def planted(res, field, bad):
         """res with `bad` in its a, t_a, or the numerator or denominator of r_a."""
-        if field in ("numerator", "denominator"):
-            parts = {"numerator": res.shift.numerator, "denominator": res.shift.denominator, field: bad}
-            return SpincResult(res.a, res.depth, type("Rational", (), parts)(), res.tau, res.tau_module,
-                               res.alpha_sum)
-        return SpincResult(**{"a": res.a, "depth": res.depth, field: bad}, shift=res.shift, tau=res.tau,
-                           tau_module=res.tau_module, alpha_sum=res.alpha_sum)
+        parts = {"a": res.a, "depth": res.depth, "r_num": res.r_num, "r_den": res.r_den}
+        parts[RATIO_SLOTS.get(field, field)] = bad
+        return SpincResult(**parts, tau=res.tau, tau_module=res.tau_module, alpha_sum=res.alpha_sum)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1198), 0.5, 1198.0, True, False])
     @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
@@ -849,7 +903,7 @@ class TestComputeDocument:
         spec = SurgerySpec(K23, 599, 397)
         results = compute_all(spec)
         res = results[300]
-        assert sum(r.tau is res.tau and r.shift.denominator == 1198 for r in results) == 396
+        assert sum(r.tau is res.tau and r.r_den == 1198 for r in results) == 396
         with pytest.raises(TypeError):
             cli._compute_json(K23, 599, 397, spec, [*results[:300], self.planted(res, field, bad), *results[301:]])
 
@@ -859,7 +913,7 @@ class TestComputeDocument:
         # puts class 5 in their group, where only its own D shows the bool
         spec = SurgerySpec(K23, 9, 2)
         results = compute_all(spec)
-        assert [r.a for r in results if r.tau is results[5].tau and r.shift.denominator == 1] == [2, 5, 8]
+        assert [r.a for r in results if r.tau is results[5].tau and r.r_den == 1] == [2, 5, 8]
         with pytest.raises(TypeError):
             cli._compute_json(K23, 9, 2, spec, [*results[:5], self.planted(results[5], "denominator", bad),
                                                 *results[6:]])
