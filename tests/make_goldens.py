@@ -38,21 +38,23 @@ def run(out=None):
         root = root_from_tau(compute_spinc(SurgerySpec(knot, p, q), a).tau)
         (out / f"{name}.txt").write_text(render(root, "ascii"))
         (out / f"{name}.svg").write_text(render(root, "svg"))
-    rc = main(
-        ["compute", "--newton", "4,5", "--surgery", "2/1", "--format", "json",
-         "--out", str(out / "compute_45_2_1.json")]
-    )
-    assert rc == 0
+    # -12/5 on (2,5): four runs of equal tau, one of them with three denominators of r_a
+    for name, newton, surgery in [("compute_45_2_1", "4,5", "2/1"), ("compute_25_12_5", "2,5", "12/5")]:
+        rc = main(["compute", "--newton", newton, "--surgery", surgery, "--format", "json",
+                   "--out", str(out / f"{name}.json")])
+        assert rc == 0
     rc = main(
         ["verify", "--newton", "2,3", "--surgery", "2/1", "--oracle", "both",
          "--format", "json", "--out", str(out / "verify_23_2_1.json")]
     )
     assert rc == 0
-    # text reports: fractional r_a, an integer r_a, and both kinds side by side
+    # text reports: fractional r_a, an integer r_a, both kinds side by side, and
+    # several runs of equal tau with several denominators in one run
     for name, newton, surgery in [
         ("compute_45_2_1", "4,5", "2/1"),
         ("compute_45_1_1", "4,5", "1/1"),
         ("compute_23_4_1", "2,3", "4/1"),
+        ("compute_25_12_5", "2,5", "12/5"),
     ]:
         rc = main(["compute", "--newton", newton, "--surgery", surgery, "--format", "text",
                    "--out", str(out / f"{name}.txt")])

@@ -60,19 +60,20 @@ class TestKnotCommand:
 
 
 class TestComputeCommand:
-    def test_golden_json(self, capsys):
-        code, out, _ = run(
-            capsys, "compute", "--newton", "4,5", "--surgery", "2/1", "--format", "json"
-        )
+    @pytest.mark.parametrize("newton, surgery, name", [("4,5", "2/1", "compute_45_2_1"), ("2,5", "12/5", "compute_25_12_5")])
+    def test_golden_json(self, capsys, newton, surgery, name):
+        code, out, _ = run(capsys, "compute", "--newton", newton, "--surgery", surgery, "--format", "json")
         assert code == 0
-        assert out == (GOLDEN / "compute_45_2_1.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text()
 
     @pytest.mark.parametrize(
         "newton, surgery, name",
-        [("4,5", "2/1", "compute_45_2_1"), ("4,5", "1/1", "compute_45_1_1"), ("2,3", "4/1", "compute_23_4_1")],
+        [("4,5", "2/1", "compute_45_2_1"), ("4,5", "1/1", "compute_45_1_1"), ("2,3", "4/1", "compute_23_4_1"),
+         ("2,5", "12/5", "compute_25_12_5")],
     )
     def test_golden_text(self, capsys, newton, surgery, name):
-        # r_a = 71/4 and 49/4; r_a = 30, an integer; integer and negative r_a side by side
+        # r_a = 71/4 and 49/4; r_a = 30, an integer; integer and negative r_a
+        # side by side; four runs of equal tau, one with r_a over 4, 6 and 12
         code, out, _ = run(capsys, "compute", "--newton", newton, "--surgery", surgery)
         assert code == 0
         assert out == (GOLDEN / f"{name}.txt").read_text()
@@ -919,7 +920,7 @@ class TestGoldens:
         make_goldens.run()
         written = sorted(f.name for f in tmp_path.iterdir())
         assert written == sorted(f.name for f in GOLDEN.iterdir())
-        assert len(written) == 16
+        assert len(written) == 18
         for name in written:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
