@@ -8,8 +8,11 @@ independent plumbing-lattice oracle for cross-validation.
 from .errors import InternalInvariantError, ResourceLimitError
 from .hfcore import (
     SpincResult,
+    SpincRun,
     SurgerySpec,
     compute_all,
+    compute_run,
+    compute_runs,
     compute_spinc,
     grading_shift,
     tau_depth,
@@ -34,9 +37,12 @@ __all__ = [
     "NumericalSemigroup",
     "ResourceLimitError",
     "SpincResult",
+    "SpincRun",
     "SurgerySpec",
     "UModuleDecomposition",
     "compute_all",
+    "compute_run",
+    "compute_runs",
     "compute_spinc",
     "dedekind_sum",
     "from_newton_pairs",

@@ -8,28 +8,33 @@ r_a + g is written from the two ints of r_a = N/D and the integer g
 (`root.grade_text` in text), and no writer builds a Fraction per class.
 Documents have the bytes of json.dumps(doc, indent=2): `_json` writes every
 `knot` and `verify` document and the head of a `compute` one, and rejects
-any value but dict, list, str, int, bool and None.  A `compute` document's
-classes are written from their integers in groups of equal tau and equal
-denominator D of r_a: one `_tau_piece` per distinct tau holds the tau text,
-the sorted ker/coker offsets and the grouped finite towers, and
-`_group_blocks` writes a group's fixed text once and each slot that depends
-on r_a (a, t_a, N, each N + g D, sw) as one column, a grade list as one text
-per class; an int slot holding anything but an int raises TypeError.
-`--format svg --spinc all` draws one root per distinct tau of the call and
-writes its text to the file of every class with that tau before drawing the
-next.  Output is deterministic byte for byte; timings go to stderr
-(HFROOTS_LOG=debug|info), never into the document.  Only `verify` loads the
-lattice oracle (`plumbing`) and the closed-form routes (`lens`); `verify
---lens` loads `lens` alone, compares its two routes' integer numerators
-cross-multiplied to one denominator and writes each value reduced by one
-gcd.  `verify` checks each class's closed-form shift against r_a = N/D by
-an integer identity over 2p and its lattice shift by numerator and
-denominator; it reads r_a as a Fraction only to name the shifts of a class
-that disagrees.  `verify --spinc all` takes its formula side
-from `hfcore.compute_all` (one module per distinct tau, the ker U rank
-identity checked), `--spinc N` from `compute_spinc`, before it builds
-any graph, so an index outside [0, p) is refused first; it then builds
-each class's chain digits and pairings in its loop, one class at a time.
+any value but dict, list, str, int, bool and None.  `compute` and `verify`
+take the formula side as runs of equal tau (`hfcore.compute_runs` for
+`--spinc all`, with the ker U rank identity checked before any output, and
+`hfcore.compute_run` for `--spinc N`), and every writer works one run at a
+time; no writer builds a per-class object.  A `compute` document's classes
+are written from their integers: one `_tau_piece` per run holds the tau
+text, the sorted ker/coker offsets and the grouped finite towers, and
+`_group_blocks` writes the classes of the run with one denominator D of r_a
+with the group's fixed text once and each slot that depends on r_a (a, N,
+each N + g D, sw) as one column; a grade list is a column per grade when the
+group has at least as many classes as grades, else one text per class.  An
+int slot holding anything but an int raises TypeError.  The text writer
+writes the tau line, the grouped towers and the sorted offsets once per run.
+`--format svg --spinc all` draws one root per run and writes its text to the
+file of every class of the run before drawing the next.  Output is
+deterministic byte for byte; timings go to stderr (HFROOTS_LOG=debug|info),
+never into the document.  Only `verify` loads the lattice oracle
+(`plumbing`) and the closed-form routes (`lens`); `verify --lens` loads
+`lens` alone, compares its two routes' integer numerators cross-multiplied
+to one denominator and writes each value reduced by one gcd.  `verify`
+checks each class's closed-form shift against r_a = N/D by an integer
+identity over 2p and its lattice shift by numerator and denominator, and
+writes r_a from N and D where a class disagrees.  Its formula side is
+computed before it builds any graph, so an index outside [0, p) is refused
+first; it then loops over the runs and, in each, over the classes, building
+each class's chain digits and pairings one class at a time and the formula
+root of `--oracle sublevel|both` once per run.
 `verify` runs the Laufer sequence of the resolution graph once per
 surgery and only the surgery chain per class; a class whose check fails
 also gets the values that differ ("shifts",
@@ -55,12 +60,11 @@ from __future__ import annotations
 import os
 import sys
 import time
-from collections import defaultdict
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from operator import attrgetter
+from operator import eq
 from types import SimpleNamespace
 
 from . import hfcore
@@ -194,8 +198,6 @@ def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
 
 _ITEM = ",\n        "  # between two items of a list in a spin^c block
 _TOWER = ',\n          {\n            "grade": "'  # from the end of a finite tower to the next grade
-_CLASS = attrgetter("a", "depth", "r_num", "r_den")
-_TAU, _DEN = attrgetter("tau"), attrgetter("r_den")
 
 
 def _only_ints(kinds: set) -> None:
@@ -204,51 +206,54 @@ def _only_ints(kinds: set) -> None:
         raise TypeError("a spin^c block holds only ints, not " + " or ".join(k.__name__ for k in kinds - {int}))
 
 
-def _tau_piece(res: hfcore.SpincResult) -> tuple:
-    """What a class's block shares with every class of the same tau: the tau
+def _tau_piece(run: hfcore.SpincRun) -> tuple:
+    """What the blocks of a run share, all functions of its tau: the tau
     text, the sorted grade offsets of ker U and coker U, the grouped finite
     towers (g, length, multiplicity), the tower offset 2 min tau and the
-    alpha sum.  All of them are functions of tau alone (`hfcore` builds the
-    shift-0 module and the alpha sum once per distinct tau tuple).  Each is
-    checked to be an int, so a Fraction, float or bool raises TypeError here.
+    alpha sum.  Each is checked to be an int, so a Fraction, float or bool
+    raises TypeError here.
     """
-    module, vals = res.tau_module, res.tau
+    module, vals = run.tau_module, run.tau
     kinds = {*map(type, vals)}
-    kinds.update(map(type, (module.tower, res.alpha_sum)))
+    kinds.update(map(type, (module.tower, run.alpha_sum)))
     for column in zip(*module.towers):  # the grades, then the lengths
         kinds.update(map(type, column))
     _only_ints(kinds)
     tau = _ITEM.join(map(int.__repr__, vals))
-    return tau, res.ker, res.coker, module.grouped(), module.tower, res.alpha_sum
+    return tau, run.ker, run.coker, module.grouped(), module.tower, run.alpha_sum
 
 
 def _grade_lists(nums, den: int, offsets, links) -> list[str]:
     """Per N of `nums`, the ints N + g D for g in `offsets` with `links`
-    between them, the i-th after the i-th int: one text per class, whatever
-    the length of tau."""
-    if len(offsets) < 2:  # a column per grade, as there is at most one
-        return [*map(int.__repr__, map((offsets[0] * den).__add__, nums))] if offsets else [""] * len(nums)
-    texts, column = [""] * (2 * len(offsets) - 1), []
-    texts[1::2] = links
-    for n in nums:
-        texts[::2] = map(int.__repr__, [n + g * den for g in offsets])
-        column.append("".join(texts))
-    return column
+    between them, the i-th after the i-th int: one text per class.  A group
+    with at least as many classes as grades is written a column per grade
+    and joined per class; a longer list, one class at a time."""
+    if len(nums) < len(offsets):
+        texts, column = [""] * (2 * len(offsets) - 1), []
+        texts[1::2] = links
+        for n in nums:
+            texts[::2] = map(int.__repr__, [n + g * den for g in offsets])
+            column.append("".join(texts))
+        return column
+    columns = [map(int.__repr__, map((g * den).__add__, nums)) for g in offsets]
+    if len(columns) < 2:  # no link to join
+        return [*columns[0]] if columns else [""] * len(nums)
+    slots = [None] * (2 * len(columns) - 1)
+    slots[::2], slots[1::2] = columns, map(repeat, links)
+    return [*map("".join, zip(*slots))]
 
 
-def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
+def _group_blocks(piece: tuple, depth: int, den: int, a, nums) -> list[str]:
     """The blocks (`tests/oracles.py::spinc_block` through `_json` at indent 4)
-    of the classes `group`, which share the tau of `piece` and the denominator
-    D = `den` of r_a = N/D.  They differ only in a, t_a, N, the grades N + g D
-    over D (d = r_a + 2 min tau is the tower grade) and sw = r_a/2 - alpha_sum,
-    (N - 2 D alpha_sum)/(2 D) for odd N, else (N/2 - D alpha_sum)/D; gcd(N, D)
-    = 1 keeps each in lowest terms.  Each slot is one column over the group,
-    zipped with the fixed text between slots and joined per block.  Each
-    class's a, t_a, N and D must be ints and every int is written by
-    `int.__repr__`, so a Fraction, float or bool raises TypeError, as in `_json`."""
+    of the classes `a` of one run, which share the tau of `piece`, t_a =
+    `depth` and the denominator D = `den` of r_a = N/D, N in `nums`.  They
+    differ only in a, N, the grades N + g D over D (d = r_a + 2 min tau is
+    the tower grade) and sw = r_a/2 - alpha_sum, (N - 2 D alpha_sum)/(2 D)
+    for odd N, else (N/2 - D alpha_sum)/D; gcd(N, D) = 1 keeps each in lowest
+    terms.  Each slot is one column over the group, zipped with the fixed
+    text between slots and joined per block; every int is written by
+    `int.__repr__`, so a Fraction or float raises TypeError, as in `_json`."""
     tau, kers, cokers, grouped, tower, alpha_sum = piece
-    a, depth, nums, dens = zip(*map(_CLASS, group))  # each class's own D: True == 1 as a key
-    _only_ints({*map(type, a + depth + nums + dens)})
     over = "/" + int.__repr__(den)
     grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
     end = over + '"\n      ]'  # ends the last grade of a list
@@ -258,13 +263,13 @@ def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
     towers = [f'{over}",\n            "length": {int.__repr__(n)},\n            "multiplicity": {int.__repr__(m)}\n'
               '          },\n          {\n            "grade": "' for _, n, m in grouped]  # to the next grade
     last = towers.pop().removesuffix(_TOWER) + "\n        ]" if towers else ""
-    fixed = ['{\n      "a": ', ',\n      "t_a": ', ',\n      "r_a": "',
+    fixed = ['{\n      "a": ', ',\n      "t_a": ' + int.__repr__(depth) + ',\n      "r_a": "',
              over + '",\n      "tau": [\n        ' + tau + '\n      ],\n      "module": {\n        "tower_grade": "',
              over + '",\n        "finite_towers": ' + ('[\n          {\n            "grade": "' if grouped else "[]"),
              last + '\n      },\n      "d_invariant": "', over + '",\n      "sw_invariant": "',
              '",\n      "ker_u": [\n        "', end + ',\n      "coker_u": ' + ('[\n        "' if cokers else "[]"),
              (end if cokers else "") + "\n    }"]  # the text before each column, and after the last
-    columns = [map(int.__repr__, a), map(int.__repr__, depth), map(int.__repr__, nums), tower_grade,
+    columns = [map(int.__repr__, a), map(int.__repr__, nums), tower_grade,
                _grade_lists(nums, den, [g for g, _, _ in grouped], towers), tower_grade, sw,
                _grade_lists(nums, den, kers, [grade] * (len(kers) - 1)),
                _grade_lists(nums, den, cokers, [grade] * (len(cokers) - 1))]
@@ -273,25 +278,33 @@ def _group_blocks(piece: tuple, den: int, group: list) -> list[str]:
     return [*map("".join, zip(*slots))]
 
 
-def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, results) -> str:
+def _run_blocks(piece: tuple, run: hfcore.SpincRun) -> list[str]:
+    """The blocks of the classes of `run`, in order, from the `_tau_piece` of
+    its tau: one `_group_blocks` per denominator D of r_a in the run.  The
+    run's start, stop and t_a and each class's N and D must be ints (a bool
+    is refused too, so True never joins the group of D = 1)."""
+    nums, dens = run.r_num, run.r_den
+    _only_ints({type(run.start), type(run.stop), type(run.depth), *map(type, nums), *map(type, dens)})
+    a = range(run.start, run.stop)
+    distinct = dict.fromkeys(dens)
+    if len(distinct) == 1:
+        return _group_blocks(piece, run.depth, dens[0], a, nums)
+    blocks = {}  # place in the run -> block
+    for den in distinct:
+        places = [*compress(range(len(dens)), map(eq, dens, repeat(den)))]
+        blocks.update(zip(places, _group_blocks(piece, run.depth, den, map(a.__getitem__, places),
+                                                [*map(nums.__getitem__, places)])))
+    return [*map(blocks.__getitem__, range(len(dens)))]
+
+
+def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, runs) -> str:
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
-    blocks, `_group_blocks` the classes that share a tau tuple object and D,
-    from one `_tau_piece` per distinct tau (it lives for this document only);
-    each block goes to its class's place in one join.
+    blocks, `_run_blocks` the classes of each run from one `_tau_piece` per
+    run (it lives for this document only); the blocks go out in one join.
     """
-    groups = defaultdict(list)  # (id of the tau tuple, D) -> the places of its classes
-    for i, key in enumerate(zip(map(id, map(_TAU, results)), map(_DEN, results))):
-        groups[key].append(i)
-    pieces: dict = {}  # tau -> piece
-    blocks = [""] * len(results)
-    for (_, den), places in groups.items():
-        group = [*map(results.__getitem__, places)]
-        tau = group[0].tau
-        piece = pieces.get(tau)
-        if piece is None:
-            piece = pieces[tau] = _tau_piece(group[0])
-        for i, block in zip(places, _group_blocks(piece, den, group)):
-            blocks[i] = block
+    blocks = []
+    for run in runs:
+        blocks += _run_blocks(_tau_piece(run), run)
     parts = [",\n    "] * (2 * len(blocks) + 1)  # the document: one copy of each block
     parts[1::2] = blocks
     parts[0] = ('{\n  "knot": ' + _json(_knot_block(knot), "  ") + ',\n  "surgery": '
@@ -300,22 +313,30 @@ def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec,
     return "".join(parts)
 
 
-def _spinc_text(res: hfcore.SpincResult) -> list[str]:
-    """The text lines of one class, each value written from r_a = N/D and
-    the shift-0 module as str(Fraction) prints it (`root.grade_text`): r_a,
-    d and every grade as N + g D over D, sw = r_a/2 - alpha_sum as
-    (N - 2 D alpha_sum)/(2 D) for odd N, else as N/2 - D alpha_sum over D."""
-    num, den, module, alpha_sum = res.r_num, res.r_den, res.tau_module, res.alpha_sum
-    sw = f"{num - 2 * den * alpha_sum}/{2 * den}" if num % 2 else grade_text(num // 2 - den * alpha_sum, den, 0)
-    return [
-        f"spin^c a = {res.a}:",
-        f"  t_a = {res.depth}   r_a = {grade_text(num, den, 0)}",
-        "  tau: " + ", ".join(map(str, res.tau)),
-        "  HF+ = " + module_text(num, den, module.tower, module.grouped()),
-        f"  d = {grade_text(num, den, module.tower)}   sw = {sw}",
-        "  ker U gradings: " + ", ".join([grade_text(num, den, g) for g in res.ker]),
-        "  coker U gradings: " + (", ".join([grade_text(num, den, g) for g in res.coker]) or "(none)"),
-    ]
+def _run_text(run: hfcore.SpincRun) -> list[str]:
+    """The text lines of the classes of `run`, each class after a blank line:
+    the tau line, the grouped towers and the sorted ker/coker offsets once
+    per run, then per class each value written from r_a = N/D as
+    str(Fraction) prints it (`root.grade_text`): r_a, d and every grade as
+    N + g D over D, sw = r_a/2 - alpha_sum as (N - 2 D alpha_sum)/(2 D) for
+    odd N, else as N/2 - D alpha_sum over D."""
+    module, alpha_sum, kers, cokers = run.tau_module, run.alpha_sum, run.ker, run.coker
+    tower, grouped = module.tower, module.grouped()
+    depth, tau = f"  t_a = {run.depth}   r_a = ", "  tau: " + ", ".join(map(str, run.tau))
+    lines = []
+    for a, num, den in zip(range(run.start, run.stop), run.r_num, run.r_den):
+        sw = f"{num - 2 * den * alpha_sum}/{2 * den}" if num % 2 else grade_text(num // 2 - den * alpha_sum, den, 0)
+        lines += [
+            "",
+            f"spin^c a = {a}:",
+            depth + grade_text(num, den, 0),
+            tau,
+            "  HF+ = " + module_text(num, den, tower, grouped),
+            f"  d = {grade_text(num, den, tower)}   sw = {sw}",
+            "  ker U gradings: " + ", ".join([grade_text(num, den, g) for g in kers]),
+            "  coker U gradings: " + (", ".join([grade_text(num, den, g) for g in cokers]) or "(none)"),
+        ]
+    return lines
 
 
 def _knot_text(knot: AlgebraicKnot) -> list[str]:
@@ -370,33 +391,27 @@ def cmd_compute(args) -> int:
     if args.format == "svg" and index is None and spec.p > 1 and not args.out:
         raise ValueError("--format svg with --spinc all requires --out")
     t0 = time.perf_counter()
-    results = hfcore.compute_all(spec) if index is None else [hfcore.compute_spinc(spec, index)]
-    _info(f"computed {len(results)} spin^c structures in {time.perf_counter() - t0:.3f}s")
+    runs = hfcore.compute_runs(spec) if index is None else [hfcore.compute_run(spec, index)]
+    _info(f"computed {runs[-1].stop - runs[0].start} spin^c structures in {time.perf_counter() - t0:.3f}s")
 
     if args.format == "svg":
-        groups: dict = {}  # tau -> its classes: one root drawn per distinct tau, one text alive
-        for res in results:
-            groups.setdefault(res.tau, []).append(res)
-        for same in groups.values():
-            svg = render(root_from_tau(same[0].tau), "svg")
-            for res in same:
-                if args.out and len(results) > 1:
-                    stem, ext = os.path.splitext(args.out)
-                    _emit(svg, f"{stem}_a{res.a}{ext or '.svg'}")
-                else:
-                    _emit(svg, args.out)
+        many = index is None and spec.p > 1  # a file per class, under --out (checked above)
+        stem, ext = os.path.splitext(args.out or "")
+        for run in runs:  # one root drawn per run, one text alive
+            svg = render(root_from_tau(run.tau), "svg")
+            for a in range(run.start, run.stop):
+                _emit(svg, f"{stem}_a{a}{ext or '.svg'}" if many else args.out)
         return 0
 
     if args.format == "json":
-        _emit(_compute_json(knot, p, q, spec, results), args.out)
+        _emit(_compute_json(knot, p, q, spec, runs), args.out)
         return 0
 
     lines = _knot_text(knot)
     lines.append("")
     lines.append(f"surgery -{p}/{q}   (continued fraction {list(spec.cfrac.terms)})")
-    for res in results:
-        lines.append("")
-        lines.extend(_spinc_text(res))
+    for run in runs:
+        lines += _run_text(run)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -472,52 +487,55 @@ def cmd_verify(args) -> int:
 
     t0 = time.perf_counter()
     # the formula side first, so that its range check refuses a outside [0, p) before any graph;
-    # compute_all checks the ker U rank identity and builds one module per distinct tau
-    results = hfcore.compute_all(spec) if index is None else [hfcore.compute_spinc(spec, index)]
+    # compute_runs checks the ker U rank identity and builds one module per run of equal tau
+    runs = hfcore.compute_runs(spec) if index is None else [hfcore.compute_run(spec, index)]
     gf = plumbing.embedded_resolution(knot)
     gm = plumbing.surgery_graph(knot, spec.cfrac)
     _info(f"formula side and graphs built in {time.perf_counter() - t0:.3f}s")
-    shifts_formula = lens.grading_shift_formula(p, q, knot.delta, results[-1].a)  # numerators over 2p
-    if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so results[0] is deepest
-        chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (results[0].depth + 1) * knot.mf)
+    shifts_formula = lens.grading_shift_formula(p, q, knot.delta, runs[-1].stop - 1)  # numerators over 2p
+    if use_laufer:  # the resolution side once per surgery; t_a falls as a grows, so runs[0] is deepest
+        chi_gf = plumbing.laufer_values(gf, [0] * gf.n, (runs[0].depth + 1) * knot.mf)
 
     per = []
     overall = True
-    for res in results:  # one class at a time: its digits and pairings are dropped with it
-        a = res.a
-        l_pairs, k_pairs = plumbing.class_pairings(gm, plumbing.chain_digits(spec.cfrac, a))
-        shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
-        entry = {
-            "a": a,
-            "shift_lattice_ok": shift_lattice.numerator == res.r_num and shift_lattice.denominator == res.r_den,
-            "shift_formula_ok": shifts_formula[a] * res.r_den == 2 * p * res.r_num,
-        }
-        if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):  # only here is r_a read as a Fraction
-            num, den = _ratio(shifts_formula[a], 2 * p)
-            entry["shifts"] = {"r_a": _rat(res.shift), "lattice": _rat(shift_lattice), "formula": f"{num}/{den}"}
-        if use_laufer:
-            values = plumbing.class_laufer_values(gm, l_pairs, chi_gf, (res.depth + 1) * knot.mf)
-            condensed = plumbing.condense_tau(values, knot.mf)
-            entry["laufer_tau_ok"] = condensed == res.tau
-            if not entry["laufer_tau_ok"]:
-                entry["laufer_first_diff"] = _first_diff(condensed, res.tau)
-        if use_sublevel:
-            n_top = max(res.tau)
-            box = plumbing.exact_sublevel_box(gm, k_pairs, n_top)
-            lattice_keys = plumbing.sublevel_root(gm, k_pairs, n_top, box).level_keys()
-            formula_keys = root_from_tau(res.tau).level_keys()
-            same = lattice_keys == formula_keys
-            entry["sublevel"] = "ok" if same else "disagree"
-            if not same:
-                entry["sublevel_first_diff"] = _root_first_diff(lattice_keys, formula_keys)
-        per.append(entry)
-        bad = (
-            not entry["shift_lattice_ok"]
-            or not entry["shift_formula_ok"]
-            or not entry.get("laufer_tau_ok", True)
-            or entry.get("sublevel", "ok") != "ok"
-        )
-        overall = overall and not bad
+    for run in runs:
+        tau, i_max = run.tau, (run.depth + 1) * knot.mf
+        if use_sublevel:  # the formula root once per run
+            formula_keys = root_from_tau(tau).level_keys()
+        for a, num, den in zip(range(run.start, run.stop), run.r_num, run.r_den):
+            # one class at a time: its digits and pairings are dropped with it
+            l_pairs, k_pairs = plumbing.class_pairings(gm, plumbing.chain_digits(spec.cfrac, a))
+            shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
+            entry = {
+                "a": a,
+                "shift_lattice_ok": shift_lattice.numerator == num and shift_lattice.denominator == den,
+                "shift_formula_ok": shifts_formula[a] * den == 2 * p * num,
+            }
+            if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):
+                formula_num, formula_den = _ratio(shifts_formula[a], 2 * p)
+                entry["shifts"] = {"r_a": f"{num}/{den}", "lattice": _rat(shift_lattice),
+                                   "formula": f"{formula_num}/{formula_den}"}
+            if use_laufer:
+                condensed = plumbing.condense_tau(plumbing.class_laufer_values(gm, l_pairs, chi_gf, i_max), knot.mf)
+                entry["laufer_tau_ok"] = condensed == tau
+                if not entry["laufer_tau_ok"]:
+                    entry["laufer_first_diff"] = _first_diff(condensed, tau)
+            if use_sublevel:
+                n_top = max(tau)
+                box = plumbing.exact_sublevel_box(gm, k_pairs, n_top)
+                lattice_keys = plumbing.sublevel_root(gm, k_pairs, n_top, box).level_keys()
+                same = lattice_keys == formula_keys
+                entry["sublevel"] = "ok" if same else "disagree"
+                if not same:
+                    entry["sublevel_first_diff"] = _root_first_diff(lattice_keys, formula_keys)
+            per.append(entry)
+            bad = (
+                not entry["shift_lattice_ok"]
+                or not entry["shift_formula_ok"]
+                or not entry.get("laufer_tau_ok", True)
+                or entry.get("sublevel", "ok") != "ok"
+            )
+            overall = overall and not bad
 
     doc = {
         "knot": _knot_block(knot),

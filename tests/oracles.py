@@ -29,8 +29,10 @@ here, and the tests require identical results:
   * tau straight from its definition, one sum per t (the package keeps a
     running sum);
   * the pass over all p classes building tau and r_a for every class, one
-    `_tau_values` and one Fraction(n, 2p) each (the package builds tau once
-    per run of classes with equal tau and keeps r_a as two ints);
+    `_tau_values` and one Fraction(n, 2p) each, the numerators 2p r_a stepped
+    one class at a time by a running floor sum (the package cuts the classes
+    into runs of equal tau, builds tau once per run, and takes the numerators
+    and their gcds with 2p as columns);
   * the whole numerator table n(i, j) of a negative continued fraction,
     column by column (the package keeps the one column n(., s) and
     q' = n(1, s-1), from two three-term recursions);
@@ -107,7 +109,7 @@ import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
 from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
-from hfroots.numtheory import NegContinuedFraction, dedekind_sum, mod_inverse
+from hfroots.numtheory import NegContinuedFraction, dedekind_sum, floor_sum, mod_inverse
 from hfroots.cli import cmd_compute, cmd_knot, cmd_verify
 from hfroots.root import GradedRoot, UModuleDecomposition, module_from_tau
 
@@ -596,14 +598,31 @@ class PerClassResult:
     alpha_sum: int
 
 
+def shift_numerators_stepped(spec: SurgerySpec, start: int, stop: int):
+    """Yield 2p r_a for a = start, ..., stop - 1, one class at a time:
+    S(start - 1) from one `floor_sum`, then each class adds its own floor
+    floor(a q'/p) to the running sum S(a) and forms
+
+    2p r_a = 6p s(q, p) + 4 (q' a(a+1)/2 - p S(a)) - (1 + 2a)(p - 1)
+             + 2 delta (p - q - 1) + 2 delta^2 q - 4 delta a."""
+    p, q, d, qp = spec.p, spec.q, spec.knot.delta, spec.cfrac.q_prime
+    base = spec.dedekind_6p - (p - 1) + 2 * d * (p - q - 1) + 2 * d * d * q
+    slope = 2 * (p - 1) + 4 * d
+    s = floor_sum(start, p, qp, 0)
+    for a in range(start, stop):
+        s += a * qp // p
+        yield base + 4 * (qp * a * (a + 1) // 2 - p * s) - slope * a
+
+
 def compute_all_per_class(spec: SurgerySpec) -> list[PerClassResult]:
     """All p classes in one pass that builds every class's tau and r_a:
-    per class one `_tau_values` and one Fraction(n, 2p) from the running
-    numerators of `_shift_numerators`.  Equal taus of the pass share the
-    first tuple built, its shift-0 module and its alpha sum, found by value."""
+    per class one `_tau_values` and one Fraction(n, 2p) from the stepped
+    numerators of `shift_numerators_stepped`.  Equal taus of the pass share
+    the first tuple built, its shift-0 module and its alpha sum, found by
+    value."""
     p, top = spec.p, hfcore._depth_top(spec)
     by_tau, results = {}, []
-    for a, n in zip(range(p), hfcore._shift_numerators(spec, 0, p)):
+    for a, n in zip(range(p), shift_numerators_stepped(spec, 0, p)):
         t_a = (top - a) // p
         vals = hfcore._tau_values(spec, a, t_a)
         shared = by_tau.get(vals)

@@ -120,7 +120,7 @@ class TestComputeCommand:
         def boom(spec):
             raise AssertionError("computed before refusing")
 
-        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
+        monkeypatch.setattr(cli.hfcore, "compute_runs", boom)
         code, out, err = run(capsys, "compute", "--newton", "4,5", "--surgery", "2/1", "--format", "svg")
         assert code == 1
         assert out == ""
@@ -189,6 +189,83 @@ class TestComputeCommand:
             assert code == 0
             assert out == quiet_out
             assert re.fullmatch(r"hfroots INFO computed 1 spin\^c structures in \d+\.\d{3}s\n", err)
+
+
+class TestRunWriters:
+    """`compute` and `verify` take the formula side one run of equal tau at a time."""
+
+    ALL = [
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "json"),
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "text"),
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "svg"),
+        ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "json"),
+        ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "text"),
+    ]
+
+    @staticmethod
+    def written(capsys, argv, out):
+        """Exit code and {file name: bytes} of `argv` run with --out in the empty directory `out`."""
+        out.mkdir()
+        code, stdout, _ = run(capsys, *argv, "--out", str(out / "doc.out"))
+        assert stdout == ""
+        return code, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    @pytest.mark.parametrize("argv", ALL, ids=["compute-json", "compute-text", "compute-svg", "verify-json",
+                                               "verify-text"])
+    def test_all_classes_build_no_spinc_result(self, capsys, monkeypatch, tmp_path, argv):
+        # every writer and verify's loop read the runs; a per-class object
+        # would be a second path beside them
+        code, before = self.written(capsys, argv, tmp_path / "before")
+        assert code == 0 and before
+
+        def refuse(*args):
+            raise AssertionError("a SpincResult was built")
+
+        monkeypatch.setattr(cli.hfcore.SpincResult, "__init__", refuse)
+        assert self.written(capsys, argv, tmp_path / "after") == (0, before)
+
+    def test_text_groups_each_run_once(self, capsys, monkeypatch):
+        # 599 classes in 2 runs: the grouped towers, like the tau text and
+        # the sorted ker and coker offsets, are built once per run
+        spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(2, 3)]), 599, 397)
+        runs = cli.hfcore.compute_runs(spec)
+        assert len(runs) == 2
+        calls = []
+        real = UModuleDecomposition.grouped
+
+        def counting(module):
+            calls.append(module)
+            return real(module)
+
+        argv = ("compute", "--newton", "2,3", "--surgery", "599/397", "--format", "text")
+        code, before, _ = run(capsys, *argv)
+        monkeypatch.setattr(UModuleDecomposition, "grouped", counting)
+        code, after, _ = run(capsys, *argv)
+        assert code == 0 and after == before
+        assert before.count("spin^c a = ") == 599
+        assert len(calls) == len(runs)
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--format", "json"), ("compute", "--format", "text"), ("compute", "--format", "svg"),
+        ("verify", "--format", "json"),
+    ])
+    def test_rank_identity_is_checked_before_any_output(self, capsys, monkeypatch, tmp_path, argv):
+        # a depth planted one too deep in the first run breaks the ker U rank
+        # identity: exit 3, no --out file and nothing on stdout
+        real = cli.hfcore._runs
+
+        def deeper(spec, start, stop):
+            first, *rest = real(spec, start, stop)
+            parts = {name: getattr(first, name) for name in first.__slots__}
+            return [type(first)(**{**parts, "depth": first.depth + 1}), *rest]
+
+        monkeypatch.setattr(cli.hfcore, "_runs", deeper)
+        command, *flags = argv
+        code, out, err = run(capsys, command, "--newton", "4,5", "--surgery", "2/1", *flags,
+                             "--out", str(tmp_path / "doc.out"))
+        assert (code, out) == (3, "")
+        assert err == "internal invariant failure: ker U rank 14 != p + (2 delta - 1) q = 13\n"
+        assert [*tmp_path.iterdir()] == []
 
 
 class TestVerifyCommand:
@@ -451,28 +528,28 @@ class TestVerifyCommand:
         assert err.startswith("internal invariant failure: ")
 
     def test_internal_failure_exits_3(self, capsys, monkeypatch):
-        # one class (--spinc N) takes its formula side from compute_spinc
+        # one class (--spinc N) takes its formula side from compute_run
         from hfroots import InternalInvariantError
         import hfroots.cli as cli_mod
 
         def boom(spec, a):
             raise InternalInvariantError("forced")
 
-        monkeypatch.setattr(cli_mod.hfcore, "compute_spinc", boom)
+        monkeypatch.setattr(cli_mod.hfcore, "compute_run", boom)
         code, _, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--spinc", "0")
         assert code == 3
         assert "internal invariant failure" in err
 
     def test_internal_failure_in_compute_all_exits_3(self, capsys, monkeypatch):
-        # every class (--spinc all, the default) takes it from compute_all,
-        # so a broken rank identity there stops verify
+        # every class (--spinc all, the default) takes it from compute_runs,
+        # the runs behind compute_all, so a broken rank identity there stops verify
         from hfroots import InternalInvariantError
 
         def boom(spec):
             raise InternalInvariantError("ker U rank forced off")
 
-        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
-        monkeypatch.setattr(cli.hfcore, "compute_spinc", lambda spec, a: pytest.fail("compute_spinc called"))
+        monkeypatch.setattr(cli.hfcore, "compute_runs", boom)
+        monkeypatch.setattr(cli.hfcore, "compute_run", lambda spec, a: pytest.fail("compute_run called"))
         for extra in ((), ("--spinc", "all")):
             code, out, err = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", *extra)
             assert code == 3
@@ -694,7 +771,7 @@ class TestExitCodes:
         def boom(spec):
             raise IndexError("forced")
 
-        monkeypatch.setattr(cli.hfcore, "compute_all", boom)
+        monkeypatch.setattr(cli.hfcore, "compute_runs", boom)
         with pytest.raises(IndexError, match="forced"):
             main(["compute", "--newton", "2,3", "--surgery", "3/1"])
         assert capsys.readouterr().err == ""

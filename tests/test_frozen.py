@@ -10,6 +10,7 @@ import pytest
 from hfroots import (
     SurgerySpec,
     UModuleDecomposition,
+    compute_runs,
     compute_spinc,
     from_newton_pairs,
 )
@@ -26,12 +27,14 @@ def instances():
         return {name: getattr(obj, name) for name in obj.__slots__}
 
     res = compute_spinc(SPEC, 1)
+    run = compute_runs(SPEC)[0]
     return [
         (K23.semigroup, slots(K23.semigroup)),
         (K23, slots(K23)),
         (SPEC.cfrac, {"p": 7, "q": 5, "terms": SPEC.cfrac.terms}),
         (SPEC, {"knot": K23, "p": 7, "q": 5}),
         (res, slots(res)),
+        (run, slots(run)),
         (res.module, slots(res.module)),
     ]
 

@@ -17,6 +17,7 @@ from oracles import (
     grading_shift_direct,
     lens_d_recursion_of_surgery,
     module_from_parts,
+    shift_numerators_stepped,
     spinc_block,
     spinc_fractions,
     spinc_fractions_block,
@@ -40,7 +41,7 @@ from hfroots import (
     tau_depth,
     tau_function,
 )
-from hfroots.hfcore import SpincResult
+from hfroots.hfcore import SpincResult, SpincRun, compute_run, compute_runs
 from hfroots.knot import AlgebraicKnot
 from hfroots.root import UModuleDecomposition, reduced_rank
 
@@ -50,10 +51,16 @@ K45 = from_newton_pairs([(4, 5)])
 RATIO_SLOTS = {"numerator": "r_num", "denominator": "r_den"}  # r_a = r_num/r_den, by the parametrize ids
 
 
+def run_of(res):
+    """The class `res` as a run of one."""
+    return SpincRun(res.a, res.a + 1, res.depth, res.tau, res.tau_module, res.alpha_sum, (res.r_num,), (res.r_den,))
+
+
 def class_block(res, piece=None):
-    """One class's block through the document writer: `cli._group_blocks` on
-    a group of one, with the `_tau_piece` of its own tau unless given."""
-    return cli._group_blocks(piece or cli._tau_piece(res), res.r_den, [res])[0]
+    """One class's block through the document writer: `cli._run_blocks` on
+    its run of one, with the `_tau_piece` of its own tau unless given."""
+    run = run_of(res)
+    return cli._run_blocks(piece or cli._tau_piece(run), run)[0]
 
 
 @cache
@@ -65,6 +72,16 @@ def knots_within(p, q, depth=3000):
     """Corpus knots whose classes have t_a <= depth at -p/q, that is
     (2 delta - 1) q <= depth p; the trefoil qualifies for every q <= 3000."""
     return [k for k in corpus_knots() if (2 * k.delta - 1) * q <= depth * p]
+
+
+def shallow_knot(pairs, pick, p, q):
+    """A corpus knot of `pairs` Newton pairs with t_a <= 20 at -p/q where q
+    allows, else the one of least delta, so the p classes hold O(p + q) tau
+    values; `pick` chooses among them."""
+    kind = [k for k in corpus_knots() if len(k.newton_pairs) == pairs]
+    least = min(kind, key=attrgetter("delta"))
+    kind = [k for k in kind if k in knots_within(p, q, max(20, -(-(2 * least.delta - 1) * q // p)))]
+    return kind[pick % len(kind)]
 
 
 def expected_module(tower, pairs, shift):
@@ -494,10 +511,7 @@ class TestComputeAll:
         # Knots of `pairs` Newton pairs with t_a <= 20 where q allows, else
         # the one of least delta, so the classes hold O(p + q) tau values
         assume(gcd(p, q) == 1)
-        kind = [k for k in corpus_knots() if len(k.newton_pairs) == pairs]
-        least = min(kind, key=attrgetter("delta"))
-        kind = [k for k in kind if k in knots_within(p, q, max(20, -(-(2 * least.delta - 1) * q // p)))]
-        spec = SurgerySpec(kind[pick % len(kind)], p, q)
+        spec = SurgerySpec(shallow_knot(pairs, pick, p, q), p, q)
         results, refs = compute_all(spec), compute_all_per_class(spec)
         assert len(results) == len(refs) == p
         first = {}  # tau -> the first tuple of the pass equal to it
@@ -614,10 +628,74 @@ class TestComputeAll:
 
         monkeypatch.setattr(UModuleDecomposition, "shifted", counting)
         results = compute_all(spec)
-        cli._compute_json(K23, 599, 397, spec, results)
+        cli._compute_json(K23, 599, 397, spec, compute_runs(spec))
         assert shifts == []
         assert results[7].module.shift == results[7].shift
         assert shifts == [results[7].shift]
+
+
+class TestComputeRuns:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
+           st.integers(1, 900) | st.just(1))
+    @example(pairs=1, pick=0, p=1, q=1)
+    @example(pairs=2, pick=0, p=1, q=1)
+    @example(pairs=1, pick=3, p=401, q=1)  # q = 1, p > 2 delta - 1: tau steps at every a with t_a >= 0
+    @example(pairs=2, pick=1, p=97, q=1)
+    @example(pairs=1, pick=5, p=7, q=640)  # q > p
+    @example(pairs=2, pick=7, p=3, q=899)
+    @example(pairs=2, pick=2, p=120, q=77)
+    def test_runs_match_the_per_class_pass(self, pairs, pick, p, q):
+        # the runs start at 0, follow each other and end at p, and are
+        # maximal: neighbouring runs differ in tau.  Every class of a run
+        # agrees with the pass that builds tau and r_a for each class
+        assume(gcd(p, q) == 1)
+        spec = SurgerySpec(shallow_knot(pairs, pick, p, q), p, q)
+        runs, refs = compute_runs(spec), compute_all_per_class(spec)
+        assert runs[0].start == 0 and runs[-1].stop == p
+        for run, after in zip(runs, runs[1:]):
+            assert run.stop == after.start and run.tau != after.tau
+        for run in runs:
+            assert type(run.r_num) is type(run.r_den) is tuple and len(run.r_num) == len(run.r_den) == run.stop - run.start
+            module = (run.tau_module.shift, run.tau_module.tower, run.tau_module.towers)
+            for a, num, den in zip(range(run.start, run.stop), run.r_num, run.r_den):
+                ref = refs[a]
+                assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1
+                assert (run.depth, run.tau, Fraction(num, den), run.alpha_sum) == (ref.depth, ref.tau, ref.shift,
+                                                                                  ref.alpha_sum)
+                assert module == (ref.tau_module.shift, ref.tau_module.tower, ref.tau_module.towers)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 900), st.integers(1, 900), st.data())
+    def test_a_range_of_classes_is_the_runs_clipped_to_it(self, p, q, data):
+        # the pass over [start, stop) cuts where the pass over [0, p) cuts,
+        # and its column of numerators is the one stepped class by class
+        assume(gcd(p, q) == 1)
+        spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, max(20, -(-q // p))))), p, q)
+        start = data.draw(st.integers(0, p - 1), label="start")
+        stop = data.draw(st.integers(start + 1, p), label="stop")
+        assert hfcore._shift_numerators(spec, start, stop) == [*shift_numerators_stepped(spec, start, stop)]
+        clipped = [(max(r.start, start), min(r.stop, stop), r.tau, r.r_num[max(start - r.start, 0):stop - r.start])
+                   for r in compute_runs(spec) if r.start < stop and start < r.stop]
+        assert [(r.start, r.stop, r.tau, r.r_num) for r in hfcore._runs(spec, start, stop)] == clipped
+
+    def test_rank_identity_reads_the_depths_of_the_runs(self, monkeypatch):
+        # a depth planted one too deep in the first run, of 241 classes, adds
+        # 241 to the ker U rank p + (2 delta - 1) q = 256 + 5 * 253
+        real = hfcore._runs
+
+        def deeper(spec, start, stop):
+            runs = real(spec, start, stop)
+            first = runs[0]
+            parts = {name: getattr(first, name) for name in SpincRun.__slots__}
+            return [SpincRun(**{**parts, "depth": first.depth + 1}), *runs[1:]]
+
+        spec = SurgerySpec(from_newton_pairs([(3, 4)]), 256, 253)
+        assert compute_runs(spec)[0].stop == 241
+        monkeypatch.setattr(hfcore, "_runs", deeper)
+        with pytest.raises(InternalInvariantError, match=r"^ker U rank 1762 != p \+ \(2 delta - 1\) q = 1521$"):
+            compute_runs(spec)
+        assert compute_run(spec, 0).depth == real(spec, 0, 1)[0].depth + 1  # one class has no identity to check
 
 
 class TestClosedForm:
@@ -667,7 +745,7 @@ class TestIntegerGrades:
         assert res.coker_u == ref.coker_u
         # written as (N + g D)/D and printed without Fractions, against Fraction's own
         assert class_block(res) == cli._json(spinc_fractions_block(ref), "    ")
-        assert cli._spinc_text(res) == spinc_text(ref)
+        assert cli._run_text(run_of(res)) == ["", *spinc_text(ref)]
 
     def test_stored_grades_are_ints(self):
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
@@ -791,7 +869,7 @@ class TestSpincTemplate:
         # a value of tau alone is checked once, when its piece is built
         res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
         with pytest.raises(TypeError):
-            cli._tau_piece(self.broken(res, field, bad))
+            cli._tau_piece(run_of(self.broken(res, field, bad)))
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
     @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
@@ -803,16 +881,17 @@ class TestSpincTemplate:
         first, res = results[10:12]
         assert first.tau is res.tau and res.module.towers
         broken = self.broken(res, RATIO_SLOTS.get(field, field), bad)
-        piece = cli._tau_piece(first)
+        piece = cli._tau_piece(run_of(first))
         assert class_block(res, piece) == self.reference(res)
         with pytest.raises(TypeError):
             class_block(broken, piece)
         with pytest.raises(TypeError):
-            cli._compute_json(K45, 13, 2, spec, [*results[:11], broken, *results[12:]])
+            cli._compute_json(K45, 13, 2, spec, [*map(run_of, results[:11]), run_of(broken),
+                                                 *map(run_of, results[12:])])
 
 
 class TestComputeDocument:
-    """`cli._compute_json` writes each distinct tau's piece once per document."""
+    """`cli._compute_json` writes each run's piece once per document."""
 
     @staticmethod
     def reference(knot, p, q, spec, results):
@@ -828,40 +907,39 @@ class TestComputeDocument:
         assume(gcd(p, q) == 1)
         knot = data.draw(st.sampled_from(knots_within(p, q, max(30, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        results = compute_all(spec)
-        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec,
+                                                                                          compute_all(spec))
 
     @pytest.mark.parametrize("pairs, p, q, taus", [([(2, 3)], 599, 397, 2), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1)])
     def test_one_piece_per_distinct_tau(self, monkeypatch, pairs, p, q, taus):
         knot = from_newton_pairs(pairs)
         spec = SurgerySpec(knot, p, q)
-        results = compute_all(spec)
-        assert len({res.tau for res in results}) == taus
+        runs = compute_runs(spec)
+        assert len(runs) == len({run.tau for run in runs}) == taus
         built = []
         real = cli._tau_piece
 
-        def counting(res):
-            built.append(res.tau)
-            return real(res)
+        def counting(run):
+            built.append(run.tau)
+            return real(run)
 
         monkeypatch.setattr(cli, "_tau_piece", counting)
         for _ in range(2):  # no piece outlives its document
             built.clear()
-            assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+            assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec, compute_all(spec))
             assert len(built) == len(set(built)) == taus
 
     def test_classes_with_equal_but_unshared_taus(self):
-        # per-class results holding equal taus in distinct objects: one piece
-        # each, and the same document.  Each tau is copied here, as two
-        # compute_spinc calls may return one object (at t_a = -1 tau is the
-        # constant (0,))
+        # the same classes cut into runs of one, each holding its tau in its
+        # own object: one piece each, and the same document.  Each tau is
+        # copied here, as two compute_run calls may return one object (at
+        # t_a = -1 tau is the constant (0,))
         spec = SurgerySpec(K23, 7, 1)
-        shared = compute_all(spec)
-        single = [SpincResult(r.a, r.depth, r.r_num, r.r_den, tuple(list(r.tau)), r.tau_module, r.alpha_sum)
-                  for r in (compute_spinc(spec, a) for a in range(7))]
-        assert shared[1].tau is shared[2].tau and single[1].tau is not single[2].tau
-        assert shared[3].tau is shared[4].tau and single[3].tau is not single[4].tau
-        assert [r.tau for r in single] == [r.tau for r in shared]
+        shared = compute_runs(spec)
+        single = [SpincRun(r.start, r.stop, r.depth, tuple(list(r.tau)), r.tau_module, r.alpha_sum, r.r_num, r.r_den)
+                  for r in (compute_run(spec, a) for a in range(7))]
+        assert [(r.start, r.stop) for r in shared] == [(0, 1), (1, 7)]
+        assert single[1].tau is not single[2].tau and single[1].tau == single[2].tau == shared[1].tau
         assert cli._compute_json(K23, 7, 1, spec, single) == cli._compute_json(K23, 7, 1, spec, shared)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -873,62 +951,70 @@ class TestComputeDocument:
             q += 1
         knot = data.draw(st.sampled_from(knots_within(p, q, max(6, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        results = compute_all(spec)
-        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec,
+                                                                                          compute_all(spec))
 
     @pytest.mark.parametrize("pairs, p, q, groups", [
         ([(2, 3)], 599, 397, 3), ([(3, 4)], 256, 253, 17), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1),
     ])
     def test_named_documents(self, pairs, p, q, groups):
-        # groups: the distinct (tau, denominator of r_a); more than the taus
-        # where one tau carries several denominators
+        # groups: the distinct (run, denominator of r_a); more than the runs
+        # where one run carries several denominators
         knot = from_newton_pairs(pairs)
         spec = SurgerySpec(knot, p, q)
-        results = compute_all(spec)
-        assert len({(res.tau, res.r_den) for res in results}) == groups
-        assert cli._compute_json(knot, p, q, spec, results) == self.reference(knot, p, q, spec, results)
+        runs = compute_runs(spec)
+        assert sum(len(set(run.r_den)) for run in runs) == groups
+        assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec, compute_all(spec))
 
     @staticmethod
-    def planted(res, field, bad):
-        """res with `bad` in its a, t_a, or the numerator or denominator of r_a."""
-        parts = {"a": res.a, "depth": res.depth, "r_num": res.r_num, "r_den": res.r_den}
-        parts[RATIO_SLOTS.get(field, field)] = bad
-        return SpincResult(**parts, tau=res.tau, tau_module=res.tau_module, alpha_sum=res.alpha_sum)
+    def planted(runs, a, field, bad):
+        """`runs` with `bad` in the start or t_a of the run of class a, or in
+        the numerator or denominator of r_a of class a."""
+        i = next(i for i, run in enumerate(runs) if run.start <= a < run.stop)
+        run = runs[i]
+        parts = {name: getattr(run, name) for name in SpincRun.__slots__}
+        if field in RATIO_SLOTS:
+            column = list(parts[RATIO_SLOTS[field]])
+            column[a - run.start] = bad
+            parts[RATIO_SLOTS[field]] = tuple(column)
+        else:
+            parts[{"a": "start", "depth": "depth"}[field]] = bad
+        return [*runs[:i], SpincRun(**parts), *runs[i + 1:]]
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1198), 0.5, 1198.0, True, False])
     @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
     def test_rejects_a_value_planted_inside_a_large_group(self, field, bad):
-        # class 300 of -599/397 shares its tau object and D = 1198 with 395
-        # other classes; Fraction(1198) and 1198.0 are equal keys to 1198
+        # class 300 of -599/397 shares its run and D = 1198 with 395 other
+        # classes; Fraction(1198) and 1198.0 are equal keys to 1198.  Its a
+        # is its run's start plus its place, so "a" plants the start
         spec = SurgerySpec(K23, 599, 397)
-        results = compute_all(spec)
+        results, runs = compute_all(spec), compute_runs(spec)
         res = results[300]
         assert sum(r.tau is res.tau and r.r_den == 1198 for r in results) == 396
         with pytest.raises(TypeError):
-            cli._compute_json(K23, 599, 397, spec, [*results[:300], self.planted(res, field, bad), *results[301:]])
+            cli._compute_json(K23, 599, 397, spec, self.planted(runs, 300, field, bad))
 
     @pytest.mark.parametrize("bad", [True, Fraction(1), 1.0])
     def test_rejects_a_denominator_equal_to_1_as_a_key(self, bad):
         # -9/2: classes 2, 5 and 8 share tau (0,) and r_a = 0/1; True == 1
-        # puts class 5 in their group, where only its own D shows the bool
+        # would put class 5 in their group, where only its own D shows the bool
         spec = SurgerySpec(K23, 9, 2)
         results = compute_all(spec)
         assert [r.a for r in results if r.tau is results[5].tau and r.r_den == 1] == [2, 5, 8]
         with pytest.raises(TypeError):
-            cli._compute_json(K23, 9, 2, spec, [*results[:5], self.planted(results[5], "denominator", bad),
-                                                *results[6:]])
+            cli._compute_json(K23, 9, 2, spec, self.planted(compute_runs(spec), 5, "denominator", bad))
 
     def test_memory_of_a_long_tau(self):
         # one class with 66,001 tau values: the peak (about 3.8x the document)
         # stays within 5x, which catches a whole extra copy of the block text
         # alive at once, not smaller per-grade overheads
         spec = SurgerySpec(K45, 1, 3000)
-        results = compute_all(spec)
+        runs = compute_runs(spec)
         tracemalloc.start()
         try:
-            text = cli._compute_json(K45, 1, 3000, spec, results)
+            text = cli._compute_json(K45, 1, 3000, spec, runs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results[0].tau) == 66001
+        assert len(runs[0].tau) == 66001
         assert peak <= 5 * len(text)

@@ -128,7 +128,8 @@ def test_every_module_is_imported():
 
 PUBLIC_NAMES = {
     "AlgebraicKnot", "GradedRoot", "InternalInvariantError", "NegContinuedFraction", "NumericalSemigroup",
-    "ResourceLimitError", "SpincResult", "SurgerySpec", "UModuleDecomposition", "compute_all", "compute_spinc",
+    "ResourceLimitError", "SpincResult", "SpincRun", "SurgerySpec", "UModuleDecomposition", "compute_all",
+    "compute_run", "compute_runs", "compute_spinc",
     "dedekind_sum", "from_newton_pairs", "grading_shift", "mod_inverse", "module_from_tau", "neg_cfrac",
     "reduced_rank", "render", "root_from_tau", "tau_depth", "tau_function",
 }
@@ -334,7 +335,7 @@ def test_laufer_guard_catches_helpers_of_the_lattice_shift():
 
 FORMATTERS = {"str", "format", "repr", "ascii"}
 FORMAT_METHODS = {"format", "format_map", "__str__", "__format__", "__repr__"}
-BLOCK_WRITERS = ("_tau_piece", "_grade_lists", "_group_blocks", "_compute_json")
+BLOCK_WRITERS = ("_tau_piece", "_grade_lists", "_group_blocks", "_run_blocks", "_compute_json")
 
 
 def _int_repr(node):
