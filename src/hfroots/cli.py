@@ -21,10 +21,16 @@ each N + g D, sw) as one column; a grade list is a column per grade when the
 group has at least as many classes as grades, else one text per class.  An
 int slot holding anything but an int raises TypeError.  The text writer
 writes the tau line, the grouped towers and the sorted offsets once per run.
-`--format svg --spinc all` draws one root per run and writes its text to the
-file of every class of the run before drawing the next.  Output is
-deterministic byte for byte; timings go to stderr (HFROOTS_LOG=debug|info),
-never into the document.  Only `verify` loads the lattice oracle
+`--format svg --spinc all` draws one root per run (`root.render`) and
+writes its text to the file of every class of the run before drawing the
+next.  Every document is built whole before any of it is written; an
+existing `--out` file is replaced by a temporary file written beside it
+once that is complete, and a new one is removed if its write fails
+(`_emit`), so a fault partway leaves the old file, or none, and no
+temporary.  Under `--format svg --spinc all` the files of the classes
+already written stay, each complete.  Output is deterministic byte for
+byte; timings go to stderr (HFROOTS_LOG=debug|info), never into the
+document.  Only `verify` loads the lattice oracle
 (`plumbing`) and the closed-form routes (`lens`); `verify --lens` loads
 `lens` alone, compares its two routes' integer numerators cross-multiplied
 to one denominator and writes each value reduced by one gcd.  `verify`
@@ -352,11 +358,27 @@ def _knot_text(knot: AlgebraicKnot) -> list[str]:
 
 
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write a whole document to stdout or to `out_path`.  An existing file
+    is replaced only once the text is complete, by a temporary file written
+    beside it; a new file, a device or a pipe is written in place.  A write
+    that fails partway leaves the old file, or none, and no temporary.  A
+    symbolic link stays a link: the file it names is the one replaced."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    replace = os.path.isfile(out_path)
+    if replace:
+        out_path = os.path.realpath(out_path)
+    path = f"{out_path}.{os.getpid()}.tmp" if replace else out_path
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if replace:
+            os.replace(path, out_path)
+    except BaseException:
+        if os.path.isfile(path):  # the temporary, or the new file written in part
+            os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +420,7 @@ def cmd_compute(args) -> int:
         many = index is None and spec.p > 1  # a file per class, under --out (checked above)
         stem, ext = os.path.splitext(args.out or "")
         for run in runs:  # one root drawn per run, one text alive
-            svg = render(root_from_tau(run.tau), "svg")
+            svg = render(root_from_tau(run.tau))
             for a in range(run.start, run.stop):
                 _emit(svg, f"{stem}_a{a}{ext or '.svg'}" if many else args.out)
         return 0

@@ -25,7 +25,7 @@ Every grade above is r_a plus an even integer g, d included, and sw is r_a/2
 minus an integer, so the pipeline keeps the integers (2 tau(2t),
 2 tau(2t+1) - 2, 2 b, 2 min tau, the alpha sum) with r_a = r_num/r_den and
 a grade is r_a + g, (r_num + g r_den)/r_den in lowest terms; no Fraction is
-built until one is read.
+built here.
 
 For a >= (2 delta - 1) q the depth is -1, tau = (0,), the root is a bare stem
 and the reduced module vanishes; at a = 0 it never vanishes.  The module is
@@ -37,7 +37,7 @@ so when p is large and tau short most classes share one tau, and
 consecutive classes share it until t_a drops or one of those floors steps
 up; a tau never comes back after its run.  So the unit of the pipeline is a
 `SpincRun`: a maximal run [start, stop) of consecutive classes with equal
-tau, holding t_a, tau, its shift-0 module and its alpha sum once and the
+tau, holding t_a, tau, its module and its alpha sum once and the
 r_num and r_den of its classes as two int tuples.  `compute_runs` and
 `compute_run` are one pass over [0, p) and over [a, a + 1): it finds the
 cuts between runs from t_a and the floor steps, O(min(t_0, q) + number of
@@ -45,9 +45,9 @@ runs), takes every r_a as one column of C-level steps after one floor sum,
 and per run builds tau, its module (checked against `reduced_rank(tau)` and
 2 min tau) and its alpha sum.  So `compute_runs` costs
 O(log p + p + sum over runs of len tau) after the one Dedekind sum of the
-SurgerySpec, and checks the ker U rank identity from the runs.
-`compute_all` and `compute_spinc` expand the runs into one `SpincResult`
-per class, for callers that want a class as an object.
+SurgerySpec, and checks the ker U rank identity from the runs.  A run is
+the only record the pipeline returns: class start + i of a run is its
+t_a, tau, module and alpha sum with r_num[i] and r_den[i].
 
 Everything here is purely arithmetic in p, q, a, delta and the alpha
 coefficients; the plumbing module re-derives the same data from the
@@ -56,8 +56,7 @@ intersection lattice and serves as an independent oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import gcd
 from operator import floordiv, mod, sub
 
@@ -106,10 +105,22 @@ class SurgerySpec(Frozen):
             raise ValueError(f"spin^c index a={a} outside [0, {self.p})")
 
 
-class _TauViews:
-    """The grade offsets of ker U and coker U, read off `tau`."""
+class SpincRun(Frozen):
+    """A run of consecutive spin^c classes start, ..., stop - 1 with equal tau.
 
-    __slots__ = ()
+    t_a (`depth`), tau, its module (`module_from_tau`, grades less r_a) and
+    the alpha sum are one record for the run; class start + i has
+    r_a = r_num[i]/r_den[i], two int tuples, each ratio in lowest terms with
+    r_den[i] > 0.  `ker` and `coker` give the grade offsets, each grade of a
+    class being r_a plus one of them.
+    """
+
+    __slots__ = ("start", "stop", "depth", "tau", "tau_module", "alpha_sum", "r_num", "r_den")
+
+    def __init__(self, start: int, stop: int, depth: int, tau: tuple[int, ...], tau_module: UModuleDecomposition,
+                 alpha_sum: int, r_num: tuple[int, ...], r_den: tuple[int, ...]):
+        for name, value in zip(self.__slots__, (start, stop, depth, tau, tau_module, alpha_sum, r_num, r_den)):
+            object.__setattr__(self, name, value)
 
     @property
     def ker(self) -> tuple[int, ...]:
@@ -122,88 +133,9 @@ class _TauViews:
         return tuple([2 * v - 2 for v in sorted(self.tau[1::2])])
 
 
-class SpincRun(_TauViews, Frozen):
-    """A run of consecutive spin^c classes start, ..., stop - 1 with equal tau.
-
-    t_a (`depth`), tau, its shift-0 module and the alpha sum are one record
-    for the run; class start + i has r_a = r_num[i]/r_den[i], two int
-    tuples, each ratio in lowest terms with r_den[i] > 0.  `ker` and `coker`
-    give the grade offsets, each grade of a class being r_a plus one of them.
-    """
-
-    __slots__ = ("start", "stop", "depth", "tau", "tau_module", "alpha_sum", "r_num", "r_den")
-
-    def __init__(self, start: int, stop: int, depth: int, tau: tuple[int, ...], tau_module: UModuleDecomposition,
-                 alpha_sum: int, r_num: tuple[int, ...], r_den: tuple[int, ...]):
-        for name, value in zip(self.__slots__, (start, stop, depth, tau, tau_module, alpha_sum, r_num, r_den)):
-            object.__setattr__(self, name, value)
-
-
-class SpincResult(_TauViews, Frozen):
-    """Everything the pipeline knows about one spin^c structure: one class of
-    a `SpincRun`, for callers that want a class as an object.
-
-    a, t_a and r_a = r_num/r_den belong to the class, r_a as two ints in
-    lowest terms with r_den > 0; tau, its shift-0 module and the alpha sum
-    are its run's.  Grades are even integers g read as r_a + g: `ker` and
-    `coker` give them, and `ker_u` and `coker_u` the absolute grades.
-    `shift` (r_a as a Fraction), `module`, `d_invariant` = r_a + 2 min tau
-    (the tower grade) and `sw_invariant` = r_a/2 - alpha_sum are built when
-    read; a `SpincResult` holds no Fraction.
-    """
-
-    __slots__ = ("a", "depth", "r_num", "r_den", "tau", "tau_module", "alpha_sum")
-
-    def __init__(self, a: int, depth: int, r_num: int, r_den: int, tau: tuple[int, ...],
-                 tau_module: UModuleDecomposition, alpha_sum: int):
-        for name, value in zip(self.__slots__, (a, depth, r_num, r_den, tau, tau_module, alpha_sum)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def shift(self) -> Fraction:
-        """r_a, a new Fraction on each read."""
-        return Fraction(self.r_num, self.r_den)
-
-    @property
-    def module(self) -> UModuleDecomposition:
-        """HF+(-M, sigma_a): the module of tau shifted by r_a."""
-        return self.tau_module.shifted(self.shift)
-
-    @property
-    def d_invariant(self) -> Fraction:
-        """d(-M, sigma_a) = r_a + 2 min tau."""
-        return self.shift + self.tau_module.tower
-
-    @property
-    def sw_invariant(self) -> Fraction:
-        """sw(M, sigma_a) = r_a/2 - the alpha sum."""
-        return self.shift / 2 - self.alpha_sum
-
-    @property
-    def ker_u(self) -> tuple[Fraction, ...]:
-        """Gradings of ker U, sorted."""
-        shift = self.shift
-        return tuple([shift + g for g in self.ker])
-
-    @property
-    def coker_u(self) -> tuple[Fraction, ...]:
-        """Gradings of coker U, sorted."""
-        shift = self.shift
-        return tuple([shift + g for g in self.coker])
-
-
 def _depth_top(spec: SurgerySpec) -> int:
     """(2 delta - 1) q - 1, the numerator of every depth: t_a = floor((it - a)/p)."""
     return (2 * spec.knot.delta - 1) * spec.q - 1
-
-
-def tau_depth(spec: SurgerySpec, a: int) -> int:
-    """t_a; equals -1 exactly when a >= (2 delta - 1) q."""
-    spec._check_a(a)
-    t = (_depth_top(spec) - a) // spec.p
-    if t < -1:
-        raise InternalInvariantError("t_a < -1 is impossible for delta >= 1")
-    return t
 
 
 def _shift_numerators(spec: SurgerySpec, start: int, stop: int) -> list[int]:
@@ -225,28 +157,9 @@ def _shift_numerators(spec: SurgerySpec, start: int, stop: int) -> list[int]:
     return [*map(sub, accumulate(steps), range(slope * start - base, slope * stop - base, slope))]
 
 
-def grading_shift(spec: SurgerySpec, a: int) -> Fraction:
-    """r_a, the rational grading shift of sigma_a, as an exact Fraction:
-
-    r_a = 3 s(q, p) + 2 sum_{j<=a} {j q'/p} - (1 + 2a)(p - 1)/(2p)
-          + delta (1 - (q + 1)/p) + delta^2 q/p - 2 delta a/p.
-
-    Over the denominator 2p every term is an integer (`_shift_numerators`,
-    the one route to r_a here, which the pass runs over all p classes as
-    one column); one class costs one floor sum, O(log p).
-    """
-    spec._check_a(a)
-    return Fraction(_shift_numerators(spec, a, a + 1)[0], 2 * spec.p)
-
-
-def tau_function(spec: SurgerySpec, a: int) -> tuple[int, ...]:
-    """The tau function of sigma_a on {0, ..., 2 t_a + 2}, as its values."""
-    return _tau_values(spec, a, tau_depth(spec, a))
-
-
 def _tau_values(spec: SurgerySpec, a: int, t_a: int) -> tuple[int, ...]:
-    """`tau_function(spec, a)`, given t_a = `tau_depth(spec, a)`,
-    in one pass over t = 0..t_a with f = floor((t p + a)/q):
+    """The tau function of sigma_a on {0, ..., 2 t_a + 2}, as its values,
+    given its depth t_a, in one pass over t = 0..t_a with f = floor((t p + a)/q):
     tau(2t+2) = tau(2t) + f + 1 - delta and tau(2t+1) = tau(2t+2) + alpha_f.
     f grows with t, so the bound alpha needs is checked once, at t_a."""
     if t_a == -1:
@@ -274,7 +187,7 @@ def _runs(spec: SurgerySpec, start: int, stop: int) -> list[SpincRun]:
     the same a, so t < q finds them all, one range of a per t, and the cuts
     cost O(min(t_start, q) + number of runs).  tau differs across every cut:
     t_a only falls as a grows, and at equal t_a a floor that steps up raises
-    tau(2t + 2) for good.  So each run builds its tau (O(t_a)), its shift-0
+    tau(2t + 2) for good.  So each run builds its tau (O(t_a)), its
     module, checked against `reduced_rank(tau)` and 2 min tau, and its alpha
     sum once, and no tau comes back after its run.
 
@@ -332,23 +245,3 @@ def compute_run(spec: SurgerySpec, a: int) -> SpincRun:
     """Class a alone, as a run of one: the pass over [a, a + 1),
     O(log p + len tau)."""
     return _runs(spec, a, a + 1)[0]
-
-
-def _results(run: SpincRun):
-    """The classes of `run`, one `SpincResult` each, in order."""
-    return map(SpincResult, range(run.start, run.stop), repeat(run.depth), run.r_num, run.r_den,
-               repeat(run.tau), repeat(run.tau_module), repeat(run.alpha_sum))
-
-
-def compute_spinc(spec: SurgerySpec, a: int) -> SpincResult:
-    """One spin^c structure: the class of `compute_run(spec, a)`."""
-    return next(_results(compute_run(spec, a)))
-
-
-def compute_all(spec: SurgerySpec) -> list[SpincResult]:
-    """All p spin^c structures, one `SpincResult` per class, in order: the
-    runs of `compute_runs` (rank identity checked) expanded class by class.
-    Classes of one run share one tau tuple, one shift-0 module and one alpha
-    sum; each class adds only its own a, t_a, r_num and r_den.
-    """
-    return [*chain.from_iterable(map(_results, compute_runs(spec)))]

@@ -18,14 +18,14 @@ meet at level k, the one whose oldest minimum is younger dies there and
 contributes the finite tower T_{2 b}(k - b), b its birth level, and the run
 that survives to the end carries the infinite tower T+ at twice its birth.
 
-The module's grades are the even integers 2 b and 2 min tau; a
-`UModuleDecomposition` keeps them as ints next to one shift (0 here, r_a for
-the homology of -M), and shifting it touches no tower.  So every grade of
-HF+(-M, sigma_a) reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded
-Floer homologies, Adv. Math. 173, 2003).  With r_a = N/D in lowest terms,
-gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g already reduced:
-writing a grade needs neither a gcd nor a Fraction (`grade_text`, and the
-JSON writer `cli._group_blocks`).
+The module's grades are the even integers 2 b and 2 min tau, and a
+`UModuleDecomposition` keeps just those ints.  The homology of -M in
+sigma_a is that module with every grade raised by r_a, so each of its
+grades reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded Floer
+homologies, Adv. Math. 173, 2003); no module holds r_a.  With r_a = N/D in
+lowest terms, gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g
+already reduced: writing a grade needs neither a gcd nor a Fraction
+(`grade_text`, and the JSON writer `cli._group_blocks`).
 
 `module_from_tau` needs only the order in which runs meet, which one
 left-to-right pass with a stack finds, in O(n) for n = len(tau) plus the
@@ -34,10 +34,10 @@ keeping only the two ends of every run; it costs O(n log n + |V|) for a root
 with |V| vertices, and is needed only to draw a root or to compare it with
 another one.  Two roots are compared by their `level_keys`, a dict of flat
 keys, one tuple of ranked child labels per level (AHU), so a root thousands
-of levels tall compares without deep recursion.  The renderers lay a root
-out in ints and build no Fraction: a position is a pair (num, den) in lowest
-terms, a leaf takes (slot, 1), a vertex with one child shares its child's
-pair, and a vertex with two or more children takes the mean of its
+of levels tall compares without deep recursion.  `render` draws a root as
+SVG, laid out in ints with no Fraction: a position is a pair (num, den) in
+lowest terms, a leaf takes (slot, 1), a vertex with one child shares its
+child's pair, and a vertex with two or more children takes the mean of its
 children's, reduced by one gcd; every coordinate is unit * num // den.
 `reduced_rank` reads the downward jumps of tau off sum |tau(i) - tau(i+1)|
 and tau(0) - tau(-1).
@@ -45,7 +45,6 @@ and tau(0) - tau(-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby
 from math import gcd
 from operator import sub
@@ -171,57 +170,28 @@ def root_from_tau(tau: tuple[int, ...]) -> GradedRoot:
 
 
 class UModuleDecomposition(Frozen):
-    """T+_{d}  plus a multiset of finite towers T_{r}(n), all in even degrees.
+    """T+ plus a multiset of finite towers T(n), all in even degrees.
 
-    Every grade is `shift` plus an even integer, and the integers are what
-    is stored: `tower` for the infinite tower, `towers` for the (grade,
-    length) pairs of the finite ones, kept sorted.  A graded
-    root's module has shift 0 and its grades at 2 chi; the homology of -M in
-    sigma_a is that module shifted by r_a.  `tower_grade` and
-    `finite_towers` give the absolute grades, and equality compares those,
-    so it is multiset equality whatever the shift.
+    `tower` is the grade of the infinite tower and `towers` the sorted
+    (grade, length) pairs of the finite ones, all ints: a graded root's
+    module, its grades at 2 chi.  HF+(-M, sigma_a) is this module of tau with
+    every grade raised by r_a, which a writer adds as it prints a grade
+    (`grade_text`).
     """
 
-    __slots__ = ("shift", "tower", "towers")
+    __slots__ = ("tower", "towers")
 
-    def __init__(self, shift: Fraction | int, tower: int, towers: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "shift", shift)
+    def __init__(self, tower: int, towers: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "towers", towers)
-
-    def shifted(self, r) -> "UModuleDecomposition":
-        """The same module with every grade raised by r."""
-        shift = self.shift + r if self.shift else r  # 0 + r would only copy r
-        return UModuleDecomposition(shift, self.tower, self.towers)
-
-    @property
-    def tower_grade(self) -> Fraction:
-        return self.shift + self.tower
-
-    @property
-    def finite_towers(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((self.shift + g, n) for g, n in self.towers)
-
-    def __eq__(self, other):
-        if not isinstance(other, UModuleDecomposition):
-            return NotImplemented
-        return (self.tower_grade, self.finite_towers) == (other.tower_grade, other.finite_towers)
-
-    def __hash__(self):
-        return hash((self.tower_grade, self.finite_towers))
 
     @property
     def reduced_rank(self) -> int:
         return sum(n for _, n in self.towers)
 
     def grouped(self) -> list[tuple[int, int, int]]:
-        """(g, length, multiplicity) of each distinct finite tower, in order;
-        its grade is shift + g."""
+        """(g, length, multiplicity) of each distinct finite tower, in order."""
         return [(g, n, len([*same])) for (g, n), same in groupby(self.towers)]
-
-    def __str__(self):
-        shift = self.shift
-        return module_text(shift.numerator, shift.denominator, self.tower, self.grouped())
 
 
 def grade_text(num: int, den: int, g: int) -> str:
@@ -268,7 +238,7 @@ def module_from_tau(tau: tuple[int, ...]) -> UModuleDecomposition:
                 towers.append((2 * low, v - low))
             low = e
         stack.append((k, low))
-    return UModuleDecomposition(0, 2 * low, tuple(sorted(towers)))
+    return UModuleDecomposition(2 * low, tuple(sorted(towers)))
 
 
 def reduced_rank(tau: tuple[int, ...]) -> int:
@@ -285,7 +255,7 @@ def reduced_rank(tau: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# renderers
+# drawing a root
 # ---------------------------------------------------------------------------
 
 
@@ -332,40 +302,10 @@ def _layout(root: GradedRoot, unit: int) -> list[int]:
     return [unit * num // den for num, den in pos]
 
 
-def render_ascii(root: GradedRoot) -> str:
-    col = _layout(root, 4)
-    width = max(col) + 1
-    lo, hi = root.min_level(), root.chi[root.top]
-    label_w = max(len(str(lo)), len(str(hi))) + 1
-    by_level: dict[int, list[int]] = {}
-    for v in range(len(root.chi)):
-        by_level.setdefault(root.chi[v], []).append(v)
-    lines = [" " * label_w + " : " + " " * col[root.top] + ":"]
-    for k in range(hi, lo - 1, -1):
-        row = [" "] * width
-        for v in by_level.get(k, []):
-            row[col[v]] = "*"
-        lines.append(f"{k:>{label_w}} | " + "".join(row).rstrip())
-        if k > lo:
-            conn = [" "] * width
-            for v in range(len(root.chi)):
-                p = root.parent[v]
-                if p is None or root.chi[v] != k - 1:
-                    continue
-                cv, cp = col[v], col[p]
-                if cv == cp:
-                    conn[cv] = "|"
-                elif cv < cp:
-                    conn[(cv + cp + 1) // 2] = "/"
-                else:
-                    conn[(cv + cp) // 2] = "\\"
-            lines.append(" " * label_w + " | " + "".join(conn).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def render_svg(root: GradedRoot) -> str:
-    """The root as SVG text: each x is written once per vertex and each y
-    once per level, and the edges and circles paste those texts."""
+def render(root: GradedRoot) -> str:
+    """The root as SVG text, deterministic byte for byte: each x is written
+    once per vertex and each y once per level, and the edges and circles
+    paste those texts."""
     unit, level_h = 48, 24
     margin_x, margin_y = 60, 30
     stem = 30
@@ -394,12 +334,3 @@ def render_svg(root: GradedRoot) -> str:
     out += [f'<circle cx="{cx}" cy="{cy}" r="3" fill="#000"/>' for cx, cy in zip(xs, ys)]
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def render(root: GradedRoot, format: str) -> str:
-    """Deterministic text rendering of a graded root ('ascii' or 'svg')."""
-    if format == "ascii":
-        return render_ascii(root)
-    if format == "svg":
-        return render_svg(root)
-    raise ValueError(f"unknown render format: {format!r}")

@@ -10,7 +10,7 @@ and `hfroots` are imported, so it runs on any supported Python without
 pytest.
 
 The tau values behind the renders are pinned independently in
-test_root/test_hfcore; these files only freeze the rendering conventions
+test_root/test_hfcore; these files only freeze the SVG drawing of a root
 and the JSON and text report layouts.
 """
 
@@ -18,9 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hfroots import SurgerySpec, from_newton_pairs, render, root_from_tau
+from hfroots import SurgerySpec, compute_run, from_newton_pairs, render, root_from_tau
 from hfroots.cli import main
-from hfroots.hfcore import compute_spinc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,9 +34,8 @@ def run(out=None):
         ("root_45_2_1_a0", 2, 1, 0),
         ("root_45_2_1_a1", 2, 1, 1),
     ]:
-        root = root_from_tau(compute_spinc(SurgerySpec(knot, p, q), a).tau)
-        (out / f"{name}.txt").write_text(render(root, "ascii"))
-        (out / f"{name}.svg").write_text(render(root, "svg"))
+        root = root_from_tau(compute_run(SurgerySpec(knot, p, q), a).tau)
+        (out / f"{name}.svg").write_text(render(root))
     # -12/5 on (2,5): four runs of equal tau, one of them with three denominators of r_a
     for name, newton, surgery in [("compute_45_2_1", "4,5", "2/1"), ("compute_25_12_5", "2,5", "12/5")]:
         rc = main(["compute", "--newton", newton, "--surgery", surgery, "--format", "json",

@@ -36,8 +36,8 @@ here, and the tests require identical results:
   * the whole numerator table n(i, j) of a negative continued fraction,
     column by column (the package keeps the one column n(., s) and
     q' = n(1, s-1), from two three-term recursions);
-  * a Z[U]-module from its absolute grades (the package builds modules only
-    from integer grades and one shift);
+  * a Z[U]-module from its absolute grades (the package keeps a module's
+    integer grades only, r_a apart);
   * the Dedekind sum and the grading shift r_a by direct O(p) summation (the
     package uses reciprocity, a floor sum and per-spec constants);
   * the lattice-side closed form for r_a one class at a time, recomputing q',
@@ -52,6 +52,8 @@ here, and the tests require identical results:
     and writes r_a + g as (N + g D)/D), and a spin^c block as the dict that
     the generic JSON writer takes (the package writes the blocks' text
     column-wise, per group of classes with equal tau and denominator of r_a);
+    `class_fractions` reads a class of a run in those absolute Fractions,
+    the one place a test turns the package's integers into grades;
   * det B and the leading principal minors by Bareiss elimination of the
     dense matrix with row pivoting, and B x = y (the canonical class
     included) by Gauss-Jordan elimination of the dense matrix over the
@@ -107,7 +109,7 @@ import hfroots.hfcore as hfcore
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.errors import InternalInvariantError, ResourceLimitError
-from hfroots.hfcore import SpincResult, SurgerySpec, tau_depth, tau_function
+from hfroots.hfcore import SpincRun, SurgerySpec
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, floor_sum, mod_inverse
 from hfroots.cli import cmd_compute, cmd_knot, cmd_verify
@@ -201,20 +203,19 @@ class NumeratorTable:
         return col
 
 
-def module_from_parts(tower_grade, towers) -> UModuleDecomposition:
+def module_from_parts(tower_grade, towers) -> tuple:
     """The module T+_{tower_grade} plus finite towers (grade, length), from
     absolute grades (ints or Fractions), which must all differ from
-    tower_grade by even integers."""
-    shift = Fraction(tower_grade) % 2
-
-    def even(g) -> int:
-        k = Fraction(g) - shift
+    tower_grade by even integers: (tower grade, sorted (grade, length)
+    pairs) in Fractions, the shape of `class_fractions(run, i).module`."""
+    tower_grade = Fraction(tower_grade)
+    canon = []
+    for g, n in towers:
+        k = Fraction(g) - tower_grade
         if k.denominator != 1 or k.numerator % 2:
             raise ValueError(f"grade {g} is not {tower_grade} plus an even integer")
-        return k.numerator
-
-    canon = tuple(sorted((even(g), int(n)) for g, n in towers))
-    return UModuleDecomposition(shift, even(tower_grade), canon)
+        canon.append((Fraction(g), int(n)))
+    return tower_grade, tuple(sorted(canon))
 
 
 def merge_level(root: GradedRoot, u: int, v: int) -> int:
@@ -332,8 +333,8 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
     towers = []
     for k, v in enumerate(leaves[1:], start=1):
         w_level = min(merge_level(root, v, u) for u in leaves[:k])
-        towers.append((Fraction(2 * root.chi[v]), w_level - root.chi[v]))
-    return module_from_parts(Fraction(2 * root.chi[first]), towers)
+        towers.append((2 * root.chi[v], w_level - root.chi[v]))
+    return UModuleDecomposition(2 * root.chi[first], tuple(sorted(towers)))
 
 
 def module_from_tau_sweep(vals: tuple[int, ...]) -> UModuleDecomposition:
@@ -364,7 +365,7 @@ def module_from_tau_sweep(vals: tuple[int, ...]) -> UModuleDecomposition:
         if r > i:
             e = meet(e, elder[i + 1], k)
         elder[l] = e
-    return UModuleDecomposition(0, 2 * elder[0][0], tuple(sorted(towers)))
+    return UModuleDecomposition(2 * elder[0][0], tuple(sorted(towers)))
 
 
 def layout_fractions(root: GradedRoot) -> dict[int, Fraction]:
@@ -388,7 +389,7 @@ def layout_fractions(root: GradedRoot) -> dict[int, Fraction]:
 
 
 def render_svg_rows(root: GradedRoot) -> str:
-    """`root.render_svg` written one formatted line per edge and per vertex,
+    """`root.render` written one formatted line per edge and per vertex,
     from the Fraction positions of `layout_fractions`."""
     pos = layout_fractions(root)
     unit, level_h = 48, 24
@@ -647,27 +648,52 @@ class SpincFractions:
     ker_u: tuple[Fraction, ...]
     coker_u: tuple[Fraction, ...]
 
+    @property
+    def module(self) -> tuple:
+        """(tower grade, finite towers), the shape of `module_from_parts`."""
+        return self.tower_grade, self.finite_towers
+
 
 def spinc_fractions(spec: SurgerySpec, a: int) -> SpincFractions:
     """One spin^c structure assembled grade by grade in Fractions, as the
     pipeline did before it kept integer grades: every tower and every ker and
-    coker grade is r_a plus its integer, reduced on its own; r_a comes from
-    the direct sum and sw from the direct alpha sum.  The integer module of
-    tau is the package's."""
+    coker grade is r_a plus its integer, reduced on its own; t_a comes from
+    its formula, r_a from the direct sum and sw from the direct alpha sum.
+    tau and its integer module are the package's."""
     r_a = grading_shift_direct(spec, a)
-    tau = tau_function(spec, a)
+    depth = ((2 * spec.knot.delta - 1) * spec.q - a - 1) // spec.p
+    tau = hfcore._tau_values(spec, a, depth)
     base = module_from_tau(tau)
     return SpincFractions(
         a=a,
-        depth=tau_depth(spec, a),
+        depth=depth,
         shift=r_a,
         tau=tau,
-        tower_grade=Fraction(base.tower_grade) + r_a,
-        finite_towers=tuple((Fraction(g) + r_a, n) for g, n in base.finite_towers),
+        tower_grade=base.tower + r_a,
+        finite_towers=tuple((g + r_a, n) for g, n in base.towers),
         d_invariant=2 * min(tau) + r_a,
         sw_invariant=sw_invariant(spec, a),
         ker_u=tuple(2 * v + r_a for v in sorted(tau[0::2])),
         coker_u=tuple(2 * v - 2 + r_a for v in sorted(tau[1::2])),
+    )
+
+
+def class_fractions(run: SpincRun, i: int) -> SpincFractions:
+    """Class run.start + i of a run read as absolute grades: r_a =
+    r_num[i]/r_den[i] as a Fraction, added to each of the run's grade offsets."""
+    r_a = Fraction(run.r_num[i], run.r_den[i])
+    module = run.tau_module
+    return SpincFractions(
+        a=run.start + i,
+        depth=run.depth,
+        shift=r_a,
+        tau=run.tau,
+        tower_grade=module.tower + r_a,
+        finite_towers=tuple((g + r_a, n) for g, n in module.towers),
+        d_invariant=module.tower + r_a,
+        sw_invariant=r_a / 2 - run.alpha_sum,
+        ker_u=tuple(g + r_a for g in run.ker),
+        coker_u=tuple(g + r_a for g in run.coker),
     )
 
 
@@ -681,26 +707,11 @@ def _grouped(towers):
     return [(g, n, sum(1 for _ in same)) for (g, n), same in groupby(towers)]
 
 
-def spinc_block(res: SpincResult) -> dict:
-    """The JSON block of one spin^c structure as a dict for `cli._json`, each
+def spinc_block(run: SpincRun, i: int) -> dict:
+    """The JSON block of class run.start + i as a dict for `cli._json`, each
     grade, d and sw written from its Fraction (the package writes the block's
-    text straight from the result's integers, `cli._group_blocks`)."""
-
-    def grade(g):
-        return rat(res.shift + g)
-
-    towers = [{"grade": grade(g), "length": n, "multiplicity": m} for g, n, m in res.module.grouped()]
-    return {
-        "a": res.a,
-        "t_a": res.depth,
-        "r_a": rat(res.shift),
-        "tau": list(res.tau),
-        "module": {"tower_grade": grade(res.module.tower), "finite_towers": towers},
-        "d_invariant": rat(res.d_invariant),
-        "sw_invariant": rat(res.sw_invariant),
-        "ker_u": [grade(g) for g in res.ker],
-        "coker_u": [grade(g) for g in res.coker],
-    }
+    text straight from the run's integers, `cli._group_blocks`)."""
+    return spinc_fractions_block(class_fractions(run, i))
 
 
 def spinc_fractions_block(ref: SpincFractions) -> dict:

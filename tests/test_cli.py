@@ -1,10 +1,13 @@
 import ast
+import errno
 import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -20,7 +23,7 @@ import hfroots.knot as knot_mod
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.cli import main
-from hfroots.root import GradedRoot, UModuleDecomposition, render_svg, root_from_tau
+from hfroots.root import GradedRoot, UModuleDecomposition, render, root_from_tau
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,8 +159,9 @@ class TestComputeCommand:
         assert calls == {"render": 6, "root_from_tau": 6}
         spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(3, 4)]), 256, 251)
         assert sorted(tmp_path.iterdir()) == sorted(tmp_path / f"root_a{a}.svg" for a in range(256))
-        for res in cli.hfcore.compute_all(spec):
-            assert (tmp_path / f"root_a{res.a}.svg").read_text() == render_svg(root_from_tau(res.tau))
+        for same_tau in cli.hfcore.compute_runs(spec):
+            for a in range(same_tau.start, same_tau.stop):
+                assert (tmp_path / f"root_a{a}.svg").read_text() == render(root_from_tau(same_tau.tau))
 
     def test_surgery_shorthand(self, capsys):
         code, out, _ = run(capsys, "compute", "--newton", "2,3", "--surgery", "6", "--spinc", "0")
@@ -191,38 +195,118 @@ class TestComputeCommand:
             assert re.fullmatch(r"hfroots INFO computed 1 spin\^c structures in \d+\.\d{3}s\n", err)
 
 
-class TestRunWriters:
-    """`compute` and `verify` take the formula side one run of equal tau at a time."""
+class TestAtomicOut:
+    """`--out` gets a document only whole: a write that fails partway leaves
+    the old file, or none, and no temporary beside it."""
 
     ALL = [
         ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "json"),
         ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "text"),
-        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "svg"),
         ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "json"),
         ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "text"),
+        ("verify", "--lens", "7/3", "--format", "json"),
+        ("knot", "--newton", "2,5", "--format", "text"),
     ]
+    SVG_ALL = ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "svg")
 
     @staticmethod
     def written(capsys, argv, out):
-        """Exit code and {file name: bytes} of `argv` run with --out in the empty directory `out`."""
-        out.mkdir()
+        """Exit code and {file name: bytes} of `argv` run with --out in the directory `out`."""
+        out.mkdir(exist_ok=True)
         code, stdout, _ = run(capsys, *argv, "--out", str(out / "doc.out"))
         assert stdout == ""
         return code, {f.name: f.read_bytes() for f in out.iterdir()}
 
-    @pytest.mark.parametrize("argv", ALL, ids=["compute-json", "compute-text", "compute-svg", "verify-json",
-                                               "verify-text"])
-    def test_all_classes_build_no_spinc_result(self, capsys, monkeypatch, tmp_path, argv):
-        # every writer and verify's loop read the runs; a per-class object
-        # would be a second path beside them
-        code, before = self.written(capsys, argv, tmp_path / "before")
-        assert code == 0 and before
+    @staticmethod
+    def fail_writes_after(monkeypatch, whole):
+        """Let `whole` file writes of cli through, then write half of the next
+        text and raise OSError(ENOSPC)."""
+        real, count = open, [0]
 
-        def refuse(*args):
-            raise AssertionError("a SpincResult was built")
+        class Partial:
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(cli.hfcore.SpincResult, "__init__", refuse)
-        assert self.written(capsys, argv, tmp_path / "after") == (0, before)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                count[0] += 1
+                if count[0] <= whole:
+                    return self.fh.write(text)
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Partial(real(*args, **kwargs)), raising=False)
+
+    @pytest.mark.parametrize("argv", ALL, ids=["compute-json", "compute-text", "verify-json", "verify-text",
+                                               "verify-lens", "knot"])
+    def test_a_failed_write_leaves_the_old_file(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "doc.out").write_bytes(b"old document\n")
+        self.fail_writes_after(monkeypatch, 0)
+        code, files = self.written(capsys, argv, tmp_path)
+        assert code == 1
+        assert files == {"doc.out": b"old document\n"}
+        monkeypatch.undo()
+        code, files = self.written(capsys, argv, tmp_path)
+        assert code == 0 and [*files] == ["doc.out"] and files["doc.out"] != b"old document\n"
+
+    def test_a_new_file_that_fails_is_removed(self, capsys, monkeypatch, tmp_path):
+        # a new file is written in place, and removed when its write fails
+        self.fail_writes_after(monkeypatch, 0)
+        code, out, err = run(capsys, *self.ALL[0], "--out", str(tmp_path / "doc.json"))
+        assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
+        assert [*tmp_path.iterdir()] == []
+        monkeypatch.undo()
+        missing = tmp_path / "missing" / "doc.json"
+        code, out, err = run(capsys, *self.ALL[0], "--out", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert [*tmp_path.iterdir()] == []
+
+    def test_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        # a path that is no regular file gets the text itself; renaming a
+        # temporary over it would replace the pipe with a file
+        code, expected, _ = run(capsys, "knot", "--newton", "2,5")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        code, out, err = run(capsys, "knot", "--newton", "2,5", "--out", str(pipe))
+        reader.join(timeout=30)
+        assert (code, out, err) == (0, "", "")
+        assert got == [expected]
+        assert stat.S_ISFIFO(pipe.stat().st_mode) and [*tmp_path.iterdir()] == [pipe]
+
+    def test_a_link_keeps_pointing_at_the_new_text(self, capsys, tmp_path):
+        # the file a link names is replaced, beside itself; the link stays
+        code, expected, _ = run(capsys, "knot", "--newton", "2,5")
+        (tmp_path / "docs").mkdir()
+        target, link = tmp_path / "docs" / "doc.out", tmp_path / "doc.out"
+        target.write_text("old document\n")
+        link.symlink_to(target)
+        code, out, err = run(capsys, "knot", "--newton", "2,5", "--out", str(link))
+        assert (code, out, err) == (0, "", "")
+        assert link.is_symlink() and link.read_text() == target.read_text() == expected
+        assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "docs", target, link])
+
+    def test_svg_all_keeps_the_files_already_written(self, capsys, monkeypatch, tmp_path):
+        # a file per class: a fault at the third leaves the first two whole
+        code, before = self.written(capsys, self.SVG_ALL, tmp_path / "before")
+        assert code == 0 and len(before) == 12
+        self.fail_writes_after(monkeypatch, 2)
+        code, after = self.written(capsys, self.SVG_ALL, tmp_path / "after")
+        assert code == 1
+        assert after == {name: before[name] for name in ("doc_a0.out", "doc_a1.out")}
+
+
+class TestRunWriters:
+    """`compute` and `verify` take the formula side one run of equal tau at a time."""
 
     def test_text_groups_each_run_once(self, capsys, monkeypatch):
         # 599 classes in 2 runs: the grouped towers, like the tau text and
@@ -393,17 +477,6 @@ class TestVerifyCommand:
             assert single["verification"].pop("per_spinc") == [full["verification"]["per_spinc"][a]]
             assert single == {**full, "verification": {"oracle": "both", "ok": True}}
 
-    def test_agreeing_classes_read_no_fraction_shift(self, capsys, monkeypatch):
-        # both shift checks compare r_a's two ints; r_a as a Fraction is read
-        # only to name the shifts of a class that disagrees
-        def refuse(res):
-            raise AssertionError(f"SpincResult.shift read for a = {res.a}")
-
-        monkeypatch.setattr(cli.hfcore.SpincResult, "shift", property(refuse))
-        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "12/7", "--oracle", "both")
-        assert code == 0
-        assert out.count("shift ok, tau ok, sublevel ok") == 12
-
     def test_long_surgery_chain(self, capsys):
         # -200/199 hangs a chain of 199 vertices of weight -2 at v0: 202
         # vertices and 200 classes, each one tree solve
@@ -429,7 +502,8 @@ class TestVerifyCommand:
         assert code == 2
         assert "result: DISAGREE" in out
         # the three shifts are named, in the text and in the JSON document
-        r_a = cli._rat(cli.hfcore.grading_shift(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 3)]), 1, 1), 0))
+        one = cli.hfcore.compute_run(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 3)]), 1, 1), 0)
+        r_a = f"{one.r_num[0]}/{one.r_den[0]}"
         assert f"    shifts: r_a = {r_a}, lattice = {r_a}, formula = 12345/1\n" in out
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "1/1", "--format", "json")
         assert code == 2
@@ -452,7 +526,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 2
         per = json.loads(out)["verification"]["per_spinc"]
-        tau = cli.hfcore.compute_spinc(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 5)]), 2, 1), 0).tau
+        tau = cli.hfcore.compute_run(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 5)]), 2, 1), 0).tau
         assert len(tau) == 5
         assert per[0]["laufer_tau_ok"] is False
         assert per[0]["laufer_first_diff"] == {"index": 2, "lattice": tau[2] - 100, "formula": tau[2]}
@@ -503,7 +577,7 @@ class TestVerifyCommand:
     def test_root_first_difference_of_tall_roots(self):
         # height 6001: sorting nested subtree keys would overflow the recursion limit
         spec = cli.hfcore.SurgerySpec(knot_mod.from_newton_pairs([(4, 5)]), 1, 400)
-        vals = list(cli.hfcore.compute_spinc(spec, 0).tau)
+        vals = list(cli.hfcore.compute_run(spec, 0).tau)
         root = root_from_tau(tuple(vals))
         keys = root.level_keys()
 
@@ -540,9 +614,9 @@ class TestVerifyCommand:
         assert code == 3
         assert "internal invariant failure" in err
 
-    def test_internal_failure_in_compute_all_exits_3(self, capsys, monkeypatch):
+    def test_internal_failure_in_compute_runs_exits_3(self, capsys, monkeypatch):
         # every class (--spinc all, the default) takes it from compute_runs,
-        # the runs behind compute_all, so a broken rank identity there stops verify
+        # so a broken rank identity there stops verify
         from hfroots import InternalInvariantError
 
         def boom(spec):
@@ -724,7 +798,7 @@ class TestExitCodes:
         # so a cap of 132 passes the resolution run and stops the chain's
         knot = cli.from_newton_pairs([(2, 3)])
         gf = pl.embedded_resolution(knot)
-        i_max = (cli.hfcore.tau_depth(cli.hfcore.SurgerySpec(knot, 1, 12), 0) + 1) * knot.mf
+        i_max = (cli.hfcore.compute_run(cli.hfcore.SurgerySpec(knot, 1, 12), 0).depth + 1) * knot.mf
         resolution_steps = sum(laufer_run_rescan(gf, [0] * gf.n, i_max)[1][-1])
         cap = resolution_steps - 1 if side == "resolution" else resolution_steps
         real, roots_run = pl._laufer_run, []
@@ -756,7 +830,7 @@ class TestExitCodes:
 
         def wrong_tower(tau):
             module = real(tau)
-            return UModuleDecomposition(module.shift, module.tower + 2, module.towers)
+            return UModuleDecomposition(module.tower + 2, module.towers)
 
         monkeypatch.setattr(cli.hfcore, "module_from_tau", wrong_tower)
         for extra in ((), ("--spinc", "0"), ("--spinc", "2")):
@@ -997,7 +1071,7 @@ class TestGoldens:
         make_goldens.run()
         written = sorted(f.name for f in tmp_path.iterdir())
         assert written == sorted(f.name for f in GOLDEN.iterdir())
-        assert len(written) == 18
+        assert len(written) == 15
         for name in written:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 

@@ -3,7 +3,6 @@ built by position or by keyword."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ from hfroots import (
     SurgerySpec,
     UModuleDecomposition,
     compute_runs,
-    compute_spinc,
     from_newton_pairs,
 )
 from hfroots.frozen import Frozen
@@ -26,16 +24,14 @@ def instances():
     def slots(obj):
         return {name: getattr(obj, name) for name in obj.__slots__}
 
-    res = compute_spinc(SPEC, 1)
     run = compute_runs(SPEC)[0]
     return [
         (K23.semigroup, slots(K23.semigroup)),
         (K23, slots(K23)),
         (SPEC.cfrac, {"p": 7, "q": 5, "terms": SPEC.cfrac.terms}),
         (SPEC, {"knot": K23, "p": 7, "q": 5}),
-        (res, slots(res)),
         (run, slots(run)),
-        (res.module, slots(res.module)),
+        (run.tau_module, slots(run.tau_module)),
     ]
 
 
@@ -83,11 +79,12 @@ def test_unequal_fields_give_unequal_instances():
     assert len({SPEC, SurgerySpec(K23, 7, 5), SurgerySpec(K23, 7, 4)}) == 2
 
 
-def test_module_equality_compares_absolute_grades():
-    # the towers are stored relative to the shift; equality reads them absolutely
-    assert UModuleDecomposition(0, 2, ((0, 1),)) == UModuleDecomposition(2, 0, ((-2, 1),))
-    assert hash(UModuleDecomposition(0, 2, ())) == hash(UModuleDecomposition(Fraction(2), 0, ()))
-    assert UModuleDecomposition(0, 2, ()) != UModuleDecomposition(0, 4, ())
+def test_module_equality_compares_the_integer_grades():
+    # a module holds its integer grades only, so equality is the fields'
+    assert UModuleDecomposition(2, ((0, 1),)) == UModuleDecomposition(2, ((0, 1),))
+    assert hash(UModuleDecomposition(2, ())) == hash(UModuleDecomposition(2, ()))
+    assert UModuleDecomposition(2, ()) != UModuleDecomposition(4, ())
+    assert UModuleDecomposition(2, ((0, 1),)) != UModuleDecomposition(2, ((-2, 1),))
 
 
 def test_repr_names_the_fields():

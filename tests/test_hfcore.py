@@ -1,5 +1,4 @@
 import json
-import pickle
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -12,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     casson_walker_sw_sum,
+    class_fractions,
     closed_form_p1q1,
     compute_all_per_class,
     grading_shift_direct,
@@ -30,18 +30,8 @@ from test_knot import newton_pair_sequences
 
 import hfroots.cli as cli
 import hfroots.hfcore as hfcore
-from hfroots import (
-    InternalInvariantError,
-    SurgerySpec,
-    compute_all,
-    compute_spinc,
-    dedekind_sum,
-    from_newton_pairs,
-    grading_shift,
-    tau_depth,
-    tau_function,
-)
-from hfroots.hfcore import SpincResult, SpincRun, compute_run, compute_runs
+from hfroots import InternalInvariantError, SurgerySpec, dedekind_sum, from_newton_pairs
+from hfroots.hfcore import SpincRun, compute_run, compute_runs
 from hfroots.knot import AlgebraicKnot
 from hfroots.root import UModuleDecomposition, reduced_rank
 
@@ -51,16 +41,32 @@ K45 = from_newton_pairs([(4, 5)])
 RATIO_SLOTS = {"numerator": "r_num", "denominator": "r_den"}  # r_a = r_num/r_den, by the parametrize ids
 
 
-def run_of(res):
-    """The class `res` as a run of one."""
-    return SpincRun(res.a, res.a + 1, res.depth, res.tau, res.tau_module, res.alpha_sum, (res.r_num,), (res.r_den,))
-
-
-def class_block(res, piece=None):
-    """One class's block through the document writer: `cli._run_blocks` on
-    its run of one, with the `_tau_piece` of its own tau unless given."""
-    run = run_of(res)
+def class_block(run, piece=None):
+    """The block of a run of one through the document writer: `cli._run_blocks`
+    with the `_tau_piece` of its own tau unless given."""
     return cli._run_blocks(piece or cli._tau_piece(run), run)[0]
+
+
+def spinc(spec, a):
+    """Class a of `spec`, its run of one read in absolute Fraction grades."""
+    return class_fractions(compute_run(spec, a), 0)
+
+
+def classes(spec):
+    """Every class of `spec` in absolute Fraction grades: `compute_runs` expanded."""
+    return [class_fractions(run, i) for run in compute_runs(spec) for i in range(run.stop - run.start)]
+
+
+def class_shifts(spec):
+    """(run, r_a) for every class of `spec`, r_a read off the r_num and r_den
+    columns of `compute_runs` without the Fraction grades of `classes`."""
+    return [(run, Fraction(n, d)) for run in compute_runs(spec) for n, d in zip(run.r_num, run.r_den)]
+
+
+def shift_column(spec):
+    """r_a of every class from `hfcore._shift_numerators`, the column the runs
+    reduce into r_num/r_den, built without any tau."""
+    return [Fraction(n, 2 * spec.p) for n in hfcore._shift_numerators(spec, 0, spec.p)]
 
 
 @cache
@@ -85,22 +91,24 @@ def shallow_knot(pairs, pick, p, q):
 
 
 def expected_module(tower, pairs, shift):
-    return module_from_parts(tower, pairs).shifted(Fraction(*shift))
+    """`module_from_parts` of the grades tower and g of `pairs`, each raised by Fraction(*shift)."""
+    r = Fraction(*shift)
+    return module_from_parts(tower + r, [(g + r, n) for g, n in pairs])
 
 
 class TestDepth:
     def test_examples(self):
-        assert tau_depth(SurgerySpec(K45, 2, 1), 0) == 5
-        assert tau_depth(SurgerySpec(K45, 1, 1), 0) == 10  # 2 delta - 2 = mu - 2
+        assert compute_run(SurgerySpec(K45, 2, 1), 0).depth == 5
+        assert compute_run(SurgerySpec(K45, 1, 1), 0).depth == 10  # 2 delta - 2 = mu - 2
         spec = SurgerySpec(K23, 6, 1)
-        assert [tau_depth(spec, a) for a in range(6)] == [0, -1, -1, -1, -1, -1]
+        assert [compute_run(spec, a).depth for a in range(6)] == [0, -1, -1, -1, -1, -1]
 
     def test_range_check(self):
         spec = SurgerySpec(K23, 3, 1)
-        with pytest.raises(ValueError):
-            tau_depth(spec, 3)
-        with pytest.raises(ValueError):
-            tau_depth(spec, -1)
+        with pytest.raises(ValueError, match=r"^spin\^c index a=3 outside \[0, 3\)$"):
+            compute_run(spec, 3)
+        with pytest.raises(ValueError, match=r"^spin\^c index a=-1 outside \[0, 3\)$"):
+            compute_run(spec, -1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -121,30 +129,28 @@ class TestDepth:
 
 class TestShift:
     def test_known_shift_values(self):
-        assert grading_shift(SurgerySpec(K45, 1, 1), 0) == 30
-        assert grading_shift(SurgerySpec(K45, 2, 1), 0) == Fraction(71, 4)
-        assert grading_shift(SurgerySpec(K45, 2, 1), 1) == Fraction(49, 4)
-        assert grading_shift(SurgerySpec(K45, 1, 2), 0) == 60  # q delta (delta - 1)
+        assert [r for _, r in class_shifts(SurgerySpec(K45, 1, 1))] == [30]
+        assert [r for _, r in class_shifts(SurgerySpec(K45, 2, 1))] == [Fraction(71, 4), Fraction(49, 4)]
+        assert [r for _, r in class_shifts(SurgerySpec(K45, 1, 2))] == [60]  # q delta (delta - 1)
 
     def test_integer_surgery_closed_form(self):
         # q = 1: r_a = ((p + 2 delta - 2 - 2a)^2 - p) / (4p)
         for knot in (K23, K45):
             d = knot.delta
             for p in (1, 2, 3, 7, 11, 14):
-                spec = SurgerySpec(knot, p, 1)
-                for a in range(p):
-                    expected = Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p)
-                    assert grading_shift(spec, a) == expected
+                expected = [Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p) for a in range(p)]
+                assert [r for _, r in class_shifts(SurgerySpec(knot, p, 1))] == expected
 
     def test_one_over_q(self):
         for q in (1, 2, 3, 5):
             for knot in (K23, K45):
                 d = knot.delta
-                assert grading_shift(SurgerySpec(knot, 1, q), 0) == q * d * (d - 1)
+                assert spinc(SurgerySpec(knot, 1, q), 0).shift == q * d * (d - 1)
 
     def test_matches_direct_up_to_40(self):
         # both routes are quadratic in delta, the only knot datum they read, so
-        # three distinct deltas of the corpus pin them for every knot in it
+        # three distinct deltas of the corpus pin them for every knot in it;
+        # the column is read without tau, which reaches 160,000 values here
         by_delta = sorted(corpus_knots(), key=lambda k: k.delta)
         knots = (by_delta[0], by_delta[len(by_delta) // 2], by_delta[-1])
         assert len({k.delta for k in knots}) == 3
@@ -154,8 +160,7 @@ class TestShift:
                     continue
                 for knot in knots:
                     spec = SurgerySpec(knot, p, q)
-                    for a in range(p):
-                        assert grading_shift(spec, a) == grading_shift_direct(spec, a), (knot, p, q, a)
+                    assert shift_column(spec) == [grading_shift_direct(spec, a) for a in range(p)], (knot, p, q)
 
     def test_matches_direct_on_knot_corpus(self):
         for knot in corpus_knots():
@@ -164,17 +169,17 @@ class TestShift:
                     if gcd(p, q) != 1:
                         continue
                     spec = SurgerySpec(knot, p, q)
-                    for a in range(p):
-                        assert grading_shift(spec, a) == grading_shift_direct(spec, a), (knot, p, q, a)
+                    assert shift_column(spec) == [grading_shift_direct(spec, a) for a in range(p)], (knot, p, q)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, len(KNOT_CORPUS) - 1), st.integers(1, 3000), st.integers(1, 3000), st.data())
     def test_matches_direct_random(self, k, p, q, data):
+        # the column of one class, as `compute_run` takes it, without its tau
         g = gcd(p, q)
         p, q = p // g, q // g
         spec = SurgerySpec(corpus_knots()[k], p, q)
         a = data.draw(st.integers(0, p - 1))
-        assert grading_shift(spec, a) == grading_shift_direct(spec, a)
+        assert Fraction(hfcore._shift_numerators(spec, a, a + 1)[0], 2 * p) == grading_shift_direct(spec, a)
 
     def test_huge_p_closed_form(self):
         # O(log p) per class: a direct sum over p = 10**30 + 7 terms would never finish
@@ -184,9 +189,8 @@ class TestShift:
             d = knot.delta
             for a in (0, 1, p // 2, p - 1):
                 expected = Fraction((p + 2 * d - 2 - 2 * a) ** 2 - p, 4 * p)
-                assert grading_shift(spec, a) == expected
                 # one class is one floor sum, not a pass over the classes below it
-                res = compute_spinc(spec, a)
+                res = spinc(spec, a)
                 assert (res.a, res.depth, res.shift) == (a, (2 * d - 2 - a) // p, expected)
 
     def test_spec_constants(self):
@@ -203,21 +207,21 @@ class TestShift:
 
 class TestTau:
     def test_torus_45_sequences(self):
-        assert tau_function(SurgerySpec(K45, 2, 1), 0) == (
+        assert compute_run(SurgerySpec(K45, 2, 1), 0).tau == (
             0, 1, -5, -4, -8, -6, -9, -6, -8, -4, -5, 1, 0
         )
-        assert tau_function(SurgerySpec(K45, 2, 1), 1) == (
+        assert compute_run(SurgerySpec(K45, 2, 1), 1).tau == (
             0, 1, -4, -3, -6, -3, -6, -3, -4, 1, 0
         )
-        assert tau_function(SurgerySpec(K23, 1, 1), 0) == (0, 1, 0)
+        assert compute_run(SurgerySpec(K23, 1, 1), 0).tau == (0, 1, 0)
 
     def test_depth_minus_one(self):
-        assert tau_function(SurgerySpec(K23, 6, 1), 3) == (0,)
+        assert compute_run(SurgerySpec(K23, 6, 1), 3).tau == (0,)
 
     def test_oddity_bounds(self):
         # odd entries rise from the left and drop to the right, strictly
         for spec, a in [(SurgerySpec(K45, 7, 5), 3), (SurgerySpec(K23, 2, 3), 1)]:
-            vals = tau_function(spec, a)
+            vals = compute_run(spec, a).tau
             t_a = (len(vals) - 3) // 2
             for t in range(t_a + 1):
                 assert vals[2 * t + 1] > vals[2 * t]
@@ -229,7 +233,7 @@ class TestTau:
             knot = from_newton_pairs(pairs)
             spec = SurgerySpec(knot, p, q)
             for a in range(p):
-                vals = tau_function(spec, a)
+                vals = compute_run(spec, a).tau
                 t_a = (len(vals) - 3) // 2
                 for t in range(t_a + 1):
                     count = sum(1 for k in range((t * p + a) // q + 1) if k in knot.semigroup)
@@ -238,7 +242,7 @@ class TestTau:
     def test_p1_palindrome(self):
         for q in (1, 2, 3):
             for knot in (K23, K45):
-                vals = tau_function(SurgerySpec(knot, 1, q), 0)
+                vals = compute_run(SurgerySpec(knot, 1, q), 0).tau
                 assert vals == vals[::-1]
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -251,7 +255,7 @@ class TestTau:
         g = gcd(p, q)
         spec = SurgerySpec(knot, p // g, q // g)
         a = data.draw(st.integers(0, spec.p - 1))
-        assert tau_function(spec, a) == tau_values_direct(spec, a)
+        assert compute_run(spec, a).tau == tau_values_direct(spec, a)
 
     def test_alpha_bound_guard(self):
         # a knot whose mu is one short: at -1/1 the last floor of the depth
@@ -259,66 +263,66 @@ class TestTau:
         fields = {name: getattr(K45, name) for name in AlgebraicKnot.__slots__}
         short = AlgebraicKnot(**{**fields, "mu": K45.mu - 1})
         with pytest.raises(InternalInvariantError, match="alpha index beyond mu - 2"):
-            compute_spinc(SurgerySpec(short, 1, 1), 0)
+            compute_run(SurgerySpec(short, 1, 1), 0)
 
 
-class TestComputeSpinc:
+class TestComputeRun:
     def test_module_45_surgery2_a0(self):
-        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
+        res = spinc(SurgerySpec(K45, 2, 1), 0)
         assert res.module == expected_module(
             -18, [(-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1)], (71, 4)
         )
         assert res.d_invariant == Fraction(-1, 4)
 
     def test_module_45_surgery2_a1(self):
-        res = compute_spinc(SurgerySpec(K45, 2, 1), 1)
+        res = spinc(SurgerySpec(K45, 2, 1), 1)
         assert res.module == expected_module(
             -12, [(-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1)], (49, 4)
         )
 
     def test_module_45_surgery11(self):
-        res = compute_spinc(SurgerySpec(K45, 11, 1), 0)
+        res = spinc(SurgerySpec(K45, 11, 1), 0)
         shift = Fraction((11 + 10) ** 2 - 11, 44)
         assert res.module == expected_module(-10, [(0, 1)], (shift, 1))
 
     def test_trefoil_minus_one(self):
-        res = compute_spinc(SurgerySpec(K23, 1, 1), 0)
+        res = spinc(SurgerySpec(K23, 1, 1), 0)
         assert res.module == expected_module(0, [(0, 1)], (0, 1))
         assert res.d_invariant == 0
 
     def test_d_zero_for_p1(self):
         for q in (1, 2):
-            assert compute_spinc(SurgerySpec(K45, 1, q), 0).d_invariant == 0
+            assert spinc(SurgerySpec(K45, 1, q), 0).d_invariant == 0
 
     def test_deep_tau_7_11_sixteenth(self):
         # tau of length 1889, far beyond the reach of the pairwise-leaf module walk
         spec = SurgerySpec(from_newton_pairs([(7, 11)]), 1, 16)
-        res = compute_spinc(spec, 0)
+        run = compute_run(spec, 0)
         d = spec.knot.delta
-        assert len(res.tau) == 1889
-        assert res.module.reduced_rank == reduced_rank(res.tau)
-        assert res.d_invariant == 0
-        assert res.shift == 16 * d * (d - 1)
+        assert len(run.tau) == 1889
+        assert run.tau_module.reduced_rank == reduced_rank(run.tau)
+        assert class_fractions(run, 0).d_invariant == 0
+        assert class_fractions(run, 0).shift == 16 * d * (d - 1)
 
     def test_reduced_rank_guard(self, monkeypatch):
         real = hfcore.module_from_tau
 
         def lossy(tau):
             mod = real(tau)
-            return module_from_parts(mod.tower_grade, mod.finite_towers[1:])
+            return UModuleDecomposition(mod.tower, mod.towers[1:])
 
         monkeypatch.setattr(hfcore, "module_from_tau", lossy)
         with pytest.raises(InternalInvariantError, match="reduced_rank"):
-            compute_spinc(SurgerySpec(K45, 2, 1), 0)
+            compute_run(SurgerySpec(K45, 2, 1), 0)
 
     def test_ker_u(self):
-        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
+        res = spinc(SurgerySpec(K45, 2, 1), 0)
         assert len(res.ker_u) == res.depth + 2
         assert res.ker_u == tuple(
             sorted(2 * res.tau[2 * t] + res.shift for t in range(res.depth + 2))
         )
         # depth -1: one generator at r_a, trivial cokernel
-        res = compute_spinc(SurgerySpec(K23, 6, 1), 5)
+        res = spinc(SurgerySpec(K23, 6, 1), 5)
         assert res.ker_u == (res.shift,)
         assert res.coker_u == ()
 
@@ -335,17 +339,16 @@ class TestComputeSpinc:
         for p, q in [(2, 1), (3, 2), (5, 3)]:
             sa, sb = SurgerySpec(K45, p, q), SurgerySpec(other, p, q)
             for a in range(p):
-                ra, rb = compute_spinc(sa, a), compute_spinc(sb, a)
-                assert tuple(x - ra.shift for x in ra.ker_u) == tuple(x - rb.shift for x in rb.ker_u)
+                assert compute_run(sa, a).ker == compute_run(sb, a).ker
 
     def test_reduced_never_trivial_at_a0(self):
         for pairs, p, q in [([(2, 3)], 12, 1), ([(4, 5)], 9, 2), ([(2, 3), (2, 1)], 5, 1)]:
             spec = SurgerySpec(from_newton_pairs(pairs), p, q)
             bound = (2 * spec.knot.delta - 1) * q
             for a in range(p):
-                res = compute_spinc(spec, a)
-                assert (res.module.reduced_rank == 0) == (a >= bound)
-            assert compute_spinc(spec, 0).module.reduced_rank > 0
+                run = compute_run(spec, a)
+                assert (run.tau_module.reduced_rank == 0) == (a >= bound)
+            assert compute_run(spec, 0).tau_module.reduced_rank > 0
 
 
 class TestSw:
@@ -356,7 +359,8 @@ class TestSw:
     def test_empty_sum(self):
         spec = SurgerySpec(K23, 6, 1)
         for a in range(1, 6):  # a >= (2 delta - 1) q = 1
-            assert sw_invariant(spec, a) == grading_shift(spec, a) / 2
+            assert sw_invariant(spec, a) == grading_shift_direct(spec, a) / 2
+            assert compute_run(spec, a).alpha_sum == 0
 
     def test_pipeline_matches_reference(self):
         # the pipeline reads the alpha terms off tau; the reference sums them directly
@@ -364,26 +368,26 @@ class TestSw:
             knot = from_newton_pairs(list(pairs))
             for p, q in [(3, 1), (2, 3)]:
                 spec = SurgerySpec(knot, p, q)
-                for a in range(p):
-                    assert compute_spinc(spec, a).sw_invariant == sw_invariant(spec, a)
+                pipeline = [r / 2 - run.alpha_sum for run, r in class_shifts(spec)]
+                assert pipeline == [sw_invariant(spec, a) for a in range(p)]
 
     def test_euler_characteristic_identity(self):
         # sw = d/2 - rank H_red, by the orientation-reversal conventions
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 2, 3), ([(2, 3), (2, 1)], 4, 3)]:
-            spec = SurgerySpec(from_newton_pairs(pairs), p, q)
-            for a in range(p):
-                res = compute_spinc(spec, a)
-                assert res.sw_invariant == res.d_invariant / 2 - res.module.reduced_rank
+            for run in compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q)):
+                for i in range(run.stop - run.start):
+                    res = class_fractions(run, i)
+                    assert res.sw_invariant == res.d_invariant / 2 - run.tau_module.reduced_rank
 
 
 def check_surgery_formulas(spec):
     """d of every class as the lens-space term of Ni-Wu (indexed, and as a
     multiset against the classical recursion), and sum_a sw by Casson-Walker."""
-    results = compute_all(spec)
-    d = [r.d_invariant for r in results]
+    shifts = class_shifts(spec)
+    d = [r + run.tau_module.tower for run, r in shifts]
     assert d == surgery_d_from_lens(spec)
     assert sorted(d) == sorted(lens_d_recursion_of_surgery(spec))
-    assert sum(r.sw_invariant for r in results) == casson_walker_sw_sum(spec)
+    assert sum(r / 2 - run.alpha_sum for run, r in shifts) == casson_walker_sw_sum(spec)
 
 
 class TestSurgeryFormulas:
@@ -414,39 +418,21 @@ class TestSurgeryFormulas:
         check_surgery_formulas(SurgerySpec(K23, 9973, 5))
 
 
-class TestComputeAll:
+class TestComputeRuns:
     def test_total_rank(self):
-        results = compute_all(SurgerySpec(K45, 2, 1))
-        assert sum(r.depth + 2 for r in results) == 13
-        results = compute_all(SurgerySpec(K23, 6, 1))
-        assert sum(r.depth + 2 for r in results) == 7
+        for pairs, p, q, total in [([(4, 5)], 2, 1, 13), ([(2, 3)], 6, 1, 7)]:
+            runs = compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q))
+            assert sum((run.depth + 2) * (run.stop - run.start) for run in runs) == total
 
     def test_single_class(self):
-        assert len(compute_all(SurgerySpec(K45, 1, 2))) == 1
-
-    def test_results_are_the_values_init_builds(self):
-        # __init__ fills the slots through their member descriptors, past
-        # Frozen's __setattr__: still frozen, and equal, hashed and pickled
-        # like a copy built from the same fields and one restored by pickle
-        for spec in (SurgerySpec(K23, 599, 397), SurgerySpec(K45, 13, 2), SurgerySpec(K45, 1, 16)):
-            for res in compute_all(spec)[::37]:
-                built = SpincResult(res.a, res.depth, res.r_num, res.r_den, res.tau, res.tau_module, res.alpha_sum)
-                assert type(res) is SpincResult
-                assert res == built and built == res and hash(res) == hash(built)
-                assert pickle.dumps(res) == pickle.dumps(built)
-                assert pickle.loads(pickle.dumps(res)) == built
-                for name in SpincResult.__slots__:
-                    with pytest.raises(AttributeError):
-                        setattr(res, name, getattr(res, name))
-                    with pytest.raises(AttributeError):
-                        delattr(res, name)
-                    assert getattr(res, name) is getattr(built, name)
+        runs = compute_runs(SurgerySpec(K45, 1, 2))
+        assert [(run.start, run.stop) for run in runs] == [(0, 1)]
 
     def test_global_identity_guard(self, monkeypatch):
         # the pass reads every t_a off one numerator; p - 1 makes each t_a 0
         monkeypatch.setattr(hfcore, "_depth_top", lambda spec: spec.p - 1)
         with pytest.raises(InternalInvariantError, match="^ker U rank 4 != p"):
-            compute_all(SurgerySpec(K45, 2, 1))
+            compute_runs(SurgerySpec(K45, 2, 1))
 
     def test_one_floor_sum_per_pass(self, monkeypatch):
         # r_a steps a running floor sum from one floor_sum at the first class
@@ -462,11 +448,11 @@ class TestComputeAll:
         for pairs, p, q in [([(2, 3)], 599, 397), ([(4, 5)], 401, 1), ([(2, 5)], 1, 7)]:
             spec = SurgerySpec(from_newton_pairs(pairs), p, q)
             calls.clear()
-            compute_all(spec)
+            compute_runs(spec)
             assert len(calls) == 1
             for a in {0, p // 2, p - 1}:
                 calls.clear()
-                compute_spinc(spec, a)
+                compute_run(spec, a)
                 assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -489,7 +475,7 @@ class TestComputeAll:
         q = data.draw(st.integers(1, q_max(p)), label="q")
         assume(gcd(p, q) == 1)
         spec = SurgerySpec(knot, p, q)
-        results = compute_all(spec)
+        results = classes(spec)
         assert len(results) == p
         for a, res in enumerate(results):
             assert res.a == a
@@ -497,63 +483,26 @@ class TestComputeAll:
             assert res.shift == grading_shift_direct(spec, a)
             assert res.tau == tau_values_direct(spec, a)
         a = data.draw(st.integers(0, p - 1), label="a")
-        assert compute_spinc(spec, a) == results[a]
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
-           st.integers(1, 900) | st.just(1))
-    @example(pairs=1, pick=0, p=1, q=1)
-    @example(pairs=2, pick=0, p=1, q=1)
-    @example(pairs=2, pick=7, p=3, q=899)
-    def test_matches_the_per_class_pass(self, pairs, pick, p, q):
-        # the pass that builds tau once per run of equal taus and r_a as two
-        # ints, field by field against one that builds both for every class.
-        # Knots of `pairs` Newton pairs with t_a <= 20 where q allows, else
-        # the one of least delta, so the classes hold O(p + q) tau values
-        assume(gcd(p, q) == 1)
-        spec = SurgerySpec(shallow_knot(pairs, pick, p, q), p, q)
-        results, refs = compute_all(spec), compute_all_per_class(spec)
-        assert len(results) == len(refs) == p
-        first = {}  # tau -> the first tuple of the pass equal to it
-        for res, ref in zip(results, refs):
-            assert (res.a, res.depth, Fraction(res.r_num, res.r_den)) == (ref.a, ref.depth, ref.shift)
-            assert res.tau == ref.tau and first.setdefault(res.tau, res.tau) is res.tau
-            assert (res.tau_module.shift, res.tau_module.tower, res.tau_module.towers) == (
-                ref.tau_module.shift, ref.tau_module.tower, ref.tau_module.towers)
-            assert res.alpha_sum == ref.alpha_sum
-            assert type(res.r_num) is type(res.r_den) is int
-            assert res.r_den > 0 and gcd(res.r_num, res.r_den) == 1
-        assert len(first) == 1 + sum(r.tau is not prev.tau for r, prev in zip(results[1:], results))
+        assert spinc(spec, a) == results[a]
 
     @pytest.mark.parametrize("pairs, p, q, runs", [([(2, 3)], 599, 397, 2), ([(3, 4)], 256, 253, 6),
                                                    ([(4, 5)], 401, 1, 12)])
-    def test_one_tau_per_run_of_equal_taus_and_no_fraction(self, monkeypatch, pairs, p, q, runs):
+    def test_one_tau_per_run_of_equal_taus(self, monkeypatch, pairs, p, q, runs):
         # tau is built at the first class of each run of consecutive classes
         # with equal tau (for q = 1 a floor steps up at every a with t_a >= 0),
-        # no tau comes back after its run, and r_a is two ints: no Fraction
-        # until `shift` is read
+        # and no tau comes back after its run
         spec = SurgerySpec(from_newton_pairs(pairs), p, q)
-        built, fractions = [], []
+        built = []
         real_tau = hfcore._tau_values
 
         def counting_tau(spec, a, t_a):
             built.append(a)
             return real_tau(spec, a, t_a)
 
-        class CountingFraction(Fraction):
-            def __new__(cls, *args, **kwargs):
-                fractions.append(args)
-                return super().__new__(cls, *args, **kwargs)
-
         monkeypatch.setattr(hfcore, "_tau_values", counting_tau)
-        monkeypatch.setattr(hfcore, "Fraction", CountingFraction)
-        results = compute_all(spec)
-        starts = [0] + [r.a for r, prev in zip(results[1:], results) if r.tau != prev.tau]
-        assert built == starts
-        assert len(starts) == len({r.tau for r in results}) == runs
-        assert fractions == []
-        assert results[7].shift == grading_shift_direct(spec, 7)  # the counter sees a read
-        assert len(fractions) == 1
+        found = compute_runs(spec)
+        assert built == [run.start for run in found]
+        assert len(found) == len({run.tau for run in found}) == runs
 
     def test_tower_guard(self, monkeypatch):
         # the tower grade of each distinct tau's module must be 2 min tau; a
@@ -562,11 +511,11 @@ class TestComputeAll:
 
         def wrong_tower(tau):
             module = real(tau)
-            return UModuleDecomposition(module.shift, module.tower + 2, module.towers)
+            return UModuleDecomposition(module.tower + 2, module.towers)
 
         monkeypatch.setattr(hfcore, "module_from_tau", wrong_tower)
         spec = SurgerySpec(K23, 6, 1)  # a = 0 has a finite tower, a = 1 the stem tau = [0]
-        for run in (compute_all, lambda spec: compute_spinc(spec, 0), lambda spec: compute_spinc(spec, 1)):
+        for run in (compute_runs, lambda spec: compute_run(spec, 0), lambda spec: compute_run(spec, 1)):
             with pytest.raises(InternalInvariantError, match="^tower grade disagrees with 2 min tau$"):
                 run(spec)
 
@@ -578,28 +527,25 @@ class TestComputeAll:
         st.data(),
     )
     def test_matches_per_class_runs(self, p, q, depth, data):
-        # classes sharing a tau share its module, never another class's r_a;
-        # depth 1 draws knots with (2 delta - 1) q <= p where q allows, which
-        # leaves classes with t_a = -1
+        # the maximal runs, expanded class by class, against one run of one
+        # per class; depth 1 draws knots with (2 delta - 1) q <= p where q
+        # allows, which leaves classes with t_a = -1
         assume(gcd(p, q) == 1)
         depth = max(depth, -(-3 * q // p))  # the trefoil always qualifies
         spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
-        results, refs = compute_all(spec), [compute_spinc(spec, a) for a in range(p)]
-        assert results == refs
-        for a, (res, ref) in enumerate(zip(results, refs)):
-            assert (res.a, res.depth, res.shift, res.tau) == (a, ref.depth, ref.shift, ref.tau)
-            assert res.module.shift == ref.module.shift == res.shift
-            assert res.module.tower == ref.module.tower
-            assert res.module.towers == ref.module.towers
-            assert res.d_invariant == ref.d_invariant
-            assert res.sw_invariant == ref.sw_invariant
+        singles = [compute_run(spec, a) for a in range(p)]
+        assert classes(spec) == [class_fractions(run, 0) for run in singles]
+        for run in compute_runs(spec):
+            for single in singles[run.start:run.stop]:
+                assert (single.depth, single.tau, single.tau_module, single.alpha_sum) == (
+                    run.depth, run.tau, run.tau_module, run.alpha_sum)
 
     def test_one_module_per_distinct_tau(self, monkeypatch):
         # 599 classes on 2 taus, 401 on 12; the third call has the first's
         # two taus and builds both again: no module outlives its call
         cases = [([(2, 3)], 599, 397, 2), ([(2, 13)], 401, 1, 12), ([(2, 3)], 601, 397, 2)]
         specs = [SurgerySpec(from_newton_pairs(pairs), p, q) for pairs, p, q, _ in cases]
-        fresh = [[compute_spinc(spec, a) for a in range(spec.p)] for spec in specs]
+        fresh = [[spinc(spec, a) for a in range(spec.p)] for spec in specs]
         built = []
         real = hfcore.module_from_tau
 
@@ -610,31 +556,11 @@ class TestComputeAll:
         monkeypatch.setattr(hfcore, "module_from_tau", counting)
         for spec, ref, (*_, taus) in zip(specs, fresh, cases):
             built.clear()
-            assert compute_all(spec) == ref
+            assert classes(spec) == ref
             assert len(built) == len(set(built)) == taus
             assert set(built) == {r.tau for r in ref}
         assert set(built) == {r.tau for r in fresh[0]}
 
-    def test_no_class_builds_a_shifted_module(self, monkeypatch):
-        # per class the pipeline stores r_a and the writer formats it; a
-        # shifted module is built only where `res.module` is read
-        spec = SurgerySpec(K23, 599, 397)
-        shifts = []
-        real = UModuleDecomposition.shifted
-
-        def counting(module, r):
-            shifts.append(r)
-            return real(module, r)
-
-        monkeypatch.setattr(UModuleDecomposition, "shifted", counting)
-        results = compute_all(spec)
-        cli._compute_json(K23, 599, 397, spec, compute_runs(spec))
-        assert shifts == []
-        assert results[7].module.shift == results[7].shift
-        assert shifts == [results[7].shift]
-
-
-class TestComputeRuns:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
            st.integers(1, 900) | st.just(1))
@@ -657,13 +583,12 @@ class TestComputeRuns:
             assert run.stop == after.start and run.tau != after.tau
         for run in runs:
             assert type(run.r_num) is type(run.r_den) is tuple and len(run.r_num) == len(run.r_den) == run.stop - run.start
-            module = (run.tau_module.shift, run.tau_module.tower, run.tau_module.towers)
             for a, num, den in zip(range(run.start, run.stop), run.r_num, run.r_den):
                 ref = refs[a]
                 assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1
                 assert (run.depth, run.tau, Fraction(num, den), run.alpha_sum) == (ref.depth, ref.tau, ref.shift,
                                                                                   ref.alpha_sum)
-                assert module == (ref.tau_module.shift, ref.tau_module.tower, ref.tau_module.towers)
+                assert run.tau_module == ref.tau_module
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 900), st.integers(1, 900), st.data())
@@ -709,8 +634,8 @@ class TestClosedForm:
         )
 
     def test_45_towers(self):
-        mod = closed_form_p1q1(K45)
-        assert mod.finite_towers == tuple(
+        _, towers = closed_form_p1q1(K45)
+        assert towers == tuple(
             sorted(
                 [(Fraction(0), 3)]
                 + [(Fraction(i * (i + 1)), L) for i, L in [(1, 2), (2, 1), (3, 1), (4, 1), (5, 1)] for _ in (0, 1)]
@@ -723,8 +648,7 @@ class TestClosedForm:
     )
     def test_matches_pipeline(self, pairs):
         knot = from_newton_pairs(pairs)
-        res = compute_spinc(SurgerySpec(knot, 1, 1), 0)
-        assert res.module == closed_form_p1q1(knot)
+        assert spinc(SurgerySpec(knot, 1, 1), 0).module == closed_form_p1q1(knot)
 
 
 class TestIntegerGrades:
@@ -735,39 +659,26 @@ class TestIntegerGrades:
         p, q = p // g, q // g
         spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q))), p, q)
         a = data.draw(st.integers(0, p - 1))
-        res, ref = compute_spinc(spec, a), spinc_fractions(spec, a)
-        assert res.shift == ref.shift
-        assert res.module.tower_grade == ref.tower_grade
-        assert res.module.finite_towers == ref.finite_towers
-        assert res.d_invariant == ref.d_invariant
-        assert res.sw_invariant == ref.sw_invariant
-        assert res.ker_u == ref.ker_u
-        assert res.coker_u == ref.coker_u
+        run, ref = compute_run(spec, a), spinc_fractions(spec, a)
+        assert class_fractions(run, 0) == ref
         # written as (N + g D)/D and printed without Fractions, against Fraction's own
-        assert class_block(res) == cli._json(spinc_fractions_block(ref), "    ")
-        assert cli._run_text(run_of(res)) == ["", *spinc_text(ref)]
+        assert class_block(run) == cli._json(spinc_fractions_block(ref), "    ")
+        assert cli._run_text(run) == ["", *spinc_text(ref)]
 
     def test_stored_grades_are_ints(self):
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
-            for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
-                module = res.module
-                stored = (module.tower, *(g for g, _ in module.towers), *res.ker, *res.coker)
+            for run in compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q)):
+                module = run.tau_module
+                stored = (module.tower, *(g for g, _ in module.towers), *run.ker, *run.coker)
                 assert all(type(g) is int for g in stored)
                 assert all(g % 2 == 0 for g in stored)
-                assert type(res.alpha_sum) is int
-                assert module.shift == res.shift and res.tau_module.shift == 0
-                assert (module.tower, module.towers) == (res.tau_module.tower, res.tau_module.towers)
-                assert module.tower == 2 * min(res.tau)
-                # d and sw stay exact Fractions, built from the ints when read
-                assert type(res.d_invariant) is type(res.sw_invariant) is Fraction
-                assert res.d_invariant == res.shift + module.tower
-                assert res.sw_invariant == res.shift / 2 - res.alpha_sum
+                assert type(run.alpha_sum) is int
+                assert module.tower == 2 * min(run.tau)
 
     def test_module_equality_is_on_absolute_grades(self):
         mod = module_from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
-        assert mod == module_from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4))
-        assert hash(mod) == hash(module_from_parts(-2, [(0, 2)]).shifted(Fraction(7, 4)))
-        assert mod != module_from_parts(-2, [(0, 2)]).shifted(Fraction(3, 4))
+        assert mod == expected_module(-2, [(0, 2)], (7, 4))
+        assert mod != expected_module(-2, [(0, 2)], (3, 4))
         with pytest.raises(ValueError, match="even integer"):
             module_from_parts(0, [(1, 1)])
         with pytest.raises(ValueError, match="even integer"):
@@ -779,8 +690,8 @@ class TestSpincTemplate:
     the reference is the dict `oracles.spinc_block` run through `cli._json`."""
 
     @staticmethod
-    def reference(res):
-        return cli._json(spinc_block(res), "    ")
+    def reference(run):
+        return cli._json(spinc_block(run, 0), "    ")
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 700), st.integers(1, 700), st.data())
@@ -789,8 +700,8 @@ class TestSpincTemplate:
         p, q = p // g, q // g
         depth = max(40, -(-q // p))  # the trefoil always qualifies
         spec = SurgerySpec(data.draw(st.sampled_from(knots_within(p, q, depth))), p, q)
-        res = compute_spinc(spec, data.draw(st.integers(0, p - 1)))
-        assert class_block(res) == self.reference(res)
+        run = compute_run(spec, data.draw(st.integers(0, p - 1)))
+        assert class_block(run) == self.reference(run)
 
     @pytest.mark.parametrize(
         "pairs, p, q, a, shape",
@@ -805,61 +716,64 @@ class TestSpincTemplate:
         ],
     )
     def test_named_cases(self, pairs, p, q, a, shape):
-        res = compute_spinc(SurgerySpec(from_newton_pairs(pairs), p, q), a)
-        text = class_block(res)
-        assert text == self.reference(res)
+        run = compute_run(SurgerySpec(from_newton_pairs(pairs), p, q), a)
+        text = class_block(run)
+        assert text == self.reference(run)
         if shape == "stem":
-            assert res.depth == -1 and res.tau == (0,)
+            assert run.depth == -1 and run.tau == (0,)
             assert '"finite_towers": []' in text and '"coker_u": []' in text
         elif shape == "q > p":
             assert q > p
         elif shape == "two pairs":
             assert len(pairs) == 2
         else:
-            assert any(m > 1 for *_, m in res.module.grouped())
+            assert any(m > 1 for *_, m in run.tau_module.grouped())
 
     def test_d_and_sw_in_lowest_terms(self):
         # r_a with an odd numerator, an even one, and an integral r_a
         seen = set()
         for pairs, p, q in [([(2, 3)], 7, 5), ([(4, 5)], 2, 1), ([(3, 4)], 1, 2), ([(2, 5)], 9, 4)]:
-            for res in compute_all(SurgerySpec(from_newton_pairs(pairs), p, q)):
-                seen.add((res.shift.numerator % 2, res.shift.denominator))
-                block = json.loads(class_block(res))
-                for key in ("d_invariant", "sw_invariant"):
-                    x = getattr(res, key)
-                    assert block[key] == f"{x.numerator}/{x.denominator}"
+            for run in compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q)):
+                for i, text in enumerate(cli._run_blocks(cli._tau_piece(run), run)):
+                    res, block = class_fractions(run, i), json.loads(text)
+                    seen.add((res.shift.numerator % 2, res.shift.denominator))
+                    for key in ("d_invariant", "sw_invariant"):
+                        x = getattr(res, key)
+                        assert block[key] == f"{x.numerator}/{x.denominator}"
         assert {1, 0} == {odd for odd, den in seen if den > 1}
         assert (0, 1) in seen
 
     @staticmethod
-    def broken(res, field, bad):
-        """res with one stored int replaced by `bad`."""
-        module, vals = res.tau_module, res.tau
-        parts = {"a": res.a, "depth": res.depth, "r_num": res.r_num, "r_den": res.r_den, "tau": res.tau,
-                 "tau_module": module, "alpha_sum": res.alpha_sum}
+    def broken(run, field, bad):
+        """The run of one `run` with one stored int replaced by `bad`: "a" is
+        its start, "numerator" and "denominator" its r_a."""
+        module, vals = run.tau_module, run.tau
+        parts = {name: getattr(run, name) for name in SpincRun.__slots__}
         if field == "tau":
             parts["tau"] = (*vals[:-1], bad)
         elif field == "tower":
-            parts["tau_module"] = UModuleDecomposition(module.shift, bad, module.towers)
+            parts["tau_module"] = UModuleDecomposition(bad, module.towers)
         elif field in ("tower grade", "tower length"):
             (g, n), *rest = module.towers
             first = (bad, n) if field == "tower grade" else (g, bad)
-            parts["tau_module"] = UModuleDecomposition(module.shift, module.tower, (first, *rest))
+            parts["tau_module"] = UModuleDecomposition(module.tower, (first, *rest))
         elif field == "low":
             # tau's minimum and the tower grade 2 min tau read from it, together
             i = vals.index(min(vals))
             parts["tau"] = (*vals[:i], bad, *vals[i + 1:])
-            parts["tau_module"] = UModuleDecomposition(module.shift, 2 * bad, module.towers)
+            parts["tau_module"] = UModuleDecomposition(2 * bad, module.towers)
+        elif field in RATIO_SLOTS:
+            parts[RATIO_SLOTS[field]] = (bad,)
         else:
-            parts[field] = bad
-        return SpincResult(**parts)
+            parts[{"a": "start"}.get(field, field)] = bad
+        return SpincRun(**parts)
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
     @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
     def test_rejects_everything_else(self, field, bad):
-        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
-        assert res.tau_module.towers
-        broken = self.broken(res, field, bad)
+        run = compute_run(SurgerySpec(K45, 2, 1), 0)
+        assert run.tau_module.towers
+        broken = self.broken(run, field, bad)
         with pytest.raises(TypeError):
             class_block(broken)
 
@@ -867,9 +781,9 @@ class TestSpincTemplate:
     @pytest.mark.parametrize("field", ["tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
     def test_shared_piece_rejects_everything_else(self, field, bad):
         # a value of tau alone is checked once, when its piece is built
-        res = compute_spinc(SurgerySpec(K45, 2, 1), 0)
+        run = compute_run(SurgerySpec(K45, 2, 1), 0)
         with pytest.raises(TypeError):
-            cli._tau_piece(run_of(self.broken(res, field, bad)))
+            cli._tau_piece(self.broken(run, field, bad))
 
     @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4), 0.5, 2.0, True, False])
     @pytest.mark.parametrize("field", ["a", "depth", "numerator", "denominator"])
@@ -877,28 +791,28 @@ class TestSpincTemplate:
         # -13/2 on (4,5): classes 10 and 11 share tau = [0, 3, 0], so class
         # 11 reuses the piece of class 10; its own a, t_a and r_a are still checked
         spec = SurgerySpec(K45, 13, 2)
-        results = compute_all(spec)
-        first, res = results[10:12]
-        assert first.tau is res.tau and res.module.towers
-        broken = self.broken(res, RATIO_SLOTS.get(field, field), bad)
-        piece = cli._tau_piece(run_of(first))
-        assert class_block(res, piece) == self.reference(res)
+        singles = [compute_run(spec, a) for a in range(13)]
+        first, run = singles[10:12]
+        assert first.tau == run.tau and run.tau_module.towers
+        broken = self.broken(run, field, bad)
+        piece = cli._tau_piece(first)
+        assert class_block(run, piece) == self.reference(run)
         with pytest.raises(TypeError):
             class_block(broken, piece)
         with pytest.raises(TypeError):
-            cli._compute_json(K45, 13, 2, spec, [*map(run_of, results[:11]), run_of(broken),
-                                                 *map(run_of, results[12:])])
+            cli._compute_json(K45, 13, 2, spec, [*singles[:11], broken, *singles[12:]])
 
 
 class TestComputeDocument:
     """`cli._compute_json` writes each run's piece once per document."""
 
     @staticmethod
-    def reference(knot, p, q, spec, results):
-        """The whole document through `cli._json`: each class is
-        `_json(spinc_block(res), "    ")`, joined as `_json` joins a list."""
-        doc = {"knot": cli._knot_block(knot), "surgery": cli._surgery_block(p, q, spec),
-               "spinc": [spinc_block(res) for res in results]}
+    def reference(knot, p, q, spec):
+        """The whole document through `cli._json`: class i of each run of
+        `compute_runs` is `_json(spinc_block(run, i), "    ")`, joined as
+        `_json` joins a list."""
+        blocks = [spinc_block(run, i) for run in compute_runs(spec) for i in range(run.stop - run.start)]
+        doc = {"knot": cli._knot_block(knot), "surgery": cli._surgery_block(p, q, spec), "spinc": blocks}
         return cli._json(doc) + "\n"
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -907,8 +821,7 @@ class TestComputeDocument:
         assume(gcd(p, q) == 1)
         knot = data.draw(st.sampled_from(knots_within(p, q, max(30, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec,
-                                                                                          compute_all(spec))
+        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
 
     @pytest.mark.parametrize("pairs, p, q, taus", [([(2, 3)], 599, 397, 2), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1)])
     def test_one_piece_per_distinct_tau(self, monkeypatch, pairs, p, q, taus):
@@ -926,7 +839,7 @@ class TestComputeDocument:
         monkeypatch.setattr(cli, "_tau_piece", counting)
         for _ in range(2):  # no piece outlives its document
             built.clear()
-            assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec, compute_all(spec))
+            assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec)
             assert len(built) == len(set(built)) == taus
 
     def test_classes_with_equal_but_unshared_taus(self):
@@ -951,8 +864,7 @@ class TestComputeDocument:
             q += 1
         knot = data.draw(st.sampled_from(knots_within(p, q, max(6, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec,
-                                                                                          compute_all(spec))
+        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
 
     @pytest.mark.parametrize("pairs, p, q, groups", [
         ([(2, 3)], 599, 397, 3), ([(3, 4)], 256, 253, 17), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1),
@@ -964,7 +876,7 @@ class TestComputeDocument:
         spec = SurgerySpec(knot, p, q)
         runs = compute_runs(spec)
         assert sum(len(set(run.r_den)) for run in runs) == groups
-        assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec, compute_all(spec))
+        assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec)
 
     @staticmethod
     def planted(runs, a, field, bad):
@@ -988,9 +900,9 @@ class TestComputeDocument:
         # classes; Fraction(1198) and 1198.0 are equal keys to 1198.  Its a
         # is its run's start plus its place, so "a" plants the start
         spec = SurgerySpec(K23, 599, 397)
-        results, runs = compute_all(spec), compute_runs(spec)
-        res = results[300]
-        assert sum(r.tau is res.tau and r.r_den == 1198 for r in results) == 396
+        runs = compute_runs(spec)
+        run = next(run for run in runs if run.start <= 300 < run.stop)
+        assert run.r_den[300 - run.start] == 1198 and run.r_den.count(1198) == 396
         with pytest.raises(TypeError):
             cli._compute_json(K23, 599, 397, spec, self.planted(runs, 300, field, bad))
 
@@ -999,8 +911,8 @@ class TestComputeDocument:
         # -9/2: classes 2, 5 and 8 share tau (0,) and r_a = 0/1; True == 1
         # would put class 5 in their group, where only its own D shows the bool
         spec = SurgerySpec(K23, 9, 2)
-        results = compute_all(spec)
-        assert [r.a for r in results if r.tau is results[5].tau and r.r_den == 1] == [2, 5, 8]
+        run = next(run for run in compute_runs(spec) if run.start <= 5 < run.stop)
+        assert [a for a, den in zip(range(run.start, run.stop), run.r_den) if den == 1] == [2, 5, 8]
         with pytest.raises(TypeError):
             cli._compute_json(K23, 9, 2, spec, self.planted(compute_runs(spec), 5, "denominator", bad))
 

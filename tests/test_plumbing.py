@@ -43,11 +43,10 @@ from hfroots import (
     InternalInvariantError,
     ResourceLimitError,
     SurgerySpec,
-    compute_spinc,
+    compute_run,
+    compute_runs,
     from_newton_pairs,
-    grading_shift,
     root_from_tau,
-    tau_depth,
 )
 from hfroots.cli import main
 
@@ -61,6 +60,11 @@ def surgery_setup(pairs, p, q):
     gm = pl.surgery_graph(knot, spec.cfrac)
     classes = [pl.chain_digits(spec.cfrac, a) for a in range(spec.p)]  # class a as its chain digits
     return knot, spec, gm, classes
+
+
+def run_shifts(spec):
+    """r_a of every class, as Fractions of the r_num and r_den columns of `compute_runs`."""
+    return [Fraction(n, d) for run in compute_runs(spec) for n, d in zip(run.r_num, run.r_den)]
 
 
 def l_pairs(gm, digits):
@@ -476,9 +480,10 @@ class TestSpincClasses:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             formulas = over(lens.grading_shift_formula(p, q, knot.delta, p - 1), 2 * p)
             assert len(formulas) == p
+            shifts = run_shifts(spec)
             for a in range(p):
                 lattice = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a]))
-                assert lattice == formulas[a] == grading_shift(spec, a)
+                assert lattice == formulas[a] == shifts[a]
 
     def test_projection_formula(self):
         # (pullback(x~), y) = (x~, projection(y)) for the two lattice maps
@@ -549,7 +554,7 @@ class TestSpincClasses:
         # shift and the sublevel search solve through the one check
         knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 5)
         kb = k_pairs(gm, classes[3])
-        n_top = max(compute_spinc(spec, 3).tau)
+        n_top = max(compute_run(spec, 3).tau)
         pl.lattice_grading_shift(gm, k_pairs(gm, classes[3]))
         pl.exact_sublevel_box(gm, kb, n_top)
         moved_solve(monkeypatch, gm, kb)
@@ -589,7 +594,7 @@ class TestSpincClasses:
         assert built == []
         shifts = [pl.lattice_grading_shift(gm, k_pairs(gm, digits)) for digits in classes]
         assert len(built) <= len(classes) == spec.p
-        assert shifts == [grading_shift(spec, a) for a in range(spec.p)]
+        assert shifts == run_shifts(spec)
         assert len(built) == len(classes)  # the wrapper is live: each shift's Fraction counts
 
     def test_verify_builds_two_graphs(self, monkeypatch):
@@ -711,11 +716,11 @@ class TestLauferEngine:
         for pairs, p, q in ORACLE_CASES:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             gf = pl.embedded_resolution(knot)
-            top = (tau_depth(spec, 0) + 1) * knot.mf
+            top = (compute_run(spec, 0).depth + 1) * knot.mf
             chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
             assert chi_gf == laufer_run_rescan(gf, [0] * gf.n, top)[0]
             for a, digits in enumerate(classes):
-                i_max = (compute_spinc(spec, a).depth + 1) * knot.mf
+                i_max = (compute_run(spec, a).depth + 1) * knot.mf
                 offsets = list(l_pairs(gm, digits))
                 expected, _ = laufer_run_rescan(gm, offsets, i_max)
                 assert pl.class_laufer_values(gm, l_pairs(gm, digits), chi_gf, i_max) == expected, (pairs, p, q, a)
@@ -728,13 +733,13 @@ class TestLauferEngine:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             gf = pl.embedded_resolution(knot)
             v0 = gf.distinguished
-            top = (tau_depth(spec, 0) + 1) * knot.mf
+            top = (compute_run(spec, 0).depth + 1) * knot.mf
             base = [i - gf.euler[v0] * i * (i - 1) // 2 for i in range(top + 1)]
             chi_gf = pl.laufer_values(gf, [0] * gf.n, top)
             assert chi_gf == laufer_run_stepwise(gf, [0] * gf.n, top, gf.adj[v0], base), (pairs, p, q)
             nf = gf.n
             for a, digits in enumerate(classes):
-                i_max = (compute_spinc(spec, a).depth + 1) * knot.mf
+                i_max = (compute_run(spec, a).depth + 1) * knot.mf
                 expected = laufer_run_stepwise(gm, l_pairs(gm, digits), i_max, (nf,), chi_gf)
                 assert pl.class_laufer_values(gm, l_pairs(gm, digits), chi_gf, i_max) == expected, (pairs, p, q, a)
 
@@ -957,7 +962,7 @@ class TestLauferTau:
         for pairs, p, q in [([(2, 3)], 5, 3), ([(2, 5)], 3, 2), ([(2, 3), (2, 1)], 2, 1)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                res = compute_spinc(spec, a)
+                res = compute_run(spec, a)
                 i_max = (res.depth + 1) * knot.mf
                 tau = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 assert pl.condense_tau(tau, knot.mf) == res.tau
@@ -970,11 +975,11 @@ class TestLauferTau:
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5)]:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
-                res = compute_spinc(spec, a)
-                i_max = (res.depth + 1) * knot.mf
+                run = compute_run(spec, a)
+                i_max = (run.depth + 1) * knot.mf
                 values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 d = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a])) + 2 * min(values)
-                assert d == res.d_invariant
+                assert d == Fraction(run.r_num[0], run.r_den[0]) + run.tau_module.tower
 
 
 class TestSublevel:
@@ -988,7 +993,7 @@ class TestSublevel:
 
     def test_trefoil_minus_one_root(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 1, 1)
-        res = compute_spinc(spec, 0)
+        res = compute_run(spec, 0)
         box = pl.exact_sublevel_box(gm, k_pairs(gm, classes[0]), max(res.tau))
         root = pl.sublevel_root(gm, k_pairs(gm, classes[0]), max(res.tau), box)
         leaf_levels = sorted(root.chi[v] for v in root.leaves)
@@ -1048,7 +1053,7 @@ class TestSublevel:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             gf = pl.embedded_resolution(knot)
             for a in range(p):
-                res = compute_spinc(spec, a)
+                res = compute_run(spec, a)
                 box = pl.exact_sublevel_box(gm, k_pairs(gm, classes[a]), max(res.tau))
                 assert box == exact_sublevel_box_fractions(gm, k_r(gm, classes[a]), max(res.tau))
                 i_max = (res.depth + 1) * knot.mf
@@ -1113,7 +1118,7 @@ class TestSublevel:
 
         monkeypatch.setattr(pl, "Fraction", counting)
         for a, digits in enumerate(classes):
-            tau = compute_spinc(spec, a).tau
+            tau = compute_run(spec, a).tau
             box = pl.exact_sublevel_box(gm, k_pairs(gm, digits), max(tau))
             root = pl.sublevel_root(gm, k_pairs(gm, digits), max(tau), box)
             assert root.level_keys() == root_from_tau(tau).level_keys()
@@ -1144,7 +1149,7 @@ class TestSublevel:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
                 kb = k_pairs(gm, classes[a])
-                n_top = max(compute_spinc(spec, a).tau)
+                n_top = max(compute_run(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 args = (gm, kb, n_top, box)
                 assert sublevel_outcome(*args) == reference_outcome(*args)
@@ -1178,7 +1183,7 @@ class TestSublevel:
             knot, spec, gm, classes = surgery_setup(pairs, p, q)
             for a in range(p):
                 kb = k_pairs(gm, classes[a])
-                n_top = max(compute_spinc(spec, a).tau)
+                n_top = max(compute_run(spec, a).tau)
                 box = pl.exact_sublevel_box(gm, kb, n_top)
                 root = pl.sublevel_root(gm, kb, n_top, box)
                 weight = {
@@ -1191,7 +1196,7 @@ class TestSublevel:
 
     def test_truncated_box_is_flagged(self):
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
-        res = compute_spinc(spec, 0)
+        res = compute_run(spec, 0)
         tight = tuple((0, 1) for _ in range(gm.n))
         with pytest.raises(InternalInvariantError, match="leaves the enumeration"):
             pl.sublevel_root(gm, k_pairs(gm, classes[0]), max(res.tau), tight)
@@ -1200,7 +1205,7 @@ class TestSublevel:
         # (2,3) at -2/1, class 0: dropping any one of its 64 enumerated points
         # must raise, whether or not the root would still come out right
         knot, spec, gm, classes = surgery_setup([(2, 3)], 2, 1)
-        kb, n_top = k_pairs(gm, classes[0]), max(compute_spinc(spec, 0).tau)
+        kb, n_top = k_pairs(gm, classes[0]), max(compute_run(spec, 0).tau)
         box = pl.exact_sublevel_box(gm, kb, n_top)
         real = pl._ellipsoid_points
         pts = real(gm, kb, n_top, box)
@@ -1289,7 +1294,7 @@ class TestShiftPrefix:
         a = data.draw(st.integers(0, p - 1), label="a")
         prefix = over(lens.grading_shift_formula(p, q, knot.delta, a), 2 * p)
         spec = SurgerySpec(knot, p, q)
-        assert prefix == [grading_shift(spec, b) for b in range(a + 1)]
+        assert prefix == run_shifts(spec)[:a + 1]
         for b in data.draw(st.lists(st.integers(0, a), max_size=6), label="b") + [0, a]:
             assert prefix[b] == grading_shift_formula_per_class(p, q, knot.delta, b)
 

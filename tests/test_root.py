@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import (
     layout_fractions,
     merge_level,
-    module_from_parts,
     module_from_root,
     module_from_tau_sweep,
     reduced_rank_drops,
@@ -18,15 +17,15 @@ from oracles import (
     subtree_keys_nested,
 )
 
-from hfroots import SurgerySpec, compute_spinc, from_newton_pairs
+from hfroots import SurgerySpec, compute_run, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
+    UModuleDecomposition,
     _layout,
     module_from_tau,
+    module_text,
     reduced_rank,
     render,
-    render_ascii,
-    render_svg,
     root_from_tau,
 )
 
@@ -37,7 +36,7 @@ TAU_45_2_1_A1 = (0, 1, -4, -3, -6, -3, -6, -3, -4, 1, 0)
 
 
 def towers(*pairs):
-    return tuple(sorted((Fraction(g), n) for g, n in pairs))
+    return tuple(sorted(pairs))
 
 
 # the stack pass and the references: the (value, index) sweep, and the
@@ -140,7 +139,7 @@ class TestRootFromTau:
 
     def test_tall_root_keys(self):
         # height 6001: nested keys overflow the recursion limit when compared
-        tau = compute_spinc(SurgerySpec(from_newton_pairs([(4, 5)]), 1, 400), 0).tau
+        tau = compute_run(SurgerySpec(from_newton_pairs([(4, 5)]), 1, 400), 0).tau
         root = root_from_tau(tau)
         assert root.chi[root.top] - root.min_level() == 6001
         vals = list(tau)
@@ -168,23 +167,23 @@ class TestModule:
     def test_bare_stem(self):
         for route in MODULE_ROUTES:
             mod = route((0,))
-            assert mod.tower_grade == 0
-            assert mod.finite_towers == ()
+            assert mod.tower == 0
+            assert mod.towers == ()
 
     def test_two_leaves(self):
         for route in MODULE_ROUTES:
             mod = route((0, 3, 1, 5))
-            assert mod.tower_grade == 0
-            assert mod.finite_towers == towers((2, 2))
+            assert mod.tower == 0
+            assert mod.towers == towers((2, 2))
 
     def test_torus_45_modules(self):
         for route in MODULE_ROUTES:
             mod = route(TAU_45_2_1_A0)
-            assert mod.tower_grade == -18
-            assert mod.finite_towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
+            assert mod.tower == -18
+            assert mod.towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
             mod = route(TAU_45_2_1_A1)
-            assert mod.tower_grade == -12
-            assert mod.finite_towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
+            assert mod.tower == -12
+            assert mod.towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
 
     @PROPERTY
     @given(TAUS)
@@ -199,7 +198,7 @@ class TestModule:
     def test_matches_reference_on_corpus_taus(self, pairs, p, q):
         spec = SurgerySpec(from_newton_pairs(list(pairs)), p, q)
         for a in range(spec.p):
-            tau = compute_spinc(spec, a).tau
+            tau = compute_run(spec, a).tau
             assert module_from_tau(tau) == module_from_tau_sweep(tau) == module_from_root(root_from_tau_rescan(tau))
 
     def test_tie_break_invariance(self):
@@ -214,17 +213,12 @@ class TestModule:
             shuffled = module_from_root(root, tie_key=lambda v: perm[v])
             assert shuffled == base
 
-    def test_shift(self):
-        mod = module_from_parts(-18, [(-16, 2), (0, 1)])
-        shifted = mod.shifted(Fraction(71, 4))
-        assert shifted.tower_grade == Fraction(-1, 4)
-        assert shifted.finite_towers == towers((Fraction(7, 4), 2), (Fraction(71, 4), 1))
-        assert shifted.reduced_rank == 3
-
     def test_grouped_towers(self):
-        mod = module_from_parts(-18, [(0, 1), (-16, 2), (-10, 1), (-16, 2)])
+        mod = UModuleDecomposition(-18, towers((0, 1), (-16, 2), (-10, 1), (-16, 2)))
         assert list(mod.grouped()) == [(-16, 2, 2), (-10, 1, 1), (0, 1, 1)]
-        assert str(mod) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
+        assert mod.reduced_rank == 6
+        assert module_text(0, 1, mod.tower, mod.grouped()) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
+        assert module_text(71, 4, mod.tower, mod.grouped()) == "T+[-1/4] + 2*T[7/4](2) + T[31/4](1) + T[71/4](1)"
 
 
 class TestReducedRank:
@@ -277,26 +271,19 @@ class TestRender:
                 vals += [even[t], even[t + 1] + alpha[t]]
             vals.append(even[11])
             tau = tuple(vals)
-        root = root_from_tau(tau)
-        for fmt, ext in (("ascii", "txt"), ("svg", "svg")):
-            got = render(root, fmt)
-            path = GOLDEN / f"{name}.{ext}"
-            assert got == path.read_text(), f"regenerate with tests/make_goldens.py ({path})"
+        path = GOLDEN / f"{name}.svg"
+        assert render(root_from_tau(tau)) == path.read_text(), f"regenerate with tests/make_goldens.py ({path})"
 
     @PROPERTY
     @given(TAUS)
     def test_svg_matches_the_row_writer(self, tau):
         root = root_from_tau(tau)
-        assert render_svg(root) == render_svg_rows(root)
-
-    def test_bad_format(self):
-        with pytest.raises(ValueError):
-            render(root_from_tau((0,)), "png")
+        assert render(root) == render_svg_rows(root)
 
 
 def assert_layout_matches(root):
     ref = layout_fractions(root)
-    for unit in (4, 48):  # the columns of render_ascii and render_svg
+    for unit in (4, 48):  # a narrow unit, where floors collide, and render's
         cols = _layout(root, unit)
         assert cols == [unit * ref[v].numerator // ref[v].denominator for v in range(len(root))]
         assert {type(c) for c in cols} == {int}
@@ -316,12 +303,12 @@ class TestLayout:
     def test_matches_fraction_layout_on_corpus_taus(self, pairs, p, q):
         spec = SurgerySpec(from_newton_pairs(list(pairs)), p, q)
         for a in range(spec.p):
-            assert_layout_matches(root_from_tau(compute_spinc(spec, a).tau))
+            assert_layout_matches(root_from_tau(compute_run(spec, a).tau))
 
     def test_fractions_only_at_branching_vertices(self, monkeypatch):
         # `layout_fractions` alone builds 747 Fractions for this 374-vertex
-        # root; the renderers' layout keeps integer pairs and builds none
-        root = root_from_tau(compute_spinc(SurgerySpec(from_newton_pairs([(3, 7)]), 1, 12), 0).tau)
+        # root; the renderer's layout keeps integer pairs and builds none
+        root = root_from_tau(compute_run(SurgerySpec(from_newton_pairs([(3, 7)]), 1, 12), 0).tau)
         branching = sum(1 for kids in root.children if len(kids) > 1)
         assert (len(root), branching) == (374, 61)
         built = []
@@ -336,8 +323,7 @@ class TestLayout:
             make = Fraction._from_coprime_ints.__func__
             monkeypatch.setattr(Fraction, "_from_coprime_ints",
                                 classmethod(lambda cls, *args: built.append(cls) or make(cls, *args)))
-        for renderer in (render_svg, render_ascii):
-            renderer(root)
+        render(root)
         assert built == []
         layout_fractions(root)
         assert built  # the counter sees the Fractions a layout would build

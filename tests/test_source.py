@@ -128,10 +128,9 @@ def test_every_module_is_imported():
 
 PUBLIC_NAMES = {
     "AlgebraicKnot", "GradedRoot", "InternalInvariantError", "NegContinuedFraction", "NumericalSemigroup",
-    "ResourceLimitError", "SpincResult", "SpincRun", "SurgerySpec", "UModuleDecomposition", "compute_all",
-    "compute_run", "compute_runs", "compute_spinc",
-    "dedekind_sum", "from_newton_pairs", "grading_shift", "mod_inverse", "module_from_tau", "neg_cfrac",
-    "reduced_rank", "render", "root_from_tau", "tau_depth", "tau_function",
+    "ResourceLimitError", "SpincRun", "SurgerySpec", "UModuleDecomposition", "compute_run", "compute_runs",
+    "dedekind_sum", "from_newton_pairs", "mod_inverse", "module_from_tau", "neg_cfrac", "reduced_rank", "render",
+    "root_from_tau",
 }
 
 
@@ -164,10 +163,23 @@ def test_orphan_guard_flags_an_unused_module():
 LENS_IMPORTS = {"numtheory", "errors"}
 
 
+def fraction_uses(tree):
+    """(line, what) for every import of `fractions` and every mention of the
+    name `Fraction` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "fractions":
+            yield node.lineno, "fractions"
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, f"import {alias.name}") for alias in node.names
+                        if alias.name.split(".")[0] == "fractions")
+        elif _name(node) == "Fraction":
+            yield node.lineno, "Fraction"
+
+
 def lens_dependencies(tree):
     """(line, what) for every import of a package module other than those in
-    LENS_IMPORTS (relative or through `hfroots.`), every import of
-    `fractions` and every mention of the name `Fraction` in a parsed module."""
+    LENS_IMPORTS (relative or through `hfroots.`) in a parsed module, and
+    every `fraction_uses` of it."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
@@ -175,15 +187,12 @@ def lens_dependencies(tree):
                 inner = module.removeprefix("hfroots").lstrip(".")
                 targets = [inner.split(".")[0]] if inner else [alias.name for alias in node.names]
                 yield from ((node.lineno, f"from {t}") for t in targets if t not in LENS_IMPORTS)
-            elif module.split(".")[0] == "fractions":
-                yield node.lineno, "fractions"
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 top, _, rest = alias.name.partition(".")
-                if top == "fractions" or top == "hfroots" and rest.split(".")[0] not in LENS_IMPORTS:
+                if top == "hfroots" and rest.split(".")[0] not in LENS_IMPORTS:
                     yield node.lineno, f"import {alias.name}"
-        elif _name(node) == "Fraction":
-            yield node.lineno, "Fraction"
+    yield from fraction_uses(tree)
 
 
 def test_lens_routes_stay_independent():
@@ -215,6 +224,14 @@ def test_lens_guard_flags_planted_imports():
         (9, "import hfroots.plumbing"),
         (10, "Fraction"),
     ]
+
+
+def test_formula_modules_build_no_fraction():
+    # a run keeps r_a as two ints and a module its integer grades; the
+    # writers print every grade from those, so neither module needs Fraction
+    for name in ("hfcore.py", "root.py"):
+        path = SRC / name
+        assert list(fraction_uses(ast.parse(path.read_text(), filename=str(path)))) == [], name
 
 
 def test_hfcore_imports_neither_check_route():
@@ -438,7 +455,7 @@ def test_block_writer_guard_catches_each_form():
     ]
 
 
-RENDERERS = ("_layout", "render_svg", "render_ascii")
+RENDERERS = ("_layout", "render")
 
 
 def true_divisions(func):
