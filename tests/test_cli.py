@@ -308,6 +308,37 @@ class TestAtomicOut:
 class TestRunWriters:
     """`compute` and `verify` take the formula side one run of equal tau at a time."""
 
+    ALL = [
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "json"),
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "text"),
+        ("compute", "--newton", "2,5", "--surgery", "12/5", "--spinc", "all", "--format", "svg"),
+        ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "json"),
+        ("verify", "--newton", "2,3", "--surgery", "7/5", "--spinc", "all", "--oracle", "both", "--format", "text"),
+    ]
+
+    @staticmethod
+    def written(capsys, argv, out):
+        """Exit code and {file name: bytes} of `argv` run with --out in the empty directory `out`."""
+        out.mkdir()
+        code, stdout, _ = run(capsys, *argv, "--out", str(out / "doc.out"))
+        assert stdout == ""
+        return code, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    @pytest.mark.parametrize("argv", ALL, ids=["compute-json", "compute-text", "compute-svg", "verify-json",
+                                               "verify-text"])
+    def test_all_classes_build_no_spinc_result(self, capsys, monkeypatch, tmp_path, argv):
+        # every writer and verify's loop read the runs of compute_runs; a
+        # record built per class, a run of one from compute_run, would be a
+        # second path beside them
+        code, before = self.written(capsys, argv, tmp_path / "before")
+        assert code == 0 and before
+
+        def refuse(spec, a):
+            raise AssertionError(f"a record was built for the class a = {a}")
+
+        monkeypatch.setattr(cli.hfcore, "compute_run", refuse)
+        assert self.written(capsys, argv, tmp_path / "after") == (0, before)
+
     def test_text_groups_each_run_once(self, capsys, monkeypatch):
         # 599 classes in 2 runs: the grouped towers, like the tau text and
         # the sorted ker and coker offsets, are built once per run
@@ -477,6 +508,18 @@ class TestVerifyCommand:
             assert single["verification"].pop("per_spinc") == [full["verification"]["per_spinc"][a]]
             assert single == {**full, "verification": {"oracle": "both", "ok": True}}
 
+    def test_agreeing_classes_read_no_fraction_shift(self, capsys, monkeypatch):
+        # both shift checks compare r_a's two ints; the shifts are written as
+        # ratios only to name those of a class that disagrees
+        def refuse(*args):
+            raise AssertionError(f"a shift was named for {args}")
+
+        monkeypatch.setattr(cli, "_rat", refuse)
+        monkeypatch.setattr(cli, "_ratio", refuse)
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "12/7", "--oracle", "both")
+        assert code == 0
+        assert out.count("shift ok, tau ok, sublevel ok") == 12
+
     def test_long_surgery_chain(self, capsys):
         # -200/199 hangs a chain of 199 vertices of weight -2 at v0: 202
         # vertices and 200 classes, each one tree solve
@@ -614,7 +657,7 @@ class TestVerifyCommand:
         assert code == 3
         assert "internal invariant failure" in err
 
-    def test_internal_failure_in_compute_runs_exits_3(self, capsys, monkeypatch):
+    def test_internal_failure_in_compute_all_exits_3(self, capsys, monkeypatch):
         # every class (--spinc all, the default) takes it from compute_runs,
         # so a broken rank identity there stops verify
         from hfroots import InternalInvariantError

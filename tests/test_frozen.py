@@ -79,8 +79,9 @@ def test_unequal_fields_give_unequal_instances():
     assert len({SPEC, SurgerySpec(K23, 7, 5), SurgerySpec(K23, 7, 4)}) == 2
 
 
-def test_module_equality_compares_the_integer_grades():
-    # a module holds its integer grades only, so equality is the fields'
+def test_module_equality_compares_absolute_grades():
+    # a module holds its integer grades with no shift beside them, so the
+    # fields are the grades themselves and equality is the fields'
     assert UModuleDecomposition(2, ((0, 1),)) == UModuleDecomposition(2, ((0, 1),))
     assert hash(UModuleDecomposition(2, ())) == hash(UModuleDecomposition(2, ()))
     assert UModuleDecomposition(2, ()) != UModuleDecomposition(4, ())

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -266,7 +267,7 @@ class TestTau:
             compute_run(SurgerySpec(short, 1, 1), 0)
 
 
-class TestComputeRun:
+class TestComputeSpinc:
     def test_module_45_surgery2_a0(self):
         res = spinc(SurgerySpec(K45, 2, 1), 0)
         assert res.module == expected_module(
@@ -418,7 +419,7 @@ class TestSurgeryFormulas:
         check_surgery_formulas(SurgerySpec(K23, 9973, 5))
 
 
-class TestComputeRuns:
+class TestComputeAll:
     def test_total_rank(self):
         for pairs, p, q, total in [([(4, 5)], 2, 1, 13), ([(2, 3)], 6, 1, 7)]:
             runs = compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q))
@@ -427,6 +428,24 @@ class TestComputeRuns:
     def test_single_class(self):
         runs = compute_runs(SurgerySpec(K45, 1, 2))
         assert [(run.start, run.stop) for run in runs] == [(0, 1)]
+
+    def test_results_are_the_values_init_builds(self):
+        # __init__ fills the slots through object.__setattr__, past Frozen's
+        # __setattr__: still frozen, and equal, hashed and pickled like a
+        # copy built from the same fields and one restored by pickle
+        for spec in (SurgerySpec(K23, 599, 397), SurgerySpec(K45, 13, 2), SurgerySpec(K45, 1, 16)):
+            for run in compute_runs(spec):
+                built = SpincRun(*(getattr(run, name) for name in SpincRun.__slots__))
+                assert type(run) is SpincRun
+                assert run == built and built == run and hash(run) == hash(built)
+                assert pickle.dumps(run) == pickle.dumps(built)
+                assert pickle.loads(pickle.dumps(run)) == built
+                for name in SpincRun.__slots__:
+                    with pytest.raises(AttributeError):
+                        setattr(run, name, getattr(run, name))
+                    with pytest.raises(AttributeError):
+                        delattr(run, name)
+                    assert getattr(run, name) is getattr(built, name)
 
     def test_global_identity_guard(self, monkeypatch):
         # the pass reads every t_a off one numerator; p - 1 makes each t_a 0
@@ -485,12 +504,38 @@ class TestComputeRuns:
         a = data.draw(st.integers(0, p - 1), label="a")
         assert spinc(spec, a) == results[a]
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
+           st.integers(1, 900) | st.just(1))
+    @example(pairs=1, pick=0, p=1, q=1)
+    @example(pairs=2, pick=0, p=1, q=1)
+    @example(pairs=2, pick=7, p=3, q=899)
+    def test_matches_the_per_class_pass(self, pairs, pick, p, q):
+        # every class of the runs, read in absolute Fractions, field by field
+        # against the pass that builds tau and r_a for every class.  Knots of
+        # `pairs` Newton pairs with t_a <= 20 where q allows, else the one of
+        # least delta, so the classes hold O(p + q) tau values
+        assume(gcd(p, q) == 1)
+        spec = SurgerySpec(shallow_knot(pairs, pick, p, q), p, q)
+        results, refs = classes(spec), compute_all_per_class(spec)
+        assert len(results) == len(refs) == p
+        first = {}  # tau -> the first tuple of the pass equal to it
+        for res, ref in zip(results, refs):
+            assert (res.a, res.depth, res.shift) == (ref.a, ref.depth, ref.shift)
+            assert res.tau == ref.tau and first.setdefault(res.tau, res.tau) is res.tau
+            module = ref.tau_module
+            assert (res.tower_grade, res.finite_towers) == (
+                module.tower + ref.shift, tuple((g + ref.shift, n) for g, n in module.towers))
+            assert res.sw_invariant == ref.shift / 2 - ref.alpha_sum
+        assert len(first) == 1 + sum(r.tau is not prev.tau for r, prev in zip(results[1:], results))
+
     @pytest.mark.parametrize("pairs, p, q, runs", [([(2, 3)], 599, 397, 2), ([(3, 4)], 256, 253, 6),
                                                    ([(4, 5)], 401, 1, 12)])
-    def test_one_tau_per_run_of_equal_taus(self, monkeypatch, pairs, p, q, runs):
+    def test_one_tau_per_run_of_equal_taus_and_no_fraction(self, monkeypatch, pairs, p, q, runs):
         # tau is built at the first class of each run of consecutive classes
         # with equal tau (for q = 1 a floor steps up at every a with t_a >= 0),
-        # and no tau comes back after its run
+        # no tau comes back after its run, and every grade of a run is an
+        # int: r_a is two ints, and a Fraction exists only once a test reads one
         spec = SurgerySpec(from_newton_pairs(pairs), p, q)
         built = []
         real_tau = hfcore._tau_values
@@ -503,6 +548,14 @@ class TestComputeRuns:
         found = compute_runs(spec)
         assert built == [run.start for run in found]
         assert len(found) == len({run.tau for run in found}) == runs
+        assert not hasattr(hfcore, "Fraction")
+        for run in found:
+            module = run.tau_module
+            ints = (run.depth, run.alpha_sum, module.tower, *run.tau, *run.r_num, *run.r_den, *run.ker, *run.coker,
+                    *(x for tower in module.towers for x in tower))
+            assert {type(x) for x in ints} == {int}
+        run = next(run for run in found if run.start <= 7 < run.stop)
+        assert class_fractions(run, 7 - run.start).shift == grading_shift_direct(spec, 7)
 
     def test_tower_guard(self, monkeypatch):
         # the tower grade of each distinct tau's module must be 2 min tau; a
@@ -561,6 +614,25 @@ class TestComputeRuns:
             assert set(built) == {r.tau for r in ref}
         assert set(built) == {r.tau for r in fresh[0]}
 
+    def test_no_class_builds_a_shifted_module(self, monkeypatch):
+        # per class the pipeline stores r_a and the writer adds it to the
+        # grades as it formats them: a module is built once per distinct tau,
+        # none per class, by the pass and by the writer
+        spec = SurgerySpec(K23, 599, 397)
+        built = []
+        real = UModuleDecomposition.__init__
+
+        def counting(module, tower, towers):
+            built.append(tower)
+            real(module, tower, towers)
+
+        monkeypatch.setattr(UModuleDecomposition, "__init__", counting)
+        runs = compute_runs(spec)
+        cli._compute_json(K23, 599, 397, spec, runs)
+        assert len(built) == len({run.tau for run in runs}) == 2
+
+
+class TestComputeRuns:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([1, 2]), st.integers(0, 10**4), st.integers(1, 700) | st.just(1),
            st.integers(1, 900) | st.just(1))

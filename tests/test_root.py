@@ -22,6 +22,7 @@ from hfroots.root import (
     GradedRoot,
     UModuleDecomposition,
     _layout,
+    grade_text,
     module_from_tau,
     module_text,
     reduced_rank,
@@ -212,6 +213,13 @@ class TestModule:
             rng.shuffle(perm)
             shuffled = module_from_root(root, tie_key=lambda v: perm[v])
             assert shuffled == base
+
+    def test_shift(self):
+        # a class's grades are its module's plus r_a, added as they are written
+        mod = UModuleDecomposition(-18, towers((-16, 2), (0, 1)))
+        assert grade_text(71, 4, mod.tower) == "-1/4"
+        assert module_text(71, 4, mod.tower, mod.grouped()) == "T+[-1/4] + T[7/4](2) + T[71/4](1)"
+        assert mod.reduced_rank == 3
 
     def test_grouped_towers(self):
         mod = UModuleDecomposition(-18, towers((0, 1), (-16, 2), (-10, 1), (-16, 2)))
