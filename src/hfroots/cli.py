@@ -23,11 +23,10 @@ int slot holding anything but an int raises TypeError.  The text writer
 writes the tau line, the grouped towers and the sorted offsets once per run.
 `--format svg --spinc all` draws one root per run (`root.render`) and
 writes its text to the file of every class of the run before drawing the
-next.  Every document is built whole before any of it is written; an
-existing `--out` file is replaced by a temporary file written beside it
-once that is complete, and a new one is removed if its write fails
-(`_emit`), so a fault partway leaves the old file, or none, and no
-temporary.  Under `--format svg --spinc all` the files of the classes
+next.  Every document is built whole before any of it is written; a
+regular or new `--out` file gets it through a temporary file written beside
+it and renamed over it once complete (`_emit`), so a fault partway leaves
+the old file, or none, and no temporary.  Under `--format svg --spinc all` the files of the classes
 already written stay, each complete.  Output is deterministic byte for
 byte; timings go to stderr (HFROOTS_LOG=debug|info), never into the
 document.  Only `verify` loads the lattice oracle
@@ -66,11 +65,13 @@ from __future__ import annotations
 import os
 import sys
 import time
+from errno import EACCES
 from fractions import Fraction
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from operator import eq
+from stat import S_IMODE, S_ISREG
 from types import SimpleNamespace
 
 from . import hfcore
@@ -358,26 +359,38 @@ def _knot_text(knot: AlgebraicKnot) -> list[str]:
 
 
 def _emit(text: str, out_path):
-    """Write a whole document to stdout or to `out_path`.  An existing file
-    is replaced only once the text is complete, by a temporary file written
-    beside it; a new file, a device or a pipe is written in place.  A write
-    that fails partway leaves the old file, or none, and no temporary.  A
-    symbolic link stays a link: the file it names is the one replaced."""
+    """Write a whole document to stdout or to `out_path`.  A path under /dev,
+    or one that names no regular file (a pipe, a terminal), is written in
+    place.  Any other path gets the text through a temporary `PATH.<pid>.tmp`
+    beside it, renamed over PATH once complete, so a write that fails partway
+    leaves the old file, or none, and no temporary.  An existing file that
+    may not be written is refused, as opening it would be, and the file that
+    replaces it keeps its permission bits.  A symbolic link stays a link: the
+    file it names is the one replaced."""
     if not out_path:
         sys.stdout.write(text)
         return
-    replace = os.path.isfile(out_path)
-    if replace:
-        out_path = os.path.realpath(out_path)
-    path = f"{out_path}.{os.getpid()}.tmp" if replace else out_path
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if os.path.abspath(out_path).startswith("/dev/") or not (mode is None or S_ISREG(mode)):
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if replace:
-            os.replace(path, out_path)
+        return
+    if mode is not None and not os.access(out_path, os.W_OK):
+        raise PermissionError(EACCES, os.strerror(EACCES), out_path)
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
-        if os.path.isfile(path):  # the temporary, or the new file written in part
-            os.remove(path)
+        os.remove(tmp)
         raise
 
 

@@ -82,14 +82,23 @@ def test_criterion_4():
 
 @pytest.mark.criterion(5, "rank ker U = p + (2 delta - 1) q over the full corpus (g <= 2, params <= 7, p,q <= 12)")
 def test_criterion_5():
+    short = 0
     for pairs in KNOT_CORPUS:
         knot = from_newton_pairs(list(pairs))
         for p, q in SURGERY_CORPUS:
             # class a has rank ker U = t_a + 2, t_a = floor((top - a)/p) the depth
             # its run carries; the runs' own taus would reach 48,000 values here
-            top = hfcore._depth_top(SurgerySpec(knot, p, q))
+            spec = SurgerySpec(knot, p, q)
+            top = hfcore._depth_top(spec)
             total = sum((top - a) // p + 2 for a in range(p))
             assert total == p + (2 * knot.delta - 1) * q
+            if top // p <= 50:
+                # where every t_a is at most 50, read the ranks the runs build
+                runs = hfcore.compute_runs(spec)
+                assert all(len(run.ker) == run.depth + 2 for run in runs)
+                assert sum(len(run.ker) * (run.stop - run.start) for run in runs) == total
+                short += 1
+    assert short == 4565
 
 
 @pytest.mark.criterion(6, "-1-surgery closed form matches the pipeline for 10 knots")

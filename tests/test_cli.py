@@ -256,7 +256,7 @@ class TestAtomicOut:
         assert code == 0 and [*files] == ["doc.out"] and files["doc.out"] != b"old document\n"
 
     def test_a_new_file_that_fails_is_removed(self, capsys, monkeypatch, tmp_path):
-        # a new file is written in place, and removed when its write fails
+        # a new file goes through the temporary too: a fault leaves no file
         self.fail_writes_after(monkeypatch, 0)
         code, out, err = run(capsys, *self.ALL[0], "--out", str(tmp_path / "doc.json"))
         assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
@@ -265,8 +265,46 @@ class TestAtomicOut:
         missing = tmp_path / "missing" / "doc.json"
         code, out, err = run(capsys, *self.ALL[0], "--out", str(missing))
         assert (code, out) == (1, "")
-        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert err == f"error: [Errno 2] No such file or directory: {f'{missing}.{os.getpid()}.tmp'!r}\n"
         assert [*tmp_path.iterdir()] == []
+
+    def test_a_replaced_file_keeps_its_mode(self, capsys, tmp_path):
+        code, expected, _ = run(capsys, "knot", "--newton", "2,5")
+        target = tmp_path / "doc.out"
+        target.write_text("old document\n")
+        target.chmod(0o640)
+        code, out, err = run(capsys, "knot", "--newton", "2,5", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == expected
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640 and [*tmp_path.iterdir()] == [target]
+
+    def test_a_read_only_file_is_refused(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "doc.out"
+        target.write_text("old document\n")
+        target.chmod(0o444)
+        if os.access(target, os.W_OK):
+            # the superuser may write any file; answer as the kernel does a user
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        code, out, err = run(capsys, "knot", "--newton", "2,5", "--out", str(target))
+        assert (code, out, err) == (1, "", f"error: [Errno 13] Permission denied: {str(target)!r}\n")
+        assert target.read_text() == "old document\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o444 and [*tmp_path.iterdir()] == [target]
+
+    def test_dev_stdout_redirected_to_a_file_is_written_in_place(self, capsys, tmp_path):
+        # /dev/stdout resolves to the file stdout is redirected to; that file
+        # is written through, not replaced by another
+        code, expected, _ = run(capsys, "knot", "--newton", "2,5")
+        target = tmp_path / "doc.out"
+        target.write_text("old document\n")
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        src = Path(cli.__file__).resolve().parent.parent
+        with open(target, "w") as fh:
+            subprocess.run([sys.executable, "-m", "hfroots", "knot", "--newton", "2,5", "--out", "/dev/stdout"],
+                           env=dict(os.environ, PYTHONPATH=str(src)), stdout=fh, check=True)
+        assert target.read_text() == expected
+        assert target.stat().st_ino == inode and stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [*tmp_path.iterdir()] == [target]
 
     def test_a_pipe_is_written_in_place(self, capsys, tmp_path):
         # a path that is no regular file gets the text itself; renaming a
