@@ -2,10 +2,11 @@
 
 The surgery coefficient is entered as a positive fraction P/Q and always
 means the negative coefficient -P/Q; a P with a minus sign (`--surgery -3/2`,
-`--lens=-5/2`) exits 1 with that rule.  Rationals are printed exactly; in
-JSON they are "numerator/denominator" strings, never floats.  A grade
-r_a + g is written from the two ints of r_a = N/D and the integer g
-(`root.grade_text` in text), and no writer builds a Fraction per class.
+`--lens=-5/2`) exits 1 with that rule.  A rational is a pair of ints in
+lowest terms, as the package returns it, and is printed exactly; in JSON it
+is a "numerator/denominator" string, never a float.  A grade r_a + g is
+written from the two ints of r_a = N/D and the integer g (`root.grade_text`
+in text).
 Documents have the bytes of json.dumps(doc, indent=2): `_json` writes every
 `knot` and `verify` document and the head of a `compute` one, and rejects
 any value but dict, list, str, int, bool and None.  `compute` and `verify`
@@ -34,8 +35,9 @@ document.  Only `verify` loads the lattice oracle
 `lens` alone, compares its two routes' integer numerators cross-multiplied
 to one denominator and writes each value reduced by one gcd.  `verify`
 checks each class's closed-form shift against r_a = N/D by an integer
-identity over 2p and its lattice shift by numerator and denominator, and
-writes r_a from N and D where a class disagrees.  Its formula side is
+identity over 2p and its lattice shift, a reduced pair, against (N, D), and
+writes each shift as n/d where a class disagrees; it builds the "graphs"
+blocks and the rest of a document only under `--format json`.  Its formula side is
 computed before it builds any graph, so an index outside [0, p) is refused
 first; it then loops over the runs and, in each, over the classes, building
 each class's chain digits and pairings one class at a time and the formula
@@ -66,7 +68,6 @@ import os
 import sys
 import time
 from errno import EACCES
-from fractions import Fraction
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -84,10 +85,6 @@ def _info(message: str) -> None:
     """An `hfroots INFO` line on stderr if HFROOTS_LOG (read per call) is info or debug."""
     if os.environ.get("HFROOTS_LOG", "").lower() in ("info", "debug"):
         print(f"hfroots INFO {message}", file=sys.stderr)
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _json(obj, indent: str = "") -> str:
@@ -199,7 +196,8 @@ def _knot_block(knot: AlgebraicKnot) -> dict:
     }
 
 
-def _surgery_block(p: int, q: int, spec: hfcore.SurgerySpec) -> dict:
+def _surgery_block(spec: hfcore.SurgerySpec) -> dict:
+    p, q = spec.p, spec.q
     return {"p": p, "q": q, "coefficient": f"-{p}/{q}", "continued_fraction": list(spec.cfrac.terms)}
 
 
@@ -304,7 +302,7 @@ def _run_blocks(piece: tuple, run: hfcore.SpincRun) -> list[str]:
     return [*map(blocks.__getitem__, range(len(dens)))]
 
 
-def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec, runs) -> str:
+def _compute_json(spec: hfcore.SurgerySpec, runs) -> str:
     """The `compute` JSON document: `_json` writes the "knot" and "surgery"
     blocks, `_run_blocks` the classes of each run from one `_tau_piece` per
     run (it lives for this document only); the blocks go out in one join.
@@ -314,8 +312,8 @@ def _compute_json(knot: AlgebraicKnot, p: int, q: int, spec: hfcore.SurgerySpec,
         blocks += _run_blocks(_tau_piece(run), run)
     parts = [",\n    "] * (2 * len(blocks) + 1)  # the document: one copy of each block
     parts[1::2] = blocks
-    parts[0] = ('{\n  "knot": ' + _json(_knot_block(knot), "  ") + ',\n  "surgery": '
-                + _json(_surgery_block(p, q, spec), "  ") + ',\n  "spinc": [\n    ')
+    parts[0] = ('{\n  "knot": ' + _json(_knot_block(spec.knot), "  ") + ',\n  "surgery": '
+                + _json(_surgery_block(spec), "  ") + ',\n  "spinc": [\n    ')
     parts[-1] = "\n  ]\n}\n"
     return "".join(parts)
 
@@ -439,7 +437,7 @@ def cmd_compute(args) -> int:
         return 0
 
     if args.format == "json":
-        _emit(_compute_json(knot, p, q, spec, runs), args.out)
+        _emit(_compute_json(spec, runs), args.out)
         return 0
 
     lines = _knot_text(knot)
@@ -476,9 +474,9 @@ def _verify_lens(args) -> int:
             }
         }
         _emit(_json(doc) + "\n", args.out)
-    else:  # as str(Fraction) writes them: a bare integer when the denominator is 1
-        formula_text = [f"{n}/{d}" if d != 1 else f"{n}" for n, d in formula_path]
-        recursion_text = [f"{n}/{d}" if d != 1 else f"{n}" for n, d in recursion_path]
+    else:
+        formula_text = [grade_text(n, d, 0) for n, d in formula_path]
+        recursion_text = [grade_text(n, d, 0) for n, d in recursion_path]
         _emit(
             f"lens {p}/{q}: formula path {formula_text}\n"
             f"          recursion   {recursion_text}\n"
@@ -543,13 +541,12 @@ def cmd_verify(args) -> int:
             shift_lattice = plumbing.lattice_grading_shift(gm, k_pairs)
             entry = {
                 "a": a,
-                "shift_lattice_ok": shift_lattice.numerator == num and shift_lattice.denominator == den,
+                "shift_lattice_ok": shift_lattice == (num, den),
                 "shift_formula_ok": shifts_formula[a] * den == 2 * p * num,
             }
             if not (entry["shift_lattice_ok"] and entry["shift_formula_ok"]):
-                formula_num, formula_den = _ratio(shifts_formula[a], 2 * p)
-                entry["shifts"] = {"r_a": f"{num}/{den}", "lattice": _rat(shift_lattice),
-                                   "formula": f"{formula_num}/{formula_den}"}
+                shifts = {"r_a": (num, den), "lattice": shift_lattice, "formula": _ratio(shifts_formula[a], 2 * p)}
+                entry["shifts"] = {name: f"{n}/{d}" for name, (n, d) in shifts.items()}
             if use_laufer:
                 condensed = plumbing.condense_tau(plumbing.class_laufer_values(gm, l_pairs, chi_gf, i_max), knot.mf)
                 entry["laufer_tau_ok"] = condensed == tau
@@ -572,16 +569,10 @@ def cmd_verify(args) -> int:
             )
             overall = overall and not bad
 
-    doc = {
-        "knot": _knot_block(knot),
-        "surgery": _surgery_block(p, q, spec),
-        "graphs": {
-            "resolution": plumbing.graph_doc(gf),
-            "surgery": plumbing.graph_doc(gm),
-        },
-        "verification": {"oracle": oracle, "per_spinc": per, "ok": overall},
-    }
     if args.format == "json":
+        doc = {"knot": _knot_block(knot), "surgery": _surgery_block(spec),
+               "graphs": {"resolution": plumbing.graph_doc(gf), "surgery": plumbing.graph_doc(gm)},
+               "verification": {"oracle": oracle, "per_spinc": per, "ok": overall}}
         _emit(_json(doc) + "\n", args.out)
     else:
         lines = [f"verification of -{p}/{q} surgery (oracle: {oracle})"]

@@ -3,12 +3,26 @@
 
 class Frozen:
     """A value whose fields are the names in its class's __slots__, each set
-    once in __init__ with object.__setattr__.  Assigning or deleting one
-    afterwards raises AttributeError; equality, hash, copy and pickle go by
-    the field tuple.
+    once on construction: by position in slot order, then by name.  A
+    missing, extra or unknown field raises TypeError.  Assigning or deleting
+    one afterwards raises AttributeError; equality, hash, copy and pickle go
+    by the field tuple.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named:
+            values += tuple([named.pop(name) for name in slots[len(values):] if name in named])
+            if named:
+                raise TypeError(f"{type(self).__name__} has no field {next(iter(named))!r} left to set by name")
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes the {len(slots)} fields {', '.join(slots)}, "
+                            f"got {len(values)}")
+        put = object.__setattr__
+        for name, value in zip(slots, values):
+            put(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -22,8 +36,7 @@ class Frozen:
     __getstate__ = _fields
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        Frozen.__init__(self, *state)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

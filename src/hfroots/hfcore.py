@@ -64,7 +64,7 @@ from .errors import InternalInvariantError
 from .frozen import Frozen
 from .knot import AlgebraicKnot
 from .numtheory import dedekind_sum, floor_sum, neg_cfrac
-from .root import UModuleDecomposition, module_from_tau, reduced_rank
+from .root import module_from_tau, reduced_rank
 
 
 class SurgerySpec(Frozen):
@@ -87,15 +87,11 @@ class SurgerySpec(Frozen):
             raise ValueError(f"surgery coefficient needs p, q >= 1, got {p}/{q}")
         if gcd(p, q) != 1:
             raise ValueError(f"surgery coefficient {p}/{q} must be reduced")
-        cfrac = neg_cfrac(p, q)
-        six_p_s = 6 * p * dedekind_sum(q, p)
-        if six_p_s.denominator != 1:
-            raise InternalInvariantError(f"6 p s(q, p) = {six_p_s} is not an integer")
-        object.__setattr__(self, "knot", knot)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "cfrac", cfrac)
-        object.__setattr__(self, "dedekind_6p", six_p_s.numerator)
+        num, den = dedekind_sum(q, p)
+        six_p_s, rest = divmod(6 * p * num, den)
+        if rest:
+            raise InternalInvariantError(f"6 p s(q, p) = {6 * p * num}/{den} is not an integer")
+        super().__init__(knot, p, q, neg_cfrac(p, q), six_p_s)
 
     def __repr__(self):
         return f"SurgerySpec({self.knot!r}, -{self.p}/{self.q})"
@@ -116,11 +112,6 @@ class SpincRun(Frozen):
     """
 
     __slots__ = ("start", "stop", "depth", "tau", "tau_module", "alpha_sum", "r_num", "r_den")
-
-    def __init__(self, start: int, stop: int, depth: int, tau: tuple[int, ...], tau_module: UModuleDecomposition,
-                 alpha_sum: int, r_num: tuple[int, ...], r_den: tuple[int, ...]):
-        for name, value in zip(self.__slots__, (start, stop, depth, tau, tau_module, alpha_sum, r_num, r_den)):
-            object.__setattr__(self, name, value)
 
     @property
     def ker(self) -> tuple[int, ...]:

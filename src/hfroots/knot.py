@@ -72,10 +72,6 @@ class NumericalSemigroup(Frozen):
 
     __slots__ = ("generators", "gaps")
 
-    def __init__(self, generators: tuple[int, ...], gaps: frozenset[int]):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gaps", gaps)
-
     def __contains__(self, k: int) -> bool:
         return k >= 0 and k not in self.gaps
 
@@ -98,19 +94,6 @@ class AlgebraicKnot(Frozen):
     """
 
     __slots__ = ("newton_pairs", "linking_pairs", "semigroup", "gaps", "delta", "mu", "alexander", "alpha", "mf")
-
-    def __init__(self, newton_pairs: tuple[tuple[int, int], ...], linking_pairs: tuple[tuple[int, int], ...],
-                 semigroup: NumericalSemigroup, gaps: tuple[int, ...], delta: int, mu: int,
-                 alexander: tuple[int, ...], alpha: tuple[int, ...], mf: int):
-        object.__setattr__(self, "newton_pairs", newton_pairs)
-        object.__setattr__(self, "linking_pairs", linking_pairs)
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mf", mf)
 
     def __repr__(self):
         pairs = ",".join(f"({p},{q})" for p, q in self.newton_pairs)

@@ -40,10 +40,10 @@ def grading_shift_formula(p: int, q: int, delta: int, a: int) -> list[int]:
     if not 0 <= a < p:
         raise ValueError(f"spin^c index a={a} outside [0, {p})")
     qp = mod_inverse(q, p)
-    s = dedekind_sum(q, p)
-    six_p_s, rest = divmod(6 * p * s.numerator, s.denominator)
+    num, den = dedekind_sum(q, p)
+    six_p_s, rest = divmod(6 * p * num, den)
     if rest:
-        raise InternalInvariantError(f"6 p s(q, p) = {6 * p * s.numerator}/{s.denominator} is not an integer")
+        raise InternalInvariantError(f"6 p s(q, p) = {6 * p * num}/{den} is not an integer")
     r_0 = six_p_s - (p - 1) + 2 * delta * (p - q - 1) + 2 * delta * delta * q
     step = 2 * (p - 1 + 2 * delta)
     shifts, total = [], 0  # total = sum_{j<=b} (j q' mod p)

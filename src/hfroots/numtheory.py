@@ -3,8 +3,9 @@
 Negative (Hirzebruch-Jung) continued fractions with the one column n(., s) of
 their numerator table and the entry q' = n(1, s-1), modular inverses
 normalised to the window [1, p], Dedekind sums and floor sums.  Every
-quantity is an int or a Fraction; floats never appear, so all downstream
-gradings and correction terms stay exact.
+quantity is an int, and a rational is a pair (num, den) of ints in lowest
+terms with den > 0; floats never appear, so all downstream gradings and
+correction terms stay exact.
 
 `dedekind_sum(q, p)` and `floor_sum(n, m, a, b)` run Euclid-like loops of
 O(log p) and O(log m) big-integer steps.
@@ -12,9 +13,9 @@ O(log p) and O(log m) big-integer steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
+from .errors import InternalInvariantError
 from .frozen import Frozen
 
 
@@ -34,8 +35,9 @@ def mod_inverse(q: int, p: int) -> int:
     return r if r != 0 else p
 
 
-def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum s(q, p) = sum_{l=0}^{p-1} ((l/p)) ((ql/p)).
+def dedekind_sum(q: int, p: int) -> tuple[int, int]:
+    """Dedekind sum s(q, p) = sum_{l=0}^{p-1} ((l/p)) ((ql/p)), as the pair
+    (num, den) in lowest terms with den > 0.
 
     ((x)) is the sawtooth {x} - 1/2 away from integers and 0 at integers.
     Any integer q is allowed.  Since s(q, p) depends only on q mod p and
@@ -45,21 +47,31 @@ def dedekind_sum(q: int, p: int) -> Fraction:
 
         s(h, k) + s(k, h) = (h/k + k/h + 1/(hk)) / 12 - 1/4
 
-    with s(k, h) = s(k mod h, h) runs down the Euclidean algorithm, ending at
-    s(0, 1) = 0.  O(log p) steps.
+    with s(k, h) = s(k mod h, h) runs down the Euclidean algorithm to
+    s(0, 1) = 0, and is folded back up in the integers T(h, k) = 6k s(h, k):
+
+        2h T(h, k) = h^2 + k^2 + 1 - 3hk - 2k T(k mod h, h),
+
+    each step one exact division, checked exact.  s(q, p) = T(h, k)/(6k),
+    reduced by one gcd.  O(log p) steps.
     """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     h = q % p
     g = gcd(h, p)
     h, k = h // g, p // g
-    total = Fraction(0)
-    sign = 1
+    chain = []
     while h:
-        total += sign * Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k)
-        sign = -sign
+        chain.append((h, k))
         h, k = k % h, h
-    return total
+    t = 0  # T(0, 1)
+    for h, k in reversed(chain):
+        t, rest = divmod(h * h + k * k + 1 - 3 * h * k - 2 * k * t, 2 * h)
+        if rest:
+            raise InternalInvariantError(f"6k s(h, k) is not an integer at (h, k) = ({h}, {k})")
+    den = 6 * p // g
+    g = gcd(t, den)
+    return t // g, den // g
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -123,11 +135,7 @@ class NegContinuedFraction(Frozen):
             before, qp = qp, k * qp - before
         if not (1 <= qp <= p) or (q * qp) % p != 1 % p:
             raise ValueError("q' = n(1, s-1) is not the normalised inverse of q")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "q_prime", qp)
+        super().__init__(p, q, terms, tail, qp)
 
     def __repr__(self):
         return f"NegContinuedFraction({self.p}/{self.q} = {list(self.terms)})"

@@ -61,7 +61,6 @@ Lens-space correction terms need no graph: they live in `lens`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
@@ -193,7 +192,7 @@ class PlumbingGraph:
         return len(self.adj[j])
 
     def apply_form(self, x):
-        """B x, computed edge-wise; exact for int or Fraction entries."""
+        """B x, computed edge-wise, in the type of the entries of x."""
         out = [e * xj for e, xj in zip(self.euler, x)]
         for j, nbrs in enumerate(self.adj):
             for w in nbrs:
@@ -404,11 +403,14 @@ def _k_square(g: PlumbingGraph, kb) -> tuple[list[int], int]:
     return k_num, sum(map(mul, kb, k_num))
 
 
-def lattice_grading_shift(gm: PlumbingGraph, k_pairs) -> Fraction:
-    """-(k_r^2 + #vertices) / 4, evaluated in the lattice as one Fraction
-    from det k_r^2 (`_k_square` of a class's k_pairs, `class_pairings`)."""
+def lattice_grading_shift(gm: PlumbingGraph, k_pairs) -> tuple[int, int]:
+    """-(k_r^2 + #vertices) / 4, evaluated in the lattice from det k_r^2
+    (`_k_square` of a class's k_pairs, `class_pairings`), as the pair
+    (num, den) in lowest terms with den > 0."""
     _, k_square = _k_square(gm, k_pairs)
-    return Fraction(-(k_square + gm.n * gm.det), 4 * gm.det)
+    num, den = -(k_square + gm.n * gm.det), 4 * gm.det
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------

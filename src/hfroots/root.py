@@ -181,10 +181,6 @@ class UModuleDecomposition(Frozen):
 
     __slots__ = ("tower", "towers")
 
-    def __init__(self, tower: int, towers: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "towers", towers)
-
     @property
     def reduced_rank(self) -> int:
         return sum(n for _, n in self.towers)

@@ -512,7 +512,7 @@ def grading_shift_formula_per_class(p: int, q: int, delta: int, a: int) -> Fract
     if not 0 <= a < p:
         raise ValueError(f"spin^c index a={a} outside [0, {p})")
     qp = mod_inverse(q, p)
-    ksq_s = Fraction(2 * (p - 1), p) - 12 * dedekind_sum(q, p)
+    ksq_s = Fraction(2 * (p - 1), p) - 12 * Fraction(*dedekind_sum(q, p))
     dksq_s = ksq_s - 4 * delta * (1 - Fraction(q + 1, p)) - 4 * delta * delta * Fraction(q, p)
     pair = Fraction(a * (p - 1) - 2 * sum((j * qp) % p for j in range(1, a + 1)), p)
     krsq_s = dksq_s + 4 * pair + 8 * delta * Fraction(a, p)

@@ -126,7 +126,7 @@ def test_criterion_7():
         for a in range(p):
             res = spinc(spec, a)
             digits = pl.chain_digits(spec.cfrac, a)
-            assert pl.lattice_grading_shift(gm, pl.class_pairings(gm, digits)[1]) == res.shift
+            assert Fraction(*pl.lattice_grading_shift(gm, pl.class_pairings(gm, digits)[1])) == res.shift
             assert formulas[a] == res.shift
             tau = laufer_tau(pl.embedded_resolution(knot), gm, digits, (res.depth + 1) * knot.mf)
             assert pl.condense_tau(tau, knot.mf) == res.tau

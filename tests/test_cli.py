@@ -547,16 +547,58 @@ class TestVerifyCommand:
             assert single == {**full, "verification": {"oracle": "both", "ok": True}}
 
     def test_agreeing_classes_read_no_fraction_shift(self, capsys, monkeypatch):
-        # both shift checks compare r_a's two ints; the shifts are written as
-        # ratios only to name those of a class that disagrees
+        # both shift checks compare r_a's two ints: the lattice pair as a
+        # tuple, never taken apart; the shifts are reduced and written as
+        # n/d only to name those of a class that disagrees
         def refuse(*args):
             raise AssertionError(f"a shift was named for {args}")
 
-        monkeypatch.setattr(cli, "_rat", refuse)
+        class Sealed(tuple):
+            """A pair that compares as a tuple and refuses to be read."""
+
+            def __iter__(self):
+                raise AssertionError(f"the lattice shift {tuple.__repr__(self)} was taken apart")
+
+            __getitem__ = __iter__
+
+        real = pl.lattice_grading_shift
+        monkeypatch.setattr(pl, "lattice_grading_shift", lambda gm, k_pairs: Sealed(real(gm, k_pairs)))
         monkeypatch.setattr(cli, "_ratio", refuse)
         code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "12/7", "--oracle", "both")
         assert code == 0
         assert out.count("shift ok, tau ok, sublevel ok") == 12
+
+    def test_text_report_builds_no_json_blocks(self, capsys, monkeypatch):
+        # the "knot", "surgery" and "graphs" blocks are built only for a JSON
+        # document, whose two graphs are described once each
+        def refuse(*args):
+            raise AssertionError(f"a JSON block was built for {args}")
+
+        for owner, name in ((pl, "graph_doc"), (cli, "_knot_block"), (cli, "_surgery_block")):
+            monkeypatch.setattr(owner, name, refuse)
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "7/5")
+        assert code == 0
+        assert out.endswith("result: AGREE\n")
+        monkeypatch.undo()
+        described = []
+        real = pl.graph_doc
+        monkeypatch.setattr(pl, "graph_doc", lambda g: described.append(g.n) or real(g))
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "7/5", "--format", "json")
+        assert code == 0
+        assert sorted(described) == [3, 6]  # the resolution graph of the trefoil, and the chain [2, 2, 3] at v0
+        assert json.loads(out)["verification"]["ok"] is True
+
+    def test_lattice_mismatch_names_the_pair(self, capsys, monkeypatch):
+        # a lattice shift that differs from r_a in its denominator alone
+        # fails the tuple comparison and is written as n/d, even when d = 1
+        one = cli.hfcore.compute_run(cli.hfcore.SurgerySpec(cli.from_newton_pairs([(2, 3)]), 3, 1), 2)
+        num, den = one.r_num[0], one.r_den[0]
+        monkeypatch.setattr(pl, "lattice_grading_shift", lambda gm, k_pairs: (num, 1))
+        code, out, _ = run(capsys, "verify", "--newton", "2,3", "--surgery", "3/1", "--spinc", "2", "--format", "json")
+        assert code == 2
+        entry = json.loads(out)["verification"]["per_spinc"][0]
+        assert den != 1 and entry["shift_lattice_ok"] is False and entry["shift_formula_ok"] is True
+        assert entry["shifts"] == {"r_a": f"{num}/{den}", "lattice": f"{num}/1", "formula": f"{num}/{den}"}
 
     def test_long_surgery_chain(self, capsys):
         # -200/199 hangs a chain of 199 vertices of weight -2 at v0: 202
@@ -1111,7 +1153,8 @@ class TestStartup:
         "code = hfroots.cli.main(sys.argv[1:])\n"
         "print([code, after_import, sorted(set(sys.modules) - base)])\n"
     )
-    UNUSED = {"hfroots.plumbing", "hfroots.lens", "argparse", "dataclasses", "gettext", "inspect", "logging", "typing"}
+    UNUSED = {"hfroots.plumbing", "hfroots.lens", "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect",
+              "logging", "typing"}
 
     def loaded(self, tmp_path, *argv):
         src = Path(cli.__file__).resolve().parent.parent

@@ -72,6 +72,36 @@ def test_copy_and_pickle_keep_the_fields(obj, kwargs):
             setattr(restored, type(obj).__slots__[0], None)
 
 
+@pytest.mark.parametrize("obj, kwargs", CASES, ids=IDS)
+def test_a_missing_extra_or_unknown_field_raises(obj, kwargs):
+    cls, values = type(obj), list(kwargs.values())
+    *head, last = kwargs
+    with pytest.raises(TypeError):
+        cls(*values[:-1])  # missing by position
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])  # extra by position
+    with pytest.raises(TypeError):
+        cls(**{name: kwargs[name] for name in head})  # missing by name
+    with pytest.raises(TypeError):
+        cls(**kwargs, not_a_field=1)  # unknown
+    with pytest.raises(TypeError):
+        cls(*values, **{last: kwargs[last]})  # given twice
+
+
+def test_fields_are_set_by_position_then_by_name():
+    # Frozen.__init__ itself, on a class that keeps it
+    assert UModuleDecomposition(2, towers=()) == UModuleDecomposition(towers=(), tower=2) == UModuleDecomposition(2, ())
+    for args, named, message in [
+        ((2,), {}, "takes the 2 fields tower, towers, got 1"),
+        ((2, (), 0), {}, "takes the 2 fields tower, towers, got 3"),
+        ((), {"towers": ()}, "takes the 2 fields tower, towers, got 1"),
+        ((2, ()), {"tower": 2}, "no field 'tower' left to set by name"),
+        ((2,), {"towers": (), "shift": 0}, "no field 'shift' left to set by name"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            UModuleDecomposition(*args, **named)
+
+
 def test_unequal_fields_give_unequal_instances():
     assert SurgerySpec(K23, 7, 4) != SPEC
     assert SurgerySpec(from_newton_pairs([(2, 5)]), 7, 5) != SPEC

@@ -198,10 +198,10 @@ class TestShift:
         for p, q in [(1, 1), (7, 5), (12, 7), (5, 12), (101, 4)]:
             spec = SurgerySpec(K45, p, q)
             assert (q * spec.cfrac.q_prime) % p == 1 % p
-            assert spec.dedekind_6p == 6 * p * dedekind_sum(q, p)
+            assert spec.dedekind_6p == 6 * p * Fraction(*dedekind_sum(q, p))
 
     def test_integrality_guard(self, monkeypatch):
-        monkeypatch.setattr(hfcore, "dedekind_sum", lambda q, p: Fraction(1, 7 * p))
+        monkeypatch.setattr(hfcore, "dedekind_sum", lambda q, p: (1, 7 * p))
         with pytest.raises(InternalInvariantError, match="6 p s"):
             SurgerySpec(K45, 2, 1)
 
@@ -628,7 +628,7 @@ class TestComputeAll:
 
         monkeypatch.setattr(UModuleDecomposition, "__init__", counting)
         runs = compute_runs(spec)
-        cli._compute_json(K23, 599, 397, spec, runs)
+        cli._compute_json(spec, runs)
         assert len(built) == len({run.tau for run in runs}) == 2
 
 
@@ -872,7 +872,7 @@ class TestSpincTemplate:
         with pytest.raises(TypeError):
             class_block(broken, piece)
         with pytest.raises(TypeError):
-            cli._compute_json(K45, 13, 2, spec, [*singles[:11], broken, *singles[12:]])
+            cli._compute_json(spec, [*singles[:11], broken, *singles[12:]])
 
 
 class TestComputeDocument:
@@ -884,7 +884,7 @@ class TestComputeDocument:
         `compute_runs` is `_json(spinc_block(run, i), "    ")`, joined as
         `_json` joins a list."""
         blocks = [spinc_block(run, i) for run in compute_runs(spec) for i in range(run.stop - run.start)]
-        doc = {"knot": cli._knot_block(knot), "surgery": cli._surgery_block(p, q, spec), "spinc": blocks}
+        doc = {"knot": cli._knot_block(knot), "surgery": cli._surgery_block(spec), "spinc": blocks}
         return cli._json(doc) + "\n"
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -893,7 +893,7 @@ class TestComputeDocument:
         assume(gcd(p, q) == 1)
         knot = data.draw(st.sampled_from(knots_within(p, q, max(30, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
+        assert cli._compute_json(spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
 
     @pytest.mark.parametrize("pairs, p, q, taus", [([(2, 3)], 599, 397, 2), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1)])
     def test_one_piece_per_distinct_tau(self, monkeypatch, pairs, p, q, taus):
@@ -911,7 +911,7 @@ class TestComputeDocument:
         monkeypatch.setattr(cli, "_tau_piece", counting)
         for _ in range(2):  # no piece outlives its document
             built.clear()
-            assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec)
+            assert cli._compute_json(spec, runs) == self.reference(knot, p, q, spec)
             assert len(built) == len(set(built)) == taus
 
     def test_classes_with_equal_but_unshared_taus(self):
@@ -925,7 +925,7 @@ class TestComputeDocument:
                   for r in (compute_run(spec, a) for a in range(7))]
         assert [(r.start, r.stop) for r in shared] == [(0, 1), (1, 7)]
         assert single[1].tau is not single[2].tau and single[1].tau == single[2].tau == shared[1].tau
-        assert cli._compute_json(K23, 7, 1, spec, single) == cli._compute_json(K23, 7, 1, spec, shared)
+        assert cli._compute_json(spec, single) == cli._compute_json(spec, shared)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.integers(1, 700), st.sampled_from([360, 420, 480, 504, 540, 600, 630, 660, 672, 700])),
@@ -936,7 +936,7 @@ class TestComputeDocument:
             q += 1
         knot = data.draw(st.sampled_from(knots_within(p, q, max(6, -(-q // p)))))  # the trefoil always qualifies
         spec = SurgerySpec(knot, p, q)
-        assert cli._compute_json(knot, p, q, spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
+        assert cli._compute_json(spec, compute_runs(spec)) == self.reference(knot, p, q, spec)
 
     @pytest.mark.parametrize("pairs, p, q, groups", [
         ([(2, 3)], 599, 397, 3), ([(3, 4)], 256, 253, 17), ([(4, 5)], 401, 1, 12), ([(4, 5)], 1, 16, 1),
@@ -948,7 +948,7 @@ class TestComputeDocument:
         spec = SurgerySpec(knot, p, q)
         runs = compute_runs(spec)
         assert sum(len(set(run.r_den)) for run in runs) == groups
-        assert cli._compute_json(knot, p, q, spec, runs) == self.reference(knot, p, q, spec)
+        assert cli._compute_json(spec, runs) == self.reference(knot, p, q, spec)
 
     @staticmethod
     def planted(runs, a, field, bad):
@@ -976,7 +976,7 @@ class TestComputeDocument:
         run = next(run for run in runs if run.start <= 300 < run.stop)
         assert run.r_den[300 - run.start] == 1198 and run.r_den.count(1198) == 396
         with pytest.raises(TypeError):
-            cli._compute_json(K23, 599, 397, spec, self.planted(runs, 300, field, bad))
+            cli._compute_json(spec, self.planted(runs, 300, field, bad))
 
     @pytest.mark.parametrize("bad", [True, Fraction(1), 1.0])
     def test_rejects_a_denominator_equal_to_1_as_a_key(self, bad):
@@ -986,7 +986,7 @@ class TestComputeDocument:
         run = next(run for run in compute_runs(spec) if run.start <= 5 < run.stop)
         assert [a for a, den in zip(range(run.start, run.stop), run.r_den) if den == 1] == [2, 5, 8]
         with pytest.raises(TypeError):
-            cli._compute_json(K23, 9, 2, spec, self.planted(compute_runs(spec), 5, "denominator", bad))
+            cli._compute_json(spec, self.planted(compute_runs(spec), 5, "denominator", bad))
 
     def test_memory_of_a_long_tau(self):
         # one class with 66,001 tau values: the peak (about 3.8x the document)
@@ -996,7 +996,7 @@ class TestComputeDocument:
         runs = compute_runs(spec)
         tracemalloc.start()
         try:
-            text = cli._compute_json(K45, 1, 3000, spec, runs)
+            text = cli._compute_json(spec, runs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

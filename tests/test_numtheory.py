@@ -117,11 +117,17 @@ class TestNegCfrac:
                 assert neg_cfrac(p, q).q_prime == mod_inverse(q, p)
 
 
+def dedekind_fraction(q, p):
+    """dedekind_sum(q, p), read as a Fraction."""
+    return Fraction(*dedekind_sum(q, p))
+
+
 class TestDedekindSum:
     def test_examples(self):
-        assert dedekind_sum(1, 1) == 0
-        assert dedekind_sum(1, 2) == 0
-        assert dedekind_sum(1, 3) == Fraction(1, 18)
+        assert dedekind_sum(1, 1) == (0, 1)
+        assert dedekind_sum(1, 2) == (0, 1)
+        assert dedekind_sum(1, 3) == (1, 18)
+        assert dedekind_sum(2, 3) == (-1, 18)
 
     def test_reciprocity(self):
         # the classical identity, on the direct sum: dedekind_sum is built on it
@@ -132,10 +138,16 @@ class TestDedekindSum:
                 assert dedekind_sum_direct(q, p) + dedekind_sum_direct(p, q) == reciprocity_rhs(p, q)
 
     def test_matches_direct_sum(self):
-        # every residue, negative and non-coprime q included
+        # every residue, negative and non-coprime q included: the pair is two
+        # ints in lowest terms with den > 0, the direct sum's own numerator
+        # and denominator
         for p in range(1, 60):
             for q in range(-2 * p, 2 * p + 1):
-                assert dedekind_sum(q, p) == dedekind_sum_direct(q, p), (q, p)
+                num, den = pair = dedekind_sum(q, p)
+                assert type(pair) is tuple and type(num) is int and type(den) is int
+                assert den > 0 and gcd(num, den) == 1, (q, p)
+                direct = dedekind_sum_direct(q, p)
+                assert pair == (direct.numerator, direct.denominator), (q, p)
 
     def test_huge_fibonacci_reciprocity(self):
         # consecutive Fibonacci numbers make the longest Euclid run for their size;
@@ -144,8 +156,8 @@ class TestDedekindSum:
         while b < 10**30:
             a, b = b, a + b
         assert gcd(a, b) == 1
-        assert dedekind_sum(a, b) + dedekind_sum(b, a) == reciprocity_rhs(b, a)
-        assert dedekind_sum(-a, b) == -dedekind_sum(a, b)
+        assert dedekind_fraction(a, b) + dedekind_fraction(b, a) == reciprocity_rhs(b, a)
+        assert dedekind_fraction(-a, b) == -dedekind_fraction(a, b)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -157,7 +169,7 @@ class TestDedekindSum:
                 if gcd(q, p) != 1:
                     continue
                 assert dedekind_sum(q, p) == dedekind_sum(q % p, p)
-                assert dedekind_sum(-q % p, p) == -dedekind_sum(q, p)
+                assert dedekind_fraction(-q % p, p) == -dedekind_fraction(q, p)
 
 
 def floor_sum_brute(n, m, a, b):

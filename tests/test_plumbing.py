@@ -482,7 +482,7 @@ class TestSpincClasses:
             assert len(formulas) == p
             shifts = run_shifts(spec)
             for a in range(p):
-                lattice = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a]))
+                lattice = Fraction(*pl.lattice_grading_shift(gm, k_pairs(gm, classes[a])))
                 assert lattice == formulas[a] == shifts[a]
 
     def test_projection_formula(self):
@@ -577,25 +577,27 @@ class TestSpincClasses:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_one_fraction_per_class(self, monkeypatch):
-        # the classes are integers; each lattice shift forms its one
-        # Fraction at the end
-        knot, spec, gm, _ = surgery_setup([(2, 3), (2, 1)], 12, 7)
-        built = []
-        real = pl.Fraction
+    @pytest.mark.parametrize("p, q", [(12, 7), (11, 7)])
+    def test_one_gcd_per_class_shift(self, monkeypatch, p, q):
+        # the classes are integers; each lattice shift reduces its one pair
+        # (num, den), den > 0, by one gcd at the end: r_num and r_den of its
+        # class, on a graph with det > 0 (8 vertices) and one with det < 0 (9)
+        knot, spec, gm, _ = surgery_setup([(2, 3), (2, 1)], p, q)
+        assert (gm.det > 0) == (gm.n % 2 == 0)
+        reduced = []
+        real = pl.gcd
 
         def counting(*args):
-            built.append(args)
+            reduced.append(args)
             return real(*args)
 
-        monkeypatch.setattr(pl, "Fraction", counting)
+        monkeypatch.setattr(pl, "gcd", counting)
         classes = [pl.chain_digits(spec.cfrac, a) for a in range(spec.p)]
         digits_and_pairings(gm, classes)
-        assert built == []
+        assert reduced == []
         shifts = [pl.lattice_grading_shift(gm, k_pairs(gm, digits)) for digits in classes]
-        assert len(built) <= len(classes) == spec.p
-        assert shifts == run_shifts(spec)
-        assert len(built) == len(classes)  # the wrapper is live: each shift's Fraction counts
+        assert len(reduced) == len(classes) == spec.p  # the wrapper is live: each shift's gcd counts
+        assert shifts == [(n, d) for run in compute_runs(spec) for n, d in zip(run.r_num, run.r_den)]
 
     def test_verify_builds_two_graphs(self, monkeypatch):
         # the resolution graph and the surgery graph; no chain graph besides
@@ -625,7 +627,7 @@ class TestSpincClasses:
                 kr = [k + 2 * l for k, l in zip(k_gm, l_prime(gm, digits))]
                 assert k_pairs(gm, digits) == tuple(gm.apply_form(kr))
                 assert all(type(v) is int for v in l_pairs(gm, digits) + k_pairs(gm, digits))
-                assert pl.lattice_grading_shift(gm, k_pairs(gm, digits)) == -(pairing(gm, kr, kr) + gm.n) / 4
+                assert Fraction(*pl.lattice_grading_shift(gm, k_pairs(gm, digits))) == -(pairing(gm, kr, kr) + gm.n) / 4
 
     def test_consumers_do_not_pair_again(self, monkeypatch):
         # class_pairings and class_laufer_values never pair; the shift solves
@@ -978,7 +980,7 @@ class TestLauferTau:
                 run = compute_run(spec, a)
                 i_max = (run.depth + 1) * knot.mf
                 values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
-                d = pl.lattice_grading_shift(gm, k_pairs(gm, classes[a])) + 2 * min(values)
+                d = Fraction(*pl.lattice_grading_shift(gm, k_pairs(gm, classes[a]))) + 2 * min(values)
                 assert d == Fraction(run.r_num[0], run.r_den[0]) + run.tau_module.tower
 
 
@@ -1106,25 +1108,6 @@ class TestSublevel:
         g = pl.PlumbingGraph(euler, edges)
         kb = [e + 2 * m for e, m in zip(euler, shifts)]
         assert pl.exact_sublevel_box(g, kb, n_max) == exact_sublevel_box_fractions(g, tuple(solve(g, kb)), n_max)
-
-    def test_sublevel_path_builds_no_fraction(self, monkeypatch):
-        knot, spec, gm, classes = surgery_setup([(2, 3)], 7, 4)
-        built = []
-        real = pl.Fraction
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(pl, "Fraction", counting)
-        for a, digits in enumerate(classes):
-            tau = compute_run(spec, a).tau
-            box = pl.exact_sublevel_box(gm, k_pairs(gm, digits), max(tau))
-            root = pl.sublevel_root(gm, k_pairs(gm, digits), max(tau), box)
-            assert root.level_keys() == root_from_tau(tau).level_keys()
-        assert built == []
-        pl.lattice_grading_shift(gm, k_pairs(gm, classes[0]))
-        assert len(built) == 1  # the counter is live
 
     def test_box_solves_the_diagonal_once_per_graph(self, monkeypatch):
         # verify's 7 classes share one 6-vertex graph: one unit-vector solve
@@ -1305,7 +1288,7 @@ class TestShiftPrefix:
 
     def test_non_integer_dedekind_term_is_a_fault(self, monkeypatch):
         # every term is an integer over 2p only while 6 p s(q, p) is one
-        monkeypatch.setattr(lens, "dedekind_sum", lambda q, p: Fraction(1, 5 * 6 * p))
+        monkeypatch.setattr(lens, "dedekind_sum", lambda q, p: (1, 5 * 6 * p))
         with pytest.raises(InternalInvariantError, match="not an integer"):
             lens.grading_shift_formula(7, 5, 1, 0)
 

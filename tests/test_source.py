@@ -226,12 +226,18 @@ def test_lens_guard_flags_planted_imports():
     ]
 
 
-def test_formula_modules_build_no_fraction():
-    # a run keeps r_a as two ints and a module its integer grades; the
-    # writers print every grade from those, so neither module needs Fraction
-    for name in ("hfcore.py", "root.py"):
-        path = SRC / name
-        assert list(fraction_uses(ast.parse(path.read_text(), filename=str(path)))) == [], name
+def test_no_module_builds_a_fraction():
+    # a rational is a reduced (num, den) pair of ints throughout: r_a of a
+    # run, s(q, p) and the lattice shift; the writers print each from its
+    # two ints, so no module imports fractions or names Fraction
+    paths = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "numtheory.py", "plumbing.py"} < {path.name for path in paths}
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in paths
+        for line, what in fraction_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
 
 
 def test_hfcore_imports_neither_check_route():
