@@ -1153,8 +1153,8 @@ class TestStartup:
         "code = hfroots.cli.main(sys.argv[1:])\n"
         "print([code, after_import, sorted(set(sys.modules) - base)])\n"
     )
-    UNUSED = {"hfroots.plumbing", "hfroots.lens", "argparse", "dataclasses", "decimal", "fractions", "gettext", "inspect",
-              "logging", "typing"}
+    UNUSED = {"hfroots.plumbing", "hfroots.lens", "argparse", "dataclasses", "decimal", "fractions", "gettext",
+              "inspect", "logging", "typing"}
 
     def loaded(self, tmp_path, *argv):
         src = Path(cli.__file__).resolve().parent.parent
