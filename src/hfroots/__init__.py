@@ -11,7 +11,6 @@ from .knot import AlgebraicKnot, NumericalSemigroup, from_newton_pairs
 from .numtheory import NegContinuedFraction, dedekind_sum, mod_inverse, neg_cfrac
 from .root import (
     GradedRoot,
-    UModuleDecomposition,
     module_from_tau,
     reduced_rank,
     render,
@@ -27,7 +26,6 @@ __all__ = [
     "ResourceLimitError",
     "SpincRun",
     "SurgerySpec",
-    "UModuleDecomposition",
     "compute_run",
     "compute_runs",
     "dedekind_sum",

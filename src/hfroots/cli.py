@@ -54,8 +54,8 @@ handler and, per flag, a default (or required) and the values it takes.  A
 flag's value is the next argument or the text after '=', whatever its first
 character (`--newton -2,3` reaches the Newton pair check, `--out -x.json`
 names a file).  A flag given twice, an unknown or abbreviated flag, a flag
-without a value, a value outside its choices or a missing required flag is
-a usage error; -h or --help prints a fixed usage text.
+with no value or an empty one, a value outside its choices or a missing
+required flag is a usage error; -h or --help prints a fixed usage text.
 
 Exit codes: 0 ok, 1 input error (usage errors included), 2 verification
 mismatch, 3 internal invariant failure, 4 resource limit reached (the Laufer
@@ -78,7 +78,7 @@ from types import SimpleNamespace
 from . import hfcore
 from .errors import InternalInvariantError, ResourceLimitError
 from .knot import AlgebraicKnot, from_newton_pairs
-from .root import grade_text, module_text, render, root_from_tau
+from .root import grade_text, grouped, module_text, render, root_from_tau
 
 
 def _info(message: str) -> None:
@@ -218,14 +218,12 @@ def _tau_piece(run: hfcore.SpincRun) -> tuple:
     alpha sum.  Each is checked to be an int, so a Fraction, float or bool
     raises TypeError here.
     """
-    module, vals = run.tau_module, run.tau
-    kinds = {*map(type, vals)}
-    kinds.update(map(type, (module.tower, run.alpha_sum)))
-    for column in zip(*module.towers):  # the grades, then the lengths
+    kinds = {*map(type, run.tau), type(run.tower), type(run.alpha_sum)}
+    for column in zip(*run.towers):  # the grades, then the lengths
         kinds.update(map(type, column))
     _only_ints(kinds)
-    tau = _ITEM.join(map(int.__repr__, vals))
-    return tau, run.ker, run.coker, module.grouped(), module.tower, run.alpha_sum
+    tau = _ITEM.join(map(int.__repr__, run.tau))
+    return tau, run.ker, run.coker, grouped(run.towers), run.tower, run.alpha_sum
 
 
 def _grade_lists(nums, den: int, offsets, links) -> list[str]:
@@ -258,7 +256,7 @@ def _group_blocks(piece: tuple, depth: int, den: int, a, nums) -> list[str]:
     terms.  Each slot is one column over the group, zipped with the fixed
     text between slots and joined per block; every int is written by
     `int.__repr__`, so a Fraction or float raises TypeError, as in `_json`."""
-    tau, kers, cokers, grouped, tower, alpha_sum = piece
+    tau, kers, cokers, groups, tower, alpha_sum = piece
     over = "/" + int.__repr__(den)
     grade = over + '"' + _ITEM + '"'  # ends one grade in a list and opens the next
     end = over + '"\n      ]'  # ends the last grade of a list
@@ -266,16 +264,16 @@ def _group_blocks(piece: tuple, depth: int, den: int, a, nums) -> list[str]:
     half, double = "/" + int.__repr__(2 * den), 2 * den * alpha_sum
     sw = [int.__repr__(n - double) + half if n % 2 else int.__repr__(n // 2 - den * alpha_sum) + over for n in nums]
     towers = [f'{over}",\n            "length": {int.__repr__(n)},\n            "multiplicity": {int.__repr__(m)}\n'
-              '          },\n          {\n            "grade": "' for _, n, m in grouped]  # to the next grade
+              '          },\n          {\n            "grade": "' for _, n, m in groups]  # to the next grade
     last = towers.pop().removesuffix(_TOWER) + "\n        ]" if towers else ""
     fixed = ['{\n      "a": ', ',\n      "t_a": ' + int.__repr__(depth) + ',\n      "r_a": "',
              over + '",\n      "tau": [\n        ' + tau + '\n      ],\n      "module": {\n        "tower_grade": "',
-             over + '",\n        "finite_towers": ' + ('[\n          {\n            "grade": "' if grouped else "[]"),
+             over + '",\n        "finite_towers": ' + ('[\n          {\n            "grade": "' if groups else "[]"),
              last + '\n      },\n      "d_invariant": "', over + '",\n      "sw_invariant": "',
              '",\n      "ker_u": [\n        "', end + ',\n      "coker_u": ' + ('[\n        "' if cokers else "[]"),
              (end if cokers else "") + "\n    }"]  # the text before each column, and after the last
     columns = [map(int.__repr__, a), map(int.__repr__, nums), tower_grade,
-               _grade_lists(nums, den, [g for g, _, _ in grouped], towers), tower_grade, sw,
+               _grade_lists(nums, den, [g for g, _, _ in groups], towers), tower_grade, sw,
                _grade_lists(nums, den, kers, [grade] * (len(kers) - 1)),
                _grade_lists(nums, den, cokers, [grade] * (len(cokers) - 1))]
     slots = fixed + columns  # the fixed texts, each repeated, between the columns
@@ -325,8 +323,7 @@ def _run_text(run: hfcore.SpincRun) -> list[str]:
     str(Fraction) prints it (`root.grade_text`): r_a, d and every grade as
     N + g D over D, sw = r_a/2 - alpha_sum as (N - 2 D alpha_sum)/(2 D) for
     odd N, else as N/2 - D alpha_sum over D."""
-    module, alpha_sum, kers, cokers = run.tau_module, run.alpha_sum, run.ker, run.coker
-    tower, grouped = module.tower, module.grouped()
+    tower, groups, alpha_sum, kers, cokers = run.tower, grouped(run.towers), run.alpha_sum, run.ker, run.coker
     depth, tau = f"  t_a = {run.depth}   r_a = ", "  tau: " + ", ".join(map(str, run.tau))
     lines = []
     for a, num, den in zip(range(run.start, run.stop), run.r_num, run.r_den):
@@ -336,7 +333,7 @@ def _run_text(run: hfcore.SpincRun) -> list[str]:
             f"spin^c a = {a}:",
             depth + grade_text(num, den, 0),
             tau,
-            "  HF+ = " + module_text(num, den, tower, grouped),
+            "  HF+ = " + module_text(num, den, tower, groups),
             f"  d = {grade_text(num, den, tower)}   sw = {sw}",
             "  ker U gradings: " + ", ".join([grade_text(num, den, g) for g in kers]),
             "  coker U gradings: " + (", ".join([grade_text(num, den, g) for g in cokers]) or "(none)"),
@@ -361,10 +358,11 @@ def _emit(text: str, out_path):
     or one that names no regular file (a pipe, a terminal), is written in
     place.  Any other path gets the text through a temporary `PATH.<pid>.tmp`
     beside it, renamed over PATH once complete, so a write that fails partway
-    leaves the old file, or none, and no temporary.  An existing file that
-    may not be written is refused, as opening it would be, and the file that
-    replaces it keeps its permission bits.  A symbolic link stays a link: the
-    file it names is the one replaced."""
+    leaves the old file, or none, and no temporary; an error that names a
+    file names PATH, not the temporary.  An existing file that may not be
+    written is refused, as opening it would be, and the file that replaces
+    it keeps its permission bits.  A symbolic link stays a link: the file it
+    names is the one replaced."""
     if not out_path:
         sys.stdout.write(text)
         return
@@ -379,16 +377,19 @@ def _emit(text: str, out_path):
     if mode is not None and not os.access(out_path, os.W_OK):
         raise PermissionError(EACCES, os.strerror(EACCES), out_path)
     target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    tmp, made = f"{target}.{os.getpid()}.tmp", False
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            made = True
             fh.write(text)
         if mode is not None:
             os.chmod(tmp, S_IMODE(mode))
         os.replace(tmp, target)
-    except BaseException:
-        os.remove(tmp)
+    except BaseException as exc:
+        if made:
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:  # it names the temporary
+            raise OSError(exc.errno, exc.strerror, out_path) from exc
         raise
 
 
@@ -646,10 +647,10 @@ def _parse_args(argv) -> SimpleNamespace:
     reads: `func` the handler and one attribute per flag of the command (the
     flag without its dashes), its value or its default.  A flag's value is
     the next argument or the text after '=', whatever its first character.
-    A missing command, an unknown or repeated flag, a flag with no value, a
-    value outside the flag's choices or a required flag left out raises
-    ValueError; -h or --help in place of a command or a flag prints the
-    usage and raises SystemExit(0)."""
+    A missing command, an unknown or repeated flag, a flag with no value or
+    an empty one, a value outside the flag's choices or a required flag left
+    out raises ValueError; -h or --help in place of a command or a flag
+    prints the usage and raises SystemExit(0)."""
     command = argv[0] if argv else None
     if command in _HELP:
         _help()
@@ -668,8 +669,8 @@ def _parse_args(argv) -> SimpleNamespace:
             raise ValueError(f"{flag} given twice")
         if not eq:
             value = next(tokens, None)
-            if value is None:
-                raise ValueError(f"{flag} expects a value")
+        if not value:  # none, or an empty one: `--out=` must not mean stdout
+            raise ValueError(f"{flag} expects a value")
         choices = flags[flag][1]
         if choices and value not in choices:
             raise ValueError(f"{flag} takes {', '.join(choices)}, got {value!r}")

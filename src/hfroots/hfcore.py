@@ -104,14 +104,14 @@ class SurgerySpec(Frozen):
 class SpincRun(Frozen):
     """A run of consecutive spin^c classes start, ..., stop - 1 with equal tau.
 
-    t_a (`depth`), tau, its module (`module_from_tau`, grades less r_a) and
-    the alpha sum are one record for the run; class start + i has
-    r_a = r_num[i]/r_den[i], two int tuples, each ratio in lowest terms with
-    r_den[i] > 0.  `ker` and `coker` give the grade offsets, each grade of a
-    class being r_a plus one of them.
+    t_a (`depth`), tau, its module (`module_from_tau`: `tower` and `towers`,
+    grades less r_a) and the alpha sum are one record for the run; class
+    start + i has r_a = r_num[i]/r_den[i], two int tuples, each ratio in
+    lowest terms with r_den[i] > 0.  `tower`, `towers`, `ker` and `coker`
+    give the grade offsets, each grade of a class being r_a plus one of them.
     """
 
-    __slots__ = ("start", "stop", "depth", "tau", "tau_module", "alpha_sum", "r_num", "r_den")
+    __slots__ = ("start", "stop", "depth", "tau", "tower", "towers", "alpha_sum", "r_num", "r_den")
 
     @property
     def ker(self) -> tuple[int, ...]:
@@ -199,14 +199,14 @@ def _runs(spec: SurgerySpec, start: int, stop: int) -> list[SpincRun]:
     for lo, hi in zip(bounds, bounds[1:]):
         t_a = (top - lo) // p
         vals = _tau_values(spec, lo, t_a)
-        module = module_from_tau(vals)
-        if len(vals) > 1 and module.reduced_rank != reduced_rank(vals):
+        tower, towers = module_from_tau(vals)
+        if len(vals) > 1 and sum([n for _, n in towers]) != reduced_rank(vals):
             raise InternalInvariantError("finite tower lengths disagree with reduced_rank(tau)")
-        if module.tower != 2 * min(vals):
+        if tower != 2 * min(vals):
             raise InternalInvariantError("tower grade disagrees with 2 min tau")
         alpha_sum = sum(vals[1::2]) - sum(vals[2::2])  # tau(2t+1) - tau(2t+2) for t = 0..t_a
         i, j = lo - start, hi - start
-        runs.append(SpincRun(lo, hi, t_a, vals, module, alpha_sum, tuple(r_num[i:j]), tuple(r_den[i:j])))
+        runs.append(SpincRun(lo, hi, t_a, vals, tower, towers, alpha_sum, tuple(r_num[i:j]), tuple(r_den[i:j])))
     return runs
 
 

@@ -72,7 +72,6 @@ from .numtheory import NegContinuedFraction
 from .root import GradedRoot
 
 _LAUFER_STEP_CAP = 20_000_000
-_WALK_BLOCK = 256  # own values an interior vertex walks at once, at most
 _WALK_CHUNK = 1024  # steps of v0 between step-cap checks of a walked branch
 _SUBLEVEL_POINT_CAP = 1_000_000
 _RESOLUTION_CACHE_SIZE = 64  # graphs cached, one per knot; a run meets a handful
@@ -548,8 +547,8 @@ class _Interior:
     root (what positive offsets force lands at step 1) and 0 below it.  Made
     before the children move on to t + 1, it changes chi by -g_u(t) - q_t.
 
-    u walks t = 0, 1, ... in blocks of at most _WALK_BLOCK, keeping q and a,
-    the chi of its own additions below t.  Below the root it appends to
+    u walks t = 0, 1, ... in blocks sized by its rate so far, keeping q and
+    a, the chi of its own additions below t.  Below the root it appends to
     `out` the pair R_u(s), C_u(s), C_u the chi of its subtree's additions up
     to s, for s = 0, 1, ...; a parent reads them from its own value lo on.
     A block asks the children for data only as far as u expects to need
@@ -573,7 +572,7 @@ class _Interior:
             size = -(-(s_hi - q) * t // covered)
         else:  # no value adds more than |e| to -g_u
             size = -(-(s_hi - q) // -self.e)
-        end, lo = t + min(size, _WALK_BLOCK), self.lo
+        end, lo = t + size, self.lo
         for kid in self.kids:
             if len(kid.out) < 2 * (end + extra - lo):
                 stack.append((kid, end + extra - 1))

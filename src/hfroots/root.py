@@ -18,10 +18,10 @@ meet at level k, the one whose oldest minimum is younger dies there and
 contributes the finite tower T_{2 b}(k - b), b its birth level, and the run
 that survives to the end carries the infinite tower T+ at twice its birth.
 
-The module's grades are the even integers 2 b and 2 min tau, and a
-`UModuleDecomposition` keeps just those ints.  The homology of -M in
-sigma_a is that module with every grade raised by r_a, so each of its
-grades reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded Floer
+The module's grades are the even integers 2 b and 2 min tau, and
+`module_from_tau` returns just those ints as (tower, towers).  The homology
+of -M in sigma_a is that module with every grade raised by r_a, so each of
+its grades reads as r_a + g, g even (Ozsvath-Szabo, Absolutely graded Floer
 homologies, Adv. Math. 173, 2003); no module holds r_a.  With r_a = N/D in
 lowest terms, gcd(N + g D, D) = gcd(N, D) = 1, so (N + g D)/D is r_a + g
 already reduced: writing a grade needs neither a gcd nor a Fraction
@@ -48,8 +48,6 @@ from __future__ import annotations
 from itertools import groupby
 from math import gcd
 from operator import sub
-
-from .frozen import Frozen
 
 
 class GradedRoot:
@@ -169,47 +167,32 @@ def root_from_tau(tau: tuple[int, ...]) -> GradedRoot:
     return GradedRoot(chi, parent)
 
 
-class UModuleDecomposition(Frozen):
-    """T+ plus a multiset of finite towers T(n), all in even degrees.
-
-    `tower` is the grade of the infinite tower and `towers` the sorted
-    (grade, length) pairs of the finite ones, all ints: a graded root's
-    module, its grades at 2 chi.  HF+(-M, sigma_a) is this module of tau with
-    every grade raised by r_a, which a writer adds as it prints a grade
-    (`grade_text`).
-    """
-
-    __slots__ = ("tower", "towers")
-
-    @property
-    def reduced_rank(self) -> int:
-        return sum(n for _, n in self.towers)
-
-    def grouped(self) -> list[tuple[int, int, int]]:
-        """(g, length, multiplicity) of each distinct finite tower, in order."""
-        return [(g, n, len([*same])) for (g, n), same in groupby(self.towers)]
-
-
 def grade_text(num: int, den: int, g: int) -> str:
     """The grade N/D + g, for N/D in lowest terms (D > 0) and an integer g,
     as str(Fraction) prints it: (N + g D)/D, or a bare integer when D = 1."""
     return str(num + g * den) if den == 1 else f"{num + g * den}/{den}"
 
 
-def module_text(num: int, den: int, tower: int, grouped) -> str:
-    """The module with infinite tower at grade offset `tower` and the
-    `grouped` finite towers (g, length, multiplicity), shifted by N/D, as
-    "T+[d] + m*T[g](n) + ...", each grade written by `grade_text`."""
+def grouped(towers) -> list[tuple[int, int, int]]:
+    """(g, length, multiplicity) of each distinct pair of the sorted `towers`."""
+    return [(g, n, len([*same])) for (g, n), same in groupby(towers)]
+
+
+def module_text(num: int, den: int, tower: int, groups) -> str:
+    """The module with infinite tower at grade offset `tower` and the finite
+    towers `groups` (g, length, multiplicity) of `grouped`, shifted by N/D,
+    as "T+[d] + m*T[g](n) + ...", each grade written by `grade_text`."""
     parts = [f"T+[{grade_text(num, den, tower)}]"]
-    for g, n, mult in grouped:
+    for g, n, mult in groups:
         text = grade_text(num, den, g)
         parts.append(f"{mult}*T[{text}]({n})" if mult > 1 else f"T[{text}]({n})")
     return " + ".join(parts)
 
 
-def module_from_tau(tau: tuple[int, ...]) -> UModuleDecomposition:
+def module_from_tau(tau: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Z[U]-module of the graded root of tau, by the elder rule, in one
-    left-to-right pass with a stack.
+    left-to-right pass with a stack: the int pair (tower, towers), the grade
+    of T+ and the sorted (grade, length) pairs of the finite towers T(n).
 
     Index i of value k switches on at level k, joining its left run (values
     <= k) to its right run up to the first value >= k (values < k).  The
@@ -234,7 +217,7 @@ def module_from_tau(tau: tuple[int, ...]) -> UModuleDecomposition:
                 towers.append((2 * low, v - low))
             low = e
         stack.append((k, low))
-    return UModuleDecomposition(2 * low, tuple(sorted(towers)))
+    return 2 * low, tuple(sorted(towers))
 
 
 def reduced_rank(tau: tuple[int, ...]) -> int:

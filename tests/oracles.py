@@ -113,7 +113,7 @@ from hfroots.hfcore import SpincRun, SurgerySpec
 from hfroots.knot import AlgebraicKnot, poly_mul, t_power_minus_one
 from hfroots.numtheory import NegContinuedFraction, dedekind_sum, floor_sum, mod_inverse
 from hfroots.cli import cmd_compute, cmd_knot, cmd_verify
-from hfroots.root import GradedRoot, UModuleDecomposition, module_from_tau
+from hfroots.root import GradedRoot, module_from_tau
 
 BOX_VOLUME_CAP = 10_000_000  # points sublevel_root_box sweeps at most
 
@@ -316,8 +316,9 @@ def root_from_tau_rescan(vals: tuple[int, ...]) -> GradedRoot:
     return GradedRoot(chi, parent)
 
 
-def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]] = None) -> UModuleDecomposition:
-    """Z[U]-module of a graded root, O(leaves^2 * depth).
+def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]] = None) -> tuple:
+    """Z[U]-module of a graded root, O(leaves^2 * depth), as the pair
+    (tower, towers) that `module_from_tau` returns.
 
     Leaves are taken in ascending order of level; the first one starts the
     infinite tower at twice its level, every later leaf v contributes a
@@ -334,12 +335,13 @@ def module_from_root(root: GradedRoot, tie_key: Optional[Callable[[int], object]
     for k, v in enumerate(leaves[1:], start=1):
         w_level = min(merge_level(root, v, u) for u in leaves[:k])
         towers.append((2 * root.chi[v], w_level - root.chi[v]))
-    return UModuleDecomposition(2 * root.chi[first], tuple(sorted(towers)))
+    return 2 * root.chi[first], tuple(sorted(towers))
 
 
-def module_from_tau_sweep(vals: tuple[int, ...]) -> UModuleDecomposition:
+def module_from_tau_sweep(vals: tuple[int, ...]) -> tuple:
     """Z[U]-module of the graded root of tau by the elder rule, switching the
-    indices on in (value, index) order, O(n log n).
+    indices on in (value, index) order, O(n log n), as the pair (tower,
+    towers) that `module_from_tau` returns.
 
     Each run of on-indices remembers its elder, the (value, index) of its
     oldest minimum; when two runs meet at level k the younger elder dies,
@@ -365,7 +367,7 @@ def module_from_tau_sweep(vals: tuple[int, ...]) -> UModuleDecomposition:
         if r > i:
             e = meet(e, elder[i + 1], k)
         elder[l] = e
-    return UModuleDecomposition(2 * elder[0][0], tuple(sorted(towers)))
+    return 2 * elder[0][0], tuple(sorted(towers))
 
 
 def layout_fractions(root: GradedRoot) -> dict[int, Fraction]:
@@ -595,7 +597,8 @@ class PerClassResult:
     depth: int
     shift: Fraction
     tau: tuple[int, ...]
-    tau_module: UModuleDecomposition
+    tower: int
+    towers: tuple[tuple[int, int], ...]
     alpha_sum: int
 
 
@@ -628,7 +631,7 @@ def compute_all_per_class(spec: SurgerySpec) -> list[PerClassResult]:
         vals = hfcore._tau_values(spec, a, t_a)
         shared = by_tau.get(vals)
         if shared is None:
-            shared = by_tau[vals] = (vals, module_from_tau(vals), sum(vals[1::2]) - sum(vals[2::2]))
+            shared = by_tau[vals] = (vals, *module_from_tau(vals), sum(vals[1::2]) - sum(vals[2::2]))
         results.append(PerClassResult(a, t_a, Fraction(n, 2 * p), *shared))
     return results
 
@@ -663,14 +666,14 @@ def spinc_fractions(spec: SurgerySpec, a: int) -> SpincFractions:
     r_a = grading_shift_direct(spec, a)
     depth = ((2 * spec.knot.delta - 1) * spec.q - a - 1) // spec.p
     tau = hfcore._tau_values(spec, a, depth)
-    base = module_from_tau(tau)
+    tower, towers = module_from_tau(tau)
     return SpincFractions(
         a=a,
         depth=depth,
         shift=r_a,
         tau=tau,
-        tower_grade=base.tower + r_a,
-        finite_towers=tuple((g + r_a, n) for g, n in base.towers),
+        tower_grade=tower + r_a,
+        finite_towers=tuple((g + r_a, n) for g, n in towers),
         d_invariant=2 * min(tau) + r_a,
         sw_invariant=sw_invariant(spec, a),
         ker_u=tuple(2 * v + r_a for v in sorted(tau[0::2])),
@@ -682,15 +685,14 @@ def class_fractions(run: SpincRun, i: int) -> SpincFractions:
     """Class run.start + i of a run read as absolute grades: r_a =
     r_num[i]/r_den[i] as a Fraction, added to each of the run's grade offsets."""
     r_a = Fraction(run.r_num[i], run.r_den[i])
-    module = run.tau_module
     return SpincFractions(
         a=run.start + i,
         depth=run.depth,
         shift=r_a,
         tau=run.tau,
-        tower_grade=module.tower + r_a,
-        finite_towers=tuple((g + r_a, n) for g, n in module.towers),
-        d_invariant=module.tower + r_a,
+        tower_grade=run.tower + r_a,
+        finite_towers=tuple((g + r_a, n) for g, n in run.towers),
+        d_invariant=run.tower + r_a,
         sw_invariant=r_a / 2 - run.alpha_sum,
         ker_u=tuple(g + r_a for g in run.ker),
         coker_u=tuple(g + r_a for g in run.coker),
@@ -747,7 +749,7 @@ def spinc_text(ref: SpincFractions) -> list[str]:
     ]
 
 
-def closed_form_p1q1(knot: AlgebraicKnot) -> UModuleDecomposition:
+def closed_form_p1q1(knot: AlgebraicKnot) -> tuple:
     """The -1-surgery module in closed form (p = q = 1):
 
     T+_0 + T_0(alpha_{delta-1}) + sum_{i=1}^{delta-1} T_{i(i+1)}(alpha_{delta-1+i})^2,

@@ -23,7 +23,7 @@ import hfroots.knot as knot_mod
 import hfroots.lens as lens
 import hfroots.plumbing as pl
 from hfroots.cli import main
-from hfroots.root import GradedRoot, UModuleDecomposition, render, root_from_tau
+from hfroots.root import GradedRoot, render, root_from_tau
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -265,8 +265,23 @@ class TestAtomicOut:
         missing = tmp_path / "missing" / "doc.json"
         code, out, err = run(capsys, *self.ALL[0], "--out", str(missing))
         assert (code, out) == (1, "")
-        assert err == f"error: [Errno 2] No such file or directory: {f'{missing}.{os.getpid()}.tmp'!r}\n"
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"  # the path given
         assert [*tmp_path.iterdir()] == []
+
+    def test_a_failed_rename_names_the_path_given(self, capsys, monkeypatch, tmp_path):
+        # the rename's error names the temporary and the target; the message
+        # names --out alone, and the temporary is gone
+        target = tmp_path / "doc.out"
+        target.write_text("old document\n")
+
+        def busy(src, dst):
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", busy)
+        code, out, err = run(capsys, "knot", "--newton", "2,5", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EBUSY}] {os.strerror(errno.EBUSY)}: {str(target)!r}\n"
+        assert [*tmp_path.iterdir()] == [target] and target.read_text() == "old document\n"
 
     def test_a_replaced_file_keeps_its_mode(self, capsys, tmp_path):
         code, expected, _ = run(capsys, "knot", "--newton", "2,5")
@@ -384,15 +399,15 @@ class TestRunWriters:
         runs = cli.hfcore.compute_runs(spec)
         assert len(runs) == 2
         calls = []
-        real = UModuleDecomposition.grouped
+        real = cli.grouped
 
-        def counting(module):
-            calls.append(module)
-            return real(module)
+        def counting(towers):
+            calls.append(towers)
+            return real(towers)
 
         argv = ("compute", "--newton", "2,3", "--surgery", "599/397", "--format", "text")
         code, before, _ = run(capsys, *argv)
-        monkeypatch.setattr(UModuleDecomposition, "grouped", counting)
+        monkeypatch.setattr(cli, "grouped", counting)
         code, after, _ = run(capsys, *argv)
         assert code == 0 and after == before
         assert before.count("spin^c a = ") == 599
@@ -866,8 +881,30 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {shown}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("knot", "--newton", "2,3", "--out"),
+        ("compute", "--newton", "2,3", "--surgery", "2/1", "--format", "svg", "--out"),
+        ("compute", "--newton", "2,3", "--surgery", "2/1", "--spinc", "0", "--format", "json", "--out"),
+        ("verify", "--lens", "7/3", "--out"),
+        ("knot", "--newton"),
+        ("knot", "--newton", "2,3", "--format"),
+        ("compute", "--newton", "2,3", "--surgery"),
+        ("compute", "--newton", "2,3", "--surgery", "2/1", "--spinc"),
+        ("verify", "--newton", "2,3", "--surgery", "3/1", "--oracle"),
+        ("verify", "--lens"),
+    ], ids=["knot-out", "compute-svg-out", "compute-json-out", "verify-lens-out", "newton", "format", "surgery",
+            "spinc", "oracle", "lens"])
+    @pytest.mark.parametrize("form", ["=", "next"])
+    def test_an_empty_value_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv, form):
+        # `--out=` is no --out: it must not send the document to stdout
+        monkeypatch.chdir(tmp_path)
+        *head, flag = argv
+        code, out, err = run(capsys, *head, *([f"{flag}="] if form == "=" else [flag, ""]))
+        assert (code, out, err) == (1, "", f"error: {flag} expects a value\n")
+        assert [*tmp_path.iterdir()] == []
+
     @pytest.mark.parametrize("command", ["compute", "verify"])
-    @pytest.mark.parametrize("index", ["x", "1.5", "", "+1", " 1", "1_0", "\uff11", "-\u0661"])
+    @pytest.mark.parametrize("index", ["x", "1.5", "+1", " 1", "1_0", "\uff11", "-\u0661"])
     def test_malformed_spinc_names_the_flag(self, capsys, command, index):
         code, out, err = run(capsys, command, "--newton", "2,3", "--surgery", "3/1", "--spinc", index)
         assert code == 1
@@ -952,8 +989,8 @@ class TestExitCodes:
         real = cli.hfcore.module_from_tau
 
         def wrong_tower(tau):
-            module = real(tau)
-            return UModuleDecomposition(module.tower + 2, module.towers)
+            tower, towers = real(tau)
+            return tower + 2, towers
 
         monkeypatch.setattr(cli.hfcore, "module_from_tau", wrong_tower)
         for extra in ((), ("--spinc", "0"), ("--spinc", "2")):
@@ -1127,7 +1164,12 @@ class TestParserReuse:
     def test_matches_the_argparse_parser(self, argv):
         ref = vars(self.ORACLE.parse_args(argv))
         assert ref.pop("command") == argv[0]
-        assert vars(cli._parse_args(argv)) == ref
+        if "" in ref.values():  # argparse takes an empty value; this parser refuses it as none
+            with pytest.raises(ValueError, match=r"^--\w+ expects a value$") as exc:
+                cli._parse_args(argv)
+            assert ref[str(exc.value).split()[0][2:]] == ""
+        else:
+            assert vars(cli._parse_args(argv)) == ref
 
     def test_python_m_hfroots(self):
         src = Path(cli.__file__).resolve().parent.parent

@@ -7,10 +7,12 @@ import pickle
 import pytest
 
 from hfroots import (
+    NumericalSemigroup,
+    SpincRun,
     SurgerySpec,
-    UModuleDecomposition,
     compute_runs,
     from_newton_pairs,
+    module_from_tau,
 )
 from hfroots.frozen import Frozen
 
@@ -31,7 +33,6 @@ def instances():
         (SPEC.cfrac, {"p": 7, "q": 5, "terms": SPEC.cfrac.terms}),
         (SPEC, {"knot": K23, "p": 7, "q": 5}),
         (run, slots(run)),
-        (run.tau_module, slots(run.tau_module)),
     ]
 
 
@@ -90,16 +91,18 @@ def test_a_missing_extra_or_unknown_field_raises(obj, kwargs):
 
 def test_fields_are_set_by_position_then_by_name():
     # Frozen.__init__ itself, on a class that keeps it
-    assert UModuleDecomposition(2, towers=()) == UModuleDecomposition(towers=(), tower=2) == UModuleDecomposition(2, ())
+    gens, gaps = (0, 2, 3), frozenset({1})
+    assert (NumericalSemigroup(gens, gaps=gaps) == NumericalSemigroup(gaps=gaps, generators=gens)
+            == NumericalSemigroup(gens, gaps) == K23.semigroup)
     for args, named, message in [
-        ((2,), {}, "takes the 2 fields tower, towers, got 1"),
-        ((2, (), 0), {}, "takes the 2 fields tower, towers, got 3"),
-        ((), {"towers": ()}, "takes the 2 fields tower, towers, got 1"),
-        ((2, ()), {"tower": 2}, "no field 'tower' left to set by name"),
-        ((2,), {"towers": (), "shift": 0}, "no field 'shift' left to set by name"),
+        ((gens,), {}, "takes the 2 fields generators, gaps, got 1"),
+        ((gens, gaps, 0), {}, "takes the 2 fields generators, gaps, got 3"),
+        ((), {"gaps": gaps}, "takes the 2 fields generators, gaps, got 1"),
+        ((gens, gaps), {"generators": gens}, "no field 'generators' left to set by name"),
+        ((gens,), {"gaps": gaps, "mu": 2}, "no field 'mu' left to set by name"),
     ]:
         with pytest.raises(TypeError, match=message):
-            UModuleDecomposition(*args, **named)
+            NumericalSemigroup(*args, **named)
 
 
 def test_unequal_fields_give_unequal_instances():
@@ -110,12 +113,18 @@ def test_unequal_fields_give_unequal_instances():
 
 
 def test_module_equality_compares_absolute_grades():
-    # a module holds its integer grades with no shift beside them, so the
-    # fields are the grades themselves and equality is the fields'
-    assert UModuleDecomposition(2, ((0, 1),)) == UModuleDecomposition(2, ((0, 1),))
-    assert hash(UModuleDecomposition(2, ())) == hash(UModuleDecomposition(2, ()))
-    assert UModuleDecomposition(2, ()) != UModuleDecomposition(4, ())
-    assert UModuleDecomposition(2, ((0, 1),)) != UModuleDecomposition(2, ((-2, 1),))
+    # a module is the pair (tower, towers) of its integer grades with no
+    # shift beside them, and a run holds the pair as two of its fields, so
+    # equality is the grades'
+    assert module_from_tau((0, 2, 1, 3, 0)) == (0, ((0, 3), (2, 1)))
+    assert module_from_tau((0, 1, 0)) != module_from_tau((0, 1, 1))
+    run = compute_runs(SPEC)[0]
+    assert (run.tower, run.towers) == module_from_tau(run.tau) == (0, ((0, 1),))
+    fields = {name: getattr(run, name) for name in run.__slots__}
+    assert SpincRun(**fields) == run and hash(SpincRun(**fields)) == hash(run)
+    assert SpincRun(**{**fields, "tower": 2}) != run
+    assert SpincRun(**{**fields, "towers": ((-2, 1),)}) != run
+    assert SpincRun(**{**fields, "towers": ((0, 1), (0, 1))}) != run
 
 
 def test_repr_names_the_fields():

@@ -34,7 +34,7 @@ import hfroots.hfcore as hfcore
 from hfroots import InternalInvariantError, SurgerySpec, dedekind_sum, from_newton_pairs
 from hfroots.hfcore import SpincRun, compute_run, compute_runs
 from hfroots.knot import AlgebraicKnot
-from hfroots.root import UModuleDecomposition, reduced_rank
+from hfroots.root import grouped, reduced_rank
 
 
 K23 = from_newton_pairs([(2, 3)])
@@ -62,6 +62,11 @@ def class_shifts(spec):
     """(run, r_a) for every class of `spec`, r_a read off the r_num and r_den
     columns of `compute_runs` without the Fraction grades of `classes`."""
     return [(run, Fraction(n, d)) for run in compute_runs(spec) for n, d in zip(run.r_num, run.r_den)]
+
+
+def rank(run):
+    """The reduced rank of a run's module: the lengths of its finite towers."""
+    return sum(n for _, n in run.towers)
 
 
 def shift_column(spec):
@@ -301,7 +306,7 @@ class TestComputeSpinc:
         run = compute_run(spec, 0)
         d = spec.knot.delta
         assert len(run.tau) == 1889
-        assert run.tau_module.reduced_rank == reduced_rank(run.tau)
+        assert rank(run) == reduced_rank(run.tau)
         assert class_fractions(run, 0).d_invariant == 0
         assert class_fractions(run, 0).shift == 16 * d * (d - 1)
 
@@ -309,8 +314,8 @@ class TestComputeSpinc:
         real = hfcore.module_from_tau
 
         def lossy(tau):
-            mod = real(tau)
-            return UModuleDecomposition(mod.tower, mod.towers[1:])
+            tower, towers = real(tau)
+            return tower, towers[1:]
 
         monkeypatch.setattr(hfcore, "module_from_tau", lossy)
         with pytest.raises(InternalInvariantError, match="reduced_rank"):
@@ -348,8 +353,8 @@ class TestComputeSpinc:
             bound = (2 * spec.knot.delta - 1) * q
             for a in range(p):
                 run = compute_run(spec, a)
-                assert (run.tau_module.reduced_rank == 0) == (a >= bound)
-            assert compute_run(spec, 0).tau_module.reduced_rank > 0
+                assert (rank(run) == 0) == (a >= bound)
+            assert rank(compute_run(spec, 0)) > 0
 
 
 class TestSw:
@@ -378,14 +383,14 @@ class TestSw:
             for run in compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q)):
                 for i in range(run.stop - run.start):
                     res = class_fractions(run, i)
-                    assert res.sw_invariant == res.d_invariant / 2 - run.tau_module.reduced_rank
+                    assert res.sw_invariant == res.d_invariant / 2 - rank(run)
 
 
 def check_surgery_formulas(spec):
     """d of every class as the lens-space term of Ni-Wu (indexed, and as a
     multiset against the classical recursion), and sum_a sw by Casson-Walker."""
     shifts = class_shifts(spec)
-    d = [r + run.tau_module.tower for run, r in shifts]
+    d = [r + run.tower for run, r in shifts]
     assert d == surgery_d_from_lens(spec)
     assert sorted(d) == sorted(lens_d_recursion_of_surgery(spec))
     assert sum(r / 2 - run.alpha_sum for run, r in shifts) == casson_walker_sw_sum(spec)
@@ -523,9 +528,8 @@ class TestComputeAll:
         for res, ref in zip(results, refs):
             assert (res.a, res.depth, res.shift) == (ref.a, ref.depth, ref.shift)
             assert res.tau == ref.tau and first.setdefault(res.tau, res.tau) is res.tau
-            module = ref.tau_module
             assert (res.tower_grade, res.finite_towers) == (
-                module.tower + ref.shift, tuple((g + ref.shift, n) for g, n in module.towers))
+                ref.tower + ref.shift, tuple((g + ref.shift, n) for g, n in ref.towers))
             assert res.sw_invariant == ref.shift / 2 - ref.alpha_sum
         assert len(first) == 1 + sum(r.tau is not prev.tau for r, prev in zip(results[1:], results))
 
@@ -550,9 +554,8 @@ class TestComputeAll:
         assert len(found) == len({run.tau for run in found}) == runs
         assert not hasattr(hfcore, "Fraction")
         for run in found:
-            module = run.tau_module
-            ints = (run.depth, run.alpha_sum, module.tower, *run.tau, *run.r_num, *run.r_den, *run.ker, *run.coker,
-                    *(x for tower in module.towers for x in tower))
+            ints = (run.depth, run.alpha_sum, run.tower, *run.tau, *run.r_num, *run.r_den, *run.ker, *run.coker,
+                    *(x for tower in run.towers for x in tower))
             assert {type(x) for x in ints} == {int}
         run = next(run for run in found if run.start <= 7 < run.stop)
         assert class_fractions(run, 7 - run.start).shift == grading_shift_direct(spec, 7)
@@ -563,8 +566,8 @@ class TestComputeAll:
         real = hfcore.module_from_tau
 
         def wrong_tower(tau):
-            module = real(tau)
-            return UModuleDecomposition(module.tower + 2, module.towers)
+            tower, towers = real(tau)
+            return tower + 2, towers
 
         monkeypatch.setattr(hfcore, "module_from_tau", wrong_tower)
         spec = SurgerySpec(K23, 6, 1)  # a = 0 has a finite tower, a = 1 the stem tau = [0]
@@ -590,8 +593,8 @@ class TestComputeAll:
         assert classes(spec) == [class_fractions(run, 0) for run in singles]
         for run in compute_runs(spec):
             for single in singles[run.start:run.stop]:
-                assert (single.depth, single.tau, single.tau_module, single.alpha_sum) == (
-                    run.depth, run.tau, run.tau_module, run.alpha_sum)
+                assert (single.depth, single.tau, single.tower, single.towers, single.alpha_sum) == (
+                    run.depth, run.tau, run.tower, run.towers, run.alpha_sum)
 
     def test_one_module_per_distinct_tau(self, monkeypatch):
         # 599 classes on 2 taus, 401 on 12; the third call has the first's
@@ -620,15 +623,17 @@ class TestComputeAll:
         # none per class, by the pass and by the writer
         spec = SurgerySpec(K23, 599, 397)
         built = []
-        real = UModuleDecomposition.__init__
+        real = hfcore.module_from_tau
 
-        def counting(module, tower, towers):
-            built.append(tower)
-            real(module, tower, towers)
+        def counting(tau):
+            built.append(tau)
+            return real(tau)
 
-        monkeypatch.setattr(UModuleDecomposition, "__init__", counting)
+        monkeypatch.setattr(hfcore, "module_from_tau", counting)
         runs = compute_runs(spec)
         cli._compute_json(spec, runs)
+        cli._run_text(runs[0])
+        assert not hasattr(cli, "module_from_tau")  # the writers read the run's two fields
         assert len(built) == len({run.tau for run in runs}) == 2
 
 
@@ -660,7 +665,7 @@ class TestComputeRuns:
                 assert type(num) is type(den) is int and den > 0 and gcd(num, den) == 1
                 assert (run.depth, run.tau, Fraction(num, den), run.alpha_sum) == (ref.depth, ref.tau, ref.shift,
                                                                                   ref.alpha_sum)
-                assert run.tau_module == ref.tau_module
+                assert (run.tower, run.towers) == (ref.tower, ref.towers)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 900), st.integers(1, 900), st.data())
@@ -740,12 +745,12 @@ class TestIntegerGrades:
     def test_stored_grades_are_ints(self):
         for pairs, p, q in [([(4, 5)], 2, 1), ([(2, 3)], 7, 5), ([(2, 3), (2, 1)], 4, 3), ([(3, 4)], 1, 2)]:
             for run in compute_runs(SurgerySpec(from_newton_pairs(pairs), p, q)):
-                module = run.tau_module
-                stored = (module.tower, *(g for g, _ in module.towers), *run.ker, *run.coker)
+                stored = (run.tower, *(g for g, _ in run.towers), *run.ker, *run.coker)
                 assert all(type(g) is int for g in stored)
                 assert all(g % 2 == 0 for g in stored)
+                assert type(run.towers) is tuple and all(type(n) is int for _, n in run.towers)
                 assert type(run.alpha_sum) is int
-                assert module.tower == 2 * min(run.tau)
+                assert run.tower == 2 * min(run.tau)
 
     def test_module_equality_is_on_absolute_grades(self):
         mod = module_from_parts(Fraction(-1, 4), [(Fraction(7, 4), 2)])
@@ -799,7 +804,7 @@ class TestSpincTemplate:
         elif shape == "two pairs":
             assert len(pairs) == 2
         else:
-            assert any(m > 1 for *_, m in run.tau_module.grouped())
+            assert any(m > 1 for *_, m in grouped(run.towers))
 
     def test_d_and_sw_in_lowest_terms(self):
         # r_a with an odd numerator, an even one, and an integral r_a
@@ -819,21 +824,21 @@ class TestSpincTemplate:
     def broken(run, field, bad):
         """The run of one `run` with one stored int replaced by `bad`: "a" is
         its start, "numerator" and "denominator" its r_a."""
-        module, vals = run.tau_module, run.tau
+        vals = run.tau
         parts = {name: getattr(run, name) for name in SpincRun.__slots__}
         if field == "tau":
             parts["tau"] = (*vals[:-1], bad)
         elif field == "tower":
-            parts["tau_module"] = UModuleDecomposition(bad, module.towers)
+            parts["tower"] = bad
         elif field in ("tower grade", "tower length"):
-            (g, n), *rest = module.towers
+            (g, n), *rest = run.towers
             first = (bad, n) if field == "tower grade" else (g, bad)
-            parts["tau_module"] = UModuleDecomposition(module.tower, (first, *rest))
+            parts["towers"] = (first, *rest)
         elif field == "low":
             # tau's minimum and the tower grade 2 min tau read from it, together
             i = vals.index(min(vals))
             parts["tau"] = (*vals[:i], bad, *vals[i + 1:])
-            parts["tau_module"] = UModuleDecomposition(2 * bad, module.towers)
+            parts["tower"] = 2 * bad
         elif field in RATIO_SLOTS:
             parts[RATIO_SLOTS[field]] = (bad,)
         else:
@@ -844,7 +849,7 @@ class TestSpincTemplate:
     @pytest.mark.parametrize("field", ["a", "depth", "tau", "tower", "tower grade", "tower length", "low", "alpha_sum"])
     def test_rejects_everything_else(self, field, bad):
         run = compute_run(SurgerySpec(K45, 2, 1), 0)
-        assert run.tau_module.towers
+        assert run.towers
         broken = self.broken(run, field, bad)
         with pytest.raises(TypeError):
             class_block(broken)
@@ -865,7 +870,7 @@ class TestSpincTemplate:
         spec = SurgerySpec(K45, 13, 2)
         singles = [compute_run(spec, a) for a in range(13)]
         first, run = singles[10:12]
-        assert first.tau == run.tau and run.tau_module.towers
+        assert first.tau == run.tau and run.towers
         broken = self.broken(run, field, bad)
         piece = cli._tau_piece(first)
         assert class_block(run, piece) == self.reference(run)
@@ -921,7 +926,7 @@ class TestComputeDocument:
         # t_a = -1 tau is the constant (0,))
         spec = SurgerySpec(K23, 7, 1)
         shared = compute_runs(spec)
-        single = [SpincRun(r.start, r.stop, r.depth, tuple(list(r.tau)), r.tau_module, r.alpha_sum, r.r_num, r.r_den)
+        single = [SpincRun(r.start, r.stop, r.depth, tuple(list(r.tau)), r.tower, r.towers, r.alpha_sum, r.r_num, r.r_den)
                   for r in (compute_run(spec, a) for a in range(7))]
         assert [(r.start, r.stop) for r in shared] == [(0, 1), (1, 7)]
         assert single[1].tau is not single[2].tau and single[1].tau == single[2].tau == shared[1].tau

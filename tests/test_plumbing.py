@@ -981,7 +981,7 @@ class TestLauferTau:
                 i_max = (run.depth + 1) * knot.mf
                 values = laufer_tau(pl.embedded_resolution(knot), gm, classes[a], i_max)
                 d = Fraction(*pl.lattice_grading_shift(gm, k_pairs(gm, classes[a]))) + 2 * min(values)
-                assert d == Fraction(run.r_num[0], run.r_den[0]) + run.tau_module.tower
+                assert d == Fraction(run.r_num[0], run.r_den[0]) + run.tower
 
 
 class TestSublevel:

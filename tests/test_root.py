@@ -20,9 +20,9 @@ from oracles import (
 from hfroots import SurgerySpec, compute_run, from_newton_pairs
 from hfroots.root import (
     GradedRoot,
-    UModuleDecomposition,
     _layout,
     grade_text,
+    grouped,
     module_from_tau,
     module_text,
     reduced_rank,
@@ -167,24 +167,23 @@ def test_empty_tau_is_refused(route):
 class TestModule:
     def test_bare_stem(self):
         for route in MODULE_ROUTES:
-            mod = route((0,))
-            assert mod.tower == 0
-            assert mod.towers == ()
+            assert route((0,)) == (0, ())
 
     def test_two_leaves(self):
         for route in MODULE_ROUTES:
-            mod = route((0, 3, 1, 5))
-            assert mod.tower == 0
-            assert mod.towers == towers((2, 2))
+            assert route((0, 3, 1, 5)) == (0, towers((2, 2)))
 
     def test_torus_45_modules(self):
         for route in MODULE_ROUTES:
-            mod = route(TAU_45_2_1_A0)
-            assert mod.tower == -18
-            assert mod.towers == towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1))
-            mod = route(TAU_45_2_1_A1)
-            assert mod.tower == -12
-            assert mod.towers == towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1))
+            assert route(TAU_45_2_1_A0) == (-18, towers((-16, 2), (-16, 2), (-10, 1), (-10, 1), (0, 1), (0, 1)))
+            assert route(TAU_45_2_1_A1) == (-12, towers((-12, 3), (-8, 1), (-8, 1), (0, 1), (0, 1)))
+
+    def test_a_pair_of_ints(self):
+        # the module is (tower, towers) itself, no record around it
+        for tau in ((0,), TAU_45_2_1_A0, TAU_45_2_1_A1):
+            tower, pairs = module = module_from_tau(tau)
+            assert type(module) is tuple and type(pairs) is tuple and type(tower) is int
+            assert all(type(g) is int and type(n) is int for g, n in pairs)
 
     @PROPERTY
     @given(TAUS)
@@ -216,17 +215,23 @@ class TestModule:
 
     def test_shift(self):
         # a class's grades are its module's plus r_a, added as they are written
-        mod = UModuleDecomposition(-18, towers((-16, 2), (0, 1)))
-        assert grade_text(71, 4, mod.tower) == "-1/4"
-        assert module_text(71, 4, mod.tower, mod.grouped()) == "T+[-1/4] + T[7/4](2) + T[71/4](1)"
-        assert mod.reduced_rank == 3
+        tower, pairs = -18, towers((-16, 2), (0, 1))
+        assert grade_text(71, 4, tower) == "-1/4"
+        assert module_text(71, 4, tower, grouped(pairs)) == "T+[-1/4] + T[7/4](2) + T[71/4](1)"
 
     def test_grouped_towers(self):
-        mod = UModuleDecomposition(-18, towers((0, 1), (-16, 2), (-10, 1), (-16, 2)))
-        assert list(mod.grouped()) == [(-16, 2, 2), (-10, 1, 1), (0, 1, 1)]
-        assert mod.reduced_rank == 6
-        assert module_text(0, 1, mod.tower, mod.grouped()) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
-        assert module_text(71, 4, mod.tower, mod.grouped()) == "T+[-1/4] + 2*T[7/4](2) + T[31/4](1) + T[71/4](1)"
+        tower, pairs = -18, towers((0, 1), (-16, 2), (-10, 1), (-16, 2))
+        assert grouped(pairs) == [(-16, 2, 2), (-10, 1, 1), (0, 1, 1)]
+        assert module_text(0, 1, tower, grouped(pairs)) == "T+[-18] + 2*T[-16](2) + T[-10](1) + T[0](1)"
+        assert module_text(71, 4, tower, grouped(pairs)) == "T+[-1/4] + 2*T[7/4](2) + T[31/4](1) + T[71/4](1)"
+
+    def test_grouped_keys_on_grade_and_length(self):
+        # a grade repeated with two lengths is two groups; a tower repeated
+        # three times is one group of multiplicity 3
+        pairs = towers((-2, 1), (-2, 3), (-2, 1), (0, 1), (0, 1), (0, 1))
+        assert grouped(pairs) == [(-2, 1, 2), (-2, 3, 1), (0, 1, 3)]
+        assert module_text(0, 1, -4, grouped(pairs)) == "T+[-4] + 2*T[-2](1) + T[-2](3) + 3*T[0](1)"
+        assert grouped(()) == []
 
 
 class TestReducedRank:
@@ -257,7 +262,7 @@ class TestReducedRank:
             vals = [0, rng.randint(1, 10)]
             vals += [rng.randint(-10, 10) for _ in range(rng.randint(0, 18))]
             tau = tuple(vals)
-            assert reduced_rank(tau) == module_from_tau(tau).reduced_rank
+            assert reduced_rank(tau) == sum([n for _, n in module_from_tau(tau)[1]])
 
 
 class TestRender:

@@ -128,7 +128,7 @@ def test_every_module_is_imported():
 
 PUBLIC_NAMES = {
     "AlgebraicKnot", "GradedRoot", "InternalInvariantError", "NegContinuedFraction", "NumericalSemigroup",
-    "ResourceLimitError", "SpincRun", "SurgerySpec", "UModuleDecomposition", "compute_run", "compute_runs",
+    "ResourceLimitError", "SpincRun", "SurgerySpec", "compute_run", "compute_runs",
     "dedekind_sum", "from_newton_pairs", "mod_inverse", "module_from_tau", "neg_cfrac", "reduced_rank", "render",
     "root_from_tau",
 }
